@@ -20,7 +20,8 @@ import (
 	"time"
 
 	"parblockchain/internal/bench"
-	"parblockchain/internal/oxii"
+	"parblockchain/internal/depgraph"
+	"parblockchain/internal/node"
 )
 
 // quick returns options sized for benchmark iterations: a short but
@@ -142,15 +143,11 @@ func BenchmarkAblationA1_CommitMulticast(b *testing.B) {
 // BenchmarkAblationA2_GraphMode compares the standard dependency rule
 // against the multi-version rule under high contention.
 func BenchmarkAblationA2_GraphMode(b *testing.B) {
-	for _, mv := range []bool{false, true} {
-		name := "standard"
-		if mv {
-			name = "multiversion"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range []depgraph.Mode{depgraph.Standard, depgraph.MultiVersion} {
+		b.Run(mode.String(), func(b *testing.B) {
 			opts := quick(bench.SystemOXII)
 			opts.Contention = 0.8
-			opts.GraphMultiVersion = mv
+			opts.GraphMode = mode
 			runPoint(b, opts)
 		})
 	}
@@ -178,11 +175,11 @@ func BenchmarkAblationA3_GraphBuilder(b *testing.B) {
 // BenchmarkAblationA4_ConsensusPlug compares the three pluggable ordering
 // protocols under the same no-contention workload.
 func BenchmarkAblationA4_ConsensusPlug(b *testing.B) {
-	for _, kind := range []oxii.ConsensusKind{oxii.ConsensusKafka, oxii.ConsensusPBFT, oxii.ConsensusRaft} {
+	for _, kind := range []node.ConsensusKind{node.ConsensusKafka, node.ConsensusPBFT, node.ConsensusRaft} {
 		b.Run(string(kind), func(b *testing.B) {
 			opts := quick(bench.SystemOXII)
 			opts.Consensus = kind
-			if kind == oxii.ConsensusPBFT {
+			if kind == node.ConsensusPBFT {
 				opts.Orderers = 4
 			}
 			runPoint(b, opts)

@@ -25,12 +25,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
-
 	"time"
 
 	"parblockchain/internal/bench"
+	"parblockchain/internal/depgraph"
 	"parblockchain/internal/execution"
-	"parblockchain/internal/oxii"
+	"parblockchain/internal/node"
 	"parblockchain/internal/persist"
 )
 
@@ -42,23 +42,13 @@ func main() {
 }
 
 type config struct {
-	fig       string
-	fsync     string
-	scheduler string
-	backend   string
-	quick     bool
-	csv       bool
-	duration  time.Duration
-	warmup    time.Duration
-	execCost  time.Duration
-	crypto    bool
-	pipeline  int
-	prefetch  int
-	segTxns   int
-	speculate bool
-	hotBytes  int64
-	zipf      float64
-	schedKind execution.SchedulerKind
+	fig   string
+	fsync string
+	quick bool
+	csv   bool
+	// opts holds what every point of every figure shares; the knob flags
+	// write straight into its embedded node.Tunables.
+	opts bench.Options
 }
 
 func run() error {
@@ -66,31 +56,27 @@ func run() error {
 	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline scheduler stream durability speculation tiered all")
 	flag.BoolVar(&cfg.quick, "quick", false, "reduced sweep ranges for a fast pass")
 	flag.BoolVar(&cfg.csv, "csv", false, "emit raw CSV rows instead of tables")
-	flag.DurationVar(&cfg.duration, "dur", 2*time.Second, "steady-state measurement window per point")
-	flag.DurationVar(&cfg.warmup, "warmup", 500*time.Millisecond, "warm-up before measurement")
-	flag.DurationVar(&cfg.execCost, "execcost", time.Millisecond, "modeled contract service time")
-	flag.BoolVar(&cfg.crypto, "crypto", false, "enable ed25519 signing end to end")
-	flag.IntVar(&cfg.pipeline, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
-	flag.StringVar(&cfg.scheduler, "scheduler", "", "ready-transaction dispatch scheduler for all OXII runs: "+strings.Join(execution.SchedulerNames, ", "))
-	flag.IntVar(&cfg.prefetch, "prefetch", 0, "read-set prefetch workers per OXII executor (0 = off)")
-	flag.IntVar(&cfg.segTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = monolithic NEWBLOCK)")
+	flag.DurationVar(&cfg.opts.Duration, "dur", 2*time.Second, "steady-state measurement window per point")
+	flag.DurationVar(&cfg.opts.Warmup, "warmup", 500*time.Millisecond, "warm-up before measurement")
+	flag.DurationVar(&cfg.opts.ExecCost, "execcost", time.Millisecond, "modeled contract service time")
+	flag.BoolVar(&cfg.opts.Crypto, "crypto", false, "enable ed25519 signing end to end")
+	flag.IntVar(&cfg.opts.PipelineDepth, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
+	flag.TextVar(&cfg.opts.Scheduler, "scheduler", execution.SchedFIFO, "ready-transaction dispatch scheduler for all OXII runs: "+strings.Join(execution.SchedulerNames, ", "))
+	flag.IntVar(&cfg.opts.PrefetchWorkers, "prefetch", 0, "read-set prefetch workers per OXII executor (0 = off)")
+	flag.IntVar(&cfg.opts.SegmentTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = monolithic NEWBLOCK)")
 	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
-	flag.BoolVar(&cfg.speculate, "speculate", false, "speculative commit-wait bypass for all OXII runs (adopt first votes, gate multicasts, cascade on mismatch)")
-	flag.StringVar(&cfg.backend, "backend", "", "state backend for all OXII runs: "+strings.Join(persist.StateBackendNames, ", ")+" (empty = memory)")
-	flag.Int64Var(&cfg.hotBytes, "hotbytes", 0, "tiered backend hot-tier byte cap (0 = backend default; tiered figure default 1MiB)")
-	flag.Float64Var(&cfg.zipf, "zipf", 0, "Zipf s parameter for hot-key selection, 0 = round-robin (must be > 1 otherwise)")
+	flag.BoolVar(&cfg.opts.Speculate, "speculate", false, "speculative commit-wait bypass for all OXII runs (adopt first votes, gate multicasts, cascade on mismatch)")
+	flag.StringVar(&cfg.opts.StateBackend, "backend", "", "state backend for all OXII runs: "+strings.Join(persist.StateBackendNames, ", ")+" (empty = memory)")
+	flag.Int64Var(&cfg.opts.HotTierBytes, "hotbytes", 0, "tiered backend hot-tier byte cap (0 = backend default; tiered figure default 1MiB)")
+	flag.Float64Var(&cfg.opts.ZipfSkew, "zipf", 0, "Zipf s parameter for hot-key selection, 0 = round-robin (must be > 1 otherwise)")
 	flag.Parse()
 
-	var err error
-	if cfg.schedKind, err = execution.ParseScheduler(cfg.scheduler); err != nil {
-		return err
-	}
-	if !persist.ValidStateBackend(cfg.backend) {
-		return fmt.Errorf("unknown -backend %q (want %s)", cfg.backend,
+	if !persist.ValidStateBackend(cfg.opts.StateBackend) {
+		return fmt.Errorf("unknown -backend %q (want %s)", cfg.opts.StateBackend,
 			strings.Join(persist.StateBackendNames, ", "))
 	}
-	if cfg.zipf != 0 && cfg.zipf <= 1 {
-		return fmt.Errorf("-zipf must be 0 or > 1, got %v", cfg.zipf)
+	if z := cfg.opts.ZipfSkew; z != 0 && z <= 1 {
+		return fmt.Errorf("-zipf must be 0 or > 1, got %v", z)
 	}
 
 	figs := map[string]func(config) error{
@@ -133,23 +119,6 @@ func run() error {
 	}
 }
 
-func (c config) base() bench.Options {
-	return bench.Options{
-		Duration:        c.duration,
-		Warmup:          c.warmup,
-		ExecCost:        c.execCost,
-		Crypto:          c.crypto,
-		PipelineDepth:   c.pipeline,
-		Scheduler:       c.schedKind,
-		PrefetchWorkers: c.prefetch,
-		SegmentTxns:     c.segTxns,
-		Speculate:       c.speculate,
-		StateBackend:    c.backend,
-		HotTierBytes:    c.hotBytes,
-		ZipfSkew:        c.zipf,
-	}
-}
-
 func (c config) clientLevels() []int {
 	if c.quick {
 		return []int{100, 400, 1000}
@@ -174,7 +143,7 @@ func fig5(c config) error {
 		sizes = []int{10, 50, 100, 200, 400, 1000}
 	}
 	systems := []bench.System{bench.SystemOX, bench.SystemXOV, bench.SystemOXII}
-	rows, err := bench.BlockSizeSweep(c.base(), systems, sizes, c.peakLevels(), os.Stderr)
+	rows, err := bench.BlockSizeSweep(c.opts, systems, sizes, c.peakLevels(), os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -202,7 +171,7 @@ func fig6(c config, contention float64) error {
 	if contention > 0 {
 		systems = append(systems, bench.SystemOXIIX)
 	}
-	series, err := bench.ContentionSweep(c.base(), contention, systems, c.clientLevels(), os.Stderr)
+	series, err := bench.ContentionSweep(c.opts, contention, systems, c.clientLevels(), os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -214,7 +183,7 @@ func fig6(c config, contention float64) error {
 // node group in a far data center.
 func fig7(c config, moved bench.NodeGroup) error {
 	systems := []bench.System{bench.SystemOX, bench.SystemXOV, bench.SystemOXII}
-	series, err := bench.GeoSweep(c.base(), moved, systems, c.clientLevels(), os.Stderr)
+	series, err := bench.GeoSweep(c.opts, moved, systems, c.clientLevels(), os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -234,7 +203,7 @@ func figPipeline(c config) error {
 	if c.quick {
 		depths = []int{1, 4}
 	}
-	series, err := bench.PipelineSweep(c.base(), 0.2, depths, levels, os.Stderr)
+	series, err := bench.PipelineSweep(c.opts, 0.2, depths, levels, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -254,7 +223,7 @@ func figScheduler(c config) error {
 	scheds := []execution.SchedulerKind{
 		execution.SchedFIFO, execution.SchedCriticalPath, execution.SchedLoadBalanced,
 	}
-	series, err := bench.SchedulerSweep(c.base(), 0.2, scheds, c.clientLevels(), os.Stderr)
+	series, err := bench.SchedulerSweep(c.opts, 0.2, scheds, c.clientLevels(), os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -275,7 +244,7 @@ func figStream(c config) error {
 	if c.quick {
 		segSizes = []int{0, 16}
 	}
-	series, err := bench.StreamSweep(c.base(), 0.2, segSizes, levels, os.Stderr)
+	series, err := bench.StreamSweep(c.opts, 0.2, segSizes, levels, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -297,7 +266,7 @@ func ablations(c config) error {
 	clients := levels[len(levels)-1]
 	fmt.Println("A1: lazy (Algorithm 2 cut rule) vs eager per-txn COMMIT multicast, 20% cross-app contention")
 	for _, eager := range []bool{false, true} {
-		opts := c.base()
+		opts := c.opts
 		opts.System = bench.SystemOXIIX
 		opts.Contention = 0.2
 		opts.EagerCommit = eager
@@ -315,31 +284,27 @@ func ablations(c config) error {
 	}
 
 	fmt.Println("A2: standard vs multi-version dependency rule, 80% contention")
-	for _, mv := range []bool{false, true} {
-		opts := c.base()
+	for _, mode := range []depgraph.Mode{depgraph.Standard, depgraph.MultiVersion} {
+		opts := c.opts
 		opts.System = bench.SystemOXII
 		opts.Contention = 0.8
-		opts.GraphMultiVersion = mv
+		opts.GraphMode = mode
 		opts.Clients = clients
 		r, err := bench.Run(opts)
 		if err != nil {
 			return err
 		}
-		mode := "standard    "
-		if mv {
-			mode = "multiversion"
-		}
-		fmt.Printf("  %s  tput=%8.0f tx/s  avg=%8s\n",
+		fmt.Printf("  %-12s  tput=%8.0f tx/s  avg=%8s\n",
 			mode, r.Throughput, r.AvgLatency.Round(time.Millisecond))
 	}
 
 	fmt.Println("A4: consensus plug comparison, no contention")
-	for _, kind := range []oxii.ConsensusKind{oxii.ConsensusKafka, oxii.ConsensusPBFT, oxii.ConsensusRaft} {
-		opts := c.base()
+	for _, kind := range []node.ConsensusKind{node.ConsensusKafka, node.ConsensusPBFT, node.ConsensusRaft} {
+		opts := c.opts
 		opts.System = bench.SystemOXII
 		opts.Consensus = kind
 		opts.Clients = clients
-		if kind == oxii.ConsensusPBFT {
+		if kind == node.ConsensusPBFT {
 			opts.Orderers = 4
 		}
 		r, err := bench.Run(opts)
@@ -403,7 +368,7 @@ func figSpeculation(c config) error {
 	if c.quick {
 		delays = []time.Duration{0, 2 * time.Millisecond}
 	}
-	series, err := bench.SpeculationSweep(c.base(), 0.2, delays, levels, os.Stderr)
+	series, err := bench.SpeculationSweep(c.opts, 0.2, delays, levels, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -433,7 +398,7 @@ func figDurability(c config) error {
 	}
 	depths := []int{1, 4}
 	levels := c.clientLevels()
-	series, err := bench.DurabilitySweep(c.base(), 0.2, depths, fsync, levels, os.Stderr)
+	series, err := bench.DurabilitySweep(c.opts, 0.2, depths, fsync, levels, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -455,11 +420,11 @@ func figDurability(c config) error {
 // exercised. Committed hashes are identical across backends; the sweep
 // isolates eviction, cold-read, and cold-prefetch cost.
 func figTiered(c config) error {
-	hotBytes := c.hotBytes
+	hotBytes := c.opts.HotTierBytes
 	if hotBytes == 0 {
 		hotBytes = 1 << 20
 	}
-	series, err := bench.TieredSweep(c.base(), 0.8, hotBytes, c.clientLevels(), os.Stderr)
+	series, err := bench.TieredSweep(c.opts, 0.8, hotBytes, c.clientLevels(), os.Stderr)
 	if err != nil {
 		return err
 	}

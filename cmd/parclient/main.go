@@ -17,7 +17,8 @@ import (
 
 	"parblockchain/internal/clustercfg"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/metrics"
+	"parblockchain/internal/oxii"
+	"parblockchain/internal/telemetry"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 	"parblockchain/internal/workload"
@@ -63,24 +64,11 @@ func run(configPath string, id types.NodeID, n, concurrency int,
 		signer = cryptoutil.DeterministicKeyPair(string(id))
 	}
 
-	// Route commit notifications to per-transaction waiters.
-	var mu sync.Mutex
-	waiters := make(map[types.TxID]chan *types.CommitNotifyMsg)
-	go func() {
-		for msg := range ep.Recv() {
-			notify, ok := msg.Payload.(*types.CommitNotifyMsg)
-			if !ok {
-				continue
-			}
-			mu.Lock()
-			ch := waiters[notify.TxID]
-			delete(waiters, notify.TxID)
-			mu.Unlock()
-			if ch != nil {
-				ch <- notify
-			}
-		}
-	}()
+	// The ordinary client driver, its waiters resolved from the observer's
+	// commit notifications.
+	router := oxii.NewCommitRouter()
+	go router.ServeNotifications(ep.Recv())
+	client := oxii.NewClient(id, ep, signer, cfg.OrdererIDs(), router)
 
 	apps := make([]types.AppID, 0, len(cfg.Apps))
 	for app := range cfg.AgentsOf() {
@@ -99,9 +87,7 @@ func run(configPath string, id types.NodeID, n, concurrency int,
 	// accounts there or use "open" transactions first. For the demo
 	// cluster, examples/tcpcluster writes a config whose genesis covers
 	// this pool.
-	orderers := cfg.OrdererIDs()
-	rec := metrics.NewLatencyRecorder()
-	var ts, rr atomic.Uint64
+	var rec telemetry.Histogram
 	var aborted, failed atomic.Int64
 	work := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
@@ -116,31 +102,16 @@ func run(configPath string, id types.NodeID, n, concurrency int,
 		go func() {
 			defer wg.Done()
 			for range work {
-				tx := gen.Next(id, ts.Add(1))
-				workload.Finalize(tx, time.Now().UnixNano(), func(d []byte) []byte {
-					return signer.Sign(d)
-				})
-				ch := make(chan *types.CommitNotifyMsg, 1)
-				mu.Lock()
-				waiters[tx.ID] = ch
-				mu.Unlock()
-				target := orderers[rr.Add(1)%uint64(len(orderers))]
+				tx := gen.Next(id, client.NextTS())
 				opStart := time.Now()
-				if err := ep.Send(target, &types.RequestMsg{Tx: tx}); err != nil {
+				result, err := client.Do(tx, timeout)
+				if err != nil {
 					failed.Add(1)
 					continue
 				}
-				select {
-				case notify := <-ch:
-					rec.Record(time.Since(opStart))
-					if notify.Aborted {
-						aborted.Add(1)
-					}
-				case <-time.After(timeout):
-					mu.Lock()
-					delete(waiters, tx.ID)
-					mu.Unlock()
-					failed.Add(1)
+				rec.Observe(int64(time.Since(opStart)))
+				if result.Aborted {
+					aborted.Add(1)
 				}
 			}
 		}()
@@ -148,7 +119,7 @@ func run(configPath string, id types.NodeID, n, concurrency int,
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	stats := rec.Snapshot()
+	stats := rec.Snapshot().Latency()
 	fmt.Printf("committed %d transactions in %s: %.0f tx/s\n",
 		stats.Count, elapsed.Round(time.Millisecond),
 		float64(stats.Count)/elapsed.Seconds())

@@ -16,22 +16,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
 	"parblockchain/internal/clustercfg"
-	"parblockchain/internal/consensus"
-	"parblockchain/internal/consensus/kafkaorder"
-	"parblockchain/internal/consensus/pbft"
-	"parblockchain/internal/consensus/raft"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/execution"
-	"parblockchain/internal/ledger"
-	"parblockchain/internal/ordering"
-	"parblockchain/internal/persist"
-	"parblockchain/internal/state"
-	"parblockchain/internal/telemetry"
+	"parblockchain/internal/node"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -46,15 +36,6 @@ func main() {
 	}
 }
 
-// registerWire registers every gob escape-hatch payload this binary
-// exchanges. The protocol and consensus messages (including PBFT) ride
-// dedicated binary frames and need no registration.
-func registerWire() {
-	transport.RegisterWireTypes(
-		&types.CommitNotifyMsg{},
-	)
-}
-
 func run(configPath string, id types.NodeID, opsAddr string) error {
 	if id == "" {
 		return fmt.Errorf("parnode: -id is required")
@@ -63,10 +44,9 @@ func run(configPath string, id types.NodeID, opsAddr string) error {
 	if err != nil {
 		return err
 	}
-	if opsAddr == "" {
-		opsAddr = cfg.OpsAddr(id)
-	}
-	registerWire()
+	// Only the commit notification rides the gob escape hatch; protocol
+	// and consensus messages travel as dedicated binary frames.
+	transport.RegisterWireTypes(&types.CommitNotifyMsg{})
 
 	book := cfg.AddrBook()
 	listenAddr, ok := book[id]
@@ -83,88 +63,57 @@ func run(configPath string, id types.NodeID, opsAddr string) error {
 	}
 	defer ep.Close()
 
-	signer, verifier := keys(cfg, id)
+	nc := cfg.Node(id)
+	nc.Endpoint = ep
+	nc.Signer, nc.Verifier = keys(cfg, id)
+	nc.RegisterTransport = ep.RegisterTelemetry
+	nc.Logf = log.Printf
+	if opsAddr != "" {
+		nc.OpsAddr = opsAddr
+	}
 
-	var stop func()
-	var ops *telemetry.Server
 	switch {
 	case has(cfg.Orderers, id):
-		node, err := runOrderer(cfg, id, ep, signer, verifier)
+		n, err := node.NewOrderer(nc)
 		if err != nil {
 			return err
 		}
-		ops, err = startOps(opsAddr, func(reg *telemetry.Registry, labels telemetry.Labels) telemetry.ServerConfig {
-			node.RegisterTelemetry(reg, labels)
-			ep.RegisterTelemetry(reg, labels)
-			return telemetry.ServerConfig{
-				Status: func() any { return node.Status() },
-				Health: node.Healthy,
-			}
-		}, id)
-		if err != nil {
-			node.Stop()
-			return err
-		}
-		stop = node.Stop
-		log.Printf("orderer %s listening on %s", id, ep.Addr())
+		log.Printf("orderer %s listening on %s, next block %d", id, ep.Addr(), n.DurableHeight())
+		return serve(id, n)
 	case has(cfg.Executors, id):
-		node, closeDurability, err := runExecutor(cfg, id, ep, signer, verifier, opsAddr)
+		// The demo cluster runs the accounting application on every
+		// agent; extend here for custom contracts.
+		nc.Contracts = make(map[types.AppID]contract.Contract, len(nc.Agents))
+		for app := range nc.Agents {
+			nc.Contracts[app] = contract.NewAccounting()
+		}
+		nc.Genesis = cfg.GenesisKVs(contract.EncodeBalance)
+		n, err := node.NewExecutor(nc)
 		if err != nil {
 			return err
 		}
-		ops, err = startOps(opsAddr, func(reg *telemetry.Registry, labels telemetry.Labels) telemetry.ServerConfig {
-			node.RegisterTelemetry(reg, labels)
-			ep.RegisterTelemetry(reg, labels)
-			return telemetry.ServerConfig{
-				Status: func() any { return node.Status() },
-				Health: node.Healthy,
-				Traces: func() []telemetry.TraceRecord { return node.Tracer().Slowest() },
-			}
-		}, id)
-		if err != nil {
-			node.Stop()
-			closeDurability()
-			return err
-		}
-		stop = func() {
-			node.Stop()
-			closeDurability()
-		}
-		log.Printf("executor %s listening on %s (observer=%v)", id, ep.Addr(), string(id) == cfg.Observer)
+		log.Printf("executor %s listening on %s at height %d (observer=%v)",
+			id, ep.Addr(), n.Ledger.Height(), nc.NotifyClients)
+		return serve(id, n)
 	default:
 		return fmt.Errorf("parnode: %s is neither an orderer nor an executor", id)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Printf("%s shutting down", id)
-	if ops != nil {
-		ops.Close()
-	}
-	stop()
-	return nil
 }
 
-// startOps starts the node's ops server when an address is configured.
-// The register callback wires the role's collectors into a fresh
-// registry and returns the role-specific status/health/trace hooks.
-func startOps(addr string, register func(*telemetry.Registry, telemetry.Labels) telemetry.ServerConfig,
-	id types.NodeID) (*telemetry.Server, error) {
-	if addr == "" {
-		return nil, nil
+// serve runs the node until SIGINT or SIGTERM, then stops it cleanly.
+func serve(id types.NodeID, n interface {
+	Start() error
+	Stop()
+}) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer n.Stop()
+	if err := n.Start(); err != nil {
+		return err
 	}
-	reg := telemetry.NewRegistry()
-	sc := register(reg, telemetry.Labels{"node": string(id)})
-	sc.Addr = addr
-	sc.Registry = reg
-	sc.Logf = log.Printf
-	srv, err := telemetry.StartServer(sc)
-	if err != nil {
-		return nil, fmt.Errorf("parnode: ops server: %w", err)
-	}
-	log.Printf("%s ops server on http://%s (/metrics /statusz /healthz /traces /debug/pprof)", id, srv.Addr())
-	return srv, nil
+	<-sig
+	log.Printf("%s shutting down", id)
+	return nil
 }
 
 func has(m map[string]string, id types.NodeID) bool {
@@ -183,167 +132,4 @@ func keys(cfg *clustercfg.Config, id types.NodeID) (cryptoutil.Signer, cryptouti
 		ring.Add(string(other), cryptoutil.DeterministicKeyPair(string(other)).Public())
 	}
 	return cryptoutil.DeterministicKeyPair(string(id)), ring
-}
-
-func buildConsensus(kind string, id types.NodeID, members []types.NodeID,
-	ep transport.Endpoint, dir string, fsync persist.FsyncPolicy) (consensus.Node, error) {
-	sender := consensus.SenderFunc(ep.Send)
-	switch kind {
-	case "pbft":
-		// PBFT view state stays in-memory; the orderer's cut-state log
-		// above it still recovers the cutting side.
-		return pbft.New(pbft.Config{ID: id, Members: members, Sender: sender}), nil
-	case "raft":
-		return raft.New(raft.Config{ID: id, Members: members, Sender: sender,
-			Dir: dir, Fsync: fsync})
-	case "kafka":
-		return kafkaorder.New(kafkaorder.Config{ID: id, Members: members, Sender: sender,
-			Dir: dir, Fsync: fsync})
-	default:
-		return nil, fmt.Errorf("parnode: unknown consensus %q", kind)
-	}
-}
-
-func runOrderer(cfg *clustercfg.Config, id types.NodeID, ep transport.Endpoint,
-	signer cryptoutil.Signer, verifier cryptoutil.Verifier) (*ordering.Orderer, error) {
-	var ordererDir, consensusDir string
-	var fsync persist.FsyncPolicy
-	if dataDir := cfg.NodeDataDir(id); dataDir != "" {
-		var err error
-		fsync, err = persist.ParseFsyncPolicy(cfg.FsyncPolicy)
-		if err != nil {
-			return nil, err // unreachable: Load validated the policy
-		}
-		ordererDir = filepath.Join(dataDir, "olog")
-		consensusDir = filepath.Join(dataDir, "consensus")
-	}
-	cons, err := buildConsensus(cfg.Consensus, id, cfg.OrdererIDs(), ep, consensusDir, fsync)
-	if err != nil {
-		return nil, err
-	}
-	node, err := ordering.New(ordering.Config{
-		ID:               id,
-		Endpoint:         ep,
-		Consensus:        cons,
-		Executors:        cfg.ExecutorIDs(),
-		Signer:           signer,
-		Verifier:         verifier,
-		VerifyClientSigs: cfg.Crypto,
-		MaxBlockTxns:     cfg.BlockTxns,
-		MaxBlockInterval: cfg.BlockInterval(),
-		BuildGraph:       true,
-		SegmentTxns:      cfg.SegmentTxns,
-		Dir:              ordererDir,
-		Fsync:            fsync,
-		// Raft and Kafka redeliver their durable committed prefix with
-		// stable sequence numbers; PBFT restarts its sequence space, so
-		// its re-deliveries are deduped by content instead.
-		ResumeSeq: ordererDir != "" && cfg.Consensus != "pbft",
-	})
-	if err != nil {
-		cons.Stop() // release the consensus storage lock
-		return nil, fmt.Errorf("parnode: %w", err)
-	}
-	if ordererDir != "" {
-		log.Printf("orderer %s durable under %s: next block %d",
-			id, ordererDir, node.DurableHeight())
-	}
-	node.Start()
-	return node, nil
-}
-
-func runExecutor(cfg *clustercfg.Config, id types.NodeID, ep transport.Endpoint,
-	signer cryptoutil.Signer, verifier cryptoutil.Verifier, opsAddr string) (*execution.Executor, func(), error) {
-	registry := contract.NewRegistry()
-	for app, agents := range cfg.AgentsOf() {
-		for _, agent := range agents {
-			if agent == id {
-				// The demo cluster runs the accounting application on
-				// every agent; extend here for custom contracts.
-				registry.Install(app, contract.NewAccounting())
-			}
-		}
-	}
-	genesis := cfg.GenesisKVs(contract.EncodeBalance)
-	var (
-		store           state.Backend
-		led             *ledger.Ledger
-		mgr             *persist.Manager
-		closeDurability = func() {}
-	)
-	if dataDir := cfg.NodeDataDir(id); dataDir != "" {
-		fsync, err := persist.ParseFsyncPolicy(cfg.FsyncPolicy)
-		if err != nil {
-			return nil, nil, err // unreachable: Load validated the policy
-		}
-		var rec *persist.Recovered
-		mgr, rec, err = persist.Open(persist.Config{
-			Dir:              dataDir,
-			Fsync:            fsync,
-			SnapshotInterval: cfg.SnapshotIntervalBlocks,
-			StateBackend:     cfg.StateBackend,
-			HotTierBytes:     cfg.HotTierBytes,
-		}, genesis)
-		if err != nil {
-			return nil, nil, fmt.Errorf("parnode: %w", err)
-		}
-		store, led = rec.Store, rec.Ledger
-		closeDurability = func() {
-			if err := mgr.Close(); err != nil {
-				log.Printf("parnode: closing durability manager: %v", err)
-			}
-			store.Close()
-		}
-		log.Printf("executor %s durable under %s: height %d (snapshot %d + %d WAL records)",
-			id, dataDir, led.Height(), rec.SnapshotHeight, rec.Replayed)
-	} else {
-		if cfg.StateBackend == "tiered" {
-			// No dataDir: the cold tier lives in a throwaway temp dir, so
-			// the node still bounds its resident state without durability.
-			ts, err := state.NewTieredStore(state.TieredConfig{HotBytes: cfg.HotTierBytes})
-			if err != nil {
-				return nil, nil, fmt.Errorf("parnode: %w", err)
-			}
-			store = ts
-		} else {
-			store = state.NewKVStore()
-		}
-		store.Apply(genesis)
-		led = ledger.New()
-		closeDurability = func() { store.Close() }
-	}
-	quorum := 1
-	if cfg.Consensus == "pbft" {
-		quorum = (len(cfg.Orderers)-1)/3 + 1
-	}
-	// Tracing rides the ops server: without one nobody can read the
-	// histograms, so the executor keeps its nil (zero-overhead) tracer.
-	var tracer *telemetry.BlockTracer
-	if opsAddr != "" {
-		tracer = telemetry.NewBlockTracer(cfg.TraceRing)
-	}
-	node := execution.New(execution.Config{
-		ID:              id,
-		Endpoint:        ep,
-		Tracer:          tracer,
-		Registry:        registry,
-		AgentsOf:        cfg.AgentsOf(),
-		OrderQuorum:     quorum,
-		Executors:       cfg.ExecutorIDs(),
-		Store:           store,
-		Ledger:          led,
-		PipelineDepth:   cfg.PipelineDepth,
-		Scheduler:       cfg.SchedulerKind(),
-		PrefetchWorkers: cfg.PrefetchWorkers,
-		Speculate:       cfg.Speculate,
-		MinHorizon:      cfg.MinHorizon,
-		StallTimeout:    cfg.SyncStallTimeout(),
-		Signer:          signer,
-		Verifier:        verifier,
-		VerifySigs:      cfg.Crypto,
-		Persist:         mgr,
-		NotifyClients:   string(id) == cfg.Observer,
-	})
-	node.Start()
-	return node, closeDurability, nil
 }

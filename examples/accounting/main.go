@@ -15,7 +15,8 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
-	"parblockchain/internal/core"
+	"parblockchain/internal/depgraph"
+	"parblockchain/internal/oxii"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 	"parblockchain/internal/workload"
@@ -48,7 +49,7 @@ func run(contention float64, crossApp bool, clients, secs int) error {
 
 	var committed, aborted atomic.Int64
 	cost := contract.CostModel{Cost: 500 * time.Microsecond}
-	cfg := core.Config{
+	cfg := oxii.Config{
 		Orderers:  []types.NodeID{"o1", "o2", "o3"},
 		Executors: []types.NodeID{"e1", "e2", "e3"},
 		Clients:   []types.NodeID{"load"},
@@ -65,7 +66,13 @@ func run(contention float64, crossApp bool, clients, secs int) error {
 		Genesis:          gen.Genesis(),
 		Net:              net,
 		OnCommit: func(block *types.Block, results []types.TxResult) {
-			graph := core.BuildGraph(block.Txns, core.Standard)
+			// Rebuild the graph the orderers attached to the block.
+			sets := make([]depgraph.RWSet, len(block.Txns))
+			for i, tx := range block.Txns {
+				sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+				sets[i].Normalize()
+			}
+			graph := depgraph.Build(sets, depgraph.Standard)
 			fmt.Printf("block %3d: %3d txns, %4d graph edges, depth %3d, width %3d\n",
 				block.Header.Number, len(block.Txns), graph.EdgeCount(),
 				graph.CriticalPathLen(), graph.MaxWidth())
@@ -79,7 +86,7 @@ func run(contention float64, crossApp bool, clients, secs int) error {
 			}
 		},
 	}
-	bc, err := core.NewParBlockchain(cfg)
+	bc, err := oxii.New(cfg)
 	if err != nil {
 		return err
 	}

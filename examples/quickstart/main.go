@@ -12,7 +12,8 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
-	"parblockchain/internal/core"
+	"parblockchain/internal/node"
+	"parblockchain/internal/oxii"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -30,7 +31,7 @@ func run() error {
 	})
 	defer net.Close()
 
-	bc, err := core.NewParBlockchain(core.Config{
+	bc, err := oxii.New(oxii.Config{
 		Orderers:  []types.NodeID{"o1", "o2", "o3"},
 		Executors: []types.NodeID{"e1", "e2", "e3"},
 		Clients:   []types.NodeID{"alice-client"},
@@ -44,7 +45,7 @@ func run() error {
 			"loyalty":  contract.NewAccounting(),
 			"escrow":   contract.NewAccounting(),
 		},
-		Consensus:        core.ConsensusKafka,
+		Consensus:        node.ConsensusKafka,
 		MaxBlockTxns:     50,
 		MaxBlockInterval: 50 * time.Millisecond,
 		Crypto:           true,

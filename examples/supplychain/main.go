@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
-	"parblockchain/internal/core"
+	"parblockchain/internal/oxii"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -35,7 +35,7 @@ func run() error {
 	})
 	defer net.Close()
 
-	bc, err := core.NewParBlockchain(core.Config{
+	bc, err := oxii.New(oxii.Config{
 		Orderers:  []types.NodeID{"o1", "o2", "o3"},
 		Executors: []types.NodeID{"producer-node", "shipper-node", "retailer-node"},
 		Clients:   []types.NodeID{"ops"},

@@ -1,8 +1,8 @@
 // TCP cluster demo: runs a full ParBlockchain deployment over real
 // loopback TCP sockets — three Kafka-style orderers, three executors
 // (one application each), and a client — all inside one process but
-// communicating exclusively through the TCP transport, exactly as the
-// parnode/parclient binaries would across machines.
+// communicating exclusively through the TCP transport, built by the same
+// node constructors the parnode binary uses across machines.
 //
 //	go run ./examples/tcpcluster
 package main
@@ -11,16 +11,13 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"parblockchain/internal/consensus"
-	"parblockchain/internal/consensus/kafkaorder"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/execution"
-	"parblockchain/internal/ledger"
-	"parblockchain/internal/ordering"
-	"parblockchain/internal/state"
+	"parblockchain/internal/node"
+	"parblockchain/internal/oxii"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 	"parblockchain/internal/workload"
@@ -39,12 +36,10 @@ func run() error {
 		&types.CommitNotifyMsg{},
 	)
 
-	ids := []types.NodeID{"o1", "o2", "o3", "e1", "e2", "e3", "c1"}
 	orderers := []types.NodeID{"o1", "o2", "o3"}
 	executors := []types.NodeID{"e1", "e2", "e3"}
-	agents := map[types.AppID][]types.NodeID{
-		"app1": {"e1"}, "app2": {"e2"}, "app3": {"e3"},
-	}
+	const client = types.NodeID("c1")
+	ids := append(append([]types.NodeID{client}, orderers...), executors...)
 
 	// Bind every node to an ephemeral loopback port, then share the
 	// resulting address book.
@@ -69,117 +64,80 @@ func run() error {
 		ColdAccountsPerApp: 200,
 		Seed:               7,
 	})
-	genesis := gen.Genesis()
 
-	// Executors.
-	execNodes := make([]*execution.Executor, 0, len(executors))
+	// What every node of the deployment shares; each gets its own
+	// identity below.
+	shared := node.Config{
+		Verifier:  cryptoutil.NoopVerifier{},
+		Orderers:  orderers,
+		Executors: executors,
+		Agents: map[types.AppID][]types.NodeID{
+			"app1": {"e1"}, "app2": {"e2"}, "app3": {"e3"},
+		},
+		Contracts: map[types.AppID]contract.Contract{
+			"app1": contract.NewAccounting(), "app2": contract.NewAccounting(), "app3": contract.NewAccounting(),
+		},
+		MaxBlockTxns:     20,
+		MaxBlockInterval: 50 * time.Millisecond,
+		Genesis:          gen.Genesis(),
+	}
+	identity := func(id types.NodeID) node.Config {
+		nc := shared
+		nc.ID, nc.Endpoint = id, endpoints[id]
+		nc.Signer = cryptoutil.NoopSigner{NodeID: string(id)}
+		return nc
+	}
+
+	execNodes := make([]*node.Executor, 0, len(executors))
 	for i, id := range executors {
-		registry := contract.NewRegistry()
-		for app, ag := range agents {
-			if ag[0] == id {
-				registry.Install(app, contract.NewAccounting())
-			}
+		nc := identity(id)
+		nc.NotifyClients = i == 0 // the observer
+		n, err := node.NewExecutor(nc)
+		if err != nil {
+			return err
 		}
-		store := state.NewKVStore()
-		store.Apply(genesis)
-		node := execution.New(execution.Config{
-			ID:            id,
-			Endpoint:      endpoints[id],
-			Registry:      registry,
-			AgentsOf:      agents,
-			OrderQuorum:   1,
-			Executors:     executors,
-			Store:         store,
-			Ledger:        ledger.New(),
-			Signer:        cryptoutil.NoopSigner{NodeID: string(id)},
-			Verifier:      cryptoutil.NoopVerifier{},
-			NotifyClients: i == 0,
-		})
-		node.Start()
-		defer node.Stop()
-		execNodes = append(execNodes, node)
+		if err := n.Start(); err != nil {
+			return err
+		}
+		defer n.Stop()
+		execNodes = append(execNodes, n)
 	}
-
-	// Orderers over the Kafka-style ordering service.
 	for _, id := range orderers {
-		cons, err := kafkaorder.New(kafkaorder.Config{
-			ID:      id,
-			Members: orderers,
-			Sender:  consensus.SenderFunc(endpoints[id].Send),
-		})
+		n, err := node.NewOrderer(identity(id))
 		if err != nil {
-			log.Fatalf("orderer %s consensus: %v", id, err)
+			return err
 		}
-		node, err := ordering.New(ordering.Config{
-			ID:               id,
-			Endpoint:         endpoints[id],
-			Consensus:        cons,
-			Executors:        executors,
-			Signer:           cryptoutil.NoopSigner{NodeID: string(id)},
-			Verifier:         cryptoutil.NoopVerifier{},
-			MaxBlockTxns:     20,
-			MaxBlockInterval: 50 * time.Millisecond,
-			BuildGraph:       true,
-		})
-		if err != nil {
-			log.Fatalf("orderer %s: %v", id, err)
+		if err := n.Start(); err != nil {
+			return err
 		}
-		node.Start()
-		defer node.Stop()
+		defer n.Stop()
 	}
 
-	// Client: submit transfers over TCP, await notifications.
-	clientEP := endpoints["c1"]
-	var mu sync.Mutex
-	waiters := make(map[types.TxID]chan *types.CommitNotifyMsg)
-	go func() {
-		for msg := range clientEP.Recv() {
-			if notify, ok := msg.Payload.(*types.CommitNotifyMsg); ok {
-				mu.Lock()
-				ch := waiters[notify.TxID]
-				delete(waiters, notify.TxID)
-				mu.Unlock()
-				if ch != nil {
-					ch <- notify
-				}
-			}
-		}
-	}()
+	// Client: the ordinary driver, its waiters resolved from the
+	// observer's commit notifications.
+	router := oxii.NewCommitRouter()
+	go router.ServeNotifications(endpoints[client].Recv())
+	cl := oxii.NewClient(client, endpoints[client], cryptoutil.NoopSigner{NodeID: string(client)}, orderers, router)
 
 	const total = 60
 	start := time.Now()
 	var wg sync.WaitGroup
-	committed := 0
-	var commitMu sync.Mutex
+	var committed atomic.Int64
 	for i := 0; i < total; i++ {
-		tx := gen.Next("c1", uint64(i+1))
-		workload.Finalize(tx, time.Now().UnixNano(), func([]byte) []byte { return []byte{1} })
-		ch := make(chan *types.CommitNotifyMsg, 1)
-		mu.Lock()
-		waiters[tx.ID] = ch
-		mu.Unlock()
-		target := orderers[i%len(orderers)]
-		if err := clientEP.Send(target, &types.RequestMsg{Tx: tx}); err != nil {
-			return err
-		}
 		wg.Add(1)
-		go func(id types.TxID) {
+		go func(tx *types.Transaction) {
 			defer wg.Done()
-			select {
-			case n := <-ch:
-				if !n.Aborted {
-					commitMu.Lock()
-					committed++
-					commitMu.Unlock()
-				}
-			case <-time.After(20 * time.Second):
-				log.Printf("timeout waiting for %s", id)
+			result, err := cl.Do(tx, 20*time.Second)
+			if err != nil {
+				log.Print(err)
+			} else if !result.Aborted {
+				committed.Add(1)
 			}
-		}(tx.ID)
+		}(gen.Next(client, cl.NextTS()))
 	}
 	wg.Wait()
 	fmt.Printf("committed %d/%d transfers over real TCP in %s\n",
-		committed, total, time.Since(start).Round(time.Millisecond))
+		committed.Load(), total, time.Since(start).Round(time.Millisecond))
 	for i, e := range execNodes {
 		s := e.Stats()
 		fmt.Printf("executor e%d: executed=%d blocks=%d\n", i+1, s.TxExecuted, s.BlocksCommitted)

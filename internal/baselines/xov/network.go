@@ -5,13 +5,11 @@ import (
 	"time"
 
 	"parblockchain/internal/consensus"
-	"parblockchain/internal/consensus/kafkaorder"
-	"parblockchain/internal/consensus/pbft"
-	"parblockchain/internal/consensus/raft"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
 	"parblockchain/internal/execution"
 	"parblockchain/internal/ledger"
+	"parblockchain/internal/node"
 	"parblockchain/internal/oxii"
 	"parblockchain/internal/state"
 	"parblockchain/internal/transport"
@@ -35,7 +33,7 @@ type Config struct {
 	// Tau is the endorsement policy size per application (default 1).
 	Tau map[types.AppID]int
 	// Consensus picks the ordering protocol (default Kafka-style).
-	Consensus oxii.ConsensusKind
+	Consensus node.ConsensusKind
 	// ConsensusBatch tunes consensus batching.
 	ConsensusBatch consensus.BatchConfig
 	// Block cut conditions (defaults 100 / 2MB / 100ms).
@@ -77,7 +75,7 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("xov: Config.Net is required")
 	}
 	if cfg.Consensus == "" {
-		cfg.Consensus = oxii.ConsensusKafka
+		cfg.Consensus = node.ConsensusKafka
 	}
 	nw := &Network{
 		cfg:     cfg,
@@ -106,10 +104,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Crypto {
 		verifier = nw.keyring
 	}
-	quorum := 1
-	if cfg.Consensus == oxii.ConsensusPBFT {
-		quorum = (len(cfg.Orderers)-1)/3 + 1
-	}
+	quorum := node.OrderQuorum(cfg.Consensus, len(cfg.Orderers))
 
 	for i, id := range cfg.Peers {
 		ep, err := cfg.Net.Endpoint(id)
@@ -164,7 +159,9 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		cons, err := buildConsensus(cfg.Consensus, id, cfg.Orderers, ep, cfg.ConsensusBatch)
+		// Baselines stay in memory: no data dir, no fsync policy.
+		cons, err := node.NewConsensus(node.Config{ID: id, Endpoint: ep, Orderers: cfg.Orderers,
+			Consensus: cfg.Consensus, ConsensusBatch: cfg.ConsensusBatch, Logf: cfg.Logf})
 		if err != nil {
 			return nil, err
 		}
@@ -181,22 +178,6 @@ func New(cfg Config) (*Network, error) {
 		}))
 	}
 	return nw, nil
-}
-
-func buildConsensus(kind oxii.ConsensusKind, id types.NodeID, members []types.NodeID,
-	ep transport.Endpoint, batch consensus.BatchConfig) (consensus.Node, error) {
-	sender := consensus.SenderFunc(ep.Send)
-	switch kind {
-	case oxii.ConsensusPBFT:
-		return pbft.New(pbft.Config{ID: id, Members: members, Sender: sender, Batch: batch}), nil
-	case oxii.ConsensusRaft:
-		// Baselines stay in-memory: no Dir, so New cannot fail.
-		return raft.New(raft.Config{ID: id, Members: members, Sender: sender})
-	case oxii.ConsensusKafka, "":
-		return kafkaorder.New(kafkaorder.Config{ID: id, Members: members, Sender: sender, Batch: batch})
-	default:
-		return nil, fmt.Errorf("xov: unknown consensus kind %q", kind)
-	}
 }
 
 // Start launches every node.

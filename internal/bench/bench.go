@@ -21,12 +21,11 @@ import (
 	"parblockchain/internal/baselines/ox"
 	"parblockchain/internal/baselines/xov"
 	"parblockchain/internal/contract"
-	"parblockchain/internal/depgraph"
-	"parblockchain/internal/execution"
-	"parblockchain/internal/metrics"
+	"parblockchain/internal/node"
 	"parblockchain/internal/oxii"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/state"
+	"parblockchain/internal/telemetry"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 	"parblockchain/internal/workload"
@@ -73,7 +72,7 @@ type Options struct {
 	// Apps is the number of applications (default 3).
 	Apps int
 	// Consensus picks the ordering protocol (default Kafka-style).
-	Consensus oxii.ConsensusKind
+	Consensus node.ConsensusKind
 	// BlockTxns is the block size in transactions (default 200 for
 	// OX/OXII, 100 for XOV, the paper's peak configurations).
 	BlockTxns int
@@ -102,17 +101,6 @@ type Options struct {
 	// 250us / 85ms, LAN vs US-West<->Tokyo).
 	IntraZoneLatency time.Duration
 	InterZoneLatency time.Duration
-	// UsePairwiseGraph selects the paper-faithful O(n^2) dependency
-	// graph builder (default true; see DESIGN.md A3).
-	UsePairwiseGraph bool
-	// EagerCommit selects Algorithm 2's eager variant (ablation A1).
-	EagerCommit bool
-	// Speculate lets OXII executors run dependent transactions against a
-	// predecessor's uncommitted (first-vote) result instead of stalling
-	// for the tau quorum, re-validating at commit. Meaningful with
-	// AgentsPerApp/Tau >= 2, where non-local predecessors otherwise stall
-	// dependents for a vote round-trip.
-	Speculate bool
 	// AgentsPerApp replicates each application's contract on this many
 	// consecutive executors (default 1, the paper's disjoint placement).
 	AgentsPerApp int
@@ -125,25 +113,12 @@ type Options struct {
 	// arrives quickly while the tau=2 quorum waits out the delay — the
 	// spread speculation exists to exploit. Zero disables the harness.
 	VoteDelay time.Duration
-	// GraphMultiVersion selects the MVCC dependency rule (ablation A2).
-	GraphMultiVersion bool
-	// ExecWorkers sizes OXII executor pools (default 2*BlockTxns).
-	ExecWorkers int
-	// Scheduler selects the OXII executors' ready-transaction dispatch
-	// policy (fifo, critical-path, load-balanced); zero value is FIFO.
-	Scheduler execution.SchedulerKind
-	// PrefetchWorkers sizes the OXII executors' read-set prefetch pool
-	// (0 disables prefetching).
-	PrefetchWorkers int
-	// PipelineDepth bounds each OXII executor's window of in-flight
-	// blocks (cross-block pipelined execution). 1 is the paper's strict
-	// per-block barrier; 0 uses the executor default (4).
-	PipelineDepth int
-	// SegmentTxns streams OXII blocks from orderers to executors in
-	// signed segments of this many transactions (orderer-side graph
-	// generation and dissemination move off the cut path). 0 keeps the
-	// monolithic NEWBLOCK.
-	SegmentTxns int
+	// Tunables are the OXII deployment's knobs, handed to oxii.Config
+	// verbatim (ablation A1 sets EagerCommit, A2 GraphMode). ExecWorkers
+	// defaults to 2*BlockTxns here; Speculate is meaningful with
+	// AgentsPerApp/Tau >= 2, where non-local predecessors otherwise stall
+	// dependents for a vote round-trip.
+	node.Tunables
 	// DataDir enables the durability subsystem for OXII runs: every
 	// executor write-ahead-logs finalized blocks (and snapshots state)
 	// under DataDir/<id>, putting the fsync cost on the finalize path,
@@ -152,20 +127,6 @@ type Options struct {
 	// path. Empty keeps ledger and state in memory. Sweeps use a fresh
 	// temp directory per point.
 	DataDir string
-	// FsyncPolicy is the WAL fsync policy for durable runs (empty =
-	// group commit: one fsync per finalize batch).
-	FsyncPolicy persist.FsyncPolicy
-	// SnapshotInterval is the number of blocks between snapshots for
-	// durable runs (0 = persist default, negative disables).
-	SnapshotInterval int
-	// StateBackend selects the OXII executors' state store: "" or
-	// "memory" keeps the fully resident KVStore, "tiered" runs a
-	// byte-budgeted hot cache over a disk cold tier (larger-than-RAM
-	// state). Committed results and state hashes are identical.
-	StateBackend string
-	// HotTierBytes caps the tiered backend's hot tier (0 = backend
-	// default). Only meaningful with StateBackend "tiered".
-	HotTierBytes int64
 	// Trace enables block-lifecycle tracing on the OXII executors: every
 	// block's delivery-to-externalize span is split into pipeline stages
 	// and Result.Stages reports the observer's per-stage latency
@@ -173,9 +134,6 @@ type Options struct {
 	// the instrumentation costs nothing — the configuration every
 	// headline throughput number is measured under.
 	Trace bool
-	// TraceRing sizes the tracer's slowest-blocks ring (0 = telemetry
-	// default). Ignored without Trace.
-	TraceRing int
 	// ZipfSkew switches the workload's hot-key selection from
 	// round-robin to a Zipf(s=ZipfSkew) draw over the hot set (0 keeps
 	// round-robin; otherwise must be > 1). Combined with a large
@@ -200,7 +158,7 @@ func (o Options) withDefaults() Options {
 		o.Apps = 3
 	}
 	if o.Consensus == "" {
-		o.Consensus = oxii.ConsensusKafka
+		o.Consensus = node.ConsensusKafka
 	}
 	if o.BlockTxns <= 0 {
 		if o.System == SystemXOV {
@@ -328,7 +286,7 @@ type Result struct {
 	// summarizes one block-stage histogram over every block the observer
 	// finalized during the run (warm-up included; stages are per-block
 	// spans, not per-operation latencies).
-	Stages map[string]metrics.LatencyStats
+	Stages map[string]telemetry.LatencyStats
 }
 
 // String formats the point as a table row.
@@ -437,8 +395,8 @@ func Run(opts Options) (Result, error) {
 	defer net.Close()
 
 	// Instruments.
-	meter := metrics.NewMeter()
-	rec := metrics.NewLatencyRecorder()
+	meter := telemetry.NewMeter()
+	rec := new(telemetry.Histogram)
 	var aborted, errorsN atomic.Int64
 	var inWindow atomic.Bool
 
@@ -451,12 +409,7 @@ func Run(opts Options) (Result, error) {
 	var walStats func() persist.Stats
 	var specStats func() (executed, hits, misses, reexecs, throttled uint64)
 	var tieredStats func(r *Result)
-	var stageStats func() map[string]metrics.LatencyStats
-
-	graphMode := depgraph.Standard
-	if opts.GraphMultiVersion {
-		graphMode = depgraph.MultiVersion
-	}
+	var stageStats func() map[string]telemetry.LatencyStats
 
 	switch opts.System {
 	case SystemOXII, SystemOXIIX:
@@ -470,22 +423,9 @@ func Run(opts Options) (Result, error) {
 			Consensus:        opts.Consensus,
 			MaxBlockTxns:     opts.BlockTxns,
 			MaxBlockInterval: opts.BlockInterval,
-			GraphMode:        graphMode,
-			UsePairwiseGraph: opts.UsePairwiseGraph,
-			EagerCommit:      opts.EagerCommit,
-			Speculate:        opts.Speculate,
-			ExecWorkers:      opts.ExecWorkers,
-			Scheduler:        opts.Scheduler,
-			PrefetchWorkers:  opts.PrefetchWorkers,
-			PipelineDepth:    opts.PipelineDepth,
-			SegmentTxns:      opts.SegmentTxns,
+			Tunables:         opts.Tunables,
 			DataDir:          opts.DataDir,
-			FsyncPolicy:      opts.FsyncPolicy,
-			SnapshotInterval: opts.SnapshotInterval,
-			StateBackend:     opts.StateBackend,
-			HotTierBytes:     opts.HotTierBytes,
 			Trace:            opts.Trace,
-			TraceRing:        opts.TraceRing,
 			Crypto:           opts.Crypto,
 			Genesis:          genesis,
 			Net:              net,
@@ -519,10 +459,10 @@ func Run(opts Options) (Result, error) {
 		}
 		stateHash = func() types.Hash { return nw.ObserverStore().Hash() }
 		walStats = func() persist.Stats {
-			if len(nw.Persists) == 0 || nw.Persists[0] == nil {
-				return persist.Stats{}
+			if mgr := nw.ExecutorNodes[0].Persist; mgr != nil {
+				return mgr.Stats()
 			}
-			return nw.Persists[0].Stats()
+			return persist.Stats{}
 		}
 		specStats = func() (executed, hits, misses, reexecs, throttled uint64) {
 			for _, e := range nw.Executors {
@@ -559,11 +499,11 @@ func Run(opts Options) (Result, error) {
 		}
 		if opts.Trace {
 			observer := nw.Executors[0]
-			stageStats = func() map[string]metrics.LatencyStats {
+			stageStats = func() map[string]telemetry.LatencyStats {
 				snaps := observer.Tracer().StageSnapshot()
-				out := make(map[string]metrics.LatencyStats, len(snaps))
+				out := make(map[string]telemetry.LatencyStats, len(snaps))
 				for stage, snap := range snaps {
-					out[stage] = metrics.StatsFromHistogram(snap)
+					out[stage] = snap.Latency()
 				}
 				return out
 			}
@@ -671,7 +611,7 @@ func Run(opts Options) (Result, error) {
 	stopNet() // releases clients blocked on in-flight operations
 	wg.Wait()
 
-	stats := rec.Snapshot()
+	stats := rec.Snapshot().Latency()
 	result := Result{
 		System:     opts.System,
 		Clients:    opts.Clients,
@@ -712,7 +652,7 @@ func Run(opts Options) (Result, error) {
 }
 
 // observe records one completed operation.
-func observe(meter *metrics.Meter, rec *metrics.LatencyRecorder, inWindow *atomic.Bool,
+func observe(meter *telemetry.Meter, rec *telemetry.Histogram, inWindow *atomic.Bool,
 	aborted *atomic.Int64, start time.Time, wasAborted bool) {
 	if !inWindow.Load() {
 		return
@@ -722,7 +662,7 @@ func observe(meter *metrics.Meter, rec *metrics.LatencyRecorder, inWindow *atomi
 		return
 	}
 	meter.Mark(1)
-	rec.Record(time.Since(start))
+	rec.Observe(int64(time.Since(start)))
 }
 
 func nodeNames(prefix string, n int) []types.NodeID {

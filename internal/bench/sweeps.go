@@ -469,6 +469,7 @@ func TieredSweep(base Options, contention float64, hotBytes int64,
 	for _, backend := range []string{"memory", "tiered"} {
 		opts := base
 		opts.StateBackend = backend
+		opts.HotTierBytes = 0 // only the tiered backend takes a cap
 		if backend == "tiered" {
 			opts.HotTierBytes = hotBytes
 		}

@@ -12,8 +12,7 @@ import (
 	"sort"
 	"time"
 
-	"parblockchain/internal/execution"
-	"parblockchain/internal/persist"
+	"parblockchain/internal/node"
 	"parblockchain/internal/types"
 )
 
@@ -32,90 +31,27 @@ type Config struct {
 	// clients; defaults to the first executor in sorted order.
 	Observer string `json:"observer,omitempty"`
 	// Consensus is "kafka", "pbft", or "raft" (default "kafka").
-	Consensus string `json:"consensus,omitempty"`
-	// BlockTxns is the block-size cut (default 100).
-	BlockTxns int `json:"blockTxns,omitempty"`
-	// BlockIntervalMs is the timeout cut in milliseconds (default 100).
+	Consensus node.ConsensusKind `json:"consensus,omitempty"`
+	// BlockTxns is the block-size cut and BlockIntervalMs the timeout cut
+	// in milliseconds; zero takes the ordering defaults (200 / 100 ms,
+	// the paper's OXII peak configuration).
+	BlockTxns       int `json:"blockTxns,omitempty"`
 	BlockIntervalMs int `json:"blockIntervalMs,omitempty"`
-	// PipelineDepth bounds each executor's window of in-flight blocks
-	// (cross-block pipelined execution). 1 restores the per-block
-	// barrier; 0 uses the executor default.
-	PipelineDepth int `json:"pipelineDepth,omitempty"`
-	// SegmentTxns makes orderers stream blocks to executors in signed
-	// segments of this many transactions (plus a closing seal) instead of
-	// one monolithic NEWBLOCK per block. 0 keeps the monolithic wire
-	// format. Every orderer of a cluster must use the same value.
-	SegmentTxns int `json:"segmentTxns,omitempty"`
-	// Scheduler selects each executor's ready-transaction dispatch
-	// policy: "fifo" (default), "critical-path" (longest remaining
-	// dependency chain first), or "load-balanced" (per-worker queues
-	// keyed by first write, with stealing). Schedulers reorder only the
-	// ready set, so committed results are identical under all of them;
-	// nodes of one cluster may even mix policies.
-	Scheduler string `json:"scheduler,omitempty"`
-	// PrefetchWorkers sizes each executor's read-set prefetch pool:
-	// declared read sets of an admitted block are warmed against the
-	// overlay chain and state store before execution reaches them,
-	// bounded per block by a byte cap. 0 disables prefetching.
-	PrefetchWorkers int `json:"prefetchWorkers,omitempty"`
-	// Speculate enables the executors' speculative commit-wait bypass:
-	// dependent transactions execute against a predecessor's uncommitted
-	// (first-vote) result instead of stalling for the tau quorum, with
-	// COMMIT multicasts of speculative results buffered until every
-	// speculated-upon input commits with a matching digest, and cascade
-	// re-execution on mismatch. Safe to enable per node (it changes only
-	// local scheduling and vote timing, never committed results).
-	Speculate bool `json:"speculate,omitempty"`
-	// DataDir roots the durability subsystem: each executor keeps its
-	// write-ahead log and state snapshots under DataDir/<node-id>, each
-	// orderer its cut-state log under DataDir/<node-id>/olog (and, under
-	// raft or kafka consensus, its consensus log and vote/offset state
-	// under DataDir/<node-id>/consensus). A restarted executor resumes
-	// from its durable height, a restarted orderer resumes cutting at
-	// the height after its last fsynced cut, so restarting the whole
-	// cluster converges with an always-up one. Empty keeps ledger and
-	// state in memory. Relative paths resolve against each node's
-	// working directory, so multi-host clusters usually want an absolute
-	// path.
+	// Tunables holds every performance and durability knob under its JSON
+	// name (pipelineDepth, scheduler, fsyncPolicy, stateBackend, ...).
+	node.Tunables
+	// DataDir roots the durability subsystem: every node keeps its durable
+	// state under DataDir/<node-id> (see node.Config.DataDir), so
+	// restarting the whole cluster converges with an always-up one. Empty
+	// keeps ledger and state in memory. Relative paths resolve against
+	// each node's working directory, so multi-host clusters usually want
+	// an absolute path.
 	DataDir string `json:"dataDir,omitempty"`
-	// FsyncPolicy is "group" (default: one fsync per finalize batch),
-	// "always" (one per block), or "never" (page cache only). Ignored
-	// without DataDir.
-	FsyncPolicy string `json:"fsyncPolicy,omitempty"`
-	// SnapshotIntervalBlocks is the number of blocks between state
-	// snapshots and WAL truncations (0 = persist default, negative
-	// disables snapshots). Ignored without DataDir.
-	SnapshotIntervalBlocks int `json:"snapshotIntervalBlocks,omitempty"`
-	// StateBackend selects each executor's state store: "memory"
-	// (default — everything resident) or "tiered" (byte-budgeted hot
-	// cache over a disk cold tier, for state larger than RAM). Committed
-	// results and state hashes are identical under both; nodes of one
-	// cluster may mix backends.
-	StateBackend string `json:"stateBackend,omitempty"`
-	// HotTierBytes caps the tiered backend's in-memory hot tier (0 =
-	// backend default). Ignored unless StateBackend is "tiered".
-	HotTierBytes int64 `json:"hotTierBytes,omitempty"`
-	// MinHorizon is each executor's minimum future-buffering horizon in
-	// blocks (0 = executor default). Larger values absorb longer skew
-	// between orderers and a lagging executor before far-future traffic
-	// is dropped; state sync recovers whatever the horizon sheds.
-	MinHorizon int `json:"minHorizon,omitempty"`
-	// SyncStallMs arms each executor's state-sync watchdog: a node that
-	// sees peers announce blocks it cannot admit and makes no pipeline
-	// progress for this many milliseconds requests the missing history
-	// from peer executors (served from their WALs and snapshots). 0
-	// disables the watchdog; serving peers is always on when dataDir is
-	// set.
-	SyncStallMs int `json:"syncStallMs,omitempty"`
 	// OpsAddrs maps node IDs to ops-server listen addresses. A node whose
 	// ID appears here serves /metrics (Prometheus text), /statusz (JSON),
 	// /healthz, /traces, and net/http/pprof on that address; nodes absent
 	// from the map run with telemetry fully disabled (zero overhead).
 	OpsAddrs map[string]string `json:"opsAddrs,omitempty"`
-	// TraceRing sizes each traced executor's ring of slowest block traces
-	// (0 = telemetry default). Tracing itself turns on with the node's
-	// ops server; the ring only bounds the /traces postmortem dump.
-	TraceRing int `json:"traceRing,omitempty"`
 	// Crypto enables deterministic demo keys and full verification.
 	Crypto bool `json:"crypto,omitempty"`
 	// Genesis seeds each executor's store with account balances.
@@ -145,51 +81,11 @@ func Load(path string) (*Config, error) {
 	if cfg.Observer == "" {
 		cfg.Observer = string(cfg.ExecutorIDs()[0])
 	}
-	if cfg.BlockTxns <= 0 {
-		cfg.BlockTxns = 100
-	}
-	if cfg.BlockIntervalMs <= 0 {
-		cfg.BlockIntervalMs = 100
-	}
 	if cfg.Consensus == "" {
-		cfg.Consensus = "kafka"
+		cfg.Consensus = node.ConsensusKafka
 	}
-	if cfg.SegmentTxns < 0 {
-		return nil, fmt.Errorf("clustercfg: %s: segmentTxns must be >= 0", path)
-	}
-	if _, err := persist.ParseFsyncPolicy(cfg.FsyncPolicy); err != nil {
+	if err := cfg.Validate(cfg.DataDir != ""); err != nil {
 		return nil, fmt.Errorf("clustercfg: %s: %w", path, err)
-	}
-	if cfg.DataDir == "" && cfg.FsyncPolicy != "" {
-		return nil, fmt.Errorf("clustercfg: %s: fsyncPolicy requires dataDir", path)
-	}
-	if cfg.DataDir == "" && cfg.SnapshotIntervalBlocks != 0 {
-		return nil, fmt.Errorf("clustercfg: %s: snapshotIntervalBlocks requires dataDir", path)
-	}
-	if _, err := execution.ParseScheduler(cfg.Scheduler); err != nil {
-		return nil, fmt.Errorf("clustercfg: %s: %w", path, err)
-	}
-	if !persist.ValidStateBackend(cfg.StateBackend) {
-		return nil, fmt.Errorf("clustercfg: %s: unknown stateBackend %q (want %v)",
-			path, cfg.StateBackend, persist.StateBackendNames)
-	}
-	if cfg.HotTierBytes < 0 {
-		return nil, fmt.Errorf("clustercfg: %s: hotTierBytes must be >= 0", path)
-	}
-	if cfg.HotTierBytes != 0 && cfg.StateBackend != "tiered" {
-		return nil, fmt.Errorf("clustercfg: %s: hotTierBytes requires stateBackend \"tiered\"", path)
-	}
-	if cfg.PrefetchWorkers < 0 {
-		return nil, fmt.Errorf("clustercfg: %s: prefetchWorkers must be >= 0", path)
-	}
-	if cfg.MinHorizon < 0 {
-		return nil, fmt.Errorf("clustercfg: %s: minHorizon must be >= 0", path)
-	}
-	if cfg.SyncStallMs < 0 {
-		return nil, fmt.Errorf("clustercfg: %s: syncStallMs must be >= 0", path)
-	}
-	if cfg.TraceRing < 0 {
-		return nil, fmt.Errorf("clustercfg: %s: traceRing must be >= 0", path)
 	}
 	for id := range cfg.OpsAddrs {
 		if _, ord := cfg.Orderers[id]; ord {
@@ -201,6 +97,27 @@ func Load(path string) (*Config, error) {
 		return nil, fmt.Errorf("clustercfg: %s: opsAddrs lists %s, which is neither an orderer nor an executor", path, id)
 	}
 	return &cfg, nil
+}
+
+// Node describes node id of this cluster to the node package: the
+// topology, cut parameters, knobs, data dir and ops address every member
+// derives identically from the shared file. The caller adds what the file
+// does not hold: endpoint, keys, contracts, encoded genesis and logger.
+func (c *Config) Node(id types.NodeID) node.Config {
+	return node.Config{
+		ID:               id,
+		Crypto:           c.Crypto,
+		Orderers:         c.OrdererIDs(),
+		Executors:        c.ExecutorIDs(),
+		Agents:           c.AgentsOf(),
+		Consensus:        c.Consensus,
+		MaxBlockTxns:     c.BlockTxns,
+		MaxBlockInterval: time.Duration(c.BlockIntervalMs) * time.Millisecond,
+		DataDir:          c.DataDir,
+		Tunables:         c.Tunables,
+		OpsAddr:          c.OpsAddrs[string(id)],
+		NotifyClients:    string(id) == c.Observer,
+	}
 }
 
 // NodeDataDir returns the durability directory for one node, or "" when
@@ -218,30 +135,6 @@ func (c *Config) OrdererIDs() []types.NodeID { return sortedIDs(c.Orderers) }
 
 // ExecutorIDs returns the executor identities in sorted order.
 func (c *Config) ExecutorIDs() []types.NodeID { return sortedIDs(c.Executors) }
-
-// BlockInterval returns the timeout cut as a duration.
-func (c *Config) BlockInterval() time.Duration {
-	return time.Duration(c.BlockIntervalMs) * time.Millisecond
-}
-
-// SchedulerKind returns the parsed dispatch scheduler (Load already
-// validated the string, so the parse cannot fail here).
-func (c *Config) SchedulerKind() execution.SchedulerKind {
-	kind, _ := execution.ParseScheduler(c.Scheduler)
-	return kind
-}
-
-// SyncStallTimeout returns the state-sync watchdog deadline as a
-// duration (zero when the watchdog is disabled).
-func (c *Config) SyncStallTimeout() time.Duration {
-	return time.Duration(c.SyncStallMs) * time.Millisecond
-}
-
-// OpsAddr returns the ops-server listen address for one node, or ""
-// when the node runs without an ops server.
-func (c *Config) OpsAddr(id types.NodeID) string {
-	return c.OpsAddrs[string(id)]
-}
 
 // AddrBook returns every node's address keyed by identity, the peer map a
 // TCP endpoint needs.

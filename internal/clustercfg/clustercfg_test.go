@@ -30,8 +30,13 @@ func TestLoadValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BlockTxns != 100 || cfg.BlockIntervalMs != 100 || cfg.Consensus != "kafka" {
+	// The block cut has one default, the ordering layer's: Load passes
+	// unset cut parameters through as zero.
+	if cfg.BlockTxns != 0 || cfg.BlockIntervalMs != 0 || cfg.Consensus != "kafka" {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	if nc := cfg.Node("e1"); nc.MaxBlockTxns != 0 || nc.MaxBlockInterval != 0 {
+		t.Fatalf("unset block cut must reach the node as zero: %+v", nc)
 	}
 	if cfg.Observer != "e1" {
 		t.Fatalf("observer default = %s, want first sorted executor e1", cfg.Observer)
@@ -103,7 +108,7 @@ func TestLoadDurabilityFields(t *testing.T) {
 	if cfg.NodeDataDir("e1") != filepath.Join("/var/lib/parblockchain", "e1") {
 		t.Fatalf("NodeDataDir = %q", cfg.NodeDataDir("e1"))
 	}
-	if cfg.FsyncPolicy != "always" || cfg.SnapshotIntervalBlocks != 256 {
+	if cfg.FsyncPolicy != "always" || cfg.SnapshotInterval != 256 {
 		t.Fatalf("durability fields not loaded: %+v", cfg)
 	}
 
@@ -151,10 +156,10 @@ func TestLoadOpsFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.OpsAddr("o1") != "127.0.0.1:9001" || cfg.OpsAddr("e1") != "127.0.0.1:9101" {
+	if cfg.Node("o1").OpsAddr != "127.0.0.1:9001" || cfg.Node("e1").OpsAddr != "127.0.0.1:9101" {
 		t.Fatalf("OpsAddr lookups wrong: %+v", cfg.OpsAddrs)
 	}
-	if cfg.OpsAddr("e2") != "" {
+	if cfg.Node("e2").OpsAddr != "" {
 		t.Fatal("unknown node must have no ops address")
 	}
 	if cfg.TraceRing != 16 {
@@ -166,7 +171,7 @@ func TestLoadOpsFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.OpsAddr("o1") != "" || cfg.TraceRing != 0 {
+	if cfg.Node("o1").OpsAddr != "" || cfg.TraceRing != 0 {
 		t.Fatalf("ops defaults wrong: %+v", cfg)
 	}
 }

@@ -54,6 +54,31 @@ func (m Mode) String() string {
 	}
 }
 
+// MarshalText and UnmarshalText spell the mode by name ("standard",
+// "multiversion") in cluster JSON; the empty string is the zero Mode,
+// which every consumer defaults to Standard.
+func (m Mode) MarshalText() ([]byte, error) {
+	if m == 0 {
+		return nil, nil
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText parses a mode name.
+func (m *Mode) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "":
+		*m = 0
+	case "standard":
+		*m = Standard
+	case "multiversion":
+		*m = MultiVersion
+	default:
+		return fmt.Errorf("depgraph: unknown mode %q (want standard or multiversion)", text)
+	}
+	return nil
+}
+
 // RWSet is the declared access sets of one transaction. Both slices must
 // be sorted and duplicate-free for the indexed builder; Normalize puts an
 // arbitrary slice in that form.

@@ -87,6 +87,17 @@ func ParseScheduler(name string) (SchedulerKind, error) {
 	}
 }
 
+// MarshalText and UnmarshalText spell the kind by its knob name, so a
+// SchedulerKind field reads "critical-path" in cluster JSON and on a
+// flag.TextVar command line.
+func (k SchedulerKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a knob name (see ParseScheduler).
+func (k *SchedulerKind) UnmarshalText(text []byte) (err error) {
+	*k, err = ParseScheduler(string(text))
+	return err
+}
+
 // scheduler is the ready queue between the actor loop's dispatch and
 // the worker pool. Push never blocks and is a no-op after Close; Pop
 // blocks until an item is available or the queue is closed and drained.

@@ -40,6 +40,17 @@ func (r *CommitRouter) Hook() func(block *types.Block, results []types.TxResult)
 	}
 }
 
+// ServeNotifications resolves registered waiters from the observer's
+// CommitNotifyMsg stream until recv closes: what Hook is to an in-process
+// deployment, for a client on a TCP endpoint of its own.
+func (r *CommitRouter) ServeNotifications(recv <-chan transport.Message) {
+	for msg := range recv {
+		if n, ok := msg.Payload.(*types.CommitNotifyMsg); ok {
+			r.resolve(types.TxResult{TxID: n.TxID, Aborted: n.Aborted, AbortReason: n.AbortReason})
+		}
+	}
+}
+
 // Register adds a waiter for a transaction and returns its completion
 // channel (buffer 1; the router never blocks).
 func (r *CommitRouter) Register(id types.TxID) <-chan types.TxResult {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
+	"parblockchain/internal/node"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
@@ -26,11 +27,11 @@ func durableConfig(net *transport.InMemNetwork, dir string) Config {
 		Contracts: map[types.AppID]contract.Contract{
 			"app1": contract.NewAccounting(),
 		},
-		Consensus:        ConsensusKafka,
+		Consensus:        node.ConsensusKafka,
 		MaxBlockTxns:     4,
 		MaxBlockInterval: 20 * time.Millisecond,
 		DataDir:          dir,
-		SnapshotInterval: 2,
+		Tunables:         node.Tunables{SnapshotInterval: 2},
 		Genesis: []types.KV{
 			{Key: "app1/alice", Val: contract.EncodeBalance(10000)},
 			{Key: "app1/bob", Val: contract.EncodeBalance(10000)},
@@ -120,9 +121,8 @@ func TestDurableNetworkRecovery(t *testing.T) {
 		if nw2.Stores[i].Hash() != live[i].hash || nw2.Ledgers[i].Height() != live[i].height {
 			t.Errorf("executor %d: rebuilt network did not resume from durable state", i)
 		}
-		if nw2.Recovered[i] == nil || nw2.Recovered[i].Replayed >= int(live[i].height) {
-			t.Errorf("executor %d: rebuilt network replayed the full chain (%+v)",
-				i, nw2.Recovered[i])
+		if rec := nw2.ExecutorNodes[i].Recovered; rec == nil || rec.Replayed >= int(live[i].height) {
+			t.Errorf("executor %d: rebuilt network replayed the full chain (%+v)", i, rec)
 		}
 	}
 }
@@ -132,12 +132,12 @@ func TestDurableNetworkRecovery(t *testing.T) {
 // deployment.
 func TestInMemoryNetworkHasNoManagers(t *testing.T) {
 	nw, _ := testNetwork(t, nil)
-	for i, m := range nw.Persists {
-		if m != nil {
+	for i, n := range nw.ExecutorNodes {
+		if n.Persist != nil || n.Recovered != nil {
 			t.Fatalf("executor %d has a durability manager without DataDir", i)
 		}
 	}
-	if len(nw.Persists) != len(nw.Executors) || len(nw.Recovered) != len(nw.Executors) {
-		t.Fatalf("Persists/Recovered not indexed like Executors")
+	if len(nw.ExecutorNodes) != len(nw.Executors) {
+		t.Fatalf("ExecutorNodes not indexed like Executors")
 	}
 }

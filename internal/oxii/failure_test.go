@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
+	"parblockchain/internal/node"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -44,7 +45,7 @@ func TestOrdererCrashToleratedByKafkaQuorum(t *testing.T) {
 func TestPBFTPrimaryCrashMidStream(t *testing.T) {
 	nw, net := testNetwork(t, func(cfg *Config) {
 		cfg.Orderers = []types.NodeID{"o1", "o2", "o3", "o4"}
-		cfg.Consensus = ConsensusPBFT
+		cfg.Consensus = node.ConsensusPBFT
 	})
 	client, err := nw.Client("c1")
 	if err != nil {
@@ -138,7 +139,7 @@ func TestEagerCommitModeEquivalent(t *testing.T) {
 			},
 			MaxBlockTxns:     4,
 			MaxBlockInterval: 20 * time.Millisecond,
-			EagerCommit:      eager,
+			Tunables:         node.Tunables{EagerCommit: eager},
 			Genesis: []types.KV{
 				{Key: "shared/pot", Val: contract.EncodeBalance(0)},
 			},
@@ -232,7 +233,7 @@ func TestCryptoDisabledStillConverges(t *testing.T) {
 // Raft leader and verify the blockchain keeps committing.
 func TestRaftOrdererFailover(t *testing.T) {
 	nw, net := testNetwork(t, func(cfg *Config) {
-		cfg.Consensus = ConsensusRaft
+		cfg.Consensus = node.ConsensusRaft
 	})
 	client, err := nw.Client("c1")
 	if err != nil {

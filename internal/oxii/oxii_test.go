@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
+	"parblockchain/internal/node"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -33,7 +34,7 @@ func testNetwork(t *testing.T, mutate func(*Config)) (*Network, *transport.InMem
 			"app2": contract.NewAccounting(),
 			"app3": contract.NewAccounting(),
 		},
-		Consensus:        ConsensusKafka,
+		Consensus:        node.ConsensusKafka,
 		MaxBlockTxns:     8,
 		MaxBlockInterval: 20 * time.Millisecond,
 		Crypto:           true,
@@ -238,7 +239,7 @@ func TestReplicaConsistency(t *testing.T) {
 func TestPBFTConsensusPlug(t *testing.T) {
 	nw, _ := testNetwork(t, func(cfg *Config) {
 		cfg.Orderers = []types.NodeID{"o1", "o2", "o3", "o4"}
-		cfg.Consensus = ConsensusPBFT
+		cfg.Consensus = node.ConsensusPBFT
 	})
 	client, err := nw.Client("c1")
 	if err != nil {
@@ -262,7 +263,7 @@ func TestPBFTConsensusPlug(t *testing.T) {
 // orderers.
 func TestRaftConsensusPlug(t *testing.T) {
 	nw, _ := testNetwork(t, func(cfg *Config) {
-		cfg.Consensus = ConsensusRaft
+		cfg.Consensus = node.ConsensusRaft
 	})
 	client, err := nw.Client("c1")
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 // traffic quickly and must use sync (not buffering) to catch up.
 func syncConfig(net *transport.InMemNetwork, dir string) Config {
 	cfg := durableConfig(net, dir)
-	cfg.SyncStallTimeout = 75 * time.Millisecond
+	cfg.SyncStallMs = 75
 	cfg.MinHorizon = 8
 	return cfg
 }

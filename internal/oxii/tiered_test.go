@@ -150,9 +150,9 @@ func TestTieredChaosKillRestart(t *testing.T) {
 		if err := nw.RestartExecutor(2); err != nil {
 			t.Fatal(err)
 		}
-		if rec := nw.Recovered[2]; rec == nil || rec.SnapshotHeight == 0 {
+		if rec := nw.ExecutorNodes[2].Recovered; rec == nil || rec.SnapshotHeight == 0 {
 			t.Fatalf("cycle %d: restart did not recover from a tiered snapshot (%+v)",
-				cycle, nw.Recovered[2])
+				cycle, rec)
 		}
 		time.Sleep(150 * time.Millisecond)
 	}

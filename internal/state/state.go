@@ -1,7 +1,6 @@
 // Package state implements the blockchain state (datastore) maintained by
-// executor peers: a versioned key-value store, an overlay view used during
-// block execution, and a multi-version store for the MVCC variant of the
-// dependency-graph generator discussed in Section III-A of the paper.
+// executor peers: a versioned key-value store and an overlay view used
+// during block execution.
 //
 // # Ownership contract (zero-copy)
 //
@@ -46,7 +45,7 @@ type VersionedReader interface {
 	GetVersion(key types.Key) ([]byte, uint64, bool)
 }
 
-// shardBits fixes the lock-stripe fan-out of KVStore and MVCCStore.
+// shardBits fixes the lock-stripe fan-out of KVStore.
 // 32 shards keeps the per-store footprint small while exceeding the worker
 // pool sizes used by the executors, so under a uniform key distribution
 // two workers rarely contend on the same stripe.

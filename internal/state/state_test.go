@@ -268,107 +268,6 @@ func TestQuickOverlayEquivalentToSequential(t *testing.T) {
 	}
 }
 
-func TestMVCCReadAsOf(t *testing.T) {
-	s := NewMVCCStore()
-	s.Write(1, "k", []byte("v1"))
-	s.Write(5, "k", []byte("v5"))
-	s.Write(9, "k", []byte("v9"))
-	cases := []struct {
-		seq  uint64
-		want string
-		ok   bool
-	}{
-		{0, "", false},
-		{1, "v1", true},
-		{4, "v1", true},
-		{5, "v5", true},
-		{8, "v5", true},
-		{9, "v9", true},
-		{100, "v9", true},
-	}
-	for _, c := range cases {
-		got, ok := s.ReadAsOf(c.seq, "k")
-		if ok != c.ok || (ok && string(got) != c.want) {
-			t.Errorf("ReadAsOf(%d) = %q %v, want %q %v", c.seq, got, ok, c.want, c.ok)
-		}
-	}
-	if v, ok := s.Get("k"); !ok || string(v) != "v9" {
-		t.Fatalf("Get = %q %v, want newest", v, ok)
-	}
-}
-
-func TestMVCCOutOfOrderInstall(t *testing.T) {
-	s := NewMVCCStore()
-	s.Write(9, "k", []byte("v9"))
-	s.Write(3, "k", []byte("v3")) // independent txn committing late
-	if v, _ := s.ReadAsOf(4, "k"); string(v) != "v3" {
-		t.Fatalf("ReadAsOf(4) = %q, want v3", v)
-	}
-	if v, _ := s.ReadAsOf(10, "k"); string(v) != "v9" {
-		t.Fatalf("ReadAsOf(10) = %q, want v9", v)
-	}
-	if s.VersionCount("k") != 2 {
-		t.Fatalf("VersionCount = %d, want 2", s.VersionCount("k"))
-	}
-}
-
-func TestMVCCDeletionVersions(t *testing.T) {
-	s := NewMVCCStore()
-	s.Write(1, "k", []byte("v"))
-	s.Write(2, "k", nil) // tombstone
-	if _, ok := s.ReadAsOf(2, "k"); ok {
-		t.Fatal("tombstone must hide the value")
-	}
-	if v, ok := s.ReadAsOf(1, "k"); !ok || string(v) != "v" {
-		t.Fatal("older version must survive the tombstone")
-	}
-}
-
-func TestMVCCTruncate(t *testing.T) {
-	s := NewMVCCStore()
-	for i := uint64(1); i <= 5; i++ {
-		s.Write(i, "k", []byte{byte(i)})
-	}
-	dropped := s.Truncate(4)
-	if dropped != 3 {
-		t.Fatalf("dropped = %d, want 3", dropped)
-	}
-	if s.VersionCount("k") != 2 {
-		t.Fatalf("VersionCount = %d, want 2", s.VersionCount("k"))
-	}
-	// Newest version always survives even with a floor beyond it.
-	dropped = s.Truncate(100)
-	if s.VersionCount("k") != 1 {
-		t.Fatalf("VersionCount = %d, want 1 after aggressive truncate", s.VersionCount("k"))
-	}
-	if v, ok := s.Get("k"); !ok || v[0] != 5 {
-		t.Fatal("newest version must survive truncation")
-	}
-	_ = dropped
-}
-
-func TestMVCCConcurrentDisjointWriters(t *testing.T) {
-	s := NewMVCCStore()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			key := types.Key(fmt.Sprintf("k%d", w))
-			for i := uint64(1); i <= 200; i++ {
-				s.Write(i, key, []byte{byte(i)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < 4; w++ {
-		key := types.Key(fmt.Sprintf("k%d", w))
-		if s.VersionCount(key) != 200 {
-			t.Fatalf("%s has %d versions, want 200", key, s.VersionCount(key))
-		}
-	}
-}
-
 // TestSnapshotShards pins the durability capture contract: the shard
 // partition and the hash are taken under one lock, so the hash commits
 // to exactly the returned content, and restoring the shards into a

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"time"
 )
 
 // NumBuckets is the fixed bucket count of every Histogram. Buckets are
@@ -174,4 +175,30 @@ func (s HistogramSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
+}
+
+// LatencyStats summarizes a histogram of nanosecond observations: the
+// percentile snapshot the bench harness and parclient report. Count,
+// Mean and Max are exact; the percentiles come from the same bucket code
+// the ops server exposes, so a bench percentile and a /metrics percentile
+// of the same samples agree by construction (relative error bounded by
+// one power-of-two bucket, interpolated within it; never above Max).
+type LatencyStats struct {
+	Count              int64
+	Mean               time.Duration
+	P50, P90, P95, P99 time.Duration
+	Max                time.Duration
+}
+
+// Latency reads the snapshot as latency statistics.
+func (s HistogramSnapshot) Latency() LatencyStats {
+	return LatencyStats{
+		Count: int64(s.Count),
+		Mean:  time.Duration(s.Mean()),
+		P50:   time.Duration(s.Quantile(0.50)),
+		P90:   time.Duration(s.Quantile(0.90)),
+		P95:   time.Duration(s.Quantile(0.95)),
+		P99:   time.Duration(s.Quantile(0.99)),
+		Max:   time.Duration(s.Max),
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestBucketBounds(t *testing.T) {
@@ -134,5 +135,75 @@ func TestQuantileEmpty(t *testing.T) {
 	var h Histogram
 	if got := h.Snapshot().Quantile(0.99); got != 0 {
 		t.Fatalf("empty quantile = %d, want 0", got)
+	}
+}
+
+func TestLatencyStats(t *testing.T) {
+	var h Histogram
+	if s := h.Snapshot().Latency(); s.Count != 0 || s.Mean != 0 {
+		t.Fatalf("empty snapshot = %+v", s)
+	}
+	for i := 1; i <= 100; i++ {
+		h.Observe(int64(time.Duration(i) * time.Millisecond))
+	}
+	snap := h.Snapshot()
+	s := snap.Latency()
+	if s.Count != 100 {
+		t.Fatalf("Count = %d", s.Count)
+	}
+	if s.Mean != 50500*time.Microsecond {
+		t.Fatalf("Mean = %v, want 50.5ms (exact)", s.Mean)
+	}
+	if s.Max != 100*time.Millisecond {
+		t.Fatalf("Max = %v (exact)", s.Max)
+	}
+	// Percentiles come from power-of-two buckets: each estimate must land
+	// within a factor of two of the exact value, never above the max, and
+	// agree with the bucket code /metrics uses.
+	for _, c := range []struct {
+		name  string
+		q     float64
+		got   time.Duration
+		exact time.Duration
+	}{
+		{"P50", 0.50, s.P50, 50 * time.Millisecond},
+		{"P90", 0.90, s.P90, 90 * time.Millisecond},
+		{"P95", 0.95, s.P95, 95 * time.Millisecond},
+		{"P99", 0.99, s.P99, 99 * time.Millisecond},
+	} {
+		if c.got < c.exact/2 || c.got > 2*c.exact {
+			t.Errorf("%s = %v, want within 2x of %v", c.name, c.got, c.exact)
+		}
+		if c.got > s.Max {
+			t.Errorf("%s = %v exceeds max %v", c.name, c.got, s.Max)
+		}
+		if want := time.Duration(snap.Quantile(c.q)); c.got != want {
+			t.Errorf("%s = %v, Quantile(%v) says %v", c.name, c.got, c.q, want)
+		}
+	}
+	if s.P90 < s.P50 || s.P95 < s.P90 || s.P99 < s.P95 || s.Max < s.P99 {
+		t.Fatal("percentiles must be monotone")
+	}
+
+	h.Reset()
+	if s := h.Snapshot().Latency(); s.Count != 0 || s.Max != 0 {
+		t.Fatalf("post-reset snapshot = %+v", s)
+	}
+}
+
+// Memory is constant no matter the sample count (log-bucketed histogram,
+// no reservoir) and the count stays exact.
+func TestLatencyStatsUnboundedSamples(t *testing.T) {
+	var h Histogram
+	const n = 1 << 19
+	for i := 0; i < n; i++ {
+		h.Observe(int64(time.Microsecond))
+	}
+	s := h.Snapshot().Latency()
+	if s.Count != n {
+		t.Fatalf("Count = %d, want %d (exact at any volume)", s.Count, n)
+	}
+	if s.P99 > 2*time.Microsecond || s.P99 == 0 {
+		t.Fatalf("P99 = %v, want ~1µs", s.P99)
 	}
 }
