@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-baseline
+.PHONY: all build test race vet fmt bench bench-baseline ab
 
 all: build test
 
@@ -26,3 +26,9 @@ bench:
 # Record the microbenchmark numbers to BENCH_state.json.
 bench-baseline:
 	sh scripts/bench_baseline.sh BENCH_state.json
+
+# Paired A/B benchmark runs, parent commit against the working tree:
+#   make ab PARENT=<ref> [AB_ARGS='--pairs 5 contended-chain']
+ab:
+	@test -n "$(PARENT)" || { echo "usage: make ab PARENT=<ref> [AB_ARGS='--pairs N workload…']"; exit 2; }
+	bash scripts/ab.sh $(PARENT) $(AB_ARGS)

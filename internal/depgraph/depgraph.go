@@ -17,7 +17,7 @@
 //
 // The package is pure: it depends only on the standard library and knows
 // nothing about transactions beyond their read/write sets, so it can be
-// reused for op-level (DGCC-style) or multi-version variants.
+// reused for multi-version variants.
 package depgraph
 
 import (

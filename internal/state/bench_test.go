@@ -196,9 +196,10 @@ func BenchmarkStoreApplyBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlayGet measures the lock-free copy-on-write read path
-// under concurrent readers, with the overlay holding a block's worth of
-// writes.
+// BenchmarkOverlayGet measures the lock-free read path — one load of the
+// key's published version list — under concurrent readers, with the
+// overlay holding a block's worth of writes. Run at -cpu 1,2: readers of
+// different keys must not slow each other down.
 func BenchmarkOverlayGet(b *testing.B) {
 	base := NewKVStore()
 	keys := benchKeyset()
@@ -217,9 +218,10 @@ func BenchmarkOverlayGet(b *testing.B) {
 	})
 }
 
-// BenchmarkOverlayRecord measures the copy-on-write write path: one
-// iteration records a 200-transaction block's writes into a fresh
-// overlay, the per-block cost the commit path pays for lock-free reads.
+// BenchmarkOverlayRecord measures the commit path: one iteration records
+// a 200-transaction block's writes into a fresh overlay. Each Record
+// publishes only its own keys' version lists, so the per-block cost is
+// linear in the block's writes (B/op ÷ 200 is the cost of one Record).
 func BenchmarkOverlayRecord(b *testing.B) {
 	base := NewKVStore()
 	keys := benchKeyset()

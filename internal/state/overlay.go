@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,14 +28,24 @@ import (
 // highest write per key, the block's net effect, which is what chained
 // later-block overlays and Final consume.
 //
-// The read path is copy-on-write: readers load an atomically published,
-// immutable view and perform a plain map lookup — no lock, no atomic
-// read-modify-write, no cache-line ping-pong between executor workers.
-// Record (the commit path, called once per transaction result) builds a
-// new view from the current one and publishes it; version slices are
-// never mutated in place once published. That trades O(overlay) work per
-// Record for zero synchronization on the hot read path, which contract
-// execution hits once per read of every transaction in the block.
+// Each key owns an immutable, index-ascending version list that writers
+// replace whole and publish atomically under that key alone. Readers load
+// the list and scan it — no lock, no read-modify-write, nothing shared
+// with readers of other keys — and Record and PurgeIdx cost O(keys the
+// call touches) in time and allocation, however many keys the block has
+// already written: the writer keeps an idx → keys list so revocation
+// never scans the overlay.
+//
+// Publication is therefore per key, not per call: a reader racing a
+// multi-key Record may see some of its keys and not yet others. That is
+// sufficient under the executor's contract, which callers must keep. A
+// reader entitled to transaction i's writes — an in-block successor, or a
+// cross-block successor through the stitcher — is dispatched only by
+// fireSatisfied, which every call site runs after Record(i) has returned
+// on the actor goroutine, and the work-queue hand-off is the
+// happens-before edge that shows it all of i's keys. Every other
+// concurrent reader is either masked by its At(bound) or declares no
+// conflict with i.
 //
 // Pipelined execution chains overlays: an in-flight block's overlay uses
 // its predecessor block's overlay as base, so reads fall through to the
@@ -49,8 +60,11 @@ import (
 type BlockOverlay struct {
 	base atomic.Pointer[Reader]
 
-	mu   sync.Mutex // serializes writers
-	view atomic.Pointer[map[types.Key][]overlayWrite]
+	keys sync.Map     // types.Key → []overlayWrite, never empty
+	n    atomic.Int64 // keys present
+
+	mu    sync.Mutex          // serializes writers
+	byIdx map[int][]types.Key // keys holding an entry by each index; under mu
 }
 
 // overlayWrite is one transaction's write of one key. Per-key lists are
@@ -64,18 +78,25 @@ type overlayWrite struct {
 // the committed store, or the preceding in-flight block's overlay when
 // execution is pipelined.
 func NewBlockOverlay(base Reader) *BlockOverlay {
-	o := &BlockOverlay{}
+	o := &BlockOverlay{byIdx: make(map[int][]types.Key)}
 	o.base.Store(&base)
-	empty := make(map[types.Key][]overlayWrite)
-	o.view.Store(&empty)
 	return o
+}
+
+// versions returns the key's published version list, nil when the overlay
+// holds no write of it. Lock-free.
+func (o *BlockOverlay) versions(key types.Key) []overlayWrite {
+	if vs, ok := o.keys.Load(key); ok {
+		return vs.([]overlayWrite)
+	}
+	return nil
 }
 
 // Get returns the key's value as the block's net effect so far: the
 // highest-index overlay write if present, otherwise the base's value.
 // Lock-free.
 func (o *BlockOverlay) Get(key types.Key) ([]byte, bool) {
-	if vs := (*o.view.Load())[key]; len(vs) > 0 {
+	if vs := o.versions(key); len(vs) > 0 {
 		w := vs[len(vs)-1]
 		if w.val == nil {
 			return nil, false // deletion
@@ -91,7 +112,7 @@ func (o *BlockOverlay) Get(key types.Key) ([]byte, bool) {
 // can promote the record — attributing the cold read to the prefetcher
 // instead of an execution worker.
 func (o *BlockOverlay) Warm(key types.Key) (int, bool, bool) {
-	if vs := (*o.view.Load())[key]; len(vs) > 0 {
+	if vs := o.versions(key); len(vs) > 0 {
 		w := vs[len(vs)-1]
 		if w.val == nil {
 			return 0, false, false // deletion
@@ -124,20 +145,19 @@ type boundedView struct {
 // Get returns the newest value written strictly below the view's index,
 // falling through to the base when no such write exists.
 func (v boundedView) Get(key types.Key) ([]byte, bool) {
-	if vs := (*v.o.view.Load())[key]; len(vs) > 0 {
-		// Scan from the top: version lists are ascending in idx and short
-		// (multiple same-key writers imply dependency edges, so long lists
-		// only occur on heavily contended keys).
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].idx < v.bound {
-				if vs[i].val == nil {
-					return nil, false // deletion
-				}
-				return vs[i].val, true
+	// Scan from the top: version lists are ascending in idx and short
+	// (multiple same-key writers imply dependency edges, so long lists
+	// only occur on heavily contended keys).
+	vs := v.o.versions(key)
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].idx < v.bound {
+			if vs[i].val == nil {
+				return nil, false // deletion
 			}
+			return vs[i].val, true
 		}
-		// Every overlay write of this key sits at or above the bound.
 	}
+	// Every overlay write of this key sits at or above the bound.
 	return (*v.o.base.Load()).Get(key)
 }
 
@@ -151,72 +171,51 @@ func (o *BlockOverlay) Rebase(base Reader) {
 }
 
 // Record merges a transaction's writes into the overlay, inserting each
-// value into its key's version list (replacing a previous write by the
-// same index — a re-execution supersedes its own earlier result). Record
-// is order-insensitive: results may arrive in any commit order and still
-// converge to the sequential outcome.
+// value into its key's version list. Record is order-insensitive: results
+// may arrive in any commit order and still converge to the sequential
+// outcome. Recording an index a second time is a no-op for a byte-equal
+// value (a commit re-recording what local execution recorded) and
+// last-call-wins for a different one: the quorum-committed result rules
+// over a local one.
 func (o *BlockOverlay) Record(idx int, writes []types.KV) {
 	if len(writes) == 0 {
 		return
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cur := *o.view.Load()
-	// Skip the copy when every write already has an entry at this index —
-	// the common case of a commit re-recording the result local execution
-	// recorded earlier. A same-index entry always carries the same value:
-	// every re-execution path purges its index before recording again, so
-	// a surviving entry is this exact attempt's write.
-	dirty := false
-	for i := range writes {
-		if !hasIdx(cur[writes[i].Key], idx) {
-			dirty = true
-			break
-		}
-	}
-	if !dirty {
-		return
-	}
-	next := make(map[types.Key][]overlayWrite, len(cur)+len(writes))
-	for k, vs := range cur {
-		next[k] = vs
-	}
 	for _, kv := range writes {
-		next[kv.Key] = insertWrite(next[kv.Key], overlayWrite{val: kv.Val, idx: idx})
-	}
-	o.view.Store(&next)
-}
-
-// hasIdx reports whether the version list holds an entry by idx.
-func hasIdx(vs []overlayWrite, idx int) bool {
-	for _, v := range vs {
-		if v.idx == idx {
-			return true
+		cur := o.versions(kv.Key)
+		// Lists are short and new writes mostly land on top: find the
+		// slot from the top.
+		at := len(cur)
+		for at > 0 && cur[at-1].idx >= idx {
+			at--
 		}
-	}
-	return false
-}
-
-// insertWrite returns a fresh version list with the write inserted in
-// index order (replacing an existing same-index entry). The input list is
-// treated as immutable: it may be visible to concurrent readers.
-func insertWrite(vs []overlayWrite, w overlayWrite) []overlayWrite {
-	out := make([]overlayWrite, 0, len(vs)+1)
-	placed := false
-	for _, v := range vs {
-		if !placed && w.idx <= v.idx {
-			out = append(out, w)
-			placed = true
-			if w.idx == v.idx {
-				continue // superseded by the re-execution's write
+		above := cur[at:]
+		if len(above) > 0 && above[0].idx == idx {
+			if sameValue(above[0].val, kv.Val) {
+				continue
 			}
+			above = above[1:] // replaced
+		} else {
+			o.byIdx[idx] = append(o.byIdx[idx], kv.Key)
 		}
-		out = append(out, v)
+		// A fresh list: cur may be visible to concurrent readers.
+		next := make([]overlayWrite, 0, len(cur)+1)
+		next = append(next, cur[:at]...)
+		next = append(next, overlayWrite{val: kv.Val, idx: idx})
+		next = append(next, above...)
+		o.keys.Store(kv.Key, next)
+		if len(cur) == 0 {
+			o.n.Add(1)
+		}
 	}
-	if !placed {
-		out = append(out, w)
-	}
-	return out
+}
+
+// sameValue reports byte equality, telling a deletion (nil) from an empty
+// value.
+func sameValue(a, b []byte) bool {
+	return (a == nil) == (b == nil) && bytes.Equal(a, b)
 }
 
 // PurgeIdx removes every overlay write by the given transaction index, so
@@ -224,39 +223,27 @@ func insertWrite(vs []overlayWrite, w overlayWrite) []overlayWrite {
 // when its speculated result is invalidated (a committed digest diverged
 // from the value dependents read, or the transaction is being
 // re-executed). Older versions of the affected keys simply become visible
-// again. Publication follows the same copy-on-write discipline as Record,
-// so concurrent lock-free readers stay safe.
+// again. Each affected key's shortened list is published the way Record
+// publishes, so concurrent lock-free readers stay safe.
 func (o *BlockOverlay) PurgeIdx(idx int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cur := *o.view.Load()
-	touched := false
-	for _, vs := range cur {
-		for _, v := range vs {
-			if v.idx == idx {
-				touched = true
+	for _, key := range o.byIdx[idx] {
+		cur := o.versions(key)
+		if len(cur) == 1 {
+			o.keys.Delete(key)
+			o.n.Add(-1)
+			continue
+		}
+		next := make([]overlayWrite, 0, len(cur)-1)
+		for _, w := range cur {
+			if w.idx != idx {
+				next = append(next, w)
 			}
 		}
+		o.keys.Store(key, next)
 	}
-	if !touched {
-		return
-	}
-	next := make(map[types.Key][]overlayWrite, len(cur))
-	for k, vs := range cur {
-		keep := vs
-		for i, v := range vs {
-			if v.idx == idx {
-				keep = make([]overlayWrite, 0, len(vs)-1)
-				keep = append(keep, vs[:i]...)
-				keep = append(keep, vs[i+1:]...)
-				break
-			}
-		}
-		if len(keep) > 0 {
-			next[k] = keep
-		}
-	}
-	o.view.Store(&next)
+	delete(o.byIdx, idx)
 }
 
 // Final returns the overlay's net effect as a deterministic, key-sorted
@@ -264,18 +251,19 @@ func (o *BlockOverlay) PurgeIdx(idx int) {
 // The values are shared with the overlay; the commit path hands them
 // straight to KVStore.Apply, transferring ownership.
 func (o *BlockOverlay) Final() []types.KV {
-	view := *o.view.Load()
-	out := make([]types.KV, 0, len(view))
-	for k, vs := range view {
-		out = append(out, types.KV{Key: k, Val: vs[len(vs)-1].val})
-	}
+	out := make([]types.KV, 0, o.Len())
+	o.keys.Range(func(k, v any) bool {
+		vs := v.([]overlayWrite)
+		out = append(out, types.KV{Key: k.(types.Key), Val: vs[len(vs)-1].val})
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
 // Len returns the number of distinct keys written in the overlay.
 func (o *BlockOverlay) Len() int {
-	return len(*o.view.Load())
+	return int(o.n.Load())
 }
 
 var (

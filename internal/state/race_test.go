@@ -2,6 +2,7 @@ package state
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -57,10 +58,15 @@ func TestKVStoreConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestOverlayConcurrentHammer exercises the copy-on-write overlay the way
-// the executor does: worker goroutines read (lock-free) while the commit
-// path records results, with reads of keys both inside and outside the
-// overlay (the latter fall through to a concurrently written base store).
+// TestOverlayConcurrentHammer exercises the overlay the way the executor
+// does: worker goroutines read (lock-free) while the commit path records
+// results, with reads of keys both inside and outside the overlay (the
+// latter fall through to a concurrently written base store). Every
+// recorded value names the index that wrote it, which lets readers check
+// the two things per-key publication must still guarantee: an At(bound)
+// view never shows a write at or above its bound, and a reader handed
+// index i after Record(i) returned — the executor's work-queue hand-off —
+// sees all of i's keys.
 func TestOverlayConcurrentHammer(t *testing.T) {
 	base := NewKVStore()
 	o := NewBlockOverlay(base)
@@ -68,14 +74,21 @@ func TestOverlayConcurrentHammer(t *testing.T) {
 		readers = 6
 		writes  = 300
 	)
+	multi := []types.Key{"m0", "m1", "m2"}
+	writer := func(val []byte) int {
+		idx, err := strconv.Atoi(string(val[1:]))
+		if err != nil {
+			t.Errorf("unparseable overlay value %q", val)
+		}
+		return idx
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			i := 0
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
@@ -84,19 +97,52 @@ func TestOverlayConcurrentHammer(t *testing.T) {
 				o.Get(types.Key(fmt.Sprintf("k%d", i%37)))
 				o.Get("missing")
 				o.Len()
-				i++
+				bound := (i*7 + r) % writes
+				for _, key := range []types.Key{types.Key(fmt.Sprintf("k%d", i%37)), multi[i%len(multi)]} {
+					if v, ok := o.At(bound).Get(key); ok && writer(v) >= bound {
+						t.Errorf("At(%d).Get(%s) = %q, written at or above the bound", bound, key, v)
+						return
+					}
+				}
 			}
 		}(r)
 	}
+	// recorded hands each index to the successor after its Record returned.
+	// Unbuffered, one receiver: when index i is handed over the successor
+	// is done with every earlier one, so the revocations below never pull
+	// an index out from under it.
+	recorded := make(chan int)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range recorded {
+			for _, key := range multi {
+				if v, ok := o.At(i + 1).Get(key); !ok || writer(v) != i {
+					t.Errorf("successor of %d reads %s = %q,%v: not all of a returned Record's keys are visible", i, key, v, ok)
+				}
+				if v, ok := o.Get(key); !ok || writer(v) < i {
+					t.Errorf("Get(%s) = %q,%v after Record(%d) returned", key, v, ok, i)
+				}
+			}
+		}
+	}()
 	wg.Add(2)
 	go func() { // commit path
 		defer wg.Done()
+		defer close(recorded)
 		for i := 0; i < writes; i++ {
-			o.Record(i, []types.KV{
-				{Key: types.Key(fmt.Sprintf("k%d", i%37)), Val: []byte(fmt.Sprintf("v%d", i))},
-			})
+			val := []byte(fmt.Sprintf("v%d", i))
+			o.Record(i, []types.KV{{Key: types.Key(fmt.Sprintf("k%d", i%37)), Val: val}})
 			if i%20 == 0 {
 				o.Record(i, []types.KV{{Key: "tomb", Val: nil}})
+			}
+			o.Record(i, []types.KV{{Key: multi[0], Val: val}, {Key: multi[1], Val: val}, {Key: multi[2], Val: val}})
+			recorded <- i
+			if i%9 == 8 {
+				// Revoke and re-record an earlier index, as a speculation
+				// miss does; bounded views above it must stay consistent.
+				o.PurgeIdx(i - 4)
+				o.Record(i-4, []types.KV{{Key: multi[1], Val: []byte(fmt.Sprintf("v%d", i-4))}})
 			}
 		}
 	}()

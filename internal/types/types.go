@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node (client, orderer, or executor) in the network.
@@ -197,11 +198,23 @@ func (r *TxResult) Digest() Hash {
 // encoder builds deterministic, length-prefixed byte encodings for
 // hashing. It is intentionally minimal: encoding/gob is not deterministic
 // across streams and encoding/json is needlessly slow for digests.
+//
+// Encoders are pooled: a digest is computed several times per transaction
+// per node, and a fresh buffer for each would be one of the largest
+// allocations on the commit path. sum returns the encoder to the pool, so
+// every newEncoder is paired with exactly one sum and the encoder is dead
+// after it.
 type encoder struct {
 	buf []byte
 }
 
-func newEncoder() *encoder { return &encoder{buf: make([]byte, 0, 256)} }
+var encoderPool = sync.Pool{New: func() any { return &encoder{buf: make([]byte, 0, 256)} }}
+
+func newEncoder() *encoder {
+	e := encoderPool.Get().(*encoder)
+	e.buf = e.buf[:0]
+	return e
+}
 
 func (e *encoder) u64(v uint64) {
 	var b [8]byte
@@ -226,4 +239,8 @@ func (e *encoder) strs(ss []string) {
 	}
 }
 
-func (e *encoder) sum() Hash { return sha256.Sum256(e.buf) }
+func (e *encoder) sum() Hash {
+	h := sha256.Sum256(e.buf)
+	encoderPool.Put(e)
+	return h
+}
