@@ -7,8 +7,8 @@ import (
 	"parblockchain/internal/types"
 )
 
-// Durable broker state, persisted through the same layer as the
-// executor WAL (persist.RecordLog, prefix "kafka"). The log interleaves
+// Durable broker state, persisted through the same segmented log as
+// the executor WAL (persist.RecordLog, prefix "kafka"). The log interleaves
 // two record kinds:
 //
 //   - batch records [0x01][seq][count][payload...]: a sequenced batch,
@@ -32,9 +32,8 @@ const (
 )
 
 type storage struct {
-	log      *persist.RecordLog
-	segBytes int64
-	logf     func(format string, args ...any)
+	log  *persist.RecordLog
+	logf func(format string, args ...any)
 }
 
 func encodeBatchRecord(seq uint64, batch [][]byte) []byte {
@@ -85,12 +84,9 @@ func decodeStorageRecord(body []byte) (kind byte, seq uint64, batch [][]byte, er
 // openStorage opens the member's log and rebuilds the slot table. It
 // returns the recovered slots (batches and commit flags; ack state is
 // not durable and restarts empty) and the highest sequence seen.
-func openStorage(dir string, fsync persist.FsyncPolicy, segBytes int64,
+func openStorage(dir string, fsync persist.FsyncPolicy, segmentBytes int64,
 	logf func(format string, args ...any)) (*storage, map[uint64]*slot, uint64, error) {
-	s := &storage{segBytes: segBytes, logf: logf}
-	if s.segBytes <= 0 {
-		s.segBytes = persist.DefaultLogSegmentBytes
-	}
+	s := &storage{logf: logf}
 	slots := make(map[uint64]*slot)
 	var maxSeq uint64
 	get := func(seq uint64) *slot {
@@ -108,7 +104,7 @@ func openStorage(dir string, fsync persist.FsyncPolicy, segBytes int64,
 		Dir:          dir,
 		Prefix:       "kafka",
 		Fsync:        fsync,
-		SegmentBytes: segBytes,
+		SegmentBytes: segmentBytes,
 		Logf:         logf,
 	}, func(_ uint64, body []byte) error {
 		kind, seq, batch, err := decodeStorageRecord(body)
@@ -134,7 +130,7 @@ func openStorage(dir string, fsync persist.FsyncPolicy, segBytes int64,
 // append writes one record and fsyncs it — both record kinds gate a
 // protocol action on durability — rolling segments as they fill.
 func (s *storage) append(body []byte) {
-	if s.log.ActiveBytes() >= s.segBytes {
+	if s.log.Full() {
 		if err := s.log.Roll(); err != nil {
 			s.logf("kafkaorder: rolling log: %v", err)
 		}

@@ -9,9 +9,9 @@ import (
 	"parblockchain/internal/types"
 )
 
-// Durable Raft state, persisted through the same layer as the executor
-// WAL (persist.RecordLog). Two artifacts live under the member's data
-// directory:
+// Durable Raft state, persisted through the same segmented log as the
+// executor WAL (persist.RecordLog). Two artifacts live under the
+// member's data directory:
 //
 //   - raft-<16 hex>.seg segment files: the replicated log, one record
 //     per entry, record index = Raft index - 1. Entries are appended
@@ -20,7 +20,7 @@ import (
 //     entries — so a majority's fsynced disks always cover the
 //     committed prefix, and a full-cluster restart loses nothing.
 //   - hardstate: the (term, votedFor) pair, rewritten atomically
-//     (tmp + rename + fsync) before any message that commits the
+//     (persist.WriteFileAtomic) before any message that commits the
 //     member to it leaves the node. Forgetting a vote across a restart
 //     could elect two leaders in one term.
 //
@@ -37,7 +37,6 @@ var hardstateMagic = [8]byte{'P', 'B', 'R', 'F', 'T', 'H', 'S', '1'}
 // goroutine (after New) like the rest of the member's state.
 type storage struct {
 	dir      string
-	segBytes int64
 	log      *persist.RecordLog
 	term     uint64 // last saved hard state
 	votedFor types.NodeID
@@ -66,18 +65,15 @@ func decodeRaftEntry(body []byte) (LogEntry, error) {
 
 // openStorage opens (creating if needed) the member's data directory,
 // replays the durable log, and loads the hard state.
-func openStorage(dir string, fsync persist.FsyncPolicy, segBytes int64,
+func openStorage(dir string, fsync persist.FsyncPolicy, segmentBytes int64,
 	logf func(format string, args ...any)) (*storage, []LogEntry, error) {
-	s := &storage{dir: dir, segBytes: segBytes, logf: logf}
-	if s.segBytes <= 0 {
-		s.segBytes = persist.DefaultLogSegmentBytes
-	}
+	s := &storage{dir: dir, logf: logf}
 	var entries []LogEntry
 	rl, err := persist.OpenRecordLog(persist.RecordLogConfig{
 		Dir:          dir,
 		Prefix:       "raft",
 		Fsync:        fsync,
-		SegmentBytes: segBytes,
+		SegmentBytes: segmentBytes,
 		Logf:         logf,
 	}, func(_ uint64, body []byte) error {
 		e, err := decodeRaftEntry(body)
@@ -124,8 +120,8 @@ func (s *storage) loadHardState() error {
 	return nil
 }
 
-// saveHardState durably records (term, votedFor) when it changed, via
-// tmp + rename so a crash mid-write leaves the previous state intact.
+// saveHardState durably records (term, votedFor) when it changed; the
+// atomic replace leaves the previous state intact on a crash mid-write.
 func (s *storage) saveHardState(term uint64, votedFor types.NodeID) {
 	if s == nil || (term == s.term && votedFor == s.votedFor) {
 		return
@@ -135,38 +131,16 @@ func (s *storage) saveHardState(term uint64, votedFor types.NodeID) {
 	w.Raw(hardstateMagic[:])
 	w.U64(term)
 	w.Str(string(votedFor))
-	tmp := filepath.Join(s.dir, hardstateName+".tmp")
-	path := filepath.Join(s.dir, hardstateName)
-	if err := writeFileSync(tmp, path, s.dir, w.Bytes()); err != nil {
+	err := persist.WriteFileAtomic(filepath.Join(s.dir, hardstateName), func(f *os.File) error {
+		_, err := f.Write(w.Bytes())
+		return err
+	})
+	if err != nil {
 		s.logf("raft: persisting hardstate: %v", err)
 		return
 	}
 	s.term = term
 	s.votedFor = votedFor
-}
-
-// writeFileSync writes data to tmp, fsyncs it, renames it over path, and
-// fsyncs the directory — the standard atomic-replace sequence.
-func writeFileSync(tmp, path, dir string, data []byte) error {
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return persist.SyncDir(dir)
 }
 
 // appendFrom appends every in-memory entry storage is missing and
@@ -177,7 +151,7 @@ func (s *storage) appendFrom(log []LogEntry) error {
 		return fmt.Errorf("raft: storage ahead of memory (%d > %d)", s.log.NextIndex(), len(log))
 	}
 	for idx := s.log.NextIndex(); idx < uint64(len(log)); idx++ {
-		if s.log.ActiveBytes() >= s.segBytes {
+		if s.log.Full() {
 			if err := s.log.Roll(); err != nil {
 				return err
 			}

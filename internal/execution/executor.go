@@ -499,7 +499,7 @@ type Executor struct {
 	lastProgress time.Time
 	maxSeen      uint64 // one past the highest block number peers announced
 	sync         syncState
-	syncProbed   bool // a startup probe was answered; stop re-probing
+	nextProbe    time.Time // earliest moment a silent node may probe again
 	tickQuit     chan struct{}
 
 	// voterScore tracks, per agent, how many of its leading votes this

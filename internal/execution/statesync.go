@@ -62,6 +62,14 @@ type snapAssembly struct {
 	buf    []byte
 }
 
+// probeRearmStalls is how many stall periods an answered silence probe
+// holds the next one off. A probe answered "nothing missing" must not be
+// the last: a partition that heals after the cluster went quiet leaves
+// the node hearing nothing, exactly like the restart the probe exists
+// for. Eight periods keeps an idle cluster's probe chatter at one small
+// request per executor every eight stall timeouts.
+const probeRearmStalls = 8
+
 // handleTick is the watchdog: fired periodically by the ticker goroutine
 // (Config.StallTimeout > 0), it detects a stalled pipeline and drives
 // the sync state machine's deadlines and backoff.
@@ -101,8 +109,9 @@ func (e *Executor) handleTick() {
 		// (or partitioned) into silence hears nothing at all, so a node
 		// with history probes a peer for the cluster's durable height
 		// (responses carry it; a caught-up probe ends at the next tick).
-		// The probe repeats each stall period until one is answered.
-		if e.syncProbed || e.cfg.Ledger.Height() == 0 {
+		// The probe repeats each stall period until one is answered, and
+		// an answered one is re-armed probeRearmStalls periods later.
+		if e.cfg.Ledger.Height() == 0 || now.Before(e.nextProbe) {
 			return
 		}
 	}
@@ -312,10 +321,10 @@ func (e *Executor) handleSyncResponse(from types.NodeID, m *types.StateSyncRespo
 		}
 	}
 	e.sync.waiting = false
-	// Any verified response answers the startup probe. Spending the probe
+	// Any verified response answers the silence probe. Spending the probe
 	// only here (not on send) keeps an unreachable node re-probing every
 	// stall period instead of giving up after one lost request.
-	e.syncProbed = true
+	e.nextProbe = time.Now().Add(probeRearmStalls * e.cfg.StallTimeout)
 	if m.Height > e.maxSeen {
 		e.maxSeen = m.Height
 	}

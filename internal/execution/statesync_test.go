@@ -289,3 +289,42 @@ func TestStateSyncConvergesPastTamperingPeer(t *testing.T) {
 		t.Fatalf("SyncRecordsAdopted = %d, want %d", st.SyncRecordsAdopted, len(chain.records))
 	}
 }
+
+// TestStateSyncReprobesAfterAnsweredProbe: a node whose silence probe was
+// answered "nothing missing" is then partitioned while its peers advance,
+// and the partition heals into a quiet cluster — no announcement ever
+// reaches it. The probe must re-arm on its own, or the node stays behind
+// forever.
+func TestStateSyncReprobesAfterAnsweredProbe(t *testing.T) {
+	chain := buildSyncChain(6)
+	rig := newSyncPeerRig(t, []types.NodeID{"honest"})
+	var reqs, nothing atomic.Uint64
+	var visible atomic.Uint64 // how much of the chain the peer has so far
+	visible.Store(3)
+	ep := rig.servePeer(t, "honest", &reqs, func(req *types.StateSyncRequestMsg) *types.StateSyncResponseMsg {
+		have := &syncChain{records: chain.records[:visible.Load()]}
+		resp := have.response(t, req, nil)
+		if resp.Kind == types.SyncKindNothing {
+			nothing.Add(1)
+		}
+		return resp
+	})
+	announce(t, ep, 2)
+	waitFor(t, "catch-up to the peer's first three blocks", func() bool {
+		return rig.led.Height() == 3
+	})
+	waitFor(t, "a probe answered with nothing missing", func() bool {
+		return nothing.Load() > 0 && !rig.exec.Status().Syncing
+	})
+
+	rig.net.Isolate("req", true)
+	visible.Store(6)
+	rig.net.Isolate("req", false)
+	waitFor(t, "convergence after healing into silence", func() bool {
+		return rig.led.Height() == 6
+	})
+	rig.shutdown()
+	if got := rig.store.Hash(); got != chain.finalHash {
+		t.Fatalf("synced store hash %x, peer's chain produces %x", got[:4], chain.finalHash[:4])
+	}
+}

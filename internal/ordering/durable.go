@@ -12,8 +12,8 @@ import (
 
 // The orderer log makes the ordering side bounce-able: every delivered
 // consensus entry and every cut decision is appended to a
-// persist.RecordLog (same segment format, fsync policies, and torn-tail
-// semantics as the executor WAL) at the delivery boundary, and a
+// persist.RecordLog (the same segmented log the executor WAL runs on)
+// at the delivery boundary, and a
 // restarted orderer replays the retained window to rebuild its pending
 // transactions, dedupe generations, streaming position, and next block
 // number — resuming cuts at height N+1, never 0.
@@ -269,7 +269,7 @@ func (o *Orderer) logEntry(seq uint64, payload []byte) {
 // the new segment starts with this cut record: a replay anchor), then
 // prunes segments whose blocks have fallen out of the retention window.
 func (o *Orderer) logCut(num uint64, hash types.Hash) {
-	if o.dlog.ActiveBytes() >= o.logSegBytes() {
+	if o.dlog.Full() {
 		if err := o.dlog.Roll(); err != nil {
 			o.cfg.Logf("orderer %s: orderer log roll: %v", o.cfg.ID, err)
 		} else {
@@ -316,13 +316,6 @@ func (o *Orderer) pruneLog(num uint64) {
 		return
 	}
 	o.anchors = o.anchors[keep:]
-}
-
-func (o *Orderer) logSegBytes() int64 {
-	if o.cfg.LogSegmentBytes > 0 {
-		return o.cfg.LogSegmentBytes
-	}
-	return persist.DefaultLogSegmentBytes
 }
 
 // DurableHeight returns the number of blocks whose cut records are

@@ -2,6 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime/metrics"
 	"testing"
 
 	"parblockchain/internal/state"
@@ -174,5 +179,97 @@ func FuzzUnmarshalTieredManifest(f *testing.F) {
 		if !bytes.Equal(enc, m2.Marshal()) {
 			t.Fatal("tiered manifest encoding is not a fixed point")
 		}
+	})
+}
+
+// snapshotImage writes one image through the real writer and returns its
+// bytes — the fuzz targets' valid seed.
+func snapshotImage(f *testing.F, magic [8]byte, manifest []byte, shards [][]types.KV) []byte {
+	f.Helper()
+	path := filepath.Join(f.TempDir(), "seed.snap")
+	if err := writeSnapshotFile(path, magic, manifest, shards, 1); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return raw
+}
+
+// addImageSeeds seeds a snapshot-image fuzz target: the valid image, a
+// truncation, a flipped CRC, and the image re-sealed around a manifest
+// that claims 2^62 payload sections (a count-proportional allocation
+// would die on it).
+func addImageSeeds(f *testing.F, valid []byte, hostileManifest []byte) {
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-1] ^= 0x01
+	f.Add(flipped)
+	hostile := append([]byte(nil), valid[:8]...)
+	hostile = binary.BigEndian.AppendUint32(hostile, uint32(len(hostileManifest)))
+	hostile = append(hostile, hostileManifest...)
+	hostile = binary.BigEndian.AppendUint32(hostile, crc32.Checksum(hostile, castagnoli))
+	f.Add(hostile)
+}
+
+// checkDecodeAlloc runs decode and fails if it allocated out of
+// proportion to its input: decoders are fed peer-served bytes, so an
+// attacker-chosen count must never size an allocation.
+func checkDecodeAlloc(t *testing.T, n int, decode func()) {
+	t.Helper()
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	decode()
+	metrics.Read(sample)
+	// A decoded KV is ~5x its smallest encoding; the constant covers an
+	// empty store's shards.
+	if got, limit := sample[0].Value.Uint64()-before, uint64(64*n+1<<20); got > limit {
+		t.Fatalf("decoding %d bytes allocated %d (limit %d)", n, got, limit)
+	}
+}
+
+func FuzzDecodeSnapshot(f *testing.F) {
+	store := state.NewKVStore()
+	store.Apply([]types.KV{{Key: "alice", Val: []byte("100")}, {Key: "empty", Val: []byte{}}})
+	shards, hash := store.SnapshotShards()
+	man := &Manifest{Height: 3, LastHash: types.Hash{1}, StateHash: hash,
+		Shards: uint64(len(shards)), Records: countRecords(shards)}
+	hostile := *man
+	hostile.Shards = 1 << 62
+	addImageSeeds(f, snapshotImage(f, snapMagic, man.Marshal(), shards), hostile.Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeAlloc(t, len(data), func() {
+			man, store, err := DecodeSnapshot(data)
+			if err == nil && (store.Hash() != man.StateHash || uint64(store.Len()) != man.Records) {
+				t.Fatal("DecodeSnapshot accepted an image its manifest does not describe")
+			}
+		})
+	})
+}
+
+func FuzzDecodeTieredSnapshot(f *testing.F) {
+	dirty := [][]types.KV{{{Key: "hot", Val: []byte("1")}, {Key: "gone", Val: nil}}, nil}
+	man := &TieredManifest{Height: 3, StateHash: types.Hash{2}, Shards: 2, Records: 9,
+		DirtyRecords: 2, Segments: []state.ColdSegRef{{Seq: 0, Len: 16}}}
+	hostile := *man
+	hostile.Shards = 1 << 62
+	addImageSeeds(f, snapshotImage(f, tieredSnapMagic, man.Marshal(), dirty), hostile.Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeAlloc(t, len(data), func() {
+			man, dirty, err := decodeTieredSnapshot(data)
+			if err != nil {
+				return
+			}
+			var n uint64
+			for _, batch := range dirty {
+				n += uint64(len(batch))
+			}
+			if n != man.DirtyRecords {
+				t.Fatal("decodeTieredSnapshot accepted an image its manifest does not describe")
+			}
+		})
 	})
 }

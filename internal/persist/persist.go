@@ -1,8 +1,18 @@
-// Package persist is the durability subsystem of the reproduction: a
-// segmented, checksummed write-ahead log of the executor pipeline's
-// finalization events, periodic snapshots of the sharded state store,
-// and the crash-recovery path that rebuilds the KVStore, the ledger, and
-// the executor's admission height from snapshot + WAL tail.
+// Package persist is the durability subsystem of the reproduction:
+//
+//   - RecordLog (reclog.go, segment.go): the only segmented-log
+//     implementation in the repository. The orderer's cut log and the
+//     Raft and Kafka adapters open it directly; the executor's WAL is a
+//     RecordLog whose record index is the block height.
+//   - Manager (this file, sync.go): an executor's durability — that WAL
+//     of finalization events, periodic snapshots of the state store, the
+//     crash-recovery path that rebuilds the store, the ledger and the
+//     admission height from snapshot + WAL tail, and the range readers
+//     and snapshot adoption that peer state sync uses.
+//   - the snapshot image codec (snapshot.go, tieredsnap.go): one
+//     envelope writer and reader for the full and the tiered format.
+//   - WriteFileAtomic (atomicfile.go): the one tmp-write → fsync →
+//     rename → fsync-dir sequence every replaced file goes through.
 //
 // # Contract
 //
@@ -178,28 +188,19 @@ type Recovered struct {
 // background writer. All methods are safe for concurrent use.
 type Manager struct {
 	cfg     Config
-	walDir  string
 	snapDir string
 
-	lock *os.File // exclusive advisory lock on Dir, held until Close/Crash
+	lock *os.File   // exclusive advisory lock on Dir, held until Close/Crash
+	log  *RecordLog // the WAL: <Dir>/wal, record index = block height
 
-	mu          sync.Mutex
-	seg         *os.File
-	segStart    uint64
-	segBytes    int64
-	syncedBytes int64    // prefix of the active segment known durable
-	segments    []uint64 // ascending start heights, including the active one
-	dirty       bool
-	nextHeight  uint64
-	lastSnap    uint64 // height of the newest scheduled-or-restored snapshot
-	closed      bool
+	mu       sync.Mutex // orders LogBlock's height check with its append
+	lastSnap uint64     // height of the newest scheduled-or-restored snapshot
+	closed   bool
 
 	snapBusy atomic.Bool
 	snapWG   sync.WaitGroup
 
 	stats struct {
-		appends     atomic.Uint64
-		syncs       atomic.Uint64
 		snaps       atomic.Uint64
 		snapSkipped atomic.Uint64
 	}
@@ -216,12 +217,9 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 	if cfg.Dir == "" {
 		return nil, nil, errors.New("persist: Config.Dir is required")
 	}
-	m := &Manager{
-		cfg:     cfg,
-		walDir:  filepath.Join(cfg.Dir, "wal"),
-		snapDir: filepath.Join(cfg.Dir, "snap"),
-	}
-	for _, d := range []string{m.walDir, m.snapDir} {
+	walDir := filepath.Join(cfg.Dir, "wal")
+	m := &Manager{cfg: cfg, snapDir: filepath.Join(cfg.Dir, "snap")}
+	for _, d := range []string{walDir, m.snapDir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("persist: %w", err)
 		}
@@ -242,13 +240,16 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 			if store != nil {
 				store.Close()
 			}
+			if m.log != nil {
+				m.log.Close()
+			}
 		}
 	}()
 	snaps, err := listSnapshots(m.snapDir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
-	segs, err := listSegments(m.walDir)
+	segs, err := listSegmentFiles(walDir, "wal")
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
@@ -298,24 +299,63 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 	}
 
 	led := ledger.NewAt(man.Height, man.LastHash)
-	replayed, err := m.replayWAL(segs, man.Height, store, led)
+	replayed := 0
+	// Replay applies every record at or above the snapshot height, in
+	// order, verifying the index, chain contiguity and the incremental
+	// state hash; the log itself verifies frame checksums, truncates a
+	// torn tail in the newest segment and fails on corruption anywhere
+	// else.
+	m.log, err = OpenRecordLog(RecordLogConfig{
+		Dir:          walDir,
+		Prefix:       "wal",
+		Fsync:        cfg.Fsync,
+		SegmentBytes: int64(cfg.SegmentBytes),
+		Logf:         cfg.Logf,
+	}, func(idx uint64, body []byte) error {
+		rec, err := UnmarshalBlockRecord(body)
+		if err != nil {
+			// The frame passed its checksum, so this is not a torn write —
+			// the record itself is corrupt or from the future.
+			return fmt.Errorf("persist: WAL record %d: %w", idx, err)
+		}
+		num := rec.Block.Header.Number
+		if num != idx {
+			return fmt.Errorf("persist: WAL record %d holds block %d", idx, num)
+		}
+		if num < man.Height {
+			return nil // folded into the snapshot already
+		}
+		if num != led.Height() {
+			return fmt.Errorf("persist: WAL record for block %d, expected %d (WAL gap?)",
+				num, led.Height())
+		}
+		store.Apply(rec.Delta)
+		if got := store.Hash(); got != rec.StateHash {
+			return fmt.Errorf("persist: block %d replay state hash mismatch: got %s want %s",
+				num, got, rec.StateHash)
+		}
+		if err := led.Append(ledger.Entry{Block: rec.Block, Results: rec.Results}); err != nil {
+			return fmt.Errorf("persist: WAL record %d: %w", idx, err)
+		}
+		replayed++
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	m.nextHeight = led.Height()
+	switch next := m.log.NextIndex(); {
+	case next < man.Height:
+		// The log ends below the snapshot — an adoption that crashed before
+		// its reset, or a wal/ directory lost under a kept snapshot: none of
+		// it is needed, and appends must resume at the snapshot height.
+		if err := m.log.Reset(man.Height); err != nil {
+			return nil, nil, err
+		}
+	case next != led.Height():
+		return nil, nil, fmt.Errorf("persist: WAL resumes at %d but the recovered ledger is at %d",
+			next, led.Height())
+	}
 	m.lastSnap = man.Height
-	m.seg, err = createSegment(m.walDir, m.nextHeight)
-	if err != nil {
-		return nil, nil, fmt.Errorf("persist: %w", err)
-	}
-	m.segStart = m.nextHeight
-	m.segBytes = int64(walHeaderLen)
-	m.syncedBytes = int64(walHeaderLen) // createSegment synced the header
-	m.segments = segs
-	if len(m.segments) == 0 || m.segments[len(m.segments)-1] != m.segStart {
-		m.segments = append(m.segments, m.segStart)
-	}
 	opened = true
 	return m, &Recovered{
 		Store:          store,
@@ -422,7 +462,7 @@ func (m *Manager) captureSnapshot(height uint64, lastHash types.Hash, store stat
 			if err := st.SyncCold(); err != nil {
 				return fmt.Errorf("persist: syncing cold tier: %w", err)
 			}
-			return writeTieredSnapshotFile(path, man, snap.Dirty)
+			return writeSnapshotFile(path, tieredSnapMagic, man.Marshal(), snap.Dirty, 1)
 		}
 	case *state.KVStore:
 		shards, hash := st.SnapshotShards()
@@ -433,7 +473,9 @@ func (m *Manager) captureSnapshot(height uint64, lastHash types.Hash, store stat
 			Shards:    uint64(len(shards)),
 			Records:   countRecords(shards),
 		}
-		return func() error { return writeSnapshotFile(path, man, shards) }
+		return func() error {
+			return writeSnapshotFile(path, snapMagic, man.Marshal(), shards, snapshotWorkers())
+		}
 	default:
 		// An unknown backend still snapshots correctly, just without the
 		// zero-copy shard capture: Snapshot is a consistent full copy.
@@ -450,64 +492,10 @@ func (m *Manager) captureSnapshot(height uint64, lastHash types.Hash, store stat
 			Shards:    1,
 			Records:   uint64(len(kvs)),
 		}
-		return func() error { return writeSnapshotFile(path, man, [][]types.KV{kvs}) }
-	}
-}
-
-// replayWAL applies every record at or above the snapshot height, in
-// order, verifying checksums, chain contiguity, and the incremental
-// state hash. A torn frame at the tail of the newest segment is
-// truncated away (the expected shape of a crash); corruption anywhere
-// else fails recovery.
-func (m *Manager) replayWAL(segs []uint64, snapHeight uint64,
-	store state.Backend, led *ledger.Ledger) (int, error) {
-	replayed := 0
-	for i, start := range segs {
-		if i+1 < len(segs) && segs[i+1] <= snapHeight {
-			continue // every record sits below the snapshot
-		}
-		path := filepath.Join(m.walDir, segmentName(start))
-		off, err := replaySegment(path, func(body []byte) error {
-			rec, err := UnmarshalBlockRecord(body)
-			if err != nil {
-				// The frame passed its checksum, so this is not a torn
-				// write — the record itself is corrupt or from the future.
-				return fmt.Errorf("persist: %s: %w", path, err)
-			}
-			num := rec.Block.Header.Number
-			if num < snapHeight {
-				return nil // folded into the snapshot already
-			}
-			if num != led.Height() {
-				return fmt.Errorf("persist: %s: record for block %d, expected %d (WAL gap?)",
-					path, num, led.Height())
-			}
-			store.Apply(rec.Delta)
-			if got := store.Hash(); got != rec.StateHash {
-				return fmt.Errorf("persist: block %d replay state hash mismatch: got %s want %s",
-					num, got, rec.StateHash)
-			}
-			if err := led.Append(ledger.Entry{Block: rec.Block, Results: rec.Results}); err != nil {
-				return fmt.Errorf("persist: %s: %w", path, err)
-			}
-			replayed++
-			return nil
-		})
-		switch {
-		case err == nil:
-		case errors.Is(err, errTornTail):
-			if i != len(segs)-1 {
-				return 0, fmt.Errorf("persist: torn frame inside non-final segment %s", path)
-			}
-			m.cfg.Logf("persist: truncating torn WAL tail of %s at offset %d", path, off)
-			if terr := os.Truncate(path, off); terr != nil {
-				return 0, fmt.Errorf("persist: truncating %s: %w", path, terr)
-			}
-		default:
-			return 0, err
+		return func() error {
+			return writeSnapshotFile(path, snapMagic, man.Marshal(), [][]types.KV{kvs}, 1)
 		}
 	}
-	return replayed, nil
 }
 
 // LogBlock appends one finalization record to the WAL. Records must
@@ -519,28 +507,21 @@ func (m *Manager) LogBlock(rec *BlockRecord) error {
 	if m.closed {
 		return errors.New("persist: manager closed")
 	}
-	if num := rec.Block.Header.Number; num != m.nextHeight {
-		return fmt.Errorf("persist: WAL record for block %d, expected %d", num, m.nextHeight)
+	num := rec.Block.Header.Number
+	if next := m.log.NextIndex(); num != next {
+		return fmt.Errorf("persist: WAL record for block %d, expected %d", num, next)
 	}
-	// Roll only a segment that holds at least one record: rolling an
-	// empty one would register a second segment with the same start
-	// height, and the duplicate name breaks pruning (and the positional
-	// height contract sync serving relies on).
-	if m.segBytes >= int64(m.cfg.SegmentBytes) && m.nextHeight > m.segStart {
-		if err := m.rollSegmentLocked(); err != nil {
+	if m.log.Full() {
+		if err := m.log.Roll(); err != nil {
 			return err
 		}
+		// The just-sealed segment may sit entirely below the newest snapshot
+		// (it was the active segment when that snapshot pruned, so it had to
+		// be kept); now that it is sealed, retire it.
+		m.pruneLog(m.lastSnap)
 	}
-	n, err := appendFrame(m.seg, rec)
-	if err != nil {
-		return fmt.Errorf("persist: appending block %d: %w", m.nextHeight, err)
-	}
-	m.segBytes += int64(n)
-	m.nextHeight++
-	m.dirty = true
-	m.stats.appends.Add(1)
-	if m.cfg.Fsync == FsyncAlways {
-		return m.syncLocked()
+	if _, err := m.log.AppendWith(rec.marshalTo); err != nil {
+		return fmt.Errorf("persist: appending block %d: %w", num, err)
 	}
 	return nil
 }
@@ -548,52 +529,7 @@ func (m *Manager) LogBlock(rec *BlockRecord) error {
 // Sync makes every record appended so far durable (one fsync for the
 // whole batch under the group policy; a no-op under always, which
 // already synced, and under never).
-func (m *Manager) Sync() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed || !m.dirty || m.cfg.Fsync == FsyncNever {
-		return nil
-	}
-	return m.syncLocked()
-}
-
-func (m *Manager) syncLocked() error {
-	if err := m.seg.Sync(); err != nil {
-		return fmt.Errorf("persist: fsync: %w", err)
-	}
-	m.dirty = false
-	m.syncedBytes = m.segBytes
-	m.stats.syncs.Add(1)
-	return nil
-}
-
-// rollSegmentLocked seals the active segment (synced unless the policy
-// forbids it) and opens a fresh one starting at the next height.
-func (m *Manager) rollSegmentLocked() error {
-	if m.dirty && m.cfg.Fsync != FsyncNever {
-		if err := m.syncLocked(); err != nil {
-			return err
-		}
-	}
-	if err := m.seg.Close(); err != nil {
-		return fmt.Errorf("persist: sealing segment: %w", err)
-	}
-	seg, err := createSegment(m.walDir, m.nextHeight)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	m.seg = seg
-	m.segStart = m.nextHeight
-	m.segBytes = int64(walHeaderLen)
-	m.syncedBytes = int64(walHeaderLen)
-	m.segments = append(m.segments, m.segStart)
-	m.dirty = false
-	// The just-sealed segment may sit entirely below the newest snapshot
-	// (it was the active segment when that snapshot pruned, so it had to
-	// be kept); now that it is sealed, retire it.
-	m.pruneSegmentsLocked(m.lastSnap)
-	return nil
-}
+func (m *Manager) Sync() error { return m.log.Sync() }
 
 // MaybeSnapshot takes a state snapshot if the configured interval has
 // elapsed since the last one. The store content (and its hash) are
@@ -640,9 +576,12 @@ func (m *Manager) MaybeSnapshot(height uint64, lastHash types.Hash, store state.
 // pruneBelow deletes WAL segments whose records all sit below the new
 // snapshot, and snapshot files older than it.
 func (m *Manager) pruneBelow(height uint64) {
-	m.mu.Lock()
-	m.pruneSegmentsLocked(height)
-	m.mu.Unlock()
+	m.pruneLog(height)
+	m.pruneSnapshots(height)
+}
+
+// pruneSnapshots deletes snapshot files older than height.
+func (m *Manager) pruneSnapshots(height uint64) {
 	snaps, err := listSnapshots(m.snapDir)
 	if err != nil {
 		m.cfg.Logf("persist: pruning snapshots: %v", err)
@@ -657,48 +596,19 @@ func (m *Manager) pruneBelow(height uint64) {
 	}
 }
 
-// pruneSegmentsLocked removes sealed WAL segments whose records all sit
-// below height. The active segment is never removed (its file is open
-// for appends); the next roll retires it if it is still below the
-// newest snapshot then.
-func (m *Manager) pruneSegmentsLocked(height uint64) {
-	kept := m.segments[:0]
-	for i, start := range m.segments {
-		if i+1 < len(m.segments) && m.segments[i+1] <= height && start != m.segStart {
-			if err := os.Remove(filepath.Join(m.walDir, segmentName(start))); err != nil {
-				m.cfg.Logf("persist: pruning WAL segment %d: %v", start, err)
-				kept = append(kept, start)
-			}
-			continue
-		}
-		kept = append(kept, start)
+// pruneLog removes sealed WAL segments whose records all sit below
+// height. The active segment is never removed; the next roll retires it
+// if it is still below the newest snapshot then.
+func (m *Manager) pruneLog(height uint64) {
+	if err := m.log.PruneTo(height); err != nil {
+		m.cfg.Logf("persist: pruning WAL below %d: %v", height, err)
 	}
-	m.segments = kept
 }
 
 // Close drains the background snapshot writer, syncs any unsynced tail
-// (unless the policy is never), closes the active segment, and releases
-// the directory lock.
-func (m *Manager) Close() error {
-	m.snapWG.Wait()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	var err error
-	if m.dirty && m.cfg.Fsync != FsyncNever {
-		err = m.syncLocked()
-	}
-	if cerr := m.seg.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := m.lock.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// (unless the policy is never), closes the WAL, and releases the
+// directory lock.
+func (m *Manager) Close() error { return m.shutdown((*RecordLog).Close) }
 
 // Crash simulates a machine crash for tests: every byte of the active
 // WAL segment that was never fsynced is discarded — exactly what a
@@ -707,10 +617,10 @@ func (m *Manager) Close() error {
 // drained first (a snapshot either fully lands via its atomic rename or
 // does not exist; either is a legal crash outcome). Tests use it to
 // prove the recovery contract depends only on what was durable at the
-// kill point, not on a graceful close. (Under FsyncNever, segments
-// sealed by a roll may also hold unsynced bytes; Crash only models the
-// active segment, which is exact for the group and always policies.)
-func (m *Manager) Crash() error {
+// kill point, not on a graceful close.
+func (m *Manager) Crash() error { return m.shutdown((*RecordLog).Crash) }
+
+func (m *Manager) shutdown(stopLog func(*RecordLog) error) error {
 	m.snapWG.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -718,22 +628,19 @@ func (m *Manager) Crash() error {
 		return nil
 	}
 	m.closed = true
-	path := filepath.Join(m.walDir, segmentName(m.segStart))
-	if err := m.seg.Close(); err != nil {
-		return fmt.Errorf("persist: crash close: %w", err)
+	err := stopLog(m.log)
+	// Crash releases the flock too: a dead process holds none.
+	if cerr := m.lock.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Truncate(path, m.syncedBytes); err != nil {
-		return fmt.Errorf("persist: crash truncate: %w", err)
-	}
-	// A dead process holds no flock; release it like the kernel would.
-	return m.lock.Close()
+	return err
 }
 
 // Stats returns a snapshot of the durability counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Appends:          m.stats.appends.Load(),
-		Syncs:            m.stats.syncs.Load(),
+		Appends:          m.log.appends.Load(),
+		Syncs:            m.log.syncs.Load(),
 		Snapshots:        m.stats.snaps.Load(),
 		SnapshotsSkipped: m.stats.snapSkipped.Load(),
 	}

@@ -191,11 +191,11 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	}
 	// Simulate a crash mid-append: a frame header promising more bytes
 	// than were ever written.
-	segs, err := listSegments(filepath.Join(dir, "wal"))
+	segs, err := listSegmentFiles(filepath.Join(dir, "wal"), "wal")
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
-	last := filepath.Join(dir, "wal", segmentName(segs[len(segs)-1]))
+	last := filepath.Join(dir, "wal", segmentFileName("wal", segs[len(segs)-1]))
 	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -240,11 +240,11 @@ func TestCorruptionInNonFinalSegmentFails(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(filepath.Join(dir, "wal"))
+	segs, err := listSegmentFiles(filepath.Join(dir, "wal"), "wal")
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("want >=3 segments, got %v (%v)", segs, err)
 	}
-	first := filepath.Join(dir, "wal", segmentName(segs[0]))
+	first := filepath.Join(dir, "wal", segmentFileName("wal", segs[0]))
 	raw, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 		t.Fatalf("Get(0) = %v, want ErrPruned", err)
 	}
 	// Segments fully below the snapshot are gone.
-	segs, err := listSegments(filepath.Join(dir, "wal"))
+	segs, err := listSegmentFiles(filepath.Join(dir, "wal"), "wal")
 	if err != nil {
 		t.Fatal(err)
 	}

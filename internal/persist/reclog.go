@@ -8,30 +8,30 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"parblockchain/internal/types"
 )
 
-// RecordLog is the ordering side's durability substrate: a generic
-// segmented, CRC-32C-checksummed append log of opaque record bodies,
-// built on the same segment format, fsync policies, and torn-tail
-// truncation semantics as the executor WAL (wal.go). The orderer's
-// consensus-delivery log and the Raft/Kafka adapters' entry logs each
-// open one RecordLog (with distinct file prefixes) and interpret the
-// bodies themselves.
+// RecordLog is the one segmented log under every durable role: a
+// CRC-32C-checksummed append log of opaque record bodies in the segment
+// format of segment.go. The executor's block WAL (Manager, prefix
+// "wal", record index = block height), the orderer's consensus-delivery
+// and cut log ("olog") and the Raft and Kafka adapters' entry logs
+// ("raft", "kafka") each open one and interpret the bodies themselves;
+// open/replay, torn-tail truncation, roll, prune, group fsync, crash
+// simulation, positional range reads and reset exist here and nowhere
+// else.
 //
-// Records are indexed densely from 0; record N of a segment starting at
-// index S is record S+N. A torn frame at the tail of the newest segment
-// is the expected shape of a crash and is truncated on open; a bad frame
+// Records are indexed densely; record N of a segment starting at index
+// S is record S+N. A torn frame at the tail of the newest segment is
+// the expected shape of a crash and is truncated on open; a bad frame
 // anywhere else is disk corruption and fails the open loudly. The log
-// directory is flock-guarded like the executor's data directory, so a
-// second process cannot mount it concurrently.
+// directory is flock-guarded, so a second process cannot mount it
+// concurrently.
 
-// SyncDir fsyncs a directory so renames and file creations in it are
-// durable — exported for the consensus adapters' atomic-replace writes.
-func SyncDir(dir string) error { return syncDir(dir) }
-
-// DefaultLogSegmentBytes rolls a RecordLog to a fresh segment once the
-// active one exceeds this size. Consensus records are small (a few
-// hundred bytes each), so segments stay modest by default.
+// DefaultLogSegmentBytes is the segment size past which a RecordLog
+// reports itself Full. Consensus records are small (a few hundred bytes
+// each), so segments stay modest by default.
 const DefaultLogSegmentBytes = 4 << 20
 
 // RecordLogConfig parameterizes one RecordLog.
@@ -42,16 +42,15 @@ type RecordLogConfig struct {
 	// Prefix names the segment files: <Prefix>-<16 hex digits>.seg.
 	// Empty means "log".
 	Prefix string
-	// Fsync is the append fsync policy, with the same semantics as the
-	// executor WAL: "group" leaves durability to explicit Sync calls,
-	// "always" syncs inside every Append, "never" never syncs.
+	// Fsync is the append fsync policy: "group" leaves durability to
+	// explicit Sync calls, "always" syncs inside every Append, "never"
+	// never syncs.
 	Fsync FsyncPolicy
-	// SegmentBytes is the advisory segment size. Zero means
-	// DefaultLogSegmentBytes. The log never rolls on its own — rolls
-	// happen only on explicit Roll calls, so callers that need segment
-	// boundaries to align with record semantics (the orderer anchors
-	// each segment with a cut record) control them exactly; compare
-	// against ActiveBytes to decide when.
+	// SegmentBytes is the size at which the active segment reports Full.
+	// Zero means DefaultLogSegmentBytes. The log never rolls on its own —
+	// callers Roll when Full, so those that need segment boundaries to
+	// align with record semantics (the orderer anchors each segment with
+	// a cut record) control them exactly.
 	SegmentBytes int64
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -85,8 +84,8 @@ type RecordLogStats struct {
 	TailTruncated bool
 }
 
-// RecordLog is an open log. Append/Sync/Roll/TruncateFrom/PruneTo are
-// serialized by an internal mutex; Stats is safe from any goroutine.
+// RecordLog is an open log. Append/Sync/Roll/TruncateFrom/PruneTo/Reset
+// are serialized by an internal mutex; Stats is safe from any goroutine.
 type RecordLog struct {
 	cfg RecordLogConfig
 
@@ -106,6 +105,8 @@ type RecordLog struct {
 	replayed  uint64
 	truncated bool
 }
+
+var errLogClosed = errors.New("persist: RecordLog is closed")
 
 // OpenRecordLog opens (creating if needed) the log in cfg.Dir, replays
 // every durable record through fn in index order, truncates a torn tail
@@ -132,22 +133,26 @@ func OpenRecordLog(cfg RecordLogConfig, fn func(idx uint64, body []byte) error) 
 	return l, nil
 }
 
+func (l *RecordLog) segPath(start uint64) string {
+	return filepath.Join(l.cfg.Dir, segmentFileName(l.cfg.Prefix, start))
+}
+
 func (l *RecordLog) replay(fn func(idx uint64, body []byte) error) error {
 	starts, err := listSegmentFiles(l.cfg.Dir, l.cfg.Prefix)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	if len(starts) == 0 {
-		return l.openFresh(0)
+		return l.startSegment(0)
 	}
 	idx := starts[0]
+	var offset int64
 	for i, start := range starts {
 		if start != idx {
 			return fmt.Errorf("persist: %s log segment %016x does not continue at %016x",
 				l.cfg.Prefix, start, idx)
 		}
-		path := filepath.Join(l.cfg.Dir, segmentFileName(l.cfg.Prefix, start))
-		offset, rerr := replaySegmentFile(path, l.cfg.Prefix, func(body []byte) error {
+		offset, err = replaySegmentFile(l.segPath(start), l.cfg.Prefix, func(body []byte) error {
 			if err := fn(idx, body); err != nil {
 				return err
 			}
@@ -155,51 +160,66 @@ func (l *RecordLog) replay(fn func(idx uint64, body []byte) error) error {
 			l.replayed++
 			return nil
 		})
-		if rerr == errTornTail {
+		if err == errTornTail {
 			if i != len(starts)-1 {
 				return fmt.Errorf("persist: %s log segment %016x is corrupt mid-log", l.cfg.Prefix, start)
 			}
 			l.cfg.Logf("persist: truncating torn %s log tail of segment %016x at offset %d",
 				l.cfg.Prefix, start, offset)
-			if err := os.Truncate(path, offset); err != nil {
-				return fmt.Errorf("persist: %w", err)
-			}
 			l.truncated = true
-		} else if rerr != nil {
-			return rerr
+		} else if err != nil {
+			return err
 		}
-		if i == len(starts)-1 {
-			f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-			if err != nil {
-				return fmt.Errorf("persist: %w", err)
-			}
-			if _, err := f.Seek(offset, io.SeekStart); err != nil {
-				f.Close()
-				return fmt.Errorf("persist: %w", err)
-			}
-			l.seg = f
-			l.segStart = start
-			l.size = offset
-			l.synced = offset
-		}
+	}
+	last := len(starts) - 1
+	if offset < int64(walHeaderLen) {
+		// A crash inside createSegmentFile left the newest segment without
+		// its header: write it again.
+		l.segments = starts[:last]
+		return l.startSegment(starts[last])
 	}
 	l.segments = starts
 	l.next = idx
-	return nil
+	return l.resumeSegment(starts[last], offset)
 }
 
-// openFresh creates the first segment of an empty log at index start.
-func (l *RecordLog) openFresh(start uint64) error {
+// startSegment creates a fresh, empty active segment at index start
+// after the retained ones.
+func (l *RecordLog) startSegment(start uint64) error {
 	f, err := createSegmentFile(l.cfg.Dir, l.cfg.Prefix, start)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	l.seg = f
-	l.segments = []uint64{start}
-	l.segStart = start
-	l.next = start
+	l.segments = append(l.segments, start)
+	l.segStart, l.next = start, start
 	l.size = int64(walHeaderLen)
 	l.synced = l.size
+	l.dirty = false
+	return nil
+}
+
+// resumeSegment cuts the segment starting at start down to offset (a
+// no-op when nothing follows it) and reopens it as the active one,
+// positioned for appends there.
+func (l *RecordLog) resumeSegment(start uint64, offset int64) error {
+	path := l.segPath(start)
+	if err := os.Truncate(path, offset); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if _, err := f.Seek(offset, io.SeekStart); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: %w", err)
+	}
+	l.seg = f
+	l.segStart = start
+	l.size = offset
+	l.synced = offset
+	l.dirty = false
 	return nil
 }
 
@@ -207,12 +227,19 @@ func (l *RecordLog) openFresh(start uint64) error {
 // index. Under FsyncAlways the record is durable on return; under
 // FsyncGroup durability is deferred to the next Sync.
 func (l *RecordLog) Append(body []byte) (uint64, error) {
+	return l.AppendWith(func(w *types.ByteWriter) { w.Raw(body) })
+}
+
+// AppendWith is Append for a record that encodes itself: encode writes
+// the body straight into the frame buffer, so a large record reaches the
+// file in one write with no intermediate copy.
+func (l *RecordLog) AppendWith(encode func(*types.ByteWriter)) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, errors.New("persist: RecordLog is closed")
+		return 0, errLogClosed
 	}
-	n, err := appendRawFrame(l.seg, body)
+	n, err := appendFrame(l.seg, encode)
 	if err != nil {
 		return 0, fmt.Errorf("persist: %w", err)
 	}
@@ -242,12 +269,20 @@ func (l *RecordLog) Sync() error {
 
 func (l *RecordLog) syncLocked() error {
 	if err := l.seg.Sync(); err != nil {
-		return fmt.Errorf("persist: %w", err)
+		return fmt.Errorf("persist: fsync: %w", err)
 	}
 	l.synced = l.size
 	l.dirty = false
 	l.syncs.Add(1)
 	return nil
+}
+
+// FirstIndex returns the start of the oldest retained segment: records
+// below it were pruned or reset away.
+func (l *RecordLog) FirstIndex() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.segments[0]
 }
 
 // NextIndex returns the index the next Append will be assigned.
@@ -263,26 +298,29 @@ func (l *RecordLog) NextIndex() uint64 {
 func (l *RecordLog) Segments() []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]uint64, len(l.segments))
-	copy(out, l.segments)
-	return out
+	return append([]uint64(nil), l.segments...)
 }
 
-// ActiveBytes returns the active segment's current size, for callers
-// that decide when to Roll.
-func (l *RecordLog) ActiveBytes() int64 {
+// Full reports whether the active segment has reached the configured
+// SegmentBytes — the caller's cue to Roll before its next append.
+func (l *RecordLog) Full() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.size
+	return l.size >= l.cfg.SegmentBytes
 }
 
 // Roll seals the active segment (syncing it unless the policy is never)
-// and starts a fresh one at the next record index.
+// and starts a fresh one at the next record index. Rolling an empty
+// segment is a no-op: a second segment with the same start index would
+// share its file name and break the positional index contract.
 func (l *RecordLog) Roll() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("persist: RecordLog is closed")
+		return errLogClosed
+	}
+	if l.next == l.segStart {
+		return nil
 	}
 	if l.dirty && l.cfg.Fsync != FsyncNever {
 		if err := l.syncLocked(); err != nil {
@@ -290,19 +328,46 @@ func (l *RecordLog) Roll() error {
 		}
 	}
 	if err := l.seg.Close(); err != nil {
+		return fmt.Errorf("persist: sealing segment: %w", err)
+	}
+	return l.startSegment(l.next)
+}
+
+// removeSegments deletes the given segment files and makes the removals
+// durable.
+func (l *RecordLog) removeSegments(starts []uint64) error {
+	if len(starts) == 0 {
+		return nil
+	}
+	for _, start := range starts {
+		if err := os.Remove(l.segPath(start)); err != nil {
+			return fmt.Errorf("persist: %w", err)
+		}
+	}
+	if err := syncDir(l.cfg.Dir); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	f, err := createSegmentFile(l.cfg.Dir, l.cfg.Prefix, l.next)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	l.seg = f
-	l.segments = append(l.segments, l.next)
-	l.segStart = l.next
-	l.size = int64(walHeaderLen)
-	l.synced = l.size
-	l.dirty = false
 	return nil
+}
+
+// Reset discards every record and restarts the log empty at index start
+// (the executor adopting a peer snapshot above its tip). A crash between
+// the removals and the fresh segment leaves a shorter or empty log,
+// which the owner's open path resets again.
+func (l *RecordLog) Reset(start uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return errLogClosed
+	}
+	if err := l.seg.Close(); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := l.removeSegments(l.segments); err != nil {
+		return err
+	}
+	l.segments = l.segments[:0]
+	return l.startSegment(start)
 }
 
 // TruncateFrom discards every record with index >= idx (the Raft
@@ -313,7 +378,7 @@ func (l *RecordLog) TruncateFrom(idx uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("persist: RecordLog is closed")
+		return errLogClosed
 	}
 	if idx >= l.next {
 		return nil
@@ -328,47 +393,26 @@ func (l *RecordLog) TruncateFrom(idx uint64) error {
 			si = i
 		}
 	}
-	// Drop every later segment whole.
+	start := l.segments[si]
 	if err := l.seg.Close(); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	for _, start := range l.segments[si+1:] {
-		if err := os.Remove(filepath.Join(l.cfg.Dir, segmentFileName(l.cfg.Prefix, start))); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	l.segments = l.segments[:si+1]
-	start := l.segments[si]
-	path := filepath.Join(l.cfg.Dir, segmentFileName(l.cfg.Prefix, start))
 	if idx == start {
-		// The whole segment goes; recreate it empty at idx.
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("persist: %w", err)
+		// The whole segment goes too; recreate it empty at idx.
+		if err := l.removeSegments(l.segments[si:]); err != nil {
+			return err
 		}
 		l.segments = l.segments[:si]
-		if err := syncDir(l.cfg.Dir); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-		if si == 0 {
-			return l.openFresh(idx)
-		}
-		f, err := createSegmentFile(l.cfg.Dir, l.cfg.Prefix, idx)
-		if err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-		l.seg = f
-		l.segments = append(l.segments, idx)
-		l.segStart = idx
-		l.next = idx
-		l.size = int64(walHeaderLen)
-		l.synced = l.size
-		l.dirty = false
-		return nil
+		return l.startSegment(idx)
 	}
+	if err := l.removeSegments(l.segments[si+1:]); err != nil {
+		return err
+	}
+	l.segments = l.segments[:si+1]
 	// Scan to the byte offset of record idx and truncate in place.
 	scan := start
 	var errStop = errors.New("stop")
-	offset, err := replaySegmentFile(path, l.cfg.Prefix, func([]byte) error {
+	offset, err := replaySegmentFile(l.segPath(start), l.cfg.Prefix, func([]byte) error {
 		if scan == idx {
 			return errStop
 		}
@@ -381,27 +425,13 @@ func (l *RecordLog) TruncateFrom(idx uint64) error {
 	if scan != idx {
 		return fmt.Errorf("persist: TruncateFrom(%d): segment %016x ends at %d", idx, start, scan)
 	}
-	if err := os.Truncate(path, offset); err != nil {
-		return fmt.Errorf("persist: %w", err)
+	if err := l.resumeSegment(start, offset); err != nil {
+		return err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: %w", err)
-	}
-	l.seg = f
-	l.segStart = start
 	l.next = idx
-	l.size = offset
-	l.synced = offset
-	l.dirty = false
+	if err := l.seg.Sync(); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
 	return nil
 }
 
@@ -413,45 +443,39 @@ func (l *RecordLog) PruneTo(keep uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("persist: RecordLog is closed")
+		return errLogClosed
 	}
-	kept := l.segments[:0]
-	removed := false
-	for i, start := range l.segments {
-		if i+1 < len(l.segments) && l.segments[i+1] <= keep && start != l.segStart {
-			if err := os.Remove(filepath.Join(l.cfg.Dir, segmentFileName(l.cfg.Prefix, start))); err != nil {
-				return fmt.Errorf("persist: %w", err)
-			}
-			removed = true
-			continue
-		}
-		kept = append(kept, start)
+	n := 0
+	for n+1 < len(l.segments) && l.segments[n+1] <= keep {
+		n++
 	}
-	l.segments = kept
-	if removed {
-		if err := syncDir(l.cfg.Dir); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
+	if err := l.removeSegments(l.segments[:n]); err != nil {
+		return err
 	}
+	l.segments = l.segments[n:]
 	return nil
 }
 
 // Range streams every durable record with index >= from through fn in
-// order (the Kafka adapter's catch-up serving path). It reads the
-// segment files directly, so concurrent appends made after the call
-// starts may or may not be included.
+// order (the Kafka adapter's catch-up and the executor's state-sync
+// serving paths). It reads the segment files directly, so concurrent
+// appends made after the call starts may or may not be included, and a
+// segment pruned under the reader surfaces as a not-exist error.
 func (l *RecordLog) Range(from uint64, fn func(idx uint64, body []byte) error) error {
 	l.mu.Lock()
-	segments := make([]uint64, len(l.segments))
-	copy(segments, l.segments)
+	segments := append([]uint64(nil), l.segments...)
+	next := l.next
 	l.mu.Unlock()
-	for _, start := range segments {
-		if idxEnd := l.segmentEnd(segments, start); idxEnd <= from {
+	for i, start := range segments {
+		end := next
+		if i+1 < len(segments) {
+			end = segments[i+1]
+		}
+		if end <= from {
 			continue
 		}
 		idx := start
-		path := filepath.Join(l.cfg.Dir, segmentFileName(l.cfg.Prefix, start))
-		_, err := replaySegmentFile(path, l.cfg.Prefix, func(body []byte) error {
+		_, err := replaySegmentFile(l.segPath(start), l.cfg.Prefix, func(body []byte) error {
 			defer func() { idx++ }()
 			if idx < from {
 				return nil
@@ -463,19 +487,6 @@ func (l *RecordLog) Range(from uint64, fn func(idx uint64, body []byte) error) e
 		}
 	}
 	return nil
-}
-
-// segmentEnd returns the exclusive end index of the segment starting at
-// start — the next segment's start, or NextIndex for the active one.
-func (l *RecordLog) segmentEnd(segments []uint64, start uint64) uint64 {
-	for i, s := range segments {
-		if s == start && i+1 < len(segments) {
-			return segments[i+1]
-		}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
 }
 
 // Close syncs (unless the policy is never), closes the active segment,
@@ -502,7 +513,10 @@ func (l *RecordLog) Close() error {
 
 // Crash simulates a machine crash for tests: unsynced bytes of the
 // active segment are discarded — what a power loss does to the page
-// cache — and the log becomes unusable without a final sync.
+// cache — and the log becomes unusable without a final sync. (Under
+// FsyncNever, segments sealed by a roll may also hold unsynced bytes;
+// Crash only models the active segment, which is exact for the group
+// and always policies.)
 func (l *RecordLog) Crash() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -510,13 +524,13 @@ func (l *RecordLog) Crash() error {
 		return nil
 	}
 	l.closed = true
-	path := filepath.Join(l.cfg.Dir, segmentFileName(l.cfg.Prefix, l.segStart))
 	if err := l.seg.Close(); err != nil {
 		return fmt.Errorf("persist: crash close: %w", err)
 	}
-	if err := os.Truncate(path, l.synced); err != nil {
+	if err := os.Truncate(l.segPath(l.segStart), l.synced); err != nil {
 		return fmt.Errorf("persist: crash truncate: %w", err)
 	}
+	// A dead process holds no flock; release it like the kernel would.
 	return l.lock.Close()
 }
 

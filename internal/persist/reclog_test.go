@@ -277,3 +277,102 @@ func TestRecordLogFsyncAlwaysSurvivesCrash(t *testing.T) {
 		t.Fatalf("replayed %d records, want 3", len(replayed))
 	}
 }
+
+// TestRecordLogRollEmptyIsNoop: rolling an empty active segment must not
+// register a second segment under the same start index (and file name) —
+// reachable with any SegmentBytes at or below the 16-byte header.
+func TestRecordLogRollEmptyIsNoop(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openLog(t, dir, FsyncGroup)
+	for i := 0; i < 2; i++ {
+		if err := l.Roll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendN(t, l, 0, 1)
+	if segs := l.Segments(); len(segs) != 1 || segs[0] != 0 {
+		t.Fatalf("segments after rolling an empty log = %v, want [0]", segs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, replayed := openLog(t, dir, FsyncGroup)
+	defer l2.Close()
+	if segs := l2.Segments(); len(segs) != 1 || segs[0] != 0 {
+		t.Fatalf("segments after reopen = %v, want [0]", segs)
+	}
+	if len(replayed) != 1 {
+		t.Fatalf("replayed %d records, want 1", len(replayed))
+	}
+}
+
+// TestRecordLogReset: Reset drops every record and restarts the index
+// space above the old tip; a crash between its removals and the fresh
+// segment leaves a log that still opens.
+func TestRecordLogReset(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*RecordLog, []uint64) {
+		t.Helper()
+		var idxs []uint64
+		l, err := OpenRecordLog(RecordLogConfig{Dir: dir, Prefix: "t"},
+			func(idx uint64, _ []byte) error { idxs = append(idxs, idx); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, idxs
+	}
+	l, _ := open()
+	appendN(t, l, 0, 3)
+	if err := l.Roll(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3, 2)
+	if err := l.Reset(40); err != nil {
+		t.Fatal(err)
+	}
+	if first, next := l.FirstIndex(), l.NextIndex(); first != 40 || next != 40 {
+		t.Fatalf("after Reset: first %d next %d, want 40 40", first, next)
+	}
+	appendN(t, l, 40, 2)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, idxs := open()
+	if len(idxs) != 2 || idxs[0] != 40 || idxs[1] != 41 || l2.NextIndex() != 42 {
+		t.Fatalf("reopen after Reset replayed %v, next %d", idxs, l2.NextIndex())
+	}
+	if segs := l2.Segments(); len(segs) != 1 || segs[0] != 40 {
+		t.Fatalf("segments = %v, want [40]", segs)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash after the removals, before the fresh segment: nothing is left.
+	if err := os.Remove(filepath.Join(dir, segmentFileName("t", 40))); err != nil {
+		t.Fatal(err)
+	}
+	l3, idxs := open()
+	if len(idxs) != 0 || l3.NextIndex() != 0 {
+		t.Fatalf("empty directory replayed %v, next %d", idxs, l3.NextIndex())
+	}
+	if err := l3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash inside the fresh segment's creation: the file exists without
+	// its header. The log must rewrite it, not append frames to a headless
+	// file.
+	if err := os.Truncate(filepath.Join(dir, segmentFileName("t", 0)), 5); err != nil {
+		t.Fatal(err)
+	}
+	l4, _ := open()
+	appendN(t, l4, 0, 1)
+	if err := l4.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l5, idxs := open()
+	defer l5.Close()
+	if len(idxs) != 1 {
+		t.Fatalf("after header repair replayed %v, want one record", idxs)
+	}
+}

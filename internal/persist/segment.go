@@ -15,24 +15,24 @@ import (
 	"parblockchain/internal/types"
 )
 
-// The write-ahead log is a sequence of segment files under <dir>/wal,
-// each named by the height of its first record:
+// The segment-file format every RecordLog shares. A log is a sequence
+// of segment files in one directory, each named by its prefix and the
+// index of its first record:
 //
-//	wal-<height, 16 hex digits>.seg
+//	<prefix>-<index, 16 hex digits>.seg
 //
-// A segment starts with an 8-byte magic and its start height, followed
-// by length-prefixed, CRC-32C-checksummed record frames:
+// ("wal" for the executor's block records, "olog", "raft" and "kafka"
+// on the ordering side). A segment starts with an 8-byte magic and its
+// start index, followed by length-prefixed, CRC-32C-checksummed frames:
 //
 //	magic (8)  | "PBWALS01"
-//	u64        | start height
+//	u64        | start index
 //	frames     | [u32 body length][u32 CRC-32C(body)][body]
 //
-// where each body is one BlockRecord encoding. Frames are written in
-// strictly increasing height order, so record N of a segment starting
-// at height H holds block H+N. A torn frame at the very tail of the
-// newest segment is the expected shape of a crash and is truncated on
-// recovery; a bad frame anywhere else is disk corruption and fails
-// recovery loudly.
+// Frames are written in strictly increasing index order, so record N of
+// a segment starting at index S is record S+N. This file only reads and
+// writes that format; which segments exist, which one is active and
+// what a torn frame means are RecordLog's business (reclog.go).
 
 var walMagic = [8]byte{'P', 'B', 'W', 'A', 'L', 'S', '0', '1'}
 
@@ -45,21 +45,14 @@ const (
 	maxWALRecordBytes = 256 << 20
 )
 
-// segmentFileName formats a segment file name for its start height under
-// an arbitrary prefix — "wal" for the executor WAL, the RecordLog
-// prefixes ("olog", "raft", "kafka") for the ordering-side logs.
+// segmentFileName formats a segment file name for its start index.
 func segmentFileName(prefix string, start uint64) string {
 	return fmt.Sprintf("%s-%016x.seg", prefix, start)
 }
 
-// segmentName formats a WAL segment file name for its start height.
-func segmentName(start uint64) string {
-	return segmentFileName("wal", start)
-}
-
-// parseHeightName extracts the 16-hex-digit height from a file named
-// "<prefix><height><suffix>" — the naming scheme WAL segments and
-// snapshots share.
+// parseHeightName extracts the 16-hex-digit number from a file named
+// "<prefix><number><suffix>" — the naming scheme segments and snapshots
+// share.
 func parseHeightName(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
@@ -75,12 +68,7 @@ func parseHeightName(name, prefix, suffix string) (uint64, bool) {
 	return h, true
 }
 
-// parseSegmentName extracts the start height from a WAL segment name.
-func parseSegmentName(name string) (uint64, bool) {
-	return parseHeightName(name, "wal-", ".seg")
-}
-
-// listSegmentFiles returns the start heights of every segment with the
+// listSegmentFiles returns the start indices of every segment with the
 // given prefix in dir, ascending.
 func listSegmentFiles(dir, prefix string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
@@ -97,14 +85,8 @@ func listSegmentFiles(dir, prefix string) ([]uint64, error) {
 	return starts, nil
 }
 
-// listSegments returns the start heights of every segment in the wal
-// directory, ascending.
-func listSegments(walDir string) ([]uint64, error) {
-	return listSegmentFiles(walDir, "wal")
-}
-
 // createSegmentFile creates (truncating any leftover) a prefix-named
-// segment file for records starting at the given height and durably
+// segment file for records starting at the given index and durably
 // records its directory entry.
 func createSegmentFile(dir, prefix string, start uint64) (*os.File, error) {
 	path := filepath.Join(dir, segmentFileName(prefix, start))
@@ -130,35 +112,16 @@ func createSegmentFile(dir, prefix string, start uint64) (*os.File, error) {
 	return f, nil
 }
 
-// createSegment creates a WAL segment file.
-func createSegment(walDir string, start uint64) (*os.File, error) {
-	return createSegmentFile(walDir, "wal", start)
-}
-
-// appendFrame encodes rec as one frame — the 8-byte header is reserved
-// up front in a pooled writer and patched once the body is in place —
-// and appends it to the segment: a single file write, no intermediate
-// copy of the record.
-func appendFrame(f *os.File, rec *BlockRecord) (int, error) {
+// appendFrame encodes one record body as a frame — the 8-byte header is
+// reserved up front in a pooled writer and patched once the body is in
+// place — and appends it to the segment: a single file write, no
+// intermediate copy of the record.
+func appendFrame(f *os.File, encode func(*types.ByteWriter)) (int, error) {
 	w := types.AcquireWriter()
 	defer types.ReleaseWriter(w)
 	w.U64(0) // header placeholder: [u32 body len][u32 crc], patched below
-	rec.marshalTo(w)
+	encode(w)
 	body := w.Bytes()[walFrameLen:]
-	w.PatchU64(0, uint64(len(body))<<32|uint64(crc32.Checksum(body, castagnoli)))
-	if _, err := f.Write(w.Bytes()); err != nil {
-		return 0, err
-	}
-	return w.Len(), nil
-}
-
-// appendRawFrame frames an already-encoded record body and appends it to
-// the segment — the RecordLog flavor of appendFrame, identical on disk.
-func appendRawFrame(f *os.File, body []byte) (int, error) {
-	w := types.AcquireWriter()
-	defer types.ReleaseWriter(w)
-	w.U64(0) // header placeholder, patched below
-	w.Raw(body)
 	w.PatchU64(0, uint64(len(body))<<32|uint64(crc32.Checksum(body, castagnoli)))
 	if _, err := f.Write(w.Bytes()); err != nil {
 		return 0, err
@@ -168,12 +131,7 @@ func appendRawFrame(f *os.File, body []byte) (int, error) {
 
 // errTornTail reports a frame that ends mid-write: a short header, a
 // short body, or a checksum mismatch at the end of a segment.
-var errTornTail = errors.New("persist: torn WAL tail")
-
-// replaySegment streams a WAL segment's records through fn in order.
-func replaySegment(path string, fn func(body []byte) error) (int64, error) {
-	return replaySegmentFile(path, "wal", fn)
-}
+var errTornTail = errors.New("persist: torn segment tail")
 
 // replaySegmentFile streams a segment's records through fn in order,
 // stopping at the first torn frame. It returns the byte offset of the
@@ -195,7 +153,7 @@ func replaySegmentFile(path, prefix string, fn func(body []byte) error) (int64, 
 	name := filepath.Base(path)
 	if start, ok := parseHeightName(name, prefix+"-", ".seg"); !ok ||
 		start != binary.BigEndian.Uint64(hdr[len(walMagic):]) {
-		return 0, fmt.Errorf("persist: segment %s header height does not match its name", path)
+		return 0, fmt.Errorf("persist: segment %s header index does not match its name", path)
 	}
 	offset := int64(walHeaderLen)
 	var fh [walFrameLen]byte

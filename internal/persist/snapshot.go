@@ -3,11 +3,11 @@ package persist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 
@@ -27,9 +27,9 @@ import (
 //
 // The value slices written are shared with the live store (the
 // zero-copy state contract); the reader copies them out of the file
-// buffer, so a restored store owns its values. Snapshots are written to
-// a temp file, fsynced, and renamed into place, so a crash mid-write
-// leaves the previous snapshot intact.
+// buffer, so a restored store owns its values. Snapshots land through
+// WriteFileAtomic, so a crash mid-write leaves the previous snapshot
+// intact.
 
 var snapMagic = [8]byte{'P', 'B', 'S', 'N', 'A', 'P', '0', '1'}
 
@@ -98,10 +98,6 @@ type crcWriter struct {
 	err error
 }
 
-func newCRCWriter(f *os.File) *crcWriter {
-	return &crcWriter{w: bufio.NewWriterSize(f, 1<<20), crc: crc32.New(castagnoli)}
-}
-
 func (cw *crcWriter) bytes(b []byte) {
 	if cw.err != nil {
 		return
@@ -113,43 +109,18 @@ func (cw *crcWriter) bytes(b []byte) {
 	cw.crc.Write(b)
 }
 
-func (cw *crcWriter) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	cw.bytes(b[:])
-}
-
 func (cw *crcWriter) u32(v uint32) {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], v)
 	cw.bytes(b[:])
 }
 
-func (cw *crcWriter) byte(b byte) { cw.bytes([]byte{b}) }
-
-func (cw *crcWriter) str(s string) {
-	cw.u64(uint64(len(s)))
-	if cw.err == nil {
-		if _, err := cw.w.WriteString(s); err != nil {
-			cw.err = err
-			return
-		}
-		cw.crc.Write([]byte(s))
-	}
-}
-
-// snapshotWorkers bounds the shard-encoding concurrency of
-// writeSnapshotFile. A var so the snapshot benchmark can pin it to 1 for
-// the serial baseline row.
-var snapshotWorkers = defaultSnapshotWorkers()
-
-func defaultSnapshotWorkers() int {
+// snapshotWorkers bounds the shard-encoding concurrency of a full
+// snapshot write.
+func snapshotWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 8 {
 		n = 8 // encoding saturates well before the file write does
-	}
-	if n < 1 {
-		n = 1
 	}
 	return n
 }
@@ -185,118 +156,150 @@ func encodeShard(kvs []types.KV) []byte {
 	return buf
 }
 
-// writeSnapshotFile writes (atomically, via temp file + rename) the
-// snapshot of the given shards at path. The per-shard payload sections
-// are encoded concurrently by a bounded worker pool — serialization is
-// the CPU-bound part of a snapshot, and the shards are independent — and
-// streamed to the file in shard order as they become ready, so the
-// on-disk format is byte-identical to a serial write (one CRC-32C over
-// the whole file). The encoders run at most 2*workers sections ahead of
-// the writer (each written section is released immediately), so peak
-// extra memory is a few encoded sections, never the whole store.
-func writeSnapshotFile(path string, man *Manifest, shards [][]types.KV) error {
-	workers := snapshotWorkers
+// writeSnapshotFile writes (atomically) one snapshot image in the
+// envelope both formats share: magic, length-prefixed manifest, one
+// payload section per shard, CRC-32C over everything. The sections are
+// encoded by up to workers goroutines — serialization is the CPU-bound
+// part of a snapshot, and the shards are independent — and streamed to
+// the file in shard order as they become ready, so the bytes are
+// identical to a serial write. The encoders run at most 2*workers
+// sections ahead of the writer (each written section is released
+// immediately), so peak extra memory is a few encoded sections, never
+// the whole store.
+func writeSnapshotFile(path string, magic [8]byte, manifest []byte, shards [][]types.KV, workers int) error {
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	cw := newCRCWriter(f)
-	cw.bytes(snapMagic[:])
-	mb := man.Marshal()
-	cw.u32(uint32(len(mb)))
-	cw.bytes(mb)
-	if workers <= 1 {
-		for _, kvs := range shards {
-			cw.bytes(encodeShard(kvs))
-		}
-	} else {
-		encoded := make([][]byte, len(shards))
-		ready := make([]chan struct{}, len(shards))
-		for i := range ready {
-			ready[i] = make(chan struct{})
-		}
-		// ahead bounds how many encoded-but-unwritten sections exist; the
-		// writer releases one slot per section it flushes. The index
-		// channel is FIFO, so the writer's next section is always among
-		// the issued ones and some worker reaches it.
-		ahead := make(chan struct{}, 2*workers)
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					encoded[i] = encodeShard(shards[i])
-					close(ready[i])
-				}
-			}()
-		}
-		go func() {
-			for i := range shards {
-				ahead <- struct{}{}
-				next <- i
+	err := WriteFileAtomic(path, func(f *os.File) error {
+		cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20), crc: crc32.New(castagnoli)}
+		cw.bytes(magic[:])
+		cw.u32(uint32(len(manifest)))
+		cw.bytes(manifest)
+		if workers <= 1 {
+			for _, kvs := range shards {
+				cw.bytes(encodeShard(kvs))
 			}
-			close(next)
-		}()
-		for i := range shards {
-			<-ready[i]
-			cw.bytes(encoded[i])
-			encoded[i] = nil
-			<-ahead
+		} else {
+			encoded := make([][]byte, len(shards))
+			ready := make([]chan struct{}, len(shards))
+			for i := range ready {
+				ready[i] = make(chan struct{})
+			}
+			// ahead bounds how many encoded-but-unwritten sections exist; the
+			// writer releases one slot per section it flushes. The index
+			// channel is FIFO, so the writer's next section is always among
+			// the issued ones and some worker reaches it.
+			ahead := make(chan struct{}, 2*workers)
+			next := make(chan int)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range next {
+						encoded[i] = encodeShard(shards[i])
+						close(ready[i])
+					}
+				}()
+			}
+			go func() {
+				for i := range shards {
+					ahead <- struct{}{}
+					next <- i
+				}
+				close(next)
+			}()
+			for i := range shards {
+				<-ready[i]
+				cw.bytes(encoded[i])
+				encoded[i] = nil
+				<-ahead
+			}
+			wg.Wait()
 		}
-		wg.Wait()
+		if cw.err == nil {
+			var b [4]byte
+			binary.BigEndian.PutUint32(b[:], cw.crc.Sum32())
+			_, cw.err = cw.w.Write(b[:])
+		}
+		if cw.err == nil {
+			cw.err = cw.w.Flush()
+		}
+		return cw.err
+	})
+	if err != nil {
+		return fmt.Errorf("persist: writing snapshot %s: %w", path, err)
 	}
-	if cw.err == nil {
-		sum := cw.crc.Sum32()
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], sum)
-		_, cw.err = cw.w.Write(b[:])
-	}
-	if cw.err == nil {
-		cw.err = cw.w.Flush()
-	}
-	if cw.err == nil {
-		cw.err = f.Sync()
-	}
-	if err := f.Close(); cw.err == nil {
-		cw.err = err
-	}
-	if cw.err != nil {
-		return fmt.Errorf("persist: writing snapshot %s: %w", path, cw.err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return nil
 }
 
-// readSnapshotFile loads a snapshot into a fresh KVStore and verifies
-// the checksum, the record count, and the incremental state hash.
-func readSnapshotFile(path string) (*Manifest, *state.KVStore, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
+// openSnapshotImage verifies a snapshot image's checksum and magic and
+// splits it into the encoded manifest and the payload sections.
+func openSnapshotImage(raw []byte, magic [8]byte) (manifest, payload []byte, err error) {
+	if len(raw) < len(magic)+4+4 {
+		return nil, nil, errors.New("snapshot truncated")
 	}
-	man, store, err := DecodeSnapshot(raw)
-	if err != nil {
-		return nil, nil, fmt.Errorf("persist: snapshot %s: %w", path, err)
+	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
+	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
+		return nil, nil, errors.New("snapshot checksum mismatch")
 	}
-	return man, store, nil
+	if [8]byte(body[:8]) != magic {
+		return nil, nil, errors.New("snapshot has bad magic")
+	}
+	mlen := int(binary.BigEndian.Uint32(body[8:]))
+	body = body[12:]
+	if mlen > len(body) {
+		return nil, nil, errors.New("snapshot truncated")
+	}
+	return body[:mlen], body[mlen:], nil
+}
+
+// decodeSections decodes a payload of per-shard sections, handing each
+// shard's batch to emit in order, and returns the record count. Only
+// the tiered format admits tombstones (presence 0): a full snapshot
+// holds live records, so there a value is mandatory.
+func decodeSections(payload []byte, shards uint64, tombstones bool, emit func([]types.KV)) (uint64, error) {
+	r := types.NewByteReader(payload)
+	var total uint64
+	for s := uint64(0); s < shards && r.Err() == nil; s++ {
+		n := r.U64()
+		if r.Err() != nil || n > uint64(r.Remaining())/minDeltaKVSize {
+			r.Fail()
+			break
+		}
+		batch := make([]types.KV, 0, n)
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			kv := types.KV{Key: r.Str()}
+			switch presence := r.Byte(); {
+			case presence == 1:
+				kv.Val = r.Blob()
+				if kv.Val == nil {
+					kv.Val = []byte{}
+				}
+			case presence != 0 || !tombstones:
+				r.Fail()
+			}
+			batch = append(batch, kv)
+		}
+		if r.Err() == nil {
+			emit(batch)
+			total += n
+		}
+	}
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("decoding snapshot: %w", err)
+	}
+	if r.Remaining() != 0 {
+		return 0, fmt.Errorf("snapshot has %d trailing bytes", r.Remaining())
+	}
+	return total, nil
 }
 
 // DecodeSnapshot decodes and verifies a full snapshot file image —
 // checksum, magic, manifest, shard payloads, record count, and the
 // incremental state hash — into a fresh KVStore. State sync uses it to
 // validate a snapshot reassembled from peer-served chunks before
-// adopting it; recovery uses it via readSnapshotFile. Malformed input
-// returns an error, never panics.
+// adopting it. Malformed input returns an error, never panics.
 func DecodeSnapshot(raw []byte) (*Manifest, *state.KVStore, error) {
 	store := state.NewKVStore()
 	man, err := decodeSnapshotInto(raw, store)
@@ -310,66 +313,17 @@ func DecodeSnapshot(raw []byte) (*Manifest, *state.KVStore, error) {
 // empty store, so recovery can restore a full-format snapshot into
 // whichever backend the node is configured with.
 func decodeSnapshotInto(raw []byte, store state.Backend) (*Manifest, error) {
-	if len(raw) < len(snapMagic)+4+4 {
-		return nil, fmt.Errorf("snapshot truncated")
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
-		return nil, fmt.Errorf("snapshot checksum mismatch")
-	}
-	if [8]byte(body[:8]) != snapMagic {
-		return nil, fmt.Errorf("snapshot has bad magic")
-	}
-	body = body[8:]
-	if len(body) < 4 {
-		return nil, fmt.Errorf("snapshot truncated")
-	}
-	mlen := int(binary.BigEndian.Uint32(body))
-	body = body[4:]
-	if mlen > len(body) {
-		return nil, fmt.Errorf("snapshot truncated")
-	}
-	man, err := UnmarshalManifest(body[:mlen])
+	mb, payload, err := openSnapshotImage(raw, snapMagic)
 	if err != nil {
 		return nil, err
 	}
-	r := types.NewByteReader(body[mlen:])
-	var total uint64
-	for s := uint64(0); s < man.Shards && r.Err() == nil; s++ {
-		n := r.U64()
-		if r.Err() != nil || n > uint64(r.Remaining())/minDeltaKVSize {
-			r.Fail()
-			break
-		}
-		if n == 0 {
-			continue
-		}
-		batch := make([]types.KV, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			kv := types.KV{Key: r.Str()}
-			if r.Byte() == 1 {
-				kv.Val = r.Blob()
-				if kv.Val == nil {
-					kv.Val = []byte{}
-				}
-			} else {
-				// A nil value in a snapshot would be a deletion of a key
-				// that was never written — snapshots hold live records
-				// only, so presence is mandatory.
-				r.Fail()
-			}
-			batch = append(batch, kv)
-		}
-		if r.Err() == nil {
-			store.Apply(batch)
-			total += n
-		}
+	man, err := UnmarshalManifest(mb)
+	if err != nil {
+		return nil, err
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding snapshot: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("snapshot has %d trailing bytes", r.Remaining())
+	total, err := decodeSections(payload, man.Shards, false, store.Apply)
+	if err != nil {
+		return nil, err
 	}
 	if total != man.Records {
 		return nil, fmt.Errorf("snapshot holds %d records, manifest says %d",
@@ -380,18 +334,4 @@ func decodeSnapshotInto(raw []byte, store state.Backend) (*Manifest, error) {
 			got, man.StateHash)
 	}
 	return man, nil
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed file's
-// directory entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

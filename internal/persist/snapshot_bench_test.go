@@ -14,7 +14,7 @@ import (
 // TestSnapshotParallelWriteMatchesSerial pins the shard-parallel writer's
 // contract: with any worker count the snapshot file is byte-identical to
 // the serial write (one CRC, shard order preserved) and round-trips
-// through readSnapshotFile.
+// through DecodeSnapshot.
 func TestSnapshotParallelWriteMatchesSerial(t *testing.T) {
 	store := state.NewKVStore()
 	var batch []types.KV
@@ -30,17 +30,12 @@ func TestSnapshotParallelWriteMatchesSerial(t *testing.T) {
 		Shards: uint64(len(shards)), Records: countRecords(shards),
 	}
 	dir := t.TempDir()
-	old := snapshotWorkers
-	t.Cleanup(func() { snapshotWorkers = old })
-
-	snapshotWorkers = 1
 	serialPath := filepath.Join(dir, "serial.snap")
-	if err := writeSnapshotFile(serialPath, man, shards); err != nil {
+	if err := writeSnapshotFile(serialPath, snapMagic, man.Marshal(), shards, 1); err != nil {
 		t.Fatal(err)
 	}
-	snapshotWorkers = 4
 	parallelPath := filepath.Join(dir, "parallel.snap")
-	if err := writeSnapshotFile(parallelPath, man, shards); err != nil {
+	if err := writeSnapshotFile(parallelPath, snapMagic, man.Marshal(), shards, 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,7 +50,7 @@ func TestSnapshotParallelWriteMatchesSerial(t *testing.T) {
 	if !bytes.Equal(serial, parallel) {
 		t.Fatal("parallel snapshot write produced different bytes than serial")
 	}
-	gotMan, gotStore, err := readSnapshotFile(parallelPath)
+	gotMan, gotStore, err := DecodeSnapshot(parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +88,18 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 		}
 	}
 
-	for _, workers := range []int{1, 0} {
+	for i, workers := range []int{1, snapshotWorkers()} {
 		name := "serial"
-		if workers == 0 {
-			name = fmt.Sprintf("parallel-%d", defaultSnapshotWorkers())
+		if i == 1 {
+			name = fmt.Sprintf("parallel-%d", workers)
 		}
 		b.Run(name, func(b *testing.B) {
-			old := snapshotWorkers
-			if workers == 0 {
-				snapshotWorkers = defaultSnapshotWorkers()
-			} else {
-				snapshotWorkers = workers
-			}
-			b.Cleanup(func() { snapshotWorkers = old })
 			dir := b.TempDir()
 			b.SetBytes(bytesPerSnap)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("snap-%d.snap", i))
-				if err := writeSnapshotFile(path, man, shards); err != nil {
+				if err := writeSnapshotFile(path, snapMagic, man.Marshal(), shards, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,8 +3,8 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"path/filepath"
 )
 
 // This file is the durability side of peer-served state sync: range
@@ -12,31 +12,27 @@ import (
 // and snapshot chunks to lagging peers, and the adoption path that
 // installs a verified peer snapshot as this node's own recovery point.
 //
-// Serving runs concurrently with the executor's append path. Reads open
-// their own file handles, so they never disturb the append offset; a
-// same-process read of the active segment sees every frame a completed
-// LogBlock wrote (the page cache is coherent), and background pruning
-// racing a read surfaces as a missing file, which is reported as
-// ErrSyncBelowFloor so the requester falls back to snapshot transfer.
+// Serving runs concurrently with the executor's append path. RecordLog
+// range reads open their own file handles, so they never disturb the
+// append offset; a same-process read of the active segment sees every
+// frame a completed LogBlock wrote (the page cache is coherent), and
+// background pruning racing a read surfaces as a missing file, which is
+// reported as ErrSyncBelowFloor so the requester falls back to snapshot
+// transfer.
 
 // ErrSyncBelowFloor reports a records request below the WAL truncation
 // point: the segments were pruned under a snapshot, so the requester
 // must take the snapshot instead.
 var ErrSyncBelowFloor = errors.New("persist: requested height below WAL floor")
 
-// errStopReplay ends a replay early once the byte budget is spent.
+// errStopReplay ends a range read early once the byte budget is spent.
 var errStopReplay = errors.New("persist: stop replay")
 
 // SyncStatus reports the height range this node can serve records for:
 // floor is the lowest height still in the WAL, next is the height the
 // next finalized block will carry (one past the durable tip).
 func (m *Manager) SyncStatus() (floor, next uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.segments) > 0 {
-		floor = m.segments[0]
-	}
-	return floor, m.nextHeight
+	return m.log.FirstIndex(), m.log.NextIndex()
 }
 
 // ServeBlocks returns the marshaled finalization records for consecutive
@@ -46,67 +42,37 @@ func (m *Manager) SyncStatus() (floor, next uint64) {
 // batch; a from below the WAL floor returns ErrSyncBelowFloor.
 func (m *Manager) ServeBlocks(from uint64, maxBytes int) ([][]byte, error) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
 		return nil, errors.New("persist: manager closed")
 	}
-	segs := append([]uint64(nil), m.segments...)
-	next := m.nextHeight
-	m.mu.Unlock()
-
+	floor, next := m.SyncStatus()
 	if from >= next {
 		return nil, nil
 	}
-	if len(segs) == 0 || from < segs[0] {
+	if from < floor {
 		return nil, ErrSyncBelowFloor
 	}
-
+	// Record index is block height (the WAL append contract), so the
+	// range is positional — no decode needed to locate it.
 	var out [][]byte
 	total := 0
-	for i, start := range segs {
-		if i+1 < len(segs) && segs[i+1] <= from {
-			continue // segment ends before the requested range
+	err := m.log.Range(from, func(_ uint64, body []byte) error {
+		if total >= maxBytes && len(out) > 0 {
+			return errStopReplay
 		}
-		if start >= next {
-			break
-		}
-		// Record N of a segment starting at height H holds block H+N (the
-		// WAL append contract), so heights are positional — no decode
-		// needed to locate the range.
-		height := start
-		path := filepath.Join(m.walDir, segmentName(start))
-		_, err := replaySegment(path, func(body []byte) error {
-			if height >= from {
-				if total >= maxBytes && len(out) > 0 {
-					return errStopReplay
-				}
-				out = append(out, body) // replaySegment allocates per frame
-				total += len(body)
-			}
-			height++
-			return nil
-		})
-		switch {
-		case err == nil || errors.Is(err, errStopReplay):
-		case errors.Is(err, errTornTail):
-			// Only the newest segment can have an unsynced tail, and only
-			// when another process crashed mid-write — serve the valid
-			// prefix.
-		case os.IsNotExist(err):
-			// Pruned between the snapshot of m.segments and the read.
-			if len(out) == 0 {
-				return nil, ErrSyncBelowFloor
-			}
-		default:
-			return nil, fmt.Errorf("persist: serving blocks from %d: %w", from, err)
-		}
-		if total >= maxBytes {
-			break
-		}
+		out = append(out, body) // the segment reader allocates per frame
+		total += len(body)
+		return nil
+	})
+	if err != nil && !errors.Is(err, errStopReplay) && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("persist: serving blocks from %d: %w", from, err)
 	}
-	if len(out) == 0 && from < next {
-		// The range exists per the metadata but no file yielded it
-		// (pruned mid-read); make the requester re-negotiate.
+	if len(out) == 0 {
+		// The range exists per the metadata but no file yielded it (pruned
+		// between the status read and the file read); make the requester
+		// re-negotiate.
 		return nil, ErrSyncBelowFloor
 	}
 	return out, nil
@@ -194,67 +160,22 @@ func (m *Manager) AdoptSnapshot(height uint64, raw []byte) error {
 	if m.closed {
 		return errors.New("persist: manager closed")
 	}
-	if height < m.nextHeight {
-		return fmt.Errorf("persist: adopting snapshot at %d below durable tip %d",
-			height, m.nextHeight)
+	if next := m.log.NextIndex(); height < next {
+		return fmt.Errorf("persist: adopting snapshot at %d below durable tip %d", height, next)
 	}
-	if err := writeRawSnapshot(m.snapPath(height), raw); err != nil {
+	err := WriteFileAtomic(m.snapPath(height), func(f *os.File) error {
+		_, err := f.Write(raw)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("persist: writing adopted snapshot at %d: %w", height, err)
+	}
+	// The snapshot is durable first: a crash from here on reopens at it
+	// and Open finishes the reset.
+	if err := m.log.Reset(height); err != nil {
 		return err
 	}
-	if err := m.seg.Close(); err != nil {
-		return fmt.Errorf("persist: sealing segment for adoption: %w", err)
-	}
-	for _, start := range m.segments {
-		if err := os.Remove(filepath.Join(m.walDir, segmentName(start))); err != nil {
-			m.cfg.Logf("persist: pruning WAL segment %d after adoption: %v", start, err)
-		}
-	}
-	seg, err := createSegment(m.walDir, height)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	m.seg = seg
-	m.segStart = height
-	m.segBytes = int64(walHeaderLen)
-	m.syncedBytes = int64(walHeaderLen)
-	m.segments = []uint64{height}
-	m.dirty = false
-	m.nextHeight = height
 	m.lastSnap = height
-	snaps, err := listSnapshots(m.snapDir)
-	if err == nil {
-		for _, h := range snaps {
-			if h < height {
-				if err := os.Remove(m.snapPath(h)); err != nil {
-					m.cfg.Logf("persist: pruning snapshot %d after adoption: %v", h, err)
-				}
-			}
-		}
-	}
+	m.pruneSnapshots(height)
 	return nil
-}
-
-// writeRawSnapshot durably writes an already-encoded snapshot image via
-// the same temp-file-and-rename dance writeSnapshotFile uses.
-func writeRawSnapshot(path string, raw []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	defer os.Remove(tmp)
-	_, err = f.Write(raw)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("persist: writing adopted snapshot %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
 }

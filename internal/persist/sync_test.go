@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"parblockchain/internal/types"
@@ -179,5 +180,65 @@ func TestSnapshotChunkReassemblyAndAdopt(t *testing.T) {
 	}
 	if v, ok := rec3.Store.Get("k"); !ok || !bytes.Equal(v, []byte{byte(man.Height - 1)}) {
 		t.Fatalf("adopted state lost the chain's writes: %v %v", v, ok)
+	}
+}
+
+// TestOpenRestartsLogBelowSnapshot: an adoption that crashed after its
+// snapshot landed but before the WAL was reset leaves the node's old,
+// shorter tail on disk. Open must restart the log at the snapshot height
+// — appends resume there, and the stale records are no longer served.
+func TestOpenRestartsLogBelowSnapshot(t *testing.T) {
+	// A peer six blocks ahead, with a servable snapshot at its tip.
+	cfg := testConfig(t.TempDir())
+	cfg.SnapshotInterval = 6
+	peer, rec := mustOpen(t, cfg)
+	defer peer.Close()
+	g := newChainGen(rec)
+	logChain(t, peer, g, 6)
+	peer.MaybeSnapshot(g.num, g.prev, g.store)
+	peer.snapWG.Wait()
+	image, _, err := peer.ServeSnapshotChunk(6, 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The lagging node: two blocks of its own, then the first half of
+	// AdoptSnapshot (the image lands) and a crash.
+	dir := t.TempDir()
+	m, rec2 := mustOpen(t, testConfig(dir))
+	logChain(t, m, newChainGen(rec2), 2)
+	err = WriteFileAtomic(m.snapPath(6), func(f *os.File) error {
+		_, err := f.Write(image)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, rec3 := mustOpen(t, testConfig(dir))
+	if rec3.SnapshotHeight != 6 || rec3.Replayed != 0 || rec3.Ledger.Height() != 6 {
+		t.Fatalf("recovered %+v, want snapshot 6 with nothing replayed", rec3)
+	}
+	if rec3.Store.Hash() != g.store.Hash() {
+		t.Fatal("recovered store is not the adopted snapshot's")
+	}
+	if floor, next := m2.SyncStatus(); floor != 6 || next != 6 {
+		t.Fatalf("SyncStatus = (%d, %d), want (6, 6)", floor, next)
+	}
+	if _, err := m2.ServeBlocks(0, 1<<20); !errors.Is(err, ErrSyncBelowFloor) {
+		t.Fatalf("ServeBlocks(0) = %v, want ErrSyncBelowFloor", err)
+	}
+	g3 := newChainGen(rec3)
+	logChain(t, m2, g3, 1)
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m3, rec4 := mustOpen(t, testConfig(dir))
+	defer m3.Close()
+	if rec4.Ledger.Height() != 7 || rec4.Replayed != 1 || rec4.Store.Hash() != g3.store.Hash() {
+		t.Fatalf("reopen after the restart: %+v", rec4)
 	}
 }

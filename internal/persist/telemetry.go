@@ -11,9 +11,9 @@ func (m *Manager) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.La
 		return
 	}
 	reg.CounterFunc("parblockchain_persist_wal_appends_total",
-		"WAL records written.", labels, m.stats.appends.Load)
+		"WAL records written.", labels, m.log.appends.Load)
 	reg.CounterFunc("parblockchain_persist_wal_syncs_total",
-		"Fsyncs issued on WAL segments.", labels, m.stats.syncs.Load)
+		"Fsyncs issued on WAL segments.", labels, m.log.syncs.Load)
 	reg.CounterFunc("parblockchain_persist_snapshots_total",
 		"State snapshots durably written.", labels, m.stats.snaps.Load)
 	reg.CounterFunc("parblockchain_persist_snapshots_skipped_total",

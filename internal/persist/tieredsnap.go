@@ -1,12 +1,8 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 
 	"parblockchain/internal/state"
 	"parblockchain/internal/types"
@@ -28,9 +24,12 @@ import (
 //	           |   record: Str key, presence byte, Blob value
 //	u32        | CRC-32C over everything above
 //
-// The payload grammar is shared with the full format (encodeShard), but
-// records may be deletions (presence 0): a dirty tombstone of a
-// cold-indexed key must travel so the replay re-deletes it.
+// The envelope and payload grammar are the full format's (one writer,
+// one reader: writeSnapshotFile, openSnapshotImage, decodeSections),
+// but records may be deletions (presence 0): a dirty tombstone of a
+// cold-indexed key must travel so the replay re-deletes it. The dirty
+// payload is bounded by the store's hot budget, so it is written
+// serially.
 //
 // Tiered snapshot files are local-only: they are useless without the
 // node's own cold segment files, so the sync server never offers them
@@ -115,49 +114,6 @@ func UnmarshalTieredManifest(b []byte) (*TieredManifest, error) {
 	return m, nil
 }
 
-// writeTieredSnapshotFile writes (atomically, via temp file + rename)
-// a tiered snapshot. The dirty payload is bounded by the store's hot
-// budget, so unlike the full format there is nothing worth encoding in
-// parallel.
-func writeTieredSnapshotFile(path string, man *TieredManifest, dirty [][]types.KV) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	cw := newCRCWriter(f)
-	cw.bytes(tieredSnapMagic[:])
-	mb := man.Marshal()
-	cw.u32(uint32(len(mb)))
-	cw.bytes(mb)
-	for _, kvs := range dirty {
-		cw.bytes(encodeShard(kvs))
-	}
-	if cw.err == nil {
-		sum := cw.crc.Sum32()
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], sum)
-		_, cw.err = cw.w.Write(b[:])
-	}
-	if cw.err == nil {
-		cw.err = cw.w.Flush()
-	}
-	if cw.err == nil {
-		cw.err = f.Sync()
-	}
-	if err := f.Close(); cw.err == nil {
-		cw.err = err
-	}
-	if cw.err != nil {
-		return fmt.Errorf("persist: writing tiered snapshot %s: %w", path, cw.err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
 // decodeTieredSnapshot decodes and checksums a tiered snapshot image
 // into its manifest and per-shard dirty batches. It does NOT verify the
 // state hash — that needs the cold tier, so the caller reopens the
@@ -165,61 +121,20 @@ func writeTieredSnapshotFile(path string, man *TieredManifest, dirty [][]types.K
 // Len against the manifest. Malformed input returns an error, never
 // panics.
 func decodeTieredSnapshot(raw []byte) (*TieredManifest, [][]types.KV, error) {
-	if len(raw) < len(tieredSnapMagic)+4+4 {
-		return nil, nil, fmt.Errorf("tiered snapshot truncated")
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
-		return nil, nil, fmt.Errorf("tiered snapshot checksum mismatch")
-	}
-	if [8]byte(body[:8]) != tieredSnapMagic {
-		return nil, nil, fmt.Errorf("tiered snapshot has bad magic")
-	}
-	body = body[8:]
-	if len(body) < 4 {
-		return nil, nil, fmt.Errorf("tiered snapshot truncated")
-	}
-	mlen := int(binary.BigEndian.Uint32(body))
-	body = body[4:]
-	if mlen > len(body) {
-		return nil, nil, fmt.Errorf("tiered snapshot truncated")
-	}
-	man, err := UnmarshalTieredManifest(body[:mlen])
+	mb, payload, err := openSnapshotImage(raw, tieredSnapMagic)
 	if err != nil {
 		return nil, nil, err
 	}
-	r := types.NewByteReader(body[mlen:])
-	dirty := make([][]types.KV, 0, man.Shards)
-	var total uint64
-	for s := uint64(0); s < man.Shards && r.Err() == nil; s++ {
-		n := r.U64()
-		if r.Err() != nil || n > uint64(r.Remaining())/minDeltaKVSize {
-			r.Fail()
-			break
-		}
-		batch := make([]types.KV, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			kv := types.KV{Key: r.Str()}
-			if r.Byte() == 1 {
-				kv.Val = r.Blob()
-				if kv.Val == nil {
-					kv.Val = []byte{}
-				}
-			}
-			// Presence 0 stays a nil Val: dirty tombstones are legal here,
-			// unlike in the full format.
-			batch = append(batch, kv)
-		}
-		if r.Err() == nil {
-			dirty = append(dirty, batch)
-			total += n
-		}
+	man, err := UnmarshalTieredManifest(mb)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := r.Err(); err != nil {
-		return nil, nil, fmt.Errorf("decoding tiered snapshot: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("tiered snapshot has %d trailing bytes", r.Remaining())
+	var dirty [][]types.KV
+	total, err := decodeSections(payload, man.Shards, true, func(batch []types.KV) {
+		dirty = append(dirty, batch)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if total != man.DirtyRecords {
 		return nil, nil, fmt.Errorf("tiered snapshot holds %d dirty records, manifest says %d",

@@ -2,10 +2,20 @@ package state
 
 // This file implements the disk-resident cold tier behind TieredStore:
 // an append-only log of checksummed segment files plus the in-memory
-// index entries that locate live records inside them. The format mirrors
-// the persist WAL's (magic + sequence header, CRC-32C framed records)
-// but lives in this package because persist imports state, not the
-// reverse.
+// index entries that locate live records inside them. The framing
+// resembles persist's segment files (magic + sequence header, CRC-32C
+// framed records).
+//
+// Why this is not a persist.RecordLog, the one segmented log every
+// other durable role runs on: the cold tier is an offset-addressed value
+// log, not a dense-index record log. Appends are buffered, a value is
+// fetched by pread at the byte offset its index entry holds, recovery
+// truncates each segment to the byte length a snapshot manifest
+// recorded (not to a record index), and the recovery scan is strict —
+// there is no torn tail to forgive, because bytes past the manifest's
+// cut are discarded by construction. A RecordLog could serve those only
+// by branching on which caller it has, and state cannot import persist
+// (persist imports state). So the two stay separate on purpose.
 //
 // Segment layout:
 //
