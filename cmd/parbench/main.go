@@ -62,7 +62,6 @@ func run() error {
 	flag.BoolVar(&cfg.opts.Crypto, "crypto", false, "enable ed25519 signing end to end")
 	flag.IntVar(&cfg.opts.PipelineDepth, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
 	flag.TextVar(&cfg.opts.Scheduler, "scheduler", execution.SchedFIFO, "ready-transaction dispatch scheduler for all OXII runs: "+strings.Join(execution.SchedulerNames, ", "))
-	flag.IntVar(&cfg.opts.PrefetchWorkers, "prefetch", 0, "read-set prefetch workers per OXII executor (0 = off)")
 	flag.IntVar(&cfg.opts.SegmentTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = monolithic NEWBLOCK)")
 	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
 	flag.BoolVar(&cfg.opts.Speculate, "speculate", false, "speculative commit-wait bypass for all OXII runs (adopt first votes, gate multicasts, cascade on mismatch)")
@@ -216,13 +215,11 @@ func figPipeline(c config) error {
 }
 
 // figScheduler sweeps the ready-transaction dispatch schedulers at
-// moderate contention: FIFO vs critical-path vs load-balanced, pipelined
-// executors with a small prefetch pool. Results are bit-identical across
-// schedulers; the sweep isolates dispatch-order throughput.
+// moderate contention: FIFO vs critical-path, pipelined executors.
+// Results are bit-identical across schedulers; the sweep isolates
+// dispatch-order throughput.
 func figScheduler(c config) error {
-	scheds := []execution.SchedulerKind{
-		execution.SchedFIFO, execution.SchedCriticalPath, execution.SchedLoadBalanced,
-	}
+	scheds := []execution.SchedulerKind{execution.SchedFIFO, execution.SchedCriticalPath}
 	series, err := bench.SchedulerSweep(c.opts, 0.2, scheds, c.clientLevels(), os.Stderr)
 	if err != nil {
 		return err
@@ -260,7 +257,8 @@ func figStream(c config) error {
 	return nil
 }
 
-// ablations runs the design-choice experiments from DESIGN.md.
+// ablations runs the design-choice experiments listed under README.md,
+// "Substitutions".
 func ablations(c config) error {
 	levels := c.clientLevels()
 	clients := levels[len(levels)-1]
@@ -418,7 +416,7 @@ func figDurability(c config) error {
 // the fully resident store under a Zipf-skewed hot working set, with the
 // hot cap forced far below the working set so the cold tier is actually
 // exercised. Committed hashes are identical across backends; the sweep
-// isolates eviction, cold-read, and cold-prefetch cost.
+// isolates eviction and cold-read cost.
 func figTiered(c config) error {
 	hotBytes := c.opts.HotTierBytes
 	if hotBytes == 0 {

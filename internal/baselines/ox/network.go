@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"parblockchain/internal/consensus"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
 	"parblockchain/internal/execution"
@@ -31,8 +30,6 @@ type Config struct {
 	Contracts map[types.AppID]contract.Contract
 	// Consensus picks the ordering protocol (default Kafka-style).
 	Consensus node.ConsensusKind
-	// ConsensusBatch tunes consensus batching.
-	ConsensusBatch consensus.BatchConfig
 	// Block cut conditions, as in ordering.Config.
 	MaxBlockTxns     int
 	MaxBlockBytes    int
@@ -146,7 +143,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		// Baselines stay in memory: no data dir, no fsync policy.
 		cons, err := node.NewConsensus(node.Config{ID: id, Endpoint: ep, Orderers: cfg.Orderers,
-			Consensus: cfg.Consensus, ConsensusBatch: cfg.ConsensusBatch, Logf: cfg.Logf})
+			Consensus: cfg.Consensus, Logf: cfg.Logf})
 		if err != nil {
 			return nil, err
 		}

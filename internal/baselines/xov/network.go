@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"parblockchain/internal/consensus"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
 	"parblockchain/internal/execution"
@@ -34,8 +33,6 @@ type Config struct {
 	Tau map[types.AppID]int
 	// Consensus picks the ordering protocol (default Kafka-style).
 	Consensus node.ConsensusKind
-	// ConsensusBatch tunes consensus batching.
-	ConsensusBatch consensus.BatchConfig
 	// Block cut conditions (defaults 100 / 2MB / 100ms).
 	MaxBlockTxns     int
 	MaxBlockBytes    int
@@ -161,7 +158,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		// Baselines stay in memory: no data dir, no fsync policy.
 		cons, err := node.NewConsensus(node.Config{ID: id, Endpoint: ep, Orderers: cfg.Orderers,
-			Consensus: cfg.Consensus, ConsensusBatch: cfg.ConsensusBatch, Logf: cfg.Logf})
+			Consensus: cfg.Consensus, Logf: cfg.Logf})
 		if err != nil {
 			return nil, err
 		}

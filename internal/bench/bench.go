@@ -271,14 +271,10 @@ type Result struct {
 	Evictions     uint64
 	HotKeys       int
 	ColdKeys      int
-	// PrefetchColdKeys/Bytes count prefetcher warms that promoted a
-	// cold-tier record into the hot tier before execution needed it —
-	// the tiered backend's reason for having a prefetcher. PrioRefreshes
-	// counts critical-path queue entries re-pushed at a fresher priority
-	// after later segments raised their remaining-chain height.
-	PrefetchColdKeys  uint64
-	PrefetchColdBytes uint64
-	PrioRefreshes     uint64
+	// PrioRefreshes counts critical-path queue entries re-pushed at a
+	// fresher priority after later segments raised their remaining-chain
+	// height.
+	PrioRefreshes uint64
 	// Stages is the observer executor's per-stage block-lifecycle latency
 	// breakdown (nil without Options.Trace), keyed by stage name —
 	// admission, dispatch, execute, seal, finalize, fsync, externalize —
@@ -477,10 +473,7 @@ func Run(opts Options) (Result, error) {
 		}
 		tieredStats = func(r *Result) {
 			for _, e := range nw.Executors {
-				st := e.Stats()
-				r.PrefetchColdKeys += st.PrefetchColdKeys
-				r.PrefetchColdBytes += st.PrefetchColdBytes
-				r.PrioRefreshes += st.PrioRefreshes
+				r.PrioRefreshes += e.Stats().PrioRefreshes
 			}
 			for _, s := range nw.Stores {
 				ts, ok := s.(*state.TieredStore)

@@ -320,13 +320,11 @@ type SchedulerSeries struct {
 	Points    []SweepPoint
 }
 
-// SchedulerSweep measures the conflict-aware dispatch policies against
-// the FIFO baseline at a fixed contention level (pipelined executors, a
-// small prefetch pool). All schedulers commit bit-identical results —
-// the sweep isolates pure dispatch-order throughput: critical-path
-// dispatch drains long dependency chains ahead of independent fillers,
-// load-balanced dispatch keeps conflicting transactions on one worker's
-// queue to cut cross-worker contention.
+// SchedulerSweep measures the critical-path dispatch policy against the
+// FIFO baseline at a fixed contention level (pipelined executors). Both
+// schedulers commit bit-identical results — the sweep isolates pure
+// dispatch-order throughput: critical-path dispatch drains long
+// dependency chains ahead of independent fillers.
 func SchedulerSweep(base Options, contention float64, scheds []execution.SchedulerKind,
 	clientLevels []int, progress io.Writer) ([]SchedulerSeries, error) {
 	series := make([]SchedulerSeries, 0, len(scheds))
@@ -335,9 +333,6 @@ func SchedulerSweep(base Options, contention float64, scheds []execution.Schedul
 		opts.System = SystemOXII
 		opts.Contention = contention
 		opts.Scheduler = sched
-		if opts.PrefetchWorkers == 0 {
-			opts.PrefetchWorkers = 2
-		}
 		points, err := Curve(opts, clientLevels)
 		if err != nil {
 			return series, err
@@ -442,7 +437,7 @@ func DurabilitySweep(base Options, contention float64, depths []int, fsync persi
 // TieredSeries is one line of a tiered-state plot: OXII's
 // throughput-latency curve under one state backend. Tiered series carry
 // the hot cap that forced eviction; their peak point's ColdReads /
-// Evictions / PrefetchColdKeys expose how hard the cold tier worked.
+// Evictions expose how hard the cold tier worked.
 type TieredSeries struct {
 	Backend      string
 	HotTierBytes int64
@@ -486,9 +481,8 @@ func TieredSweep(base Options, contention float64, hotBytes int64,
 				backend, peak.Result.Throughput,
 				peak.Result.AvgLatency.Round(time.Millisecond))
 			if backend == "tiered" {
-				line += fmt.Sprintf("  cold-reads=%d evictions=%d prefetch-cold=%d",
-					peak.Result.ColdReads, peak.Result.Evictions,
-					peak.Result.PrefetchColdKeys)
+				line += fmt.Sprintf("  cold-reads=%d evictions=%d",
+					peak.Result.ColdReads, peak.Result.Evictions)
 			}
 			fmt.Fprintln(progress, line)
 		}

@@ -5,8 +5,10 @@
 package clustercfg
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -58,15 +60,22 @@ type Config struct {
 	Genesis map[string]int64 `json:"genesis,omitempty"`
 }
 
-// Load reads and validates a cluster config file.
+// Load reads and validates a cluster config file. A key Config does not
+// declare — a typo, or a knob that was removed — is an error naming it,
+// never a setting silently left at its default.
 func Load(path string) (*Config, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("clustercfg: %w", err)
 	}
 	var cfg Config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("clustercfg: parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("clustercfg: parsing %s: data after the top-level object", path)
 	}
 	if len(cfg.Orderers) == 0 || len(cfg.Executors) == 0 {
 		return nil, fmt.Errorf("clustercfg: %s needs at least one orderer and one executor", path)

@@ -1,10 +1,17 @@
 package clustercfg
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"parblockchain/internal/depgraph"
+	"parblockchain/internal/execution"
+	"parblockchain/internal/node"
+	"parblockchain/internal/persist"
 	"parblockchain/internal/types"
 )
 
@@ -195,5 +202,88 @@ func TestLoadRejectsNegativeTraceRing(t *testing.T) {
 }`
 	if _, err := Load(write(t, bad)); err == nil {
 		t.Fatal("negative traceRing must be rejected")
+	}
+}
+
+// TestLoadRejectsUnknownKeys loads every file under testdata/unknown/,
+// each a cluster file that sets one key Config does not declare — a knob
+// a past PR removed, or a misspelled one — named after the file. Load
+// must fail and name the key instead of running the default silently.
+func TestLoadRejectsUnknownKeys(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "unknown", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fixtures: %v", err)
+	}
+	for _, path := range files {
+		key := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(key, func(t *testing.T) {
+			if _, err := Load(path); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+				t.Fatalf("err = %v, want an error naming %q", err, key)
+			}
+		})
+	}
+	if _, err := Load(write(t, valid+` {}`)); err == nil {
+		t.Fatal("data after the top-level object must be rejected")
+	}
+}
+
+// TestRoundTrip marshals a Config with every field, every Tunables field
+// included, set and loads it back: the path the TCP benchmark takes
+// (json.Marshal → parnode -config) must lose and reject nothing.
+func TestRoundTrip(t *testing.T) {
+	want := Config{
+		Orderers:        map[string]string{"o1": "127.0.0.1:7001"},
+		Executors:       map[string]string{"e1": "127.0.0.1:7101", "e2": "127.0.0.1:7102"},
+		Clients:         map[string]string{"c1": "127.0.0.1:7201"},
+		Apps:            map[string][]string{"app1": {"e1", "e2"}},
+		Observer:        "e2",
+		Consensus:       node.ConsensusRaft,
+		BlockTxns:       64,
+		BlockIntervalMs: 20,
+		Tunables: node.Tunables{
+			ExecWorkers:      3,
+			Scheduler:        execution.SchedCriticalPath,
+			PipelineDepth:    2,
+			SegmentTxns:      16,
+			Speculate:        true,
+			EagerCommit:      true,
+			GraphMode:        depgraph.MultiVersion,
+			UsePairwiseGraph: true,
+			MinHorizon:       9,
+			SyncStallMs:      250,
+			FsyncPolicy:      persist.FsyncAlways,
+			SnapshotInterval: 32,
+			SegmentBytes:     1 << 20,
+			StateBackend:     "tiered",
+			HotTierBytes:     1 << 22,
+			TraceRing:        8,
+		},
+		DataDir:  "/var/lib/parblockchain",
+		OpsAddrs: map[string]string{"e1": "127.0.0.1:9101"},
+		Crypto:   true,
+		Genesis:  map[string]int64{"app1/alice": 1000},
+	}
+	v := reflect.ValueOf(want)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Config.%s is zero: set it so the round trip covers it", v.Type().Field(i).Name)
+		}
+	}
+	tv := reflect.ValueOf(want.Tunables)
+	for i := 0; i < tv.NumField(); i++ {
+		if tv.Field(i).IsZero() {
+			t.Fatalf("Tunables.%s is zero: set it so the round trip covers it", tv.Type().Field(i).Name)
+		}
+	}
+	raw, err := json.Marshal(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(write(t, string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", *got, want)
 	}
 }

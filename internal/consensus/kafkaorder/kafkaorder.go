@@ -5,7 +5,7 @@
 // orderer setup with 3 ZooKeeper nodes, 4 Kafka brokers and 3 orderers";
 // this package collapses that external service into an in-protocol
 // equivalent with the same interface and crash-fault-tolerance model,
-// as documented in DESIGN.md's substitution table.
+// as documented in README.md's substitution table.
 //
 // Leadership is static: Members[0] sequences. Crash fault tolerance for
 // the *data* comes from broker replication; leader fail-over (Kafka's

@@ -5,8 +5,8 @@
 // request batching, in-order delivery, watermark-bounded pipelining, and
 // view changes that re-propose prepared batches under a new primary.
 //
-// Simplifications relative to a hardened production deployment, all
-// documented in DESIGN.md: message authenticity is delegated to the
+// Simplifications relative to a hardened production deployment (see
+// README.md, "Substitutions"): message authenticity is delegated to the
 // transport's pairwise-authenticated links (per-message signatures can be
 // layered by the embedding node), durable state is not persisted across
 // process restarts, and duplicate suppression across view changes is

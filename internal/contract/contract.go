@@ -104,7 +104,7 @@ func (r *Registry) Execute(app types.AppID, view state.Reader, op types.Operatio
 // reproduction runs the whole cluster in one process, so by default the
 // cost is modeled as sleep time (which scales with goroutine parallelism
 // the way per-node CPU does in the testbed) with an optional CPU-spin
-// fraction for CPU-bound ablations. See DESIGN.md, "Substitutions".
+// fraction for CPU-bound ablations. See README.md, "Substitutions".
 type CostModel struct {
 	// Cost is the total simulated service time per execution.
 	Cost time.Duration

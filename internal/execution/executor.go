@@ -165,18 +165,11 @@ type Config struct {
 	Workers int
 	// Scheduler selects how ready transactions are ordered between
 	// dispatch and the worker pool: SchedFIFO (discovery order, the
-	// default and the paper's behavior), SchedCriticalPath
-	// (longest-dependency-chain first), or SchedLoadBalanced (per-worker
-	// queues keyed by first write key, with stealing). Every scheduler
-	// produces bit-identical ledgers and state; the knob trades only
-	// which ready transaction a free core runs next.
+	// default and the paper's behavior) or SchedCriticalPath
+	// (longest-dependency-chain first). Both produce bit-identical
+	// ledgers and state; the knob trades only which ready transaction a
+	// free core runs next.
 	Scheduler SchedulerKind
-	// PrefetchWorkers sizes the read-set prefetch pool: admission hands
-	// each segment's declared reads to these workers, which warm the
-	// overlay chain and committed-store tiers ahead of execution (a
-	// tiered store promotes cold records hot; bounded by
-	// maxPrefetchBytesPerBlock per block). Zero disables prefetch.
-	PrefetchWorkers int
 	// PipelineDepth bounds the sliding window of blocks admitted into
 	// execution before the oldest finalizes. 1 restores the strict
 	// per-block barrier of the paper; zero means the default of 4.
@@ -397,19 +390,6 @@ type Stats struct {
 	// rejected by verification — tampered content, broken chain linkage,
 	// missing quorum evidence, or a state-hash mismatch.
 	SyncRejected uint64
-	// PrefetchKeys counts declared read-set keys warmed by the prefetch
-	// pool. 0 unless Config.PrefetchWorkers.
-	PrefetchKeys uint64
-	// PrefetchBytes counts value bytes pulled through the overlay chain
-	// by prefetch (the quantity the per-block budget caps).
-	PrefetchBytes uint64
-	// PrefetchColdKeys counts prefetched keys that were served from a
-	// tiered store's cold tier (and promoted hot before a worker needed
-	// them). 0 unless the committed store is tiered.
-	PrefetchColdKeys uint64
-	// PrefetchColdBytes counts value bytes the prefetch pool pulled up
-	// from the cold tier.
-	PrefetchColdBytes uint64
 	// PrioRefreshes counts queued work items re-pushed at a fresher
 	// priority because their critical-path height grew after dispatch.
 	// 0 unless Config.Scheduler is critical-path.
@@ -458,9 +438,6 @@ type Executor struct {
 	cfg     Config
 	mailbox *eventq.Queue[event]
 	work    scheduler
-	// prefetch warms declared read sets ahead of execution; nil unless
-	// Config.PrefetchWorkers > 0.
-	prefetch *prefetcher
 
 	// State owned by the actor loop.
 	blocks         map[uint64]*blockState
@@ -526,10 +503,6 @@ type Executor struct {
 		syncRecs      atomic.Uint64
 		syncSnaps     atomic.Uint64
 		syncRejected  atomic.Uint64
-		prefetchKeys  atomic.Uint64
-		prefetchBytes atomic.Uint64
-		prefetchCold  atomic.Uint64
-		prefetchColdB atomic.Uint64
 		prioRefresh   atomic.Uint64
 	}
 
@@ -676,11 +649,6 @@ type blockState struct {
 
 	// Algorithm 2 buffer (this node's Xe awaiting multicast).
 	outBuf []types.TxResult
-
-	// prefetchLeft is the block's remaining prefetch byte budget, set at
-	// admission and decremented by the prefetch workers (the only
-	// concurrent access to blockState, which is why it is atomic).
-	prefetchLeft atomic.Int64
 }
 
 // specDep records one dependent's speculation lineage on a transaction's
@@ -755,7 +723,7 @@ func New(cfg Config) *Executor {
 	e := &Executor{
 		cfg:            cfg,
 		mailbox:        eventq.New[event](),
-		work:           newScheduler(cfg.Scheduler, cfg.Workers),
+		work:           newScheduler(cfg.Scheduler),
 		blocks:         make(map[uint64]*blockState),
 		pendingCommits: make(map[uint64][]*types.CommitMsg),
 		stitcher:       depgraph.NewStitcher(cfg.GraphMode),
@@ -775,16 +743,11 @@ func New(cfg Config) *Executor {
 // Start launches the receive loop, the actor loop, the worker pool, and
 // (when the watchdog is armed) the stall ticker.
 func (e *Executor) Start() {
-	if e.cfg.PrefetchWorkers > 0 {
-		e.prefetch = newPrefetcher(e.cfg.PrefetchWorkers,
-			&e.stats.prefetchKeys, &e.stats.prefetchBytes,
-			&e.stats.prefetchCold, &e.stats.prefetchColdB)
-	}
 	e.wg.Add(2 + e.cfg.Workers)
 	go e.recvLoop()
 	go e.actorLoop()
 	for i := 0; i < e.cfg.Workers; i++ {
-		go e.worker(i)
+		go e.worker()
 	}
 	if e.cfg.StallTimeout > 0 {
 		e.wg.Add(1)
@@ -820,9 +783,6 @@ func (e *Executor) Stop() {
 		close(e.tickQuit)
 		e.mailbox.Push(event{kind: evStop})
 		e.work.Close()
-		if e.prefetch != nil {
-			e.prefetch.stop()
-		}
 	})
 	e.wg.Wait()
 }
@@ -847,10 +807,6 @@ func (e *Executor) Stats() Stats {
 		SyncRecordsAdopted:   e.stats.syncRecs.Load(),
 		SyncSnapshotsAdopted: e.stats.syncSnaps.Load(),
 		SyncRejected:         e.stats.syncRejected.Load(),
-		PrefetchKeys:         e.stats.prefetchKeys.Load(),
-		PrefetchBytes:        e.stats.prefetchBytes.Load(),
-		PrefetchColdKeys:     e.stats.prefetchCold.Load(),
-		PrefetchColdBytes:    e.stats.prefetchColdB.Load(),
 		PrioRefreshes:        e.stats.prioRefresh.Load(),
 	}
 }
@@ -877,10 +833,10 @@ func (e *Executor) recvLoop() {
 // hits are a lock-free map lookup and base-store hits take only a
 // per-shard read lock, so workers executing non-conflicting transactions
 // proceed without contending on shared state.
-func (e *Executor) worker(id int) {
+func (e *Executor) worker() {
 	defer e.wg.Done()
 	for {
-		item, ok := e.work.Pop(id)
+		item, ok := e.work.Pop()
 		if !ok {
 			return
 		}
@@ -1548,7 +1504,6 @@ func (e *Executor) enterWindow(bs *blockState) {
 		base = e.window[len(e.window)-1].overlay
 	}
 	bs.overlay = state.NewBlockOverlay(base)
-	bs.prefetchLeft.Store(maxPrefetchBytesPerBlock)
 	e.window = append(e.window, bs)
 	e.mirror.windowLen.Store(int64(len(e.window)))
 }
@@ -1696,17 +1651,6 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 			}
 		}
 	}
-	// Warm the new transactions' declared read sets ahead of execution.
-	// The overlay's unbound Get is what a chained later block would read
-	// through, and the overlay chain is lock-free for readers, so the
-	// prefetch pool never contends with the workers.
-	if e.prefetch != nil {
-		var keys []types.Key
-		for _, tx := range txns {
-			keys = append(keys, tx.Op.Reads...)
-		}
-		e.prefetch.enqueue(prefetchJob{reader: bs.overlay, keys: keys, budget: &bs.prefetchLeft})
-	}
 	// Algorithm 1 seed: new transactions with no unsatisfied predecessors.
 	for i := range txns {
 		j := start + i
@@ -1764,20 +1708,16 @@ func (e *Executor) dispatch(bs *blockState, idx int) {
 	bs.trace.Mark(telemetry.MarkDispatched) // idempotent: first dispatch wins
 	bs.inflight[idx] = true
 	item := workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: bs.epoch[idx]}
-	switch {
-	case e.heights != nil:
-		for len(bs.schedCell) <= idx {
-			bs.schedCell = append(bs.schedCell, nil)
-		}
-		item.cell = new(atomic.Int32)
-		bs.schedCell[idx] = item.cell
-		e.work.Push(item,
-			schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)), "")
-	case e.cfg.Scheduler == SchedLoadBalanced:
-		e.work.Push(item, 0, firstWriteKey(&item.tx.Op))
-	default:
-		e.work.Push(item, 0, "")
+	if e.heights == nil {
+		e.work.Push(item, 0)
+		return
 	}
+	for len(bs.schedCell) <= idx {
+		bs.schedCell = append(bs.schedCell, nil)
+	}
+	item.cell = new(atomic.Int32)
+	bs.schedCell[idx] = item.cell
+	e.work.Push(item, schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)))
 }
 
 // refreshPriority re-pushes one queued transaction whose critical-path
@@ -1802,8 +1742,7 @@ func (e *Executor) refreshPriority(ref depgraph.TxRef) {
 	item := workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: bs.epoch[idx],
 		cell: new(atomic.Int32)}
 	bs.schedCell[idx] = item.cell
-	e.work.Push(item,
-		schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)), "")
+	e.work.Push(item, schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)))
 	e.stats.prioRefresh.Add(1)
 }
 

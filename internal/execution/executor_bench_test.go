@@ -39,7 +39,7 @@ func newBenchRig(b *testing.B, workers int) *benchRig {
 
 // newBenchRigDepth builds a rig with an explicit pipeline depth and
 // contract, for the cross-block pipelining benchmarks. opts mutate the
-// executor Config after the rig defaults (scheduler, prefetch).
+// executor Config after the rig defaults (scheduler, backend).
 func newBenchRigDepth(b *testing.B, workers, depth int, app1 contract.Contract,
 	opts ...func(*Config)) *benchRig {
 	b.Helper()
@@ -314,7 +314,7 @@ func skewedBlocks(startBlock, numBlocks, tail, chain int) [][]*types.Transaction
 	return blocks
 }
 
-// BenchmarkExecutorScheduler races the three dispatch schedulers on two
+// BenchmarkExecutorScheduler races the two dispatch schedulers on two
 // workload shapes at the default pipeline window (4): "chained" — the
 // cross-block linked workload of BenchmarkExecutorPipelined, where the
 // ready set is mostly uniform — and "skewed" — a hot serial chain
@@ -434,14 +434,9 @@ func zipfAccountBlocks(zr *rand.Zipf, startBlock, numBlocks, n int) [][]*types.T
 // BenchmarkExecutorTiered measures the larger-than-RAM hot path: 100k
 // accounts (~8MiB of state) against a 1MiB hot budget — a working set 8x
 // the cap — under a Zipfian access stream. Rows: the in-RAM KVStore
-// baseline, the tiered store with demand-only cold reads, and the tiered
-// store with the read-set prefetch pool warming cold keys off the
-// critical path (admission hands each block's read set to the
-// prefetcher, so a key's segment pread overlaps scheduling instead of
-// stalling a worker). coldreads/tx counts every cold-tier read;
-// demandcold/tx excludes the prefetched ones — prefetch=on must shift
-// reads from demand to prefetch, and its tx/s must close most of the gap
-// to mem. One iteration = a burst of 4 blocks of 128 transactions.
+// baseline and the tiered store, whose cold reads execution workers take
+// on demand; coldreads/tx counts them. One iteration = a burst of 4
+// blocks of 128 transactions.
 func BenchmarkExecutorTiered(b *testing.B) {
 	const (
 		accounts      = 100_000
@@ -456,21 +451,15 @@ func BenchmarkExecutorTiered(b *testing.B) {
 	for i := range genesis {
 		genesis[i] = types.KV{Key: fmt.Sprintf("acct-%06d", i), Val: val}
 	}
-	variants := []struct {
-		name     string
-		tiered   bool
-		prefetch int
-	}{
-		{"mem", false, 0},
-		{"tiered/prefetch=off", true, 0},
-		{"tiered/prefetch=on", true, 4},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
+	for _, tiered := range []bool{false, true} {
+		name := "mem"
+		if tiered {
+			name = "tiered"
+		}
+		b.Run(name, func(b *testing.B) {
 			var ts *state.TieredStore
 			opt := func(c *Config) {
-				if v.tiered {
+				if tiered {
 					var err error
 					ts, err = state.NewTieredStore(state.TieredConfig{HotBytes: hotCap})
 					if err != nil {
@@ -480,7 +469,6 @@ func BenchmarkExecutorTiered(b *testing.B) {
 					c.Store = ts
 				}
 				c.Store.Apply(genesis)
-				c.PrefetchWorkers = v.prefetch
 			}
 			r := newBenchRigDepth(b, 8, 4, contract.NewKV(), opt)
 			zr := rand.NewZipf(rand.New(rand.NewSource(42)), zipfS, 1, accounts-1)
@@ -495,15 +483,7 @@ func BenchmarkExecutorTiered(b *testing.B) {
 			}
 			if ts != nil {
 				st := ts.Stats()
-				es := r.exec.Stats()
 				b.ReportMetric(float64(st.ColdReads)/float64(txns), "coldreads/tx")
-				demand := st.ColdReads
-				if es.PrefetchColdKeys < demand {
-					demand -= es.PrefetchColdKeys
-				} else {
-					demand = 0
-				}
-				b.ReportMetric(float64(demand)/float64(txns), "demandcold/tx")
 				b.ReportMetric(float64(st.Evictions)/float64(txns), "evictions/tx")
 			}
 		})

@@ -96,7 +96,7 @@ func refResults(genesis []types.KV, blocks [][]*types.Transaction) (types.Hash, 
 // short traces still exercise truncation) and, after the run, reopens
 // the directory to assert crash recovery reproduces the final state.
 // opts mutate the executor Config after the rig defaults (scheduler,
-// prefetch, speculation knobs).
+// speculation knobs).
 func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 	blocks [][]*types.Transaction, opts ...func(*Config)) (types.Hash, *ledger.Ledger, [][]types.TxResult) {
 	t.Helper()
@@ -207,16 +207,11 @@ func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 // allSchedulers enumerates every dispatch scheduler; the equivalence
 // suites run under each one — a scheduler is only admissible if it is
 // bit-identical to the sequential baseline on every path.
-var allSchedulers = []SchedulerKind{SchedFIFO, SchedCriticalPath, SchedLoadBalanced}
+var allSchedulers = []SchedulerKind{SchedFIFO, SchedCriticalPath}
 
-// withScheduler returns a Config option selecting a scheduler, plus a
-// small prefetch pool so the prefetch stage is exercised under every
-// scheduler (prefetch must be invisible to results by construction).
+// withScheduler returns a Config option selecting a scheduler.
 func withScheduler(sched SchedulerKind) func(*Config) {
-	return func(c *Config) {
-		c.Scheduler = sched
-		c.PrefetchWorkers = 2
-	}
+	return func(c *Config) { c.Scheduler = sched }
 }
 
 // TestPipelineEquivalence asserts, for randomized traces at several

@@ -3,7 +3,7 @@
 // the Config.Scheduler knob) drains ready transactions in discovery
 // order; on the skewed graphs high-contention workloads produce that
 // leaves cores idle behind long dependency chains while short
-// independent work waits its turn. The three schedulers:
+// independent work waits its turn. The two schedulers:
 //
 //   - fifo: discovery order, the equivalence baseline. Exactly the old
 //     single eventq work queue.
@@ -14,13 +14,8 @@
 //     order breaking those. The tallest ready transaction heads the
 //     longest remaining chain, so running it first keeps the chain's
 //     core busy while shorter independent work fills the other cores.
-//   - load-balanced: QueCC-style per-worker queues. Ready transactions
-//     hash to a worker by their first write key, so same-key work lands
-//     on the same core (warm cache, no ping-pong); idle workers steal
-//     from the longest backlog so no core stalls while another has a
-//     queue.
 //
-// Every scheduler preserves the eventq contract the worker pool was
+// Both schedulers preserve the eventq contract the worker pool was
 // built on: non-blocking Push, blocking Pop, Close wakes all consumers
 // and lets them drain remaining items. Schedulers never remove items:
 // epoch-tagged re-dispatch under speculation cascades means a stale
@@ -34,11 +29,9 @@ package execution
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sync"
 
 	"parblockchain/internal/eventq"
-	"parblockchain/internal/types"
 )
 
 // SchedulerKind selects the dispatch scheduler. The zero value is FIFO,
@@ -51,25 +44,18 @@ const (
 	// SchedCriticalPath executes the ready transaction with the longest
 	// downstream dependency chain first.
 	SchedCriticalPath
-	// SchedLoadBalanced hashes ready transactions to per-worker queues
-	// by first write key, with work stealing.
-	SchedLoadBalanced
 )
 
 // SchedulerNames lists the accepted ParseScheduler spellings, for flag
 // help and config validation messages.
-var SchedulerNames = []string{"fifo", "critical-path", "load-balanced"}
+var SchedulerNames = []string{"fifo", "critical-path"}
 
 // String returns the canonical knob spelling.
 func (k SchedulerKind) String() string {
-	switch k {
-	case SchedCriticalPath:
+	if k == SchedCriticalPath {
 		return "critical-path"
-	case SchedLoadBalanced:
-		return "load-balanced"
-	default:
-		return "fifo"
 	}
+	return "fifo"
 }
 
 // ParseScheduler maps a knob string to its SchedulerKind. The empty
@@ -80,8 +66,6 @@ func ParseScheduler(name string) (SchedulerKind, error) {
 		return SchedFIFO, nil
 	case "critical-path":
 		return SchedCriticalPath, nil
-	case "load-balanced":
-		return SchedLoadBalanced, nil
 	default:
 		return SchedFIFO, fmt.Errorf("unknown scheduler %q (want one of %v)", name, SchedulerNames)
 	}
@@ -101,26 +85,20 @@ func (k *SchedulerKind) UnmarshalText(text []byte) (err error) {
 // scheduler is the ready queue between the actor loop's dispatch and
 // the worker pool. Push never blocks and is a no-op after Close; Pop
 // blocks until an item is available or the queue is closed and drained.
-// prio orders critical-path popping (higher first) and key routes
-// load-balanced placement; each implementation ignores the hints it
-// does not use.
+// prio orders critical-path popping (higher first); FIFO ignores it.
 type scheduler interface {
-	Push(item workItem, prio int64, key string)
-	Pop(worker int) (workItem, bool)
+	Push(item workItem, prio int64)
+	Pop() (workItem, bool)
 	Close()
 	Len() int
 }
 
-// newScheduler builds the scheduler for a kind and worker-pool size.
-func newScheduler(kind SchedulerKind, workers int) scheduler {
-	switch kind {
-	case SchedCriticalPath:
+// newScheduler builds the scheduler for a kind.
+func newScheduler(kind SchedulerKind) scheduler {
+	if kind == SchedCriticalPath {
 		return newHeapSched()
-	case SchedLoadBalanced:
-		return newLBSched(workers)
-	default:
-		return fifoSched{q: eventq.New[workItem]()}
 	}
+	return fifoSched{q: eventq.New[workItem]()}
 }
 
 // Claim-cell states for the critical-path scheduler's lazy priority
@@ -148,30 +126,16 @@ func schedPriority(height, outDeg int32) int64 {
 	return int64(height)<<degBits | d
 }
 
-// firstWriteKey is the load-balancing routing key: the transaction's
-// first declared write (falling back to its first read for read-only
-// transactions), canonical after Normalize, so every transaction
-// touching a hot record routes to the same worker.
-func firstWriteKey(op *types.Operation) string {
-	if len(op.Writes) > 0 {
-		return op.Writes[0]
-	}
-	if len(op.Reads) > 0 {
-		return op.Reads[0]
-	}
-	return ""
-}
-
 // fifoSched adapts the original eventq work queue to the scheduler
 // interface.
 type fifoSched struct {
 	q *eventq.Queue[workItem]
 }
 
-func (s fifoSched) Push(item workItem, _ int64, _ string) { s.q.Push(item) }
-func (s fifoSched) Pop(int) (workItem, bool)              { return s.q.Pop() }
-func (s fifoSched) Close()                                { s.q.Close() }
-func (s fifoSched) Len() int                              { return s.q.Len() }
+func (s fifoSched) Push(item workItem, _ int64) { s.q.Push(item) }
+func (s fifoSched) Pop() (workItem, bool)       { return s.q.Pop() }
+func (s fifoSched) Close()                      { s.q.Close() }
+func (s fifoSched) Len() int                    { return s.q.Len() }
 
 // heapSched is the critical-path scheduler: a binary max-heap on
 // (priority, FIFO sequence), O(log n) push and pop under one mutex.
@@ -204,7 +168,7 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-func (s *heapSched) Push(item workItem, prio int64, _ string) {
+func (s *heapSched) Push(item workItem, prio int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -224,7 +188,7 @@ func (s *heapSched) Push(item workItem, prio int64, _ string) {
 	s.cond.Signal()
 }
 
-func (s *heapSched) Pop(int) (workItem, bool) {
+func (s *heapSched) Pop() (workItem, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -277,106 +241,4 @@ func (s *heapSched) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.heap)
-}
-
-// lbSched is the load-balanced scheduler: one FIFO per worker, items
-// routed by hashing their first write key, idle workers stealing from
-// the longest backlog. One mutex guards all queues — the protected
-// sections are a few slice operations, far cheaper than the per-item
-// contract execution they schedule.
-type lbSched struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues []lbQueue
-	seed   maphash.Seed
-	closed bool
-}
-
-type lbQueue struct {
-	items []workItem
-	head  int
-}
-
-func (q *lbQueue) len() int { return len(q.items) - q.head }
-
-func (q *lbQueue) popFront() workItem {
-	item := q.items[q.head]
-	q.items[q.head] = workItem{}
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return item
-}
-
-func (q *lbQueue) popBack() workItem {
-	last := len(q.items) - 1
-	item := q.items[last]
-	q.items[last] = workItem{}
-	q.items = q.items[:last]
-	return item
-}
-
-func newLBSched(workers int) *lbSched {
-	s := &lbSched{queues: make([]lbQueue, workers), seed: maphash.MakeSeed()}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *lbSched) Push(item workItem, _ int64, key string) {
-	w := int(maphash.String(s.seed, key) % uint64(len(s.queues)))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.queues[w].items = append(s.queues[w].items, item)
-	// One Signal suffices even though the woken worker may not be w:
-	// any idle worker finds the item by stealing.
-	s.cond.Signal()
-}
-
-func (s *lbSched) Pop(worker int) (workItem, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if q := &s.queues[worker]; q.len() > 0 {
-			return q.popFront(), true
-		}
-		// Own queue empty: steal from the back of the longest backlog,
-		// leaving the victim's front (its oldest same-key run) in place.
-		victim, best := -1, 0
-		for i := range s.queues {
-			if n := s.queues[i].len(); n > best {
-				victim, best = i, n
-			}
-		}
-		if victim >= 0 {
-			return s.queues[victim].popBack(), true
-		}
-		if s.closed {
-			return workItem{}, false
-		}
-		s.cond.Wait()
-	}
-}
-
-func (s *lbSched) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		s.cond.Broadcast()
-	}
-}
-
-func (s *lbSched) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for i := range s.queues {
-		total += s.queues[i].len()
-	}
-	return total
 }

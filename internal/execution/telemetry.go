@@ -62,15 +62,6 @@ func (e *Executor) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.L
 	sync("snapshots_adopted", &e.stats.syncSnaps)
 	sync("rejected", &e.stats.syncRejected)
 
-	counter("parblockchain_executor_prefetch_keys_total",
-		"Declared read-set keys warmed by the prefetch pool.", &e.stats.prefetchKeys)
-	counter("parblockchain_executor_prefetch_bytes_total",
-		"Value bytes pulled through the overlay chain by prefetch.", &e.stats.prefetchBytes)
-	counter("parblockchain_executor_prefetch_cold_keys_total",
-		"Prefetched keys promoted from a tiered store's cold tier.", &e.stats.prefetchCold)
-	counter("parblockchain_executor_prefetch_cold_bytes_total",
-		"Value bytes prefetch pulled up from the cold tier.", &e.stats.prefetchColdB)
-
 	gauge := func(name, help string, fn func() float64) {
 		reg.GaugeFunc(name, help, labels, fn)
 	}

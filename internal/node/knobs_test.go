@@ -52,13 +52,12 @@ var knobs = map[string]struct {
 	json, needs string
 	lands       func(e effective) [][2]any
 }{
-	"ExecWorkers":     {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Workers, 3}} }},
-	"Scheduler":       {json: `"critical-path"`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Scheduler, execution.SchedCriticalPath}} }},
-	"PrefetchWorkers": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PrefetchWorkers, 3}} }},
-	"PipelineDepth":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
-	"SegmentTxns":     {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.ord.SegmentTxns, 3}} }},
-	"Speculate":       {json: `true`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Speculate, true}} }},
-	"EagerCommit":     {json: `true`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.EagerCommit, true}} }},
+	"ExecWorkers":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Workers, 3}} }},
+	"Scheduler":     {json: `"critical-path"`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Scheduler, execution.SchedCriticalPath}} }},
+	"PipelineDepth": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
+	"SegmentTxns":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.ord.SegmentTxns, 3}} }},
+	"Speculate":     {json: `true`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Speculate, true}} }},
+	"EagerCommit":   {json: `true`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.EagerCommit, true}} }},
 	"GraphMode": {json: `"multiversion"`, lands: func(e effective) [][2]any {
 		return [][2]any{{e.exec.GraphMode, depgraph.MultiVersion}, {e.ord.GraphMode, depgraph.MultiVersion}}
 	}},

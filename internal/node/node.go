@@ -71,10 +71,8 @@ type Config struct {
 	// Contracts maps applications to their logic; an executor installs
 	// the contracts of the applications it is an agent of.
 	Contracts map[types.AppID]contract.Contract
-	// Consensus picks the ordering protocol (default Kafka-style);
-	// ConsensusBatch tunes batching inside it.
-	Consensus      ConsensusKind
-	ConsensusBatch consensus.BatchConfig
+	// Consensus picks the ordering protocol (default Kafka-style).
+	Consensus ConsensusKind
 	// MaxBlockTxns, MaxBlockBytes and MaxBlockInterval are the three
 	// block-cut conditions; zero values take the ordering defaults
 	// (200 / 2MB / 100ms).
@@ -142,22 +140,21 @@ func OrderQuorum(kind ConsensusKind, orderers int) int {
 }
 
 // NewConsensus builds this orderer's instance of the configured
-// protocol from cfg's ID, Endpoint, Orderers, Consensus, ConsensusBatch,
-// DataDir, FsyncPolicy and Logf. Raft and Kafka persist their log under
+// protocol from cfg's ID, Endpoint, Orderers, Consensus, DataDir,
+// FsyncPolicy and Logf. Raft and Kafka persist their log under
 // the node's consensus/ directory when a data dir is set.
 func NewConsensus(cfg Config) (consensus.Node, error) {
 	sender := consensus.SenderFunc(cfg.Endpoint.Send)
 	dir := cfg.dir("consensus")
 	switch cfg.Consensus {
 	case ConsensusPBFT:
-		return pbft.New(pbft.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender,
-			Batch: cfg.ConsensusBatch}), nil
+		return pbft.New(pbft.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender}), nil
 	case ConsensusRaft:
 		return raft.New(raft.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender,
 			Dir: dir, Fsync: cfg.FsyncPolicy, Logf: cfg.Logf})
 	case ConsensusKafka, "":
 		return kafkaorder.New(kafkaorder.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender,
-			Batch: cfg.ConsensusBatch, Dir: dir, Fsync: cfg.FsyncPolicy, Logf: cfg.Logf})
+			Dir: dir, Fsync: cfg.FsyncPolicy, Logf: cfg.Logf})
 	default:
 		return nil, fmt.Errorf("node: unknown consensus kind %q", cfg.Consensus)
 	}
@@ -181,28 +178,27 @@ func (c *Config) persistConfig() persist.Config {
 // durability manager, tracer).
 func (c *Config) executorConfig() execution.Config {
 	return execution.Config{
-		ID:              c.ID,
-		Endpoint:        c.Endpoint,
-		AgentsOf:        c.Agents,
-		Tau:             c.Tau,
-		OrderQuorum:     OrderQuorum(c.Consensus, len(c.Orderers)),
-		Executors:       c.Executors,
-		Workers:         c.ExecWorkers,
-		Scheduler:       c.Scheduler,
-		PrefetchWorkers: c.PrefetchWorkers,
-		PipelineDepth:   c.PipelineDepth,
-		GraphMode:       c.GraphMode,
-		PairwiseGraph:   c.UsePairwiseGraph,
-		EagerCommit:     c.EagerCommit,
-		Speculate:       c.Speculate,
-		MinHorizon:      c.MinHorizon,
-		StallTimeout:    time.Duration(c.SyncStallMs) * time.Millisecond,
-		Signer:          c.Signer,
-		Verifier:        c.Verifier,
-		VerifySigs:      c.Crypto,
-		OnCommit:        c.OnCommit,
-		NotifyClients:   c.NotifyClients,
-		Logf:            c.Logf,
+		ID:            c.ID,
+		Endpoint:      c.Endpoint,
+		AgentsOf:      c.Agents,
+		Tau:           c.Tau,
+		OrderQuorum:   OrderQuorum(c.Consensus, len(c.Orderers)),
+		Executors:     c.Executors,
+		Workers:       c.ExecWorkers,
+		Scheduler:     c.Scheduler,
+		PipelineDepth: c.PipelineDepth,
+		GraphMode:     c.GraphMode,
+		PairwiseGraph: c.UsePairwiseGraph,
+		EagerCommit:   c.EagerCommit,
+		Speculate:     c.Speculate,
+		MinHorizon:    c.MinHorizon,
+		StallTimeout:  time.Duration(c.SyncStallMs) * time.Millisecond,
+		Signer:        c.Signer,
+		Verifier:      c.Verifier,
+		VerifySigs:    c.Crypto,
+		OnCommit:      c.OnCommit,
+		NotifyClients: c.NotifyClients,
+		Logf:          c.Logf,
 	}
 }
 

@@ -18,18 +18,11 @@ type Tunables struct {
 	// ExecWorkers sizes each executor's worker pool (default 8).
 	ExecWorkers int `json:"execWorkers,omitempty"`
 	// Scheduler selects each executor's ready-transaction dispatch policy:
-	// "fifo" (the paper's baseline), "critical-path" (longest remaining
-	// dependency chain first), or "load-balanced" (per-worker queues keyed
-	// by first write, QueCC-style, with stealing). Schedulers reorder only
-	// the ready set, so ledger and state are bit-identical under all of
-	// them and nodes of one cluster may mix policies; the zero value is
-	// FIFO.
+	// "fifo" (the paper's baseline) or "critical-path" (longest remaining
+	// dependency chain first). Schedulers reorder only the ready set, so
+	// ledger and state are bit-identical under both and nodes of one
+	// cluster may mix policies; the zero value is FIFO.
 	Scheduler execution.SchedulerKind `json:"scheduler,omitempty"`
-	// PrefetchWorkers sizes each executor's read-set prefetch pool: as a
-	// block is admitted, its declared read sets are warmed against the
-	// overlay chain and the state store before workers reach them, bounded
-	// per block by a byte cap. Zero disables prefetching.
-	PrefetchWorkers int `json:"prefetchWorkers,omitempty"`
 	// PipelineDepth bounds each executor's window of in-flight blocks:
 	// blocks stream through execution while earlier blocks are still
 	// committing, with cross-block conflicts stitched into the dependency
@@ -120,7 +113,6 @@ func (t Tunables) Validate(durable bool) error {
 		value int64
 	}{
 		{"execWorkers", int64(t.ExecWorkers)},
-		{"prefetchWorkers", int64(t.PrefetchWorkers)},
 		{"pipelineDepth", int64(t.PipelineDepth)},
 		{"segmentTxns", int64(t.SegmentTxns)},
 		{"minHorizon", int64(t.MinHorizon)},

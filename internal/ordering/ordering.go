@@ -96,7 +96,7 @@ type Config struct {
 	GraphMode depgraph.Mode
 	// UsePairwiseGraph selects the paper-faithful O(n^2) builder instead
 	// of the indexed one; Figure 5's block-size turnover is measured with
-	// pairwise generation (see DESIGN.md experiment A3). Pairwise
+	// pairwise generation (see README.md, "Substitutions"). Pairwise
 	// generation is inherently a cut-time batch, so it is ignored when
 	// SegmentTxns enables streaming.
 	UsePairwiseGraph bool

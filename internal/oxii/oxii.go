@@ -14,7 +14,6 @@ import (
 	"slices"
 	"time"
 
-	"parblockchain/internal/consensus"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
 	"parblockchain/internal/execution"
@@ -48,8 +47,6 @@ type Config struct {
 	// Consensus picks the ordering protocol. Default node.ConsensusKafka
 	// (the paper's evaluation setup).
 	Consensus node.ConsensusKind
-	// ConsensusBatch tunes batching inside consensus.
-	ConsensusBatch consensus.BatchConfig
 	// MaxBlockTxns, MaxBlockBytes, MaxBlockInterval are the three block
 	// cut conditions (defaults 200 / 2MB / 100ms).
 	MaxBlockTxns     int
@@ -209,7 +206,6 @@ func (nw *Network) nodeConfig(id types.NodeID) (node.Config, error) {
 		Tau:               cfg.Tau,
 		Contracts:         cfg.Contracts,
 		Consensus:         cfg.Consensus,
-		ConsensusBatch:    cfg.ConsensusBatch,
 		MaxBlockTxns:      cfg.MaxBlockTxns,
 		MaxBlockBytes:     cfg.MaxBlockBytes,
 		MaxBlockInterval:  cfg.MaxBlockInterval,

@@ -195,7 +195,12 @@ type Manager struct {
 
 	mu       sync.Mutex // orders LogBlock's height check with its append
 	lastSnap uint64     // height of the newest scheduled-or-restored snapshot
-	closed   bool
+	// durableSnap is the height of the newest snapshot whose file is known
+	// written (restored, adopted, or a background write that succeeded).
+	// A WAL roll prunes only below it: pruning below a merely scheduled
+	// snapshot would leave a WAL gap above the older one if the write fails.
+	durableSnap uint64
+	closed      bool
 
 	snapBusy atomic.Bool
 	snapWG   sync.WaitGroup
@@ -355,7 +360,7 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 		return nil, nil, fmt.Errorf("persist: WAL resumes at %d but the recovered ledger is at %d",
 			next, led.Height())
 	}
-	m.lastSnap = man.Height
+	m.lastSnap, m.durableSnap = man.Height, man.Height
 	opened = true
 	return m, &Recovered{
 		Store:          store,
@@ -515,10 +520,10 @@ func (m *Manager) LogBlock(rec *BlockRecord) error {
 		if err := m.log.Roll(); err != nil {
 			return err
 		}
-		// The just-sealed segment may sit entirely below the newest snapshot
-		// (it was the active segment when that snapshot pruned, so it had to
-		// be kept); now that it is sealed, retire it.
-		m.pruneLog(m.lastSnap)
+		// The just-sealed segment may sit entirely below the newest durable
+		// snapshot (it was the active segment when that snapshot pruned, so
+		// it had to be kept); now that it is sealed, retire it.
+		m.pruneLog(m.durableSnap)
 	}
 	if _, err := m.log.AppendWith(rec.marshalTo); err != nil {
 		return fmt.Errorf("persist: appending block %d: %w", num, err)
@@ -569,6 +574,9 @@ func (m *Manager) MaybeSnapshot(height uint64, lastHash types.Hash, store state.
 			return
 		}
 		m.stats.snaps.Add(1)
+		m.mu.Lock()
+		m.durableSnap = max(m.durableSnap, height)
+		m.mu.Unlock()
 		m.pruneBelow(height)
 	}()
 }

@@ -318,6 +318,68 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 	}
 }
 
+// TestRollKeepsWALAboveDurableSnapshot fails one background snapshot
+// write and then rolls the WAL: the roll must not prune below the failed
+// snapshot's height, or recovery from the older snapshot finds a gap.
+func TestRollKeepsWALAboveDurableSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(dir)
+	cfg.SnapshotInterval = 2
+	cfg.SegmentBytes = 1 // roll before every append after the first
+	m, rec := mustOpen(t, cfg)
+	g := newChainGen(rec)
+	logBlock := func(i int) {
+		t.Helper()
+		if err := m.LogBlock(g.next([]types.KV{{Key: "k", Val: []byte{byte(i)}}})); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logBlock(0)
+	logBlock(1)
+
+	// A regular file where snap/ was makes the write fail even as root,
+	// where a read-only directory would not.
+	snapDir := filepath.Join(dir, "snap")
+	held := filepath.Join(dir, "snap.held")
+	if err := os.Rename(snapDir, held); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.MaybeSnapshot(2, g.prev, g.store)
+	m.snapWG.Wait()
+	if m.Stats().Snapshots != 0 {
+		t.Fatal("the snapshot write succeeded; the test needs it to fail")
+	}
+	logBlock(2) // rolls: the sealed segments hold blocks 0 and 1
+	logBlock(3)
+
+	if err := os.Remove(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(held, snapDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, rec2, err := Open(cfg, testGenesis)
+	if err != nil {
+		t.Fatalf("reopen after a failed snapshot write: %v", err)
+	}
+	defer m2.Close()
+	if rec2.Ledger.Height() != 4 || rec2.SnapshotHeight != 0 || rec2.Replayed != 4 {
+		t.Fatalf("recovered %+v, want height 4 from snapshot 0", rec2)
+	}
+	if rec2.Store.Hash() != g.store.Hash() {
+		t.Fatal("recovered state diverged from the live chain")
+	}
+}
+
 func TestCorruptSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := mustOpen(t, testConfig(dir))

@@ -175,7 +175,7 @@ func (m *Manager) AdoptSnapshot(height uint64, raw []byte) error {
 	if err := m.log.Reset(height); err != nil {
 		return err
 	}
-	m.lastSnap = height
+	m.lastSnap, m.durableSnap = height, height
 	m.pruneSnapshots(height)
 	return nil
 }

@@ -32,27 +32,7 @@ type Backend interface {
 	Close() error
 }
 
-// Warmer is the optional cache-warming interface the prefetcher probes
-// for. Warm behaves like Get but reports the value's size and whether
-// serving it required a cold-tier (disk) read — the signal that a
-// prefetch hit saved an execution worker a disk read on the critical
-// path. Implementations promote the record into their hot tier, so a
-// subsequent Get is a memory hit.
-type Warmer interface {
-	Warm(key types.Key) (n int, cold, ok bool)
-}
-
 // Close implements Backend; the in-memory store holds no resources.
 func (s *KVStore) Close() error { return nil }
 
-// Warm implements Warmer; the in-memory store has no cold tier, so a
-// warm is an ordinary read that never reports cold.
-func (s *KVStore) Warm(key types.Key) (int, bool, bool) {
-	v, ok := s.Get(key)
-	return len(v), false, ok
-}
-
-var (
-	_ Backend = (*KVStore)(nil)
-	_ Warmer  = (*KVStore)(nil)
-)
+var _ Backend = (*KVStore)(nil)

@@ -106,27 +106,6 @@ func (o *BlockOverlay) Get(key types.Key) ([]byte, bool) {
 	return (*o.base.Load()).Get(key)
 }
 
-// Warm implements Warmer by chaining through the overlay stack: a key
-// the overlay (or a predecessor block's overlay) already wrote needs no
-// warming, and a miss delegates to the base so a tiered committed store
-// can promote the record — attributing the cold read to the prefetcher
-// instead of an execution worker.
-func (o *BlockOverlay) Warm(key types.Key) (int, bool, bool) {
-	if vs := o.versions(key); len(vs) > 0 {
-		w := vs[len(vs)-1]
-		if w.val == nil {
-			return 0, false, false // deletion
-		}
-		return len(w.val), false, true
-	}
-	base := *o.base.Load()
-	if wr, ok := base.(Warmer); ok {
-		return wr.Warm(key)
-	}
-	v, ok := base.Get(key)
-	return len(v), false, ok
-}
-
 // At returns the read view of the transaction at the given block index:
 // overlay writes at or above the index are invisible, so the transaction
 // observes exactly the state its dependency-graph prefix produced,
@@ -266,7 +245,4 @@ func (o *BlockOverlay) Len() int {
 	return int(o.n.Load())
 }
 
-var (
-	_ Reader = (*BlockOverlay)(nil)
-	_ Warmer = (*BlockOverlay)(nil)
-)
+var _ Reader = (*BlockOverlay)(nil)

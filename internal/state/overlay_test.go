@@ -170,11 +170,6 @@ func TestOverlayModel(t *testing.T) {
 								seed, step, what, l, k, b, got, ok, wv, wok)
 						}
 					}
-					wv, wok := want(l, k, noIdx)
-					if n, cold, ok := o.Warm(k); n != len(wv) || cold || ok != wok {
-						t.Fatalf("seed %d step %d (%s): layer %d Warm(%s) = %d,%v,%v, want %d,false,%v",
-							seed, step, what, l, k, n, cold, ok, len(wv), wok)
-					}
 					if v, found := models[l].at(k, noIdx); found {
 						final = append(final, types.KV{Key: k, Val: v})
 					}

@@ -65,7 +65,7 @@ type TieredConfig struct {
 // TieredStats is a point-in-time counter snapshot, for benchmarks and
 // the bench Result.
 type TieredStats struct {
-	ColdReads     uint64 // Gets/Warms served by a cold-tier pread
+	ColdReads     uint64 // Gets served by a cold-tier pread
 	ColdBytesRead uint64 // value bytes pread from the cold tier
 	Evictions     uint64 // hot entries evicted
 	FlushedBytes  uint64 // dirty value bytes flushed cold by eviction
@@ -309,37 +309,24 @@ func (s *TieredStore) fatalf(format string, args ...any) {
 // promoting a cold hit into the hot cache. The returned slice is
 // store-owned — read-only for the caller.
 func (s *TieredStore) Get(key types.Key) ([]byte, bool) {
-	val, _, _, ok := s.lookup(key)
+	val, _, ok := s.GetVersion(key)
 	return val, ok
 }
 
 // GetVersion returns the value and version of key.
 func (s *TieredStore) GetVersion(key types.Key) ([]byte, uint64, bool) {
-	val, ver, _, ok := s.lookup(key)
-	return val, ver, ok
-}
-
-// Warm implements Warmer: a Get that additionally reports whether
-// serving the key required a cold-tier read — the prefetcher's
-// saved-a-disk-read signal.
-func (s *TieredStore) Warm(key types.Key) (int, bool, bool) {
-	val, _, cold, ok := s.lookup(key)
-	return len(val), cold, ok
-}
-
-func (s *TieredStore) lookup(key types.Key) (val []byte, ver uint64, cold, ok bool) {
 	sh := &s.shards[shardIndex(key)]
 	sh.mu.RLock()
 	if e, hot := sh.hot[key]; hot {
-		val, ver = e.val, e.ver
+		val, ver := e.val, e.ver
 		e.ref.Store(true)
 		sh.mu.RUnlock()
-		return val, ver, false, true
+		return val, ver, true
 	}
 	ref, exists := sh.idx[key]
 	sh.mu.RUnlock()
 	if !exists {
-		return nil, 0, false, false
+		return nil, 0, false
 	}
 	// Cold hit: pread without the shard lock (segments are append-only,
 	// so the captured ref stays readable), then promote. The value is
@@ -352,7 +339,7 @@ func (s *TieredStore) lookup(key types.Key) (val []byte, ver uint64, cold, ok bo
 	s.coldReads.Add(1)
 	s.coldBytesRead.Add(uint64(len(val)))
 	s.promote(sh, key, val, ref)
-	return val, ref.ver, true, true
+	return val, ref.ver, true
 }
 
 // promote inserts a cold-read value into the hot cache as a clean entry,
@@ -707,7 +694,4 @@ func (s *TieredStore) Close() error {
 	return err
 }
 
-var (
-	_ Backend = (*TieredStore)(nil)
-	_ Warmer  = (*TieredStore)(nil)
-)
+var _ Backend = (*TieredStore)(nil)

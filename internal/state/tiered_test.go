@@ -115,14 +115,14 @@ func TestTieredPromotion(t *testing.T) {
 	}
 	// Find a cold key, read it (promoting), then read it again hot.
 	var coldKey types.Key
-	var coldLen int
+	var coldVal []byte
 	for _, kv := range writes {
 		sh := &ts.shards[shardIndex(kv.Key)]
 		sh.mu.RLock()
 		_, hot := sh.hot[kv.Key]
 		sh.mu.RUnlock()
 		if !hot {
-			coldKey, coldLen = kv.Key, len(kv.Val)
+			coldKey, coldVal = kv.Key, kv.Val
 			break
 		}
 	}
@@ -130,15 +130,14 @@ func TestTieredPromotion(t *testing.T) {
 		t.Fatal("no cold key found")
 	}
 	before := ts.Stats().ColdReads
-	n, cold, ok := ts.Warm(coldKey)
-	if !ok || !cold || n != coldLen {
-		t.Fatalf("Warm(%q) = (%d,%v,%v), want cold hit of %d bytes", coldKey, n, cold, ok, coldLen)
+	if got, ok := ts.Get(coldKey); !ok || !bytes.Equal(got, coldVal) {
+		t.Fatalf("Get(%q) = (%q,%v), want %q", coldKey, got, ok, coldVal)
 	}
 	if got := ts.Stats().ColdReads; got != before+1 {
 		t.Fatalf("cold reads = %d, want %d", got, before+1)
 	}
-	if _, cold, ok = ts.Warm(coldKey); !ok || cold {
-		t.Fatalf("second Warm(%q) still cold", coldKey)
+	if got, ok := ts.Get(coldKey); !ok || !bytes.Equal(got, coldVal) {
+		t.Fatalf("second Get(%q) = (%q,%v), want %q", coldKey, got, ok, coldVal)
 	}
 	if got := ts.Stats().ColdReads; got != before+1 {
 		t.Fatalf("promotion did not stick: cold reads = %d", got)

@@ -32,12 +32,15 @@
 # stay within noise of the plain pipeline rows across runs, and the on
 # row reports the per-stage p50 latency breakdown (stage_*_p50_ns
 # metrics) that the runs trajectory below accumulates.
-# BenchmarkExecutorScheduler/{chained,skewed}/{fifo,critical-path,
-# load-balanced} is the dispatch-scheduler sweep: on the skewed
-# (hot-chain + independent-tail) workload the critical-path row's tx/s
-# is expected to stay >= 1.2x the fifo row's (height-first dispatch
-# keeps the serial chain off the queue-drain path); on the chained
-# workload all three rows should be close (nothing to reorder).
+# BenchmarkExecutorScheduler/{chained,skewed}/{fifo,critical-path} is
+# the dispatch-scheduler sweep: on the skewed (hot-chain +
+# independent-tail) workload the critical-path row's tx/s is expected to
+# stay >= 1.2x the fifo row's (height-first dispatch keeps the serial
+# chain off the queue-drain path); on the chained workload the two rows
+# should be close (nothing to reorder).
+# BenchmarkExecutorTiered/{mem,tiered} is the larger-than-RAM pair: a
+# Zipfian working set 8x the tiered hot budget, with the tiered row's
+# coldreads/tx and evictions/tx showing how hard the cold tier worked.
 #
 # Each run refreshes the "benchmarks" snapshot AND appends a dated entry
 # to the "runs" trajectory in the output file, so the perf history
