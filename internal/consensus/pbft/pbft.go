@@ -17,7 +17,6 @@ package pbft
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"time"
 
@@ -111,9 +110,6 @@ func BatchDigest(batch [][]byte) types.Hash {
 	h.Sum(out[:0])
 	return out
 }
-
-// ErrStopped is returned by Submit after Stop.
-var ErrStopped = errors.New("pbft: stopped")
 
 // event is the actor-mailbox item type.
 type event struct {

@@ -137,16 +137,6 @@ func TransferOp(from, to types.Key, amount int64) types.Operation {
 	}
 }
 
-// OpenOp builds the operation that opens an account with an initial
-// balance.
-func OpenOp(account types.Key, initial int64) types.Operation {
-	return types.Operation{
-		Method: "open",
-		Params: []string{account, strconv.FormatInt(initial, 10)},
-		Writes: []types.Key{account},
-	}
-}
-
 // DepositOp builds the operation that credits an account.
 func DepositOp(account types.Key, amount int64) types.Operation {
 	return types.Operation{

@@ -33,6 +33,25 @@ func balanceOf(t *testing.T, view state.Reader, key types.Key) int64 {
 
 func apply(s *state.KVStore, writes []types.KV) { s.Apply(writes) }
 
+// openOp builds the operation that opens an account with an initial
+// balance.
+func openOp(account types.Key, initial int64) types.Operation {
+	return types.Operation{
+		Method: "open",
+		Params: []string{account, strconv.FormatInt(initial, 10)},
+		Writes: []types.Key{account},
+	}
+}
+
+// delOp builds a KV delete operation.
+func delOp(key types.Key) types.Operation {
+	return types.Operation{
+		Method: "del",
+		Params: []string{key},
+		Writes: []types.Key{key},
+	}
+}
+
 func TestAccountingTransfer(t *testing.T) {
 	s := storeWith(t,
 		types.KV{Key: "alice", Val: EncodeBalance(100)},
@@ -91,7 +110,7 @@ func TestAccountingAborts(t *testing.T) {
 func TestAccountingOpenAndDeposit(t *testing.T) {
 	s := state.NewKVStore()
 	acct := NewAccounting()
-	writes, err := acct.Execute(s, OpenOp("acct", 50))
+	writes, err := acct.Execute(s, openOp("acct", 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +176,7 @@ func TestKVContract(t *testing.T) {
 	if v, _ := s.Get("k"); string(v) != "hello world" {
 		t.Fatalf("k = %q", v)
 	}
-	writes, err = kv.Execute(s, DelOp("k"))
+	writes, err = kv.Execute(s, delOp("k"))
 	if err != nil {
 		t.Fatal(err)
 	}

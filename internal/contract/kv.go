@@ -69,12 +69,3 @@ func AppendOp(key types.Key, value string) types.Operation {
 		Writes: []types.Key{key},
 	}
 }
-
-// DelOp builds a delete operation.
-func DelOp(key types.Key) types.Operation {
-	return types.Operation{
-		Method: "del",
-		Params: []string{key},
-		Writes: []types.Key{key},
-	}
-}

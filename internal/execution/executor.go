@@ -510,8 +510,8 @@ type Executor struct {
 	// needs: the actor loop stores on every change, scrapers (Status,
 	// Healthy, registered gauges) load without touching actor state.
 	mirror struct {
-		windowLen    atomic.Int64 // pipeline window occupancy
-		halted       atomic.Bool
+		windowLen    atomic.Int64           // pipeline window occupancy
+		haltReason   atomic.Pointer[string] // first haltf reason; nil while running
 		syncing      atomic.Bool
 		lastProgress atomic.Int64  // unix nanos of the last pipeline progress
 		maxSeen      atomic.Uint64 // one past the highest peer-announced block
@@ -614,8 +614,7 @@ type blockState struct {
 	final       []types.TxResult
 	commitCount int
 	complete    bool // every transaction committed; awaiting in-order finalize
-	votes       []map[types.Hash]*voteRec
-	voted       []map[types.NodeID]bool
+	tally       []voteTally
 
 	// Cross-block edges: successors in later in-flight blocks waiting on
 	// this block's transactions, per transaction index.
@@ -679,8 +678,7 @@ func (bs *blockState) growTo(n int) {
 	bs.schedCell = slices.Grow(bs.schedCell, n-len(bs.schedCell))
 	bs.committed = slices.Grow(bs.committed, n-len(bs.committed))
 	bs.final = slices.Grow(bs.final, n-len(bs.final))
-	bs.votes = slices.Grow(bs.votes, n-len(bs.votes))
-	bs.voted = slices.Grow(bs.voted, n-len(bs.voted))
+	bs.tally = slices.Grow(bs.tally, n-len(bs.tally))
 	bs.crossSucc = slices.Grow(bs.crossSucc, n-len(bs.crossSucc))
 	bs.epoch = slices.Grow(bs.epoch, n-len(bs.epoch))
 	bs.specActive = slices.Grow(bs.specActive, n-len(bs.specActive))
@@ -698,9 +696,68 @@ type crossRef struct {
 	idx int
 }
 
+// maxAgents bounds an application's agent set: a vote tally gives each
+// agent one bit of a uint64 and reserves selfBit.
+const (
+	maxAgents = 63
+	selfBit   = 63
+)
+
+// voteTally counts one transaction's COMMIT votes (Algorithm 3's "matching
+// records in Re(x) >= tau(A)"). voters holds a bit per voter that already
+// voted: its index in AgentsOf[app], or selfBit for this node's own vote
+// when the configuration does not list it. The first result voted leads
+// and is kept inline with its count; results that diverge from it are
+// counted in a map allocated on the first divergence, which honest
+// agents never cause.
+type voteTally struct {
+	voters uint64
+	count  int // votes matching lead
+	lead   types.TxResult
+	leadD  types.Hash // lead's digest
+	others map[types.Hash]*voteRec
+}
+
 type voteRec struct {
 	count  int
 	result types.TxResult
+}
+
+// add counts a vote by the voter holding bit. counted is false for a
+// voter that already voted. won is the result that reached tau with this
+// vote, if any. d is the vote's digest, computed once per vote and only
+// when won is nil: a first vote that reaches tau alone is never hashed.
+func (t *voteTally) add(bit uint, r *types.TxResult, tau int) (counted bool, won *types.TxResult, d types.Hash) {
+	if t.voters&(1<<bit) != 0 {
+		return false, nil, d
+	}
+	t.voters |= 1 << bit
+	if t.count == 0 {
+		if tau <= 1 {
+			return true, r, d
+		}
+		t.lead, t.leadD, t.count = *r, r.Digest(), 1
+		return true, nil, t.leadD
+	}
+	d = r.Digest()
+	if d == t.leadD {
+		if t.count++; t.count >= tau {
+			return true, &t.lead, d
+		}
+		return true, nil, d
+	}
+	rec := t.others[d]
+	if rec == nil {
+		if t.others == nil {
+			t.others = make(map[types.Hash]*voteRec, 1)
+		}
+		rec = &voteRec{result: *r}
+		t.others[d] = rec
+	}
+	if rec.count++; rec.count >= tau {
+		return true, &rec.result, d
+	}
+	return true, nil, d
 }
 
 // voterScore is one agent's adoption track record: how many of its
@@ -717,8 +774,24 @@ type voterScore struct {
 	missed  uint64
 }
 
-// New creates an executor node. Call Start before use.
+// CheckAgents rejects an application with more agents than a vote tally
+// has bits for (maxAgents), naming the application.
+func CheckAgents(agentsOf map[types.AppID][]types.NodeID) error {
+	for app, agents := range agentsOf {
+		if len(agents) > maxAgents {
+			return fmt.Errorf("execution: application %s has %d agents, at most %d are supported",
+				app, len(agents), maxAgents)
+		}
+	}
+	return nil
+}
+
+// New creates an executor node. Call Start before use. It panics with
+// CheckAgents' error on an application with more than 63 agents.
 func New(cfg Config) *Executor {
+	if err := CheckAgents(cfg.AgentsOf); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	e := &Executor{
 		cfg:            cfg,
@@ -906,11 +979,13 @@ func (e *Executor) handleMsg(msg transport.Message) {
 // or an unrecoverable speculation failure (the pinned segment stream of
 // an already-executing block broke or diverged from the sealed content —
 // executed state cannot be rolled back; ROADMAP lists speculative
-// rollback/re-pinning as a follow-on).
+// rollback/re-pinning as a follow-on). The first reason is kept for
+// /statusz and /healthz.
 func (e *Executor) haltf(format string, args ...any) {
-	e.cfg.Logf("executor %s: halting: %s", e.cfg.ID, fmt.Sprintf(format, args...))
+	reason := fmt.Sprintf(format, args...)
+	e.cfg.Logf("executor %s: halting: %s", e.cfg.ID, reason)
 	e.halted = true
-	e.mirror.halted.Store(true)
+	e.mirror.haltReason.CompareAndSwap(nil, &reason)
 }
 
 // beyondHorizon reports whether a block number is too far in the future
@@ -1586,8 +1661,7 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 		bs.execLocal = append(bs.execLocal, false)
 		bs.committed = append(bs.committed, false)
 		bs.final = append(bs.final, types.TxResult{})
-		bs.votes = append(bs.votes, nil)
-		bs.voted = append(bs.voted, nil)
+		bs.tally = append(bs.tally, voteTally{})
 		bs.crossSucc = append(bs.crossSucc, nil)
 		bs.epoch = append(bs.epoch, 0)
 		bs.specActive = append(bs.specActive, false)
@@ -1817,7 +1891,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	} else {
 		// Stage the result for multicast and vote for it ourselves.
 		bs.outBuf = append(bs.outBuf, result)
-		e.addVote(bs, idx, result, e.cfg.ID)
+		e.addVote(bs, idx, result, e.cfg.ID, e.ownBit(bs.txns[idx].App))
 	}
 
 	// Algorithm 2: flush when a successor belongs to another application
@@ -1921,48 +1995,49 @@ func (e *Executor) applyCommitMsg(bs *blockState, m *types.CommitMsg) {
 		}
 		// Algorithm 3 accepts a result only from agents of the
 		// transaction's application.
-		if !e.isAgentOf(tx.App, m.Executor) {
+		bit := e.agentIndex(tx.App, m.Executor)
+		if bit < 0 {
 			continue
 		}
-		e.addVote(bs, r.Index, r, m.Executor)
+		e.addVote(bs, r.Index, r, m.Executor, uint(bit))
 	}
 }
 
-func (e *Executor) isAgentOf(app types.AppID, node types.NodeID) bool {
-	for _, agent := range e.cfg.AgentsOf[app] {
+// agentIndex returns node's index in AgentsOf[app] — its bit in a vote
+// tally — or -1 when node is not an agent of app.
+func (e *Executor) agentIndex(app types.AppID, node types.NodeID) int {
+	for i, agent := range e.cfg.AgentsOf[app] {
 		if agent == node {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// ownBit is this node's bit in app's vote tallies: its agent index, or
+// the reserved selfBit when the configuration does not list it. Locality
+// comes from the Registry, not AgentsOf, so an unlisted node still votes.
+func (e *Executor) ownBit(app types.AppID) uint {
+	if i := e.agentIndex(app, e.cfg.ID); i >= 0 {
+		return uint(i)
+	}
+	return selfBit
 }
 
 // addVote counts one agent's result for a transaction; at tau(A) matching
 // results the transaction commits (Algorithm 3's "Matching records in
 // Re(x) >= tau(A)").
-func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID) {
+func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID, bit uint) {
 	if bs.committed[idx] {
 		return
 	}
-	if bs.voted[idx] == nil {
-		bs.voted[idx] = make(map[types.NodeID]bool, 2)
-		bs.votes[idx] = make(map[types.Hash]*voteRec, 1)
-	}
-	if bs.voted[idx][voter] {
-		return
-	}
-	bs.voted[idx][voter] = true
-	d := r.Digest()
-	rec, ok := bs.votes[idx][d]
-	if !ok {
-		rec = &voteRec{result: r}
-		bs.votes[idx][d] = rec
-	}
-	rec.count++
-	if rec.count >= e.tau(bs.txns[idx].App) {
-		e.commitTx(bs, idx, rec.result)
-	} else if e.cfg.Speculate {
-		e.maybeAdoptVote(bs, idx, r, voter)
+	counted, won, d := bs.tally[idx].add(bit, &r, e.tau(bs.txns[idx].App))
+	switch {
+	case !counted:
+	case won != nil:
+		e.commitTx(bs, idx, *won)
+	case e.cfg.Speculate:
+		e.maybeAdoptVote(bs, idx, r, voter, d)
 	}
 }
 
@@ -1983,7 +2058,8 @@ func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter type
 // not adopted (they still count toward the quorum tally; a quorum that
 // endorses them is beyond the fault assumption, like any other
 // quorum-backed content).
-func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID) {
+// d is the vote's digest, already computed by the tally.
+func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID, d types.Hash) {
 	if !bs.started || bs.isLocal[idx] || bs.specActive[idx] || bs.committed[idx] {
 		return
 	}
@@ -2010,7 +2086,6 @@ func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, vot
 	}
 	sc.adopted++
 	bs.specVoter[idx] = voter
-	d := r.Digest()
 	bs.specDigest[idx] = d
 	bs.specActive[idx] = true
 	if !r.Aborted {
@@ -2148,7 +2223,7 @@ func (e *Executor) releaseGated(bs *blockState, idx int) {
 	}
 	e.stats.specHits.Add(1)
 	bs.outBuf = append(bs.outBuf, *r)
-	e.addVote(bs, idx, *r, e.cfg.ID)
+	e.addVote(bs, idx, *r, e.cfg.ID, e.ownBit(bs.txns[idx].App))
 	if bs.valid {
 		e.flushCommits(bs)
 	}
@@ -2216,8 +2291,7 @@ func (e *Executor) tau(app types.AppID) int {
 func (e *Executor) commitTx(bs *blockState, idx int, r types.TxResult) {
 	bs.committed[idx] = true
 	bs.final[idx] = r
-	bs.votes[idx] = nil
-	bs.voted[idx] = nil
+	bs.tally[idx] = voteTally{}
 	if e.cfg.Speculate {
 		e.promoteOrCascade(bs, idx, &bs.final[idx])
 	} else if !r.Aborted {

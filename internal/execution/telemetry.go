@@ -73,7 +73,7 @@ func (e *Executor) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.L
 		func() float64 { return float64(e.work.Len()) })
 	gauge("parblockchain_executor_halted",
 		"1 after a fault-model violation halted protocol progress.",
-		func() float64 { return b2f(e.mirror.halted.Load()) })
+		func() float64 { return b2f(e.mirror.haltReason.Load() != nil) })
 	gauge("parblockchain_executor_syncing",
 		"1 while the state-sync requester is catching up from peers.",
 		func() float64 { return b2f(e.mirror.syncing.Load()) })
@@ -109,6 +109,7 @@ type Status struct {
 	PipelineDepth     int    `json:"pipeline_depth"`
 	QueueDepth        int    `json:"queue_depth"`
 	Halted            bool   `json:"halted"`
+	HaltReason        string `json:"halt_reason,omitempty"`
 	Syncing           bool   `json:"syncing"`
 	MaxSeen           uint64 `json:"max_seen"`
 	LastProgressMs    int64  `json:"last_progress_ms"`
@@ -128,12 +129,14 @@ func (e *Executor) Status() Status {
 		WindowDepth:       int(e.mirror.windowLen.Load()),
 		PipelineDepth:     e.cfg.PipelineDepth,
 		QueueDepth:        e.work.Len(),
-		Halted:            e.mirror.halted.Load(),
 		Syncing:           e.mirror.syncing.Load(),
 		MaxSeen:           e.mirror.maxSeen.Load(),
 		LastProgressMs:    time.Since(time.Unix(0, e.mirror.lastProgress.Load())).Milliseconds(),
 		StreamBufferBytes: e.mirror.streamBytes.Load(),
 		CommitBufferBytes: e.mirror.commitBytes.Load(),
+	}
+	if reason := e.mirror.haltReason.Load(); reason != nil {
+		st.Halted, st.HaltReason = true, *reason
 	}
 	if ts, ok := e.cfg.Store.(*state.TieredStore); ok {
 		tstats := ts.Stats()
@@ -150,8 +153,8 @@ func (e *Executor) Status() Status {
 // with peers known to be ahead (the same condition that arms the sync
 // requester).
 func (e *Executor) Healthy() error {
-	if e.mirror.halted.Load() {
-		return fmt.Errorf("halted")
+	if reason := e.mirror.haltReason.Load(); reason != nil {
+		return fmt.Errorf("halted: %s", *reason)
 	}
 	if e.mirror.syncing.Load() {
 		return fmt.Errorf("state sync in progress at height %d", e.cfg.Ledger.Height())

@@ -2,6 +2,10 @@ package execution
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +115,61 @@ func TestTelemetryScrapeUnderLoad(t *testing.T) {
 	stages := tracer.StageSnapshot()
 	if stages["total"].Count != blocks {
 		t.Fatalf("total stage count = %d, want %d", stages["total"].Count, blocks)
+	}
+}
+
+// A halted executor names the reason on both ops endpoints: /statusz
+// carries halt_reason next to halted, /healthz answers "halted: <reason>".
+func TestHaltReasonOnOpsEndpoints(t *testing.T) {
+	h := newHarness(t, nil)
+	srv := httptest.NewServer(telemetry.NewHandler(telemetry.ServerConfig{
+		Status: func() any { return h.exec.Status() },
+		Health: h.exec.Healthy,
+	}))
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if _, body := get("/statusz"); strings.Contains(body, "halt_reason") {
+		t.Fatalf("a running executor must omit halt_reason: %s", body)
+	}
+
+	// A quorum-backed block that does not extend the local chain halts.
+	h.prevHash = types.Hash{0xbd}
+	h.sendBlock([]*types.Transaction{kvTx("app1", 1, "a", "1")})
+	const reason = "block 0 does not extend local chain"
+	deadline := time.Now().Add(5 * time.Second)
+	for !h.exec.Status().Halted {
+		if time.Now().After(deadline) {
+			t.Fatal("executor did not halt")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	code, body := get("/statusz")
+	var st struct {
+		Halted     bool   `json:"halted"`
+		HaltReason string `json:"halt_reason"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil || code != http.StatusOK {
+		t.Fatalf("/statusz = %d %q: %v", code, body, err)
+	}
+	if !st.Halted || st.HaltReason != reason {
+		t.Fatalf("/statusz halted=%v halt_reason=%q, want true %q", st.Halted, st.HaltReason, reason)
+	}
+	code, body = get("/healthz")
+	if code != http.StatusServiceUnavailable || strings.TrimSpace(body) != "halted: "+reason {
+		t.Fatalf("/healthz = %d %q, want 503 %q", code, body, "halted: "+reason)
 	}
 }
 

@@ -162,8 +162,10 @@ func (l *Ledger) Get(height uint64) (Entry, error) {
 }
 
 // Verify re-validates the held chain: numbering, hash links from the base
-// anchor, and transaction commitments. It returns the first violation
-// found, if any.
+// anchor, and transaction commitments. It is an audit, so it re-hashes
+// every transaction from its content instead of trusting sealed digests
+// (Append may trust them): an in-memory rewrite of a sealed transaction
+// still fails. It returns the first violation found, if any.
 func (l *Ledger) Verify() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -175,7 +177,7 @@ func (l *Ledger) Verify() error {
 		if e.Block.Header.PrevHash != prev {
 			return fmt.Errorf("%w: block %d", ErrBadPrevHash, i)
 		}
-		if !e.Block.VerifyTxRoot() {
+		if !e.Block.AuditTxRoot() {
 			return fmt.Errorf("%w: block %d", ErrBadTxRoot, i)
 		}
 		prev = e.Block.Hash()

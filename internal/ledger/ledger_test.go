@@ -117,6 +117,37 @@ func TestVerifyDetectsRewrittenHistory(t *testing.T) {
 	}
 }
 
+// Verify is an audit from content: a sealed transaction edited in place
+// still returns its cached digest, so a root built from cached leaves
+// would miss the edit that a root re-hashed from content catches.
+func TestVerifyDetectsRewrittenSealedTransaction(t *testing.T) {
+	l := New()
+	for i := 0; i < 3; i++ {
+		e := entryFor(l, "t1", "t2")
+		for j, tx := range e.Block.Txns {
+			decoded, err := types.UnmarshalTransaction(tx.Marshal()) // sealed
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Block.Txns[j] = decoded
+		}
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatalf("Verify clean chain: %v", err)
+	}
+	e, _ := l.Get(1)
+	e.Block.Txns[1].Op.Method = "evil"
+	if !e.Block.VerifyTxRoot() {
+		t.Fatal("the cached leaf should hide the edit from VerifyTxRoot")
+	}
+	if err := l.Verify(); !errors.Is(err, ErrBadTxRoot) {
+		t.Fatalf("Verify = %v, want ErrBadTxRoot for an edited sealed transaction", err)
+	}
+}
+
 func TestRestoredLedgerResumesAtBase(t *testing.T) {
 	// Build a full chain, then restore a ledger at height 3 the way the
 	// durability recovery does, and continue the same chain on it.

@@ -283,6 +283,9 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	if err := cfg.Validate(cfg.DataDir != ""); err != nil {
 		return fail(err)
 	}
+	if err := execution.CheckAgents(cfg.Agents); err != nil {
+		return fail(err)
+	}
 	registry := contract.NewRegistry()
 	for app, agents := range cfg.Agents {
 		if !slices.Contains(agents, cfg.ID) {

@@ -23,21 +23,20 @@ import (
 
 // AccessControl restricts which clients may submit operations for which
 // applications. The orderers are the trusted entities that discard
-// requests from unauthorized clients. A nil *AccessControl allows all.
+// requests from unauthorized clients. A nil *AccessControl allows all; the
+// zero value denies everyone until Allow.
 type AccessControl struct {
 	mu      sync.RWMutex
 	allowed map[types.AppID]map[types.NodeID]bool
-}
-
-// NewAccessControl returns an empty ACL (denying everyone until Allow).
-func NewAccessControl() *AccessControl {
-	return &AccessControl{allowed: make(map[types.AppID]map[types.NodeID]bool)}
 }
 
 // Allow grants a client access to an application.
 func (a *AccessControl) Allow(app types.AppID, client types.NodeID) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.allowed == nil {
+		a.allowed = make(map[types.AppID]map[types.NodeID]bool)
+	}
 	clients, ok := a.allowed[app]
 	if !ok {
 		clients = make(map[types.NodeID]bool)

@@ -223,7 +223,7 @@ func TestDuplicateTransactionsDropped(t *testing.T) {
 }
 
 func TestACLRejectsUnauthorizedClient(t *testing.T) {
-	acl := NewAccessControl()
+	acl := &AccessControl{}
 	acl.Allow("app1", "c-good")
 	f := newFixture(t, func(cfg *Config) { cfg.ACL = acl })
 	bad := testTx("c1", 1, nil, []types.Key{"k"}) // c1 not allowed

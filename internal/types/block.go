@@ -1,5 +1,10 @@
 package types
 
+import (
+	"crypto/sha256"
+	"encoding/binary"
+)
+
 // BlockHeader carries the chaining metadata of a block. Headers are hashed
 // to link blocks: each header embeds the hash of the previous block
 // (h = H(B') in the paper's NEWBLOCK message).
@@ -56,28 +61,40 @@ func NewBlock(number uint64, prev Hash, txns []*Transaction) *Block {
 
 // TxMerkleRoot computes the Merkle root over the transactions' digests.
 // An empty transaction list yields the zero hash. Odd levels duplicate the
-// trailing node, the conventional Bitcoin-style padding.
+// trailing node, the conventional Bitcoin-style padding. Sealed
+// transactions contribute their cached digests, so only the internal
+// nodes are hashed.
 func TxMerkleRoot(txns []*Transaction) Hash {
+	return merkleRoot(txns, (*Transaction).Digest)
+}
+
+// merkleRoot is the one Merkle builder: leaf supplies each transaction's
+// leaf hash, and the levels are reduced in place in a single slice. An
+// internal node hashes the two children with the digest encoder's length
+// prefixes, built on the stack.
+func merkleRoot(txns []*Transaction, leaf func(*Transaction) Hash) Hash {
 	if len(txns) == 0 {
 		return ZeroHash
 	}
 	level := make([]Hash, len(txns))
 	for i, tx := range txns {
-		level[i] = tx.Digest()
+		level[i] = leaf(tx)
 	}
-	for len(level) > 1 {
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
+	// node is len(left) || left || len(right) || right.
+	const half = 8 + sha256.Size
+	var node [2 * half]byte
+	binary.BigEndian.PutUint64(node[0:], sha256.Size)
+	binary.BigEndian.PutUint64(node[half:], sha256.Size)
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
 			j := i + 1
-			if j == len(level) {
+			if j == n {
 				j = i // duplicate the odd trailing node
 			}
-			e := newEncoder()
-			e.bytes(level[i][:])
-			e.bytes(level[j][:])
-			next = append(next, e.sum())
+			copy(node[8:half], level[i][:])
+			copy(node[half+8:], level[j][:])
+			level[i/2] = sha256.Sum256(node[:])
 		}
-		level = next
 	}
 	return level[0]
 }
@@ -98,7 +115,15 @@ func (b *Block) Apps() []AppID {
 }
 
 // VerifyTxRoot recomputes the Merkle root of the block body and reports
-// whether it matches the header commitment.
+// whether it matches the header commitment. Sealed transactions
+// contribute their cached digests.
 func (b *Block) VerifyTxRoot() bool {
 	return TxMerkleRoot(b.Txns) == b.Header.TxRoot
+}
+
+// AuditTxRoot is VerifyTxRoot with every leaf re-hashed from the
+// transactions' content, ignoring sealed digests: it catches an in-place
+// edit of a sealed transaction, which VerifyTxRoot by design cannot.
+func (b *Block) AuditTxRoot() bool {
+	return merkleRoot(b.Txns, (*Transaction).contentDigest) == b.Header.TxRoot
 }

@@ -22,11 +22,6 @@ type ByteWriter struct {
 	buf []byte
 }
 
-// NewByteWriter returns a writer with the given initial capacity.
-func NewByteWriter(capacity int) *ByteWriter {
-	return &ByteWriter{buf: make([]byte, 0, capacity)}
-}
-
 // writerPool recycles codec buffers across the hot encoding paths
 // (transaction marshaling, message digests): the ordering pipeline
 // serializes every transaction at least once per submission, and without
@@ -287,7 +282,8 @@ func UnmarshalTransaction(b []byte) (*Transaction, error) {
 }
 
 // decodeTransaction consumes one transaction encoding from the reader;
-// enclosing decoders (blocks, endorsed transactions) embed it.
+// enclosing decoders (blocks, endorsed transactions) embed it. A cleanly
+// decoded transaction is sealed before any caller can share it.
 func decodeTransaction(r *ByteReader) *Transaction {
 	t := &Transaction{
 		ID:       TxID(r.Str()),
@@ -301,6 +297,9 @@ func decodeTransaction(r *ByteReader) *Transaction {
 	t.Op.Writes = r.Strs()
 	t.SubmitUnixNano = r.I64()
 	t.Sig = r.Blob()
+	if r.err == nil {
+		t.Seal()
+	}
 	return t
 }
 

@@ -21,7 +21,8 @@ func TestWriterPoolReuse(t *testing.T) {
 	w2.Str("second-encoding-overwrites-buffer")
 	ReleaseWriter(w2)
 
-	want := NewByteWriter(16)
+	want := AcquireWriter()
+	defer ReleaseWriter(want)
 	want.Str("first")
 	if !bytes.Equal(first, want.Bytes()) {
 		t.Fatalf("cloned encoding corrupted by pool reuse: %q", first)
@@ -95,7 +96,7 @@ func BenchmarkWriterPooled(b *testing.B) {
 func BenchmarkWriterFresh(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := NewByteWriter(512)
+		w := &ByteWriter{buf: make([]byte, 0, 512)}
 		w.U64(uint64(i))
 		w.Str("account-000123")
 		w.Blob(make([]byte, 0))

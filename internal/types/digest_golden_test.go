@@ -55,10 +55,14 @@ func TestDigestGolden(t *testing.T) {
 
 // TestDigestDoesNotAllocate: a transaction digest is computed several
 // times per transaction per node, so its encoding buffer must not be a
-// fresh heap allocation each time.
+// fresh heap allocation each time — sealed or not.
 func TestDigestDoesNotAllocate(t *testing.T) {
 	tx := goldenTxns()[0]
 	if n := testing.AllocsPerRun(100, func() { tx.Digest() }); n != 0 {
 		t.Fatalf("Transaction.Digest allocates %v times per call, want 0", n)
+	}
+	tx.Seal()
+	if n := testing.AllocsPerRun(100, func() { tx.Digest() }); n != 0 {
+		t.Fatalf("sealed Transaction.Digest allocates %v times per call, want 0", n)
 	}
 }

@@ -85,12 +85,41 @@ type Transaction struct {
 	SubmitUnixNano int64
 	// Sig is the client's signature over Digest().
 	Sig []byte
+
+	// digest caches the digest Seal computed; sealed points at the
+	// transaction Seal ran on. A struct copy keeps the old pointer, so
+	// Digest recognizes it as unsealed. Neither field goes on the wire.
+	digest Hash
+	sealed *Transaction
+}
+
+// Seal computes the transaction's digest once and caches it, so every
+// later Digest call — Merkle roots, signature checks, segment digests —
+// returns it without re-hashing. Decoding and workload.Finalize seal,
+// before the transaction is shared; the cache is never filled lazily, so
+// concurrent readers never race on it. A sealed transaction is
+// immutable: an edit in place after Seal is invisible to Digest (only
+// Block.AuditTxRoot, which re-hashes content, catches one). A struct copy
+// is unsealed and hashes its own content.
+func (t *Transaction) Seal() Hash {
+	t.digest = t.contentDigest()
+	t.sealed = t
+	return t.digest
 }
 
 // Digest returns a deterministic SHA-256 digest of the transaction's
 // signed fields. Both the client signature and the transaction ID are
-// derived from this digest.
+// derived from this digest. A sealed transaction returns the digest
+// cached by Seal.
 func (t *Transaction) Digest() Hash {
+	if t.sealed == t {
+		return t.digest
+	}
+	return t.contentDigest()
+}
+
+// contentDigest hashes the signed fields, ignoring any sealed digest.
+func (t *Transaction) contentDigest() Hash {
 	e := newEncoder()
 	e.str(string(t.App))
 	e.str(string(t.Client))

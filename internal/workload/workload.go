@@ -257,7 +257,8 @@ func (g *Generator) nextColdKey(app types.AppID) types.Key {
 
 // Finalize stamps client-side metadata and signs the transaction: it sets
 // SubmitUnixNano, derives the ID from the digest, and signs with the
-// client's signer.
+// client's signer. It seals the transaction (types.Transaction.Seal), so
+// the caller must not edit it afterwards.
 func Finalize(tx *types.Transaction, nowUnixNano int64, sign func(digest []byte) []byte) {
 	// Canonicalize the declared access sets before anything commits to
 	// the transaction's bytes: the digest (hence ID and signature) must
@@ -267,7 +268,9 @@ func Finalize(tx *types.Transaction, nowUnixNano int64, sign func(digest []byte)
 	tx.Op.Reads = types.NormalizeKeys(tx.Op.Reads)
 	tx.Op.Writes = types.NormalizeKeys(tx.Op.Writes)
 	tx.SubmitUnixNano = nowUnixNano
-	digest := tx.Digest()
+	// ID and Sig are outside the digest, so setting them after Seal is not
+	// an edit of a sealed field.
+	digest := tx.Seal()
 	tx.ID = types.TxID(digest.String()[:16] + "-" + string(tx.Client))
 	tx.Sig = sign(digest[:])
 }
