@@ -9,7 +9,6 @@
 //	parbench -fig ablations A1 (eager vs lazy COMMIT), A2 (MVCC graph
 //	                        rule), A4 (consensus plug comparison)
 //	parbench -fig pipeline  executor pipeline-depth sweep
-//	parbench -fig scheduler conflict-aware dispatch scheduler sweep
 //	parbench -fig stream    orderer->executor segment-streaming sweep
 //	parbench -fig durability  WAL fsync cost on the finalize hot path
 //	parbench -fig speculation speculative commit-wait bypass vs vote delay
@@ -29,7 +28,6 @@ import (
 
 	"parblockchain/internal/bench"
 	"parblockchain/internal/depgraph"
-	"parblockchain/internal/execution"
 	"parblockchain/internal/node"
 	"parblockchain/internal/persist"
 )
@@ -53,7 +51,7 @@ type config struct {
 
 func run() error {
 	var cfg config
-	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline scheduler stream durability speculation tiered all")
+	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline stream durability speculation tiered all")
 	flag.BoolVar(&cfg.quick, "quick", false, "reduced sweep ranges for a fast pass")
 	flag.BoolVar(&cfg.csv, "csv", false, "emit raw CSV rows instead of tables")
 	flag.DurationVar(&cfg.opts.Duration, "dur", 2*time.Second, "steady-state measurement window per point")
@@ -61,7 +59,6 @@ func run() error {
 	flag.DurationVar(&cfg.opts.ExecCost, "execcost", time.Millisecond, "modeled contract service time")
 	flag.BoolVar(&cfg.opts.Crypto, "crypto", false, "enable ed25519 signing end to end")
 	flag.IntVar(&cfg.opts.PipelineDepth, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
-	flag.TextVar(&cfg.opts.Scheduler, "scheduler", execution.SchedFIFO, "ready-transaction dispatch scheduler for all OXII runs: "+strings.Join(execution.SchedulerNames, ", "))
 	flag.IntVar(&cfg.opts.SegmentTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = monolithic NEWBLOCK)")
 	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
 	flag.BoolVar(&cfg.opts.Speculate, "speculate", false, "speculative commit-wait bypass for all OXII runs (adopt first votes, gate multicasts, cascade on mismatch)")
@@ -90,13 +87,12 @@ func run() error {
 		"7d":          func(c config) error { return fig7(c, bench.GroupPassive) },
 		"ablations":   ablations,
 		"pipeline":    figPipeline,
-		"scheduler":   figScheduler,
 		"stream":      figStream,
 		"durability":  figDurability,
 		"speculation": figSpeculation,
 		"tiered":      figTiered,
 	}
-	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "pipeline", "scheduler", "stream", "durability", "speculation", "tiered"}
+	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "pipeline", "stream", "durability", "speculation", "tiered"}
 
 	switch cfg.fig {
 	case "all":
@@ -211,24 +207,6 @@ func figPipeline(c config) error {
 		rows = append(rows, namedSeries{name: fmt.Sprintf("depth=%d", s.Depth), points: s.Points})
 	}
 	printSeries(c, "Pipeline: throughput vs executor pipeline depth @ 20% contention", rows)
-	return nil
-}
-
-// figScheduler sweeps the ready-transaction dispatch schedulers at
-// moderate contention: FIFO vs critical-path, pipelined executors.
-// Results are bit-identical across schedulers; the sweep isolates
-// dispatch-order throughput.
-func figScheduler(c config) error {
-	scheds := []execution.SchedulerKind{execution.SchedFIFO, execution.SchedCriticalPath}
-	series, err := bench.SchedulerSweep(c.opts, 0.2, scheds, c.clientLevels(), os.Stderr)
-	if err != nil {
-		return err
-	}
-	rows := make([]namedSeries, 0, len(series))
-	for _, s := range series {
-		rows = append(rows, namedSeries{name: s.Scheduler.String(), points: s.Points})
-	}
-	printSeries(c, "Scheduler: conflict-aware dispatch @ 20% contention", rows)
 	return nil
 }
 

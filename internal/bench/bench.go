@@ -271,10 +271,6 @@ type Result struct {
 	Evictions     uint64
 	HotKeys       int
 	ColdKeys      int
-	// PrioRefreshes counts critical-path queue entries re-pushed at a
-	// fresher priority after later segments raised their remaining-chain
-	// height.
-	PrioRefreshes uint64
 	// Stages is the observer executor's per-stage block-lifecycle latency
 	// breakdown (nil without Options.Trace), keyed by stage name —
 	// admission, dispatch, execute, seal, finalize, fsync, externalize —
@@ -472,9 +468,6 @@ func Run(opts Options) (Result, error) {
 			return
 		}
 		tieredStats = func(r *Result) {
-			for _, e := range nw.Executors {
-				r.PrioRefreshes += e.Stats().PrioRefreshes
-			}
 			for _, s := range nw.Stores {
 				ts, ok := s.(*state.TieredStore)
 				if !ok {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"time"
 
-	"parblockchain/internal/execution"
 	"parblockchain/internal/persist"
 )
 
@@ -308,41 +307,6 @@ func SpeculationSweep(base Options, contention float64, delays []time.Duration,
 				}
 				fmt.Fprintln(progress, line)
 			}
-		}
-	}
-	return series, nil
-}
-
-// SchedulerSeries is one line of a scheduler plot: OXII's
-// throughput-latency curve under one ready-transaction dispatch policy.
-type SchedulerSeries struct {
-	Scheduler execution.SchedulerKind
-	Points    []SweepPoint
-}
-
-// SchedulerSweep measures the critical-path dispatch policy against the
-// FIFO baseline at a fixed contention level (pipelined executors). Both
-// schedulers commit bit-identical results — the sweep isolates pure
-// dispatch-order throughput: critical-path dispatch drains long
-// dependency chains ahead of independent fillers.
-func SchedulerSweep(base Options, contention float64, scheds []execution.SchedulerKind,
-	clientLevels []int, progress io.Writer) ([]SchedulerSeries, error) {
-	series := make([]SchedulerSeries, 0, len(scheds))
-	for _, sched := range scheds {
-		opts := base
-		opts.System = SystemOXII
-		opts.Contention = contention
-		opts.Scheduler = sched
-		points, err := Curve(opts, clientLevels)
-		if err != nil {
-			return series, err
-		}
-		series = append(series, SchedulerSeries{Scheduler: sched, Points: points})
-		if progress != nil {
-			peak := Peak(points)
-			fmt.Fprintf(progress, "scheduler %-13s peak=%8.0f tx/s lat=%8s\n",
-				sched, peak.Result.Throughput,
-				peak.Result.AvgLatency.Round(time.Millisecond))
 		}
 	}
 	return series, nil

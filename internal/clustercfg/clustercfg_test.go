@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"parblockchain/internal/depgraph"
-	"parblockchain/internal/execution"
 	"parblockchain/internal/node"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/types"
@@ -242,7 +241,6 @@ func TestRoundTrip(t *testing.T) {
 		BlockIntervalMs: 20,
 		Tunables: node.Tunables{
 			ExecWorkers:      3,
-			Scheduler:        execution.SchedCriticalPath,
 			PipelineDepth:    2,
 			SegmentTxns:      16,
 			Speculate:        true,

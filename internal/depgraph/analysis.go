@@ -24,6 +24,28 @@ func (g *Graph) Levels() []int {
 	return levels
 }
 
+// Heights assigns each node the length in edges of the longest directed
+// path starting at it: nodes with no successors are height 0, and every
+// other node is one more than the maximum height among its successors.
+// It is the downstream dual of Levels: the tallest ready transaction
+// heads the longest remaining chain.
+func (g *Graph) Heights() []int {
+	heights := make([]int, g.N)
+	// Edges always point from a lower to a higher index (both builders
+	// guarantee pred < self), so reverse index order is reverse
+	// topological order.
+	for j := g.N - 1; j >= 0; j-- {
+		max := -1
+		for _, s := range g.Succ[j] {
+			if heights[s] > max {
+				max = heights[s]
+			}
+		}
+		heights[j] = max + 1
+	}
+	return heights
+}
+
 // CriticalPathLen returns the number of levels in the graph: the length of
 // the longest dependency chain, which lower-bounds the sequential rounds
 // any schedule must take. An empty graph has length 0; a block with no

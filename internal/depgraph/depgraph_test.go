@@ -209,6 +209,76 @@ func TestLevelsRespectEdges(t *testing.T) {
 	}
 }
 
+// bruteHeights computes longest-downstream-path heights over an
+// arbitrary DAG given as predecessor lists per node, by plain fixpoint
+// iteration — the reference Heights is checked against.
+func bruteHeights(preds [][]int) []int {
+	heights := make([]int, len(preds))
+	for changed := true; changed; {
+		changed = false
+		for j := range preds {
+			for _, p := range preds[j] {
+				if heights[j]+1 > heights[p] {
+					heights[p] = heights[j] + 1
+					changed = true
+				}
+			}
+		}
+	}
+	return heights
+}
+
+func TestGraphHeightsAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		pred := make([][]int32, n)
+		succ := make([][]int32, n)
+		flat := make([][]int, n)
+		for j := 1; j < n; j++ {
+			for p := 0; p < j; p++ {
+				if rng.Float64() < 0.15 {
+					pred[j] = append(pred[j], int32(p))
+					succ[p] = append(succ[p], int32(j))
+					flat[j] = append(flat[j], p)
+				}
+			}
+		}
+		g := &Graph{N: n, Pred: pred, Succ: succ}
+		want := bruteHeights(flat)
+		got := g.Heights()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("trial %d node %d: Heights() = %d, brute force = %d", trial, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+func TestGraphHeightsShapes(t *testing.T) {
+	// A chain 0 -> 1 -> 2 -> 3: heights are 3,2,1,0.
+	chain := &Graph{
+		N:    4,
+		Pred: [][]int32{nil, {0}, {1}, {2}},
+		Succ: [][]int32{{1}, {2}, {3}, nil},
+	}
+	for j, want := range []int{3, 2, 1, 0} {
+		if got := chain.Heights()[j]; got != want {
+			t.Fatalf("chain node %d: height %d, want %d", j, got, want)
+		}
+	}
+	// An independent block: every height 0.
+	flat := &Graph{N: 3, Pred: make([][]int32, 3), Succ: make([][]int32, 3)}
+	for j, h := range flat.Heights() {
+		if h != 0 {
+			t.Fatalf("independent node %d has height %d", j, h)
+		}
+	}
+	if empty := (&Graph{}).Heights(); len(empty) != 0 {
+		t.Fatalf("empty graph produced %d heights", len(empty))
+	}
+}
+
 func TestValidateRejectsCorruptGraphs(t *testing.T) {
 	g := Build(paperExample(), Standard)
 	cases := map[string]func(*Graph){

@@ -50,6 +50,8 @@ func (q *Queue[T]) Pop() (T, bool) {
 		return zero, false
 	}
 	item := q.items[0]
+	var zero T
+	q.items[0] = zero // the backing array must not keep a popped item alive
 	q.items = q.items[1:]
 	return item, true
 }

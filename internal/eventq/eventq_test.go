@@ -1,9 +1,11 @@
 package eventq
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 )
 
 func TestFIFOOrder(t *testing.T) {
@@ -16,6 +18,32 @@ func TestFIFOOrder(t *testing.T) {
 		if !ok || v != i {
 			t.Fatalf("Pop = %d %v, want %d", v, ok, i)
 		}
+	}
+}
+
+// TestPopReleasesItem checks that a popped item is collectable while the
+// queue that held it lives on: the backing array must not keep it
+// reachable (an executor's popped block state or NEWBLOCK would
+// otherwise outlive its block until the array is reallocated).
+func TestPopReleasesItem(t *testing.T) {
+	type payload struct{ buf [64]byte }
+	q := New[*payload]()
+	popped := func() weak.Pointer[payload] {
+		p := &payload{}
+		q.Push(p)
+		q.Push(&payload{}) // a live successor keeps the backing array in use
+		if got, _ := q.Pop(); got != p {
+			t.Fatal("Pop returned the wrong item")
+		}
+		return weak.Make(p)
+	}()
+	runtime.GC()
+	runtime.GC()
+	if popped.Value() != nil {
+		t.Fatal("a popped item is still reachable from the queue")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", q.Len())
 	}
 }
 

@@ -163,13 +163,6 @@ type Config struct {
 	Ledger *ledger.Ledger
 	// Workers sizes the execution worker pool. Zero means 8.
 	Workers int
-	// Scheduler selects how ready transactions are ordered between
-	// dispatch and the worker pool: SchedFIFO (discovery order, the
-	// default and the paper's behavior) or SchedCriticalPath
-	// (longest-dependency-chain first). Both produce bit-identical
-	// ledgers and state; the knob trades only which ready transaction a
-	// free core runs next.
-	Scheduler SchedulerKind
 	// PipelineDepth bounds the sliding window of blocks admitted into
 	// execution before the oldest finalizes. 1 restores the strict
 	// per-block barrier of the paper; zero means the default of 4.
@@ -237,6 +230,10 @@ type Config struct {
 	Persist *persist.Manager
 	// Logf receives diagnostic messages; nil uses log.Printf.
 	Logf func(format string, args ...any)
+
+	// newQueue, when non-nil, builds the ready queue in place of the
+	// dependents-first readyQueue; tests inject a seeded dispatch order.
+	newQueue func() scheduler
 }
 
 func (c Config) withDefaults() Config {
@@ -390,10 +387,6 @@ type Stats struct {
 	// rejected by verification — tampered content, broken chain linkage,
 	// missing quorum evidence, or a state-hash mismatch.
 	SyncRejected uint64
-	// PrioRefreshes counts queued work items re-pushed at a fresher
-	// priority because their critical-path height grew after dispatch.
-	// 0 unless Config.Scheduler is critical-path.
-	PrioRefreshes uint64
 }
 
 type eventKind int
@@ -419,18 +412,12 @@ type event struct {
 // block's transaction slice (segment streaming), so workers must not read
 // bs.txns. epoch tags the execution attempt: a speculation cascade bumps
 // the transaction's epoch and re-dispatches, and the result of a
-// disowned (stale-epoch) attempt is discarded on arrival. cell is the
-// priority-refresh claim cell shared between the queued entry and the
-// actor loop (critical-path scheduler only, nil otherwise): a worker
-// claims the item by swinging it cellQueued→cellPopped, and the actor
-// invalidates a queued entry whose priority went stale by swinging it
-// cellQueued→cellStale before re-pushing a fresh entry.
+// disowned (stale-epoch) attempt is discarded on arrival.
 type workItem struct {
 	bs    *blockState
 	idx   int
 	tx    *types.Transaction
 	epoch uint32
-	cell  *atomic.Int32
 }
 
 // Executor is one executor node.
@@ -456,11 +443,6 @@ type Executor struct {
 	admitPrev types.Hash
 	window    []*blockState
 	stitcher  *depgraph.Stitcher
-	// heights maintains per-transaction critical-path heights over the
-	// window, feeding the critical-path scheduler's priorities; nil for
-	// the other schedulers (they never read it). Owned by the actor loop
-	// like the stitcher; dispatch reads it from the actor loop only.
-	heights *depgraph.HeightTracker
 
 	// streamBytes and commitBytes track, per sender, the segment and
 	// COMMIT payload currently buffered across all blocks (the
@@ -503,7 +485,6 @@ type Executor struct {
 		syncRecs      atomic.Uint64
 		syncSnaps     atomic.Uint64
 		syncRejected  atomic.Uint64
-		prioRefresh   atomic.Uint64
 	}
 
 	// mirror holds atomic copies of actor-owned values the ops server
@@ -588,23 +569,16 @@ type blockState struct {
 
 	// Execution state (Algorithm 1), indexed by block position. For
 	// streamed blocks these grow segment by segment.
-	started   bool
-	overlay   *state.BlockOverlay
-	txns      []*types.Transaction
-	pred      [][]int32 // per-block graph predecessors (sorted)
-	succ      [][]int32 // per-block graph successors (mirror of pred)
-	isLocal   []bool
-	remaining []int32 // unsatisfied predecessor count
-	satisfied []bool  // predecessor event fired (Ce ∪ Xe membership)
-	inflight  []bool
-	execLocal []bool // Xe membership
-	// schedCell holds, per transaction, the claim cell of its live queued
-	// work item (critical-path scheduler only; nil entries elsewhere).
-	// Owned by the actor loop: dispatch installs a cell, a priority
-	// refresh replaces it, and workers touch cells only through the
-	// workItem copy. Grown lazily by dispatch, so the slice may be
-	// shorter than txns.
-	schedCell  []*atomic.Int32
+	started    bool
+	overlay    *state.BlockOverlay
+	txns       []*types.Transaction
+	pred       [][]int32 // per-block graph predecessors (sorted)
+	succ       [][]int32 // per-block graph successors (mirror of pred)
+	isLocal    []bool
+	remaining  []int32 // unsatisfied predecessor count
+	satisfied  []bool  // predecessor event fired (Ce ∪ Xe membership)
+	inflight   []bool
+	execLocal  []bool     // Xe membership
 	prevAdmit  types.Hash // admitPrev at admission; streamed blocks check their seal against it
 	localTotal int
 	localDone  int
@@ -675,7 +649,6 @@ func (bs *blockState) growTo(n int) {
 	bs.satisfied = slices.Grow(bs.satisfied, n-len(bs.satisfied))
 	bs.inflight = slices.Grow(bs.inflight, n-len(bs.inflight))
 	bs.execLocal = slices.Grow(bs.execLocal, n-len(bs.execLocal))
-	bs.schedCell = slices.Grow(bs.schedCell, n-len(bs.schedCell))
 	bs.committed = slices.Grow(bs.committed, n-len(bs.committed))
 	bs.final = slices.Grow(bs.final, n-len(bs.final))
 	bs.tally = slices.Grow(bs.tally, n-len(bs.tally))
@@ -796,7 +769,6 @@ func New(cfg Config) *Executor {
 	e := &Executor{
 		cfg:            cfg,
 		mailbox:        eventq.New[event](),
-		work:           newScheduler(cfg.Scheduler),
 		blocks:         make(map[uint64]*blockState),
 		pendingCommits: make(map[uint64][]*types.CommitMsg),
 		stitcher:       depgraph.NewStitcher(cfg.GraphMode),
@@ -806,8 +778,10 @@ func New(cfg Config) *Executor {
 		tickQuit:       make(chan struct{}),
 		voterScore:     make(map[types.NodeID]*voterScore),
 	}
-	if cfg.Scheduler == SchedCriticalPath {
-		e.heights = depgraph.NewHeightTracker()
+	if cfg.newQueue != nil {
+		e.work = cfg.newQueue()
+	} else {
+		e.work = newReadyQueue()
 	}
 	e.mirror.lastProgress.Store(e.lastProgress.UnixNano())
 	return e
@@ -880,7 +854,6 @@ func (e *Executor) Stats() Stats {
 		SyncRecordsAdopted:   e.stats.syncRecs.Load(),
 		SyncSnapshotsAdopted: e.stats.syncSnaps.Load(),
 		SyncRejected:         e.stats.syncRejected.Load(),
-		PrioRefreshes:        e.stats.prioRefresh.Load(),
 	}
 }
 
@@ -1676,14 +1649,12 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 	// conflicting, not-yet-satisfied transaction of an earlier in-flight
 	// block. At depth 1 the window never holds an earlier block, so the
 	// barrier configuration skips the stitch bookkeeping wholesale.
-	var stitched [][]depgraph.TxRef
 	if e.cfg.PipelineDepth > 1 {
 		sets := make([]depgraph.RWSet, len(txns))
 		for i, tx := range txns {
 			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 		}
-		stitched = e.stitcher.AddBlockAt(bs.num, start, sets)
-		for i, crossPreds := range stitched {
+		for i, crossPreds := range e.stitcher.AddBlockAt(bs.num, start, sets) {
 			j := start + i
 			for _, ref := range crossPreds {
 				pred, ok := e.blocks[ref.Block]
@@ -1703,25 +1674,6 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 				}
 				pred.crossSucc[ref.Index] = append(pred.crossSucc[ref.Index], crossRef{bs: bs, idx: j})
 				bs.remaining[j]++
-			}
-		}
-	}
-	// Feed the critical-path tracker before any dispatch, so the seed
-	// loop below already prioritizes by the heights this segment implies.
-	// The tracker mirrors the stitcher's window: blocks enter at
-	// admission and leave at finalize/rebase, so every stitched ref
-	// resolves (refs into finalized blocks were filtered by the stitcher).
-	if e.heights != nil {
-		for i := range txns {
-			var cross []depgraph.TxRef
-			if stitched != nil {
-				cross = stitched[i]
-			}
-			// Each raised ancestor that is already queued gets re-pushed at
-			// its fresher priority — without the refresh, work dispatched
-			// before this segment would keep competing at a stale height.
-			for _, raised := range e.heights.Append(bs.num, preds[i], cross) {
-				e.refreshPriority(raised)
 			}
 		}
 	}
@@ -1781,43 +1733,10 @@ func (e *Executor) dispatch(bs *blockState, idx int) {
 	}
 	bs.trace.Mark(telemetry.MarkDispatched) // idempotent: first dispatch wins
 	bs.inflight[idx] = true
-	item := workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: bs.epoch[idx]}
-	if e.heights == nil {
-		e.work.Push(item, 0)
-		return
-	}
-	for len(bs.schedCell) <= idx {
-		bs.schedCell = append(bs.schedCell, nil)
-	}
-	item.cell = new(atomic.Int32)
-	bs.schedCell[idx] = item.cell
-	e.work.Push(item, schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)))
-}
-
-// refreshPriority re-pushes one queued transaction whose critical-path
-// height grew after dispatch — a later segment hung a new chain below
-// it, so its dispatch-time heap priority undersells it. The refresh is
-// lazy and lock-free against the workers: the actor invalidates the
-// queued entry's claim cell (cellQueued→cellStale) and pushes a fresh
-// entry at today's priority; the stale entry is skipped when it
-// surfaces. If a worker already claimed the item the CAS fails and the
-// refresh is a no-op — exactly one entry per dispatch ever executes.
-func (e *Executor) refreshPriority(ref depgraph.TxRef) {
-	bs, ok := e.blocks[ref.Block]
-	idx := int(ref.Index)
-	if !ok || !bs.started || idx >= len(bs.schedCell) || bs.schedCell[idx] == nil ||
-		!bs.inflight[idx] || bs.execLocal[idx] || bs.committed[idx] {
-		return
-	}
-	cell := bs.schedCell[idx]
-	if !cell.CompareAndSwap(cellQueued, cellStale) {
-		return // popped (or already refreshed to a fresher cell's entry)
-	}
-	item := workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: bs.epoch[idx],
-		cell: new(atomic.Int32)}
-	bs.schedCell[idx] = item.cell
-	e.work.Push(item, schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)))
-	e.stats.prioRefresh.Add(1)
+	// Dependents first: a transaction another in-window transaction waits
+	// on pops ahead of ready work nothing waits on (see scheduler.go).
+	first := len(bs.succ[idx]) > 0 || len(bs.crossSucc[idx]) > 0
+	e.work.Push(workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: bs.epoch[idx]}, first)
 }
 
 // registerLineage records, at dispatch time, which of the transaction's
@@ -2441,9 +2360,6 @@ func (e *Executor) externalize(bs *blockState) {
 	e.cfg.Tracer.Finish(bs.trace)
 	if e.cfg.PipelineDepth > 1 {
 		e.stitcher.Remove(bs.num)
-	}
-	if e.heights != nil {
-		e.heights.Remove(bs.num)
 	}
 	e.releaseStreams(bs) // normally already nil; covers teardown paths
 	delete(e.blocks, bs.num)

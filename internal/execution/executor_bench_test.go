@@ -39,7 +39,7 @@ func newBenchRig(b *testing.B, workers int) *benchRig {
 
 // newBenchRigDepth builds a rig with an explicit pipeline depth and
 // contract, for the cross-block pipelining benchmarks. opts mutate the
-// executor Config after the rig defaults (scheduler, backend).
+// executor Config after the rig defaults (backend, tracer).
 func newBenchRigDepth(b *testing.B, workers, depth int, app1 contract.Contract,
 	opts ...func(*Config)) *benchRig {
 	b.Helper()
@@ -278,15 +278,15 @@ func BenchmarkExecutorPipelined(b *testing.B) {
 	}
 }
 
-// skewedBlocks builds the workload shape the critical-path scheduler
+// skewedBlocks builds the workload shape dependents-first dispatch
 // exists for: each block opens with a tail of independent filler
 // transactions (unique per-block keys) and closes with a hot chain of
 // appends on one shared key, stitched into a single serial chain across
 // every in-flight block. The chain is the critical path — chain/blocks
-// deep per window — but FIFO dispatch buries each ready chain link
-// behind every queued filler, re-paying the queue drain per link;
-// height-first dispatch runs the chain the moment a link frees and lets
-// the fillers soak up the remaining workers.
+// deep per window — but discovery-order dispatch buries each ready chain
+// link behind every queued filler, re-paying the queue drain per link;
+// dependents-first dispatch runs a link the moment it frees and lets the
+// fillers soak up the remaining workers.
 func skewedBlocks(startBlock, numBlocks, tail, chain int) [][]*types.Transaction {
 	blocks := make([][]*types.Transaction, numBlocks)
 	for bn := range blocks {
@@ -314,16 +314,15 @@ func skewedBlocks(startBlock, numBlocks, tail, chain int) [][]*types.Transaction
 	return blocks
 }
 
-// BenchmarkExecutorScheduler races the two dispatch schedulers on two
-// workload shapes at the default pipeline window (4): "chained" — the
-// cross-block linked workload of BenchmarkExecutorPipelined, where the
-// ready set is mostly uniform — and "skewed" — a hot serial chain
-// threading through every block plus independent fillers, where
-// dispatch order decides whether the chain (the critical path) stalls
-// behind the fillers. Results are bit-identical across schedulers (see
-// TestSchedulerEquivalence); only the tx/s differs. One iteration = one
-// 4-block window under a 50us modeled contract service time.
-func BenchmarkExecutorScheduler(b *testing.B) {
+// BenchmarkExecutorDispatch measures the ready queue on two workload
+// shapes at the default pipeline window (4): "chained" — the cross-block
+// linked workload of BenchmarkExecutorPipelined, where the ready set is
+// mostly uniform — and "skewed" — a hot serial chain threading through
+// every block plus independent fillers, where dispatch order decides
+// whether the chain (the critical path) stalls behind the fillers. One
+// iteration = one 4-block window under a 50us modeled contract service
+// time.
+func BenchmarkExecutorDispatch(b *testing.B) {
 	const (
 		tailTxns      = 96
 		chainTxns     = 16
@@ -345,20 +344,17 @@ func BenchmarkExecutorScheduler(b *testing.B) {
 		}},
 	}
 	for _, wl := range workloads {
-		for _, sched := range allSchedulers {
-			wl, sched := wl, sched
-			b.Run(fmt.Sprintf("%s/%s", wl.name, sched), func(b *testing.B) {
-				r := newBenchRigDepth(b, 8, 4, app, withScheduler(sched))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r.runBlocks(b, wl.blocks(i*blocksPerIter))
-				}
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(b.N*blocksPerIter*wl.txns)/secs, "tx/s")
-				}
-			})
-		}
+		b.Run(wl.name, func(b *testing.B) {
+			r := newBenchRigDepth(b, 8, 4, app)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.runBlocks(b, wl.blocks(i*blocksPerIter))
+			}
+			b.StopTimer()
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(b.N*blocksPerIter*wl.txns)/secs, "tx/s")
+			}
+		})
 	}
 }
 

@@ -95,7 +95,7 @@ func refResults(genesis []types.KV, blocks [][]*types.Transaction) (types.Hash, 
 // dataDir enables the durability subsystem (snapshot every 2 blocks, so
 // short traces still exercise truncation) and, after the run, reopens
 // the directory to assert crash recovery reproduces the final state.
-// opts mutate the executor Config after the rig defaults (scheduler,
+// opts mutate the executor Config after the rig defaults (dispatch order,
 // speculation knobs).
 func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 	blocks [][]*types.Transaction, opts ...func(*Config)) (types.Hash, *ledger.Ledger, [][]types.TxResult) {
@@ -204,18 +204,37 @@ func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 	return hash, led, finalized
 }
 
-// allSchedulers enumerates every dispatch scheduler; the equivalence
-// suites run under each one — a scheduler is only admissible if it is
-// bit-identical to the sequential baseline on every path.
-var allSchedulers = []SchedulerKind{SchedFIFO, SchedCriticalPath}
+// dispatchOrder names a ready queue for the equivalence suites: the
+// production dependents-first queue (the zero value), or the seeded fake
+// (seededQueue) that pops a random queued item after a random delay.
+type dispatchOrder struct {
+	seeded bool
+	seed   int64
+}
 
-// withScheduler returns a Config option selecting a scheduler.
-func withScheduler(sched SchedulerKind) func(*Config) {
-	return func(c *Config) { c.Scheduler = sched }
+func (d dispatchOrder) String() string {
+	if d.seeded {
+		return "seeded"
+	}
+	return "dependents-first"
+}
+
+// allSchedulers enumerates the dispatch orders every equivalence suite
+// runs under: reordering the ready set must leave ledger and state
+// bit-identical to the sequential baseline on every path.
+var allSchedulers = []dispatchOrder{{}, {seeded: true, seed: 1}}
+
+// withScheduler returns a Config option selecting a dispatch order.
+func withScheduler(d dispatchOrder) func(*Config) {
+	return func(c *Config) {
+		if d.seeded {
+			c.newQueue = func() scheduler { return newSeededQueue(d.seed) }
+		}
+	}
 }
 
 // TestPipelineEquivalence asserts, for randomized traces at several
-// contention levels, pipeline depths 1/2/4/8, and every scheduler, that
+// contention levels, pipeline depths 1/2/4/8, and every dispatch order, that
 // the pipelined executor's final state hash, ledger chain, and
 // per-transaction results are bit-identical to the sequential OX
 // baseline.
@@ -235,7 +254,7 @@ func TestPipelineEquivalence(t *testing.T) {
 	}
 }
 
-func testPipelineEquivalence(t *testing.T, contention float64, sched SchedulerKind,
+func testPipelineEquivalence(t *testing.T, contention float64, sched dispatchOrder,
 	depths []int, numBlocks, blockTxns int) {
 	seed := int64(1000 + int(contention*100))
 	blocks, genesis := tracedBlocks(seed, contention, numBlocks, blockTxns)

@@ -7,10 +7,10 @@ import (
 	"parblockchain/internal/types"
 )
 
-// TestSchedulerEquivalence is the scheduler admission gate (a named
-// -race CI step): a scheduler may reorder only the ready set, so at
+// TestSchedulerEquivalence is the dispatch-order admission gate (a named
+// -race CI step): a ready queue may reorder only the ready set, so at
 // pipeline depths {1,4} × contentions {0,0.4,1.0} × speculation off/on,
-// every scheduler's final state hash and ledger chain must be
+// every dispatch order's final state hash and ledger chain must be
 // bit-identical to the sequential baseline — single-executor pipelined
 // intake without speculation, and a three-executor fleet (cross-app
 // conflict chains, tau=2) with it.
@@ -40,7 +40,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 					if wantChain.IsZero() {
 						wantChain = led.LastHash()
 					} else if led.LastHash() != wantChain {
-						t.Fatalf("%s: ledger chain diverged across schedulers", name)
+						t.Fatalf("%s: ledger chain diverged across dispatch orders", name)
 					}
 				}
 
@@ -56,10 +56,68 @@ func TestSchedulerEquivalence(t *testing.T) {
 					if wantTip.IsZero() {
 						wantTip = gotTip
 					} else if gotTip != wantTip {
-						t.Fatalf("%s: ledger chain diverged across schedulers", name)
+						t.Fatalf("%s: ledger chain diverged across dispatch orders", name)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestSeededDispatchEquivalence makes the swappability of independent
+// transactions an executable property: for each seed, a fresh trace of
+// cross-application conflict chains runs on a three-executor fleet at
+// pipeline depth 4 whose ready queues pop a seeded-random item after a
+// seeded delay (seededQueue), with speculation off and on and tau 1 and
+// 2. The state hash, the ledger tip and every committed result must
+// equal the sequential baseline. A failure names its seed. -short runs
+// 300 seeds, a full run 1000.
+func TestSeededDispatchEquivalence(t *testing.T) {
+	const (
+		numBlocks = 3
+		blockTxns = 12
+	)
+	seeds := 1000
+	if testing.Short() {
+		seeds = 300
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		blocks, genesis := tracedBlocksOpt(seed, 0.6, true, numBlocks, blockTxns)
+		wantHash, wantResults := refResults(genesis, blocks)
+		var wantTip types.Hash
+		for num, txns := range blocks {
+			wantTip = types.NewBlock(uint64(num), wantTip, txns).Hash()
+		}
+		for _, speculate := range []bool{false, true} {
+			for _, tau := range []int{1, 2} {
+				name := fmt.Sprintf("seed=%d/speculate=%v/tau=%d", seed, speculate, tau)
+				n := newSpecNet(t, specNetConfig{
+					depth: 4, tau: tau, speculate: speculate,
+					sched: dispatchOrder{seeded: true, seed: seed},
+				}, genesis)
+				n.feedMonolithic(t, blocks)
+				n.awaitHeight(t, numBlocks)
+				for i, led := range n.leds {
+					if got := n.stores[i].Hash(); got != wantHash {
+						t.Fatalf("%s: executor %s state hash diverged from the sequential baseline", name, n.ids[i])
+					}
+					if led.LastHash() != wantTip {
+						t.Fatalf("%s: executor %s ledger tip diverged", name, n.ids[i])
+					}
+					for b := range blocks {
+						entry, err := led.Get(uint64(b))
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for j, r := range entry.Results {
+							if r.Digest() != wantResults[b][j].Digest() {
+								t.Fatalf("%s: executor %s block %d tx %d: result diverged", name, n.ids[i], b, j)
+							}
+						}
+					}
+				}
+				n.stop(t)
+			}
+		}
 	}
 }

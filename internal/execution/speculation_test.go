@@ -48,7 +48,7 @@ type specNetConfig struct {
 	tau       int
 	speculate bool
 	tiered    bool // eviction-forcing tiered store per executor (in-memory rigs only)
-	sched     SchedulerKind
+	sched     dispatchOrder
 	dataDir   string // per-executor subdirectories; "" = in-memory
 }
 
@@ -113,7 +113,7 @@ func newSpecNet(t testing.TB, cfg specNetConfig, genesis []types.KV) *specNet {
 			store.Apply(genesis)
 			led = ledger.New()
 		}
-		exec := New(Config{
+		ecfg := Config{
 			ID:            id,
 			Endpoint:      ep,
 			Registry:      registry,
@@ -125,13 +125,14 @@ func newSpecNet(t testing.TB, cfg specNetConfig, genesis []types.KV) *specNet {
 			Ledger:        led,
 			Workers:       4,
 			PipelineDepth: cfg.depth,
-			Scheduler:     cfg.sched,
 			Speculate:     cfg.speculate,
 			Signer:        cryptoutil.NoopSigner{NodeID: string(id)},
 			Verifier:      cryptoutil.NoopVerifier{},
 			Persist:       mgr,
 			Logf:          func(string, ...any) {},
-		})
+		}
+		withScheduler(cfg.sched)(&ecfg)
+		exec := New(ecfg)
 		exec.Start()
 		n.execs = append(n.execs, exec)
 		n.stores = append(n.stores, store)

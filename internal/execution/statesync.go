@@ -657,9 +657,6 @@ func (e *Executor) rebaseAfterSync() {
 		if e.cfg.PipelineDepth > 1 && bs.started {
 			e.stitcher.Remove(num)
 		}
-		if e.heights != nil && bs.started {
-			e.heights.Remove(num)
-		}
 		if num >= tip && bs.contentDone && bs.msg != nil {
 			// Validated content survives the rebase; execution restarts
 			// from scratch under the new chain (admission re-checks the

@@ -37,8 +37,6 @@ func (e *Executor) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.L
 		"Block segments admitted into the window before their seal.", &e.stats.segsAdmitted)
 	counter("parblockchain_executor_msgs_dropped_total",
 		"Messages shed by the buffering bounds (horizon or per-sender budgets).", &e.stats.droppedFuture)
-	counter("parblockchain_executor_prio_refreshes_total",
-		"Queued work re-pushed at a fresher critical-path priority.", &e.stats.prioRefresh)
 
 	spec := func(event string, v *atomic.Uint64) {
 		reg.CounterFunc("parblockchain_executor_speculation_total",

@@ -53,7 +53,6 @@ var knobs = map[string]struct {
 	lands       func(e effective) [][2]any
 }{
 	"ExecWorkers":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Workers, 3}} }},
-	"Scheduler":     {json: `"critical-path"`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Scheduler, execution.SchedCriticalPath}} }},
 	"PipelineDepth": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
 	"SegmentTxns":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.ord.SegmentTxns, 3}} }},
 	"Speculate":     {json: `true`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Speculate, true}} }},

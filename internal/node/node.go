@@ -185,7 +185,6 @@ func (c *Config) executorConfig() execution.Config {
 		OrderQuorum:   OrderQuorum(c.Consensus, len(c.Orderers)),
 		Executors:     c.Executors,
 		Workers:       c.ExecWorkers,
-		Scheduler:     c.Scheduler,
 		PipelineDepth: c.PipelineDepth,
 		GraphMode:     c.GraphMode,
 		PairwiseGraph: c.UsePairwiseGraph,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parblockchain/internal/depgraph"
-	"parblockchain/internal/execution"
 	"parblockchain/internal/persist"
 )
 
@@ -17,12 +16,6 @@ import (
 type Tunables struct {
 	// ExecWorkers sizes each executor's worker pool (default 8).
 	ExecWorkers int `json:"execWorkers,omitempty"`
-	// Scheduler selects each executor's ready-transaction dispatch policy:
-	// "fifo" (the paper's baseline) or "critical-path" (longest remaining
-	// dependency chain first). Schedulers reorder only the ready set, so
-	// ledger and state are bit-identical under both and nodes of one
-	// cluster may mix policies; the zero value is FIFO.
-	Scheduler execution.SchedulerKind `json:"scheduler,omitempty"`
 	// PipelineDepth bounds each executor's window of in-flight blocks:
 	// blocks stream through execution while earlier blocks are still
 	// committing, with cross-block conflicts stitched into the dependency

@@ -53,7 +53,7 @@ type Config struct {
 	MaxBlockBytes    int
 	MaxBlockInterval time.Duration
 	// Tunables holds every performance and durability knob (worker pools,
-	// pipeline depth, scheduler, streaming, speculation, fsync policy,
+	// pipeline depth, streaming, speculation, fsync policy,
 	// state backend, ...), shared verbatim with cluster JSON and the
 	// bench harness.
 	node.Tunables

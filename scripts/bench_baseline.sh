@@ -32,12 +32,12 @@
 # stay within noise of the plain pipeline rows across runs, and the on
 # row reports the per-stage p50 latency breakdown (stage_*_p50_ns
 # metrics) that the runs trajectory below accumulates.
-# BenchmarkExecutorScheduler/{chained,skewed}/{fifo,critical-path} is
-# the dispatch-scheduler sweep: on the skewed (hot-chain +
-# independent-tail) workload the critical-path row's tx/s is expected to
-# stay >= 1.2x the fifo row's (height-first dispatch keeps the serial
-# chain off the queue-drain path); on the chained workload the two rows
-# should be close (nothing to reorder).
+# BenchmarkExecutorDispatch/{chained,skewed} measures the dependents-first
+# ready queue: on the skewed (hot-chain + independent-tail) workload its
+# tx/s is expected to stay >= 1.2x the ~4.0k tx/s that discovery-order
+# dispatch reached there (the chain stays off the queue-drain path; ~6.1k
+# on a 2-core host, at the chain's sleep-bound critical path); the
+# chained workload has nothing to reorder (~4.2k).
 # BenchmarkExecutorTiered/{mem,tiered} is the larger-than-RAM pair: a
 # Zipfian working set 8x the tiered hot budget, with the tiered row's
 # coldreads/tx and evictions/tx showing how hard the cold tier worked.
