@@ -153,25 +153,6 @@ func BenchmarkAblationA2_GraphMode(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationA3_GraphBuilder isolates dependency-graph generation
-// cost: the paper-faithful pairwise builder vs the indexed one, at the
-// block sizes where Figure 5's turnover appears. (Micro-benchmarks of the
-// builders alone live in internal/depgraph.)
-func BenchmarkAblationA3_GraphBuilder(b *testing.B) {
-	for _, pairwise := range []bool{true, false} {
-		name := "pairwise"
-		if !pairwise {
-			name = "indexed"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := quick(bench.SystemOXII)
-			opts.BlockTxns = 1000
-			opts.UsePairwiseGraph = pairwise
-			runPoint(b, opts)
-		})
-	}
-}
-
 // BenchmarkAblationA4_ConsensusPlug compares the three pluggable ordering
 // protocols under the same no-contention workload.
 func BenchmarkAblationA4_ConsensusPlug(b *testing.B) {

@@ -246,7 +246,6 @@ func TestRoundTrip(t *testing.T) {
 			Speculate:        true,
 			EagerCommit:      true,
 			GraphMode:        depgraph.MultiVersion,
-			UsePairwiseGraph: true,
 			MinHorizon:       9,
 			SyncStallMs:      250,
 			FsyncPolicy:      persist.FsyncAlways,

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/types"
 )
 
@@ -95,21 +94,8 @@ func TestBudgetCreditedAfterMonolithicDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var prev types.Hash
-	for num, txns := range blocks {
-		block := types.NewBlock(uint64(num), prev, txns)
-		prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			sets[i].Normalize()
-		}
-		r.send(t, &types.NewBlockMsg{
-			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
-			Apps:    block.Apps(),
-			Orderer: "o1",
-		})
+	for _, msg := range cutMono(blocks, "o1") {
+		r.send(t, msg)
 	}
 	r.awaitBlocks(t, 4)
 	assertBudgetsEmpty(t, r.exec, "after monolithic drain")

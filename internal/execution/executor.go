@@ -29,24 +29,37 @@
 // are bit-identical to the barrier version at any depth; PipelineDepth=1
 // restores the barrier exactly.
 //
-// # Segment streaming
+// # Intake and segment streaming
 //
-// With streaming orderers (ordering.Config.SegmentTxns > 0) a block
-// arrives not as one monolithic NEWBLOCK but as a sequence of signed
-// BlockSegmentMsg frames — transactions plus their incremental dependency
-// edges, shipped while consensus is still delivering the rest of the
-// block — closed by a BlockSealMsg carrying the header and a cumulative
-// digest over the segments. The executor admits segments into the
-// pipeline window as they arrive and speculatively executes ready
-// transactions against the in-flight overlay chain; every external or
-// durable effect — multicasting our own COMMIT votes, counting remote
-// ones, finalization, ledger append — waits until OrderQuorum matching
-// seals validate exactly the streamed content. The assembled block and graph are bit-identical to
-// the monolithic path's (depgraph.Appender == depgraph.Build, proven by
-// property test), so ledger and state hash do not depend on how the block
-// traveled. Blocks admitted from segments gate the admission of their
-// successor until their seal validates, which keeps the cross-block
-// stitcher's (block, index) order intact.
+// A block reaches the executor in one of two shapes. A monolithic
+// NEWBLOCK carries the block and its graph. With streaming orderers
+// (ordering.Config.SegmentTxns > 0) the block arrives as a sequence of
+// signed BlockSegmentMsg frames — transactions plus their incremental
+// dependency edges, shipped while consensus is still delivering the rest
+// of the block — closed by a BlockSealMsg carrying the header and a
+// cumulative digest over the segments.
+//
+// Both shapes feed one intake. Each orderer casts one vote per block —
+// its NEWBLOCK digest or its seal digest, whichever arrives first — and
+// offers one content candidate: its segment stream, or its NEWBLOCK's
+// complete content. The first digest to gather OrderQuorum votes endorses
+// the block, and one install binds the endorsed content from a matching
+// candidate (a stream by segment count and cumulative digest, a NEWBLOCK
+// by its own digest), validating header, transaction root and graph once.
+// Content that fails validation is rejected and the tally keeps counting.
+//
+// Only segment streams admit early: the executor admits the first
+// healthy stream's segments into the pipeline window as they arrive and
+// speculatively executes ready transactions against the in-flight overlay
+// chain; every external or durable effect — multicasting our own COMMIT
+// votes, counting remote ones, finalization, ledger append — waits until
+// install confirms the executed prefix against the endorsed content. The
+// assembled block and graph are bit-identical to the monolithic path's
+// (depgraph.Appender == depgraph.Build, proven by property test), so
+// ledger and state hash do not depend on how the block traveled. A block
+// admitted from segments gates the admission of its successor until its
+// content is installed, which keeps the cross-block stitcher's (block,
+// index) order intact.
 //
 // # Speculative commit-wait bypass
 //
@@ -67,7 +80,7 @@
 // that read any uncommitted input is buffered per transaction and
 // released only once every speculated-upon input has committed with the
 // digest the execution read — the same externalization discipline the
-// seal gate applies to streamed content, so honest agents never launder
+// install gate applies to streamed content, so honest agents never launder
 // a result derived from unconfirmed state. Honest agents execute
 // deterministically, so in fault-free runs every speculation validates
 // and ledger and state are bit-identical to the non-speculative path.
@@ -150,9 +163,10 @@ type Config struct {
 	// Tau maps applications to the required number of matching results
 	// tau(A); missing entries default to 1.
 	Tau map[types.AppID]int
-	// OrderQuorum is the number of matching NEWBLOCK messages from
-	// distinct orderers needed to act on a block (f+1 under PBFT). The
-	// same quorum of matching BlockSealMsg validates a streamed block.
+	// OrderQuorum is the number of distinct orderers that must endorse
+	// one digest before the executor acts on a block (f+1 under PBFT).
+	// Each orderer endorses once, with its NEWBLOCK or its BlockSealMsg,
+	// whichever arrives first; the two kinds never pool into one quorum.
 	OrderQuorum int
 	// Executors lists all executor nodes: the COMMIT multicast targets.
 	Executors []types.NodeID
@@ -171,15 +185,8 @@ type Config struct {
 	// must match the mode the orderers built the per-block graphs with.
 	// Zero means depgraph.Standard.
 	GraphMode depgraph.Mode
-	// PairwiseGraph must mirror the orderers' UsePairwiseGraph setting:
-	// the pairwise builder emits the full conflict relation where the
-	// indexed builder emits a reduced edge set, so the two produce
-	// different NEWBLOCK digests. State sync recomputes a monolithic
-	// record's endorsed digest from the block content, which requires
-	// knowing which builder the endorsing orderers ran.
-	PairwiseGraph bool
 	// MinHorizon is the absolute floor of the future-block buffering
-	// horizon (see beyondHorizon). Zero means DefaultMinHorizon.
+	// horizon (see buffers). Zero means DefaultMinHorizon.
 	MinHorizon int
 	// StallTimeout arms the pipeline-progress watchdog: when nothing
 	// finalizes and nothing admissible arrives for this long while peers
@@ -288,17 +295,17 @@ const (
 // MaxBlockBytes, and an agent sends at most a handful of COMMIT flushes
 // per block), so hitting a cap marks the sender's stream broken or sheds
 // the message rather than buffering without bound.
-const (
-	maxStreamTxns = 1 << 17 // transactions buffered per (block, orderer) stream
-	// maxOrdererStreamBytes bounds the total segment payload buffered
-	// per sending orderer across every in-horizon block, so a faulty
-	// orderer streaming many blocks cannot multiply the per-stream bound
-	// by the horizon width. Per-orderer (not global) so one hostile
-	// orderer exhausts only its own budget, never an honest peer's.
-	// Honest steady state is window-depth blocks of at most MaxBlockBytes
-	// (~2 MB) each — two orders of magnitude below the budget.
-	maxOrdererStreamBytes = 64 << 20
-)
+const maxStreamTxns = 1 << 17 // transactions buffered per (block, orderer) stream
+
+// maxOrdererStreamBytes bounds the total block content — segment streams
+// and NEWBLOCK bodies — buffered per sending orderer across every
+// in-horizon block until that block's content is installed, so a faulty
+// orderer announcing many blocks cannot multiply the per-block bound by
+// the horizon width. Per-orderer (not global) so one hostile orderer
+// exhausts only its own budget, never an honest peer's. Honest steady
+// state is window-depth blocks of at most MaxBlockBytes (~2 MB) each —
+// two orders of magnitude below the budget (a var so tests can lower it).
+var maxOrdererStreamBytes = 64 << 20
 
 // maxCommitBytesPerSender bounds the COMMIT payload buffered per sending
 // executor across every not-yet-applied block. Per-sender and in bytes —
@@ -434,18 +441,19 @@ type Executor struct {
 	// Pipeline state owned by the actor loop: the admission cursor, the
 	// hash chain over admitted blocks (which may run ahead of the
 	// ledger), the in-flight window in block order, and the cross-block
-	// dependency stitcher. While the newest admitted block is a streamed
-	// block whose seal has not validated yet, admitPrev still names its
-	// predecessor's hash — no further admission happens until the seal
-	// supplies the block's own header, which is when admitPrev advances.
+	// dependency stitcher. While the newest admitted block runs from its
+	// pinned stream without installed content, admitPrev still names its
+	// predecessor's hash — no further admission happens until install
+	// supplies the block's endorsed header, which is when admitPrev
+	// advances.
 	admitInit bool
 	nextAdmit uint64
 	admitPrev types.Hash
 	window    []*blockState
 	stitcher  *depgraph.Stitcher
 
-	// streamBytes and commitBytes track, per sender, the segment and
-	// COMMIT payload currently buffered across all blocks (the
+	// streamBytes and commitBytes track, per sender, the uninstalled block
+	// content and the COMMIT payload currently buffered across all blocks (the
 	// maxOrdererStreamBytes / maxCommitBytesPerSender budgets); owned by
 	// the actor loop.
 	streamBytes map[types.NodeID]int
@@ -496,7 +504,7 @@ type Executor struct {
 		syncing      atomic.Bool
 		lastProgress atomic.Int64  // unix nanos of the last pipeline progress
 		maxSeen      atomic.Uint64 // one past the highest peer-announced block
-		streamBytes  atomic.Int64  // buffered segment payload, all senders
+		streamBytes  atomic.Int64  // buffered uninstalled content, all orderers
 		commitBytes  atomic.Int64  // buffered COMMIT payload, all senders
 	}
 
@@ -504,25 +512,39 @@ type Executor struct {
 	wg       sync.WaitGroup
 }
 
-// segStream accumulates one orderer's segment stream for one block.
-// Once the stream is feeding an admitted block's execution directly, the
-// txns/preds buffers stop growing (the content lives in the blockState);
-// next keeps tracking the expected position so ordering is still checked.
-type segStream struct {
-	txns   []*types.Transaction
-	preds  [][]int32
-	segs   int        // segments received so far
-	next   int        // block index the next segment must start at
-	bytes  int        // approximate buffered payload size
-	cum    types.Hash // running cumulative digest
-	broken bool       // gap, malformed segment, or cap exceeded: unusable
+// vote is one orderer's endorsement of a block: the digest it signed —
+// over its NEWBLOCK or over its seal — and the header and seal parameters
+// that digest commits to (segs and cum are zero for a NEWBLOCK).
+type vote struct {
+	digest   types.Hash
+	sig      []byte
+	streamed bool
+	header   types.BlockHeader
+	segs     int
+	cum      types.Hash
 }
 
-// blockState tracks one in-flight block through validation, execution,
-// and commitment. A block's content arrives either as one monolithic
-// NEWBLOCK (txns/pred/succ installed wholesale at admission) or as a
-// stream of segments (arrays grow as segments are admitted; msg is
-// synthesized when the seal validates).
+// candidate is one orderer's offer of a block's content, charged to that
+// orderer's maxOrdererStreamBytes budget until the block's content is
+// installed: either a segment stream, matched against a seal endorsement
+// by segment count and cumulative digest, or the complete content of the
+// orderer's NEWBLOCK (graph set), matched by that orderer's own vote.
+// Once a stream feeds an admitted block's execution directly, txns/preds
+// stop growing (the content lives in the blockState); segs, next and cum
+// keep tracking the stream so ordering is still checked.
+type candidate struct {
+	txns   []*types.Transaction
+	preds  [][]int32
+	graph  *depgraph.Graph // the NEWBLOCK's graph as signed; nil for a stream
+	segs   int             // segments received so far
+	next   int             // block index the next segment must start at
+	bytes  int             // approximate buffered payload size
+	cum    types.Hash      // running cumulative segment digest
+	broken bool            // gap, malformed segment, or cap exceeded: unusable
+}
+
+// blockState tracks one in-flight block through intake (one vote tally,
+// one install; see the package comment), execution, and commitment.
 type blockState struct {
 	num uint64
 
@@ -531,41 +553,30 @@ type blockState struct {
 	// fsync batch path may stamp it off the actor loop.
 	trace *telemetry.BlockTrace
 
-	// Validation: matching NEWBLOCK messages per content digest.
-	ordererVotes map[types.NodeID]types.Hash
-	ordererSigs  map[types.NodeID][]byte
-	digestCount  map[types.Hash]int
-	proposals    map[types.Hash]*types.NewBlockMsg
-	valid        bool
-	msg          *types.NewBlockMsg
+	// Intake: one vote and at most one candidate per orderer (both maps
+	// allocated on first use), the digests whose endorsed content failed
+	// structural validation, and the orderer whose stream feeds
+	// speculative admission.
+	votes    map[types.NodeID]vote
+	cands    map[types.NodeID]*candidate
+	rejected []types.Hash
+	specFrom types.NodeID
 
-	// Quorum evidence, captured when the content digest reaches its
-	// quorum and carried into the durable finalization record: which
-	// orderers endorsed which digest, and whether the endorsement was a
-	// seal (streamed) or a monolithic NEWBLOCK. For streamed blocks the
-	// seal parameters (segment count and cumulative segment digest) ride
-	// along — a state-sync requester can only recompute the endorsed seal
-	// digest if it knows how the block was segmented.
-	evDigest   types.Hash
-	evStreamed bool
-	evidence   []persist.Endorsement
-	sealSegs   int
-	sealCum    types.Hash
+	// ev is the endorsing vote, and evidence every orderer that cast it,
+	// with signatures; evidence is nil until a digest reaches quorum. Both
+	// go into the durable finalization record unchanged: the seal
+	// parameters let a state-sync requester recompute the endorsed seal
+	// digest.
+	ev       vote
+	evidence []persist.Endorsement
 
 	// contentDone reports the block's full transaction list and graph are
-	// known and trusted (monolithic quorum, or streamed content matching
-	// a seal quorum). Only a contentDone block lets its successor into
-	// the window, which keeps stitcher order intact.
+	// installed from endorsed content: block and preds hold it. Only a
+	// contentDone block lets its successor into the window, which keeps
+	// stitcher order intact, and only its votes count.
 	contentDone bool
-
-	// Streaming intake: per-orderer segment accumulation and seal votes.
-	streams   map[types.NodeID]*segStream
-	specFrom  types.NodeID // orderer whose stream feeds speculative admission
-	sealVotes map[types.NodeID]types.Hash
-	sealSigs  map[types.NodeID][]byte
-	sealCount map[types.Hash]int
-	seals     map[types.Hash]*types.BlockSealMsg
-	sealed    *types.BlockSealMsg // quorum-validated seal awaiting content
+	block       *types.Block
+	preds       [][]int32
 
 	// Execution state (Algorithm 1), indexed by block position. For
 	// streamed blocks these grow segment by segment.
@@ -579,7 +590,7 @@ type blockState struct {
 	satisfied  []bool  // predecessor event fired (Ce ∪ Xe membership)
 	inflight   []bool
 	execLocal  []bool     // Xe membership
-	prevAdmit  types.Hash // admitPrev at admission; streamed blocks check their seal against it
+	prevAdmit  types.Hash // admitPrev at admission; install checks a started block's header against it
 	localTotal int
 	localDone  int
 
@@ -637,9 +648,9 @@ type specDep struct {
 }
 
 // growTo reserves capacity for n transactions in every per-transaction
-// array, so an admission that knows the block's full size (monolithic
-// NEWBLOCK, proposal adoption) pays one allocation per array instead of
-// repeated append growth. Streamed admissions grow organically.
+// array, so an admission or install that knows how many transactions it
+// adds pays one allocation per array instead of repeated append growth.
+// Later segments of a pinned stream grow organically.
 func (bs *blockState) growTo(n int) {
 	bs.txns = slices.Grow(bs.txns, n-len(bs.txns))
 	bs.pred = slices.Grow(bs.pred, n-len(bs.pred))
@@ -949,8 +960,8 @@ func (e *Executor) handleMsg(msg transport.Message) {
 
 // haltf stops the executor's protocol progress after a fault-model
 // violation (a quorum endorsed content that contradicts the local chain)
-// or an unrecoverable speculation failure (the pinned segment stream of
-// an already-executing block broke or diverged from the sealed content —
+// or an unrecoverable speculation failure (endorsed content contradicts
+// the prefix an already-executing block ran from its pinned stream —
 // executed state cannot be rolled back; ROADMAP lists speculative
 // rollback/re-pinning as a follow-on). The first reason is kept for
 // /statusz and /healthz.
@@ -961,101 +972,85 @@ func (e *Executor) haltf(format string, args ...any) {
 	e.mirror.haltReason.CompareAndSwap(nil, &reason)
 }
 
-// beyondHorizon reports whether a block number is too far in the future
-// to buffer state for (the bounded-buffering horizon).
-func (e *Executor) beyondHorizon(num uint64) bool {
-	h := horizonBlocks * e.cfg.PipelineDepth
-	if h < e.cfg.MinHorizon {
-		h = e.cfg.MinHorizon
-	}
-	return num >= e.cfg.Ledger.Height()+uint64(h)
-}
-
-// noteSeen records that some peer announced a block number, feeding the
-// stall watchdog's is-anyone-ahead signal. It runs before the horizon
-// drop on purpose: far-future traffic this node sheds is exactly the
-// traffic that proves it is behind. A fabricated number from a hostile
-// sender costs only periodic sync probes that peers answer with what
-// they actually have; the capped backoff bounds the probe rate.
-func (e *Executor) noteSeen(num uint64) {
+// buffers reports whether a message for block num is worth buffering
+// state for: the block is not committed yet and lies inside the
+// bounded-buffering horizon (a message beyond it is counted as dropped).
+// It first records that a peer announced num, feeding the stall
+// watchdog's is-anyone-ahead signal — before the horizon drop on purpose:
+// far-future traffic this node sheds is exactly the traffic that proves
+// it is behind. A fabricated number from a hostile sender costs only
+// periodic sync probes that peers answer with what they actually have;
+// the capped backoff bounds the probe rate.
+func (e *Executor) buffers(num uint64) bool {
 	if num+1 > e.maxSeen {
 		e.maxSeen = num + 1
 		e.mirror.maxSeen.Store(e.maxSeen)
 	}
-}
-
-// handleNewBlock records one orderer's block announcement and validates
-// the block once OrderQuorum matching announcements arrived.
-func (e *Executor) handleNewBlock(from types.NodeID, m *types.NewBlockMsg) {
-	if m.Block == nil || m.Orderer != from {
-		return
-	}
-	num := m.Block.Header.Number
-	e.noteSeen(num)
-	if num < e.cfg.Ledger.Height() {
-		return // already committed
-	}
-	if e.beyondHorizon(num) {
+	height := e.cfg.Ledger.Height()
+	if num >= height+uint64(max(horizonBlocks*e.cfg.PipelineDepth, e.cfg.MinHorizon)) {
 		e.stats.droppedFuture.Add(1)
-		return
+		return false
 	}
-	bs := e.getBlockState(num)
-	if bs.valid {
-		return
-	}
-	if _, dup := bs.ordererVotes[from]; dup {
-		return
-	}
-	// Digest (a hash over every transaction) only after the cheap
-	// early-outs: redundant post-quorum announcements cost nothing.
-	digest := m.Digest()
-	if e.cfg.VerifySigs {
-		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			e.cfg.Logf("executor %s: bad NEWBLOCK signature from %s: %v", e.cfg.ID, from, err)
-			return
-		}
-	}
-	bs.ordererVotes[from] = digest
-	bs.ordererSigs[from] = m.Sig
-	bs.digestCount[digest]++
-	if _, ok := bs.proposals[digest]; !ok {
-		bs.proposals[digest] = m
-	}
-	if bs.digestCount[digest] >= e.cfg.OrderQuorum {
-		proposal := bs.proposals[digest]
-		if !e.validateBlock(proposal) {
-			e.cfg.Logf("executor %s: block %d failed structural validation", e.cfg.ID, num)
-			return
-		}
-		bs.evDigest = digest
-		bs.evStreamed = false
-		bs.evidence = endorsements(bs.ordererVotes, bs.ordererSigs, digest)
-		bs.trace.Mark(telemetry.MarkSealed)
-		bs.proposals = nil
-		if bs.started {
-			// The block is mid-stream in the window; the monolithic quorum
-			// must describe the same content.
-			e.adoptProposal(bs, proposal)
-		} else {
-			bs.valid = true
-			bs.contentDone = true
-			bs.msg = proposal
-			e.releaseStreams(bs)
-		}
-		e.pump()
-	}
+	return num >= height
 }
 
-// validateBlock checks the structural integrity of a quorum-backed block:
-// the header's transaction commitment and the graph's shape.
-func (e *Executor) validateBlock(m *types.NewBlockMsg) bool {
-	if !m.Block.VerifyTxRoot() {
+// intakeState returns the state of the block a NEWBLOCK, SEGMENT or SEAL
+// announces, or nil when the message has nothing left to contribute: the
+// block is not buffered, or its content is already installed.
+func (e *Executor) intakeState(num uint64) *blockState {
+	if !e.buffers(num) {
+		return nil
+	}
+	if bs := e.getBlockState(num); !bs.contentDone {
+		return bs
+	}
+	return nil
+}
+
+// verified checks an inbound signature when verification is on, logging
+// a rejection.
+func (e *Executor) verified(kind string, from types.NodeID, digest types.Hash, sig []byte) bool {
+	if !e.cfg.VerifySigs {
+		return true
+	}
+	if err := e.cfg.Verifier.Verify(string(from), digest[:], sig); err != nil {
+		e.cfg.Logf("executor %s: bad %s signature from %s: %v", e.cfg.ID, kind, from, err)
 		return false
 	}
-	if m.Graph == nil || m.Graph.N != len(m.Block.Txns) {
-		return false
+	return true
+}
+
+// handleNewBlock counts an orderer's NEWBLOCK as its vote and offers the
+// block it carries as that orderer's content candidate.
+func (e *Executor) handleNewBlock(from types.NodeID, m *types.NewBlockMsg) {
+	if m.Block == nil || m.Graph == nil || m.Orderer != from {
+		return
 	}
-	return m.Graph.Validate() == nil
+	bs := e.intakeState(m.Block.Header.Number)
+	if bs == nil {
+		return
+	}
+	if _, dup := bs.votes[from]; dup {
+		return
+	}
+	// Digest (a hash over every edge) only after the cheap early-outs:
+	// redundant post-quorum announcements cost nothing.
+	digest := m.Digest()
+	if !e.verified("NEWBLOCK", from, digest, m.Sig) {
+		return
+	}
+	if bs.cands[from] == nil {
+		size := txBytes(m.Block.Txns)
+		if e.streamBytes[from]+size <= maxOrdererStreamBytes {
+			c := &candidate{txns: m.Block.Txns, preds: m.Graph.Pred, graph: m.Graph}
+			e.charge(from, c, size)
+			bs.candidate(from, c)
+		} else {
+			e.cfg.Logf("executor %s: NEWBLOCK from %s for block %d exceeds its content budget",
+				e.cfg.ID, from, bs.num)
+		}
+	}
+	e.castVote(bs, from, vote{digest: digest, sig: m.Sig, header: m.Block.Header})
 }
 
 // handleSegment accepts one streamed segment into the sender's per-block
@@ -1065,45 +1060,22 @@ func (e *Executor) handleSegment(from types.NodeID, m *types.BlockSegmentMsg) {
 	if m.Orderer != from {
 		return
 	}
-	e.noteSeen(m.BlockNum)
-	if m.BlockNum < e.cfg.Ledger.Height() {
-		return // already committed
-	}
-	if e.beyondHorizon(m.BlockNum) {
-		e.stats.droppedFuture.Add(1)
+	bs := e.intakeState(m.BlockNum)
+	if bs == nil {
 		return
 	}
-	bs := e.getBlockState(m.BlockNum)
-	if bs.contentDone {
-		return // content already assembled and trusted
-	}
-	if bs.streams == nil {
-		bs.streams = make(map[types.NodeID]*segStream, 2)
-	}
-	st, ok := bs.streams[from]
-	if !ok {
-		st = &segStream{}
-		bs.streams[from] = st
-	}
-	if st.broken {
-		return
-	}
+	st := bs.candidate(from, nil)
 	// A restarted orderer replays its durable log and re-streams a
 	// partially streamed block from segment 0. Segments below this
 	// stream's frontier are duplicates of that replay: drop them instead
 	// of breaking the stream, and let the re-stream extend it once it
 	// passes the old frontier. A faulty orderer re-sending different
-	// content under a duplicate index still surfaces at seal validation,
-	// which checks the chained digest of the admitted segments.
-	if m.Seg < st.segs {
+	// content under a duplicate index still surfaces at install, which
+	// matches the chained digest of the admitted segments.
+	if st.broken || st.graph != nil || m.Seg < st.segs {
 		return
 	}
-	segBytes := 0
-	for _, tx := range m.Txns {
-		if tx != nil {
-			segBytes += tx.ApproxSize()
-		}
-	}
+	segBytes := txBytes(m.Txns)
 	if !validSegment(m, st) ||
 		st.next+len(m.Txns) > maxStreamTxns ||
 		e.streamBytes[from]+segBytes > maxOrdererStreamBytes {
@@ -1115,11 +1087,8 @@ func (e *Executor) handleSegment(from types.NodeID, m *types.BlockSegmentMsg) {
 	// Digest (a hash over every transaction) only after the cheap
 	// structural checks weeded out everything this node will not use.
 	digest := m.Digest()
-	if e.cfg.VerifySigs {
-		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			e.cfg.Logf("executor %s: bad SEGMENT signature from %s: %v", e.cfg.ID, from, err)
-			return
-		}
+	if !e.verified("SEGMENT", from, digest, m.Sig) {
+		return
 	}
 	st.cum = types.ChainSegmentDigest(st.cum, digest)
 	st.segs++
@@ -1129,11 +1098,9 @@ func (e *Executor) handleSegment(from types.NodeID, m *types.BlockSegmentMsg) {
 	}
 	// The orderer's budget is charged either way: the content is retained
 	// (in the stream buffer, or in the blockState it feeds) until the
-	// block's seal validates, so un-sealed speculative content from one
-	// orderer stays bounded in bytes, not just transaction count.
-	st.bytes += segBytes
-	e.streamBytes[from] += segBytes
-	e.mirror.streamBytes.Add(int64(segBytes))
+	// block's content is installed, so unendorsed speculative content from
+	// one orderer stays bounded in bytes, not just transaction count.
+	e.charge(from, st, segBytes)
 	if bs.started && bs.specFrom == from {
 		// Feeding execution directly: the content lives in the
 		// blockState, so no second copy is buffered.
@@ -1143,30 +1110,232 @@ func (e *Executor) handleSegment(from types.NodeID, m *types.BlockSegmentMsg) {
 		st.txns = append(st.txns, m.Txns...)
 		st.preds = append(st.preds, m.Preds...)
 	}
-	if bs.sealed != nil {
-		e.maybeInstallSeal(bs)
-	}
+	e.install(bs)
 	e.pump()
+}
+
+// handleSeal counts an orderer's seal as its vote. A seal over zero
+// segments is its own complete (empty) stream.
+func (e *Executor) handleSeal(from types.NodeID, m *types.BlockSealMsg) {
+	if m.Orderer != from {
+		return
+	}
+	bs := e.intakeState(m.Header.Number)
+	if bs == nil {
+		return
+	}
+	if _, dup := bs.votes[from]; dup {
+		return
+	}
+	digest := m.Digest() // cheap (header-sized), after the early-outs
+	if !e.verified("SEAL", from, digest, m.Sig) {
+		return
+	}
+	bs.candidate(from, nil)
+	e.castVote(bs, from, vote{digest: digest, sig: m.Sig, streamed: true,
+		header: m.Header, segs: m.Segments, cum: m.Cum})
+}
+
+// candidate returns from's content candidate for the block, recording c
+// (or, when c is nil, an empty segment stream) if from has none yet.
+func (bs *blockState) candidate(from types.NodeID, c *candidate) *candidate {
+	if have := bs.cands[from]; have != nil {
+		return have
+	}
+	if bs.cands == nil {
+		bs.cands = make(map[types.NodeID]*candidate, 2)
+	}
+	if c == nil {
+		c = &candidate{}
+	}
+	bs.cands[from] = c
+	return c
+}
+
+// txBytes is the approximate payload size of a transaction list.
+func txBytes(txns []*types.Transaction) int {
+	n := 0
+	for _, tx := range txns {
+		if tx != nil {
+			n += tx.ApproxSize()
+		}
+	}
+	return n
+}
+
+// castVote records from's one vote for the block, endorses the block if
+// that completed a quorum, installs whatever content the change made
+// available, and pumps the pipeline.
+func (e *Executor) castVote(bs *blockState, from types.NodeID, v vote) {
+	if bs.votes == nil {
+		bs.votes = make(map[types.NodeID]vote, e.cfg.OrderQuorum)
+	}
+	bs.votes[from] = v
+	e.endorse(bs)
+	e.install(bs)
+	e.pump()
+}
+
+// endorse sets the block's endorsement, if it has none, to the first
+// digest not yet rejected that holds OrderQuorum votes. NEWBLOCK and seal
+// digests hash different encodings, so the two kinds never pool into one
+// quorum. The evidence lists every orderer that cast the digest, sorted
+// by node ID so the WAL record is deterministic.
+func (e *Executor) endorse(bs *blockState) {
+	if bs.evidence != nil {
+		return
+	}
+	for _, v := range bs.votes {
+		if slices.Contains(bs.rejected, v.digest) {
+			continue
+		}
+		var evidence []persist.Endorsement
+		for node, w := range bs.votes {
+			if w.digest == v.digest {
+				evidence = append(evidence, persist.Endorsement{Node: node, Sig: w.sig})
+			}
+		}
+		if len(evidence) < e.cfg.OrderQuorum {
+			continue
+		}
+		slices.SortFunc(evidence, func(a, b persist.Endorsement) int {
+			return strings.Compare(string(a.Node), string(b.Node))
+		})
+		bs.ev, bs.evidence = v, evidence
+		bs.trace.Mark(telemetry.MarkSealed)
+		return
+	}
+}
+
+// matches reports whether from's candidate carries the endorsed content:
+// a healthy stream with the sealed segment count and cumulative digest,
+// or a NEWBLOCK whose orderer voted the endorsed digest.
+func (bs *blockState) matches(from types.NodeID, c *candidate) bool {
+	switch {
+	case c.broken:
+		return false
+	case bs.ev.streamed:
+		return c.graph == nil && c.segs == bs.ev.segs && c.cum == bs.ev.cum
+	}
+	return c.graph != nil && bs.votes[from].digest == bs.ev.digest
+}
+
+// install binds endorsed content to the block. It runs whenever the
+// endorsement or a candidate changes, trying the pinned stream first and
+// then every other matching candidate, and validates each once against
+// the endorsed header: transaction count, transaction root, graph shape.
+// If every matching candidate fails, the endorsement is rejected and
+// logged and the next quorum digest, if any, takes its place: a wait that
+// a later endorsement or state sync ends, never a halt.
+func (e *Executor) install(bs *blockState) {
+	for bs.evidence != nil && !bs.contentDone && !e.halted {
+		tried := false
+		if c := bs.cands[bs.specFrom]; c != nil && bs.matches(bs.specFrom, c) {
+			tried = true
+			if e.tryInstall(bs, bs.specFrom, c) {
+				return
+			}
+		}
+		for from, c := range bs.cands {
+			if from != bs.specFrom && bs.matches(from, c) {
+				tried = true
+				if e.tryInstall(bs, from, c) {
+					return
+				}
+			}
+		}
+		if !tried {
+			return // the endorsed content has not arrived yet
+		}
+		e.cfg.Logf("executor %s: block %d endorsed content failed structural validation", e.cfg.ID, bs.num)
+		bs.rejected = append(bs.rejected, bs.ev.digest)
+		bs.ev, bs.evidence = vote{}, nil
+		e.endorse(bs)
+	}
+}
+
+// tryInstall validates one matching candidate and, if it holds, installs
+// it: wholesale on a block not yet admitted, or on a started block by
+// confirming the executed prefix transaction by transaction and edge by
+// edge before extending the remainder. Valid endorsed content that
+// contradicts the executed prefix halts: executed state cannot be rolled
+// back. It reports false only when validation fails.
+func (e *Executor) tryInstall(bs *blockState, from types.NodeID, c *candidate) bool {
+	txns, preds, graph := c.txns, c.preds, c.graph
+	if bs.started && from == bs.specFrom {
+		txns, preds = bs.txns, bs.pred
+		graph = &depgraph.Graph{N: len(txns), Succ: bs.succ, Pred: preds}
+	} else if graph == nil {
+		graph = depgraph.FromPreds(preds)
+	}
+	block := &types.Block{Header: bs.ev.header, Txns: txns}
+	if block.Header.Count != len(txns) || !block.VerifyTxRoot() ||
+		graph.N != len(txns) || graph.Validate() != nil {
+		return false
+	}
+	if bs.started {
+		n := len(bs.txns)
+		if n > len(txns) {
+			e.haltf("block %d stream ran past the endorsed block (%d > %d txns)", bs.num, n, len(txns))
+			return true
+		}
+		for i := 0; i < n; i++ {
+			if txns[i] != bs.txns[i] && txns[i].Digest() != bs.txns[i].Digest() {
+				e.haltf("block %d speculative prefix diverges from endorsed content at %d", bs.num, i)
+				return true
+			}
+			if !slices.Equal(bs.pred[i], preds[i]) {
+				e.haltf("block %d speculative graph diverges from endorsed graph at %d", bs.num, i)
+				return true
+			}
+		}
+		if len(txns) > n {
+			bs.growTo(len(txns))
+			e.extendSegment(bs, txns[n:], preds[n:])
+		}
+		if block.Header.PrevHash != bs.prevAdmit {
+			e.haltf("block %d does not extend local chain", bs.num)
+			return true
+		}
+	}
+	bs.block, bs.preds, bs.contentDone = block, preds, true
+	e.releaseCandidates(bs)
+	if bs.started {
+		e.admitPrev = block.Hash()
+		// Results executed speculatively were held back from multicast
+		// until this moment; the content is now endorsed, so publish them.
+		e.flushCommits(bs)
+		e.replayPending(bs)
+		e.maybeComplete(bs)
+	}
+	return true
+}
+
+// charge adds n bytes of a candidate's content to its orderer's budget.
+func (e *Executor) charge(from types.NodeID, c *candidate, n int) {
+	c.bytes += n
+	e.streamBytes[from] += n
+	e.mirror.streamBytes.Add(int64(n))
 }
 
 // breakStream marks one orderer's stream unusable (gap, malformed
 // segment, or budget exceeded). Before admission the pin simply moves to
 // another orderer's healthy stream. After admission the block keeps
-// waiting: it can still complete via adoptStream from another orderer's
-// complete stream (which re-verifies the executed prefix), so one faulty
-// orderer costs at most its own stream, never a halt by itself.
-func (e *Executor) breakStream(bs *blockState, from types.NodeID, st *segStream, seg int) {
+// waiting: another matching candidate can still complete it (install
+// re-verifies the executed prefix), so one faulty orderer costs at most
+// its own stream, never a halt by itself.
+func (e *Executor) breakStream(bs *blockState, from types.NodeID, st *candidate, seg int) {
 	e.cfg.Logf("executor %s: segment stream from %s for block %d broke at segment %d",
 		e.cfg.ID, from, bs.num, seg)
 	st.broken = true
 	st.txns = nil
 	st.preds = nil
-	e.creditStreamBytes(from, st)
+	e.credit(from, st)
 	if bs.specFrom != from || bs.started {
 		return
 	}
 	bs.specFrom = ""
-	for id, other := range bs.streams {
+	for id, other := range bs.cands {
 		if !other.broken && other.segs > 0 {
 			bs.specFrom = id
 			break
@@ -1174,35 +1343,34 @@ func (e *Executor) breakStream(bs *blockState, from types.NodeID, st *segStream,
 	}
 }
 
-// creditStreamBytes returns a stream's buffered bytes to its orderer's
-// budget.
-func (e *Executor) creditStreamBytes(from types.NodeID, st *segStream) {
-	if st.bytes == 0 {
+// credit returns a candidate's buffered bytes to its orderer's budget.
+func (e *Executor) credit(from types.NodeID, c *candidate) {
+	if c.bytes == 0 {
 		return
 	}
-	e.streamBytes[from] -= st.bytes
-	e.mirror.streamBytes.Add(int64(-st.bytes))
+	e.streamBytes[from] -= c.bytes
+	e.mirror.streamBytes.Add(int64(-c.bytes))
 	if e.streamBytes[from] <= 0 {
 		delete(e.streamBytes, from)
 	}
-	st.bytes = 0
+	c.bytes = 0
 }
 
-// releaseStreams discards a block's buffered segment streams (its content
-// is installed, or the block state is being torn down), crediting every
-// sender's budget.
-func (e *Executor) releaseStreams(bs *blockState) {
-	for from, st := range bs.streams {
-		e.creditStreamBytes(from, st)
+// releaseCandidates discards a block's content candidates (its content is
+// installed, or the block state is being torn down), crediting every
+// orderer's budget.
+func (e *Executor) releaseCandidates(bs *blockState) {
+	for from, c := range bs.cands {
+		e.credit(from, c)
 	}
-	bs.streams = nil
+	bs.cands = nil
 }
 
 // validSegment checks a segment's consistency with its stream: in-order,
 // gap-free, and structurally valid edges. The TCP decoder already
 // enforces the edge invariants; the in-process transport delivers structs
 // directly, so they are re-checked here.
-func validSegment(m *types.BlockSegmentMsg, st *segStream) bool {
+func validSegment(m *types.BlockSegmentMsg, st *candidate) bool {
 	// Honest orderers never emit an empty segment (emitSegment fires only
 	// with pending transactions), so one is hostile by definition — and
 	// accepting it would let a content-free segment capture the
@@ -1230,259 +1398,10 @@ func validSegment(m *types.BlockSegmentMsg, st *segStream) bool {
 	return true
 }
 
-// handleSeal counts one orderer's seal for a streamed block; at
-// OrderQuorum matching seals the sealed content digest becomes trusted
-// and the block is installed as soon as a stream matches it.
-func (e *Executor) handleSeal(from types.NodeID, m *types.BlockSealMsg) {
-	if m.Orderer != from {
-		return
-	}
-	num := m.Header.Number
-	e.noteSeen(num)
-	if num < e.cfg.Ledger.Height() {
-		return
-	}
-	if e.beyondHorizon(num) {
-		e.stats.droppedFuture.Add(1)
-		return
-	}
-	bs := e.getBlockState(num)
-	if bs.contentDone || bs.sealed != nil {
-		return
-	}
-	if bs.sealVotes == nil {
-		bs.sealVotes = make(map[types.NodeID]types.Hash, 2)
-		bs.sealSigs = make(map[types.NodeID][]byte, 2)
-		bs.sealCount = make(map[types.Hash]int, 1)
-		bs.seals = make(map[types.Hash]*types.BlockSealMsg, 1)
-	}
-	if _, dup := bs.sealVotes[from]; dup {
-		return
-	}
-	digest := m.Digest() // cheap (header-sized), after the early-outs
-	if e.cfg.VerifySigs {
-		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			e.cfg.Logf("executor %s: bad SEAL signature from %s: %v", e.cfg.ID, from, err)
-			return
-		}
-	}
-	bs.sealVotes[from] = digest
-	bs.sealSigs[from] = m.Sig
-	bs.sealCount[digest]++
-	if _, ok := bs.seals[digest]; !ok {
-		bs.seals[digest] = m
-	}
-	if bs.sealCount[digest] >= e.cfg.OrderQuorum {
-		bs.sealed = bs.seals[digest]
-		bs.evDigest = digest
-		bs.evStreamed = true
-		bs.trace.Mark(telemetry.MarkSealed)
-		bs.evidence = endorsements(bs.sealVotes, bs.sealSigs, digest)
-		// The seal parameters outlive bs.sealed (cleared when content
-		// installs): the WAL record carries them so a sync requester can
-		// recompute the endorsed seal digest.
-		bs.sealSegs = bs.sealed.Segments
-		bs.sealCum = bs.sealed.Cum
-		bs.sealVotes = nil
-		bs.sealSigs = nil
-		bs.sealCount = nil
-		bs.seals = nil
-		e.maybeInstallSeal(bs)
-		e.pump()
-	}
-}
-
-// endorsements assembles the durable quorum evidence for the winning
-// digest: every voter that endorsed it, with its signature, sorted by
-// node ID so the WAL record is deterministic.
-func endorsements(votes map[types.NodeID]types.Hash, sigs map[types.NodeID][]byte,
-	won types.Hash) []persist.Endorsement {
-	out := make([]persist.Endorsement, 0, len(votes))
-	for node, d := range votes {
-		if d == won {
-			out = append(out, persist.Endorsement{Node: node, Sig: sigs[node]})
-		}
-	}
-	slices.SortFunc(out, func(a, b persist.Endorsement) int {
-		return strings.Compare(string(a.Node), string(b.Node))
-	})
-	return out
-}
-
-// maybeInstallSeal tries to bind a quorum-validated seal to streamed
-// content. For a block already admitted speculatively, the pinned stream
-// is the fast path; if it stalls (a crashed pinned orderer) or breaks,
-// any other orderer's complete stream matching the seal serves instead,
-// with the executed prefix re-verified transaction by transaction. For
-// an unadmitted block any orderer's complete, matching stream installs
-// directly. Called whenever the seal or new segments arrive.
-func (e *Executor) maybeInstallSeal(bs *blockState) {
-	seal := bs.sealed
-	if seal == nil || bs.contentDone || e.halted {
-		return
-	}
-	if bs.started {
-		if st := bs.streams[bs.specFrom]; st != nil && !st.broken {
-			if st.segs > seal.Segments || (st.segs == seal.Segments && st.cum != seal.Cum) {
-				// The quorum sealed different content than this node
-				// executed speculatively: the pinned orderer equivocated,
-				// and executed state cannot be rolled back.
-				e.haltf("block %d speculative stream diverges from sealed content", bs.num)
-				return
-			}
-			if st.segs == seal.Segments {
-				e.finishStreamed(bs, seal)
-				return
-			}
-		}
-		// Pinned stream incomplete (crashed orderer?) or broken: recover
-		// from any complete matching stream. adoptStream verifies the
-		// executed prefix against it, so a wrong speculation still halts
-		// rather than finalize.
-		for _, st := range bs.streams {
-			if !st.broken && st.segs == seal.Segments && st.cum == seal.Cum {
-				e.adoptStream(bs, seal, st)
-				return
-			}
-		}
-		return // wait: the pinned or another stream may still complete
-	}
-	if seal.Segments == 0 {
-		e.installSealedContent(bs, seal, nil, nil)
-		return
-	}
-	for _, st := range bs.streams {
-		if !st.broken && st.segs == seal.Segments && st.cum == seal.Cum {
-			e.installSealedContent(bs, seal, st.txns, st.preds)
-			return
-		}
-	}
-	// No complete matching stream yet; segments still in flight.
-}
-
-// adoptStream completes a speculatively admitted block from a complete,
-// seal-matching stream of a different orderer than the one that fed the
-// speculation (which crashed or broke): the assembled content is
-// validated like a monolithic proposal and the executed prefix is
-// checked digest for digest before the remainder is admitted.
-func (e *Executor) adoptStream(bs *blockState, seal *types.BlockSealMsg, st *segStream) {
-	block := &types.Block{Header: seal.Header, Txns: st.txns}
-	graph := depgraph.FromPreds(st.preds)
-	msg := &types.NewBlockMsg{Block: block, Graph: graph, Apps: seal.Apps, Orderer: seal.Orderer}
-	if seal.Header.Count != len(st.txns) || !e.validateBlock(msg) {
-		// A quorum sealed content that does not validate structurally:
-		// beyond the fault assumption, same as finishStreamed's check.
-		e.haltf("block %d sealed stream failed structural validation", bs.num)
-		return
-	}
-	e.adoptProposal(bs, msg)
-}
-
-// installSealedContent assembles a not-yet-admitted streamed block into
-// the same shape a monolithic NEWBLOCK quorum produces; the normal
-// admission path takes it from there.
-func (e *Executor) installSealedContent(bs *blockState, seal *types.BlockSealMsg,
-	txns []*types.Transaction, preds [][]int32) {
-	block := &types.Block{Header: seal.Header, Txns: txns}
-	graph := depgraph.FromPreds(preds)
-	msg := &types.NewBlockMsg{Block: block, Graph: graph, Apps: seal.Apps, Orderer: seal.Orderer}
-	if !e.validateBlock(msg) || seal.Header.Count != len(txns) {
-		// An OrderQuorum of seals endorsed content whose header does not
-		// commit to it: beyond the fault assumption (and no retry is
-		// possible — each orderer seals a block exactly once).
-		e.haltf("block %d sealed stream failed structural validation", bs.num)
-		return
-	}
-	bs.valid = true
-	bs.contentDone = true
-	bs.msg = msg
-	bs.proposals = nil
-	e.releaseStreams(bs)
-}
-
-// finishStreamed completes a speculatively admitted block whose pinned
-// stream matches the sealed content: the header is verified against the
-// streamed transactions and the local chain, the synthesized NEWBLOCK
-// takes the place a monolithic quorum message would have, and buffered
-// remote COMMIT votes finally count.
-func (e *Executor) finishStreamed(bs *blockState, seal *types.BlockSealMsg) {
-	block := &types.Block{Header: seal.Header, Txns: bs.txns}
-	if seal.Header.Count != len(bs.txns) || !block.VerifyTxRoot() {
-		e.haltf("block %d seal does not commit to the streamed transactions", bs.num)
-		return
-	}
-	graph := &depgraph.Graph{N: len(bs.txns), Succ: bs.succ, Pred: bs.pred}
-	if err := graph.Validate(); err != nil {
-		e.haltf("block %d streamed graph invalid: %v", bs.num, err)
-		return
-	}
-	msg := &types.NewBlockMsg{Block: block, Graph: graph, Apps: seal.Apps, Orderer: seal.Orderer}
-	e.finishStarted(bs, msg)
-}
-
-// finishStarted installs trusted full content on a block that is already
-// executing in the window, advancing the admission hash chain and
-// releasing buffered votes. Callers guarantee msg's transactions extend
-// bs.txns exactly.
-func (e *Executor) finishStarted(bs *blockState, msg *types.NewBlockMsg) {
-	if msg.Block.Header.PrevHash != bs.prevAdmit {
-		e.haltf("block %d does not extend local chain", bs.num)
-		return
-	}
-	bs.valid = true
-	bs.contentDone = true
-	bs.msg = msg
-	bs.proposals = nil
-	e.releaseStreams(bs)
-	bs.sealed = nil
-	e.admitPrev = msg.Block.Hash()
-	// Results executed speculatively were held back from multicast until
-	// this moment; the content is now quorum-validated, so publish them.
-	e.flushCommits(bs)
-	e.replayPending(bs)
-	e.maybeComplete(bs)
-}
-
-// adoptProposal reconciles a monolithic NEWBLOCK quorum with a block
-// already admitted from segments: the speculative prefix must match the
-// quorum content — transaction digests AND dependency edges, since a
-// Byzantine stream could pair honest transactions with wrong edges and
-// wrong execution order — then the remainder is admitted and the block
-// finishes exactly as a sealed stream would.
-func (e *Executor) adoptProposal(bs *blockState, m *types.NewBlockMsg) {
-	n := len(bs.txns)
-	if n > len(m.Block.Txns) {
-		e.haltf("block %d stream ran past the quorum block (%d > %d txns)",
-			bs.num, n, len(m.Block.Txns))
-		return
-	}
-	for i := 0; i < n; i++ {
-		if bs.txns[i].Digest() != m.Block.Txns[i].Digest() {
-			e.haltf("block %d speculative prefix diverges from quorum content at %d", bs.num, i)
-			return
-		}
-		if !slices.Equal(bs.pred[i], m.Graph.Pred[i]) {
-			e.haltf("block %d speculative graph diverges from quorum graph at %d", bs.num, i)
-			return
-		}
-	}
-	if len(m.Block.Txns) > n {
-		bs.growTo(len(m.Block.Txns))
-		e.extendSegment(bs, m.Block.Txns[n:], m.Graph.Pred[n:])
-	}
-	e.finishStarted(bs, m)
-}
-
 func (e *Executor) getBlockState(num uint64) *blockState {
 	bs, ok := e.blocks[num]
 	if !ok {
-		bs = &blockState{
-			num:          num,
-			ordererVotes: make(map[types.NodeID]types.Hash),
-			ordererSigs:  make(map[types.NodeID][]byte),
-			digestCount:  make(map[types.Hash]int),
-			proposals:    make(map[types.Hash]*types.NewBlockMsg),
-		}
+		bs = &blockState{num: num}
 		if e.cfg.Tracer != nil {
 			// First consensus delivery for this height: the span starts.
 			bs.trace = e.cfg.Tracer.Start(num)
@@ -1495,16 +1414,16 @@ func (e *Executor) getBlockState(num uint64) *blockState {
 
 // pump drives the pipeline forward until it reaches a fixed point:
 // completed blocks finalize in strict block order (freeing window slots),
-// then blocks are admitted into the freed slots — validated monolithic
-// blocks wholesale, streamed blocks speculatively from their first
-// segment. A streamed block whose seal has not validated holds back the
-// admission of its successor (its transaction list is still growing, and
-// the cross-block stitcher requires strictly ordered extension), so the
-// window's tail is the only block that may be content-incomplete.
-// Admission can complete a block immediately (empty blocks, or blocks
-// whose buffered remote COMMITs already carry every result), so the loop
-// repeats until neither step makes progress. Only the actor loop calls
-// pump; it must never be invoked from inside admit/finalize/commitTx.
+// then blocks are admitted into the freed slots. A block admitted
+// speculatively from its pinned stream holds back the admission of its
+// successor until its content is installed (its transaction list is still
+// growing, and the cross-block stitcher requires strictly ordered
+// extension), so the window's tail is the only block that may be
+// content-incomplete. Admission can complete a block immediately (empty
+// blocks, or blocks whose buffered remote COMMITs already carry every
+// result), so the loop repeats until neither step makes progress. Only
+// the actor loop calls pump; it must never be invoked from inside
+// admit/finalize/commitTx.
 func (e *Executor) pump() {
 	if !e.admitInit {
 		e.nextAdmit = e.cfg.Ledger.Height()
@@ -1515,17 +1434,10 @@ func (e *Executor) pump() {
 		progress := e.finalizeBatch()
 		for !e.halted && len(e.window) < e.cfg.PipelineDepth {
 			if len(e.window) > 0 && !e.window[len(e.window)-1].contentDone {
-				break // tail still streaming; successors wait for its seal
+				break // tail still streaming; successors wait for its content
 			}
 			bs, ok := e.blocks[e.nextAdmit]
-			if !ok || bs.started {
-				break
-			}
-			if bs.valid {
-				e.admit(bs)
-			} else if st := bs.streams[bs.specFrom]; st != nil && !st.broken && len(st.txns) > 0 {
-				e.admitStream(bs)
-			} else {
+			if !ok || bs.started || !e.admit(bs) {
 				break
 			}
 			progress = true
@@ -1536,13 +1448,44 @@ func (e *Executor) pump() {
 	}
 }
 
-// enterWindow performs the admission steps shared by both paths: chain
-// the block's overlay onto the newest in-flight predecessor (reads must
-// see the newest uncommitted write of any earlier in-flight block) and
-// record the expected previous-block hash.
-func (e *Executor) enterWindow(bs *blockState) {
+// admit moves the block at the admission cursor into the execution window
+// and reports whether it did. An installed block enters wholesale;
+// otherwise whatever prefix its pinned segment stream holds enters
+// speculatively: it cannot finalize, and remote votes do not count, until
+// install binds endorsed content (the overlay chain keeps its writes
+// invisible to the committed store either way). Admission chains the
+// block's overlay onto the newest in-flight predecessor, seeds Algorithm
+// 1's indegrees (plus the cross-block edges the stitcher derives),
+// dispatches the ready transactions, and replays COMMIT messages that
+// raced ahead of the block.
+func (e *Executor) admit(bs *blockState) bool {
+	var txns []*types.Transaction
+	var preds [][]int32
+	switch st := bs.cands[bs.specFrom]; {
+	case bs.contentDone:
+		if bs.block.Header.PrevHash != e.admitPrev {
+			// A quorum of orderers endorsed a block that does not extend
+			// this node's chain: beyond the fault assumption. Halt rather
+			// than diverge.
+			e.haltf("block %d does not extend local chain", bs.num)
+			return false
+		}
+		txns, preds = bs.block.Txns, bs.preds
+	case st != nil && !st.broken && len(st.txns) > 0:
+		// The content moves into the blockState; segs/next/cum keep
+		// tracking the stream for install, and its bytes stay charged to
+		// the orderer until then.
+		txns, preds = st.txns, st.preds
+		st.txns, st.preds = nil, nil
+		e.stats.segsAdmitted.Add(uint64(st.segs))
+	default:
+		return false
+	}
 	bs.started = true
 	bs.prevAdmit = e.admitPrev
+	if bs.contentDone {
+		e.admitPrev = bs.block.Hash()
+	}
 	e.nextAdmit++
 	e.lastProgress = time.Now()
 	e.mirror.lastProgress.Store(e.lastProgress.UnixNano())
@@ -1554,55 +1497,18 @@ func (e *Executor) enterWindow(bs *blockState) {
 	bs.overlay = state.NewBlockOverlay(base)
 	e.window = append(e.window, bs)
 	e.mirror.windowLen.Store(int64(len(e.window)))
-}
-
-// admit moves one fully validated block into the execution window: it
-// installs the block's transactions and graph wholesale, seeds Algorithm
-// 1's indegrees (plus the cross-block edges the stitcher derives),
-// dispatches the ready transactions, and replays COMMIT messages that
-// raced ahead of the block.
-func (e *Executor) admit(bs *blockState) {
-	if bs.msg.Block.Header.PrevHash != e.admitPrev {
-		// A quorum of orderers signed a block that does not extend this
-		// node's chain: beyond the fault assumption. Halt rather than
-		// diverge.
-		e.haltf("block %d does not extend local chain", bs.num)
-		return
-	}
-	e.enterWindow(bs)
-	e.admitPrev = bs.msg.Block.Hash()
-	bs.growTo(len(bs.msg.Block.Txns))
-	e.extendSegment(bs, bs.msg.Block.Txns, bs.msg.Graph.Pred)
+	bs.growTo(len(txns))
+	e.extendSegment(bs, txns, preds)
 	e.replayPending(bs)
 	e.maybeComplete(bs)
-}
-
-// admitStream moves a streamed block into the execution window before its
-// seal arrived, admitting whatever prefix its pinned stream holds.
-// Everything it executes is speculative in exactly one sense: it cannot
-// finalize (and remote votes do not count) until a seal quorum validates
-// the content. The overlay chain keeps its writes invisible to the
-// committed store either way.
-func (e *Executor) admitStream(bs *blockState) {
-	st := bs.streams[bs.specFrom]
-	e.enterWindow(bs)
-	e.stats.segsAdmitted.Add(uint64(st.segs))
-	e.extendSegment(bs, st.txns, st.preds)
-	// The content now lives in the blockState; drop the stream's copy
-	// (segs/next/cum keep tracking the stream for the seal match, and the
-	// bytes stay charged to the orderer until the seal validates).
-	st.txns = nil
-	st.preds = nil
-	if bs.sealed != nil {
-		e.maybeInstallSeal(bs)
-	}
+	return true
 }
 
 // extendSegment appends transactions (with their intra-block predecessor
 // edges) to an in-window block, growing every per-transaction array,
 // stitching cross-block conflicts, and dispatching transactions that are
-// immediately ready. It is the single admission point for transactions in
-// both paths: monolithic admission is one big extend.
+// immediately ready. It is the single admission point for transactions:
+// wholesale admission is one big extend.
 func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, preds [][]int32) {
 	if len(txns) == 0 {
 		return
@@ -1687,11 +1593,11 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 }
 
 // replayPending applies COMMIT messages that arrived before the block was
-// both admitted and content-validated. Votes only ever count against
-// trusted content, so a Byzantine orderer cannot launder results through
+// both admitted and content-installed. Votes only ever count against
+// endorsed content, so a Byzantine orderer cannot launder results through
 // a speculative stream.
 func (e *Executor) replayPending(bs *blockState) {
-	if !bs.started || !bs.valid {
+	if !bs.started || !bs.contentDone {
 		return
 	}
 	if buffered := e.pendingCommits[bs.num]; len(buffered) > 0 {
@@ -1819,9 +1725,9 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	// nodes and non-agent executors can commit. Under streaming, "end of
 	// work" can fire per segment; the extra flushes are harmless (votes
 	// are idempotent) and keep remote agents fed early. Results of
-	// speculative execution stay in outBuf until the content validates
-	// (finishStarted flushes then): multicasting a vote is an external
-	// effect, and publishing results derived from an unvalidated stream
+	// speculative execution stay in outBuf until the content is installed
+	// (tryInstall flushes then): multicasting a vote is an external
+	// effect, and publishing results derived from an unendorsed stream
 	// would let a Byzantine orderer launder wrong results through honest
 	// agents' signatures.
 	flush := e.cfg.EagerCommit || bs.localDone == bs.localTotal
@@ -1834,7 +1740,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 			}
 		}
 	}
-	if flush && bs.valid {
+	if flush && bs.contentDone {
 		e.flushCommits(bs)
 	}
 	e.pump()
@@ -1862,29 +1768,17 @@ func (e *Executor) flushCommits(bs *blockState) {
 
 // handleCommitMsg is the intake of Algorithm 3.
 func (e *Executor) handleCommitMsg(from types.NodeID, m *types.CommitMsg) {
-	if m.Executor != from {
+	if m.Executor != from || !e.buffers(m.BlockNum) {
 		return
 	}
-	e.noteSeen(m.BlockNum)
-	if m.BlockNum < e.cfg.Ledger.Height() {
-		return // stale
-	}
-	if e.beyondHorizon(m.BlockNum) {
-		e.stats.droppedFuture.Add(1)
+	if e.cfg.VerifySigs && !e.verified("COMMIT", from, m.Digest(), m.Sig) {
 		return
-	}
-	if e.cfg.VerifySigs {
-		digest := m.Digest()
-		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			e.cfg.Logf("executor %s: bad COMMIT signature from %s: %v", e.cfg.ID, from, err)
-			return
-		}
 	}
 	bs, ok := e.blocks[m.BlockNum]
-	if !ok || !bs.started || !bs.valid {
-		// The block has not reached this node (or its quorum, or — for a
-		// streamed block — its seal) yet; buffer and replay once content
-		// is both admitted and trusted. The per-sender byte budget sheds
+	if !ok || !bs.started || !bs.contentDone {
+		// The block has not reached this node (or its endorsed content)
+		// yet; buffer and replay once content is both admitted and
+		// installed. The per-sender byte budget sheds
 		// floods without ever touching an honest sender, whose
 		// outstanding results are bounded by its own pipeline window.
 		size := m.ApproxSize()
@@ -2143,7 +2037,7 @@ func (e *Executor) releaseGated(bs *blockState, idx int) {
 	e.stats.specHits.Add(1)
 	bs.outBuf = append(bs.outBuf, *r)
 	e.addVote(bs, idx, *r, e.cfg.ID, e.ownBit(bs.txns[idx].App))
-	if bs.valid {
+	if bs.contentDone {
 		e.flushCommits(bs)
 	}
 }
@@ -2326,14 +2220,14 @@ func (e *Executor) applyFinal(bs *blockState) {
 	}
 	if e.cfg.Persist != nil {
 		rec := &persist.BlockRecord{
-			Block:          bs.msg.Block,
+			Block:          bs.block,
 			Results:        bs.final,
 			Delta:          delta,
 			StateHash:      e.cfg.Store.Hash(),
-			Streamed:       bs.evStreamed,
-			EvidenceDigest: bs.evDigest,
-			SealSegments:   bs.sealSegs,
-			SealCum:        bs.sealCum,
+			Streamed:       bs.ev.streamed,
+			EvidenceDigest: bs.ev.digest,
+			SealSegments:   bs.ev.segs,
+			SealCum:        bs.ev.cum,
 			Endorse:        bs.evidence,
 		}
 		if err := e.cfg.Persist.LogBlock(rec); err != nil {
@@ -2348,7 +2242,7 @@ func (e *Executor) applyFinal(bs *blockState) {
 // and client notifications. With durability on, the pump calls it only
 // after the block's WAL record is durable.
 func (e *Executor) externalize(bs *blockState) {
-	entry := ledger.Entry{Block: bs.msg.Block, Results: bs.final}
+	entry := ledger.Entry{Block: bs.block, Results: bs.final}
 	if err := e.cfg.Ledger.Append(entry); err != nil {
 		e.haltf("ledger append failed for block %d: %v", bs.num, err)
 		return
@@ -2361,14 +2255,14 @@ func (e *Executor) externalize(bs *blockState) {
 	if e.cfg.PipelineDepth > 1 {
 		e.stitcher.Remove(bs.num)
 	}
-	e.releaseStreams(bs) // normally already nil; covers teardown paths
+	e.releaseCandidates(bs) // normally already nil; covers teardown paths
 	delete(e.blocks, bs.num)
 	for _, m := range e.pendingCommits[bs.num] {
 		e.creditCommitBytes(m) // normally drained at replay; covers races
 	}
 	delete(e.pendingCommits, bs.num)
 	if e.cfg.OnCommit != nil {
-		e.cfg.OnCommit(bs.msg.Block, bs.final)
+		e.cfg.OnCommit(bs.block, bs.final)
 	}
 	if e.cfg.NotifyClients {
 		for i, tx := range bs.txns {

@@ -89,6 +89,32 @@ func refResults(genesis []types.KV, blocks [][]*types.Transaction) (types.Hash, 
 	return store.Hash(), all
 }
 
+// cutMono builds the monolithic NEWBLOCK of every block, announced by
+// the given orderer, with the graph the indexed builder produces.
+func cutMono(blocks [][]*types.Transaction, orderer types.NodeID) []*types.NewBlockMsg {
+	out := make([]*types.NewBlockMsg, len(blocks))
+	var prev types.Hash
+	for num, txns := range blocks {
+		block := types.NewBlock(uint64(num), prev, txns)
+		prev = block.Hash()
+		sets := make([]depgraph.RWSet, len(txns))
+		for i, tx := range txns {
+			sets[i] = depgraph.RWSet{
+				Reads:  append([]string(nil), tx.Op.Reads...),
+				Writes: append([]string(nil), tx.Op.Writes...),
+			}
+			sets[i].Normalize()
+		}
+		out[num] = &types.NewBlockMsg{
+			Block:   block,
+			Graph:   depgraph.Build(sets, depgraph.Standard),
+			Apps:    block.Apps(),
+			Orderer: orderer,
+		}
+	}
+	return out
+}
+
 // runPipelined streams the blocks through one executor at the given
 // pipeline depth and returns the final state hash, the ledger, and the
 // finalized results per block (in finalization order). A non-empty
@@ -160,24 +186,7 @@ func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 	exec.Start()
 	defer exec.Stop()
 
-	var prev types.Hash
-	for num, txns := range blocks {
-		block := types.NewBlock(uint64(num), prev, txns)
-		prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{
-				Reads:  append([]string(nil), tx.Op.Reads...),
-				Writes: append([]string(nil), tx.Op.Writes...),
-			}
-			sets[i].Normalize()
-		}
-		msg := &types.NewBlockMsg{
-			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
-			Apps:    block.Apps(),
-			Orderer: "o1",
-		}
+	for _, msg := range cutMono(blocks, "o1") {
 		if err := orderer.Send("e1", msg); err != nil {
 			t.Fatal(err)
 		}

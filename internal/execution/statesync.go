@@ -225,12 +225,8 @@ func (e *Executor) handleSyncRequest(from types.NodeID, m *types.StateSyncReques
 	if e.cfg.Persist == nil {
 		return // nothing durable to serve
 	}
-	if e.cfg.VerifySigs {
-		digest := m.Digest()
-		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			e.cfg.Logf("executor %s: bad sync request signature from %s: %v", e.cfg.ID, from, err)
-			return
-		}
+	if e.cfg.VerifySigs && !e.verified("sync request", from, m.Digest(), m.Sig) {
+		return
 	}
 	// The actor loop is still running (it dispatched this handler), so
 	// the waitgroup count is positive and Add cannot race Stop's Wait.
@@ -313,12 +309,8 @@ func (e *Executor) handleSyncResponse(from types.NodeID, m *types.StateSyncRespo
 		m.Responder != from || from != e.currentSyncPeer() {
 		return
 	}
-	if e.cfg.VerifySigs {
-		digest := m.Digest()
-		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			e.cfg.Logf("executor %s: bad sync response signature from %s: %v", e.cfg.ID, from, err)
-			return // keep waiting: the deadline handles a mute peer
-		}
+	if e.cfg.VerifySigs && !e.verified("sync response", from, m.Digest(), m.Sig) {
+		return // keep waiting: the deadline handles a mute peer
 	}
 	e.sync.waiting = false
 	// Any verified response answers the silence probe. Spending the probe
@@ -467,12 +459,7 @@ func (e *Executor) recomputeEvidence(rec *persist.BlockRecord) types.Hash {
 	for i, tx := range rec.Block.Txns {
 		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 	}
-	var graph *depgraph.Graph
-	if e.cfg.PairwiseGraph {
-		graph = depgraph.BuildPairwise(sets, e.cfg.GraphMode)
-	} else {
-		graph = depgraph.Build(sets, e.cfg.GraphMode)
-	}
+	graph := depgraph.Build(sets, e.cfg.GraphMode)
 	return (&types.NewBlockMsg{Block: rec.Block, Graph: graph}).Digest()
 }
 
@@ -653,23 +640,17 @@ func (e *Executor) rebaseAfterSync() {
 	old := e.blocks
 	e.blocks = make(map[uint64]*blockState, len(old))
 	for num, bs := range old {
-		e.releaseStreams(bs)
+		e.releaseCandidates(bs)
 		if e.cfg.PipelineDepth > 1 && bs.started {
 			e.stitcher.Remove(num)
 		}
-		if num >= tip && bs.contentDone && bs.msg != nil {
-			// Validated content survives the rebase; execution restarts
+		if num >= tip && bs.contentDone {
+			// Installed content survives the rebase; execution restarts
 			// from scratch under the new chain (admission re-checks the
 			// PrevHash linkage against the synced tip).
 			nb := e.getBlockState(num)
-			nb.valid = bs.valid
-			nb.contentDone = true
-			nb.msg = bs.msg
-			nb.evDigest = bs.evDigest
-			nb.evStreamed = bs.evStreamed
-			nb.evidence = bs.evidence
-			nb.sealSegs = bs.sealSegs
-			nb.sealCum = bs.sealCum
+			nb.contentDone, nb.block, nb.preds = true, bs.block, bs.preds
+			nb.ev, nb.evidence = bs.ev, bs.evidence
 		}
 	}
 	for num, buffered := range e.pendingCommits {

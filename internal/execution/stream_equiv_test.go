@@ -411,7 +411,9 @@ func TestStreamSegmentsExecuteBeforeSeal(t *testing.T) {
 
 // TestStreamSealMismatchHalts: if the seal quorum binds content that
 // differs from what the pinned stream delivered (an equivocating
-// orderer), the executor must halt rather than finalize either version.
+// orderer), the executor must not finalize either version: it waits for
+// a candidate matching the seal, and halts if that content contradicts
+// the executed prefix.
 func TestStreamSealMismatchHalts(t *testing.T) {
 	blocks, genesis := tracedBlocks(43, 0, 1, 4)
 	r := newStreamRig(t, 4, genesis)

@@ -79,7 +79,7 @@ func (e *Executor) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.L
 		"Seconds since the pipeline last admitted or externalized a block.",
 		func() float64 { return time.Since(time.Unix(0, e.mirror.lastProgress.Load())).Seconds() })
 	gauge("parblockchain_executor_stream_buffer_bytes",
-		"Segment payload buffered across all senders (budget: per-orderer).",
+		"Uninstalled block content (segments and NEWBLOCKs) buffered across all orderers (budget: per-orderer).",
 		func() float64 { return float64(e.mirror.streamBytes.Load()) })
 	gauge("parblockchain_executor_commit_buffer_bytes",
 		"COMMIT payload buffered across all senders (budget: per-executor).",
@@ -100,6 +100,9 @@ func (e *Executor) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.L
 
 // Status is the executor's /statusz payload: a point-in-time view of the
 // pipeline assembled entirely from scrape-safe sources.
+// StreamBufferBytes is the block content — segment streams and NEWBLOCK
+// bodies alike — held for blocks whose content is not installed yet,
+// charged per orderer against maxOrdererStreamBytes.
 type Status struct {
 	Height            uint64 `json:"height"`
 	TipHash           string `json:"tip_hash"`

@@ -60,9 +60,6 @@ var knobs = map[string]struct {
 	"GraphMode": {json: `"multiversion"`, lands: func(e effective) [][2]any {
 		return [][2]any{{e.exec.GraphMode, depgraph.MultiVersion}, {e.ord.GraphMode, depgraph.MultiVersion}}
 	}},
-	"UsePairwiseGraph": {json: `true`, lands: func(e effective) [][2]any {
-		return [][2]any{{e.exec.PairwiseGraph, true}, {e.ord.UsePairwiseGraph, true}}
-	}},
 	"MinHorizon":  {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.MinHorizon, 3}} }},
 	"SyncStallMs": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.StallTimeout, 3 * time.Millisecond}} }},
 	"FsyncPolicy": {json: `"always"`, lands: func(e effective) [][2]any {

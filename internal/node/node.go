@@ -187,7 +187,6 @@ func (c *Config) executorConfig() execution.Config {
 		Workers:       c.ExecWorkers,
 		PipelineDepth: c.PipelineDepth,
 		GraphMode:     c.GraphMode,
-		PairwiseGraph: c.UsePairwiseGraph,
 		EagerCommit:   c.EagerCommit,
 		Speculate:     c.Speculate,
 		MinHorizon:    c.MinHorizon,
@@ -218,7 +217,6 @@ func (c *Config) ordererConfig() ordering.Config {
 		MaxBlockInterval: c.MaxBlockInterval,
 		BuildGraph:       true,
 		GraphMode:        c.GraphMode,
-		UsePairwiseGraph: c.UsePairwiseGraph,
 		SegmentTxns:      c.SegmentTxns,
 		Dir:              logDir,
 		Fsync:            c.FsyncPolicy,

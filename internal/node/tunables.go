@@ -49,9 +49,6 @@ type Tunables struct {
 	// GraphMode selects the dependency rule, "standard" (default) or
 	// "multiversion"; orderers and executors of a cluster must agree.
 	GraphMode depgraph.Mode `json:"graphMode,omitempty"`
-	// UsePairwiseGraph selects the paper-faithful O(n^2) graph builder;
-	// orderers and executors of a cluster must agree.
-	UsePairwiseGraph bool `json:"usePairwiseGraph,omitempty"`
 	// MinHorizon sets each executor's minimum future-buffering horizon in
 	// blocks; zero uses the executor default. Larger values absorb longer
 	// orderer/executor skew before far-future traffic is dropped (state

@@ -93,12 +93,6 @@ type Config struct {
 	BuildGraph bool
 	// GraphMode selects the conflict rule (Standard or MultiVersion).
 	GraphMode depgraph.Mode
-	// UsePairwiseGraph selects the paper-faithful O(n^2) builder instead
-	// of the indexed one; Figure 5's block-size turnover is measured with
-	// pairwise generation (see README.md, "Substitutions"). Pairwise
-	// generation is inherently a cut-time batch, so it is ignored when
-	// SegmentTxns enables streaming.
-	UsePairwiseGraph bool
 	// SegmentTxns streams each block to the executors as it is built:
 	// every SegmentTxns ordered transactions are multicast in a signed
 	// BlockSegmentMsg carrying their incremental dependency edges, and
@@ -295,11 +289,10 @@ func New(cfg Config) (*Orderer, error) {
 		seenCur: make(map[types.TxID]bool),
 		stopCh:  make(chan struct{}),
 	}
-	// The incremental appender serves both streaming (mandatory: segments
-	// carry its edges) and the monolithic indexed path (the graph is then
-	// ready at the cut instead of being built there). Only the
-	// paper-faithful pairwise ablation builds at cut time.
-	if o.cfg.BuildGraph && (o.cfg.SegmentTxns > 0 || !o.cfg.UsePairwiseGraph) {
+	// The incremental appender serves both streaming (segments carry its
+	// edges) and the monolithic path (the graph is ready at the cut
+	// instead of being built there).
+	if o.cfg.BuildGraph {
 		o.appender = depgraph.NewAppender(o.cfg.GraphMode)
 	}
 	if o.cfg.Dir != "" {
@@ -588,9 +581,8 @@ func (o *Orderer) emitSegment() {
 // the transactions and their graph edges are already on the wire (modulo
 // a final partial segment), so the cut only multicasts a small signed
 // BlockSealMsg binding the header to the streamed content; in monolithic
-// mode it multicasts the classic NEWBLOCK with the full graph — taken
-// from the incremental appender, or built here when the paper-faithful
-// pairwise cost model is selected.
+// mode it multicasts the classic NEWBLOCK with the full graph taken from
+// the incremental appender.
 func (o *Orderer) cutBlock() {
 	txns := o.pending
 	streamed := o.streaming()
@@ -613,18 +605,6 @@ func (o *Orderer) cutBlock() {
 	var graph *depgraph.Graph
 	if o.appender != nil {
 		graph = o.appender.Finish()
-	} else if o.cfg.BuildGraph {
-		// Pairwise cut-time generation (the paper-faithful cost model).
-		// Sets are canonical by the handleEntry admission check, so no
-		// normalization pass (which would mutate the signed transactions)
-		// is needed.
-		start := time.Now()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		}
-		graph = depgraph.BuildPairwise(sets, o.cfg.GraphMode)
-		o.stats.graphBuildNanos.Add(uint64(time.Since(start)))
 	}
 
 	// Bound the dedupe set with a two-generation rotation: the IDs of the
