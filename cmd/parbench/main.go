@@ -61,7 +61,6 @@ func run() error {
 	flag.IntVar(&cfg.opts.PipelineDepth, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
 	flag.IntVar(&cfg.opts.SegmentTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = monolithic NEWBLOCK)")
 	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
-	flag.BoolVar(&cfg.opts.Speculate, "speculate", false, "speculative commit-wait bypass for all OXII runs (adopt first votes, gate multicasts, cascade on mismatch)")
 	flag.StringVar(&cfg.opts.StateBackend, "backend", "", "state backend for all OXII runs: "+strings.Join(persist.StateBackendNames, ", ")+" (empty = memory)")
 	flag.Int64Var(&cfg.opts.HotTierBytes, "hotbytes", 0, "tiered backend hot-tier byte cap (0 = backend default; tiered figure default 1MiB)")
 	flag.Float64Var(&cfg.opts.ZipfSkew, "zipf", 0, "Zipf s parameter for hot-key selection, 0 = round-robin (must be > 1 otherwise)")
@@ -333,11 +332,10 @@ func printSeries(c config, title string, series []namedSeries) {
 }
 
 // figSpeculation measures the speculative commit-wait bypass: cross-app
-// contended OXII with two agents and tau=2 per application, half the
-// voters' COMMITs delayed, speculation off vs on at each delay. Off, a
-// dependent transaction waits the full delay for the quorum before it can
-// execute; on, it executes at the first (fast) vote and overlaps the
-// vote round-trip with useful work.
+// contended OXII with two agents per application, half the voters'
+// COMMITs delayed, tau 1 vs tau 2 at each delay. At tau 1 the first
+// (fast) vote is the quorum; at tau 2 a dependent transaction still
+// executes at the first vote, and only its vote waits for the slow one.
 func figSpeculation(c config) error {
 	delays := []time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond}
 	levels := c.clientLevels()
@@ -350,12 +348,8 @@ func figSpeculation(c config) error {
 	}
 	rows := make([]namedSeries, 0, len(series))
 	for _, s := range series {
-		mode := "off"
-		if s.Speculate {
-			mode = "on"
-		}
 		rows = append(rows, namedSeries{
-			name:   fmt.Sprintf("delay=%s/spec-%s", s.VoteDelay, mode),
+			name:   fmt.Sprintf("delay=%s/tau=%d", s.VoteDelay, s.Tau),
 			points: s.Points,
 		})
 	}

@@ -115,9 +115,7 @@ type Options struct {
 	VoteDelay time.Duration
 	// Tunables are the OXII deployment's knobs, handed to oxii.Config
 	// verbatim (ablation A1 sets EagerCommit, A2 GraphMode). ExecWorkers
-	// defaults to 2*BlockTxns here; Speculate is meaningful with
-	// AgentsPerApp/Tau >= 2, where non-local predecessors otherwise stall
-	// dependents for a vote round-trip.
+	// defaults to 2*BlockTxns here.
 	node.Tunables
 	// DataDir enables the durability subsystem for OXII runs: every
 	// executor write-ahead-logs finalized blocks (and snapshots state)
@@ -245,11 +243,11 @@ type Result struct {
 	// finalizing in one batch share a single fsync.
 	WALAppends uint64
 	WALSyncs   uint64
-	// Speculation counters, summed over every executor (all 0 without
-	// Options.Speculate): executions that read at least one uncommitted
-	// input, buffered votes released after every input committed with a
-	// matching digest, invalidated speculations, and cascade
-	// re-executions. In fault-free runs Misses/Reexecs stay 0: honest
+	// Speculation counters, summed over every executor (all 0 at Tau 1,
+	// where the first vote is the quorum): executions that read at least
+	// one uncommitted input, buffered votes released after every input
+	// committed with a matching digest, invalidated speculations, and
+	// cascade re-executions. In fault-free runs Misses/Reexecs stay 0: honest
 	// agents execute deterministically, so adopted first votes always
 	// match the quorum.
 	SpecExecuted uint64

@@ -144,7 +144,6 @@ func TestRunOXIISpeculative(t *testing.T) {
 	opts.Contention = 0.5
 	opts.AgentsPerApp = 2
 	opts.Tau = 2
-	opts.Speculate = true
 	opts.VoteDelay = time.Millisecond
 	opts.Duration = 600 * time.Millisecond
 	r, err := Run(opts)
@@ -160,19 +159,20 @@ func TestRunOXIISpeculative(t *testing.T) {
 	if r.SpecMisses != 0 || r.SpecReexecs != 0 {
 		t.Fatalf("honest run produced speculation misses: %+v", r)
 	}
-	// Speculation off: the counters must stay untouched.
-	opts.Speculate = false
+	// Tau 1: the first vote is the quorum, so nothing is speculative and
+	// the counters must stay untouched.
+	opts.Tau = 1
 	r2, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.SpecExecuted != 0 || r2.SpecHits != 0 {
-		t.Fatalf("non-speculative run reported speculation activity: %+v", r2)
+		t.Fatalf("tau=1 run reported speculation activity: %+v", r2)
 	}
 }
 
 // TestSpeculationSweepSmoke exercises the SpeculationSweep harness end to
-// end (one delay, off and on) so the sweep stays wired; CI's bench-smoke
+// end (one delay, tau 1 and 2) so the sweep stays wired; CI's bench-smoke
 // job runs it alongside the benchmarks.
 func TestSpeculationSweepSmoke(t *testing.T) {
 	base := short(SystemOXIIX)
@@ -182,10 +182,10 @@ func TestSpeculationSweepSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(series) != 2 {
-		t.Fatalf("series = %d, want 2 (off and on)", len(series))
+		t.Fatalf("series = %d, want 2 (tau 1 and 2)", len(series))
 	}
-	if series[0].Speculate || !series[1].Speculate {
-		t.Fatal("sweep must emit the off series before the on series per delay")
+	if series[0].Tau != 1 || series[1].Tau != 2 {
+		t.Fatal("sweep must emit the tau=1 series before the tau=2 series per delay")
 	}
 	for _, s := range series {
 		if len(s.Points) != 1 || s.Points[0].Result.Throughput <= 0 {

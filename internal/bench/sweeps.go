@@ -254,58 +254,50 @@ func PipelineSweep(base Options, contention float64, depths []int,
 }
 
 // SpeculationSeries is one line of a speculation plot: OXII's (cross-app
-// contention) throughput-latency curve at one COMMIT vote delay, with
-// speculation on or off. The peak point's SpecExecuted/SpecHits/
-// SpecMisses/SpecReexecs expose how much work ran speculatively and how
-// often it had to be repaired (0 misses in fault-free runs).
+// contention) throughput-latency curve at one COMMIT vote delay and one
+// tau. The peak point's SpecExecuted/SpecHits/SpecMisses/SpecReexecs
+// expose how much work ran speculatively and how often it had to be
+// repaired (0 misses in fault-free runs, 0 of everything at tau 1).
 type SpeculationSeries struct {
 	VoteDelay time.Duration
-	Speculate bool
+	Tau       int
 	Points    []SweepPoint
 }
 
 // SpeculationSweep measures the speculative commit-wait bypass: for each
 // artificial vote delay it runs the cross-app contended workload
 // (SystemOXIIX, so dependency chains span applications and predecessors
-// are non-local) with two agents and tau=2 per application — half the
-// voters slow by the delay — speculation off and on. Off, a dependent
-// stalls until the slow vote completes the tau quorum; on, it executes
-// at the first (fast) vote and only its own vote waits for the quorum,
-// so execution overlaps the vote round-trip.
+// are non-local) with two agents per application — half the voters slow
+// by the delay — at tau=1 and tau=2. At tau=1 the first (fast) vote is
+// the quorum, so nothing waits for the slow voter; at tau=2 a dependent
+// executes at the first vote and only its own vote waits for the quorum,
+// so the gap between the two series is what the quorum still costs once
+// execution overlaps the vote round-trip.
 func SpeculationSweep(base Options, contention float64, delays []time.Duration,
 	clientLevels []int, progress io.Writer) ([]SpeculationSeries, error) {
 	series := make([]SpeculationSeries, 0, 2*len(delays))
 	for _, delay := range delays {
-		for _, speculate := range []bool{false, true} {
+		for _, tau := range []int{1, 2} {
 			opts := base
 			opts.System = SystemOXIIX
 			opts.Contention = contention
 			opts.AgentsPerApp = 2
-			opts.Tau = 2
+			opts.Tau = tau
 			opts.VoteDelay = delay
-			opts.Speculate = speculate
 			points, err := Curve(opts, clientLevels)
 			if err != nil {
 				return series, err
 			}
 			series = append(series, SpeculationSeries{
-				VoteDelay: delay, Speculate: speculate, Points: points,
+				VoteDelay: delay, Tau: tau, Points: points,
 			})
 			if progress != nil {
 				peak := Peak(points)
-				mode := "off"
-				if speculate {
-					mode = "on "
-				}
-				line := fmt.Sprintf("speculation delay=%-6s %s peak=%8.0f tx/s lat=%8s",
-					delay, mode, peak.Result.Throughput,
-					peak.Result.AvgLatency.Round(time.Millisecond))
-				if speculate {
-					line += fmt.Sprintf("  spec-exec=%d hits=%d misses=%d reexec=%d",
-						peak.Result.SpecExecuted, peak.Result.SpecHits,
-						peak.Result.SpecMisses, peak.Result.SpecReexecs)
-				}
-				fmt.Fprintln(progress, line)
+				fmt.Fprintf(progress, "speculation delay=%-6s tau=%d peak=%8.0f tx/s lat=%8s  spec-exec=%d hits=%d misses=%d reexec=%d\n",
+					delay, tau, peak.Result.Throughput,
+					peak.Result.AvgLatency.Round(time.Millisecond),
+					peak.Result.SpecExecuted, peak.Result.SpecHits,
+					peak.Result.SpecMisses, peak.Result.SpecReexecs)
 			}
 		}
 	}

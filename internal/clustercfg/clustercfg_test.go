@@ -243,7 +243,6 @@ func TestRoundTrip(t *testing.T) {
 			ExecWorkers:      3,
 			PipelineDepth:    2,
 			SegmentTxns:      16,
-			Speculate:        true,
 			EagerCommit:      true,
 			GraphMode:        depgraph.MultiVersion,
 			MinHorizon:       9,

@@ -66,24 +66,31 @@
 // Algorithm 1 already lets a transaction run as soon as its predecessors
 // are in Ce ∪ Xe, so a locally executed predecessor never stalls its
 // successors. A predecessor of another application is different: this
-// node cannot execute it, so without speculation the successor waits for
-// tau(A) matching COMMIT votes — a network round-trip on the critical
-// path. With Config.Speculate the executor instead adopts the
-// predecessor's first (pre-quorum) vote result as a speculative value,
-// executes dependents against it, and re-validates when the predecessor
-// commits: a matching committed digest promotes the speculative results
-// in place; a mismatch (or an abort flip) revokes the predecessor's
-// overlay writes and cascades re-execution through the exact set of
-// transactions that read the invalidated value (speculation lineage is
-// recorded per dispatch). Speculative results stay internal until
-// validated: the COMMIT multicast (and the node's own vote) for a result
-// that read any uncommitted input is buffered per transaction and
-// released only once every speculated-upon input has committed with the
-// digest the execution read — the same externalization discipline the
-// install gate applies to streamed content, so honest agents never launder
-// a result derived from unconfirmed state. Honest agents execute
-// deterministically, so in fault-free runs every speculation validates
-// and ledger and state are bit-identical to the non-speculative path.
+// node cannot execute it, so the paper's successor waits for tau(A)
+// matching COMMIT votes — a network round-trip on the critical path. The
+// executor instead adopts the predecessor's first (pre-quorum) vote
+// result as a speculative value, executes dependents against it, and
+// re-validates when the predecessor commits: a matching committed digest
+// promotes the speculative results in place; a mismatch (or an abort
+// flip) revokes the predecessor's overlay writes and cascades
+// re-execution through the exact set of transactions that read the
+// invalidated value (speculation lineage is recorded per dispatch).
+// Speculative results stay internal until validated: the COMMIT multicast
+// (and the node's own vote) for a result that read any uncommitted input
+// is buffered per transaction and released only once every
+// speculated-upon input has committed with the digest the execution read
+// — the same externalization discipline the install gate applies to
+// streamed content, so honest agents never launder a result derived from
+// unconfirmed state. Honest agents execute deterministically, so in
+// fault-free runs every speculation validates and ledger and state are
+// bit-identical to the paper's stall-for-quorum executor.
+//
+// Speculation is the only commit-wait path, and it costs nothing where
+// there is nothing to wait for: at tau(A) = 1 the first vote is the
+// quorum, so no vote is ever adopted, and a local result whose inputs
+// have all committed commits on this node's own vote before it satisfies
+// a single successor — its successors read committed values, register no
+// lineage, and no result digest is computed on its behalf.
 //
 // # Durability
 //
@@ -200,15 +207,6 @@ type Config struct {
 	// executed transaction (n*m messages per block) instead of the lazy
 	// cross-application cut rule. Exposed for the A1 ablation.
 	EagerCommit bool
-	// Speculate lets dependent transactions execute against a
-	// predecessor's uncommitted result instead of stalling for the tau
-	// quorum: a non-local predecessor's first vote is adopted as a
-	// speculative value, lineage is tracked per execution, COMMIT
-	// multicasts of speculative results are buffered until every
-	// speculated-upon input commits with a matching digest, and a
-	// mismatch cascades re-execution through the speculation subtree.
-	// Off, the executor behaves exactly as the paper's Algorithms 1-3.
-	Speculate bool
 	// Signer signs outbound COMMIT messages.
 	Signer cryptoutil.Signer
 	// Verifier checks NEWBLOCK, SEGMENT, SEAL, and COMMIT signatures.
@@ -365,7 +363,7 @@ type Stats struct {
 	// capacity.
 	MsgsDroppedFuture uint64
 	// SpecExecuted counts executions dispatched with at least one
-	// uncommitted (speculated-upon) input. 0 unless Config.Speculate.
+	// uncommitted (speculated-upon) input. Always 0 when every tau is 1.
 	SpecExecuted uint64
 	// SpecHits counts speculative results whose buffered vote was
 	// released after every speculated-upon input committed with the
@@ -605,7 +603,7 @@ type blockState struct {
 	// this block's transactions, per transaction index.
 	crossSucc [][]crossRef
 
-	// Speculation state (Config.Speculate), indexed by block position.
+	// Speculation state, indexed by block position.
 	// epoch tags the current execution attempt (bumped per cascade
 	// invalidation, so disowned worker results are discarded); specActive
 	// and specDigest describe the uncommitted result currently recorded
@@ -1567,12 +1565,12 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 				if !ok || !pred.started {
 					continue
 				}
-				// With speculation on, every conflicting, still-uncommitted
-				// predecessor is retained for dispatch-time lineage — a
-				// satisfied (speculatively executed or adopted) predecessor
-				// imposes no wait, but a dependent must still register on
-				// its uncommitted value so a commit mismatch cascades here.
-				if e.cfg.Speculate && !pred.committed[ref.Index] {
+				// Every conflicting, still-uncommitted predecessor is
+				// retained for dispatch-time lineage — a satisfied
+				// (speculatively executed or adopted) predecessor imposes
+				// no wait, but a dependent must still register on its
+				// uncommitted value so a commit mismatch cascades here.
+				if !pred.committed[ref.Index] {
 					bs.crossPred[j] = append(bs.crossPred[j], crossRef{bs: pred, idx: int(ref.Index)})
 				}
 				if pred.satisfied[ref.Index] {
@@ -1634,9 +1632,7 @@ func (e *Executor) dispatch(bs *blockState, idx int) {
 	if bs.inflight[idx] || bs.execLocal[idx] || bs.committed[idx] {
 		return
 	}
-	if e.cfg.Speculate {
-		e.registerLineage(bs, idx)
-	}
+	e.registerLineage(bs, idx)
 	bs.trace.Mark(telemetry.MarkDispatched) // idempotent: first dispatch wins
 	bs.inflight[idx] = true
 	// Dependents first: a transaction another in-window transaction waits
@@ -1684,7 +1680,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	if !ok || !bs.started {
 		return // block finalized while the worker ran (remote commit race)
 	}
-	if e.cfg.Speculate && epoch != bs.epoch[idx] {
+	if epoch != bs.epoch[idx] {
 		return // disowned attempt: a cascade re-dispatched this transaction
 	}
 	bs.inflight[idx] = false
@@ -1696,14 +1692,16 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	if bs.contentDone && bs.localDone == bs.localTotal {
 		bs.trace.Mark(telemetry.MarkDrained)
 	}
-	if e.cfg.Speculate {
+	if bs.unresolved[idx] > 0 || e.tau(bs.txns[idx].App) > 1 {
+		// The result stays uncommitted past this event — it waits for
+		// other agents' votes, or for its own inputs to commit — so it
+		// becomes the transaction's speculative value (Xe) and satisfies
+		// successors now. Otherwise the own vote below commits it at once
+		// (or a remote quorum already did), and commitTx records and fires.
 		e.recordSpecResult(bs, idx, result)
-	} else if !bs.committed[idx] && !result.Aborted {
-		// Make the result visible to dependent local transactions (Xe).
-		bs.overlay.Record(idx, result.Writes)
+		e.fireSatisfied(bs, idx)
 	}
-	e.fireSatisfied(bs, idx)
-	if e.cfg.Speculate && bs.unresolved[idx] > 0 {
+	if bs.unresolved[idx] > 0 {
 		// The execution read at least one uncommitted input: buffer the
 		// result. The vote and multicast are released by resolveDep once
 		// every speculated-upon input has committed with the digest this
@@ -1849,7 +1847,7 @@ func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter type
 	case !counted:
 	case won != nil:
 		e.commitTx(bs, idx, *won)
-	case e.cfg.Speculate:
+	default:
 		e.maybeAdoptVote(bs, idx, r, voter, d)
 	}
 }
@@ -2047,9 +2045,14 @@ func (e *Executor) releaseGated(bs *blockState, idx int) {
 // the in-place results (dependents' buffered votes release as their
 // remaining inputs commit); a mismatch revokes the speculative writes,
 // installs the committed result, and cascades re-execution through every
-// dependent that read the invalidated value.
+// dependent that read the invalidated value. A transaction nothing
+// speculated on — no recorded value, no registered dependent, as always
+// at tau = 1 — just lands its committed writes, unhashed.
 func (e *Executor) promoteOrCascade(bs *blockState, idx int, r *types.TxResult) {
-	d := r.Digest()
+	var d types.Hash
+	if bs.specActive[idx] || len(bs.specDeps[idx]) > 0 {
+		d = r.Digest()
+	}
 	switch {
 	case bs.specActive[idx] && bs.specDigest[idx] == d:
 		// Promoted: the speculative writes in the overlay are bit-identical
@@ -2099,17 +2102,13 @@ func (e *Executor) tau(app types.AppID) int {
 }
 
 // commitTx marks one transaction committed, reflects its writes in the
-// block overlay (under speculation: promotes a matching speculative value
-// in place, or revokes it and cascades), and unblocks dependents.
+// block overlay (promoting a matching speculative value in place, or
+// revoking it and cascading), and unblocks dependents.
 func (e *Executor) commitTx(bs *blockState, idx int, r types.TxResult) {
 	bs.committed[idx] = true
 	bs.final[idx] = r
 	bs.tally[idx] = voteTally{}
-	if e.cfg.Speculate {
-		e.promoteOrCascade(bs, idx, &bs.final[idx])
-	} else if !r.Aborted {
-		bs.overlay.Record(idx, r.Writes)
-	}
+	e.promoteOrCascade(bs, idx, &bs.final[idx])
 	if r.Aborted {
 		e.stats.aborted.Add(1)
 	}

@@ -121,8 +121,7 @@ func cutMono(blocks [][]*types.Transaction, orderer types.NodeID) []*types.NewBl
 // dataDir enables the durability subsystem (snapshot every 2 blocks, so
 // short traces still exercise truncation) and, after the run, reopens
 // the directory to assert crash recovery reproduces the final state.
-// opts mutate the executor Config after the rig defaults (dispatch order,
-// speculation knobs).
+// opts mutate the executor Config after the rig defaults (dispatch order).
 func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 	blocks [][]*types.Transaction, opts ...func(*Config)) (types.Hash, *ledger.Ledger, [][]types.TxResult) {
 	t.Helper()

@@ -9,11 +9,11 @@ import (
 
 // TestSchedulerEquivalence is the dispatch-order admission gate (a named
 // -race CI step): a ready queue may reorder only the ready set, so at
-// pipeline depths {1,4} × contentions {0,0.4,1.0} × speculation off/on,
-// every dispatch order's final state hash and ledger chain must be
-// bit-identical to the sequential baseline — single-executor pipelined
-// intake without speculation, and a three-executor fleet (cross-app
-// conflict chains, tau=2) with it.
+// pipeline depths {1,4} × contentions {0,0.4,1.0}, every dispatch
+// order's final state hash and ledger chain must be bit-identical to the
+// sequential baseline — single-executor pipelined intake (tau=1, nothing
+// to speculate on), and a three-executor fleet (cross-app conflict
+// chains, tau=2) speculating on every foreign first vote.
 func TestSchedulerEquivalence(t *testing.T) {
 	const (
 		numBlocks = 6
@@ -46,9 +46,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 				var wantTip types.Hash
 				for _, sched := range allSchedulers {
-					name := fmt.Sprintf("depth=%d/%s/speculate", depth, sched)
+					name := fmt.Sprintf("depth=%d/%s/tau=2", depth, sched)
 					gotHash, gotTip := runSpecNet(t, specNetConfig{
-						depth: depth, tau: 2, speculate: true, sched: sched,
+						depth: depth, tau: 2, sched: sched,
 					}, genesis, blocks, 0)
 					if gotHash != wantHash {
 						t.Fatalf("%s: state hash diverged from sequential baseline", name)
@@ -68,10 +68,10 @@ func TestSchedulerEquivalence(t *testing.T) {
 // transactions an executable property: for each seed, a fresh trace of
 // cross-application conflict chains runs on a three-executor fleet at
 // pipeline depth 4 whose ready queues pop a seeded-random item after a
-// seeded delay (seededQueue), with speculation off and on and tau 1 and
-// 2. The state hash, the ledger tip and every committed result must
-// equal the sequential baseline. A failure names its seed. -short runs
-// 300 seeds, a full run 1000.
+// seeded delay (seededQueue), at tau 1 (nothing to speculate on) and tau
+// 2 (every cross-application hop speculates). The state hash, the ledger
+// tip and every committed result must equal the sequential baseline. A
+// failure names its seed. -short runs 300 seeds, a full run 1000.
 func TestSeededDispatchEquivalence(t *testing.T) {
 	const (
 		numBlocks = 3
@@ -84,40 +84,35 @@ func TestSeededDispatchEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		blocks, genesis := tracedBlocksOpt(seed, 0.6, true, numBlocks, blockTxns)
 		wantHash, wantResults := refResults(genesis, blocks)
-		var wantTip types.Hash
-		for num, txns := range blocks {
-			wantTip = types.NewBlock(uint64(num), wantTip, txns).Hash()
-		}
-		for _, speculate := range []bool{false, true} {
-			for _, tau := range []int{1, 2} {
-				name := fmt.Sprintf("seed=%d/speculate=%v/tau=%d", seed, speculate, tau)
-				n := newSpecNet(t, specNetConfig{
-					depth: 4, tau: tau, speculate: speculate,
-					sched: dispatchOrder{seeded: true, seed: seed},
-				}, genesis)
-				n.feedMonolithic(t, blocks)
-				n.awaitHeight(t, numBlocks)
-				for i, led := range n.leds {
-					if got := n.stores[i].Hash(); got != wantHash {
-						t.Fatalf("%s: executor %s state hash diverged from the sequential baseline", name, n.ids[i])
+		wantTip := chainTip(blocks)
+		for _, tau := range []int{1, 2} {
+			name := fmt.Sprintf("seed=%d/tau=%d", seed, tau)
+			n := newSpecNet(t, specNetConfig{
+				depth: 4, tau: tau,
+				sched: dispatchOrder{seeded: true, seed: seed},
+			}, genesis)
+			n.feedMonolithic(t, blocks)
+			n.awaitHeight(t, numBlocks)
+			for i, led := range n.leds {
+				if got := n.stores[i].Hash(); got != wantHash {
+					t.Fatalf("%s: executor %s state hash diverged from the sequential baseline", name, n.ids[i])
+				}
+				if led.LastHash() != wantTip {
+					t.Fatalf("%s: executor %s ledger tip diverged", name, n.ids[i])
+				}
+				for b := range blocks {
+					entry, err := led.Get(uint64(b))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					if led.LastHash() != wantTip {
-						t.Fatalf("%s: executor %s ledger tip diverged", name, n.ids[i])
-					}
-					for b := range blocks {
-						entry, err := led.Get(uint64(b))
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						for j, r := range entry.Results {
-							if r.Digest() != wantResults[b][j].Digest() {
-								t.Fatalf("%s: executor %s block %d tx %d: result diverged", name, n.ids[i], b, j)
-							}
+					for j, r := range entry.Results {
+						if r.Digest() != wantResults[b][j].Digest() {
+							t.Fatalf("%s: executor %s block %d tx %d: result diverged", name, n.ids[i], b, j)
 						}
 					}
 				}
-				n.stop(t)
 			}
+			n.stop(t)
 		}
 	}
 }

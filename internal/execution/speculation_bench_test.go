@@ -15,17 +15,18 @@ import (
 )
 
 // The delayed-vote speculation harness: four executors, two applications
-// with two agents each (appA on e1/e2, appB on e3/e4), tau=2 for both,
-// and the COMMIT multicasts of e2 and e4 delayed — so for every
+// with two agents each (appA on e1/e2, appB on e3/e4), one tau for both,
+// and the COMMIT multicasts of e2 and e4 delayed — so at tau=2, for every
 // transaction the first vote arrives quickly while the quorum waits out
 // the slow voter. The workload is a cross-application dependency chain
 // (consecutive transactions alternate applications and append to one hot
-// key), so without speculation each link serializes exec-after-quorum:
-// an agent cannot even *execute* a transaction until the slow vote for
-// its foreign predecessor lands. With speculation the execution happens
+// key), so a stall-for-quorum executor would serialize exec-after-quorum
+// on each link: an agent could not even *execute* a transaction until
+// the slow vote for its foreign predecessor lands. Speculation executes
 // at the first vote and only the (buffered) vote release waits for the
 // quorum, taking the contract service time off the vote-bound critical
-// path.
+// path. At tau=1 the first vote is the quorum: the same chain with
+// nothing to wait for.
 type specBenchRig struct {
 	net     *transport.InMemNetwork
 	execs   []*Executor
@@ -36,7 +37,7 @@ type specBenchRig struct {
 	next    uint64
 }
 
-func newSpecBenchRig(b *testing.B, speculate bool, voteDelay, execCost time.Duration) *specBenchRig {
+func newSpecBenchRig(b *testing.B, tau int, voteDelay, execCost time.Duration) *specBenchRig {
 	b.Helper()
 	r := &specBenchRig{
 		ids:     []types.NodeID{"e1", "e2", "e3", "e4"},
@@ -56,7 +57,6 @@ func newSpecBenchRig(b *testing.B, speculate bool, voteDelay, execCost time.Dura
 		"appA": {"e1", "e2"},
 		"appB": {"e3", "e4"},
 	}
-	tau := map[types.AppID]int{"appA": 2, "appB": 2}
 	app := contract.WithCost(contract.NewKV(), contract.CostModel{Cost: execCost})
 	for _, id := range r.ids {
 		ep, _ := r.net.Endpoint(id)
@@ -74,14 +74,13 @@ func newSpecBenchRig(b *testing.B, speculate bool, voteDelay, execCost time.Dura
 			Endpoint:      ep,
 			Registry:      registry,
 			AgentsOf:      agents,
-			Tau:           tau,
+			Tau:           map[types.AppID]int{"appA": tau, "appB": tau},
 			OrderQuorum:   1,
 			Executors:     r.ids,
 			Store:         store,
 			Ledger:        ledger.New(),
 			Workers:       8,
 			PipelineDepth: 4,
-			Speculate:     speculate,
 			Signer:        cryptoutil.NoopSigner{NodeID: string(id)},
 			Verifier:      cryptoutil.NoopVerifier{},
 			Logf:          func(string, ...any) {},
@@ -155,11 +154,11 @@ func (r *specBenchRig) runBlocks(b *testing.B, blocks [][]*types.Transaction) {
 // BenchmarkExecutorSpeculation measures the speculative commit-wait
 // bypass on the delayed-vote harness: a cross-application dependency
 // chain under a 2ms slow-voter delay and a 500us contract service time.
-// Without speculation every chain link costs quorum-wait plus execution
-// serially; with it the execution overlaps the vote round-trip, so the
-// delta between the off/on rows is the compute share of the critical
-// path. The spec-hits/block metric counts validated speculations
-// (misses/reexecs stay 0: all voters are honest, only slow).
+// At tau=2 each chain link's execution overlaps the slow vote round-trip;
+// tau=1 is the same chain with the quorum wait gone, so the delta between
+// the rows is what the quorum still costs under speculation. The
+// spec-hits/block metric counts validated speculations (0 at tau=1;
+// misses/reexecs stay 0: all voters are honest, only slow).
 func BenchmarkExecutorSpeculation(b *testing.B) {
 	const (
 		blockTxns     = 12
@@ -167,13 +166,9 @@ func BenchmarkExecutorSpeculation(b *testing.B) {
 		voteDelay     = 2 * time.Millisecond
 		execCost      = 500 * time.Microsecond
 	)
-	for _, speculate := range []bool{false, true} {
-		mode := "off"
-		if speculate {
-			mode = "on"
-		}
-		b.Run(mode, func(b *testing.B) {
-			r := newSpecBenchRig(b, speculate, voteDelay, execCost)
+	for _, tau := range []int{1, 2} {
+		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
+			r := newSpecBenchRig(b, tau, voteDelay, execCost)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				blocks := make([][]*types.Transaction, blocksPerIter)

@@ -16,10 +16,10 @@ import (
 	"parblockchain/internal/types"
 )
 
-// This file property-tests the speculative commit-wait bypass
-// (Config.Speculate): dependent transactions executing against a
-// predecessor's uncommitted (first-vote) result must leave ledger and
-// state bit-identical to the stall-for-quorum baseline — across pipeline
+// This file property-tests the speculative commit-wait bypass: dependent
+// transactions executing against a predecessor's uncommitted (first-vote)
+// result must leave ledger and state bit-identical to the sequential
+// reference — across pipeline
 // depths, tau settings, contention levels, monolithic and streamed
 // intake, and with durability enabled — and a divergent leading vote must
 // cascade re-execution through the speculation subtree without ever
@@ -29,8 +29,8 @@ import (
 // specNet is a fleet of executors on one in-process network, fed raw
 // blocks by a test orderer endpoint. Every application is agented on two
 // consecutive executors, so with three executors each node has one
-// foreign application whose transactions stall on the tau quorum without
-// speculation — the configuration the bypass exists for.
+// foreign application whose transactions would stall on the tau quorum
+// without speculation — the configuration the bypass exists for.
 type specNet struct {
 	net     *transport.InMemNetwork
 	execs   []*Executor
@@ -46,7 +46,6 @@ type specNetConfig struct {
 	executors int
 	depth     int
 	tau       int
-	speculate bool
 	tiered    bool // eviction-forcing tiered store per executor (in-memory rigs only)
 	sched     dispatchOrder
 	dataDir   string // per-executor subdirectories; "" = in-memory
@@ -125,7 +124,6 @@ func newSpecNet(t testing.TB, cfg specNetConfig, genesis []types.KV) *specNet {
 			Ledger:        led,
 			Workers:       4,
 			PipelineDepth: cfg.depth,
-			Speculate:     cfg.speculate,
 			Signer:        cryptoutil.NoopSigner{NodeID: string(id)},
 			Verifier:      cryptoutil.NoopVerifier{},
 			Persist:       mgr,
@@ -261,10 +259,9 @@ func runSpecNet(t *testing.T, cfg specNetConfig, genesis []types.KV,
 
 // TestSpeculationEquivalence asserts, for cross-application conflict
 // chains at two contention levels, that speculation leaves ledger and
-// state bit-identical to the non-speculative path (and to the sequential
-// reference) at pipeline depths {1,4}, tau {1,2}, monolithic and
-// streamed intake — and, at the deepest configuration, with durability
-// enabled on every executor.
+// state bit-identical to the sequential reference at pipeline depths
+// {1,4}, tau {1,2}, monolithic and streamed intake — and, at the deepest
+// configuration, with durability enabled on every executor.
 func TestSpeculationEquivalence(t *testing.T) {
 	const (
 		numBlocks = 6
@@ -275,16 +272,7 @@ func TestSpeculationEquivalence(t *testing.T) {
 			seed := int64(9000 + int(contention*100))
 			blocks, genesis := tracedBlocksOpt(seed, contention, true, numBlocks, blockTxns)
 			wantHash, _ := refResults(genesis, blocks)
-
-			// The non-speculative baseline on the same fleet: its hash must
-			// match the sequential reference, and its ledger tip anchors the
-			// chain comparison for every speculative configuration.
-			offHash, wantTip := runSpecNet(t, specNetConfig{
-				depth: 4, tau: 2, speculate: false,
-			}, genesis, blocks, 0)
-			if offHash != wantHash {
-				t.Fatal("non-speculative fleet diverged from sequential reference")
-			}
+			wantTip := chainTip(blocks)
 
 			for _, sched := range allSchedulers {
 				for _, tau := range []int{1, 2} {
@@ -292,13 +280,13 @@ func TestSpeculationEquivalence(t *testing.T) {
 						for _, segTxns := range []int{0, 16} {
 							name := fmt.Sprintf("%s/tau=%d/depth=%d/seg=%d", sched, tau, depth, segTxns)
 							gotHash, gotTip := runSpecNet(t, specNetConfig{
-								depth: depth, tau: tau, speculate: true, sched: sched,
+								depth: depth, tau: tau, sched: sched,
 							}, genesis, blocks, segTxns)
 							if gotHash != wantHash {
-								t.Fatalf("%s: state hash diverged from baseline", name)
+								t.Fatalf("%s: state hash diverged from the sequential reference", name)
 							}
 							if gotTip != wantTip {
-								t.Fatalf("%s: ledger chain diverged from baseline", name)
+								t.Fatalf("%s: ledger chain diverged from the sequential reference", name)
 							}
 						}
 					}
@@ -310,7 +298,7 @@ func TestSpeculationEquivalence(t *testing.T) {
 			// break recovery, monolithic and streamed.
 			for _, segTxns := range []int{0, 16} {
 				gotHash, gotTip := runSpecNet(t, specNetConfig{
-					depth: 4, tau: 2, speculate: true, dataDir: t.TempDir(),
+					depth: 4, tau: 2, dataDir: t.TempDir(),
 				}, genesis, blocks, segTxns)
 				if gotHash != wantHash || gotTip != wantTip {
 					t.Fatalf("durable speculative run (seg=%d) diverged", segTxns)
@@ -318,6 +306,43 @@ func TestSpeculationEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTauOneSpeculatesNothing pins what speculation costs where there
+// is nothing to wait for: at tau=1 the first vote is the quorum, so a
+// local result whose inputs committed commits on this node's own vote
+// before it satisfies any successor. No execution may then read an
+// uncommitted input, no vote is adopted, and no result is gated or
+// re-executed — on contended cross-application chains, pipelined, on
+// every executor of the fleet.
+func TestTauOneSpeculatesNothing(t *testing.T) {
+	blocks, genesis := tracedBlocksOpt(9300, 1.0, true, 6, 20)
+	wantHash, _ := refResults(genesis, blocks)
+	n := newSpecNet(t, specNetConfig{depth: 4, tau: 1}, genesis)
+	n.feedMonolithic(t, blocks)
+	n.awaitHeight(t, uint64(len(blocks)))
+	for i, e := range n.execs {
+		if n.stores[i].Hash() != wantHash {
+			t.Fatalf("executor %s diverged from the sequential reference", n.ids[i])
+		}
+		st := e.Stats()
+		if st.TxExecuted == 0 {
+			t.Fatalf("executor %s executed nothing", n.ids[i])
+		}
+		if st.SpecExecuted+st.SpecHits+st.SpecMisses+st.SpecReexecs+st.SpecThrottled != 0 {
+			t.Fatalf("executor %s speculated at tau=1: %+v", n.ids[i], st)
+		}
+	}
+}
+
+// chainTip is the hash of the last block when blocks are chained from
+// the zero hash in order: the ledger tip every executor must reach.
+func chainTip(blocks [][]*types.Transaction) types.Hash {
+	var tip types.Hash
+	for num, txns := range blocks {
+		tip = types.NewBlock(uint64(num), tip, txns).Hash()
+	}
+	return tip
 }
 
 // TestSpeculationExecutesBeforeQuorum pins the point of the bypass: with
@@ -340,7 +365,7 @@ type divergentRig struct {
 // followed by a chain of "appB" transactions (agented on the real
 // executor) that each read and write the hot key — the speculation
 // subtree rooted at tx0's result.
-func newDivergentRig(t testing.TB, speculate bool, chainLen int) *divergentRig {
+func newDivergentRig(t testing.TB, chainLen int) *divergentRig {
 	t.Helper()
 	r := &divergentRig{genesis: []types.KV{
 		{Key: "hot", Val: contract.EncodeBalance(1000)},
@@ -379,7 +404,6 @@ func newDivergentRig(t testing.TB, speculate bool, chainLen int) *divergentRig {
 		Ledger:        ledger.New(),
 		Workers:       4,
 		PipelineDepth: 4,
-		Speculate:     speculate,
 		Signer:        cryptoutil.NoopSigner{NodeID: "e1"},
 		Verifier:      cryptoutil.NoopVerifier{},
 		Logf:          func(string, ...any) {},
@@ -471,6 +495,29 @@ func (r *divergentRig) wrongTx0Result() types.TxResult {
 	}
 }
 
+// honestChain executes the appB chain sequentially on top of the
+// committed tx0 result, returning the state hash the block must finalize
+// to and every chain transaction's honest result digest.
+func (r *divergentRig) honestChain(t testing.TB, tx0 types.TxResult) (types.Hash, map[types.TxID]types.Hash) {
+	t.Helper()
+	store := state.NewKVStore()
+	store.Apply(r.genesis)
+	store.Apply(tx0.Writes)
+	reg := contract.NewRegistry()
+	reg.Install("appB", contract.NewAccounting())
+	digests := make(map[types.TxID]types.Hash, len(r.block.Txns)-1)
+	for i := 1; i < len(r.block.Txns); i++ {
+		writes, err := reg.Execute("appB", store, r.block.Txns[i].Op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := types.TxResult{TxID: r.block.Txns[i].ID, Index: i, Writes: writes}
+		digests[res.TxID] = res.Digest()
+		store.Apply(writes)
+	}
+	return store.Hash(), digests
+}
+
 func awaitExecuted(t testing.TB, e *Executor, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -487,64 +534,54 @@ func awaitExecuted(t testing.TB, e *Executor, want uint64) {
 // against it, and when the tau quorum commits a different digest, the
 // whole speculation subtree must be re-executed against the committed
 // value, the buffered multicasts of the invalidated results must never
-// be released, and the final state must match the non-speculative
-// baseline run on identical votes.
+// be released, and the final state must match the sequential execution
+// of the chain on the committed value.
 func TestSpeculationDivergentVoteCascade(t *testing.T) {
 	const chainLen = 3
-	run := func(t *testing.T, speculate bool) (types.Hash, Stats) {
-		r := newDivergentRig(t, speculate, chainLen)
-		correct := r.correctTx0Result(t)
-		wrong := r.wrongTx0Result()
-		if wrong.Digest() == correct.Digest() {
-			t.Fatal("test bug: divergent result matches honest execution")
+	r := newDivergentRig(t, chainLen)
+	correct := r.correctTx0Result(t)
+	wrong := r.wrongTx0Result()
+	if wrong.Digest() == correct.Digest() {
+		t.Fatal("test bug: divergent result matches honest execution")
+	}
+
+	// The divergent leading vote: the chain executes against it.
+	r.vote(t, 0, wrong)
+	awaitExecuted(t, r.exec, chainLen)
+	// Everything executed is downstream of an uncommitted foreign input:
+	// nothing may be multicast yet.
+	time.Sleep(100 * time.Millisecond)
+	if got := r.exec.Stats().CommitMsgsSent; got != 0 {
+		t.Fatalf("multicast %d COMMITs while every input was uncommitted", got)
+	}
+	if got := r.exec.Stats().SpecExecuted; got < chainLen {
+		t.Fatalf("SpecExecuted = %d, want >= %d", got, chainLen)
+	}
+
+	// The honest quorum: two matching votes with the correct digest
+	// commit tx0 with a result that contradicts the speculation.
+	r.vote(t, 1, correct)
+	r.vote(t, 2, correct)
+
+	// The block finalizes only if the cascade repaired every result.
+	deadline := time.Now().Add(10 * time.Second)
+	for r.exec.cfg.Ledger.Height() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("block did not finalize after the divergent-vote cascade")
 		}
-
-		// The divergent leading vote. With speculation the chain executes
-		// against it; without, nothing runs until the quorum.
-		r.vote(t, 0, wrong)
-		if speculate {
-			awaitExecuted(t, r.exec, chainLen)
-			// Everything executed is downstream of an uncommitted foreign
-			// input: nothing may be multicast yet.
-			time.Sleep(100 * time.Millisecond)
-			if got := r.exec.Stats().CommitMsgsSent; got != 0 {
-				t.Fatalf("multicast %d COMMITs while every input was uncommitted", got)
-			}
-			if got := r.exec.Stats().SpecExecuted; got < chainLen {
-				t.Fatalf("SpecExecuted = %d, want >= %d", got, chainLen)
-			}
-		}
-
-		// The honest quorum: two matching votes with the correct digest
-		// commit tx0 with a result that contradicts the speculation.
-		r.vote(t, 1, correct)
-		r.vote(t, 2, correct)
-
-		// The block finalizes only if the cascade repaired every result.
-		deadline := time.Now().Add(10 * time.Second)
-		for r.exec.cfg.Ledger.Height() < 1 {
-			if time.Now().After(deadline) {
-				t.Fatal("block did not finalize after the divergent-vote cascade")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return r.exec.cfg.Store.Hash(), r.exec.Stats()
+		time.Sleep(time.Millisecond)
 	}
-
-	baseHash, baseStats := run(t, false)
-	if baseStats.SpecExecuted != 0 || baseStats.SpecMisses != 0 {
-		t.Fatalf("speculation counters moved with speculation off: %+v", baseStats)
+	wantHash, _ := r.honestChain(t, correct)
+	if r.exec.cfg.Store.Hash() != wantHash {
+		t.Fatal("cascade converged to a different state than sequential execution on the committed value")
 	}
-	specHash, specStats := run(t, true)
-	if specHash != baseHash {
-		t.Fatal("cascade converged to a different state than the non-speculative baseline")
+	stats := r.exec.Stats()
+	if stats.SpecMisses == 0 {
+		t.Fatalf("divergent vote produced no speculation misses: %+v", stats)
 	}
-	if specStats.SpecMisses == 0 {
-		t.Fatalf("divergent vote produced no speculation misses: %+v", specStats)
-	}
-	if specStats.SpecReexecs < chainLen {
+	if stats.SpecReexecs < chainLen {
 		t.Fatalf("SpecReexecs = %d, want >= %d (full subtree re-execution)",
-			specStats.SpecReexecs, chainLen)
+			stats.SpecReexecs, chainLen)
 	}
 }
 
@@ -558,7 +595,7 @@ func TestSpeculationDivergentVoteCascade(t *testing.T) {
 // the commit.
 func TestSpeculationRejectsUndeclaredAdoptedWrites(t *testing.T) {
 	const chainLen = 2
-	r := newDivergentRig(t, true, chainLen)
+	r := newDivergentRig(t, chainLen)
 	correct := r.correctTx0Result(t)
 	// Leading vote smuggling a write to a key tx0 never declared.
 	poison := types.TxResult{
@@ -596,7 +633,7 @@ func TestSpeculationRejectsUndeclaredAdoptedWrites(t *testing.T) {
 // staged before the quorum arrived.
 func TestSpeculativeMulticastGatedUntilInputsCommit(t *testing.T) {
 	const chainLen = 3
-	r := newDivergentRig(t, true, chainLen)
+	r := newDivergentRig(t, chainLen)
 	correct := r.correctTx0Result(t)
 	r.vote(t, 0, r.wrongTx0Result())
 	awaitExecuted(t, r.exec, chainLen)
@@ -610,22 +647,8 @@ func TestSpeculativeMulticastGatedUntilInputsCommit(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Recompute the chain's honest results against the committed tx0.
-	wantStore := state.NewKVStore()
-	wantStore.Apply(r.genesis)
-	wantStore.Apply(correct.Writes)
-	reg := contract.NewRegistry()
-	reg.Install("appB", contract.NewAccounting())
-	want := make(map[types.TxID]types.Hash, chainLen)
-	for i := 1; i <= chainLen; i++ {
-		writes, err := reg.Execute("appB", wantStore, r.block.Txns[i].Op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := types.TxResult{TxID: r.block.Txns[i].ID, Index: i, Writes: writes}
-		want[res.TxID] = res.Digest()
-		wantStore.Apply(writes)
-	}
+	// The chain's honest results against the committed tx0.
+	_, want := r.honestChain(t, correct)
 
 	// Drain every COMMIT the spy saw; all chain results must carry the
 	// post-commit digests, never the speculated-against-divergence ones.

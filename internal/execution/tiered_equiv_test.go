@@ -134,7 +134,7 @@ func TestTieredSpeculationEquivalence(t *testing.T) {
 
 	for _, segTxns := range []int{0, 16} {
 		n := newSpecNet(t, specNetConfig{
-			depth: 4, tau: 2, speculate: true, tiered: true, sched: dispatchOrder{seeded: true, seed: 13},
+			depth: 4, tau: 2, tiered: true, sched: dispatchOrder{seeded: true, seed: 13},
 		}, genesis)
 		if segTxns > 0 {
 			n.feedStreamed(t, blocks, segTxns)

@@ -188,7 +188,6 @@ func (c *Config) executorConfig() execution.Config {
 		PipelineDepth: c.PipelineDepth,
 		GraphMode:     c.GraphMode,
 		EagerCommit:   c.EagerCommit,
-		Speculate:     c.Speculate,
 		MinHorizon:    c.MinHorizon,
 		StallTimeout:  time.Duration(c.SyncStallMs) * time.Millisecond,
 		Signer:        c.Signer,

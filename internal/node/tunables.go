@@ -34,16 +34,6 @@ type Tunables struct {
 	// setting for deployments whose observer tooling consumes NEWBLOCK).
 	// Every orderer of a cluster must use the same value.
 	SegmentTxns int `json:"segmentTxns,omitempty"`
-	// Speculate lets executors run dependent transactions against a
-	// predecessor's uncommitted result (the first vote any agent reports)
-	// instead of stalling for the tau(A) quorum, re-validating at commit
-	// and cascading re-execution on a digest mismatch. COMMIT multicasts
-	// of speculative results are buffered until every speculated-upon
-	// input has committed with a matching digest, so ledger and state are
-	// bit-identical to the non-speculative path in fault-free runs. Safe
-	// to enable per node: it changes only local scheduling and vote
-	// timing, never committed results.
-	Speculate bool `json:"speculate,omitempty"`
 	// EagerCommit selects Algorithm 2's eager per-transaction multicast.
 	EagerCommit bool `json:"eagerCommit,omitempty"`
 	// GraphMode selects the dependency rule, "standard" (default) or

@@ -53,8 +53,7 @@ type Config struct {
 	MaxBlockBytes    int
 	MaxBlockInterval time.Duration
 	// Tunables holds every performance and durability knob (worker pools,
-	// pipeline depth, streaming, speculation, fsync policy,
-	// state backend, ...), shared verbatim with cluster JSON and the
+	// pipeline depth, streaming, fsync policy, state backend, ...), shared verbatim with cluster JSON and the
 	// bench harness.
 	node.Tunables
 	// DataDir roots the durability subsystem; every node keeps its durable

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSpeculativeNetworkConvergence runs the full crypto-enabled network
-// with the speculative commit-wait bypass on: every application has two
+// through the speculative commit-wait bypass: every application has two
 // agents and tau=2, and concurrent clients drive a cross-application
 // dependency chain over one shared hot record, so successors routinely
 // depend on foreign predecessors whose quorum is still in flight. Every
@@ -25,7 +25,6 @@ func TestSpeculativeNetworkConvergence(t *testing.T) {
 			"app3": {"e3", "e1"},
 		}
 		cfg.Tau = map[types.AppID]int{"app1": 2, "app2": 2, "app3": 2}
-		cfg.Speculate = true
 		cfg.Genesis = append(cfg.Genesis, types.KV{
 			Key: "shared/hot", Val: contract.EncodeBalance(1_000_000),
 		})

@@ -15,9 +15,10 @@
 # metric shows the group-commit amortization (1.0 at the per-block
 # barrier, ~1/depth when pipelined blocks finalize as one batch), and
 # the mem-vs-wal tx/s gap is the price of crash durability.
-# BenchmarkExecutorSpeculation/{off,on} is the delayed-vote harness: the
-# on row's tx/s is expected to stay ahead of off (execution overlapped
-# with the tau-quorum wait) with spec-misses/block at 0.
+# BenchmarkExecutorSpeculation/tau={1,2} is the delayed-vote harness:
+# the tau=2 row overlaps execution with the slow tau-quorum wait, tau=1
+# is the same chain with no wait (spec-hits/block 0); spec-misses/block
+# stays 0 on both.
 # BenchmarkSnapshotWrite/{serial,parallel-N} records the shard-parallel
 # snapshot writer against the serial baseline.
 # BenchmarkOrdererDurable/{mem,wal-group,wal-always} records the orderer
