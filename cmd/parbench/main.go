@@ -9,7 +9,6 @@
 //	parbench -fig ablations A1 (eager vs lazy COMMIT), A2 (MVCC graph
 //	                        rule), A4 (consensus plug comparison)
 //	parbench -fig pipeline  executor pipeline-depth sweep
-//	parbench -fig stream    orderer->executor segment-streaming sweep
 //	parbench -fig durability  WAL fsync cost on the finalize hot path
 //	parbench -fig speculation speculative commit-wait bypass vs vote delay
 //	parbench -fig tiered    larger-than-RAM tiered state vs in-memory
@@ -51,7 +50,7 @@ type config struct {
 
 func run() error {
 	var cfg config
-	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline stream durability speculation tiered all")
+	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline durability speculation tiered all")
 	flag.BoolVar(&cfg.quick, "quick", false, "reduced sweep ranges for a fast pass")
 	flag.BoolVar(&cfg.csv, "csv", false, "emit raw CSV rows instead of tables")
 	flag.DurationVar(&cfg.opts.Duration, "dur", 2*time.Second, "steady-state measurement window per point")
@@ -59,7 +58,6 @@ func run() error {
 	flag.DurationVar(&cfg.opts.ExecCost, "execcost", time.Millisecond, "modeled contract service time")
 	flag.BoolVar(&cfg.opts.Crypto, "crypto", false, "enable ed25519 signing end to end")
 	flag.IntVar(&cfg.opts.PipelineDepth, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
-	flag.IntVar(&cfg.opts.SegmentTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = monolithic NEWBLOCK)")
 	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
 	flag.StringVar(&cfg.opts.StateBackend, "backend", "", "state backend for all OXII runs: "+strings.Join(persist.StateBackendNames, ", ")+" (empty = memory)")
 	flag.Int64Var(&cfg.opts.HotTierBytes, "hotbytes", 0, "tiered backend hot-tier byte cap (0 = backend default; tiered figure default 1MiB)")
@@ -86,12 +84,11 @@ func run() error {
 		"7d":          func(c config) error { return fig7(c, bench.GroupPassive) },
 		"ablations":   ablations,
 		"pipeline":    figPipeline,
-		"stream":      figStream,
 		"durability":  figDurability,
 		"speculation": figSpeculation,
 		"tiered":      figTiered,
 	}
-	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "pipeline", "stream", "durability", "speculation", "tiered"}
+	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "pipeline", "durability", "speculation", "tiered"}
 
 	switch cfg.fig {
 	case "all":
@@ -206,31 +203,6 @@ func figPipeline(c config) error {
 		rows = append(rows, namedSeries{name: fmt.Sprintf("depth=%d", s.Depth), points: s.Points})
 	}
 	printSeries(c, "Pipeline: throughput vs executor pipeline depth @ 20% contention", rows)
-	return nil
-}
-
-// figStream sweeps the orderer segment size at moderate contention:
-// monolithic NEWBLOCK vs segment streaming, the orderer->executor
-// streaming experiment.
-func figStream(c config) error {
-	segSizes := []int{0, 16, 64}
-	levels := c.clientLevels()
-	if c.quick {
-		segSizes = []int{0, 16}
-	}
-	series, err := bench.StreamSweep(c.opts, 0.2, segSizes, levels, os.Stderr)
-	if err != nil {
-		return err
-	}
-	rows := make([]namedSeries, 0, len(series))
-	for _, s := range series {
-		name := "monolithic"
-		if s.SegmentTxns > 0 {
-			name = fmt.Sprintf("seg=%d", s.SegmentTxns)
-		}
-		rows = append(rows, namedSeries{name: name, points: s.Points})
-	}
-	printSeries(c, "Stream: orderer->executor segment streaming @ 20% contention", rows)
 	return nil
 }
 

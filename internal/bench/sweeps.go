@@ -178,46 +178,6 @@ func GeoSweep(base Options, moved NodeGroup, systems []System,
 	return series, nil
 }
 
-// StreamSeries is one line of a segment-streaming plot: the
-// throughput-latency curve of OXII at one orderer segment size.
-type StreamSeries struct {
-	SegmentTxns int
-	Points      []SweepPoint
-}
-
-// StreamSweep measures OXII as the orderers shift from monolithic
-// NEWBLOCK dissemination (segTxns = 0) to segment streaming at the given
-// segment sizes, at a fixed contention level. Streaming moves dependency
-// graph generation and block dissemination off the cut path, so the sweep
-// exposes how much of the block boundary the monolithic announcement was
-// costing end to end.
-func StreamSweep(base Options, contention float64, segSizes []int,
-	clientLevels []int, progress io.Writer) ([]StreamSeries, error) {
-	series := make([]StreamSeries, 0, len(segSizes))
-	for _, segTxns := range segSizes {
-		opts := base
-		opts.System = SystemOXII
-		opts.Contention = contention
-		opts.SegmentTxns = segTxns
-		points, err := Curve(opts, clientLevels)
-		if err != nil {
-			return series, err
-		}
-		series = append(series, StreamSeries{SegmentTxns: segTxns, Points: points})
-		if progress != nil {
-			peak := Peak(points)
-			label := "monolithic"
-			if segTxns > 0 {
-				label = fmt.Sprintf("seg=%d", segTxns)
-			}
-			fmt.Fprintf(progress, "stream %-10s peak=%8.0f tx/s lat=%8s\n",
-				label, peak.Result.Throughput,
-				peak.Result.AvgLatency.Round(time.Millisecond))
-		}
-	}
-	return series, nil
-}
-
 // PipelineSeries is one line of a pipeline-depth plot: the
 // throughput-latency curve of OXII at one executor pipeline depth.
 type PipelineSeries struct {

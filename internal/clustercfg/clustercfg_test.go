@@ -242,7 +242,6 @@ func TestRoundTrip(t *testing.T) {
 		Tunables: node.Tunables{
 			ExecWorkers:      3,
 			PipelineDepth:    2,
-			SegmentTxns:      16,
 			EagerCommit:      true,
 			GraphMode:        depgraph.MultiVersion,
 			MinHorizon:       9,

@@ -15,8 +15,7 @@
 package consensus
 
 import (
-	"sync"
-
+	"parblockchain/internal/eventq"
 	"parblockchain/internal/types"
 )
 
@@ -75,60 +74,36 @@ func (f SenderFunc) Send(to types.NodeID, payload any) error { return f(to, payl
 // committed stream: Push never blocks, while the pump goroutine feeds the
 // consumer-facing channel. Every consensus implementation embeds one.
 type DeliveryQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Entry
-	closed bool
-	out    chan Entry
-	once   sync.Once
+	q   *eventq.Queue[Entry]
+	out chan Entry
 }
 
-// NewDeliveryQueue returns a started queue; Out drains it.
+// NewDeliveryQueue returns a started queue; Out drains it. Out's 64-entry
+// buffer lets the pump move a burst of entries while the consumer is busy
+// instead of handing them over one receive at a time.
 func NewDeliveryQueue() *DeliveryQueue {
-	q := &DeliveryQueue{out: make(chan Entry, 64)}
-	q.cond = sync.NewCond(&q.mu)
+	q := &DeliveryQueue{q: eventq.New[Entry](), out: make(chan Entry, 64)}
 	go q.pump()
 	return q
 }
 
-// Push enqueues an entry for the consumer without blocking.
-func (q *DeliveryQueue) Push(e Entry) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.queue = append(q.queue, e)
-	q.cond.Signal()
-}
+// Push enqueues an entry for the consumer without blocking; it is a no-op
+// after Close.
+func (q *DeliveryQueue) Push(e Entry) { q.q.Push(e) }
 
 // Out returns the consumer-facing ordered channel.
 func (q *DeliveryQueue) Out() <-chan Entry { return q.out }
 
 // Close ends the stream; Out's channel closes once drained.
-func (q *DeliveryQueue) Close() {
-	q.once.Do(func() {
-		q.mu.Lock()
-		q.closed = true
-		q.cond.Broadcast()
-		q.mu.Unlock()
-	})
-}
+func (q *DeliveryQueue) Close() { q.q.Close() }
 
 func (q *DeliveryQueue) pump() {
 	defer close(q.out)
 	for {
-		q.mu.Lock()
-		for len(q.queue) == 0 && !q.closed {
-			q.cond.Wait()
-		}
-		if len(q.queue) == 0 && q.closed {
-			q.mu.Unlock()
+		e, ok := q.q.Pop()
+		if !ok {
 			return
 		}
-		e := q.queue[0]
-		q.queue = q.queue[1:]
-		q.mu.Unlock()
 		q.out <- e
 	}
 }

@@ -3,10 +3,9 @@ package depgraph
 import "sort"
 
 // This file implements the incremental dependency-graph builder used by
-// the streaming orderer: instead of generating the whole graph at the
-// block cut, the orderer extends it one transaction at a time as
-// consensus delivers the ordered stream, so graph generation overlaps
-// dissemination and execution instead of serializing behind the cut.
+// the orderer: instead of generating the whole graph at the block cut,
+// the orderer extends it one transaction at a time as consensus delivers
+// the ordered stream, so the graph is ready when the block is cut.
 //
 // Appender uses exactly the indexed construction of Build — for every key
 // it tracks the last writer and the readers since that write (Standard),
@@ -144,22 +143,5 @@ func (a *Appender) Finish() *Graph {
 	a.succ = nil
 	a.pred = nil
 	clear(a.idx)
-	return g
-}
-
-// FromPreds reconstructs a graph from per-transaction predecessor lists
-// (each sorted, in range, as produced by Appender.Append and carried by
-// BlockSegmentMsg), rebuilding the successor mirror. The pred slices are
-// retained by the graph. Callers that received the lists from the network
-// should Validate the result.
-func FromPreds(preds [][]int32) *Graph {
-	g := &Graph{N: len(preds), Succ: make([][]int32, len(preds)), Pred: preds}
-	for j, ps := range preds {
-		for _, p := range ps {
-			if p >= 0 && int(p) < len(preds) {
-				g.Succ[p] = append(g.Succ[p], int32(j))
-			}
-		}
-	}
 	return g
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestAppenderPrefixSplitEqualsBuild is the streaming counterpart of the
-// Stitcher window property: feeding a block's access sets to an Appender
-// across arbitrary prefix splits (the orderer appends as consensus
-// delivers, segments ship at arbitrary boundaries) must produce exactly
+// TestAppenderPrefixSplitEqualsBuild is the incremental counterpart of
+// the Stitcher window property: feeding a block's access sets to an
+// Appender across arbitrary prefix splits (the orderer appends as
+// consensus delivers, in bursts of any size) must produce exactly
 // the graph Build derives over the whole block, and the per-append
 // predecessor lists must equal the finished graph's Pred rows. Both are
 // cross-checked against the independent O(n^2) pairwise reference so the
@@ -25,7 +25,7 @@ func TestAppenderPrefixSplitEqualsBuild(t *testing.T) {
 			a := NewAppender(mode)
 			perTx := make([][]int32, 0, len(sets))
 			for i := 0; i < len(sets); {
-				// Random chunk size models arbitrary segment boundaries.
+				// Random chunk size models arbitrary delivery bursts.
 				end := i + 1 + rng.Intn(len(sets)-i)
 				for _, s := range sets[i:end] {
 					perTx = append(perTx, a.Append(s))
@@ -90,21 +90,6 @@ func TestAppenderFinishResets(t *testing.T) {
 	// The first graph must be untouched by later appends.
 	if first.N != 1 || len(first.Succ) != 1 {
 		t.Fatalf("finished graph mutated: %+v", first)
-	}
-}
-
-func TestFromPredsMirrorsAppender(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		sets := randomSets(rng, 1+rng.Intn(16), 1+rng.Intn(4))
-		want := Build(sets, Standard)
-		got := FromPreds(want.Pred)
-		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: FromPreds graph invalid: %v", trial, err)
-		}
-		if !sameEdges(got, want) {
-			t.Fatalf("trial %d: FromPreds != Build", trial)
-		}
 	}
 }
 

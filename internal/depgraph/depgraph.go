@@ -134,7 +134,7 @@ var ErrInvalid = errors.New("depgraph: invalid graph")
 // sizes) per block rather than O(n^2) pairwise scans.
 //
 // Build is the batch form of the incremental Appender (append.go) and is
-// implemented on top of it, so a graph streamed out one transaction at a
+// implemented on top of it, so a graph appended one transaction at a
 // time is identical, edge for edge, to the graph built at the block cut.
 func Build(sets []RWSet, mode Mode) *Graph {
 	a := NewAppender(mode)

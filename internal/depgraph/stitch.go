@@ -78,19 +78,9 @@ func (s *Stitcher) key(k string, num uint64) *stitchKey {
 // the index: a key's intra-block final writer stands in for the earlier
 // cross-block accesses it already ordered itself after.
 func (s *Stitcher) AddBlock(num uint64, sets []RWSet) [][]TxRef {
-	return s.AddBlockAt(num, 0, sets)
-}
-
-// AddBlockAt is AddBlock for a segment of a block that is streamed into
-// the window incrementally: sets[j] belongs to transaction start+j of
-// block num. Segments of the same block must be added contiguously and in
-// order, and no later block may be added before the current block's last
-// segment — the same (block, index) monotonicity AddBlock requires, at
-// segment granularity. Remove(num) purges every segment added under num.
-func (s *Stitcher) AddBlockAt(num uint64, start int, sets []RWSet) [][]TxRef {
 	preds := make([][]TxRef, len(sets))
 	for j := range sets {
-		self := TxRef{Block: num, Index: int32(start + j)}
+		self := TxRef{Block: num, Index: int32(j)}
 		clear(s.scratch)
 		if s.mode == MultiVersion {
 			// Only earlier-write -> later-read pairs are ordered.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"parblockchain/internal/depgraph"
 	"parblockchain/internal/types"
 )
 
@@ -14,10 +15,11 @@ import (
 // back, so once all buffers drain both per-sender maps are empty. A
 // leaked charge would permanently shrink an honest sender's budget —
 // a silent denial of service that compounds over the node's lifetime.
-// The suite exercises every path that buffers charged content: segment
-// streams feeding admission, streams broken mid-block, COMMIT messages
-// buffered ahead of their block, and a state-sync rebase tearing down
-// the whole window. Runs under -race in CI (a named gating step).
+// The suite exercises every path that buffers charged content: NEWBLOCK
+// content awaiting its install, content whose endorsement was rejected,
+// COMMIT messages buffered ahead of their block, and a state-sync rebase
+// tearing down the whole window. It also pins the flood bounds
+// themselves. Runs under -race in CI (a named gating step).
 
 // assertBudgetsEmpty stops the executor and inspects the actor-owned
 // budget maps (the quiescent-inspection pattern this package's flood
@@ -33,56 +35,12 @@ func assertBudgetsEmpty(t *testing.T, e *Executor, when string) {
 	}
 }
 
-// TestBudgetCreditedAfterStreamedDrain drives every in-protocol
-// buffering path to quiescence in one run: o1 streams six blocks to
-// finalization (stream bytes stay charged until each seal validates),
-// o2's stream for block 0 breaks on a gap after a charged segment (the
-// teardown credit), and a fake executor floods COMMITs for a mid-trace
-// block before it exists (buffered and charged until replay credits
-// them — every one is then rejected as unauthorized, which must not
-// matter to the budget).
-func TestBudgetCreditedAfterStreamedDrain(t *testing.T) {
-	blocks, genesis := tracedBlocks(51, 0.4, 6, 20)
-	r := newStreamRig(t, 4, genesis)
-
-	e9, _ := r.net.Endpoint("e9")
-	junk := &types.CommitMsg{
-		BlockNum: 4,
-		Results:  []types.TxResult{{TxID: "junk", Index: 0}},
-		Executor: "e9",
-	}
-	for i := 0; i < 32; i++ {
-		if err := e9.Send("e1", junk); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// o2's stream for block 0: one charged segment, then a gap.
-	o2, _ := r.net.Endpoint("o2")
-	o2stream := cutStream(blocks, 2, "o2")
-	if err := o2.Send("e1", o2stream[0].segs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := o2.Send("e1", o2stream[0].segs[2]); err != nil { // gap: breaks
-		t.Fatal(err)
-	}
-
-	for _, sb := range cutStream(blocks, 16, "o1") {
-		for _, seg := range sb.segs {
-			r.send(t, seg)
-		}
-		r.send(t, sb.seal)
-	}
-	r.awaitBlocks(t, 6)
-	assertBudgetsEmpty(t, r.exec, "after streamed drain")
-}
-
-// TestBudgetCreditedAfterMonolithicDrain is the plain-path control:
-// COMMITs buffered ahead of monolithically announced blocks are
-// credited when the chain passes their height.
+// TestBudgetCreditedAfterMonolithicDrain: COMMITs buffered ahead of
+// their blocks are credited when the chain passes their height, and
+// every NEWBLOCK's content is credited at its install.
 func TestBudgetCreditedAfterMonolithicDrain(t *testing.T) {
 	blocks, genesis := tracedBlocks(52, 0.4, 4, 12)
-	r := newStreamRig(t, 4, genesis)
+	r := newRig(t, 4, genesis)
 	e9, _ := r.net.Endpoint("e9")
 	junk := &types.CommitMsg{
 		BlockNum: 2,
@@ -101,11 +59,77 @@ func TestBudgetCreditedAfterMonolithicDrain(t *testing.T) {
 	assertBudgetsEmpty(t, r.exec, "after monolithic drain")
 }
 
+// TestInHorizonCommitFloodCapped: COMMIT messages for block numbers
+// inside the horizon are buffered only up to the sender's byte budget;
+// the rest are dropped and counted.
+func TestInHorizonCommitFloodCapped(t *testing.T) {
+	oldBudget := maxCommitBytesPerSender
+	maxCommitBytesPerSender = 4096
+	t.Cleanup(func() { maxCommitBytesPerSender = oldBudget })
+	blocks, genesis := tracedBlocks(47, 0, 1, 4)
+	r := newRig(t, 4, genesis)
+	junk := &types.CommitMsg{
+		BlockNum: 5, // within the horizon, never cut in this test
+		Results:  []types.TxResult{{TxID: "junk", Index: 0}},
+		Executor: "o1",
+	}
+	perMsg := junk.ApproxSize()
+	fits := maxCommitBytesPerSender / perMsg
+	const overflow = 100
+	for i := 0; i < fits+overflow; i++ {
+		r.send(t, junk)
+	}
+	r.send(t, cutMono(blocks, "o1")[0])
+	r.awaitBlocks(t, 1)
+	if got := r.exec.Stats().MsgsDroppedFuture; got != overflow {
+		t.Fatalf("MsgsDroppedFuture = %d, want %d", got, overflow)
+	}
+	r.exec.Stop()
+	if n := len(r.exec.pendingCommits[5]); n != fits {
+		t.Fatalf("pendingCommits[5] holds %d entries, want budget-bounded %d", n, fits)
+	}
+}
+
+// TestFarFutureFloodBounded is the bounded-buffering regression: a flood
+// of COMMIT and NEWBLOCK messages far beyond the horizon must be dropped
+// and counted, not buffered, and must not disturb normal processing.
+func TestFarFutureFloodBounded(t *testing.T) {
+	blocks, genesis := tracedBlocks(45, 0, 1, 4)
+	r := newRig(t, 4, genesis)
+	const flood = 1000
+	for i := 0; i < flood; i++ {
+		r.send(t, &types.CommitMsg{
+			BlockNum: uint64(100000 + i),
+			Results:  []types.TxResult{{TxID: "junk", Index: 0}},
+			Executor: "o1",
+		})
+	}
+	far := types.NewBlock(99999, types.Hash{1}, nil)
+	r.send(t, &types.NewBlockMsg{
+		Block: far, Graph: depgraph.Build(nil, depgraph.Standard), Orderer: "o1",
+	})
+	r.send(t, cutMono(blocks, "o1")[0])
+	r.awaitBlocks(t, 1)
+	// The flood preceded the block on a FIFO link, so by finalization it
+	// has been fully processed: everything must have been dropped.
+	if got := r.exec.Stats().MsgsDroppedFuture; got != flood+1 {
+		t.Fatalf("MsgsDroppedFuture = %d, want %d", got, flood+1)
+	}
+	// Stop the executor so the actor-owned maps are safe to inspect.
+	r.exec.Stop()
+	if n := len(r.exec.pendingCommits); n != 0 {
+		t.Fatalf("pendingCommits holds %d entries after the flood", n)
+	}
+	if n := len(r.exec.blocks); n != 0 {
+		t.Fatalf("blocks map holds %d entries after the flood", n)
+	}
+}
+
 // TestBudgetCreditedAfterStateSyncRebase covers the teardown path that
 // never replays: charged buffers for blocks the node ends up adopting
-// from a peer (a segment stream for a future block that never
-// completes, COMMITs for blocks below the synced tip) must be credited
-// when rebaseAfterSync discards the window.
+// from a peer (NEWBLOCK content whose endorsement was rejected, COMMITs
+// for blocks below the synced tip) must be credited when rebaseAfterSync
+// discards the window.
 func TestBudgetCreditedAfterStateSyncRebase(t *testing.T) {
 	chain := buildSyncChain(6)
 	rig := newSyncPeerRig(t, []types.NodeID{"honest"})
@@ -114,12 +138,14 @@ func TestBudgetCreditedAfterStateSyncRebase(t *testing.T) {
 		return chain.response(t, req, nil)
 	})
 
-	// Charged state the rebase must credit: a dangling segment stream
-	// for block 2 and buffered COMMITs for block 3, both below the tip
-	// the sync will land on. (The watchdog announcement below also
-	// buffers one charged COMMIT from "honest" for block 5.)
+	// Charged state the rebase must credit: a NEWBLOCK for block 2 whose
+	// transaction root is wrong (the endorsement is rejected, and only an
+	// install or a teardown releases the content) and buffered COMMITs
+	// for block 3, both below the tip the sync will land on. (The
+	// watchdog announcement below also buffers one charged COMMIT from
+	// "honest" for block 5.)
 	o9, _ := rig.net.Endpoint("o9")
-	if err := o9.Send("req", chain.segmentFor(2, "o9")); err != nil {
+	if err := o9.Send("req", chain.badRootNewBlock(2, "o9")); err != nil {
 		t.Fatal(err)
 	}
 	e9, _ := rig.net.Endpoint("e9")
@@ -149,17 +175,19 @@ func TestBudgetCreditedAfterStateSyncRebase(t *testing.T) {
 	}
 }
 
-// segmentFor cuts a valid first segment of one chain block, attributed
-// to the given orderer — enough to charge the orderer's stream budget
-// without ever completing the stream.
-func (c *syncChain) segmentFor(num uint64, orderer types.NodeID) *types.BlockSegmentMsg {
+// badRootNewBlock announces one chain block from the given orderer with
+// a header whose transaction root commits to nothing: the orderer's vote
+// endorses it at OrderQuorum 1, install rejects it, and its content stays
+// charged to the orderer's budget.
+func (c *syncChain) badRootNewBlock(num uint64, orderer types.NodeID) *types.NewBlockMsg {
 	block := c.records[num].Block
-	return &types.BlockSegmentMsg{
-		BlockNum: num,
-		Seg:      0,
-		Start:    0,
-		Txns:     block.Txns,
-		Preds:    make([][]int32, len(block.Txns)),
-		Orderer:  orderer,
+	sets := make([]depgraph.RWSet, len(block.Txns))
+	for i, tx := range block.Txns {
+		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+	}
+	return &types.NewBlockMsg{
+		Block:   &types.Block{Header: badRoot(block.Header), Txns: block.Txns},
+		Graph:   depgraph.Build(sets, depgraph.Standard),
+		Orderer: orderer,
 	}
 }

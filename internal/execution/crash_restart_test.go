@@ -3,68 +3,98 @@ package execution
 import (
 	"testing"
 	"time"
+
+	"parblockchain/internal/contract"
+	"parblockchain/internal/types"
 )
 
 // TestCrashRestartRecovery is the durability subsystem's end-to-end
 // integration test: an executor is killed mid-window — after the next
-// block's segments were admitted and began executing speculatively, but
-// before its seal quorum formed — and restarted from its data directory.
-// The restarted node must resume admission at the recovered ledger
-// height, finish the trace from a re-sent stream tail, and land on
-// exactly the state hash and ledger chain of an always-up replica. The
-// recovery itself must come from a snapshot plus a WAL tail, never a
-// full-chain replay. Runs under -race as a gating CI step.
+// block was admitted and began executing, but while a foreign
+// application's transaction in it still waits for its agent's COMMIT —
+// and restarted from its data directory. The restarted node must resume
+// admission at the recovered ledger height, finish the trace from
+// re-sent announcements, and land on exactly the sequential reference's
+// state hash, ledger chain and results. The recovery itself must come
+// from a snapshot plus a WAL tail, never a full-chain replay. Runs under
+// -race as a gating CI step.
 func TestCrashRestartRecovery(t *testing.T) {
 	const (
 		numBlocks = 8
 		blockTxns = 12
-		segTxns   = 4
 		// Blocks 0..killAt-1 finalize (and are durable) before the kill;
-		// block killAt is admitted into the window unsealed.
+		// block killAt is admitted into the window and held open.
 		killAt = 5
+		// The executor under test is an agent of every application but
+		// this one, whose single agent e2 is played by the test.
+		foreign types.AppID = "app3"
 	)
 	blocks, genesis := tracedBlocks(4242, 0.4, numBlocks, blockTxns)
+	wantHash, wantResults := refResults(genesis, blocks)
+	wantTip := chainTip(blocks)
+	mono := cutMono(blocks, "o1")
 
-	// The always-up replica: the same streamed trace, never restarted.
-	wantHash, wantLed, wantResults := runStreamed(t, 4, segTxns, 0, "", genesis, blocks)
-
-	dir := t.TempDir()
-	r := newDurableStreamRig(t, 4, dir, genesis)
-	stream := cutStream(blocks, segTxns, "o1")
-	for i := 0; i < killAt; i++ {
-		for _, seg := range stream[i].segs {
-			r.send(t, seg)
+	withForeignApp := func(c *Config) {
+		c.Registry = contract.NewRegistry()
+		c.AgentsOf = make(map[types.AppID][]types.NodeID, len(equivApps))
+		for _, app := range equivApps {
+			if app == foreign {
+				c.AgentsOf[app] = []types.NodeID{"e2"}
+				continue
+			}
+			c.Registry.Install(app, contract.NewAccounting())
+			c.AgentsOf[app] = []types.NodeID{"e1"}
 		}
-		r.send(t, stream[i].seal)
+	}
+	// foreignCommit is e2's COMMIT for block n: the sequential
+	// reference's result of every foreign transaction in it.
+	foreignCommit := func(n int) *types.CommitMsg {
+		m := &types.CommitMsg{BlockNum: uint64(n), Executor: "e2"}
+		for i, tx := range blocks[n] {
+			if tx.App == foreign {
+				m.Results = append(m.Results, wantResults[n][i])
+			}
+		}
+		return m
+	}
+	if len(foreignCommit(killAt).Results) == 0 {
+		t.Fatalf("block %d has no %s transaction to hold it open", killAt, foreign)
+	}
+	dir := t.TempDir()
+	r := newDurableRig(t, 4, dir, genesis, withForeignApp)
+	e2, _ := r.net.Endpoint("e2")
+	for n := 0; n < killAt; n++ {
+		r.send(t, mono[n])
+		if err := e2.Send("e1", foreignCommit(n)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r.awaitBlocks(t, killAt)
 
-	// Admit the next block's segments — the executor pins the stream and
-	// starts executing speculatively inside the window — but withhold the
-	// seal, so the block can never finalize before the kill.
-	for _, seg := range stream[killAt].segs {
-		r.send(t, seg)
-	}
+	// Admit the next block — its local transactions start executing
+	// inside the window — but withhold e2's COMMIT, so the block can
+	// never finalize before the kill.
+	before := r.exec.Stats().TxExecuted
+	r.send(t, mono[killAt])
 	deadline := time.Now().Add(10 * time.Second)
-	for r.exec.Stats().TxExecuted <= uint64(killAt*blockTxns) {
+	for r.exec.Stats().TxExecuted <= before {
 		if time.Now().After(deadline) {
-			t.Fatalf("unsealed block %d never started executing (executed=%d)",
-				killAt, r.exec.Stats().TxExecuted)
+			t.Fatalf("held-open block %d never started executing", killAt)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	// Kill the node mid-window — uncleanly: unsynced WAL bytes are
-	// discarded, exactly like a power loss. The unsealed block's
-	// speculative work is in memory only and must simply vanish; every
-	// externalized block must already be durable because the finalize
-	// path group-fsyncs the WAL *before* externalizing, not because a
-	// graceful close flushed it. A regression that externalizes first
-	// loses the last batch here and fails the height assertion below.
+	// discarded, exactly like a power loss. The held-open block's work is
+	// in memory only and must simply vanish; every externalized block
+	// must already be durable because the finalize path group-fsyncs the
+	// WAL *before* externalizing, not because a graceful close flushed
+	// it. A regression that externalizes first loses the last batch here
+	// and fails the height assertion below.
 	r.crash(t)
 
 	// Restart from disk.
-	r2 := newDurableStreamRig(t, 4, dir, genesis)
+	r2 := newDurableRig(t, 4, dir, genesis, withForeignApp)
 	if h := r2.led.Height(); h != killAt {
 		t.Fatalf("restart admission height = %d, want %d", h, killAt)
 	}
@@ -80,23 +110,23 @@ func TestCrashRestartRecovery(t *testing.T) {
 			r2.rec.SnapshotHeight, r2.rec.Replayed, killAt)
 	}
 
-	// Re-send the stream tail from the recovered height (in a real
+	// Re-send the announcements from the recovered height (in a real
 	// cluster the orderers retransmit or the node state-syncs; the wire
 	// contract is identical either way) and finish the trace.
+	e2b, _ := r2.net.Endpoint("e2")
 	for n := killAt; n < numBlocks; n++ {
-		for _, seg := range stream[n].segs {
-			r2.send(t, seg)
+		r2.send(t, mono[n])
+		if err := e2b.Send("e1", foreignCommit(n)); err != nil {
+			t.Fatal(err)
 		}
-		r2.send(t, stream[n].seal)
 	}
 	finalized := r2.awaitBlocks(t, numBlocks-killAt)
 
 	if got := r2.store.Hash(); got != wantHash {
-		t.Fatal("restarted node's final state hash diverged from the always-up replica")
+		t.Fatal("restarted node's final state hash diverged from the sequential reference")
 	}
-	if r2.led.Height() != wantLed.Height() || r2.led.LastHash() != wantLed.LastHash() {
-		t.Fatalf("restarted node's ledger diverged (height %d vs %d)",
-			r2.led.Height(), wantLed.Height())
+	if r2.led.Height() != numBlocks || r2.led.LastHash() != wantTip {
+		t.Fatalf("restarted node's ledger diverged (height %d, want %d)", r2.led.Height(), numBlocks)
 	}
 	if err := r2.led.Verify(); err != nil {
 		t.Fatalf("restarted node's ledger chain invalid: %v", err)

@@ -29,37 +29,19 @@
 // are bit-identical to the barrier version at any depth; PipelineDepth=1
 // restores the barrier exactly.
 //
-// # Intake and segment streaming
+// # Intake
 //
-// A block reaches the executor in one of two shapes. A monolithic
-// NEWBLOCK carries the block and its graph. With streaming orderers
-// (ordering.Config.SegmentTxns > 0) the block arrives as a sequence of
-// signed BlockSegmentMsg frames — transactions plus their incremental
-// dependency edges, shipped while consensus is still delivering the rest
-// of the block — closed by a BlockSealMsg carrying the header and a
-// cumulative digest over the segments.
-//
-// Both shapes feed one intake. Each orderer casts one vote per block —
-// its NEWBLOCK digest or its seal digest, whichever arrives first — and
-// offers one content candidate: its segment stream, or its NEWBLOCK's
-// complete content. The first digest to gather OrderQuorum votes endorses
-// the block, and one install binds the endorsed content from a matching
-// candidate (a stream by segment count and cumulative digest, a NEWBLOCK
-// by its own digest), validating header, transaction root and graph once.
-// Content that fails validation is rejected and the tally keeps counting.
-//
-// Only segment streams admit early: the executor admits the first
-// healthy stream's segments into the pipeline window as they arrive and
-// speculatively executes ready transactions against the in-flight overlay
-// chain; every external or durable effect — multicasting our own COMMIT
-// votes, counting remote ones, finalization, ledger append — waits until
-// install confirms the executed prefix against the endorsed content. The
-// assembled block and graph are bit-identical to the monolithic path's
-// (depgraph.Appender == depgraph.Build, proven by property test), so
-// ledger and state hash do not depend on how the block traveled. A block
-// admitted from segments gates the admission of its successor until its
-// content is installed, which keeps the cross-block stitcher's (block,
-// index) order intact.
+// A block reaches the executor as one signed NEWBLOCK per orderer, each
+// carrying the block and its dependency graph. Each NEWBLOCK is that
+// orderer's one vote for the block and its one content candidate,
+// charged to the orderer's byte budget until the block's content is
+// installed. The first digest to gather OrderQuorum votes endorses the
+// block, and one install binds the content of an orderer that voted that
+// digest, validating header, transaction root and graph once. Content
+// that fails validation is rejected and the tally keeps counting. Only
+// installed content is admitted into the pipeline window, so nothing
+// executes — and no COMMIT vote leaves the node — before a quorum of
+// orderers vouches for the block.
 //
 // # Speculative commit-wait bypass
 //
@@ -79,9 +61,8 @@
 // (and the node's own vote) for a result that read any uncommitted input
 // is buffered per transaction and released only once every
 // speculated-upon input has committed with the digest the execution read
-// — the same externalization discipline the install gate applies to
-// streamed content, so honest agents never launder a result derived from
-// unconfirmed state. Honest agents execute deterministically, so in
+// — so honest agents never launder a result derived from unconfirmed
+// state. Honest agents execute deterministically, so in
 // fault-free runs every speculation validates and ledger and state are
 // bit-identical to the paper's stall-for-quorum executor.
 //
@@ -109,9 +90,9 @@
 //
 // # State sync
 //
-// Nothing in the protocol retransmits a missed NEWBLOCK, segment, or
-// seal, so a restarted or partitioned executor used to be stranded: the
-// orderers had moved on, and the node could never admit the next block.
+// Nothing in the protocol retransmits a missed NEWBLOCK, so a restarted
+// or partitioned executor used to be stranded: the orderers had moved
+// on, and the node could never admit the next block.
 // With Config.StallTimeout set, a pipeline-progress watchdog detects the
 // stall (no finalize and no admission for the deadline while peers have
 // announced higher blocks) and catches up from peers instead: it
@@ -172,8 +153,7 @@ type Config struct {
 	Tau map[types.AppID]int
 	// OrderQuorum is the number of distinct orderers that must endorse
 	// one digest before the executor acts on a block (f+1 under PBFT).
-	// Each orderer endorses once, with its NEWBLOCK or its BlockSealMsg,
-	// whichever arrives first; the two kinds never pool into one quorum.
+	// Each orderer endorses once, with its NEWBLOCK.
 	OrderQuorum int
 	// Executors lists all executor nodes: the COMMIT multicast targets.
 	Executors []types.NodeID
@@ -209,7 +189,7 @@ type Config struct {
 	EagerCommit bool
 	// Signer signs outbound COMMIT messages.
 	Signer cryptoutil.Signer
-	// Verifier checks NEWBLOCK, SEGMENT, SEAL, and COMMIT signatures.
+	// Verifier checks NEWBLOCK and COMMIT signatures.
 	Verifier cryptoutil.Verifier
 	// VerifySigs enables signature verification on inbound messages.
 	VerifySigs bool
@@ -267,7 +247,7 @@ func (c Config) withDefaults() Config {
 // PipelineDepth zero.
 const DefaultPipelineDepth = 4
 
-// The buffering horizon: NEWBLOCK, SEGMENT, SEAL, and COMMIT messages
+// The buffering horizon: NEWBLOCK and COMMIT messages
 // for blocks at or beyond height + max(horizonBlocks*PipelineDepth,
 // Config.MinHorizon) are dropped instead of buffered, so a flood of
 // far-future messages cannot grow the per-block maps without bound. The
@@ -286,20 +266,10 @@ const (
 	DefaultMinHorizon = 64
 )
 
-// Per-block buffering caps, bounding the dimensions the block-number
-// horizon cannot: a single orderer streaming one block forever, or a
-// peer flooding COMMITs for one in-horizon block. Honest traffic sits
-// orders of magnitude below both (blocks are cut at MaxBlockTxns /
-// MaxBlockBytes, and an agent sends at most a handful of COMMIT flushes
-// per block), so hitting a cap marks the sender's stream broken or sheds
-// the message rather than buffering without bound.
-const maxStreamTxns = 1 << 17 // transactions buffered per (block, orderer) stream
-
-// maxOrdererStreamBytes bounds the total block content — segment streams
-// and NEWBLOCK bodies — buffered per sending orderer across every
-// in-horizon block until that block's content is installed, so a faulty
-// orderer announcing many blocks cannot multiply the per-block bound by
-// the horizon width. Per-orderer (not global) so one hostile orderer
+// maxOrdererStreamBytes bounds the total block content — NEWBLOCK bodies
+// — buffered per sending orderer across every in-horizon block until
+// that block's content is installed, so a faulty orderer announcing many
+// blocks cannot multiply the per-block bound by the horizon width. Per-orderer (not global) so one hostile orderer
 // exhausts only its own budget, never an honest peer's. Honest steady
 // state is window-depth blocks of at most MaxBlockBytes (~2 MB) each —
 // two orders of magnitude below the budget (a var so tests can lower it).
@@ -353,9 +323,6 @@ type Stats struct {
 	CommitMsgsSent uint64
 	// BlocksCommitted counts finalized blocks.
 	BlocksCommitted uint64
-	// SegmentsAdmitted counts block segments admitted into the window
-	// before their seal arrived.
-	SegmentsAdmitted uint64
 	// MsgsDroppedFuture counts messages dropped by the buffering bounds:
 	// block number at or beyond the horizon (height +
 	// max(4*PipelineDepth, Config.MinHorizon); dropped announcements are
@@ -413,11 +380,11 @@ type event struct {
 }
 
 // workItem is one ready transaction handed to the worker pool. It carries
-// the transaction pointer itself: the actor may still be appending to the
-// block's transaction slice (segment streaming), so workers must not read
-// bs.txns. epoch tags the execution attempt: a speculation cascade bumps
-// the transaction's epoch and re-dispatches, and the result of a
-// disowned (stale-epoch) attempt is discarded on arrival.
+// the transaction pointer itself, so a worker reads no per-transaction
+// array of the block state. epoch tags the execution attempt: a
+// speculation cascade bumps the transaction's epoch and re-dispatches,
+// and the result of a disowned (stale-epoch) attempt is discarded on
+// arrival.
 type workItem struct {
 	bs    *blockState
 	idx   int
@@ -439,11 +406,7 @@ type Executor struct {
 	// Pipeline state owned by the actor loop: the admission cursor, the
 	// hash chain over admitted blocks (which may run ahead of the
 	// ledger), the in-flight window in block order, and the cross-block
-	// dependency stitcher. While the newest admitted block runs from its
-	// pinned stream without installed content, admitPrev still names its
-	// predecessor's hash — no further admission happens until install
-	// supplies the block's endorsed header, which is when admitPrev
-	// advances.
+	// dependency stitcher.
 	admitInit bool
 	nextAdmit uint64
 	admitPrev types.Hash
@@ -479,7 +442,6 @@ type Executor struct {
 		aborted       atomic.Uint64
 		commitMsg     atomic.Uint64
 		blocks        atomic.Uint64
-		segsAdmitted  atomic.Uint64
 		droppedFuture atomic.Uint64
 		specExec      atomic.Uint64
 		specHits      atomic.Uint64
@@ -510,35 +472,21 @@ type Executor struct {
 	wg       sync.WaitGroup
 }
 
-// vote is one orderer's endorsement of a block: the digest it signed —
-// over its NEWBLOCK or over its seal — and the header and seal parameters
-// that digest commits to (segs and cum are zero for a NEWBLOCK).
+// vote is one orderer's endorsement of a block: the digest it signed
+// over its NEWBLOCK, and the header that digest commits to.
 type vote struct {
-	digest   types.Hash
-	sig      []byte
-	streamed bool
-	header   types.BlockHeader
-	segs     int
-	cum      types.Hash
+	digest types.Hash
+	sig    []byte
+	header types.BlockHeader
 }
 
-// candidate is one orderer's offer of a block's content, charged to that
-// orderer's maxOrdererStreamBytes budget until the block's content is
-// installed: either a segment stream, matched against a seal endorsement
-// by segment count and cumulative digest, or the complete content of the
-// orderer's NEWBLOCK (graph set), matched by that orderer's own vote.
-// Once a stream feeds an admitted block's execution directly, txns/preds
-// stop growing (the content lives in the blockState); segs, next and cum
-// keep tracking the stream so ordering is still checked.
+// candidate is the content of one orderer's NEWBLOCK — its transactions
+// and its graph as signed — charged to that orderer's
+// maxOrdererStreamBytes budget until the block's content is installed.
 type candidate struct {
-	txns   []*types.Transaction
-	preds  [][]int32
-	graph  *depgraph.Graph // the NEWBLOCK's graph as signed; nil for a stream
-	segs   int             // segments received so far
-	next   int             // block index the next segment must start at
-	bytes  int             // approximate buffered payload size
-	cum    types.Hash      // running cumulative segment digest
-	broken bool            // gap, malformed segment, or cap exceeded: unusable
+	txns  []*types.Transaction
+	graph *depgraph.Graph
+	bytes int // approximate buffered payload size
 }
 
 // blockState tracks one in-flight block through intake (one vote tally,
@@ -552,32 +500,27 @@ type blockState struct {
 	trace *telemetry.BlockTrace
 
 	// Intake: one vote and at most one candidate per orderer (both maps
-	// allocated on first use), the digests whose endorsed content failed
-	// structural validation, and the orderer whose stream feeds
-	// speculative admission.
+	// allocated on first use), and the digests whose endorsed content
+	// failed structural validation.
 	votes    map[types.NodeID]vote
 	cands    map[types.NodeID]*candidate
 	rejected []types.Hash
-	specFrom types.NodeID
 
 	// ev is the endorsing vote, and evidence every orderer that cast it,
 	// with signatures; evidence is nil until a digest reaches quorum. Both
-	// go into the durable finalization record unchanged: the seal
-	// parameters let a state-sync requester recompute the endorsed seal
-	// digest.
+	// go into the durable finalization record unchanged.
 	ev       vote
 	evidence []persist.Endorsement
 
-	// contentDone reports the block's full transaction list and graph are
-	// installed from endorsed content: block and preds hold it. Only a
-	// contentDone block lets its successor into the window, which keeps
-	// stitcher order intact, and only its votes count.
+	// contentDone reports the block's transaction list and graph are
+	// installed from endorsed content: block and graph hold it. Only a
+	// contentDone block is admitted into the window.
 	contentDone bool
 	block       *types.Block
-	preds       [][]int32
+	graph       *depgraph.Graph
 
-	// Execution state (Algorithm 1), indexed by block position. For
-	// streamed blocks these grow segment by segment.
+	// Execution state (Algorithm 1), indexed by block position and sized
+	// at admission.
 	started    bool
 	overlay    *state.BlockOverlay
 	txns       []*types.Transaction
@@ -587,8 +530,7 @@ type blockState struct {
 	remaining  []int32 // unsatisfied predecessor count
 	satisfied  []bool  // predecessor event fired (Ce ∪ Xe membership)
 	inflight   []bool
-	execLocal  []bool     // Xe membership
-	prevAdmit  types.Hash // admitPrev at admission; install checks a started block's header against it
+	execLocal  []bool // Xe membership
 	localTotal int
 	localDone  int
 
@@ -643,33 +585,6 @@ type specDep struct {
 	idx   int
 	epoch uint32
 	seen  types.Hash
-}
-
-// growTo reserves capacity for n transactions in every per-transaction
-// array, so an admission or install that knows how many transactions it
-// adds pays one allocation per array instead of repeated append growth.
-// Later segments of a pinned stream grow organically.
-func (bs *blockState) growTo(n int) {
-	bs.txns = slices.Grow(bs.txns, n-len(bs.txns))
-	bs.pred = slices.Grow(bs.pred, n-len(bs.pred))
-	bs.succ = slices.Grow(bs.succ, n-len(bs.succ))
-	bs.isLocal = slices.Grow(bs.isLocal, n-len(bs.isLocal))
-	bs.remaining = slices.Grow(bs.remaining, n-len(bs.remaining))
-	bs.satisfied = slices.Grow(bs.satisfied, n-len(bs.satisfied))
-	bs.inflight = slices.Grow(bs.inflight, n-len(bs.inflight))
-	bs.execLocal = slices.Grow(bs.execLocal, n-len(bs.execLocal))
-	bs.committed = slices.Grow(bs.committed, n-len(bs.committed))
-	bs.final = slices.Grow(bs.final, n-len(bs.final))
-	bs.tally = slices.Grow(bs.tally, n-len(bs.tally))
-	bs.crossSucc = slices.Grow(bs.crossSucc, n-len(bs.crossSucc))
-	bs.epoch = slices.Grow(bs.epoch, n-len(bs.epoch))
-	bs.specActive = slices.Grow(bs.specActive, n-len(bs.specActive))
-	bs.specDigest = slices.Grow(bs.specDigest, n-len(bs.specDigest))
-	bs.gated = slices.Grow(bs.gated, n-len(bs.gated))
-	bs.unresolved = slices.Grow(bs.unresolved, n-len(bs.unresolved))
-	bs.specDeps = slices.Grow(bs.specDeps, n-len(bs.specDeps))
-	bs.crossPred = slices.Grow(bs.crossPred, n-len(bs.crossPred))
-	bs.specVoter = slices.Grow(bs.specVoter, n-len(bs.specVoter))
 }
 
 // crossRef addresses one transaction of a later in-flight block.
@@ -851,7 +766,6 @@ func (e *Executor) Stats() Stats {
 		TxAborted:            e.stats.aborted.Load(),
 		CommitMsgsSent:       e.stats.commitMsg.Load(),
 		BlocksCommitted:      e.stats.blocks.Load(),
-		SegmentsAdmitted:     e.stats.segsAdmitted.Load(),
 		MsgsDroppedFuture:    e.stats.droppedFuture.Load(),
 		SpecExecuted:         e.stats.specExec.Load(),
 		SpecHits:             e.stats.specHits.Load(),
@@ -940,10 +854,6 @@ func (e *Executor) handleMsg(msg transport.Message) {
 	switch m := msg.Payload.(type) {
 	case *types.NewBlockMsg:
 		e.handleNewBlock(msg.From, m)
-	case *types.BlockSegmentMsg:
-		e.handleSegment(msg.From, m)
-	case *types.BlockSealMsg:
-		e.handleSeal(msg.From, m)
 	case *types.CommitMsg:
 		e.handleCommitMsg(msg.From, m)
 	case *types.StateSyncRequestMsg:
@@ -952,17 +862,15 @@ func (e *Executor) handleMsg(msg transport.Message) {
 		e.handleSyncResponse(msg.From, m)
 	default:
 		// Unknown payloads are ignored; executors speak NEWBLOCK,
-		// SEGMENT, SEAL, COMMIT, and the state-sync pair.
+		// COMMIT, and the state-sync pair.
 	}
 }
 
 // haltf stops the executor's protocol progress after a fault-model
-// violation (a quorum endorsed content that contradicts the local chain)
-// or an unrecoverable speculation failure (endorsed content contradicts
-// the prefix an already-executing block ran from its pinned stream —
-// executed state cannot be rolled back; ROADMAP lists speculative
-// rollback/re-pinning as a follow-on). The first reason is kept for
-// /statusz and /healthz.
+// violation (a quorum endorsed a block that does not extend the local
+// chain, or a synced snapshot contradicts its manifest) or a local
+// storage failure (WAL, ledger or snapshot adoption). The first reason is
+// kept for /statusz and /healthz.
 func (e *Executor) haltf(format string, args ...any) {
 	reason := fmt.Sprintf(format, args...)
 	e.cfg.Logf("executor %s: halting: %s", e.cfg.ID, reason)
@@ -992,9 +900,9 @@ func (e *Executor) buffers(num uint64) bool {
 	return num >= height
 }
 
-// intakeState returns the state of the block a NEWBLOCK, SEGMENT or SEAL
-// announces, or nil when the message has nothing left to contribute: the
-// block is not buffered, or its content is already installed.
+// intakeState returns the state of the block a NEWBLOCK announces, or nil
+// when the message has nothing left to contribute: the block is not
+// buffered, or its content is already installed.
 func (e *Executor) intakeState(num uint64) *blockState {
 	if !e.buffers(num) {
 		return nil
@@ -1018,8 +926,10 @@ func (e *Executor) verified(kind string, from types.NodeID, digest types.Hash, s
 	return true
 }
 
-// handleNewBlock counts an orderer's NEWBLOCK as its vote and offers the
-// block it carries as that orderer's content candidate.
+// handleNewBlock counts an orderer's NEWBLOCK as its one vote and offers
+// the block it carries as that orderer's content candidate, then endorses
+// the block if the vote completed a quorum, installs whatever content the
+// change made available, and pumps the pipeline.
 func (e *Executor) handleNewBlock(from types.NodeID, m *types.NewBlockMsg) {
 	if m.Block == nil || m.Graph == nil || m.Orderer != from {
 		return
@@ -1037,117 +947,24 @@ func (e *Executor) handleNewBlock(from types.NodeID, m *types.NewBlockMsg) {
 	if !e.verified("NEWBLOCK", from, digest, m.Sig) {
 		return
 	}
-	if bs.cands[from] == nil {
-		size := txBytes(m.Block.Txns)
-		if e.streamBytes[from]+size <= maxOrdererStreamBytes {
-			c := &candidate{txns: m.Block.Txns, preds: m.Graph.Pred, graph: m.Graph}
-			e.charge(from, c, size)
-			bs.candidate(from, c)
-		} else {
-			e.cfg.Logf("executor %s: NEWBLOCK from %s for block %d exceeds its content budget",
-				e.cfg.ID, from, bs.num)
+	if size := txBytes(m.Block.Txns); e.streamBytes[from]+size <= maxOrdererStreamBytes {
+		if bs.cands == nil {
+			bs.cands = make(map[types.NodeID]*candidate, 2)
 		}
-	}
-	e.castVote(bs, from, vote{digest: digest, sig: m.Sig, header: m.Block.Header})
-}
-
-// handleSegment accepts one streamed segment into the sender's per-block
-// stream and, when the sender is the block's pinned speculative source
-// and the block is already in the window, extends execution immediately.
-func (e *Executor) handleSegment(from types.NodeID, m *types.BlockSegmentMsg) {
-	if m.Orderer != from {
-		return
-	}
-	bs := e.intakeState(m.BlockNum)
-	if bs == nil {
-		return
-	}
-	st := bs.candidate(from, nil)
-	// A restarted orderer replays its durable log and re-streams a
-	// partially streamed block from segment 0. Segments below this
-	// stream's frontier are duplicates of that replay: drop them instead
-	// of breaking the stream, and let the re-stream extend it once it
-	// passes the old frontier. A faulty orderer re-sending different
-	// content under a duplicate index still surfaces at install, which
-	// matches the chained digest of the admitted segments.
-	if st.broken || st.graph != nil || m.Seg < st.segs {
-		return
-	}
-	segBytes := txBytes(m.Txns)
-	if !validSegment(m, st) ||
-		st.next+len(m.Txns) > maxStreamTxns ||
-		e.streamBytes[from]+segBytes > maxOrdererStreamBytes {
-		// Breaking an unverified stream is safe: the transport pins the
-		// sender identity, so this is the sender's own garbage.
-		e.breakStream(bs, from, st, m.Seg)
-		return
-	}
-	// Digest (a hash over every transaction) only after the cheap
-	// structural checks weeded out everything this node will not use.
-	digest := m.Digest()
-	if !e.verified("SEGMENT", from, digest, m.Sig) {
-		return
-	}
-	st.cum = types.ChainSegmentDigest(st.cum, digest)
-	st.segs++
-	st.next += len(m.Txns)
-	if bs.specFrom == "" {
-		bs.specFrom = from
-	}
-	// The orderer's budget is charged either way: the content is retained
-	// (in the stream buffer, or in the blockState it feeds) until the
-	// block's content is installed, so unendorsed speculative content from
-	// one orderer stays bounded in bytes, not just transaction count.
-	e.charge(from, st, segBytes)
-	if bs.started && bs.specFrom == from {
-		// Feeding execution directly: the content lives in the
-		// blockState, so no second copy is buffered.
-		e.stats.segsAdmitted.Add(1)
-		e.extendSegment(bs, m.Txns, m.Preds)
+		bs.cands[from] = &candidate{txns: m.Block.Txns, graph: m.Graph, bytes: size}
+		e.streamBytes[from] += size
+		e.mirror.streamBytes.Add(int64(size))
 	} else {
-		st.txns = append(st.txns, m.Txns...)
-		st.preds = append(st.preds, m.Preds...)
+		e.cfg.Logf("executor %s: NEWBLOCK from %s for block %d exceeds its content budget",
+			e.cfg.ID, from, bs.num)
 	}
+	if bs.votes == nil {
+		bs.votes = make(map[types.NodeID]vote, e.cfg.OrderQuorum)
+	}
+	bs.votes[from] = vote{digest: digest, sig: m.Sig, header: m.Block.Header}
+	e.endorse(bs)
 	e.install(bs)
 	e.pump()
-}
-
-// handleSeal counts an orderer's seal as its vote. A seal over zero
-// segments is its own complete (empty) stream.
-func (e *Executor) handleSeal(from types.NodeID, m *types.BlockSealMsg) {
-	if m.Orderer != from {
-		return
-	}
-	bs := e.intakeState(m.Header.Number)
-	if bs == nil {
-		return
-	}
-	if _, dup := bs.votes[from]; dup {
-		return
-	}
-	digest := m.Digest() // cheap (header-sized), after the early-outs
-	if !e.verified("SEAL", from, digest, m.Sig) {
-		return
-	}
-	bs.candidate(from, nil)
-	e.castVote(bs, from, vote{digest: digest, sig: m.Sig, streamed: true,
-		header: m.Header, segs: m.Segments, cum: m.Cum})
-}
-
-// candidate returns from's content candidate for the block, recording c
-// (or, when c is nil, an empty segment stream) if from has none yet.
-func (bs *blockState) candidate(from types.NodeID, c *candidate) *candidate {
-	if have := bs.cands[from]; have != nil {
-		return have
-	}
-	if bs.cands == nil {
-		bs.cands = make(map[types.NodeID]*candidate, 2)
-	}
-	if c == nil {
-		c = &candidate{}
-	}
-	bs.cands[from] = c
-	return c
 }
 
 // txBytes is the approximate payload size of a transaction list.
@@ -1161,24 +978,10 @@ func txBytes(txns []*types.Transaction) int {
 	return n
 }
 
-// castVote records from's one vote for the block, endorses the block if
-// that completed a quorum, installs whatever content the change made
-// available, and pumps the pipeline.
-func (e *Executor) castVote(bs *blockState, from types.NodeID, v vote) {
-	if bs.votes == nil {
-		bs.votes = make(map[types.NodeID]vote, e.cfg.OrderQuorum)
-	}
-	bs.votes[from] = v
-	e.endorse(bs)
-	e.install(bs)
-	e.pump()
-}
-
 // endorse sets the block's endorsement, if it has none, to the first
-// digest not yet rejected that holds OrderQuorum votes. NEWBLOCK and seal
-// digests hash different encodings, so the two kinds never pool into one
-// quorum. The evidence lists every orderer that cast the digest, sorted
-// by node ID so the WAL record is deterministic.
+// digest not yet rejected that holds OrderQuorum votes. The evidence lists
+// every orderer that cast the digest, sorted by node ID so the WAL record
+// is deterministic.
 func (e *Executor) endorse(bs *blockState) {
 	if bs.evidence != nil {
 		return
@@ -1205,41 +1008,27 @@ func (e *Executor) endorse(bs *blockState) {
 	}
 }
 
-// matches reports whether from's candidate carries the endorsed content:
-// a healthy stream with the sealed segment count and cumulative digest,
-// or a NEWBLOCK whose orderer voted the endorsed digest.
-func (bs *blockState) matches(from types.NodeID, c *candidate) bool {
-	switch {
-	case c.broken:
-		return false
-	case bs.ev.streamed:
-		return c.graph == nil && c.segs == bs.ev.segs && c.cum == bs.ev.cum
-	}
-	return c.graph != nil && bs.votes[from].digest == bs.ev.digest
-}
-
 // install binds endorsed content to the block. It runs whenever the
-// endorsement or a candidate changes, trying the pinned stream first and
-// then every other matching candidate, and validates each once against
-// the endorsed header: transaction count, transaction root, graph shape.
-// If every matching candidate fails, the endorsement is rejected and
-// logged and the next quorum digest, if any, takes its place: a wait that
-// a later endorsement or state sync ends, never a halt.
+// endorsement or a candidate changes, tries every candidate whose orderer
+// voted the endorsed digest, and validates each once against the endorsed
+// header: transaction count, transaction root, graph shape. If every such
+// candidate fails, the endorsement is rejected and logged and the next
+// quorum digest, if any, takes its place: a wait that a later
+// endorsement or state sync ends, never a halt.
 func (e *Executor) install(bs *blockState) {
-	for bs.evidence != nil && !bs.contentDone && !e.halted {
+	for bs.evidence != nil && !bs.contentDone {
 		tried := false
-		if c := bs.cands[bs.specFrom]; c != nil && bs.matches(bs.specFrom, c) {
-			tried = true
-			if e.tryInstall(bs, bs.specFrom, c) {
-				return
-			}
-		}
 		for from, c := range bs.cands {
-			if from != bs.specFrom && bs.matches(from, c) {
-				tried = true
-				if e.tryInstall(bs, from, c) {
-					return
-				}
+			if bs.votes[from].digest != bs.ev.digest {
+				continue
+			}
+			tried = true
+			block := &types.Block{Header: bs.ev.header, Txns: c.txns}
+			if block.Header.Count == len(c.txns) && block.VerifyTxRoot() &&
+				c.graph.N == len(c.txns) && c.graph.Validate() == nil {
+				bs.block, bs.graph, bs.contentDone = block, c.graph, true
+				e.releaseCandidates(bs)
+				return
 			}
 		}
 		if !tried {
@@ -1252,148 +1041,18 @@ func (e *Executor) install(bs *blockState) {
 	}
 }
 
-// tryInstall validates one matching candidate and, if it holds, installs
-// it: wholesale on a block not yet admitted, or on a started block by
-// confirming the executed prefix transaction by transaction and edge by
-// edge before extending the remainder. Valid endorsed content that
-// contradicts the executed prefix halts: executed state cannot be rolled
-// back. It reports false only when validation fails.
-func (e *Executor) tryInstall(bs *blockState, from types.NodeID, c *candidate) bool {
-	txns, preds, graph := c.txns, c.preds, c.graph
-	if bs.started && from == bs.specFrom {
-		txns, preds = bs.txns, bs.pred
-		graph = &depgraph.Graph{N: len(txns), Succ: bs.succ, Pred: preds}
-	} else if graph == nil {
-		graph = depgraph.FromPreds(preds)
-	}
-	block := &types.Block{Header: bs.ev.header, Txns: txns}
-	if block.Header.Count != len(txns) || !block.VerifyTxRoot() ||
-		graph.N != len(txns) || graph.Validate() != nil {
-		return false
-	}
-	if bs.started {
-		n := len(bs.txns)
-		if n > len(txns) {
-			e.haltf("block %d stream ran past the endorsed block (%d > %d txns)", bs.num, n, len(txns))
-			return true
-		}
-		for i := 0; i < n; i++ {
-			if txns[i] != bs.txns[i] && txns[i].Digest() != bs.txns[i].Digest() {
-				e.haltf("block %d speculative prefix diverges from endorsed content at %d", bs.num, i)
-				return true
-			}
-			if !slices.Equal(bs.pred[i], preds[i]) {
-				e.haltf("block %d speculative graph diverges from endorsed graph at %d", bs.num, i)
-				return true
-			}
-		}
-		if len(txns) > n {
-			bs.growTo(len(txns))
-			e.extendSegment(bs, txns[n:], preds[n:])
-		}
-		if block.Header.PrevHash != bs.prevAdmit {
-			e.haltf("block %d does not extend local chain", bs.num)
-			return true
-		}
-	}
-	bs.block, bs.preds, bs.contentDone = block, preds, true
-	e.releaseCandidates(bs)
-	if bs.started {
-		e.admitPrev = block.Hash()
-		// Results executed speculatively were held back from multicast
-		// until this moment; the content is now endorsed, so publish them.
-		e.flushCommits(bs)
-		e.replayPending(bs)
-		e.maybeComplete(bs)
-	}
-	return true
-}
-
-// charge adds n bytes of a candidate's content to its orderer's budget.
-func (e *Executor) charge(from types.NodeID, c *candidate, n int) {
-	c.bytes += n
-	e.streamBytes[from] += n
-	e.mirror.streamBytes.Add(int64(n))
-}
-
-// breakStream marks one orderer's stream unusable (gap, malformed
-// segment, or budget exceeded). Before admission the pin simply moves to
-// another orderer's healthy stream. After admission the block keeps
-// waiting: another matching candidate can still complete it (install
-// re-verifies the executed prefix), so one faulty orderer costs at most
-// its own stream, never a halt by itself.
-func (e *Executor) breakStream(bs *blockState, from types.NodeID, st *candidate, seg int) {
-	e.cfg.Logf("executor %s: segment stream from %s for block %d broke at segment %d",
-		e.cfg.ID, from, bs.num, seg)
-	st.broken = true
-	st.txns = nil
-	st.preds = nil
-	e.credit(from, st)
-	if bs.specFrom != from || bs.started {
-		return
-	}
-	bs.specFrom = ""
-	for id, other := range bs.cands {
-		if !other.broken && other.segs > 0 {
-			bs.specFrom = id
-			break
-		}
-	}
-}
-
-// credit returns a candidate's buffered bytes to its orderer's budget.
-func (e *Executor) credit(from types.NodeID, c *candidate) {
-	if c.bytes == 0 {
-		return
-	}
-	e.streamBytes[from] -= c.bytes
-	e.mirror.streamBytes.Add(int64(-c.bytes))
-	if e.streamBytes[from] <= 0 {
-		delete(e.streamBytes, from)
-	}
-	c.bytes = 0
-}
-
 // releaseCandidates discards a block's content candidates (its content is
-// installed, or the block state is being torn down), crediting every
-// orderer's budget.
+// installed, or the block state is being torn down), returning their
+// bytes to every orderer's budget.
 func (e *Executor) releaseCandidates(bs *blockState) {
 	for from, c := range bs.cands {
-		e.credit(from, c)
+		e.streamBytes[from] -= c.bytes
+		e.mirror.streamBytes.Add(int64(-c.bytes))
+		if e.streamBytes[from] <= 0 {
+			delete(e.streamBytes, from)
+		}
 	}
 	bs.cands = nil
-}
-
-// validSegment checks a segment's consistency with its stream: in-order,
-// gap-free, and structurally valid edges. The TCP decoder already
-// enforces the edge invariants; the in-process transport delivers structs
-// directly, so they are re-checked here.
-func validSegment(m *types.BlockSegmentMsg, st *candidate) bool {
-	// Honest orderers never emit an empty segment (emitSegment fires only
-	// with pending transactions), so one is hostile by definition — and
-	// accepting it would let a content-free segment capture the
-	// speculative pin.
-	if len(m.Txns) == 0 {
-		return false
-	}
-	if m.Seg != st.segs || m.Start != st.next || len(m.Preds) != len(m.Txns) {
-		return false
-	}
-	for i, preds := range m.Preds {
-		prev := int32(-1)
-		for _, p := range preds {
-			if p <= prev || int(p) >= m.Start+i {
-				return false
-			}
-			prev = p
-		}
-	}
-	for _, tx := range m.Txns {
-		if tx == nil {
-			return false
-		}
-	}
-	return true
 }
 
 func (e *Executor) getBlockState(num uint64) *blockState {
@@ -1412,12 +1071,8 @@ func (e *Executor) getBlockState(num uint64) *blockState {
 
 // pump drives the pipeline forward until it reaches a fixed point:
 // completed blocks finalize in strict block order (freeing window slots),
-// then blocks are admitted into the freed slots. A block admitted
-// speculatively from its pinned stream holds back the admission of its
-// successor until its content is installed (its transaction list is still
-// growing, and the cross-block stitcher requires strictly ordered
-// extension), so the window's tail is the only block that may be
-// content-incomplete. Admission can complete a block immediately (empty
+// then blocks are admitted into the freed slots. Admission can complete
+// a block immediately (empty
 // blocks, or blocks whose buffered remote COMMITs already carry every
 // result), so the loop repeats until neither step makes progress. Only
 // the actor loop calls pump; it must never be invoked from inside
@@ -1431,9 +1086,6 @@ func (e *Executor) pump() {
 	for !e.halted {
 		progress := e.finalizeBatch()
 		for !e.halted && len(e.window) < e.cfg.PipelineDepth {
-			if len(e.window) > 0 && !e.window[len(e.window)-1].contentDone {
-				break // tail still streaming; successors wait for its content
-			}
 			bs, ok := e.blocks[e.nextAdmit]
 			if !ok || bs.started || !e.admit(bs) {
 				break
@@ -1447,43 +1099,24 @@ func (e *Executor) pump() {
 }
 
 // admit moves the block at the admission cursor into the execution window
-// and reports whether it did. An installed block enters wholesale;
-// otherwise whatever prefix its pinned segment stream holds enters
-// speculatively: it cannot finalize, and remote votes do not count, until
-// install binds endorsed content (the overlay chain keeps its writes
-// invisible to the committed store either way). Admission chains the
-// block's overlay onto the newest in-flight predecessor, seeds Algorithm
-// 1's indegrees (plus the cross-block edges the stitcher derives),
-// dispatches the ready transactions, and replays COMMIT messages that
-// raced ahead of the block.
+// and reports whether it did; only a block whose endorsed content is
+// installed enters. Admission chains the block's overlay onto the newest
+// in-flight predecessor, seeds Algorithm 1's indegrees (plus the
+// cross-block edges the stitcher derives), dispatches the ready
+// transactions, and replays COMMIT messages that raced ahead of the block.
 func (e *Executor) admit(bs *blockState) bool {
-	var txns []*types.Transaction
-	var preds [][]int32
-	switch st := bs.cands[bs.specFrom]; {
-	case bs.contentDone:
-		if bs.block.Header.PrevHash != e.admitPrev {
-			// A quorum of orderers endorsed a block that does not extend
-			// this node's chain: beyond the fault assumption. Halt rather
-			// than diverge.
-			e.haltf("block %d does not extend local chain", bs.num)
-			return false
-		}
-		txns, preds = bs.block.Txns, bs.preds
-	case st != nil && !st.broken && len(st.txns) > 0:
-		// The content moves into the blockState; segs/next/cum keep
-		// tracking the stream for install, and its bytes stay charged to
-		// the orderer until then.
-		txns, preds = st.txns, st.preds
-		st.txns, st.preds = nil, nil
-		e.stats.segsAdmitted.Add(uint64(st.segs))
-	default:
+	if !bs.contentDone {
+		return false
+	}
+	if bs.block.Header.PrevHash != e.admitPrev {
+		// A quorum of orderers endorsed a block that does not extend this
+		// node's chain: beyond the fault assumption. Halt rather than
+		// diverge.
+		e.haltf("block %d does not extend local chain", bs.num)
 		return false
 	}
 	bs.started = true
-	bs.prevAdmit = e.admitPrev
-	if bs.contentDone {
-		e.admitPrev = bs.block.Hash()
-	}
+	e.admitPrev = bs.block.Hash()
 	e.nextAdmit++
 	e.lastProgress = time.Now()
 	e.mirror.lastProgress.Store(e.lastProgress.UnixNano())
@@ -1495,71 +1128,58 @@ func (e *Executor) admit(bs *blockState) bool {
 	bs.overlay = state.NewBlockOverlay(base)
 	e.window = append(e.window, bs)
 	e.mirror.windowLen.Store(int64(len(e.window)))
-	bs.growTo(len(txns))
-	e.extendSegment(bs, txns, preds)
+	e.schedule(bs)
 	e.replayPending(bs)
 	e.maybeComplete(bs)
 	return true
 }
 
-// extendSegment appends transactions (with their intra-block predecessor
-// edges) to an in-window block, growing every per-transaction array,
-// stitching cross-block conflicts, and dispatching transactions that are
-// immediately ready. It is the single admission point for transactions:
-// wholesale admission is one big extend.
-func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, preds [][]int32) {
-	if len(txns) == 0 {
-		return
-	}
-	start := len(bs.txns)
-	for i, tx := range txns {
-		j := start + i
-		bs.txns = append(bs.txns, tx)
-		bs.pred = append(bs.pred, preds[i])
-		bs.succ = append(bs.succ, nil)
-		local := e.IsAgentFor(tx.App)
-		bs.isLocal = append(bs.isLocal, local)
-		if local {
+// schedule sizes the admitted block's per-transaction arrays, takes its
+// intra-block edges from the installed graph, stitches cross-block
+// conflicts, and dispatches the transactions that are immediately ready.
+func (e *Executor) schedule(bs *blockState) {
+	txns := bs.block.Txns
+	n := len(txns)
+	bs.txns, bs.pred, bs.succ = txns, bs.graph.Pred, bs.graph.Succ
+	bs.isLocal = make([]bool, n)
+	bs.remaining = make([]int32, n)
+	bs.satisfied = make([]bool, n)
+	bs.inflight = make([]bool, n)
+	bs.execLocal = make([]bool, n)
+	bs.committed = make([]bool, n)
+	bs.final = make([]types.TxResult, n)
+	bs.tally = make([]voteTally, n)
+	bs.crossSucc = make([][]crossRef, n)
+	bs.epoch = make([]uint32, n)
+	bs.specActive = make([]bool, n)
+	bs.specDigest = make([]types.Hash, n)
+	bs.gated = make([]*types.TxResult, n)
+	bs.unresolved = make([]int32, n)
+	bs.specDeps = make([][]specDep, n)
+	bs.crossPred = make([][]crossRef, n)
+	bs.specVoter = make([]types.NodeID, n)
+	for j, tx := range txns {
+		if bs.isLocal[j] = e.IsAgentFor(tx.App); bs.isLocal[j] {
 			bs.localTotal++
 		}
-		// Count only unsatisfied predecessors: a predecessor already in
-		// Ce ∪ Xe fired before this transaction existed and imposes no
-		// wait — its writes are visible through the overlay.
-		var waits int32
-		for _, p := range preds[i] {
-			bs.succ[p] = append(bs.succ[p], int32(j))
-			if !bs.satisfied[p] {
-				waits++
-			}
-		}
-		bs.remaining = append(bs.remaining, waits)
-		bs.satisfied = append(bs.satisfied, false)
-		bs.inflight = append(bs.inflight, false)
-		bs.execLocal = append(bs.execLocal, false)
-		bs.committed = append(bs.committed, false)
-		bs.final = append(bs.final, types.TxResult{})
-		bs.tally = append(bs.tally, voteTally{})
-		bs.crossSucc = append(bs.crossSucc, nil)
-		bs.epoch = append(bs.epoch, 0)
-		bs.specActive = append(bs.specActive, false)
-		bs.specDigest = append(bs.specDigest, types.Hash{})
-		bs.gated = append(bs.gated, nil)
-		bs.unresolved = append(bs.unresolved, 0)
-		bs.specDeps = append(bs.specDeps, nil)
-		bs.crossPred = append(bs.crossPred, nil)
-		bs.specVoter = append(bs.specVoter, "")
 	}
-	// Stitch the new transactions into the window: an edge per
-	// conflicting, not-yet-satisfied transaction of an earlier in-flight
-	// block. At depth 1 the window never holds an earlier block, so the
-	// barrier configuration skips the stitch bookkeeping wholesale.
+	// Indegrees count the successor lists fireSatisfied walks, so every
+	// counted edge is released exactly once.
+	for _, succ := range bs.succ {
+		for _, j := range succ {
+			bs.remaining[j]++
+		}
+	}
+	// Stitch the block into the window: an edge per conflicting,
+	// not-yet-satisfied transaction of an earlier in-flight block. At
+	// depth 1 the window never holds an earlier block, so the barrier
+	// configuration skips the stitch bookkeeping wholesale.
 	if e.cfg.PipelineDepth > 1 {
-		sets := make([]depgraph.RWSet, len(txns))
+		sets := make([]depgraph.RWSet, n)
 		for i, tx := range txns {
 			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 		}
-		for i, crossPreds := range e.stitcher.AddBlockAt(bs.num, start, sets) {
-			j := start + i
+		for j, crossPreds := range e.stitcher.AddBlock(bs.num, sets) {
 			for _, ref := range crossPreds {
 				pred, ok := e.blocks[ref.Block]
 				if !ok || !pred.started {
@@ -1581,9 +1201,8 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 			}
 		}
 	}
-	// Algorithm 1 seed: new transactions with no unsatisfied predecessors.
-	for i := range txns {
-		j := start + i
+	// Algorithm 1 seed: transactions with no unsatisfied predecessors.
+	for j := range txns {
 		if bs.remaining[j] == 0 && bs.isLocal[j] {
 			e.dispatch(bs, j)
 		}
@@ -1591,13 +1210,8 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 }
 
 // replayPending applies COMMIT messages that arrived before the block was
-// both admitted and content-installed. Votes only ever count against
-// endorsed content, so a Byzantine orderer cannot launder results through
-// a speculative stream.
+// admitted.
 func (e *Executor) replayPending(bs *blockState) {
-	if !bs.started || !bs.contentDone {
-		return
-	}
 	if buffered := e.pendingCommits[bs.num]; len(buffered) > 0 {
 		delete(e.pendingCommits, bs.num)
 		for _, m := range buffered {
@@ -1617,10 +1231,10 @@ func (e *Executor) creditCommitBytes(m *types.CommitMsg) {
 	}
 }
 
-// maybeComplete marks a block complete once its full content is known and
-// every transaction committed.
+// maybeComplete marks an admitted block complete once every transaction
+// committed.
 func (e *Executor) maybeComplete(bs *blockState) {
-	if bs.contentDone && bs.started && !bs.complete && bs.commitCount == len(bs.txns) {
+	if !bs.complete && bs.commitCount == len(bs.txns) {
 		// Completion and finalization are decoupled under pipelining: a
 		// later block can complete while an earlier one is still voting.
 		// The pump finalizes completed blocks in strict block order.
@@ -1689,7 +1303,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	}
 	bs.execLocal[idx] = true
 	bs.localDone++
-	if bs.contentDone && bs.localDone == bs.localTotal {
+	if bs.localDone == bs.localTotal {
 		bs.trace.Mark(telemetry.MarkDrained)
 	}
 	if bs.unresolved[idx] > 0 || e.tau(bs.txns[idx].App) > 1 {
@@ -1720,14 +1334,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	// Algorithm 2: flush when a successor belongs to another application
 	// (its agents need this result to proceed), eagerly when configured,
 	// and always at the end of this node's work on the block so passive
-	// nodes and non-agent executors can commit. Under streaming, "end of
-	// work" can fire per segment; the extra flushes are harmless (votes
-	// are idempotent) and keep remote agents fed early. Results of
-	// speculative execution stay in outBuf until the content is installed
-	// (tryInstall flushes then): multicasting a vote is an external
-	// effect, and publishing results derived from an unendorsed stream
-	// would let a Byzantine orderer launder wrong results through honest
-	// agents' signatures.
+	// nodes and non-agent executors can commit.
 	flush := e.cfg.EagerCommit || bs.localDone == bs.localTotal
 	if !flush {
 		app := bs.txns[idx].App
@@ -1738,7 +1345,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 			}
 		}
 	}
-	if flush && bs.contentDone {
+	if flush {
 		e.flushCommits(bs)
 	}
 	e.pump()
@@ -1773,10 +1380,9 @@ func (e *Executor) handleCommitMsg(from types.NodeID, m *types.CommitMsg) {
 		return
 	}
 	bs, ok := e.blocks[m.BlockNum]
-	if !ok || !bs.started || !bs.contentDone {
-		// The block has not reached this node (or its endorsed content)
-		// yet; buffer and replay once content is both admitted and
-		// installed. The per-sender byte budget sheds
+	if !ok || !bs.started {
+		// The block has not been admitted yet; buffer and replay at
+		// admission. The per-sender byte budget sheds
 		// floods without ever touching an honest sender, whose
 		// outstanding results are bounded by its own pipeline window.
 		size := m.ApproxSize()
@@ -2035,9 +1641,7 @@ func (e *Executor) releaseGated(bs *blockState, idx int) {
 	e.stats.specHits.Add(1)
 	bs.outBuf = append(bs.outBuf, *r)
 	e.addVote(bs, idx, *r, e.cfg.ID, e.ownBit(bs.txns[idx].App))
-	if bs.contentDone {
-		e.flushCommits(bs)
-	}
+	e.flushCommits(bs)
 }
 
 // promoteOrCascade settles a transaction's speculative value at commit
@@ -2120,9 +1724,7 @@ func (e *Executor) commitTx(bs *blockState, idx int, r types.TxResult) {
 
 // fireSatisfied propagates "predecessor is in Ce ∪ Xe" to successors —
 // both within the block and across the in-flight window — dispatching any
-// local transaction whose predecessors are all satisfied. A transaction
-// appended (by a later segment) after this fires was never counted as
-// waiting on it, so firing exactly once remains correct under streaming.
+// local transaction whose predecessors are all satisfied.
 func (e *Executor) fireSatisfied(bs *blockState, idx int) {
 	if bs.satisfied[idx] {
 		return
@@ -2223,10 +1825,7 @@ func (e *Executor) applyFinal(bs *blockState) {
 			Results:        bs.final,
 			Delta:          delta,
 			StateHash:      e.cfg.Store.Hash(),
-			Streamed:       bs.ev.streamed,
 			EvidenceDigest: bs.ev.digest,
-			SealSegments:   bs.ev.segs,
-			SealCum:        bs.ev.cum,
 			Endorse:        bs.evidence,
 		}
 		if err := e.cfg.Persist.LogBlock(rec); err != nil {
@@ -2254,7 +1853,6 @@ func (e *Executor) externalize(bs *blockState) {
 	if e.cfg.PipelineDepth > 1 {
 		e.stitcher.Remove(bs.num)
 	}
-	e.releaseCandidates(bs) // normally already nil; covers teardown paths
 	delete(e.blocks, bs.num)
 	for _, m := range e.pendingCommits[bs.num] {
 		e.creditCommitBytes(m) // normally drained at replay; covers races

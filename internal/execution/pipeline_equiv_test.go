@@ -16,7 +16,7 @@ import (
 	"parblockchain/internal/workload"
 )
 
-// This file property-tests the pipelining contract: streaming blocks
+// This file property-tests the pipelining contract: feeding blocks
 // through the executor with a window of in-flight blocks (cross-block
 // stitching + chained overlays) must leave the ledger and the state
 // bit-identical to the strict per-block barrier, which in turn equals
@@ -115,35 +115,83 @@ func cutMono(blocks [][]*types.Transaction, orderer types.NodeID) []*types.NewBl
 	return out
 }
 
-// runPipelined streams the blocks through one executor at the given
-// pipeline depth and returns the final state hash, the ledger, and the
-// finalized results per block (in finalization order). A non-empty
-// dataDir enables the durability subsystem (snapshot every 2 blocks, so
-// short traces still exercise truncation) and, after the run, reopens
-// the directory to assert crash recovery reproduces the final state.
-// opts mutate the executor Config after the rig defaults (dispatch order).
-func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
-	blocks [][]*types.Transaction, opts ...func(*Config)) (types.Hash, *ledger.Ledger, [][]types.TxResult) {
+// rig is a single executor fed raw orderer messages by a test endpoint.
+// A rig built with newDurableRig additionally owns a persist.Manager, so
+// finalization goes through the WAL exactly as in production.
+type rig struct {
+	net     *transport.InMemNetwork
+	exec    *Executor
+	store   state.Backend
+	led     *ledger.Ledger
+	mgr     *persist.Manager
+	rec     *persist.Recovered // recovery provenance (durable rigs only)
+	orderer transport.Endpoint
+	commits chan []types.TxResult
+	stopped bool
+}
+
+// shutdown stops the rig exactly once: executor first (quiescing the WAL
+// writer), then the durability manager, then the transport. The
+// registered cleanup is a no-op after a manual shutdown or crash.
+func (r *rig) shutdown(t testing.TB) {
 	t.Helper()
-	net := transport.NewInMemNetwork(transport.InMemConfig{})
-	defer net.Close()
-	execEP, _ := net.Endpoint("e1")
-	orderer, _ := net.Endpoint("o1")
+	if r.stopped {
+		return
+	}
+	r.stopped = true
+	r.exec.Stop()
+	if r.mgr != nil {
+		if err := r.mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.net.Close()
+}
+
+// crash kills a durable rig the unclean way: the executor stops feeding
+// the WAL, then the manager discards every byte that was never fsynced
+// (persist.Manager.Crash), as a power loss would. Nothing performs the
+// graceful final sync, so only records made durable by the finalize
+// path's own group commits survive.
+func (r *rig) crash(t testing.TB) {
+	t.Helper()
+	if r.stopped {
+		return
+	}
+	r.stopped = true
+	r.exec.Stop()
+	if err := r.mgr.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	r.net.Close()
+}
+
+func newRig(t testing.TB, depth int, genesis []types.KV, opts ...func(*Config)) *rig {
+	t.Helper()
+	return newDurableRig(t, depth, "", genesis, opts...)
+}
+
+// newDurableRig builds a rig whose executor finalizes through the
+// durability subsystem rooted at dataDir (snapshot every 2 blocks, so
+// short traces still exercise WAL truncation). An empty dataDir yields
+// the plain in-memory rig. Reopening the same directory resumes from
+// whatever the previous rig made durable. opts mutate the executor
+// Config after the rig defaults (dispatch order, backend, agents).
+func newDurableRig(t testing.TB, depth int, dataDir string, genesis []types.KV,
+	opts ...func(*Config)) *rig {
+	t.Helper()
+	r := &rig{commits: make(chan []types.TxResult, 64)}
+	r.net = transport.NewInMemNetwork(transport.InMemConfig{})
+	execEP, _ := r.net.Endpoint("e1")
+	r.orderer, _ = r.net.Endpoint("o1")
 	registry := contract.NewRegistry()
 	agents := make(map[types.AppID][]types.NodeID, len(equivApps))
 	for _, app := range equivApps {
 		registry.Install(app, contract.NewAccounting())
 		agents[app] = []types.NodeID{"e1"}
 	}
-	var (
-		store state.Backend
-		led   *ledger.Ledger
-		mgr   *persist.Manager
-	)
 	if dataDir != "" {
-		var rec *persist.Recovered
-		var err error
-		mgr, rec, err = persist.Open(persist.Config{
+		mgr, rec, err := persist.Open(persist.Config{
 			Dir:              dataDir,
 			SnapshotInterval: 2,
 			Logf:             t.Logf,
@@ -151,13 +199,14 @@ func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 		if err != nil {
 			t.Fatal(err)
 		}
-		store, led = rec.Store, rec.Ledger
+		r.mgr = mgr
+		r.rec = rec
+		r.store, r.led = rec.Store, rec.Ledger
 	} else {
-		store = state.NewKVStore()
-		store.Apply(genesis)
-		led = ledger.New()
+		r.store = state.NewKVStore()
+		r.store.Apply(genesis)
+		r.led = ledger.New()
 	}
-	commits := make(chan []types.TxResult, len(blocks))
 	cfg := Config{
 		ID:            "e1",
 		Endpoint:      execEP,
@@ -165,51 +214,97 @@ func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 		AgentsOf:      agents,
 		OrderQuorum:   1,
 		Executors:     []types.NodeID{"e1"},
-		Store:         store,
-		Ledger:        led,
+		Store:         r.store,
+		Ledger:        r.led,
 		Workers:       6,
 		PipelineDepth: depth,
 		Signer:        cryptoutil.NoopSigner{NodeID: "e1"},
 		Verifier:      cryptoutil.NoopVerifier{},
-		Persist:       mgr,
+		Persist:       r.mgr,
 		OnCommit: func(_ *types.Block, results []types.TxResult) {
-			commits <- results
+			r.commits <- results
 		},
 		Logf: func(string, ...any) {},
 	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	store = cfg.Store // an opt may swap the backend (tiered suite)
-	exec := New(cfg)
-	exec.Start()
-	defer exec.Stop()
+	r.store = cfg.Store // an opt may swap the backend (tiered suite)
+	r.exec = New(cfg)
+	r.exec.Start()
+	t.Cleanup(func() { r.shutdown(t) })
+	return r
+}
 
-	for _, msg := range cutMono(blocks, "o1") {
-		if err := orderer.Send("e1", msg); err != nil {
-			t.Fatal(err)
-		}
+func (r *rig) send(t testing.TB, payload any) {
+	t.Helper()
+	if err := r.orderer.Send("e1", payload); err != nil {
+		t.Fatal(err)
 	}
-	finalized := make([][]types.TxResult, 0, len(blocks))
-	for range blocks {
+}
+
+func (r *rig) awaitBlocks(t testing.TB, n int) [][]types.TxResult {
+	t.Helper()
+	finalized := make([][]types.TxResult, 0, n)
+	for range n {
 		select {
-		case results := <-commits:
+		case results := <-r.commits:
 			finalized = append(finalized, results)
 		case <-time.After(30 * time.Second):
-			t.Fatalf("depth %d: block %d did not finalize", depth, len(finalized))
+			t.Fatalf("block %d did not finalize", len(finalized))
 		}
 	}
-	hash := store.Hash()
-	if mgr != nil {
+	return finalized
+}
+
+// runPipelined streams the blocks through one executor at the given
+// pipeline depth and returns the final state hash, the ledger, and the
+// finalized results per block (in finalization order). A non-empty
+// dataDir enables the durability subsystem and, after the run, reopens
+// the directory to assert crash recovery reproduces the final state.
+// opts mutate the executor Config after the rig defaults.
+func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
+	blocks [][]*types.Transaction, opts ...func(*Config)) (types.Hash, *ledger.Ledger, [][]types.TxResult) {
+	t.Helper()
+	r := newDurableRig(t, depth, dataDir, genesis, opts...)
+	for _, msg := range cutMono(blocks, "o1") {
+		r.send(t, msg)
+	}
+	finalized := r.awaitBlocks(t, len(blocks))
+	hash := r.store.Hash()
+	r.shutdown(t)
+	if dataDir != "" {
 		// Every block is externalized, so every block is durable: a
 		// recovery from this directory must land on the same state.
-		exec.Stop()
-		if err := mgr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		verifyRecovery(t, dataDir, genesis, hash, led)
+		verifyRecovery(t, dataDir, genesis, hash, r.led)
 	}
-	return hash, led, finalized
+	return hash, r.led, finalized
+}
+
+// verifyRecovery reopens a data directory and asserts the recovered
+// store and ledger match the live run bit for bit, and that recovery
+// came from a snapshot plus a WAL tail — never a full-chain replay.
+func verifyRecovery(t testing.TB, dataDir string, genesis []types.KV,
+	wantHash types.Hash, wantLed *ledger.Ledger) {
+	t.Helper()
+	mgr, rec, err := persist.Open(persist.Config{
+		Dir: dataDir, SnapshotInterval: 2, Logf: t.Logf,
+	}, genesis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	if rec.Store.Hash() != wantHash {
+		t.Fatal("recovered state hash diverged from the live run")
+	}
+	if rec.Ledger.Height() != wantLed.Height() || rec.Ledger.LastHash() != wantLed.LastHash() {
+		t.Fatalf("recovered ledger diverged (height %d vs %d)",
+			rec.Ledger.Height(), wantLed.Height())
+	}
+	if rec.SnapshotHeight == 0 || rec.Replayed >= int(wantLed.Height()) {
+		t.Fatalf("recovery replayed the full chain (snapshot %d, replayed %d)",
+			rec.SnapshotHeight, rec.Replayed)
+	}
 }
 
 // dispatchOrder names a ready queue for the equivalence suites: the

@@ -49,7 +49,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 					name := fmt.Sprintf("depth=%d/%s/tau=2", depth, sched)
 					gotHash, gotTip := runSpecNet(t, specNetConfig{
 						depth: depth, tau: 2, sched: sched,
-					}, genesis, blocks, 0)
+					}, genesis, blocks)
 					if gotHash != wantHash {
 						t.Fatalf("%s: state hash diverged from sequential baseline", name)
 					}

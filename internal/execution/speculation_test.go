@@ -20,8 +20,8 @@ import (
 // transactions executing against a predecessor's uncommitted (first-vote)
 // result must leave ledger and state bit-identical to the sequential
 // reference — across pipeline
-// depths, tau settings, contention levels, monolithic and streamed
-// intake, and with durability enabled — and a divergent leading vote must
+// depths, tau settings, contention levels, and with durability enabled —
+// and a divergent leading vote must
 // cascade re-execution through the speculation subtree without ever
 // releasing a multicast derived from the invalidated value. The suite
 // runs under -race in CI (a named gating step).
@@ -194,18 +194,6 @@ func (n *specNet) feedMonolithic(t testing.TB, blocks [][]*types.Transaction) {
 	}
 }
 
-// feedStreamed ships every block as segments plus a seal to every
-// executor (the streaming intake path under speculation).
-func (n *specNet) feedStreamed(t testing.TB, blocks [][]*types.Transaction, segTxns int) {
-	t.Helper()
-	for _, sb := range cutStream(blocks, segTxns, "o1") {
-		for _, seg := range sb.segs {
-			n.broadcast(t, seg)
-		}
-		n.broadcast(t, sb.seal)
-	}
-}
-
 // awaitHeight waits for every executor's ledger to reach the height.
 func (n *specNet) awaitHeight(t testing.TB, height uint64) {
 	t.Helper()
@@ -223,21 +211,17 @@ func (n *specNet) awaitHeight(t testing.TB, height uint64) {
 // runSpecNet drives one configuration end to end and returns the (single,
 // asserted-identical) state hash and ledger tip across the fleet.
 func runSpecNet(t *testing.T, cfg specNetConfig, genesis []types.KV,
-	blocks [][]*types.Transaction, segTxns int) (types.Hash, types.Hash) {
+	blocks [][]*types.Transaction) (types.Hash, types.Hash) {
 	t.Helper()
 	n := newSpecNet(t, cfg, genesis)
-	if segTxns > 0 {
-		n.feedStreamed(t, blocks, segTxns)
-	} else {
-		n.feedMonolithic(t, blocks)
-	}
+	n.feedMonolithic(t, blocks)
 	n.awaitHeight(t, uint64(len(blocks)))
 	hash := n.stores[0].Hash()
 	tip := n.leds[0].LastHash()
 	for i := range n.execs {
 		if got := n.stores[i].Hash(); got != hash {
-			t.Fatalf("%+v seg=%d: executor %s state hash diverged from %s",
-				cfg, segTxns, n.ids[i], n.ids[0])
+			t.Fatalf("%+v: executor %s state hash diverged from %s",
+				cfg, n.ids[i], n.ids[0])
 		}
 		if err := n.leds[i].Verify(); err != nil {
 			t.Fatalf("executor %s ledger chain invalid: %v", n.ids[i], err)
@@ -260,8 +244,8 @@ func runSpecNet(t *testing.T, cfg specNetConfig, genesis []types.KV,
 // TestSpeculationEquivalence asserts, for cross-application conflict
 // chains at two contention levels, that speculation leaves ledger and
 // state bit-identical to the sequential reference at pipeline depths
-// {1,4}, tau {1,2}, monolithic and streamed intake — and, at the deepest
-// configuration, with durability enabled on every executor.
+// {1,4} and tau {1,2} — and, at the deepest configuration, with
+// durability enabled on every executor.
 func TestSpeculationEquivalence(t *testing.T) {
 	const (
 		numBlocks = 6
@@ -277,17 +261,15 @@ func TestSpeculationEquivalence(t *testing.T) {
 			for _, sched := range allSchedulers {
 				for _, tau := range []int{1, 2} {
 					for _, depth := range []int{1, 4} {
-						for _, segTxns := range []int{0, 16} {
-							name := fmt.Sprintf("%s/tau=%d/depth=%d/seg=%d", sched, tau, depth, segTxns)
-							gotHash, gotTip := runSpecNet(t, specNetConfig{
-								depth: depth, tau: tau, sched: sched,
-							}, genesis, blocks, segTxns)
-							if gotHash != wantHash {
-								t.Fatalf("%s: state hash diverged from the sequential reference", name)
-							}
-							if gotTip != wantTip {
-								t.Fatalf("%s: ledger chain diverged from the sequential reference", name)
-							}
+						name := fmt.Sprintf("%s/tau=%d/depth=%d", sched, tau, depth)
+						gotHash, gotTip := runSpecNet(t, specNetConfig{
+							depth: depth, tau: tau, sched: sched,
+						}, genesis, blocks)
+						if gotHash != wantHash {
+							t.Fatalf("%s: state hash diverged from the sequential reference", name)
+						}
+						if gotTip != wantTip {
+							t.Fatalf("%s: ledger chain diverged from the sequential reference", name)
 						}
 					}
 				}
@@ -295,14 +277,12 @@ func TestSpeculationEquivalence(t *testing.T) {
 
 			// Durability on: the WAL at the finalize boundary under
 			// speculative scheduling must neither change the results nor
-			// break recovery, monolithic and streamed.
-			for _, segTxns := range []int{0, 16} {
-				gotHash, gotTip := runSpecNet(t, specNetConfig{
-					depth: 4, tau: 2, dataDir: t.TempDir(),
-				}, genesis, blocks, segTxns)
-				if gotHash != wantHash || gotTip != wantTip {
-					t.Fatalf("durable speculative run (seg=%d) diverged", segTxns)
-				}
+			// break recovery.
+			gotHash, gotTip := runSpecNet(t, specNetConfig{
+				depth: 4, tau: 2, dataDir: t.TempDir(),
+			}, genesis, blocks)
+			if gotHash != wantHash || gotTip != wantTip {
+				t.Fatal("durable speculative run diverged")
 			}
 		})
 	}

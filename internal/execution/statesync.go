@@ -440,11 +440,13 @@ func (e *Executor) verifySyncRecord(rec *persist.BlockRecord) error {
 }
 
 // recomputeEvidence derives, from the record's content alone, the digest
-// the orderer quorum endorsed: the seal digest for streamed blocks
-// (header + seal parameters + apps), the NEWBLOCK digest (block + the
-// deterministically rebuilt dependency graph) for monolithic ones. A
-// tampered transaction, edge, or seal parameter changes the digest, so
-// the endorsements no longer vouch for the content.
+// the orderer quorum endorsed: the NEWBLOCK digest (block + the
+// deterministically rebuilt dependency graph). Records written by nodes
+// of the retired segment-streaming release carry Streamed evidence: a
+// quorum-signed seal digest (header + seal parameters + apps), which
+// still verifies here so their WAL history stays servable. A tampered
+// transaction, edge, or seal parameter changes the digest, so the
+// endorsements no longer vouch for the content.
 func (e *Executor) recomputeEvidence(rec *persist.BlockRecord) types.Hash {
 	if rec.Streamed {
 		seal := &types.BlockSealMsg{
@@ -649,7 +651,7 @@ func (e *Executor) rebaseAfterSync() {
 			// from scratch under the new chain (admission re-checks the
 			// PrevHash linkage against the synced tip).
 			nb := e.getBlockState(num)
-			nb.contentDone, nb.block, nb.preds = true, bs.block, bs.preds
+			nb.contentDone, nb.block, nb.graph = true, bs.block, bs.graph
 			nb.ev, nb.evidence = bs.ev, bs.evidence
 		}
 	}

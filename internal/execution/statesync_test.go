@@ -120,7 +120,7 @@ func (r *syncPeerRig) shutdown() {
 	r.net.Close()
 }
 
-func newSyncPeerRig(t *testing.T, peers []types.NodeID) *syncPeerRig {
+func newSyncPeerRig(t *testing.T, peers []types.NodeID, opts ...func(*Config)) *syncPeerRig {
 	t.Helper()
 	r := &syncPeerRig{
 		net:   transport.NewInMemNetwork(transport.InMemConfig{}),
@@ -133,7 +133,7 @@ func newSyncPeerRig(t *testing.T, peers []types.NodeID) *syncPeerRig {
 	}
 	registry := contract.NewRegistry()
 	registry.Install("app1", contract.NewAccounting())
-	r.exec = New(Config{
+	cfg := Config{
 		ID:           "req",
 		Endpoint:     ep,
 		Registry:     registry,
@@ -147,14 +147,20 @@ func newSyncPeerRig(t *testing.T, peers []types.NodeID) *syncPeerRig {
 		Signer:       cryptoutil.NoopSigner{NodeID: "req"},
 		Verifier:     cryptoutil.NoopVerifier{},
 		Logf:         func(string, ...any) {},
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	r.exec = New(cfg)
 	r.exec.Start()
 	t.Cleanup(r.shutdown)
 	return r
 }
 
 // servePeer attaches a scripted peer: every sync request is counted and
-// answered through script; everything else is ignored. The returned
+// answered through script, signed with the peer's deterministic key (so
+// a requester verifying signatures can put it in its key ring);
+// everything else is ignored. The returned
 // endpoint lets the test send height announcements from the same
 // identity.
 func (r *syncPeerRig) servePeer(t *testing.T, id types.NodeID, count *atomic.Uint64,
@@ -164,6 +170,7 @@ func (r *syncPeerRig) servePeer(t *testing.T, id types.NodeID, count *atomic.Uin
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := cryptoutil.DeterministicKeyPair(string(id))
 	go func() {
 		for msg := range ep.Recv() {
 			req, ok := msg.Payload.(*types.StateSyncRequestMsg)
@@ -173,6 +180,8 @@ func (r *syncPeerRig) servePeer(t *testing.T, id types.NodeID, count *atomic.Uin
 			count.Add(1)
 			resp := script(req)
 			resp.Responder = id
+			digest := resp.Digest()
+			resp.Sig = key.Sign(digest[:])
 			_ = ep.Send(req.Requester, resp)
 		}
 	}()
@@ -326,5 +335,104 @@ func TestStateSyncReprobesAfterAnsweredProbe(t *testing.T) {
 	rig.shutdown()
 	if got := rig.store.Hash(); got != chain.finalHash {
 		t.Fatalf("synced store hash %x, peer's chain produces %x", got[:4], chain.finalHash[:4])
+	}
+}
+
+// TestStateSyncAdoptsStreamedEvidence keeps the legacy branch of
+// recomputeEvidence honest. Nodes of the retired segment-streaming
+// release wrote finalization records whose evidence is a seal digest
+// (header, segment count, cumulative segment digest, apps) signed by the
+// orderer quorum; nothing produces such records any more, but their WAL
+// history must stay servable. With signatures on, a requester must adopt
+// a chain of them, and reject it when the seal parameters are changed —
+// whether the record keeps its old evidence digest (content mismatch) or
+// carries the recomputed one (no quorum signed it).
+func TestStateSyncAdoptsStreamedEvidence(t *testing.T) {
+	orderers := []types.NodeID{"o1", "o2"}
+	ring := cryptoutil.NewKeyRing()
+	keys := make(map[types.NodeID]*cryptoutil.KeyPair, len(orderers))
+	for _, id := range append([]types.NodeID{"peer"}, orderers...) {
+		keys[id] = cryptoutil.DeterministicKeyPair(string(id))
+		ring.Add(string(id), keys[id].Public())
+	}
+	sealDigest := func(rec *persist.BlockRecord) types.Hash {
+		return (&types.BlockSealMsg{
+			Header:   rec.Block.Header,
+			Segments: rec.SealSegments,
+			Cum:      rec.SealCum,
+			Apps:     rec.Block.Apps(),
+		}).Digest()
+	}
+	chain := buildSyncChain(4)
+	for i, rec := range chain.records {
+		rec.Streamed = true
+		rec.SealSegments = 1 + i%3
+		rec.SealCum = types.Hash{byte(i), 0x5e}
+		rec.EvidenceDigest = sealDigest(rec)
+		rec.Endorse = nil
+		for _, id := range orderers {
+			rec.Endorse = append(rec.Endorse, persist.Endorsement{
+				Node: id, Sig: keys[id].Sign(rec.EvidenceDigest[:]),
+			})
+		}
+	}
+	withCrypto := func(c *Config) {
+		c.OrderQuorum = len(orderers)
+		c.VerifySigs = true
+		c.Verifier = ring
+	}
+	serve := func(t *testing.T, mutate func(*persist.BlockRecord)) (*syncPeerRig, *atomic.Uint64) {
+		rig := newSyncPeerRig(t, []types.NodeID{"peer"}, withCrypto)
+		var reqs atomic.Uint64
+		ep := rig.servePeer(t, "peer", &reqs, func(req *types.StateSyncRequestMsg) *types.StateSyncResponseMsg {
+			return chain.response(t, req, mutate)
+		})
+		announce(t, ep, uint64(len(chain.records)-1))
+		return rig, &reqs
+	}
+
+	t.Run("adopted", func(t *testing.T) {
+		rig, _ := serve(t, nil)
+		n := uint64(len(chain.records))
+		waitFor(t, "adoption of the streamed-evidence chain", func() bool {
+			return rig.led.Height() == n
+		})
+		rig.shutdown()
+		if got := rig.store.Hash(); got != chain.finalHash {
+			t.Fatalf("synced store hash %x, chain produces %x", got[:4], chain.finalHash[:4])
+		}
+		if got := rig.exec.Stats().SyncRejected; got != 0 {
+			t.Fatalf("SyncRejected = %d on an honest streamed-evidence chain", got)
+		}
+	})
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(*persist.BlockRecord)
+	}{
+		{"SealCum", func(rec *persist.BlockRecord) { rec.SealCum[31] ^= 0x01 }},
+		{"SealSegments", func(rec *persist.BlockRecord) { rec.SealSegments++ }},
+	} {
+		for _, redigest := range []bool{false, true} {
+			name := tc.name + "/stale-digest"
+			if redigest {
+				name = tc.name + "/recomputed-digest"
+			}
+			t.Run(name, func(t *testing.T) {
+				rig, reqs := serve(t, func(rec *persist.BlockRecord) {
+					tc.mutate(rec)
+					if redigest {
+						rec.EvidenceDigest = sealDigest(rec)
+					}
+				})
+				waitFor(t, "two rejected attempts", func() bool {
+					return rig.exec.Stats().SyncRejected >= 2 && reqs.Load() >= 2
+				})
+				rig.shutdown()
+				if h := rig.led.Height(); h != 0 {
+					t.Fatalf("requester adopted %d records with altered seal parameters", h)
+				}
+			})
+		}
 	}
 }

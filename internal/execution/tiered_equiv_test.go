@@ -8,8 +8,8 @@ import (
 	"parblockchain/internal/types"
 )
 
-// This file re-runs the three equivalence contracts — pipelining,
-// segment streaming, and speculation — with the executor's state swapped
+// This file re-runs the equivalence contracts — pipelining and
+// speculation — with the executor's state swapped
 // for a TieredStore whose hot budget is a small fraction of genesis, so
 // most of the working set lives in the cold tier and the clock hand
 // evicts continuously while blocks execute. The backend must be
@@ -88,41 +88,9 @@ func TestTieredPipelineEquivalence(t *testing.T) {
 	}
 }
 
-// TestTieredStreamEquivalence: segment streaming — including seals
-// lagging their segments — over a tiered backend matches the monolithic
-// in-memory path.
-func TestTieredStreamEquivalence(t *testing.T) {
-	const (
-		numBlocks = 6
-		blockTxns = 20
-	)
-	seed := int64(12000)
-	blocks, genesis := tracedBlocks(seed, 0.4, numBlocks, blockTxns)
-	wantHash, _ := refResults(genesis, blocks)
-	_, monoLed, _ := runPipelined(t, 4, "", genesis, blocks)
-	wantChain := monoLed.LastHash()
-
-	for _, segTxns := range []int{1, 16} {
-		for _, sealLag := range []int{0, 2} {
-			name := fmt.Sprintf("seg=%d/lag=%d", segTxns, sealLag)
-			ts := newTieredTestStore(t, genesis)
-			gotHash, led, _ := runStreamed(t, 4, segTxns, sealLag, "", genesis, blocks,
-				func(c *Config) { c.Store = ts })
-			if gotHash != wantHash {
-				t.Fatalf("%s: tiered streamed state hash diverged", name)
-			}
-			if led.LastHash() != wantChain {
-				t.Fatalf("%s: tiered streamed ledger chain diverged", name)
-			}
-			requireEvictions(t, ts, name)
-		}
-	}
-}
-
 // TestTieredSpeculationEquivalence: a three-executor fleet speculating
 // past the tau quorum, every executor on its own eviction-forcing
-// tiered store, converges to the sequential reference — monolithic and
-// streamed intake.
+// tiered store, converges to the sequential reference.
 func TestTieredSpeculationEquivalence(t *testing.T) {
 	const (
 		numBlocks = 6
@@ -132,23 +100,15 @@ func TestTieredSpeculationEquivalence(t *testing.T) {
 	blocks, genesis := tracedBlocksOpt(seed, 0.8, true, numBlocks, blockTxns)
 	wantHash, _ := refResults(genesis, blocks)
 
-	for _, segTxns := range []int{0, 16} {
-		n := newSpecNet(t, specNetConfig{
-			depth: 4, tau: 2, tiered: true, sched: dispatchOrder{seeded: true, seed: 13},
-		}, genesis)
-		if segTxns > 0 {
-			n.feedStreamed(t, blocks, segTxns)
-		} else {
-			n.feedMonolithic(t, blocks)
+	n := newSpecNet(t, specNetConfig{
+		depth: 4, tau: 2, tiered: true, sched: dispatchOrder{seeded: true, seed: 13},
+	}, genesis)
+	n.feedMonolithic(t, blocks)
+	n.awaitHeight(t, uint64(numBlocks))
+	for i, s := range n.stores {
+		if got := s.Hash(); got != wantHash {
+			t.Fatalf("%s: tiered speculative state hash diverged", n.ids[i])
 		}
-		n.awaitHeight(t, uint64(numBlocks))
-		for i, s := range n.stores {
-			name := fmt.Sprintf("seg=%d/%s", segTxns, n.ids[i])
-			if got := s.Hash(); got != wantHash {
-				t.Fatalf("%s: tiered speculative state hash diverged", name)
-			}
-			requireEvictions(t, s.(*state.TieredStore), name)
-		}
-		n.stop(t)
+		requireEvictions(t, s.(*state.TieredStore), string(n.ids[i]))
 	}
 }

@@ -54,7 +54,6 @@ var knobs = map[string]struct {
 }{
 	"ExecWorkers":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Workers, 3}} }},
 	"PipelineDepth": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
-	"SegmentTxns":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.ord.SegmentTxns, 3}} }},
 	"EagerCommit":   {json: `true`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.EagerCommit, true}} }},
 	"GraphMode": {json: `"multiversion"`, lands: func(e effective) [][2]any {
 		return [][2]any{{e.exec.GraphMode, depgraph.MultiVersion}, {e.ord.GraphMode, depgraph.MultiVersion}}

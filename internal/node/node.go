@@ -216,7 +216,6 @@ func (c *Config) ordererConfig() ordering.Config {
 		MaxBlockInterval: c.MaxBlockInterval,
 		BuildGraph:       true,
 		GraphMode:        c.GraphMode,
-		SegmentTxns:      c.SegmentTxns,
 		Dir:              logDir,
 		Fsync:            c.FsyncPolicy,
 		// Raft and Kafka persist their logs and redeliver the committed

@@ -23,17 +23,6 @@ type Tunables struct {
 	// the executor default (4). Finalization order and final state are
 	// identical at every depth.
 	PipelineDepth int `json:"pipelineDepth,omitempty"`
-	// SegmentTxns makes the orderers stream each block to the executors
-	// in signed segments of this many transactions (with incrementally
-	// generated dependency edges) as consensus delivers them, closed by a
-	// small seal message — instead of one monolithic NEWBLOCK at the cut.
-	// Executors begin executing a block's early transactions while its
-	// tail is still being ordered; finalization still waits for a quorum
-	// of matching seals, so ledger and state are identical either way.
-	// Zero keeps the monolithic NEWBLOCK wire format (also the right
-	// setting for deployments whose observer tooling consumes NEWBLOCK).
-	// Every orderer of a cluster must use the same value.
-	SegmentTxns int `json:"segmentTxns,omitempty"`
 	// EagerCommit selects Algorithm 2's eager per-transaction multicast.
 	EagerCommit bool `json:"eagerCommit,omitempty"`
 	// GraphMode selects the dependency rule, "standard" (default) or
@@ -94,7 +83,6 @@ func (t Tunables) Validate(durable bool) error {
 	}{
 		{"execWorkers", int64(t.ExecWorkers)},
 		{"pipelineDepth", int64(t.PipelineDepth)},
-		{"segmentTxns", int64(t.SegmentTxns)},
 		{"minHorizon", int64(t.MinHorizon)},
 		{"syncStallMs", int64(t.SyncStallMs)},
 		{"segmentBytes", int64(t.SegmentBytes)},

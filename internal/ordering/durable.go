@@ -15,7 +15,7 @@ import (
 // persist.RecordLog (the same segmented log the executor WAL runs on)
 // at the delivery boundary, and a
 // restarted orderer replays the retained window to rebuild its pending
-// transactions, dedupe generations, streaming position, and next block
+// transactions, dedupe generations, and next block
 // number — resuming cuts at height N+1, never 0.
 //
 // Two record kinds share the log:
@@ -26,7 +26,7 @@ import (
 //     syncs them; a durable consensus adapter (Raft/Kafka) redelivers
 //     anything lost, gated by the replayed sequence high-water mark.
 //   - cut records are appended inside cutBlock — after the dedupe
-//     rotation, before the seal/NEWBLOCK multicast — and fsynced, so no
+//     rotation, before the NEWBLOCK multicast — and fsynced, so no
 //     executor ever admits a block the orderer could forget. A cut
 //     record carries the post-cut anchor: block number, new chain tip,
 //     delivery high-water mark, and both seenTx generations.
@@ -35,11 +35,11 @@ import (
 // every segment after the first starts with a cut record. Replay of a
 // pruned log therefore always begins at such an anchor (or at the
 // genesis segment), applies it, and re-processes the entries after it —
-// deterministically re-cutting, re-streaming, and re-sealing the
-// retained blocks with bit-identical content. Executors drop the
-// re-multicasts below their height and adopt the rest, which is exactly
-// what heals a crash mid-stream: a partially streamed block is streamed
-// again from segment 0, never double-cut.
+// deterministically re-cutting and re-announcing the retained blocks
+// with bit-identical content. Executors drop the re-multicasts below
+// their height and adopt the rest, which is exactly what heals a crash
+// between a cut and its multicast: the block is announced again, never
+// double-cut.
 
 // DefaultRetainBlocks is the replay window: segments whose newest block
 // is this far behind the chain tip are pruned at the next cut.
@@ -185,8 +185,8 @@ func (o *Orderer) openLog() error {
 }
 
 // replayLog re-processes the recovered records on the delivery
-// goroutine, with multicast live: the retained blocks are re-streamed
-// and re-sealed bit-identically (executors below that height adopt
+// goroutine, with multicast live: the retained blocks are re-announced
+// bit-identically (executors below that height adopt
 // them, the rest drop them by height), and a partially assembled block
 // is left pending for live delivery to finish. Runs before the first
 // live entry is consumed.
@@ -228,11 +228,9 @@ func (o *Orderer) applyCutAnchor(c *cutRecord) {
 		}
 		o.pending = nil
 		o.pendingBytes = 0
-		o.pendingPreds = nil
 		if o.appender != nil {
 			o.appender = depgraph.NewAppender(o.cfg.GraphMode)
 		}
-		o.segStart, o.segSent, o.segCum = 0, 0, types.ZeroHash
 		o.nextNum = c.Num + 1
 		o.prevHash = c.Hash
 	}
@@ -265,7 +263,7 @@ func (o *Orderer) logEntry(seq uint64, payload []byte) {
 
 // logCut appends the cut record for the block just cut and fsyncs the
 // log — the durability point of the cut path, ordered before the
-// seal/NEWBLOCK multicast. Rolls the segment first when it is full (so
+// NEWBLOCK multicast. Rolls the segment first when it is full (so
 // the new segment starts with this cut record: a replay anchor), then
 // prunes segments whose blocks have fallen out of the retention window.
 func (o *Orderer) logCut(num uint64, hash types.Hash) {

@@ -93,14 +93,6 @@ type Config struct {
 	BuildGraph bool
 	// GraphMode selects the conflict rule (Standard or MultiVersion).
 	GraphMode depgraph.Mode
-	// SegmentTxns streams each block to the executors as it is built:
-	// every SegmentTxns ordered transactions are multicast in a signed
-	// BlockSegmentMsg carrying their incremental dependency edges, and
-	// the cut multicasts a small BlockSealMsg instead of a monolithic
-	// NEWBLOCK. Graph generation and dissemination move off the cut path
-	// entirely. Zero disables streaming (monolithic NEWBLOCK); streaming
-	// requires BuildGraph.
-	SegmentTxns int
 	// Dir enables the durable orderer log: delivered consensus entries
 	// and cut decisions are appended to a segmented, CRC-checksummed
 	// record log under this directory (see durable.go), and a restarted
@@ -166,8 +158,6 @@ type Stats struct {
 	// graphs. On the incremental path it is sampled (one append in 16,
 	// scaled), so treat it as an estimate.
 	GraphBuildNanos uint64
-	// SegmentsSent counts BlockSegmentMsg multicasts (streaming mode).
-	SegmentsSent uint64
 	// DurableHeight is the next block number the orderer log guarantees
 	// across a restart: every cut below it is fsynced. Zero without a
 	// durable log.
@@ -190,7 +180,6 @@ type Orderer struct {
 		txnsOrdered      atomic.Uint64
 		requestsRejected atomic.Uint64
 		graphBuildNanos  atomic.Uint64
-		segmentsSent     atomic.Uint64
 		durableHeight    atomic.Uint64
 		recoveredEntries atomic.Uint64
 	}
@@ -210,21 +199,10 @@ type Orderer struct {
 
 	// Incremental graph state, owned by the delivery goroutine. The
 	// appender extends the current block's dependency graph as each
-	// ordered transaction is delivered — off the cut path — and
-	// pendingPreds holds, per pending transaction, the predecessor edges
-	// the appender derived for it. Nil when graphs are disabled or the
-	// pairwise cut-time builder is selected.
-	appender     *depgraph.Appender
-	pendingPreds [][]int32
-	graphTick    uint64 // sampling counter for the build-time stat
-
-	// Streaming state: the index of the first pending transaction not yet
-	// multicast in a segment, the number of segments emitted for the
-	// current block, and the cumulative segment digest the seal will
-	// carry.
-	segStart int
-	segSent  int
-	segCum   types.Hash
+	// ordered transaction is delivered — off the cut path. Nil when
+	// graphs are disabled.
+	appender  *depgraph.Appender
+	graphTick uint64 // sampling counter for the build-time stat
 
 	// Durable-log state (durable.go). recovered/anchors are filled by
 	// openLog in New; everything else is owned by the delivery goroutine.
@@ -289,9 +267,8 @@ func New(cfg Config) (*Orderer, error) {
 		seenCur: make(map[types.TxID]bool),
 		stopCh:  make(chan struct{}),
 	}
-	// The incremental appender serves both streaming (segments carry its
-	// edges) and the monolithic path (the graph is ready at the cut
-	// instead of being built there).
+	// The incremental appender builds the graph as consensus delivers, so
+	// it is ready at the cut instead of being built there.
 	if o.cfg.BuildGraph {
 		o.appender = depgraph.NewAppender(o.cfg.GraphMode)
 	}
@@ -301,11 +278,6 @@ func New(cfg Config) (*Orderer, error) {
 		}
 	}
 	return o, nil
-}
-
-// streaming reports whether this orderer ships blocks as segment streams.
-func (o *Orderer) streaming() bool {
-	return o.cfg.SegmentTxns > 0 && o.appender != nil
 }
 
 // Start launches the consensus instance, the receive loop, and the
@@ -362,7 +334,6 @@ func (o *Orderer) Stats() Stats {
 		TxnsOrdered:      o.stats.txnsOrdered.Load(),
 		RequestsRejected: o.stats.requestsRejected.Load(),
 		GraphBuildNanos:  o.stats.graphBuildNanos.Load(),
-		SegmentsSent:     o.stats.segmentsSent.Load(),
 		DurableHeight:    o.stats.durableHeight.Load(),
 		RecoveredEntries: o.stats.recoveredEntries.Load(),
 	}
@@ -430,11 +401,10 @@ func (o *Orderer) deliverLoop() {
 	}
 	timerArmed := false
 	// Replay the durable log before consuming live entries: the retained
-	// window is re-processed with multicast live (re-streaming and
-	// re-sealing blocks executors may have missed — they drop anything
-	// below their height) and delivery resumes where the last fsynced cut
-	// left off. A partially assembled block stays pending, so arm the
-	// timer for it.
+	// window is re-processed with multicast live (re-announcing blocks
+	// executors may have missed — they drop anything below their height)
+	// and delivery resumes where the last fsynced cut left off. A
+	// partially assembled block stays pending, so arm the timer for it.
 	o.replayLog()
 	if len(o.pending) > 0 {
 		timer.Reset(o.cfg.MaxBlockInterval)
@@ -521,20 +491,15 @@ func (o *Orderer) handleEntry(entry consensus.Entry) {
 			// one append in 16 (scaled back up): per-append clock reads
 			// would cost a noticeable fraction of the sub-microsecond
 			// Append itself on this hot path.
-			var preds []int32
 			set := depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 			if o.graphTick&15 == 0 {
 				start := time.Now()
-				preds = o.appender.Append(set)
+				o.appender.Append(set)
 				o.stats.graphBuildNanos.Add(16 * uint64(time.Since(start)))
 			} else {
-				preds = o.appender.Append(set)
+				o.appender.Append(set)
 			}
 			o.graphTick++
-			o.pendingPreds = append(o.pendingPreds, preds)
-			if o.streaming() && len(o.pending)-o.segStart >= o.cfg.SegmentTxns {
-				o.emitSegment()
-			}
 		}
 		if len(o.pending) >= o.cfg.MaxBlockTxns || o.pendingBytes >= o.cfg.MaxBlockBytes {
 			o.cutBlock()
@@ -553,50 +518,14 @@ func (o *Orderer) handleEntry(entry consensus.Entry) {
 	}
 }
 
-// emitSegment multicasts the pending transactions not yet streamed, with
-// their incremental dependency edges, as one signed BlockSegmentMsg, and
-// folds the segment into the block's cumulative digest.
-func (o *Orderer) emitSegment() {
-	msg := &types.BlockSegmentMsg{
-		BlockNum: o.nextNum,
-		Seg:      o.segSent,
-		Start:    o.segStart,
-		Txns:     o.pending[o.segStart:len(o.pending):len(o.pending)],
-		Preds:    o.pendingPreds[o.segStart:len(o.pending):len(o.pending)],
-		Orderer:  o.cfg.ID,
-	}
-	digest := msg.Digest()
-	msg.Sig = o.cfg.Signer.Sign(digest[:])
-	if err := transport.Multicast(o.cfg.Endpoint, o.cfg.Executors, msg); err != nil {
-		o.cfg.Logf("orderer %s: multicast segment %d of block %d: %v",
-			o.cfg.ID, msg.Seg, o.nextNum, err)
-	}
-	o.segCum = types.ChainSegmentDigest(o.segCum, digest)
-	o.segSent++
-	o.segStart = len(o.pending)
-	o.stats.segmentsSent.Add(1)
-}
-
-// cutBlock seals the pending transactions into a block. In streaming mode
-// the transactions and their graph edges are already on the wire (modulo
-// a final partial segment), so the cut only multicasts a small signed
-// BlockSealMsg binding the header to the streamed content; in monolithic
-// mode it multicasts the classic NEWBLOCK with the full graph taken from
-// the incremental appender.
+// cutBlock seals the pending transactions into a block and multicasts
+// the signed NEWBLOCK with the full graph taken from the incremental
+// appender.
 func (o *Orderer) cutBlock() {
 	txns := o.pending
-	streamed := o.streaming()
-	if streamed && o.segStart < len(o.pending) {
-		o.emitSegment() // final partial segment
-	}
 	o.pending = nil
 	o.pendingBytes = 0
-	o.pendingPreds = nil
 	o.cutRequested = false
-	segs, cum := o.segSent, o.segCum
-	o.segSent = 0
-	o.segStart = 0
-	o.segCum = types.ZeroHash
 
 	block := types.NewBlock(o.nextNum, o.prevHash, txns)
 	o.nextNum++
@@ -619,38 +548,23 @@ func (o *Orderer) cutBlock() {
 	}
 
 	// Make the cut durable before any executor can learn of it: append
-	// and fsync the cut record ahead of the seal/NEWBLOCK multicast, so a
+	// and fsync the cut record ahead of the NEWBLOCK multicast, so a
 	// crashed orderer can never have shipped a block it does not
 	// remember. Replay re-cuts are already on disk.
 	if o.dlog != nil && !o.replaying {
 		o.logCut(block.Header.Number, o.prevHash)
 	}
 
-	if streamed {
-		seal := &types.BlockSealMsg{
-			Header:   block.Header,
-			Segments: segs,
-			Cum:      cum,
-			Apps:     block.Apps(),
-			Orderer:  o.cfg.ID,
-		}
-		digest := seal.Digest()
-		seal.Sig = o.cfg.Signer.Sign(digest[:])
-		if err := transport.Multicast(o.cfg.Endpoint, o.cfg.Executors, seal); err != nil {
-			o.cfg.Logf("orderer %s: multicast seal %d: %v", o.cfg.ID, block.Header.Number, err)
-		}
-	} else {
-		msg := &types.NewBlockMsg{
-			Block:   block,
-			Graph:   graph,
-			Apps:    block.Apps(),
-			Orderer: o.cfg.ID,
-		}
-		digest := msg.Digest()
-		msg.Sig = o.cfg.Signer.Sign(digest[:])
-		if err := transport.Multicast(o.cfg.Endpoint, o.cfg.Executors, msg); err != nil {
-			o.cfg.Logf("orderer %s: multicast block %d: %v", o.cfg.ID, block.Header.Number, err)
-		}
+	msg := &types.NewBlockMsg{
+		Block:   block,
+		Graph:   graph,
+		Apps:    block.Apps(),
+		Orderer: o.cfg.ID,
+	}
+	digest := msg.Digest()
+	msg.Sig = o.cfg.Signer.Sign(digest[:])
+	if err := transport.Multicast(o.cfg.Endpoint, o.cfg.Executors, msg); err != nil {
+		o.cfg.Logf("orderer %s: multicast block %d: %v", o.cfg.ID, block.Header.Number, err)
 	}
 
 	o.stats.blocksCut.Add(1)

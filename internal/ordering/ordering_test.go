@@ -303,3 +303,228 @@ func TestMultiVersionGraphMode(t *testing.T) {
 		t.Fatalf("MVCC write-write should be unordered, got %d edges", nb.Graph.EdgeCount())
 	}
 }
+
+// TestSeenTxSurvivesRotation is the regression test for the dedupe reset
+// bug: the old wholesale `make(map...)` reset forgot the IDs of the block
+// just cut, so a late consensus retry could re-order a recent
+// transaction. The two-generation rotation must keep rejecting it.
+func TestSeenTxSurvivesRotation(t *testing.T) {
+	f := newFixture(t, func(cfg *Config) { cfg.MaxBlockTxns = 2 })
+	// 4*MaxBlockTxns = 8: the rotation triggers at the cut that brings
+	// seenCur to 8 IDs. Run well past it and retry a transaction from the
+	// block just cut after every cut.
+	// 20 transactions cross both the old reset threshold (len > 16) and
+	// several two-generation rotations (len(cur) >= 8), so the old code's
+	// forget-and-reorder bug manifests as a duplicate block here.
+	var all []*types.Transaction
+	var blocks []*types.NewBlockMsg
+	for i := 0; i < 20; i++ {
+		tx := testTx("c1", uint64(i+1), nil, []types.Key{"k"})
+		all = append(all, tx)
+		f.submit(t, tx)
+		if i%2 == 1 {
+			// Block boundary: wait for the cut, then replay both of its
+			// transactions (a consensus retry delivers the same payload
+			// again).
+			blocks = append(blocks, f.nextBlock(t, 2*time.Second))
+			f.submit(t, all[i-1])
+			f.submit(t, all[i])
+		}
+	}
+	// Flush one more block so any wrongly re-ordered duplicate would have
+	// been cut by now.
+	f.submit(t, testTx("c1", 100, nil, []types.Key{"k"}))
+	f.submit(t, testTx("c1", 101, nil, []types.Key{"k"}))
+	blocks = append(blocks, collectBlocks(t, f.exec, 1)...)
+	seen := make(map[types.TxID]int)
+	for _, nb := range blocks {
+		for _, tx := range nb.Block.Txns {
+			seen[tx.ID]++
+			if seen[tx.ID] > 1 {
+				t.Fatalf("transaction %s ordered twice after dedupe rotation", tx.ID)
+			}
+		}
+	}
+}
+
+// TestNonCanonicalAccessSetsDropped: access sets are covered by the
+// client signature, so the orderer cannot repair them — transactions
+// with unsorted or duplicated read/write sets are dropped before they
+// reach graph generation, deterministically on every orderer.
+func TestNonCanonicalAccessSetsDropped(t *testing.T) {
+	f := newFixture(t, nil)
+	bad := testTx("c1", 1, []types.Key{"b", "a"}, []types.Key{"k", "k"})
+	f.submit(t, bad)
+	select {
+	case msg := <-f.exec.Recv():
+		t.Fatalf("non-canonical transaction was ordered: %+v", msg)
+	case <-time.After(100 * time.Millisecond):
+	}
+	good := testTx("c1", 2, []types.Key{"a", "b"}, []types.Key{"k"})
+	f.submit(t, good)
+	nb := f.nextBlock(t, 2*time.Second)
+	if len(nb.Block.Txns) != 1 || nb.Block.Txns[0].ID != good.ID {
+		t.Fatalf("canonical transaction missing from block: %+v", nb.Block.Txns)
+	}
+}
+
+// collectBlocks drains n NEWBLOCK messages from the endpoint.
+func collectBlocks(t *testing.T, exec transport.Endpoint, n int) []*types.NewBlockMsg {
+	t.Helper()
+	out := make([]*types.NewBlockMsg, 0, n)
+	deadline := time.After(5 * time.Second)
+	for len(out) < n {
+		select {
+		case msg := <-exec.Recv():
+			if nb, ok := msg.Payload.(*types.NewBlockMsg); ok {
+				out = append(out, nb)
+			}
+		case <-deadline:
+			t.Fatalf("received %d of %d blocks", len(out), n)
+		}
+	}
+	return out
+}
+
+// broadcastConsensus delivers one scripted, totally ordered entry stream
+// to every subscribed orderer — the shared consensus log two orderers of
+// one ordering service observe.
+type broadcastConsensus struct {
+	mu   sync.Mutex
+	seq  uint64
+	subs []*consensus.DeliveryQueue
+}
+
+func (b *broadcastConsensus) append(payload []byte) {
+	b.mu.Lock()
+	b.seq++
+	seq := b.seq
+	subs := append([]*consensus.DeliveryQueue(nil), b.subs...)
+	b.mu.Unlock()
+	for _, q := range subs {
+		q.Push(consensus.Entry{Seq: seq, Payload: payload})
+	}
+}
+
+// member is one orderer's view of the broadcast consensus.
+type member struct {
+	parent *broadcastConsensus
+	q      *consensus.DeliveryQueue
+}
+
+func (b *broadcastConsensus) join() *member {
+	m := &member{parent: b, q: consensus.NewDeliveryQueue()}
+	b.mu.Lock()
+	b.subs = append(b.subs, m.q)
+	b.mu.Unlock()
+	return m
+}
+
+func (m *member) Start() {}
+func (m *member) Submit(payload []byte) error {
+	m.parent.append(payload)
+	return nil
+}
+func (m *member) Step(types.NodeID, any)            {}
+func (m *member) Committed() <-chan consensus.Entry { return m.q.Out() }
+func (m *member) Stop()                             { m.q.Close() }
+
+var _ consensus.Node = (*member)(nil)
+
+// TestTimeoutCutDeterministicAcrossOrderers scripts the exact race the
+// consensus-ordered cut marker exists for: the marker for block 0 is
+// delivered *between* new transactions, so a naive local-timeout cut
+// would give the two orderers different blocks. Both orderers consume
+// the identical entry stream and must cut identical blocks — same
+// hashes, same graphs — including ignoring a stale marker replayed after
+// the cut.
+func TestTimeoutCutDeterministicAcrossOrderers(t *testing.T) {
+	net := transport.NewInMemNetwork(transport.InMemConfig{})
+	defer net.Close()
+	execEP, _ := net.Endpoint("e1")
+	shared := &broadcastConsensus{}
+
+	makeOrderer := func(id types.NodeID) *Orderer {
+		ep, _ := net.Endpoint(id)
+		o, err := New(Config{
+			ID:        id,
+			Endpoint:  ep,
+			Consensus: shared.join(),
+			Executors: []types.NodeID{"e1"},
+			Signer:    cryptoutil.NoopSigner{NodeID: string(id)},
+			Verifier:  cryptoutil.NoopVerifier{},
+			// Huge thresholds: every cut in this test comes from a marker.
+			MaxBlockTxns:     1000,
+			MaxBlockInterval: time.Hour,
+			BuildGraph:       true,
+			Logf:             func(string, ...any) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Start()
+		return o
+	}
+	o1 := makeOrderer("o1")
+	o2 := makeOrderer("o2")
+	defer o1.Stop()
+	defer o2.Stop()
+
+	tx := func(ts uint64) []byte {
+		return encodeTxPayload(testTx("c1", ts, []types.Key{"k"}, []types.Key{"k"}))
+	}
+	// Block 0 forms with tx 1; o1's timer "fires" (marker submitted) but
+	// txs 2 and 3 race past it in consensus order. Every orderer must cut
+	// block 0 = {1,2,3} at the marker. The stale replay of the block-0
+	// marker after the cut must be ignored by both. A second marker then
+	// cuts block 1 = {4}.
+	shared.append(tx(1))
+	shared.append(tx(2))
+	shared.append(tx(3))
+	shared.append(encodeCutPayload(0, "o1"))
+	shared.append(encodeCutPayload(0, "o1")) // stale duplicate
+	shared.append(tx(4))
+	shared.append(encodeCutPayload(1, "o2")) // any orderer may request
+
+	type key struct {
+		num  uint64
+		from types.NodeID
+	}
+	got := make(map[key]*types.NewBlockMsg)
+	deadline := time.After(5 * time.Second)
+	for len(got) < 4 {
+		select {
+		case msg := <-execEP.Recv():
+			nb, ok := msg.Payload.(*types.NewBlockMsg)
+			if !ok {
+				t.Fatalf("unexpected payload %T", msg.Payload)
+			}
+			k := key{nb.Block.Header.Number, msg.From}
+			if prev, dup := got[k]; dup {
+				t.Fatalf("orderer %s cut block %d twice (hashes %v / %v)",
+					msg.From, k.num, prev.Block.Hash(), nb.Block.Hash())
+			}
+			got[k] = nb
+		case <-deadline:
+			t.Fatalf("received %d of 4 NEWBLOCKs: %v", len(got), got)
+		}
+	}
+	for _, num := range []uint64{0, 1} {
+		a, b := got[key{num, "o1"}], got[key{num, "o2"}]
+		if a == nil || b == nil {
+			t.Fatalf("block %d missing from an orderer", num)
+		}
+		if a.Block.Hash() != b.Block.Hash() {
+			t.Fatalf("block %d hashes diverge across orderers", num)
+		}
+		if a.Digest() != b.Digest() {
+			t.Fatalf("block %d NEWBLOCK digests (graph shape) diverge", num)
+		}
+	}
+	if n := len(got[key{0, "o1"}].Block.Txns); n != 3 {
+		t.Fatalf("block 0 has %d txns, want 3 (marker raced the stream)", n)
+	}
+	if n := len(got[key{1, "o1"}].Block.Txns); n != 1 {
+		t.Fatalf("block 1 has %d txns, want 1", n)
+	}
+}

@@ -22,8 +22,6 @@ func (o *Orderer) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.La
 	reg.CounterFunc("parblockchain_orderer_graph_build_nanos_total",
 		"Estimated nanoseconds spent generating dependency graphs (sampled).", labels,
 		o.stats.graphBuildNanos.Load)
-	reg.CounterFunc("parblockchain_orderer_segments_sent_total",
-		"BlockSegmentMsg multicasts (streaming mode).", labels, o.stats.segmentsSent.Load)
 	if o.dlog != nil {
 		reg.GaugeFunc("parblockchain_orderer_durable_height",
 			"Next block number covered by a fsynced cut record; a restart resumes cutting here.",
@@ -47,7 +45,6 @@ type Status struct {
 	BlocksCut        uint64 `json:"blocks_cut"`
 	TxnsOrdered      uint64 `json:"txns_ordered"`
 	RequestsRejected uint64 `json:"requests_rejected"`
-	SegmentsSent     uint64 `json:"segments_sent"`
 	GraphBuildMs     int64  `json:"graph_build_ms"`
 	DurableHeight    uint64 `json:"durable_height"`
 	RecoveredEntries uint64 `json:"recovered_entries"`
@@ -62,7 +59,6 @@ func (o *Orderer) Status() Status {
 		BlocksCut:        s.BlocksCut,
 		TxnsOrdered:      s.TxnsOrdered,
 		RequestsRejected: s.RequestsRejected,
-		SegmentsSent:     s.SegmentsSent,
 		GraphBuildMs:     int64(s.GraphBuildNanos / 1e6),
 		DurableHeight:    s.DurableHeight,
 		RecoveredEntries: s.RecoveredEntries,

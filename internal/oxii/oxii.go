@@ -330,7 +330,7 @@ func (nw *Network) KillExecutor(i int) {
 // DataDir), and the node, Executors, Stores and Ledgers slots update to
 // the new instances, as does the ops server (the old one sampled the
 // corpse). The rejoined node catches up on whatever it missed via the
-// executors' state-sync protocol, so nothing needs to be re-streamed by
+// executors' state-sync protocol, so nothing needs to be re-sent by
 // the orderers.
 func (nw *Network) RestartExecutor(i int) error {
 	if err := nw.buildExecutor(i); err != nil {

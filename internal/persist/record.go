@@ -19,7 +19,9 @@ import (
 // seal parameters (SealSegments, SealCum) that let a state-sync
 // requester recompute a streamed block's endorsed seal digest; version-1
 // records still decode (the seal fields stay zero), but cannot serve as
-// sync evidence for streamed blocks.
+// sync evidence for streamed blocks. Segment streaming is retired: new
+// records are never Streamed, but the fields stay so records written by
+// streaming nodes still decode and verify.
 const (
 	recordVersion   = 2
 	recordVersionV1 = 1
@@ -41,8 +43,8 @@ type Endorsement struct {
 	// Node is the endorsing orderer.
 	Node types.NodeID
 	// Sig is the orderer's signature over the endorsed digest (the
-	// NEWBLOCK digest for monolithic blocks, the seal digest for
-	// streamed ones).
+	// NEWBLOCK digest, or the seal digest for blocks of the retired
+	// segment-streaming release).
 	Sig []byte
 }
 
@@ -62,7 +64,8 @@ type BlockRecord struct {
 	// Delta was applied; recovery recomputes and compares it per record.
 	StateHash types.Hash
 	// Streamed reports whether the endorsements are over a BlockSealMsg
-	// digest (segment streaming) or a monolithic NEWBLOCK digest.
+	// digest (written by the retired segment-streaming release) or a
+	// NEWBLOCK digest (every record written now).
 	Streamed bool
 	// EvidenceDigest is the content digest the quorum endorsed.
 	EvidenceDigest types.Hash

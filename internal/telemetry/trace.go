@@ -9,19 +9,19 @@ import (
 
 // Mark is one timestamped point in a block's lifecycle. Marks are set in
 // roughly this order, but the pipeline legitimately permutes some (a
-// monolithic NEWBLOCK carries its seal, so MarkSealed lands at delivery;
-// a fully-streamed block may drain execution before the seal arrives).
+// NEWBLOCK is its orderer's endorsement, so MarkSealed lands at the
+// delivery that completes the orderer quorum).
 // Stage deltas clamp at zero, so permutations show up as a zero-cost
 // stage rather than garbage.
 type Mark int
 
 // Lifecycle marks, in nominal pipeline order.
 const (
-	MarkDelivered    Mark = iota // consensus delivery (first NEWBLOCK or segment)
+	MarkDelivered    Mark = iota // consensus delivery (first NEWBLOCK)
 	MarkAdmitted                 // admitted into the pipeline window
 	MarkDispatched               // first transaction handed to a worker
 	MarkDrained                  // last local transaction executed
-	MarkSealed                   // seal/content quorum established
+	MarkSealed                   // orderer quorum endorsed the block
 	MarkFinalized                // final results applied, WAL record appended
 	MarkFsynced                  // WAL fsync covering the block completed
 	MarkExternalized             // appended to the ledger, effects released

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"parblockchain/internal/eventq"
 	"parblockchain/internal/types"
 )
 
@@ -73,7 +74,7 @@ func (n *InMemNetwork) Endpoint(id types.NodeID) (Endpoint, error) {
 	ep := &inmemEndpoint{
 		net:  n,
 		id:   id,
-		in:   newMsgQueue(),
+		in:   eventq.New[Message](),
 		out:  make(chan Message, 1),
 		done: make(chan struct{}),
 	}
@@ -252,7 +253,7 @@ func (n *InMemNetwork) send(from, to types.NodeID, payload any) error {
 type inmemEndpoint struct {
 	net      *InMemNetwork
 	id       types.NodeID
-	in       *msgQueue
+	in       *eventq.Queue[Message]
 	out      chan Message
 	done     chan struct{}
 	doneOnce sync.Once
@@ -267,7 +268,7 @@ func (e *inmemEndpoint) Send(to types.NodeID, payload any) error {
 func (e *inmemEndpoint) Recv() <-chan Message { return e.out }
 
 func (e *inmemEndpoint) Close() {
-	e.in.close()
+	e.in.Close()
 	e.doneOnce.Do(func() { close(e.done) })
 }
 
@@ -279,7 +280,7 @@ func (e *inmemEndpoint) pump(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(e.out)
 	for {
-		m, ok := e.in.pop()
+		m, ok := e.in.Pop()
 		if !ok {
 			return
 		}
@@ -345,59 +346,12 @@ func (l *link) pump(wg *sync.WaitGroup) {
 			return
 		}
 		m := l.q[0]
+		l.q[0] = timedMsg{} // the backing array must not keep a delivered message alive
 		l.q = l.q[1:]
 		l.mu.Unlock()
 		if wait := time.Until(m.deliverAt); wait > 0 {
 			time.Sleep(wait)
 		}
-		l.dst.in.push(m.msg)
+		l.dst.in.Push(m.msg)
 	}
-}
-
-// msgQueue is an unbounded FIFO of messages with blocking pop. Unbounded
-// buffering at the inbox prevents distributed deadlock between nodes that
-// both block on each other's full inboxes; protocol-level flow control
-// (block cut sizes, closed-loop clients) bounds its growth in practice.
-type msgQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []Message
-	closed bool
-}
-
-func newMsgQueue() *msgQueue {
-	q := &msgQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *msgQueue) push(m Message) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.items = append(q.items, m)
-	q.cond.Signal()
-}
-
-func (q *msgQueue) pop() (Message, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return Message{}, false
-	}
-	m := q.items[0]
-	q.items = q.items[1:]
-	return m, true
-}
-
-func (q *msgQueue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
 }

@@ -15,6 +15,7 @@ import (
 	"parblockchain/internal/consensus/kafkaorder"
 	"parblockchain/internal/consensus/pbft"
 	"parblockchain/internal/consensus/raft"
+	"parblockchain/internal/eventq"
 	"parblockchain/internal/types"
 )
 
@@ -23,8 +24,7 @@ import (
 // delivery on a single connection per direction.
 //
 // Frames are length-prefixed and tagged. The hot protocol payloads —
-// REQUEST, NEWBLOCK, COMMIT, and the streaming SEGMENT/SEAL messages —
-// travel as the fuzz-hardened binary encodings of internal/types, and
+// REQUEST, NEWBLOCK and COMMIT — travel as the fuzz-hardened binary encodings of internal/types, and
 // every consensus payload (Raft, kafkaorder, and PBFT messages,
 // including the heartbeats that dominate idle-cluster traffic and the
 // nested view-change certificates) as the hand-rolled codecs of their
@@ -40,7 +40,7 @@ import (
 // Peer identity is established by a handshake frame and then pinned to
 // the connection. Production deployments would authenticate links with
 // TLS; in this reproduction message-level signatures (REQUEST, NEWBLOCK,
-// SEGMENT, SEAL, COMMIT) provide end-to-end authenticity and the
+// COMMIT) provide end-to-end authenticity and the
 // handshake provides addressing.
 type TCPConfig struct {
 	// ID is this node's identity.
@@ -74,8 +74,8 @@ const (
 	frameRequest  byte = 2 // body: types.RequestMsg binary encoding
 	frameNewBlock byte = 3 // body: types.NewBlockMsg binary encoding
 	frameCommit   byte = 4 // body: types.CommitMsg binary encoding
-	frameSegment  byte = 5 // body: types.BlockSegmentMsg binary encoding
-	frameSeal     byte = 6 // body: types.BlockSealMsg binary encoding
+	// Tags 5 and 6 carried the retired segment-streaming frames (SEGMENT
+	// and SEAL). They stay reserved and decode as unknown tags.
 
 	// Consensus-internal payloads of the crash-fault-tolerant protocols
 	// (Raft heartbeats dominate idle-cluster traffic; kafka appends carry
@@ -128,10 +128,6 @@ func encodeFrame(payload any) (byte, []byte, error) {
 		return frameNewBlock, p.Marshal(), nil
 	case *types.CommitMsg:
 		return frameCommit, p.Marshal(), nil
-	case *types.BlockSegmentMsg:
-		return frameSegment, p.Marshal(), nil
-	case *types.BlockSealMsg:
-		return frameSeal, p.Marshal(), nil
 	case raft.Forward:
 		return frameRaftForward, p.Marshal(), nil
 	case raft.RequestVote:
@@ -187,10 +183,6 @@ func decodeFrame(tag byte, body []byte) (any, error) {
 		return types.UnmarshalNewBlockMsg(body)
 	case frameCommit:
 		return types.UnmarshalCommitMsg(body)
-	case frameSegment:
-		return types.UnmarshalBlockSegmentMsg(body)
-	case frameSeal:
-		return types.UnmarshalBlockSealMsg(body)
 	case frameRaftForward:
 		return raft.UnmarshalForward(body)
 	case frameRaftRequestVote:
@@ -280,7 +272,7 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 type TCPEndpoint struct {
 	cfg      TCPConfig
 	listener net.Listener
-	in       *msgQueue
+	in       *eventq.Queue[Message]
 	out      chan Message
 	done     chan struct{}
 	doneOnce sync.Once
@@ -321,7 +313,7 @@ func NewTCPEndpoint(cfg TCPConfig) (*TCPEndpoint, error) {
 	e := &TCPEndpoint{
 		cfg:      cfg,
 		listener: ln,
-		in:       newMsgQueue(),
+		in:       eventq.New[Message](),
 		out:      make(chan Message, 64),
 		done:     make(chan struct{}),
 		conns:    make(map[types.NodeID]*outConn),
@@ -495,7 +487,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		}
 		e.stats.framesRecv.Add(1)
 		e.stats.bytesRecv.Add(uint64(frameHeaderBytes + 1 + len(body)))
-		e.in.push(Message{From: from, To: e.cfg.ID, Payload: payload})
+		e.in.Push(Message{From: from, To: e.cfg.ID, Payload: payload})
 	}
 }
 
@@ -503,7 +495,7 @@ func (e *TCPEndpoint) pump() {
 	defer e.wg.Done()
 	defer close(e.out)
 	for {
-		m, ok := e.in.pop()
+		m, ok := e.in.Pop()
 		if !ok {
 			return
 		}
@@ -530,7 +522,7 @@ func (e *TCPEndpoint) Close() {
 			conn.Close() // unblocks the readLoop's readFrame
 		}
 		e.mu.Unlock()
-		e.in.close()
+		e.in.Close()
 	})
 	e.wg.Wait()
 }

@@ -232,37 +232,6 @@ func TestTCPBinaryFrameRoundTrips(t *testing.T) {
 		}
 	})
 
-	t.Run("SEGMENT", func(t *testing.T) {
-		msg := &types.BlockSegmentMsg{
-			BlockNum: 4, Seg: 1, Start: 2,
-			Txns:    []*types.Transaction{tx},
-			Preds:   [][]int32{{0, 1}},
-			Orderer: "a", Sig: []byte{6},
-		}
-		if err := a.Send("b", msg); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := recvPayload(t, b).(*types.BlockSegmentMsg)
-		if !ok || got.Digest() != msg.Digest() {
-			t.Fatalf("SEGMENT mangled: %#v", got)
-		}
-	})
-
-	t.Run("SEAL", func(t *testing.T) {
-		msg := &types.BlockSealMsg{
-			Header:   types.BlockHeader{Number: 4, PrevHash: types.Hash{1}, TxRoot: types.Hash{2}, Count: 3},
-			Segments: 2, Cum: types.Hash{3},
-			Apps: []types.AppID{"app1"}, Orderer: "a", Sig: []byte{7},
-		}
-		if err := a.Send("b", msg); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := recvPayload(t, b).(*types.BlockSealMsg)
-		if !ok || got.Digest() != msg.Digest() {
-			t.Fatalf("SEAL mangled: %#v", got)
-		}
-	})
-
 	// The CFT consensus payloads are binary-framed too; each must arrive
 	// as the same value type the consensus state machines type-switch on.
 	t.Run("raft", func(t *testing.T) {
@@ -447,6 +416,17 @@ func TestTCPManyPeers(t *testing.T) {
 			case <-deadline:
 				t.Fatalf("node %d received %d of %d", j, got, n-1)
 			}
+		}
+	}
+}
+
+// TestRetiredFrameTagsRejected: tags 5 and 6 carried the retired
+// segment-streaming frames. They stay reserved, so a peer still speaking
+// that format gets its frames refused instead of misread.
+func TestRetiredFrameTagsRejected(t *testing.T) {
+	for _, tag := range []byte{5, 6} {
+		if payload, err := decodeFrame(tag, []byte{0, 1, 2, 3}); err == nil {
+			t.Fatalf("tag %d decoded to %T, want an unknown-tag error", tag, payload)
 		}
 	}
 }

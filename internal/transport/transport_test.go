@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"parblockchain/internal/types"
 )
@@ -255,5 +257,42 @@ func TestEndpointIdempotentRegistration(t *testing.T) {
 	a2, _ := net.Endpoint("a")
 	if a1 != a2 {
 		t.Fatal("repeated Endpoint must return the same instance")
+	}
+}
+
+// TestDeliveredMessagesReleased checks that a message the receiver has
+// taken is collectable while the link and the inbox that carried it live
+// on with later messages still queued: neither FIFO's backing array may
+// keep a delivered message reachable (an orderer's NEWBLOCK would
+// otherwise outlive its block until the array is reallocated).
+func TestDeliveredMessagesReleased(t *testing.T) {
+	type payload struct{ buf [64]byte }
+	net := newNet(t, InMemConfig{})
+	a, _ := net.Endpoint("a")
+	b, _ := net.Endpoint("b")
+	const sent, taken = 200, 100
+	ptrs := make([]weak.Pointer[payload], sent)
+	for i := range ptrs {
+		p := &payload{}
+		ptrs[i] = weak.Make(p)
+		if err := a.Send("b", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // let the link move the backlog into b's inbox
+	func() {
+		for i := 0; i < taken; i++ {
+			msg := <-b.Recv()
+			if msg.Payload.(*payload) != ptrs[i].Value() {
+				t.Fatalf("message %d delivered out of order", i)
+			}
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < taken; i++ {
+		if ptrs[i].Value() != nil {
+			t.Fatalf("delivered message %d is still reachable from the network's queues", i)
+		}
 	}
 }

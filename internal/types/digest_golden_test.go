@@ -66,3 +66,20 @@ func TestDigestDoesNotAllocate(t *testing.T) {
 		t.Fatalf("sealed Transaction.Digest allocates %v times per call, want 0", n)
 	}
 }
+
+// TestSealDigestGolden pins the digest of the retired BlockSealMsg.
+// Nothing sends seals any more, but finalization records written by
+// segment-streaming nodes carry a quorum of signatures over this digest,
+// and state sync recomputes it to verify them: it must never change.
+func TestSealDigestGolden(t *testing.T) {
+	var prev Hash
+	copy(prev[:], "previous block hash previous blo")
+	block := NewBlock(7, prev, goldenTxns())
+	var cum Hash
+	copy(cum[:], "cumulative segment digest cumula")
+	seal := &BlockSealMsg{Header: block.Header, Segments: 3, Cum: cum, Apps: block.Apps()}
+	const want = "68a607e4dc9e60f16ee1e37f1f5048eba3de285a15aeb807a1d59386be64ca07"
+	if got := seal.Digest().String(); got != want {
+		t.Errorf("BlockSealMsg.Digest = %s, want %s", got, want)
+	}
+}

@@ -119,120 +119,10 @@ func FuzzUnmarshalCommitMsg(f *testing.F) {
 	})
 }
 
-func fuzzSegment() *BlockSegmentMsg {
-	return &BlockSegmentMsg{
-		BlockNum: 4,
-		Seg:      2,
-		Start:    5,
-		Txns:     []*Transaction{fuzzTx(), fuzzTx()},
-		Preds:    [][]int32{{0, 3}, {1, 5}},
-		Orderer:  "o1",
-		Sig:      []byte{7},
-	}
-}
-
-func FuzzUnmarshalBlockSegmentMsg(f *testing.F) {
-	f.Add(fuzzSegment().Marshal())
-	empty := &BlockSegmentMsg{BlockNum: 1, Orderer: "o2"}
-	f.Add(empty.Marshal())
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, 32))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalBlockSegmentMsg(data)
-		if err != nil {
-			return
-		}
-		// The decoder must only admit structurally valid edge lists.
-		for i, preds := range m.Preds {
-			prev := int32(-1)
-			for _, p := range preds {
-				if int(p) >= m.Start+i || p <= prev {
-					t.Fatalf("decoder admitted invalid pred %d for tx %d (start %d)", p, i, m.Start)
-				}
-				prev = p
-			}
-		}
-		enc := m.Marshal()
-		m2, err := UnmarshalBlockSegmentMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("SEGMENT encoding is not a fixed point")
-		}
-	})
-}
-
-func FuzzUnmarshalBlockSealMsg(f *testing.F) {
-	seal := &BlockSealMsg{
-		Header:   BlockHeader{Number: 9, PrevHash: Hash{1}, TxRoot: Hash{2}, Count: 12},
-		Segments: 3,
-		Cum:      Hash{3},
-		Apps:     []AppID{"app1", "app2"},
-		Orderer:  "o1",
-		Sig:      []byte{8},
-	}
-	f.Add(seal.Marshal())
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0x01}, 90))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalBlockSealMsg(data)
-		if err != nil {
-			return
-		}
-		enc := m.Marshal()
-		m2, err := UnmarshalBlockSealMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("SEAL encoding is not a fixed point")
-		}
-	})
-}
-
-// TestStreamMsgCodecRoundTrip pins exact round trips for the streaming
-// message codecs: digests (the values signed and chained into the seal)
-// must survive the wire byte for byte.
-func TestStreamMsgCodecRoundTrip(t *testing.T) {
-	seg := fuzzSegment()
-	back, err := UnmarshalBlockSegmentMsg(seg.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Digest() != seg.Digest() {
-		t.Fatal("SEGMENT digest changed across the wire")
-	}
-	if back.Seg != seg.Seg || back.Start != seg.Start || len(back.Txns) != len(seg.Txns) {
-		t.Fatalf("segment fields changed: %+v", back)
-	}
-	for i := range seg.Preds {
-		for k := range seg.Preds[i] {
-			if back.Preds[i][k] != seg.Preds[i][k] {
-				t.Fatalf("preds changed: %v vs %v", back.Preds[i], seg.Preds[i])
-			}
-		}
-	}
-
-	seal := &BlockSealMsg{
-		Header:   BlockHeader{Number: 3, PrevHash: Hash{4}, TxRoot: Hash{5}, Count: 7},
-		Segments: 2,
-		Cum:      ChainSegmentDigest(ZeroHash, seg.Digest()),
-		Apps:     []AppID{"app1"},
-		Orderer:  "o2",
-		Sig:      []byte{1, 2},
-	}
-	sealBack, err := UnmarshalBlockSealMsg(seal.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sealBack.Digest() != seal.Digest() {
-		t.Fatal("SEAL digest changed across the wire")
-	}
-	if sealBack.Header != seal.Header || sealBack.Segments != seal.Segments || sealBack.Cum != seal.Cum {
-		t.Fatalf("seal fields changed: %+v", sealBack)
-	}
-
+// TestRequestMsgCodecRoundTrip pins the REQUEST codec: the transaction
+// digest (the value the client signs) must survive the wire byte for
+// byte, and a REQUEST without a transaction stays without one.
+func TestRequestMsgCodecRoundTrip(t *testing.T) {
 	req := &RequestMsg{Tx: fuzzTx()}
 	reqBack, err := UnmarshalRequestMsg(req.Marshal())
 	if err != nil {

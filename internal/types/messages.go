@@ -89,89 +89,43 @@ func (m *CommitMsg) Digest() Hash {
 	return e.sum()
 }
 
-// BlockSegmentMsg streams one segment of a block under construction from
-// an orderer to the executors: a contiguous run of ordered transactions
-// together with the dependency-graph edges that attach them to the
-// transactions already streamed for the same block. Orderers emit
-// segments as consensus delivers transactions (ordering.Config
-// .SegmentTxns per segment), so executors schedule and execute ready
-// transactions while the rest of the block is still being ordered —
-// instead of idling until a monolithic NEWBLOCK arrives at the cut.
-//
-// Segments are speculative: executors may execute against them inside
-// the pipeline window, but finalization (ledger append, store apply)
-// waits for a quorum-validated BlockSealMsg whose cumulative digest
-// covers exactly the streamed segments.
+// BlockSegmentMsg is the frame of the retired segment-streaming wire
+// format: one run of a block's transactions with their incremental
+// dependency edges. Nothing sends or decodes it any more (TCP tag 5 is
+// reserved); the declaration stays only because the benchmark harness
+// still names the type among the protocol payloads it counts.
 type BlockSegmentMsg struct {
 	// BlockNum is the block the segment belongs to.
 	BlockNum uint64
 	// Seg is the zero-based segment index within the block.
 	Seg int
-	// Start is the block index of Txns[0]; segment k starts where
-	// segment k-1 ended.
+	// Start is the block index of Txns[0].
 	Start int
 	// Txns are the segment's transactions in their agreed total order.
 	Txns []*Transaction
 	// Preds[i] lists the dependency-graph predecessors of Txns[i] as
-	// block indices (< Start+i), sorted increasing — the incremental
-	// edges an Appender derives. Concatenating Preds across a block's
-	// segments yields exactly Graph.Pred of the monolithic build.
+	// block indices.
 	Preds [][]int32
 	// Orderer is the sending orderer.
 	Orderer NodeID
-	// Sig is the orderer's signature over Digest().
+	// Sig is the orderer's signature over the segment.
 	Sig []byte
 }
 
-// Digest returns the signed digest of the segment: its position, the
-// transaction digests, and the incremental edges. The orderer identity is
-// excluded so segments from different orderers match when their content
-// matches (the seal's cumulative digest chains these values).
-func (m *BlockSegmentMsg) Digest() Hash {
-	e := newEncoder()
-	e.u64(m.BlockNum)
-	e.u64(uint64(m.Seg))
-	e.u64(uint64(m.Start))
-	e.u64(uint64(len(m.Txns)))
-	for _, tx := range m.Txns {
-		d := tx.Digest()
-		e.bytes(d[:])
-	}
-	for _, preds := range m.Preds {
-		e.u64(uint64(len(preds)))
-		for _, p := range preds {
-			e.u64(uint64(p))
-		}
-	}
-	return e.sum()
-}
-
-// ChainSegmentDigest extends a block's cumulative segment digest with the
-// next segment's digest: cum_k = H(cum_{k-1} || digest_k), with the zero
-// hash as cum before any segment. Both orderers (emitting) and executors
-// (verifying against the seal) maintain it.
-func ChainSegmentDigest(cum Hash, seg Hash) Hash {
-	e := newEncoder()
-	e.bytes(cum[:])
-	e.bytes(seg[:])
-	return e.sum()
-}
-
-// BlockSealMsg closes a streamed block: it carries the block header (the
-// executors already hold the transactions from the segments), the number
-// of segments, and the cumulative segment digest binding the seal to the
-// exact streamed content. Executors finalize a streamed block only after
-// OrderQuorum matching seals from distinct orderers, restoring exactly
-// the trust the monolithic NEWBLOCK quorum provides.
+// BlockSealMsg closed a streamed block in the retired segment-streaming
+// wire format: the block header, the number of segments, and the
+// cumulative segment digest binding the seal to the streamed content.
+// Nothing sends or decodes it any more (TCP tag 6 is reserved). Its
+// Digest stays because finalization records written by streaming nodes
+// carry a quorum of signatures over it (persist.BlockRecord.Streamed),
+// and state sync still verifies them.
 type BlockSealMsg struct {
 	// Header is the sealed block's header (number, previous hash,
 	// transaction root, count).
 	Header BlockHeader
-	// Segments is the number of BlockSegmentMsg frames the block was
-	// streamed in.
+	// Segments is the number of segments the block was streamed in.
 	Segments int
-	// Cum is the cumulative segment digest (ChainSegmentDigest over the
-	// block's segment digests, in order).
+	// Cum is the cumulative segment digest over the block's segments.
 	Cum Hash
 	// Apps lists the applications with transactions in the block.
 	Apps []AppID

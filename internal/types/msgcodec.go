@@ -292,141 +292,6 @@ func UnmarshalRequestMsg(b []byte) (*RequestMsg, error) {
 	return m, nil
 }
 
-// Marshal encodes the block segment, including its signature.
-func (m *BlockSegmentMsg) Marshal() []byte {
-	w := AcquireWriter()
-	defer ReleaseWriter(w)
-	w.U64(m.BlockNum)
-	w.U64(uint64(m.Seg))
-	w.U64(uint64(m.Start))
-	w.U64(uint64(len(m.Txns)))
-	for _, tx := range m.Txns {
-		tx.MarshalTo(w)
-	}
-	for _, preds := range m.Preds {
-		w.U64(uint64(len(preds)))
-		for _, p := range preds {
-			w.U64(uint64(p))
-		}
-	}
-	w.Str(string(m.Orderer))
-	w.Blob(m.Sig)
-	return w.CloneBytes()
-}
-
-// maxSegmentPos bounds segment indices and block positions (start offset
-// plus transaction count) on decode: far larger than any real block, and
-// small enough that every admitted position fits an int32 and an int on
-// any platform, so int32 pred conversions can never truncate or go
-// negative.
-const maxSegmentPos = 1<<31 - 2
-
-// UnmarshalBlockSegmentMsg decodes a segment encoded by Marshal. The
-// incremental edges are validated on the way in — every predecessor must
-// be sorted, strictly increasing, and reference an earlier block index —
-// so malformed or hostile segments fail here instead of corrupting an
-// executor's scheduling state. Malformed input returns an error, never
-// panics, and never allocates past the input size.
-func UnmarshalBlockSegmentMsg(b []byte) (*BlockSegmentMsg, error) {
-	r := NewByteReader(b)
-	m := &BlockSegmentMsg{BlockNum: r.U64()}
-	seg := r.U64()
-	start := r.U64()
-	n := r.U64()
-	if r.err == nil && (seg > maxSegmentPos || start > maxSegmentPos ||
-		n > uint64(r.Remaining())/minTxSize || start+n > maxSegmentPos) {
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("decoding SEGMENT: %w", r.Err())
-	}
-	m.Seg = int(seg)
-	m.Start = int(start)
-	if n > 0 {
-		m.Txns = make([]*Transaction, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			m.Txns = append(m.Txns, decodeTransaction(r))
-		}
-		m.Preds = make([][]int32, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			cnt := r.U64()
-			if r.err != nil || cnt > uint64(r.Remaining())/8 {
-				r.fail()
-				break
-			}
-			var preds []int32
-			if cnt > 0 {
-				preds = make([]int32, 0, cnt)
-				prev := int64(-1)
-				limit := start + i // preds of Start+i must be < Start+i
-				for k := uint64(0); k < cnt && r.err == nil; k++ {
-					p := r.U64()
-					if p >= limit || int64(p) <= prev {
-						r.fail()
-						break
-					}
-					prev = int64(p)
-					preds = append(preds, int32(p))
-				}
-			}
-			m.Preds = append(m.Preds, preds)
-		}
-	}
-	m.Orderer = NodeID(r.Str())
-	m.Sig = r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding SEGMENT: %w", err)
-	}
-	return m, nil
-}
-
-// Marshal encodes the block seal, including its signature.
-func (m *BlockSealMsg) Marshal() []byte {
-	w := AcquireWriter()
-	defer ReleaseWriter(w)
-	w.U64(m.Header.Number)
-	w.hash(m.Header.PrevHash)
-	w.hash(m.Header.TxRoot)
-	w.U64(uint64(m.Header.Count))
-	w.U64(uint64(m.Segments))
-	w.hash(m.Cum)
-	apps := make([]string, len(m.Apps))
-	for i, a := range m.Apps {
-		apps[i] = string(a)
-	}
-	w.Strs(apps)
-	w.Str(string(m.Orderer))
-	w.Blob(m.Sig)
-	return w.CloneBytes()
-}
-
-// UnmarshalBlockSealMsg decodes a seal encoded by Marshal. Malformed
-// input returns an error, never panics.
-func UnmarshalBlockSealMsg(b []byte) (*BlockSealMsg, error) {
-	r := NewByteReader(b)
-	m := &BlockSealMsg{}
-	m.Header.Number = r.U64()
-	m.Header.PrevHash = r.hash()
-	m.Header.TxRoot = r.hash()
-	count := r.U64()
-	segs := r.U64()
-	if r.err == nil && (count > maxSegmentPos || segs > maxSegmentPos) {
-		r.fail()
-	}
-	m.Header.Count = int(count)
-	m.Segments = int(segs)
-	m.Cum = r.hash()
-	for _, a := range r.Strs() {
-		m.Apps = append(m.Apps, AppID(a))
-	}
-	m.Orderer = NodeID(r.Str())
-	m.Sig = r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding SEAL: %w", err)
-	}
-	return m, nil
-}
-
 // Marshal encodes the COMMIT message, including its signature.
 func (m *CommitMsg) Marshal() []byte {
 	w := AcquireWriter()

@@ -5,11 +5,9 @@
 # against. The executor package includes
 # BenchmarkExecutorPipelined/depth={1,4}, the cross-block pipelining vs
 # per-block barrier comparison; the depth=4 row is expected to stay well
-# ahead of depth=1 (>=1.3x tx/s). It also includes
-# BenchmarkOrdererStreaming/{monolithic,segment=16}: the segment=16
-# first-exec-ns metric (time from first ordered transaction to first
-# execution) is expected to stay well below the monolithic row's — graph
-# generation and block dissemination off the critical path.
+# ahead of depth=1 (>=1.3x tx/s). (The BenchmarkOrdererStreaming rows an
+# older JSON file may hold measured the deleted segment-streaming path;
+# a new run no longer produces them.)
 # BenchmarkExecutorDurable/depth={1,4}/{mem,wal} records the durability
 # subsystem's cost on the finalize hot path: the wal rows' fsyncs/block
 # metric shows the group-commit amortization (1.0 at the per-block
