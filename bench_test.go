@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"parblockchain/internal/bench"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/node"
 )
 
@@ -112,44 +111,6 @@ func BenchmarkFig7_Geo(b *testing.B) {
 				runPoint(b, opts)
 			})
 		}
-	}
-}
-
-// BenchmarkAblationA1_CommitMulticast compares Algorithm 2's lazy
-// cross-application cut rule against eager per-transaction COMMIT
-// multicast under cross-application contention.
-func BenchmarkAblationA1_CommitMulticast(b *testing.B) {
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		if eager {
-			name = "eager"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := quick(bench.SystemOXIIX)
-			opts.Contention = 0.2
-			opts.EagerCommit = eager
-			for i := 0; i < b.N; i++ {
-				r, err := bench.Run(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, r)
-				b.ReportMetric(float64(r.CommitMsgs), "commit-multicasts")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationA2_GraphMode compares the standard dependency rule
-// against the multi-version rule under high contention.
-func BenchmarkAblationA2_GraphMode(b *testing.B) {
-	for _, mode := range []depgraph.Mode{depgraph.Standard, depgraph.MultiVersion} {
-		b.Run(mode.String(), func(b *testing.B) {
-			opts := quick(bench.SystemOXII)
-			opts.Contention = 0.8
-			opts.GraphMode = mode
-			runPoint(b, opts)
-		})
 	}
 }
 

@@ -6,8 +6,7 @@
 //	parbench -fig 5b        block-size sweep, latency (Figure 5b)
 //	parbench -fig 6a..6d    contention sweeps (Figure 6, 0/20/80/100%)
 //	parbench -fig 7a..7d    geo-placement sweeps (Figure 7)
-//	parbench -fig ablations A1 (eager vs lazy COMMIT), A2 (MVCC graph
-//	                        rule), A4 (consensus plug comparison)
+//	parbench -fig ablations A4 (consensus plug comparison)
 //	parbench -fig pipeline  executor pipeline-depth sweep
 //	parbench -fig durability  WAL fsync cost on the finalize hot path
 //	parbench -fig speculation speculative commit-wait bypass vs vote delay
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"parblockchain/internal/bench"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/node"
 	"parblockchain/internal/persist"
 )
@@ -211,40 +209,6 @@ func figPipeline(c config) error {
 func ablations(c config) error {
 	levels := c.clientLevels()
 	clients := levels[len(levels)-1]
-	fmt.Println("A1: lazy (Algorithm 2 cut rule) vs eager per-txn COMMIT multicast, 20% cross-app contention")
-	for _, eager := range []bool{false, true} {
-		opts := c.opts
-		opts.System = bench.SystemOXIIX
-		opts.Contention = 0.2
-		opts.EagerCommit = eager
-		opts.Clients = clients
-		r, err := bench.Run(opts)
-		if err != nil {
-			return err
-		}
-		mode := "lazy "
-		if eager {
-			mode = "eager"
-		}
-		fmt.Printf("  %s  tput=%8.0f tx/s  avg=%8s  commit-multicasts=%d  msgs=%d\n",
-			mode, r.Throughput, r.AvgLatency.Round(time.Millisecond), r.CommitMsgs, r.Messages)
-	}
-
-	fmt.Println("A2: standard vs multi-version dependency rule, 80% contention")
-	for _, mode := range []depgraph.Mode{depgraph.Standard, depgraph.MultiVersion} {
-		opts := c.opts
-		opts.System = bench.SystemOXII
-		opts.Contention = 0.8
-		opts.GraphMode = mode
-		opts.Clients = clients
-		r, err := bench.Run(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-12s  tput=%8.0f tx/s  avg=%8s\n",
-			mode, r.Throughput, r.AvgLatency.Round(time.Millisecond))
-	}
-
 	fmt.Println("A4: consensus plug comparison, no contention")
 	for _, kind := range []node.ConsensusKind{node.ConsensusKafka, node.ConsensusPBFT, node.ConsensusRaft} {
 		opts := c.opts

@@ -72,7 +72,7 @@ func run(contention float64, crossApp bool, clients, secs int) error {
 				sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 				sets[i].Normalize()
 			}
-			graph := depgraph.Build(sets, depgraph.Standard)
+			graph := depgraph.Build(sets)
 			fmt.Printf("block %3d: %3d txns, %4d graph edges, depth %3d, width %3d\n",
 				block.Header.Number, len(block.Txns), graph.EdgeCount(),
 				graph.CriticalPathLen(), graph.MaxWidth())

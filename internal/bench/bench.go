@@ -114,8 +114,7 @@ type Options struct {
 	// spread speculation exists to exploit. Zero disables the harness.
 	VoteDelay time.Duration
 	// Tunables are the OXII deployment's knobs, handed to oxii.Config
-	// verbatim (ablation A1 sets EagerCommit, A2 GraphMode). ExecWorkers
-	// defaults to 2*BlockTxns here.
+	// verbatim. ExecWorkers defaults to 2*BlockTxns here.
 	node.Tunables
 	// DataDir enables the durability subsystem for OXII runs: every
 	// executor write-ahead-logs finalized blocks (and snapshots state)

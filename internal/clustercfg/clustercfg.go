@@ -40,7 +40,7 @@ type Config struct {
 	BlockTxns       int `json:"blockTxns,omitempty"`
 	BlockIntervalMs int `json:"blockIntervalMs,omitempty"`
 	// Tunables holds every performance and durability knob under its JSON
-	// name (pipelineDepth, eagerCommit, fsyncPolicy, stateBackend, ...).
+	// name (pipelineDepth, execWorkers, fsyncPolicy, stateBackend, ...).
 	node.Tunables
 	// DataDir roots the durability subsystem: every node keeps its durable
 	// state under DataDir/<node-id> (see node.Config.DataDir), so

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/node"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/types"
@@ -242,8 +241,6 @@ func TestRoundTrip(t *testing.T) {
 		Tunables: node.Tunables{
 			ExecWorkers:      3,
 			PipelineDepth:    2,
-			EagerCommit:      true,
-			GraphMode:        depgraph.MultiVersion,
 			MinHorizon:       9,
 			SyncStallMs:      250,
 			FsyncPolicy:      persist.FsyncAlways,

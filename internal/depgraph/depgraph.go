@@ -15,9 +15,14 @@
 // to the sequential execution of the block, while transactions that are
 // unordered by the graph may run in parallel.
 //
+// One rule covers every workload benchmarked here: the paper's
+// single-version one. The multi-version relaxation of Section III-A
+// (order only earlier writes before later reads) removes no ordering
+// constraint when, as in every transfer, a transaction reads what it
+// writes.
+//
 // The package is pure: it depends only on the standard library and knows
-// nothing about transactions beyond their read/write sets, so it can be
-// reused for multi-version variants.
+// nothing about transactions beyond their read/write sets.
 package depgraph
 
 import (
@@ -26,58 +31,13 @@ import (
 	"sort"
 )
 
-// Mode selects the conflict rule used to derive edges.
-type Mode int
+// Standard names the one conflict rule. Build and BuildPairwise accept it
+// as an optional trailing argument so callers that spell the rule out
+// (the benchmark harness under benchmark/ does) keep compiling; there is
+// no other rule to select.
+const Standard rule = 0
 
-const (
-	// Standard is the single-version rule from the paper's main
-	// definition: read-write, write-read, and write-write intersections
-	// all create ordering dependencies.
-	Standard Mode = iota + 1
-	// MultiVersion is the rule for multi-version datastores discussed in
-	// Section III-A: writes create new versions, so concurrent
-	// write-write and read-before-write pairs are permitted; only
-	// "earlier writes, later reads" pairs (omega(Ti) ∩ rho(Tj)) are
-	// ordered.
-	MultiVersion
-)
-
-// String returns the mode's name.
-func (m Mode) String() string {
-	switch m {
-	case Standard:
-		return "standard"
-	case MultiVersion:
-		return "multiversion"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// MarshalText and UnmarshalText spell the mode by name ("standard",
-// "multiversion") in cluster JSON; the empty string is the zero Mode,
-// which every consumer defaults to Standard.
-func (m Mode) MarshalText() ([]byte, error) {
-	if m == 0 {
-		return nil, nil
-	}
-	return []byte(m.String()), nil
-}
-
-// UnmarshalText parses a mode name.
-func (m *Mode) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*m = 0
-	case "standard":
-		*m = Standard
-	case "multiversion":
-		*m = MultiVersion
-	default:
-		return fmt.Errorf("depgraph: unknown mode %q (want standard or multiversion)", text)
-	}
-	return nil
-}
+type rule int
 
 // RWSet is the declared access sets of one transaction. Both slices must
 // be sorted and duplicate-free for the indexed builder; Normalize puts an
@@ -127,21 +87,57 @@ type Graph struct {
 // violations).
 var ErrInvalid = errors.New("depgraph: invalid graph")
 
-// Build constructs the dependency graph for the given access sets using
-// the indexed builder: for every key it tracks the last writer and the
-// readers since that write, emitting only edges whose transitive closure
-// equals the full pairwise conflict relation. This is O(sum of access-set
-// sizes) per block rather than O(n^2) pairwise scans.
-//
-// Build is the batch form of the incremental Appender (append.go) and is
-// implemented on top of it, so a graph appended one transaction at a
-// time is identical, edge for edge, to the graph built at the block cut.
-func Build(sets []RWSet, mode Mode) *Graph {
-	a := NewAppender(mode)
+// Build constructs the dependency graph for the given access sets, which
+// must be normalized. It is the batch form of what the orderer does as
+// consensus delivers: Add each transaction to a Builder.
+func Build(sets []RWSet, _ ...rule) *Graph {
+	b := NewBuilder()
 	for _, s := range sets {
-		a.Append(s)
+		b.Add(s)
 	}
-	return a.Finish()
+	return b.g // the index is discarded, so Cut's Remove is not needed
+}
+
+// Builder derives one block's Graph at a time from the block's
+// transactions in block order: the conflict Index (index.go) run over a
+// one-block window. It is not safe for concurrent use.
+type Builder struct {
+	x   *Index
+	num uint64 // the current block's number within the window
+	g   *Graph
+}
+
+// NewBuilder returns a Builder with an empty first block.
+func NewBuilder() *Builder {
+	return &Builder{x: NewIndex(), g: &Graph{Succ: [][]int32{}, Pred: [][]int32{}}}
+}
+
+// Add appends the block's next transaction to its graph, ordered after
+// every earlier transaction of the block it conflicts with.
+func (b *Builder) Add(set RWSet) {
+	g := b.g
+	j := int32(g.N)
+	var pred []int32
+	if preds := b.x.Add(TxRef{Block: b.num, Index: j}, set); len(preds) > 0 {
+		pred = make([]int32, len(preds))
+		for k, p := range preds {
+			pred[k] = p.Index
+			g.Succ[p.Index] = append(g.Succ[p.Index], j)
+		}
+	}
+	g.Pred = append(g.Pred, pred)
+	g.Succ = append(g.Succ, nil)
+	g.N++
+}
+
+// Cut returns the block's finished graph and starts the next block over
+// an empty window. Later Adds never touch the returned graph.
+func (b *Builder) Cut() *Graph {
+	g := b.g
+	b.x.Remove(b.num)
+	b.num++
+	b.g = &Graph{Succ: [][]int32{}, Pred: [][]int32{}}
+	return g
 }
 
 // BuildPairwise constructs the dependency graph by comparing every pair of
@@ -151,7 +147,7 @@ func Build(sets []RWSet, mode Mode) *Graph {
 // against and as the paper-faithful cost model for the block-size
 // experiments (Figure 5 attributes the throughput turnover to dependency
 // graph generation cost).
-func BuildPairwise(sets []RWSet, mode Mode) *Graph {
+func BuildPairwise(sets []RWSet, _ ...rule) *Graph {
 	n := len(sets)
 	g := &Graph{
 		N:    n,
@@ -160,7 +156,7 @@ func BuildPairwise(sets []RWSet, mode Mode) *Graph {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if conflicts(&sets[i], &sets[j], mode) {
+			if conflicts(&sets[i], &sets[j]) {
 				g.Succ[i] = append(g.Succ[i], int32(j))
 				g.Pred[j] = append(g.Pred[j], int32(i))
 			}
@@ -169,12 +165,9 @@ func BuildPairwise(sets []RWSet, mode Mode) *Graph {
 	return g
 }
 
-// conflicts reports whether an ordering dependency i ~> j exists under the
-// given mode, for i preceding j in the block.
-func conflicts(a, b *RWSet, mode Mode) bool {
-	if mode == MultiVersion {
-		return intersectsSorted(a.Writes, b.Reads)
-	}
+// conflicts reports whether an ordering dependency i ~> j exists, for i
+// preceding j in the block.
+func conflicts(a, b *RWSet) bool {
 	return intersectsSorted(a.Writes, b.Writes) ||
 		intersectsSorted(a.Reads, b.Writes) ||
 		intersectsSorted(a.Writes, b.Reads)

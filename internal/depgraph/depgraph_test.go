@@ -22,7 +22,7 @@ func paperExample() []RWSet {
 }
 
 func TestPaperFigure2Example(t *testing.T) {
-	g := BuildPairwise(paperExample(), Standard)
+	g := BuildPairwise(paperExample())
 	wantEdges := [][2]int{{0, 2}, {1, 3}, {1, 4}}
 	if got := g.EdgeCount(); got != len(wantEdges) {
 		t.Fatalf("edge count = %d, want %d (graph %v)", got, len(wantEdges), g.Succ)
@@ -38,29 +38,27 @@ func TestPaperFigure2Example(t *testing.T) {
 }
 
 func TestBuildMatchesPairwiseOnPaperExample(t *testing.T) {
-	indexed := Build(paperExample(), Standard)
-	pairwise := BuildPairwise(paperExample(), Standard)
+	indexed := Build(paperExample())
+	pairwise := BuildPairwise(paperExample())
 	if !closuresEqual(indexed, pairwise) {
 		t.Fatalf("closures differ: indexed %v pairwise %v", indexed.Succ, pairwise.Succ)
 	}
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	for _, mode := range []Mode{Standard, MultiVersion} {
-		g := Build(nil, mode)
-		if g.N != 0 || g.EdgeCount() != 0 {
-			t.Fatalf("empty graph wrong: %+v", g)
-		}
-		if g.CriticalPathLen() != 0 || g.MaxWidth() != 0 {
-			t.Fatal("empty graph analyses should be zero")
-		}
-		g = Build([]RWSet{{}}, mode)
-		if g.N != 1 || g.EdgeCount() != 0 {
-			t.Fatalf("singleton graph wrong: %+v", g)
-		}
-		if !g.IsChain() {
-			t.Fatal("singleton should count as a chain")
-		}
+	g := Build(nil)
+	if g.N != 0 || g.EdgeCount() != 0 {
+		t.Fatalf("empty graph wrong: %+v", g)
+	}
+	if g.CriticalPathLen() != 0 || g.MaxWidth() != 0 {
+		t.Fatal("empty graph analyses should be zero")
+	}
+	g = Build([]RWSet{{}})
+	if g.N != 1 || g.EdgeCount() != 0 {
+		t.Fatalf("singleton graph wrong: %+v", g)
+	}
+	if !g.IsChain() {
+		t.Fatal("singleton should count as a chain")
 	}
 }
 
@@ -69,14 +67,9 @@ func TestWriteWriteConflict(t *testing.T) {
 		{Writes: []string{"x"}},
 		{Writes: []string{"x"}},
 	}
-	g := Build(sets, Standard)
+	g := Build(sets)
 	if !g.HasEdge(0, 1) {
 		t.Fatal("write-write conflict must create an edge")
-	}
-	// MultiVersion permits concurrent writes (each creates a version).
-	g = Build(sets, MultiVersion)
-	if g.EdgeCount() != 0 {
-		t.Fatal("multi-version mode must not order write-write pairs")
 	}
 }
 
@@ -85,12 +78,8 @@ func TestReadThenWriteConflict(t *testing.T) {
 		{Reads: []string{"x"}},
 		{Writes: []string{"x"}},
 	}
-	if g := Build(sets, Standard); !g.HasEdge(0, 1) {
-		t.Fatal("read-then-write must create an edge in standard mode")
-	}
-	// MultiVersion: the earlier reader reads the old version; no edge.
-	if g := Build(sets, MultiVersion); g.EdgeCount() != 0 {
-		t.Fatal("multi-version mode must not order read-then-write pairs")
+	if g := Build(sets); !g.HasEdge(0, 1) {
+		t.Fatal("read-then-write must create an edge")
 	}
 }
 
@@ -99,10 +88,8 @@ func TestWriteThenReadConflictInBothModes(t *testing.T) {
 		{Writes: []string{"x"}},
 		{Reads: []string{"x"}},
 	}
-	for _, mode := range []Mode{Standard, MultiVersion} {
-		if g := Build(sets, mode); !g.HasEdge(0, 1) {
-			t.Fatalf("write-then-read must create an edge in %v mode", mode)
-		}
+	if g := Build(sets); !g.HasEdge(0, 1) {
+		t.Fatal("write-then-read must create an edge")
 	}
 }
 
@@ -111,10 +98,8 @@ func TestReadReadNoConflict(t *testing.T) {
 		{Reads: []string{"x"}},
 		{Reads: []string{"x"}},
 	}
-	for _, mode := range []Mode{Standard, MultiVersion} {
-		if g := Build(sets, mode); g.EdgeCount() != 0 {
-			t.Fatalf("read-read must not conflict in %v mode", mode)
-		}
+	if g := Build(sets); g.EdgeCount() != 0 {
+		t.Fatal("read-read must not conflict")
 	}
 }
 
@@ -125,7 +110,7 @@ func TestChainShape(t *testing.T) {
 	for i := range sets {
 		sets[i] = RWSet{Reads: []string{"hot"}, Writes: []string{"hot"}}
 	}
-	indexed := Build(sets, Standard)
+	indexed := Build(sets)
 	if !indexed.IsChain() {
 		t.Fatal("full contention block must be a chain")
 	}
@@ -137,7 +122,7 @@ func TestChainShape(t *testing.T) {
 	}
 	// The pairwise builder produces all n(n-1)/2 edges; its transitive
 	// reduction is the same chain.
-	pairwise := BuildPairwise(sets, Standard)
+	pairwise := BuildPairwise(sets)
 	if got, want := pairwise.EdgeCount(), n*(n-1)/2; got != want {
 		t.Fatalf("pairwise edges = %d, want %d", got, want)
 	}
@@ -158,7 +143,7 @@ func TestNoContentionShape(t *testing.T) {
 			Writes: []string{fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)},
 		}
 	}
-	g := Build(sets, Standard)
+	g := Build(sets)
 	if g.EdgeCount() != 0 {
 		t.Fatalf("disjoint access sets must give an empty graph, got %d edges", g.EdgeCount())
 	}
@@ -185,20 +170,20 @@ func TestComponentsSeparateApplications(t *testing.T) {
 		{Reads: []string{"y"}},                   // 3 (cluster B)
 		{Reads: []string{"x", "y"}, Writes: nil}, // 4 joins nothing new? reads both -> joins A and B
 	}
-	g := Build(sets[:4], Standard)
+	g := Build(sets[:4])
 	comps := g.Components()
 	if len(comps) != 2 {
 		t.Fatalf("components = %d, want 2 (%v)", len(comps), comps)
 	}
 	// Adding a reader of both keys merges the components.
-	g = Build(sets, Standard)
+	g = Build(sets)
 	if got := len(g.Components()); got != 1 {
 		t.Fatalf("merged components = %d, want 1", got)
 	}
 }
 
 func TestLevelsRespectEdges(t *testing.T) {
-	g := BuildPairwise(paperExample(), Standard)
+	g := BuildPairwise(paperExample())
 	levels := g.Levels()
 	for i, succ := range g.Succ {
 		for _, j := range succ {
@@ -280,7 +265,7 @@ func TestGraphHeightsShapes(t *testing.T) {
 }
 
 func TestValidateRejectsCorruptGraphs(t *testing.T) {
-	g := Build(paperExample(), Standard)
+	g := Build(paperExample())
 	cases := map[string]func(*Graph){
 		"backward edge": func(g *Graph) { g.Succ[3] = append(g.Succ[3], 1) },
 		"self edge":     func(g *Graph) { g.Succ[2] = append(g.Succ[2], 2) },
@@ -302,7 +287,7 @@ func TestValidateRejectsCorruptGraphs(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	g := Build(paperExample(), Standard)
+	g := Build(paperExample())
 	c := g.Clone()
 	if len(c.Succ[0]) > 0 {
 		c.Succ[0][0] = 99
@@ -344,19 +329,17 @@ func TestPropertyBuildersEquivalent(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(30)
 		sets := randomSets(rng, n, 1+rng.Intn(10))
-		for _, mode := range []Mode{Standard, MultiVersion} {
-			indexed := Build(sets, mode)
-			pairwise := BuildPairwise(sets, mode)
-			if err := indexed.Validate(); err != nil {
-				t.Fatalf("trial %d: indexed invalid: %v", trial, err)
-			}
-			if err := pairwise.Validate(); err != nil {
-				t.Fatalf("trial %d: pairwise invalid: %v", trial, err)
-			}
-			if !closuresEqual(indexed, pairwise) {
-				t.Fatalf("trial %d mode %v: closures differ\nsets: %+v\nindexed: %v\npairwise: %v",
-					trial, mode, sets, indexed.Succ, pairwise.Succ)
-			}
+		indexed := Build(sets)
+		pairwise := BuildPairwise(sets)
+		if err := indexed.Validate(); err != nil {
+			t.Fatalf("trial %d: indexed invalid: %v", trial, err)
+		}
+		if err := pairwise.Validate(); err != nil {
+			t.Fatalf("trial %d: pairwise invalid: %v", trial, err)
+		}
+		if !closuresEqual(indexed, pairwise) {
+			t.Fatalf("trial %d: closures differ\nsets: %+v\nindexed: %v\npairwise: %v",
+				trial, sets, indexed.Succ, pairwise.Succ)
 		}
 	}
 }
@@ -371,44 +354,25 @@ func TestPropertyConflictSoundness(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(25)
 		sets := randomSets(rng, n, 1+rng.Intn(8))
-		pairwise := BuildPairwise(sets, Standard)
+		pairwise := BuildPairwise(sets)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				want := conflicts(&sets[i], &sets[j], Standard)
+				want := conflicts(&sets[i], &sets[j])
 				if got := pairwise.HasEdge(i, j); got != want {
 					t.Fatalf("trial %d: edge(%d,%d) = %v, conflict = %v", trial, i, j, got, want)
 				}
 			}
 		}
-		indexed := Build(sets, Standard)
+		indexed := Build(sets)
 		closure := indexed.TransitiveClosure()
 		pairClosure := pairwise.TransitiveClosure()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if conflicts(&sets[i], &sets[j], Standard) && !closure[i].Get(j) {
+				if conflicts(&sets[i], &sets[j]) && !closure[i].Get(j) {
 					t.Fatalf("trial %d: conflicting pair (%d,%d) unordered by indexed graph", trial, i, j)
 				}
 				if closure[i].Get(j) && !pairClosure[i].Get(j) {
 					t.Fatalf("trial %d: indexed orders non-dependent pair (%d,%d)", trial, i, j)
-				}
-			}
-		}
-	}
-}
-
-// TestPropertyMultiVersionSubset checks the MVCC graph is always a
-// subgraph (in closure) of the standard graph: relaxing write-write and
-// read-write conflicts can only remove ordering constraints.
-func TestPropertyMultiVersionSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		sets := randomSets(rng, 2+rng.Intn(25), 1+rng.Intn(8))
-		std := Build(sets, Standard).TransitiveClosure()
-		mv := Build(sets, MultiVersion).TransitiveClosure()
-		for i := range mv {
-			for j := 0; j < len(sets); j++ {
-				if mv[i].Get(j) && !std[i].Get(j) {
-					t.Fatalf("trial %d: MVCC orders (%d,%d) but standard does not", trial, i, j)
 				}
 			}
 		}
@@ -469,11 +433,11 @@ func BenchmarkBuildPairwise1000(b *testing.B) {
 	benchBuild(b, BuildPairwise, 1000)
 }
 
-func benchBuild(b *testing.B, build func([]RWSet, Mode) *Graph, n int) {
+func benchBuild(b *testing.B, build func([]RWSet, ...rule) *Graph, n int) {
 	rng := rand.New(rand.NewSource(1))
 	sets := randomSets(rng, n, n/2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		build(sets, Standard)
+		build(sets)
 	}
 }

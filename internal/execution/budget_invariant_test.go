@@ -106,7 +106,7 @@ func TestFarFutureFloodBounded(t *testing.T) {
 	}
 	far := types.NewBlock(99999, types.Hash{1}, nil)
 	r.send(t, &types.NewBlockMsg{
-		Block: far, Graph: depgraph.Build(nil, depgraph.Standard), Orderer: "o1",
+		Block: far, Graph: depgraph.Build(nil), Orderer: "o1",
 	})
 	r.send(t, cutMono(blocks, "o1")[0])
 	r.awaitBlocks(t, 1)
@@ -187,7 +187,7 @@ func (c *syncChain) badRootNewBlock(num uint64, orderer types.NodeID) *types.New
 	}
 	return &types.NewBlockMsg{
 		Block:   &types.Block{Header: badRoot(block.Header), Txns: block.Txns},
-		Graph:   depgraph.Build(sets, depgraph.Standard),
+		Graph:   depgraph.Build(sets),
 		Orderer: orderer,
 	}
 }

@@ -19,15 +19,16 @@
 // The paper's executor runs block n to full commitment before touching
 // block n+1, a barrier that caps throughput at (block latency x block
 // size). Here the executor instead admits up to Config.PipelineDepth
-// blocks into a sliding execution window: a cross-block stitcher
-// (depgraph.Stitcher) adds ordering edges from an admitted block's
-// transactions to conflicting, still-uncommitted transactions of earlier
-// in-flight blocks, and each block's overlay chains to its predecessor's
-// so reads observe the newest uncommitted write below them. Finalization
-// (ledger append + store apply, Algorithm 3's quorum rules) remains
-// strictly in block order, so the ledger and the incremental state hash
-// are bit-identical to the barrier version at any depth; PipelineDepth=1
-// restores the barrier exactly.
+// blocks into a sliding execution window. The conflict index
+// (depgraph.Index) that orderers run over one block runs here over the
+// whole window and adds ordering edges, in (block, index) order, from an
+// admitted block's transactions to conflicting, still-uncommitted
+// transactions of earlier in-flight blocks; each block's overlay chains
+// to its predecessor's so reads observe the newest uncommitted write
+// below them. Finalization (ledger append + store apply, Algorithm 3's
+// quorum rules) remains strictly in block order, so the ledger and the
+// incremental state hash are bit-identical to the barrier version at any
+// depth; PipelineDepth=1 restores the barrier exactly.
 //
 // # Intake
 //
@@ -168,10 +169,6 @@ type Config struct {
 	// execution before the oldest finalizes. 1 restores the strict
 	// per-block barrier of the paper; zero means the default of 4.
 	PipelineDepth int
-	// GraphMode selects the conflict rule for cross-block stitching; it
-	// must match the mode the orderers built the per-block graphs with.
-	// Zero means depgraph.Standard.
-	GraphMode depgraph.Mode
 	// MinHorizon is the absolute floor of the future-block buffering
 	// horizon (see buffers). Zero means DefaultMinHorizon.
 	MinHorizon int
@@ -183,10 +180,6 @@ type Config struct {
 	// Zero disables the watchdog — and with it the requester side of
 	// state sync (serving peers is always on when Persist is set).
 	StallTimeout time.Duration
-	// EagerCommit switches Algorithm 2 to its eager variant: a COMMIT per
-	// executed transaction (n*m messages per block) instead of the lazy
-	// cross-application cut rule. Exposed for the A1 ablation.
-	EagerCommit bool
 	// Signer signs outbound COMMIT messages.
 	Signer cryptoutil.Signer
 	// Verifier checks NEWBLOCK and COMMIT signatures.
@@ -230,9 +223,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = DefaultPipelineDepth
-	}
-	if c.GraphMode == 0 {
-		c.GraphMode = depgraph.Standard
 	}
 	if c.MinHorizon <= 0 {
 		c.MinHorizon = DefaultMinHorizon
@@ -278,7 +268,7 @@ var maxOrdererStreamBytes = 64 << 20
 // maxCommitBytesPerSender bounds the COMMIT payload buffered per sending
 // executor across every not-yet-applied block. Per-sender and in bytes —
 // not a per-block message count — because honest volume varies enormously
-// (EagerCommit sends one message per transaction), while an honest
+// (a COMMIT carries one result or a whole block's), while an honest
 // sender's outstanding buffered results are bounded by its own pipeline
 // window; a flood exhausts only the flooder's budget. Messages beyond the
 // budget are dropped and counted (a var so tests can lower it).
@@ -406,12 +396,12 @@ type Executor struct {
 	// Pipeline state owned by the actor loop: the admission cursor, the
 	// hash chain over admitted blocks (which may run ahead of the
 	// ledger), the in-flight window in block order, and the cross-block
-	// dependency stitcher.
+	// conflict index over the window.
 	admitInit bool
 	nextAdmit uint64
 	admitPrev types.Hash
 	window    []*blockState
-	stitcher  *depgraph.Stitcher
+	index     *depgraph.Index
 
 	// streamBytes and commitBytes track, per sender, the uninstalled block
 	// content and the COMMIT payload currently buffered across all blocks (the
@@ -695,7 +685,7 @@ func New(cfg Config) *Executor {
 		mailbox:        eventq.New[event](),
 		blocks:         make(map[uint64]*blockState),
 		pendingCommits: make(map[uint64][]*types.CommitMsg),
-		stitcher:       depgraph.NewStitcher(cfg.GraphMode),
+		index:          depgraph.NewIndex(),
 		streamBytes:    make(map[types.NodeID]int),
 		commitBytes:    make(map[types.NodeID]int),
 		lastProgress:   time.Now(),
@@ -1102,7 +1092,7 @@ func (e *Executor) pump() {
 // and reports whether it did; only a block whose endorsed content is
 // installed enters. Admission chains the block's overlay onto the newest
 // in-flight predecessor, seeds Algorithm 1's indegrees (plus the
-// cross-block edges the stitcher derives), dispatches the ready
+// cross-block edges the conflict index derives), dispatches the ready
 // transactions, and replays COMMIT messages that raced ahead of the block.
 func (e *Executor) admit(bs *blockState) bool {
 	if !bs.contentDone {
@@ -1171,16 +1161,16 @@ func (e *Executor) schedule(bs *blockState) {
 		}
 	}
 	// Stitch the block into the window: an edge per conflicting,
-	// not-yet-satisfied transaction of an earlier in-flight block. At
-	// depth 1 the window never holds an earlier block, so the barrier
-	// configuration skips the stitch bookkeeping wholesale.
+	// not-yet-satisfied transaction of an earlier in-flight block, in
+	// (block, index) order. At depth 1 the window never holds an earlier
+	// block, so the barrier configuration skips the index wholesale.
 	if e.cfg.PipelineDepth > 1 {
-		sets := make([]depgraph.RWSet, n)
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		}
-		for j, crossPreds := range e.stitcher.AddBlock(bs.num, sets) {
-			for _, ref := range crossPreds {
+		for j, tx := range txns {
+			set := depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+			for _, ref := range e.index.Add(depgraph.TxRef{Block: bs.num, Index: int32(j)}, set) {
+				if ref.Block == bs.num {
+					continue // intra-block: the block's graph orders it
+				}
 				pred, ok := e.blocks[ref.Block]
 				if !ok || !pred.started {
 					continue
@@ -1306,6 +1296,13 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	if bs.localDone == bs.localTotal {
 		bs.trace.Mark(telemetry.MarkDrained)
 	}
+	// Algorithm 2: flush when a successor belongs to another application
+	// (its agents need this result to proceed), and always at the end of
+	// this node's work on the block so passive nodes and non-agent
+	// executors can commit. The successor test runs before anything below
+	// satisfies idx, because fireSatisfied releases the cross-block
+	// successor list it reads.
+	flush := bs.localDone == bs.localTotal || foreignSucc(bs, idx)
 	if bs.unresolved[idx] > 0 || e.tau(bs.txns[idx].App) > 1 {
 		// The result stays uncommitted past this event — it waits for
 		// other agents' votes, or for its own inputs to commit — so it
@@ -1319,8 +1316,8 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 		// The execution read at least one uncommitted input: buffer the
 		// result. The vote and multicast are released by resolveDep once
 		// every speculated-upon input has committed with the digest this
-		// execution read, or discarded by a cascade. The flush decision
-		// below still runs — earlier ungated results in outBuf must not
+		// execution read, or discarded by a cascade. The flush below
+		// still runs — earlier ungated results in outBuf must not
 		// wait for this transaction's lineage (peers need them to commit
 		// the very inputs this result is gated on).
 		held := result
@@ -1331,24 +1328,27 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 		e.addVote(bs, idx, result, e.cfg.ID, e.ownBit(bs.txns[idx].App))
 	}
 
-	// Algorithm 2: flush when a successor belongs to another application
-	// (its agents need this result to proceed), eagerly when configured,
-	// and always at the end of this node's work on the block so passive
-	// nodes and non-agent executors can commit.
-	flush := e.cfg.EagerCommit || bs.localDone == bs.localTotal
-	if !flush {
-		app := bs.txns[idx].App
-		for _, succ := range bs.succ[idx] {
-			if bs.txns[succ].App != app {
-				flush = true
-				break
-			}
-		}
-	}
 	if flush {
 		e.flushCommits(bs)
 	}
 	e.pump()
+}
+
+// foreignSucc reports whether a transaction has a successor of another
+// application, in its own block or in a later in-flight one.
+func foreignSucc(bs *blockState, idx int) bool {
+	app := bs.txns[idx].App
+	for _, succ := range bs.succ[idx] {
+		if bs.txns[succ].App != app {
+			return true
+		}
+	}
+	for _, cr := range bs.crossSucc[idx] {
+		if cr.bs.txns[cr.idx].App != app {
+			return true
+		}
+	}
+	return false
 }
 
 // flushCommits multicasts the staged results (the paper's "removes all
@@ -1851,7 +1851,7 @@ func (e *Executor) externalize(bs *blockState) {
 	bs.trace.MarkAt(telemetry.MarkExternalized, e.lastProgress)
 	e.cfg.Tracer.Finish(bs.trace)
 	if e.cfg.PipelineDepth > 1 {
-		e.stitcher.Remove(bs.num)
+		e.index.Remove(bs.num)
 	}
 	delete(e.blocks, bs.num)
 	for _, m := range e.pendingCommits[bs.num] {

@@ -124,7 +124,7 @@ func (r *benchRig) runBlock(b *testing.B, txns []*types.Transaction) {
 	}
 	msg := &types.NewBlockMsg{
 		Block:   block,
-		Graph:   depgraph.Build(sets, depgraph.Standard),
+		Graph:   depgraph.Build(sets),
 		Apps:    block.Apps(),
 		Orderer: "o1",
 	}
@@ -149,7 +149,7 @@ func (r *benchRig) runBlocks(b *testing.B, blocks [][]*types.Transaction) {
 		}
 		msg := &types.NewBlockMsg{
 			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
+			Graph:   depgraph.Build(sets),
 			Apps:    block.Apps(),
 			Orderer: "o1",
 		}

@@ -98,6 +98,16 @@ func kvTx(app types.AppID, ts uint64, key types.Key, val string) *types.Transact
 // sendBlock builds a block + graph and announces it from the orderer.
 func (h *harness) sendBlock(txns []*types.Transaction) *types.Block {
 	h.t.Helper()
+	msg := h.newBlockMsg(txns)
+	if err := h.orderer.Send("e1", msg); err != nil {
+		h.t.Fatal(err)
+	}
+	return msg.Block
+}
+
+// newBlockMsg builds the next block + graph as the orderer's NEWBLOCK,
+// without sending it.
+func (h *harness) newBlockMsg(txns []*types.Transaction) *types.NewBlockMsg {
 	block := types.NewBlock(h.nextNum, h.prevHash, txns)
 	h.nextNum++
 	h.prevHash = block.Hash()
@@ -106,16 +116,12 @@ func (h *harness) sendBlock(txns []*types.Transaction) *types.Block {
 		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 		sets[i].Normalize()
 	}
-	msg := &types.NewBlockMsg{
+	return &types.NewBlockMsg{
 		Block:   block,
-		Graph:   depgraph.Build(sets, depgraph.Standard),
+		Graph:   depgraph.Build(sets),
 		Apps:    block.Apps(),
 		Orderer: "o1",
 	}
-	if err := h.orderer.Send("e1", msg); err != nil {
-		h.t.Fatal(err)
-	}
-	return block
 }
 
 // sendCommit delivers remote agent results for app2 transactions.
@@ -284,7 +290,7 @@ func TestOrderQuorumRequiresMatchingAnnouncements(t *testing.T) {
 	block := types.NewBlock(0, types.ZeroHash, []*types.Transaction{kvTx("app1", 1, "q", "v")})
 	sets := []depgraph.RWSet{{Writes: []string{"q"}}}
 	msg := &types.NewBlockMsg{
-		Block: block, Graph: depgraph.Build(sets, depgraph.Standard),
+		Block: block, Graph: depgraph.Build(sets),
 		Apps: block.Apps(), Orderer: "o1",
 	}
 	_ = h.orderer.Send("e1", msg)
@@ -428,6 +434,53 @@ func TestCommitMsgFlushedOnCrossAppSuccessor(t *testing.T) {
 			}
 		case <-deadline:
 			t.Fatal("no COMMIT flush for cross-app dependency")
+		}
+	}
+}
+
+// TestCommitMsgFlushedOnCrossBlockForeignSuccessor is the cross-block
+// half of Algorithm 2's flush rule: an app1 result whose successor is an
+// app2 transaction of the next in-flight block must be multicast at
+// once, not when this node's last transaction of the block finishes.
+// Block 0 holds the writer of k and a slow, independent app1
+// transaction; block 1 holds an app2 reader of k. Block 1 is announced
+// first, so it is installed and admitted in the same actor turn as block
+// 0 — before the writer's result can arrive.
+func TestCommitMsgFlushedOnCrossBlockForeignSuccessor(t *testing.T) {
+	release := make(chan struct{})
+	kv := contract.NewKV()
+	h := newHarness(t, func(cfg *Config) {
+		cfg.Registry = contract.NewRegistry()
+		cfg.Registry.Install("app1", contract.Func(func(view state.Reader, op types.Operation) ([]types.KV, error) {
+			if op.Params[0] == "slow" {
+				<-release
+			}
+			return kv.Execute(view, op)
+		}))
+	})
+	t.Cleanup(func() { close(release) }) // runs before the harness stops
+	writer := kvTx("app1", 1, "k", "v")
+	reader := &types.Transaction{App: "app2", Client: "c1", ClientTS: 3, Op: contract.AppendOp("k", "+r")}
+	reader.ID = "app2-3"
+	block0 := h.newBlockMsg([]*types.Transaction{writer, kvTx("app1", 2, "slow", "x")})
+	block1 := h.newBlockMsg([]*types.Transaction{reader})
+	for _, msg := range []*types.NewBlockMsg{block1, block0} {
+		if err := h.orderer.Send("e1", msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case msg := <-h.peer.Recv():
+			if cm, ok := msg.Payload.(*types.CommitMsg); ok && cm.BlockNum == 0 {
+				if len(cm.Results) != 1 || cm.Results[0].TxID != writer.ID {
+					t.Fatalf("first block-0 COMMIT carries %+v, want only the writer's result", cm.Results)
+				}
+				return
+			}
+		case <-deadline:
+			t.Fatal("the writer's result waited for the slow transaction: no COMMIT for its foreign successor in block 1")
 		}
 	}
 }

@@ -165,7 +165,7 @@ func TestIntakeUnendorsedNewBlocksBounded(t *testing.T) {
 		tx := kvTx("app1", num, "junk", strings.Repeat("x", payload))
 		deliver(&types.NewBlockMsg{
 			Block: types.NewBlock(num, types.Hash{0xfa}, []*types.Transaction{tx}),
-			Graph: depgraph.Build([]depgraph.RWSet{{Writes: tx.Op.Writes}}, depgraph.Standard),
+			Graph: depgraph.Build([]depgraph.RWSet{{Writes: tx.Op.Writes}}),
 		})
 		sent = append(sent, weak.Make(tx))
 	}
@@ -173,7 +173,7 @@ func TestIntakeUnendorsedNewBlocksBounded(t *testing.T) {
 	// handled every announcement before it.
 	deliver(&types.NewBlockMsg{
 		Block: types.NewBlock(1<<20, types.Hash{}, nil),
-		Graph: depgraph.Build(nil, depgraph.Standard),
+		Graph: depgraph.Build(nil),
 	})
 	waitFor(t, "flood drained", func() bool { return r.exec.Stats().MsgsDroppedFuture == 1 })
 

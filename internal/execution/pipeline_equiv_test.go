@@ -107,7 +107,7 @@ func cutMono(blocks [][]*types.Transaction, orderer types.NodeID) []*types.NewBl
 		}
 		out[num] = &types.NewBlockMsg{
 			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
+			Graph:   depgraph.Build(sets),
 			Apps:    block.Apps(),
 			Orderer: orderer,
 		}

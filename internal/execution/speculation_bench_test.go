@@ -136,7 +136,7 @@ func (r *specBenchRig) runBlocks(b *testing.B, blocks [][]*types.Transaction) {
 		}
 		msg := &types.NewBlockMsg{
 			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
+			Graph:   depgraph.Build(sets),
 			Apps:    block.Apps(),
 			Orderer: "o1",
 		}

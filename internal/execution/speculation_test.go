@@ -187,7 +187,7 @@ func (n *specNet) feedMonolithic(t testing.TB, blocks [][]*types.Transaction) {
 		}
 		n.broadcast(t, &types.NewBlockMsg{
 			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
+			Graph:   depgraph.Build(sets),
 			Apps:    block.Apps(),
 			Orderer: "o1",
 		})
@@ -422,7 +422,7 @@ func newDivergentRig(t testing.TB, chainLen int) *divergentRig {
 		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 		sets[i].Normalize()
 	}
-	r.graph = depgraph.Build(sets, depgraph.Standard)
+	r.graph = depgraph.Build(sets)
 	if err := orderer.Send("e1", &types.NewBlockMsg{
 		Block: r.block, Graph: r.graph, Apps: r.block.Apps(), Orderer: "o1",
 	}); err != nil {

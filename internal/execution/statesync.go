@@ -461,7 +461,7 @@ func (e *Executor) recomputeEvidence(rec *persist.BlockRecord) types.Hash {
 	for i, tx := range rec.Block.Txns {
 		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 	}
-	graph := depgraph.Build(sets, e.cfg.GraphMode)
+	graph := depgraph.Build(sets)
 	return (&types.NewBlockMsg{Block: rec.Block, Graph: graph}).Digest()
 }
 
@@ -644,7 +644,7 @@ func (e *Executor) rebaseAfterSync() {
 	for num, bs := range old {
 		e.releaseCandidates(bs)
 		if e.cfg.PipelineDepth > 1 && bs.started {
-			e.stitcher.Remove(num)
+			e.index.Remove(num)
 		}
 		if num >= tip && bs.contentDone {
 			// Installed content survives the rebase; execution restarts

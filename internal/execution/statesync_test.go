@@ -56,7 +56,7 @@ func buildSyncChain(n int) *syncChain {
 		sets := []depgraph.RWSet{{Reads: tx.Op.Reads, Writes: tx.Op.Writes}}
 		evidence := (&types.NewBlockMsg{
 			Block: block,
-			Graph: depgraph.Build(sets, depgraph.Standard),
+			Graph: depgraph.Build(sets),
 		}).Digest()
 		c.records = append(c.records, &persist.BlockRecord{
 			Block:          block,

@@ -13,7 +13,6 @@ import (
 	"parblockchain/internal/clustercfg"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/execution"
 	"parblockchain/internal/node"
 	"parblockchain/internal/ordering"
@@ -54,12 +53,8 @@ var knobs = map[string]struct {
 }{
 	"ExecWorkers":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Workers, 3}} }},
 	"PipelineDepth": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
-	"EagerCommit":   {json: `true`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.EagerCommit, true}} }},
-	"GraphMode": {json: `"multiversion"`, lands: func(e effective) [][2]any {
-		return [][2]any{{e.exec.GraphMode, depgraph.MultiVersion}, {e.ord.GraphMode, depgraph.MultiVersion}}
-	}},
-	"MinHorizon":  {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.MinHorizon, 3}} }},
-	"SyncStallMs": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.StallTimeout, 3 * time.Millisecond}} }},
+	"MinHorizon":    {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.MinHorizon, 3}} }},
+	"SyncStallMs":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.StallTimeout, 3 * time.Millisecond}} }},
 	"FsyncPolicy": {json: `"always"`, lands: func(e effective) [][2]any {
 		return [][2]any{{e.persist.Fsync, persist.FsyncAlways}, {e.ord.Fsync, persist.FsyncAlways}}
 	}},

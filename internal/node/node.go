@@ -186,8 +186,6 @@ func (c *Config) executorConfig() execution.Config {
 		Executors:     c.Executors,
 		Workers:       c.ExecWorkers,
 		PipelineDepth: c.PipelineDepth,
-		GraphMode:     c.GraphMode,
-		EagerCommit:   c.EagerCommit,
 		MinHorizon:    c.MinHorizon,
 		StallTimeout:  time.Duration(c.SyncStallMs) * time.Millisecond,
 		Signer:        c.Signer,
@@ -215,7 +213,6 @@ func (c *Config) ordererConfig() ordering.Config {
 		MaxBlockBytes:    c.MaxBlockBytes,
 		MaxBlockInterval: c.MaxBlockInterval,
 		BuildGraph:       true,
-		GraphMode:        c.GraphMode,
 		Dir:              logDir,
 		Fsync:            c.FsyncPolicy,
 		// Raft and Kafka persist their logs and redeliver the committed

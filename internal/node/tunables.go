@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/persist"
 )
 
@@ -23,11 +22,6 @@ type Tunables struct {
 	// the executor default (4). Finalization order and final state are
 	// identical at every depth.
 	PipelineDepth int `json:"pipelineDepth,omitempty"`
-	// EagerCommit selects Algorithm 2's eager per-transaction multicast.
-	EagerCommit bool `json:"eagerCommit,omitempty"`
-	// GraphMode selects the dependency rule, "standard" (default) or
-	// "multiversion"; orderers and executors of a cluster must agree.
-	GraphMode depgraph.Mode `json:"graphMode,omitempty"`
 	// MinHorizon sets each executor's minimum future-buffering horizon in
 	// blocks; zero uses the executor default. Larger values absorb longer
 	// orderer/executor skew before far-future traffic is dropped (state

@@ -228,8 +228,8 @@ func (o *Orderer) applyCutAnchor(c *cutRecord) {
 		}
 		o.pending = nil
 		o.pendingBytes = 0
-		if o.appender != nil {
-			o.appender = depgraph.NewAppender(o.cfg.GraphMode)
+		if o.graph != nil {
+			o.graph = depgraph.NewBuilder()
 		}
 		o.nextNum = c.Num + 1
 		o.prevHash = c.Hash

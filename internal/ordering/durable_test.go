@@ -37,6 +37,21 @@ func waitLogAppends(t *testing.T, o *Orderer, n uint64) {
 	}
 }
 
+// awaitReplay waits until a restarted orderer has finished replaying its
+// log. Replay re-multicasts a recovered block before it applies that
+// block's cut record and publishes its counters, so the block can arrive
+// first.
+func awaitReplay(t *testing.T, o *Orderer) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for o.Stats().RecoveredEntries == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("log replay did not finish")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDurableOrdererResumesAfterKill is the core recovery contract: a
 // killed orderer replays its log, re-multicasts the recovered block
 // bit-identically, restores the pending (uncut) transactions, and
@@ -66,6 +81,7 @@ func TestDurableOrdererResumesAfterKill(t *testing.T) {
 	if nb0r.Block.Hash() != nb0.Block.Hash() {
 		t.Fatal("replayed block 0 is not bit-identical to the original")
 	}
+	awaitReplay(t, f2.orderer)
 	if got := f2.orderer.DurableHeight(); got != 1 {
 		t.Fatalf("DurableHeight = %d, want 1", got)
 	}
@@ -110,6 +126,7 @@ func TestDurableOrdererGroupFsyncLosesOnlyTail(t *testing.T) {
 	if nb0r.Block.Hash() != nb0.Block.Hash() {
 		t.Fatal("replayed block 0 diverged")
 	}
+	awaitReplay(t, f2.orderer)
 	if got := f2.orderer.DurableHeight(); got != 1 {
 		t.Fatalf("DurableHeight = %d, want 1 (cut record is fsynced at the cut)", got)
 	}

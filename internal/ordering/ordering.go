@@ -91,8 +91,6 @@ type Config struct {
 	// (OXII) sets it; the OX baseline reuses this orderer with graphs
 	// disabled.
 	BuildGraph bool
-	// GraphMode selects the conflict rule (Standard or MultiVersion).
-	GraphMode depgraph.Mode
 	// Dir enables the durable orderer log: delivered consensus entries
 	// and cut decisions are appended to a segmented, CRC-checksummed
 	// record log under this directory (see durable.go), and a restarted
@@ -131,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBlockInterval <= 0 {
 		c.MaxBlockInterval = 100 * time.Millisecond
-	}
-	if c.GraphMode == 0 {
-		c.GraphMode = depgraph.Standard
 	}
 	if c.RetainBlocks <= 0 {
 		c.RetainBlocks = DefaultRetainBlocks
@@ -197,11 +192,11 @@ type Orderer struct {
 	seenCur  map[types.TxID]bool
 	seenPrev map[types.TxID]bool
 
-	// Incremental graph state, owned by the delivery goroutine. The
-	// appender extends the current block's dependency graph as each
-	// ordered transaction is delivered — off the cut path. Nil when
-	// graphs are disabled.
-	appender  *depgraph.Appender
+	// Incremental graph state, owned by the delivery goroutine: the
+	// current block's dependency graph, extended as each ordered
+	// transaction is delivered — off the cut path. Nil when graphs are
+	// disabled.
+	graph     *depgraph.Builder
 	graphTick uint64 // sampling counter for the build-time stat
 
 	// Durable-log state (durable.go). recovered/anchors are filled by
@@ -267,10 +262,10 @@ func New(cfg Config) (*Orderer, error) {
 		seenCur: make(map[types.TxID]bool),
 		stopCh:  make(chan struct{}),
 	}
-	// The incremental appender builds the graph as consensus delivers, so
-	// it is ready at the cut instead of being built there.
+	// The graph is built as consensus delivers, so it is ready at the cut
+	// instead of being built there.
 	if o.cfg.BuildGraph {
-		o.appender = depgraph.NewAppender(o.cfg.GraphMode)
+		o.graph = depgraph.NewBuilder()
 	}
 	if o.cfg.Dir != "" {
 		if err := o.openLog(); err != nil {
@@ -485,19 +480,19 @@ func (o *Orderer) handleEntry(entry consensus.Entry) {
 		o.seenCur[tx.ID] = true
 		o.pending = append(o.pending, tx)
 		o.pendingBytes += tx.ApproxSize()
-		if o.appender != nil {
+		if o.graph != nil {
 			// Extend the block's dependency graph as the stream is
 			// delivered instead of at the cut. The build-time stat samples
 			// one append in 16 (scaled back up): per-append clock reads
 			// would cost a noticeable fraction of the sub-microsecond
-			// Append itself on this hot path.
+			// append itself on this hot path.
 			set := depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 			if o.graphTick&15 == 0 {
 				start := time.Now()
-				o.appender.Append(set)
+				o.graph.Add(set)
 				o.stats.graphBuildNanos.Add(16 * uint64(time.Since(start)))
 			} else {
-				o.appender.Append(set)
+				o.graph.Add(set)
 			}
 			o.graphTick++
 		}
@@ -519,8 +514,8 @@ func (o *Orderer) handleEntry(entry consensus.Entry) {
 }
 
 // cutBlock seals the pending transactions into a block and multicasts
-// the signed NEWBLOCK with the full graph taken from the incremental
-// appender.
+// the signed NEWBLOCK with the graph built as its transactions were
+// delivered.
 func (o *Orderer) cutBlock() {
 	txns := o.pending
 	o.pending = nil
@@ -532,8 +527,8 @@ func (o *Orderer) cutBlock() {
 	o.prevHash = block.Hash()
 
 	var graph *depgraph.Graph
-	if o.appender != nil {
-		graph = o.appender.Finish()
+	if o.graph != nil {
+		graph = o.graph.Cut()
 	}
 
 	// Bound the dedupe set with a two-generation rotation: the IDs of the

@@ -1,6 +1,7 @@
 package ordering
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,33 @@ func TestGraphGenerated(t *testing.T) {
 	}
 }
 
+// TestGraphPerBlockMatchesBuild: the orderer reuses one conflict index
+// across blocks, removing each block at its cut, so every block's graph
+// must equal, edge for edge, depgraph.Build over that block alone — no
+// block may see an earlier block's accesses.
+func TestGraphPerBlockMatchesBuild(t *testing.T) {
+	f := newFixture(t, nil)
+	keys := func(ks ...types.Key) []types.Key { return ks }
+	txns := []*types.Transaction{
+		testTx("c1", 1, nil, keys("a")), testTx("c1", 2, keys("a"), keys("b")), testTx("c1", 3, keys("b"), nil),
+		testTx("c1", 4, keys("b"), nil), testTx("c1", 5, keys("a", "b"), keys("a")), testTx("c1", 6, nil, keys("b")),
+		testTx("c1", 7, keys("c"), keys("a")), testTx("c1", 8, keys("a"), nil), testTx("c1", 9, keys("a"), keys("a")),
+	}
+	for _, tx := range txns {
+		f.submit(t, tx)
+	}
+	for b := 0; b < 3; b++ {
+		nb := f.nextBlock(t, 2*time.Second)
+		sets := make([]depgraph.RWSet, len(nb.Block.Txns))
+		for i, tx := range nb.Block.Txns {
+			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+		}
+		if want := depgraph.Build(sets); !reflect.DeepEqual(nb.Graph, want) {
+			t.Fatalf("block %d graph %+v, want Build's %+v", b, nb.Graph, want)
+		}
+	}
+}
+
 func TestGraphDisabledForOX(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) { cfg.BuildGraph = false })
 	f.submit(t, testTx("c1", 1, nil, []types.Key{"x"}))
@@ -289,18 +317,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if stats.GraphBuildNanos == 0 {
 		t.Fatal("graph build time not recorded")
-	}
-}
-
-func TestMultiVersionGraphMode(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.GraphMode = depgraph.MultiVersion })
-	// Two writers of the same key: unordered under MVCC.
-	f.submit(t, testTx("c1", 1, nil, []types.Key{"x"}))
-	f.submit(t, testTx("c1", 2, nil, []types.Key{"x"}))
-	f.submit(t, testTx("c1", 3, nil, []types.Key{"y"}))
-	nb := f.nextBlock(t, 2*time.Second)
-	if nb.Graph.EdgeCount() != 0 {
-		t.Fatalf("MVCC write-write should be unordered, got %d edges", nb.Graph.EdgeCount())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"parblockchain/internal/contract"
 	"parblockchain/internal/node"
-	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
 
@@ -116,69 +115,6 @@ func TestPassiveExecutorCommitsViaResults(t *testing.T) {
 	if err := nw.Ledgers[3].Verify(); err != nil {
 		t.Fatalf("passive ledger: %v", err)
 	}
-}
-
-// TestEagerCommitModeEquivalent checks the eager Algorithm 2 variant
-// produces the same final state as the lazy cut rule, at a higher message
-// count.
-func TestEagerCommitModeEquivalent(t *testing.T) {
-	run := func(eager bool) (types.Hash, int64) {
-		net := transport.NewInMemNetwork(transport.InMemConfig{
-			Latency: transport.ConstantLatency(100 * time.Microsecond),
-		})
-		defer net.Close()
-		nw, err := New(Config{
-			Orderers:  []types.NodeID{"o1"},
-			Executors: []types.NodeID{"e1", "e2"},
-			Clients:   []types.NodeID{"c1"},
-			Agents: map[types.AppID][]types.NodeID{
-				"app1": {"e1"}, "app2": {"e2"},
-			},
-			Contracts: map[types.AppID]contract.Contract{
-				"app1": contract.NewAccounting(), "app2": contract.NewAccounting(),
-			},
-			MaxBlockTxns:     4,
-			MaxBlockInterval: 20 * time.Millisecond,
-			Tunables:         node.Tunables{EagerCommit: eager},
-			Genesis: []types.KV{
-				{Key: "shared/pot", Val: contract.EncodeBalance(0)},
-			},
-			Net: net,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw.Start()
-		defer nw.Stop()
-		client, err := nw.Client("c1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < 10; i++ {
-			app := types.AppID("app1")
-			if i%2 == 1 {
-				app = "app2"
-			}
-			tx := client.Prepare(app, contract.DepositOp("shared/pot", 1))
-			wg.Add(1)
-			go func(tx *types.Transaction) {
-				defer wg.Done()
-				if _, err := client.Do(tx, 10*time.Second); err != nil {
-					t.Errorf("Do: %v", err)
-				}
-			}(tx)
-		}
-		wg.Wait()
-		return nw.Stores[0].Hash(), int64(nw.Executors[0].Stats().CommitMsgsSent +
-			nw.Executors[1].Stats().CommitMsgsSent)
-	}
-	lazyHash, lazyMsgs := run(false)
-	eagerHash, eagerMsgs := run(true)
-	if lazyHash != eagerHash {
-		t.Fatal("eager and lazy multicast must converge to identical state")
-	}
-	t.Logf("commit multicasts: lazy=%d eager=%d", lazyMsgs, eagerMsgs)
 }
 
 // TestTauTwoMultiAgentApplication deploys an application with two agents

@@ -40,12 +40,12 @@ import (
 // multi-key Record may see some of its keys and not yet others. That is
 // sufficient under the executor's contract, which callers must keep. A
 // reader entitled to transaction i's writes — an in-block successor, or a
-// cross-block successor through the stitcher — is dispatched only by
-// fireSatisfied, which every call site runs after Record(i) has returned
-// on the actor goroutine, and the work-queue hand-off is the
-// happens-before edge that shows it all of i's keys. Every other
-// concurrent reader is either masked by its At(bound) or declares no
-// conflict with i.
+// cross-block successor through the window's conflict index — is
+// dispatched only by fireSatisfied, which every call site runs after
+// Record(i) has returned on the actor goroutine, and the work-queue
+// hand-off is the happens-before edge that shows it all of i's keys.
+// Every other concurrent reader is either masked by its At(bound) or
+// declares no conflict with i.
 //
 // Pipelined execution chains overlays: an in-flight block's overlay uses
 // its predecessor block's overlay as base, so reads fall through to the

@@ -24,7 +24,7 @@ func graphOf(txns []*types.Transaction) *depgraph.Graph {
 		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
 		sets[i].Normalize()
 	}
-	return depgraph.Build(sets, depgraph.Standard)
+	return depgraph.Build(sets)
 }
 
 func genBlock(g *Generator, n int) []*types.Transaction {
