@@ -15,7 +15,6 @@ import (
 	"parblockchain/internal/consensus/kafkaorder"
 	"parblockchain/internal/consensus/pbft"
 	"parblockchain/internal/consensus/raft"
-	"parblockchain/internal/eventq"
 	"parblockchain/internal/types"
 )
 
@@ -272,10 +271,7 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 type TCPEndpoint struct {
 	cfg      TCPConfig
 	listener net.Listener
-	in       *eventq.Queue[Message]
-	out      chan Message
-	done     chan struct{}
-	doneOnce sync.Once
+	inbox    *inbox
 
 	mu      sync.Mutex
 	conns   map[types.NodeID]*outConn
@@ -313,15 +309,12 @@ func NewTCPEndpoint(cfg TCPConfig) (*TCPEndpoint, error) {
 	e := &TCPEndpoint{
 		cfg:      cfg,
 		listener: ln,
-		in:       eventq.New[Message](),
-		out:      make(chan Message, 64),
-		done:     make(chan struct{}),
 		conns:    make(map[types.NodeID]*outConn),
 		inbound:  make(map[net.Conn]bool),
 	}
-	e.wg.Add(2)
+	e.inbox = startInbox(&e.wg)
+	e.wg.Add(1)
 	go e.acceptLoop()
-	go e.pump()
 	return e, nil
 }
 
@@ -332,14 +325,14 @@ func (e *TCPEndpoint) ID() types.NodeID { return e.cfg.ID }
 func (e *TCPEndpoint) Addr() string { return e.listener.Addr().String() }
 
 // Recv returns the inbound message channel.
-func (e *TCPEndpoint) Recv() <-chan Message { return e.out }
+func (e *TCPEndpoint) Recv() <-chan Message { return e.inbox.out }
 
 // Send delivers payload to the named peer, dialing on first use. A dead
 // connection is dropped and redialed on the next send; reliability above
 // that is the protocols' job (quorums, retransmission by view change).
 func (e *TCPEndpoint) Send(to types.NodeID, payload any) error {
 	select {
-	case <-e.done:
+	case <-e.inbox.done:
 		return ErrClosed
 	default:
 	}
@@ -379,7 +372,7 @@ func (e *TCPEndpoint) sendFrame(to types.NodeID, tag byte, body []byte) error {
 // it exactly once; transport.Multicast dispatches here for TCP endpoints.
 func (e *TCPEndpoint) multicast(tos []types.NodeID, payload any) error {
 	select {
-	case <-e.done:
+	case <-e.inbox.done:
 		return ErrClosed
 	default:
 	}
@@ -445,7 +438,7 @@ func (e *TCPEndpoint) acceptLoop() {
 		}
 		e.mu.Lock()
 		select {
-		case <-e.done:
+		case <-e.inbox.done:
 			e.mu.Unlock()
 			conn.Close()
 			return
@@ -487,31 +480,14 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		}
 		e.stats.framesRecv.Add(1)
 		e.stats.bytesRecv.Add(uint64(frameHeaderBytes + 1 + len(body)))
-		e.in.Push(Message{From: from, To: e.cfg.ID, Payload: payload})
-	}
-}
-
-func (e *TCPEndpoint) pump() {
-	defer e.wg.Done()
-	defer close(e.out)
-	for {
-		m, ok := e.in.Pop()
-		if !ok {
-			return
-		}
-		select {
-		case e.out <- m:
-		case <-e.done:
-			return
-		}
+		e.inbox.push(Message{From: from, To: e.cfg.ID, Payload: payload}, time.Time{}) // due on arrival
 	}
 }
 
 // Close shuts the endpoint down: the listener stops, connections close,
 // and Recv's channel closes.
 func (e *TCPEndpoint) Close() {
-	e.doneOnce.Do(func() {
-		close(e.done)
+	if e.inbox.close() {
 		e.listener.Close()
 		e.mu.Lock()
 		for id, c := range e.conns {
@@ -522,8 +498,7 @@ func (e *TCPEndpoint) Close() {
 			conn.Close() // unblocks the readLoop's readFrame
 		}
 		e.mu.Unlock()
-		e.in.Close()
-	})
+	}
 	e.wg.Wait()
 }
 
