@@ -54,7 +54,6 @@ type Network struct {
 	Stores   []*state.KVStore
 	Ledgers  []*ledger.Ledger
 	signers  map[types.NodeID]cryptoutil.Signer
-	keyring  *cryptoutil.KeyRing
 	router   *oxii.CommitRouter
 	clients  map[types.NodeID]*oxii.Client
 }
@@ -67,32 +66,15 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Consensus == "" {
 		cfg.Consensus = node.ConsensusKafka
 	}
+	signers, verifier, err := node.GenerateKeys(cfg.Crypto, cfg.Orderers, cfg.Peers, cfg.Clients)
+	if err != nil {
+		return nil, err
+	}
 	nw := &Network{
 		cfg:     cfg,
-		signers: make(map[types.NodeID]cryptoutil.Signer),
-		keyring: cryptoutil.NewKeyRing(),
+		signers: signers,
 		router:  oxii.NewCommitRouter(),
 		clients: make(map[types.NodeID]*oxii.Client),
-	}
-	all := make([]types.NodeID, 0, len(cfg.Orderers)+len(cfg.Peers)+len(cfg.Clients))
-	all = append(all, cfg.Orderers...)
-	all = append(all, cfg.Peers...)
-	all = append(all, cfg.Clients...)
-	for _, id := range all {
-		if cfg.Crypto {
-			kp, err := cryptoutil.GenerateKeyPair(string(id))
-			if err != nil {
-				return nil, err
-			}
-			nw.keyring.Add(string(id), kp.Public())
-			nw.signers[id] = kp
-		} else {
-			nw.signers[id] = cryptoutil.NoopSigner{NodeID: string(id)}
-		}
-	}
-	var verifier cryptoutil.Verifier = cryptoutil.NoopVerifier{}
-	if cfg.Crypto {
-		verifier = nw.keyring
 	}
 	quorum := node.OrderQuorum(cfg.Consensus, len(cfg.Orderers))
 
@@ -110,14 +92,7 @@ func New(cfg Config) (*Network, error) {
 		led := ledger.New()
 		var hook execution.CommitHook
 		if i == 0 {
-			routerHook := nw.router.Hook()
-			userHook := cfg.OnCommit
-			hook = func(block *types.Block, results []types.TxResult) {
-				routerHook(block, results)
-				if userHook != nil {
-					userHook(block, results)
-				}
-			}
+			hook = nw.router.ObserverHook(cfg.OnCommit)
 		}
 		peer := NewPeer(PeerConfig{
 			ID:          id,

@@ -37,8 +37,6 @@ type Config struct {
 	MaxBlockTxns     int
 	MaxBlockBytes    int
 	MaxBlockInterval time.Duration
-	// EndorseWorkers sizes each endorser's execution pool (default 1).
-	EndorseWorkers int
 	// MaxClientRetries bounds MVCC-abort resubmission (default 25).
 	MaxClientRetries int
 	// Crypto enables end-to-end signing/verification.
@@ -61,7 +59,6 @@ type Network struct {
 	Stores   []*state.KVStore
 	Ledgers  []*ledger.Ledger
 	signers  map[types.NodeID]cryptoutil.Signer
-	keyring  *cryptoutil.KeyRing
 	router   *oxii.CommitRouter
 	clients  map[types.NodeID]*Client
 }
@@ -74,32 +71,15 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Consensus == "" {
 		cfg.Consensus = node.ConsensusKafka
 	}
+	signers, verifier, err := node.GenerateKeys(cfg.Crypto, cfg.Orderers, cfg.Peers, cfg.Clients)
+	if err != nil {
+		return nil, err
+	}
 	nw := &Network{
 		cfg:     cfg,
-		signers: make(map[types.NodeID]cryptoutil.Signer),
-		keyring: cryptoutil.NewKeyRing(),
+		signers: signers,
 		router:  oxii.NewCommitRouter(),
 		clients: make(map[types.NodeID]*Client),
-	}
-	all := make([]types.NodeID, 0, len(cfg.Orderers)+len(cfg.Peers)+len(cfg.Clients))
-	all = append(all, cfg.Orderers...)
-	all = append(all, cfg.Peers...)
-	all = append(all, cfg.Clients...)
-	for _, id := range all {
-		if cfg.Crypto {
-			kp, err := cryptoutil.GenerateKeyPair(string(id))
-			if err != nil {
-				return nil, err
-			}
-			nw.keyring.Add(string(id), kp.Public())
-			nw.signers[id] = kp
-		} else {
-			nw.signers[id] = cryptoutil.NoopSigner{NodeID: string(id)}
-		}
-	}
-	var verifier cryptoutil.Verifier = cryptoutil.NoopVerifier{}
-	if cfg.Crypto {
-		verifier = nw.keyring
 	}
 	quorum := node.OrderQuorum(cfg.Consensus, len(cfg.Orderers))
 
@@ -121,30 +101,22 @@ func New(cfg Config) (*Network, error) {
 		led := ledger.New()
 		var hook execution.CommitHook
 		if i == 0 {
-			routerHook := nw.router.Hook()
-			userHook := cfg.OnCommit
-			hook = func(block *types.Block, results []types.TxResult) {
-				routerHook(block, results)
-				if userHook != nil {
-					userHook(block, results)
-				}
-			}
+			hook = nw.router.ObserverHook(cfg.OnCommit)
 		}
 		peer := NewPeer(PeerConfig{
-			ID:             id,
-			Endpoint:       ep,
-			Registry:       registry,
-			AgentsOf:       cfg.Agents,
-			Tau:            cfg.Tau,
-			OrderQuorum:    quorum,
-			EndorseWorkers: cfg.EndorseWorkers,
-			Store:          store,
-			Ledger:         led,
-			Signer:         nw.signers[id],
-			Verifier:       verifier,
-			VerifySigs:     cfg.Crypto,
-			OnCommit:       hook,
-			Logf:           cfg.Logf,
+			ID:          id,
+			Endpoint:    ep,
+			Registry:    registry,
+			AgentsOf:    cfg.Agents,
+			Tau:         cfg.Tau,
+			OrderQuorum: quorum,
+			Store:       store,
+			Ledger:      led,
+			Signer:      nw.signers[id],
+			Verifier:    verifier,
+			VerifySigs:  cfg.Crypto,
+			OnCommit:    hook,
+			Logf:        cfg.Logf,
 		})
 		nw.Peers = append(nw.Peers, peer)
 		nw.Stores = append(nw.Stores, store)

@@ -32,11 +32,6 @@ type PeerConfig struct {
 	Tau map[types.AppID]int
 	// OrderQuorum is the number of matching block announcements needed.
 	OrderQuorum int
-	// EndorseWorkers sizes the endorsement pool. The default 1 matches
-	// the paper's model of one execution unit per endorser ("XOV can
-	// execute 3 — the number of applications — transactions in
-	// parallel").
-	EndorseWorkers int
 	// Store is the peer's committed, versioned state.
 	Store *state.KVStore
 	// Ledger is the peer's block ledger.
@@ -87,9 +82,6 @@ func NewPeer(cfg PeerConfig) *Peer {
 	if cfg.OrderQuorum <= 0 {
 		cfg.OrderQuorum = 1
 	}
-	if cfg.EndorseWorkers <= 0 {
-		cfg.EndorseWorkers = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -101,14 +93,15 @@ func NewPeer(cfg PeerConfig) *Peer {
 	}
 }
 
-// Start launches the receive, validation, and endorsement loops.
+// Start launches the receive, validation, and endorsement loops. One
+// endorsement loop per peer is the paper's model of one execution unit
+// per endorser ("XOV can execute 3 — the number of applications —
+// transactions in parallel").
 func (p *Peer) Start() {
-	p.wg.Add(2 + p.cfg.EndorseWorkers)
+	p.wg.Add(3)
 	go p.recvLoop()
 	go p.runLoop()
-	for i := 0; i < p.cfg.EndorseWorkers; i++ {
-		go p.endorseLoop()
-	}
+	go p.endorseLoop()
 }
 
 // Stop shuts the peer down.

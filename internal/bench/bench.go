@@ -114,7 +114,8 @@ type Options struct {
 	// spread speculation exists to exploit. Zero disables the harness.
 	VoteDelay time.Duration
 	// Tunables are the OXII deployment's knobs, handed to oxii.Config
-	// verbatim. ExecWorkers defaults to 2*BlockTxns here.
+	// verbatim: the figures run the executor a deployment runs, so every
+	// zero takes the same default there as here.
 	node.Tunables
 	// DataDir enables the durability subsystem for OXII runs: every
 	// executor write-ahead-logs finalized blocks (and snapshots state)
@@ -189,9 +190,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.InterZoneLatency <= 0 {
 		o.InterZoneLatency = 85 * time.Millisecond
-	}
-	if o.ExecWorkers <= 0 {
-		o.ExecWorkers = 2 * o.BlockTxns
 	}
 	if o.AgentsPerApp <= 0 {
 		o.AgentsPerApp = 1

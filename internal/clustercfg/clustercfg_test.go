@@ -2,6 +2,7 @@ package clustercfg
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -155,8 +156,7 @@ func TestLoadOpsFields(t *testing.T) {
 	cfg, err := Load(write(t, `{
   "orderers": {"o1": "127.0.0.1:7001"},
   "executors": {"e1": "127.0.0.1:7101"},
-  "opsAddrs": {"o1": "127.0.0.1:9001", "e1": "127.0.0.1:9101"},
-  "traceRing": 16
+  "opsAddrs": {"o1": "127.0.0.1:9001", "e1": "127.0.0.1:9101"}
 }`))
 	if err != nil {
 		t.Fatal(err)
@@ -167,16 +167,13 @@ func TestLoadOpsFields(t *testing.T) {
 	if cfg.Node("e2").OpsAddr != "" {
 		t.Fatal("unknown node must have no ops address")
 	}
-	if cfg.TraceRing != 16 {
-		t.Fatalf("TraceRing = %d", cfg.TraceRing)
-	}
 
 	// Ops defaults: absent map means every node runs without telemetry.
 	cfg, err = Load(write(t, `{"orderers": {"o1": "x"}, "executors": {"e1": "y"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Node("o1").OpsAddr != "" || cfg.TraceRing != 0 {
+	if cfg.Node("o1").OpsAddr != "" {
 		t.Fatalf("ops defaults wrong: %+v", cfg)
 	}
 }
@@ -192,14 +189,15 @@ func TestLoadRejectsOpsAddrForUnknownNode(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsNegativeTraceRing(t *testing.T) {
-	bad := `{
-  "orderers": {"o1": "x"},
-  "executors": {"e1": "y"},
-  "traceRing": -1
-}`
-	if _, err := Load(write(t, bad)); err == nil {
-		t.Fatal("negative traceRing must be rejected")
+// TestLoadRejectsNegativeKnobs sets each integer knob to -1 and expects
+// an error naming it.
+func TestLoadRejectsNegativeKnobs(t *testing.T) {
+	for _, knob := range []string{"pipelineDepth", "segmentBytes", "hotTierBytes"} {
+		bad := fmt.Sprintf(`{"orderers": {"o1": "x"}, "executors": {"e1": "y"},
+			"stateBackend": "tiered", %q: -1}`, knob)
+		if _, err := Load(write(t, bad)); err == nil || !strings.Contains(err.Error(), knob) {
+			t.Errorf("negative %s: err = %v, want an error naming it", knob, err)
+		}
 	}
 }
 
@@ -239,16 +237,12 @@ func TestRoundTrip(t *testing.T) {
 		BlockTxns:       64,
 		BlockIntervalMs: 20,
 		Tunables: node.Tunables{
-			ExecWorkers:      3,
 			PipelineDepth:    2,
-			MinHorizon:       9,
-			SyncStallMs:      250,
 			FsyncPolicy:      persist.FsyncAlways,
 			SnapshotInterval: 32,
 			SegmentBytes:     1 << 20,
 			StateBackend:     "tiered",
 			HotTierBytes:     1 << 22,
-			TraceRing:        8,
 		},
 		DataDir:  "/var/lib/parblockchain",
 		OpsAddrs: map[string]string{"e1": "127.0.0.1:9101"},

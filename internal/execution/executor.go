@@ -94,9 +94,10 @@
 // Nothing in the protocol retransmits a missed NEWBLOCK, so a restarted
 // or partitioned executor used to be stranded: the orderers had moved
 // on, and the node could never admit the next block.
-// With Config.StallTimeout set, a pipeline-progress watchdog detects the
-// stall (no finalize and no admission for the deadline while peers have
-// announced higher blocks) and catches up from peers instead: it
+// With Config.StallTimeout set (node sets it to ten block-cut intervals
+// on every executor with a data dir), a pipeline-progress watchdog
+// detects the stall (no finalize and no admission for the deadline while
+// peers have announced higher blocks) and catches up from peers instead: it
 // requests the missing heights one peer at a time (StateSyncRequestMsg /
 // StateSyncResponseMsg, with per-response byte budgets, response
 // deadlines, and jittered exponential backoff across peers), and peers
@@ -163,22 +164,22 @@ type Config struct {
 	Store state.Backend
 	// Ledger is the node's copy of the block ledger.
 	Ledger *ledger.Ledger
-	// Workers sizes the execution worker pool. Zero means 8.
+	// Workers sizes the execution worker pool. Zero means DefaultWorkers,
+	// which every deployment runs; the execution package's own tests and
+	// benchmarks vary it.
 	Workers int
 	// PipelineDepth bounds the sliding window of blocks admitted into
 	// execution before the oldest finalizes. 1 restores the strict
 	// per-block barrier of the paper; zero means the default of 4.
 	PipelineDepth int
-	// MinHorizon is the absolute floor of the future-block buffering
-	// horizon (see buffers). Zero means DefaultMinHorizon.
-	MinHorizon int
 	// StallTimeout arms the pipeline-progress watchdog: when nothing
 	// finalizes and nothing admissible arrives for this long while peers
 	// have announced blocks beyond the local height, the executor starts
 	// requesting the missing heights from peers (state sync), with
 	// timeout, retry, and jittered exponential backoff across peers.
 	// Zero disables the watchdog — and with it the requester side of
-	// state sync (serving peers is always on when Persist is set).
+	// state sync. Serving peers needs Persist, so a deployment arms the
+	// watchdog exactly when its executors are durable (node does).
 	StallTimeout time.Duration
 	// Signer signs outbound COMMIT messages.
 	Signer cryptoutil.Signer
@@ -216,16 +217,13 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 8
+		c.Workers = DefaultWorkers
 	}
 	if c.OrderQuorum <= 0 {
 		c.OrderQuorum = 1
 	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = DefaultPipelineDepth
-	}
-	if c.MinHorizon <= 0 {
-		c.MinHorizon = DefaultMinHorizon
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -237,11 +235,16 @@ func (c Config) withDefaults() Config {
 // PipelineDepth zero.
 const DefaultPipelineDepth = 4
 
+// DefaultWorkers is the worker pool used when Config leaves Workers
+// zero: one worker per vCPU of the 8-vCPU node the paper's evaluation
+// runs each executor on.
+const DefaultWorkers = 8
+
 // The buffering horizon: NEWBLOCK and COMMIT messages
 // for blocks at or beyond height + max(horizonBlocks*PipelineDepth,
-// Config.MinHorizon) are dropped instead of buffered, so a flood of
+// DefaultMinHorizon) are dropped instead of buffered, so a flood of
 // far-future messages cannot grow the per-block maps without bound. The
-// horizon scales with the pipeline window plus a small absolute floor.
+// horizon scales with the pipeline window above a fixed 64-block floor.
 // The floor used to be 512: nothing in the protocol retransmitted a
 // dropped NEWBLOCK, so the horizon had to swallow every block an honest
 // orderer could legitimately cut ahead of a lagging executor — dropping
@@ -251,8 +254,7 @@ const DefaultPipelineDepth = 4
 // jitter, and far-future traffic is cheap to shed.
 const (
 	horizonBlocks = 4
-	// DefaultMinHorizon is the horizon floor used when Config leaves
-	// MinHorizon zero.
+	// DefaultMinHorizon is the horizon floor in blocks.
 	DefaultMinHorizon = 64
 )
 
@@ -315,7 +317,7 @@ type Stats struct {
 	BlocksCommitted uint64
 	// MsgsDroppedFuture counts messages dropped by the buffering bounds:
 	// block number at or beyond the horizon (height +
-	// max(4*PipelineDepth, Config.MinHorizon); dropped announcements are
+	// max(4*PipelineDepth, DefaultMinHorizon); dropped announcements are
 	// recovered via peer state sync), or a per-block COMMIT buffer at
 	// capacity.
 	MsgsDroppedFuture uint64
@@ -883,7 +885,7 @@ func (e *Executor) buffers(num uint64) bool {
 		e.mirror.maxSeen.Store(e.maxSeen)
 	}
 	height := e.cfg.Ledger.Height()
-	if num >= height+uint64(max(horizonBlocks*e.cfg.PipelineDepth, e.cfg.MinHorizon)) {
+	if num >= height+uint64(max(horizonBlocks*e.cfg.PipelineDepth, DefaultMinHorizon)) {
 		e.stats.droppedFuture.Add(1)
 		return false
 	}

@@ -18,6 +18,7 @@ import (
 	"parblockchain/internal/ordering"
 	"parblockchain/internal/oxii"
 	"parblockchain/internal/persist"
+	"parblockchain/internal/telemetry"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -51,10 +52,7 @@ var knobs = map[string]struct {
 	json, needs string
 	lands       func(e effective) [][2]any
 }{
-	"ExecWorkers":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.Workers, 3}} }},
 	"PipelineDepth": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
-	"MinHorizon":    {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.MinHorizon, 3}} }},
-	"SyncStallMs":   {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.StallTimeout, 3 * time.Millisecond}} }},
 	"FsyncPolicy": {json: `"always"`, lands: func(e effective) [][2]any {
 		return [][2]any{{e.persist.Fsync, persist.FsyncAlways}, {e.ord.Fsync, persist.FsyncAlways}}
 	}},
@@ -63,7 +61,21 @@ var knobs = map[string]struct {
 	"StateBackend":     {json: `"tiered"`, lands: func(e effective) [][2]any { return [][2]any{{e.persist.StateBackend, "tiered"}} }},
 	"HotTierBytes": {json: `4096`, needs: `"stateBackend": "tiered"`,
 		lands: func(e effective) [][2]any { return [][2]any{{e.persist.HotTierBytes, int64(4096)}} }},
-	"TraceRing": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.ring, 3}} }},
+}
+
+// retired holds, for every knob a past change turned into a fixed value,
+// the value a durable node runs with instead, as (got, want) pairs. Both
+// builders below use the default block interval (100 ms).
+// TestLoadRejectsUnknownKeys checks that cluster JSON refuses the key.
+var retired = map[string]func(e effective) [][2]any{
+	"ExecWorkers": func(e effective) [][2]any {
+		return [][2]any{{e.exec.Workers, 0}, {execution.DefaultWorkers, 8}} // zero takes the default
+	},
+	"MinHorizon": func(effective) [][2]any { return [][2]any{{execution.DefaultMinHorizon, 64}} },
+	"SyncStallMs": func(e effective) [][2]any {
+		return [][2]any{{e.exec.StallTimeout, time.Second}} // ten block-cut intervals
+	},
+	"TraceRing": func(e effective) [][2]any { return [][2]any{{e.ring, telemetry.DefaultTraceRing}} },
 }
 
 // TestNoKnobSilentlyDropped sets each Tunables field, one at a time, in a
@@ -71,7 +83,30 @@ var knobs = map[string]struct {
 // orderer through this package from each, and checks the value reaches
 // the execution / ordering / persist config it belongs in. A field added
 // to Tunables without a row here, or without a mapping in node.go, fails.
+// A node built either way must run each retired knob's fixed value.
 func TestNoKnobSilentlyDropped(t *testing.T) {
+	for name, fact := range retired {
+		check := func(t *testing.T, x *node.Executor, o *node.Orderer) {
+			t.Helper()
+			for _, pair := range fact(effectiveOf(x, o)) {
+				if !reflect.DeepEqual(pair[0], pair[1]) {
+					t.Errorf("without Tunables.%s a node runs with %v, want %v", name, pair[0], pair[1])
+				}
+			}
+		}
+		t.Run(name+"/clusterJSON", func(t *testing.T) {
+			if _, ok := reflect.TypeOf(node.Tunables{}).FieldByName(name); ok {
+				t.Fatalf("Tunables.%s is back: move its row to the knob table", name)
+			}
+			x, o := fromClusterJSON(t, "")
+			check(t, x, o)
+		})
+		t.Run(name+"/oxii", func(t *testing.T) {
+			x, o := fromOXII(t, oxii.Config{})
+			check(t, x, o)
+		})
+	}
+
 	fields := reflect.TypeOf(node.Tunables{})
 	if fields.NumField() != len(knobs) {
 		t.Errorf("Tunables has %d fields, the knob table %d rows", fields.NumField(), len(knobs))
@@ -114,13 +149,16 @@ func TestNoKnobSilentlyDropped(t *testing.T) {
 var accounting = map[types.AppID]contract.Contract{"app1": contract.NewAccounting()}
 
 // fromClusterJSON builds e1 and o1 of a durable two-node cluster whose
-// file carries the setting, the way parnode does.
+// file carries the setting ("" for none), the way parnode does.
 func fromClusterJSON(t *testing.T, setting string) (*node.Executor, *node.Orderer) {
 	t.Helper()
+	if setting != "" {
+		setting = ", " + setting
+	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cluster.json")
 	file := fmt.Sprintf(`{"orderers": {"o1": "x"}, "executors": {"e1": "y"}, "apps": {"app1": ["e1"]},
-		"dataDir": %q, %s}`, filepath.Join(dir, "data"), setting)
+		"dataDir": %q%s}`, filepath.Join(dir, "data"), setting)
 	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}

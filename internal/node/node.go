@@ -139,6 +139,31 @@ func OrderQuorum(kind ConsensusKind, orderers int) int {
 	return 1
 }
 
+// GenerateKeys makes the keys of an in-process deployment, one signer per
+// identity of every group. With crypto each identity gets an ed25519 key
+// pair and the verifier is the key ring holding every public key;
+// without it the signers and the verifier are no-ops.
+func GenerateKeys(crypto bool, groups ...[]types.NodeID) (map[types.NodeID]cryptoutil.Signer, cryptoutil.Verifier, error) {
+	signers := make(map[types.NodeID]cryptoutil.Signer)
+	ring := cryptoutil.NewKeyRing()
+	for _, id := range slices.Concat(groups...) {
+		if !crypto {
+			signers[id] = cryptoutil.NoopSigner{NodeID: string(id)}
+			continue
+		}
+		kp, err := cryptoutil.GenerateKeyPair(string(id))
+		if err != nil {
+			return nil, nil, err
+		}
+		ring.Add(string(id), kp.Public())
+		signers[id] = kp
+	}
+	if !crypto {
+		return signers, cryptoutil.NoopVerifier{}, nil
+	}
+	return signers, ring, nil
+}
+
 // NewConsensus builds this orderer's instance of the configured
 // protocol from cfg's ID, Endpoint, Orderers, Consensus, DataDir,
 // FsyncPolicy and Logf. Raft and Kafka persist their log under
@@ -173,6 +198,26 @@ func (c *Config) persistConfig() persist.Config {
 	}
 }
 
+// stallIntervals is the state-sync watchdog's deadline in block-cut
+// intervals: ten cuts without admission or finalization while peers are
+// ahead (1 s at the 100 ms default).
+const stallIntervals = 10
+
+// stallTimeout arms the state-sync watchdog on a durable node and leaves
+// it off in memory. Peers serve sync requests from their WAL and
+// snapshots, so in a deployment without a data dir no peer can catch a
+// lagging executor up, and there is nothing for the watchdog to ask for.
+func (c *Config) stallTimeout() time.Duration {
+	if c.DataDir == "" {
+		return 0
+	}
+	interval := c.MaxBlockInterval
+	if interval <= 0 {
+		interval = ordering.DefaultMaxBlockInterval
+	}
+	return stallIntervals * interval
+}
+
 // executorConfig maps the deployment and its knobs onto the execution
 // layer; the caller adds the parts it built (registry, store, ledger,
 // durability manager, tracer).
@@ -184,10 +229,8 @@ func (c *Config) executorConfig() execution.Config {
 		Tau:           c.Tau,
 		OrderQuorum:   OrderQuorum(c.Consensus, len(c.Orderers)),
 		Executors:     c.Executors,
-		Workers:       c.ExecWorkers,
 		PipelineDepth: c.PipelineDepth,
-		MinHorizon:    c.MinHorizon,
-		StallTimeout:  time.Duration(c.SyncStallMs) * time.Millisecond,
+		StallTimeout:  c.stallTimeout(),
 		Signer:        c.Signer,
 		Verifier:      c.Verifier,
 		VerifySigs:    c.Crypto,
@@ -316,7 +359,7 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	ec := cfg.executorConfig()
 	ec.Registry, ec.Store, ec.Ledger, ec.Persist = registry, n.Store, n.Ledger, n.Persist
 	if cfg.Trace || cfg.OpsAddr != "" {
-		ec.Tracer = telemetry.NewBlockTracer(cfg.TraceRing)
+		ec.Tracer = telemetry.NewBlockTracer(0)
 	}
 	n.Executor = execution.New(ec)
 	return n, nil

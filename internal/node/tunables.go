@@ -12,9 +12,13 @@ import (
 // harness and from cluster JSON at once, and executorConfig /
 // ordererConfig / persistConfig (node.go) are the one place it is mapped
 // onto the lower layers. Every zero value means "the layer's default".
+//
+// A field stays only while some caller needs a value other than its
+// default (README's configuration reference names each caller). What
+// every deployment runs anyway is a fact, not a knob: eight execution
+// workers, the 64-block buffering-horizon floor, the 32-trace ring, and
+// the state-sync watchdog on every durable executor (stallTimeout).
 type Tunables struct {
-	// ExecWorkers sizes each executor's worker pool (default 8).
-	ExecWorkers int `json:"execWorkers,omitempty"`
 	// PipelineDepth bounds each executor's window of in-flight blocks:
 	// blocks stream through execution while earlier blocks are still
 	// committing, with cross-block conflicts stitched into the dependency
@@ -22,19 +26,6 @@ type Tunables struct {
 	// the executor default (4). Finalization order and final state are
 	// identical at every depth.
 	PipelineDepth int `json:"pipelineDepth,omitempty"`
-	// MinHorizon sets each executor's minimum future-buffering horizon in
-	// blocks; zero uses the executor default. Larger values absorb longer
-	// orderer/executor skew before far-future traffic is dropped (state
-	// sync recovers whatever the horizon sheds), at the cost of buffered
-	// memory on lagging nodes.
-	MinHorizon int `json:"minHorizon,omitempty"`
-	// SyncStallMs arms each executor's state-sync watchdog: a node that
-	// sees peers announce blocks it cannot admit, and makes no pipeline
-	// progress for this many milliseconds, requests the missing history
-	// from peer executors (serving from their WAL and snapshots when a
-	// data dir is set). Zero disables the watchdog; serving peers'
-	// requests is always on when durability is.
-	SyncStallMs int `json:"syncStallMs,omitempty"`
 	// FsyncPolicy selects when log appends reach stable storage: "group"
 	// (default: one fsync per finalize batch, so pipelined blocks amortize
 	// the durability cost), "always" (one per block), or "never" (page
@@ -48,7 +39,8 @@ type Tunables struct {
 	// uses the persist default. Small values make WAL truncation
 	// aggressive, which (with SnapshotInterval) controls how far back
 	// peers can serve state-sync records before falling back to
-	// snapshots. Ignored without a data dir.
+	// snapshots; the sync suites reach that snapshot path through the
+	// two. Ignored without a data dir.
 	SegmentBytes int `json:"segmentBytes,omitempty"`
 	// StateBackend selects each executor's committed-state store: "" or
 	// "memory" for the all-in-RAM KVStore, "tiered" for a byte-budgeted
@@ -62,10 +54,6 @@ type Tunables struct {
 	// HotTierBytes budgets the tiered backend's hot cache per executor;
 	// zero uses the state package default. Requires StateBackend "tiered".
 	HotTierBytes int64 `json:"hotTierBytes,omitempty"`
-	// TraceRing sizes each traced executor's slowest-blocks ring (0 =
-	// telemetry default). Tracing itself turns on with Config.Trace or the
-	// node's ops server; the ring only bounds the /traces postmortem dump.
-	TraceRing int `json:"traceRing,omitempty"`
 }
 
 // Validate rejects values no layer can honor. durable says whether the
@@ -75,13 +63,9 @@ func (t Tunables) Validate(durable bool) error {
 		name  string
 		value int64
 	}{
-		{"execWorkers", int64(t.ExecWorkers)},
 		{"pipelineDepth", int64(t.PipelineDepth)},
-		{"minHorizon", int64(t.MinHorizon)},
-		{"syncStallMs", int64(t.SyncStallMs)},
 		{"segmentBytes", int64(t.SegmentBytes)},
 		{"hotTierBytes", t.HotTierBytes},
-		{"traceRing", int64(t.TraceRing)},
 	} {
 		if knob.value < 0 {
 			return fmt.Errorf("%s must be >= 0", knob.name)

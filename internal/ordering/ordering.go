@@ -85,7 +85,7 @@ type Config struct {
 	MaxBlockBytes int
 	// MaxBlockInterval cuts a non-empty block this long after its first
 	// transaction arrived, via a cut marker ordered through consensus so
-	// every orderer cuts identically. Zero means 100ms.
+	// every orderer cuts identically. Zero means DefaultMaxBlockInterval.
 	MaxBlockInterval time.Duration
 	// BuildGraph enables dependency-graph generation. ParBlockchain
 	// (OXII) sets it; the OX baseline reuses this orderer with graphs
@@ -120,6 +120,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// DefaultMaxBlockInterval is the timeout cut used when Config leaves
+// MaxBlockInterval zero.
+const DefaultMaxBlockInterval = 100 * time.Millisecond
+
 func (c Config) withDefaults() Config {
 	if c.MaxBlockTxns <= 0 {
 		c.MaxBlockTxns = 200
@@ -128,7 +132,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBlockBytes = 2 << 20
 	}
 	if c.MaxBlockInterval <= 0 {
-		c.MaxBlockInterval = 100 * time.Millisecond
+		c.MaxBlockInterval = DefaultMaxBlockInterval
 	}
 	if c.RetainBlocks <= 0 {
 		c.RetainBlocks = DefaultRetainBlocks

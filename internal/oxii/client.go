@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"parblockchain/internal/cryptoutil"
+	"parblockchain/internal/execution"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 	"parblockchain/internal/workload"
@@ -37,6 +38,20 @@ func (r *CommitRouter) Hook() func(block *types.Block, results []types.TxResult)
 		for i := range results {
 			r.resolve(results[i])
 		}
+	}
+}
+
+// ObserverHook returns the commit hook of a deployment's observer: Hook,
+// then user when non-nil. Only the observer carries it; a hook on every
+// replica would resolve and report each block once per replica.
+func (r *CommitRouter) ObserverHook(user execution.CommitHook) execution.CommitHook {
+	resolve := r.Hook()
+	if user == nil {
+		return resolve
+	}
+	return func(block *types.Block, results []types.TxResult) {
+		resolve(block, results)
+		user(block, results)
 	}
 }
 

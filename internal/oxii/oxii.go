@@ -52,9 +52,9 @@ type Config struct {
 	MaxBlockTxns     int
 	MaxBlockBytes    int
 	MaxBlockInterval time.Duration
-	// Tunables holds every performance and durability knob (worker pools,
-	// pipeline depth, streaming, fsync policy, state backend, ...), shared verbatim with cluster JSON and the
-	// bench harness.
+	// Tunables holds every performance and durability knob (pipeline
+	// depth, fsync policy, snapshots, WAL segments, state backend), shared
+	// verbatim with cluster JSON and the bench harness.
 	node.Tunables
 	// DataDir roots the durability subsystem; every node keeps its durable
 	// state under DataDir/<node-id> (see node.Config.DataDir). A rebuilt
@@ -108,7 +108,7 @@ type Network struct {
 	Stores    []state.Backend
 	Ledgers   []*ledger.Ledger
 	signers   map[types.NodeID]cryptoutil.Signer
-	keyring   *cryptoutil.KeyRing
+	verifier  cryptoutil.Verifier
 	clients   map[types.NodeID]*Client
 	router    *CommitRouter
 }
@@ -130,30 +130,16 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	nw := &Network{
-		cfg:     cfg,
-		signers: make(map[types.NodeID]cryptoutil.Signer),
-		keyring: cryptoutil.NewKeyRing(),
-		clients: make(map[types.NodeID]*Client),
-		router:  NewCommitRouter(),
+	signers, verifier, err := node.GenerateKeys(cfg.Crypto, cfg.Orderers, cfg.Executors, cfg.Clients)
+	if err != nil {
+		return nil, err
 	}
-
-	// Keys for every identity in the deployment.
-	all := make([]types.NodeID, 0, len(cfg.Orderers)+len(cfg.Executors)+len(cfg.Clients))
-	all = append(all, cfg.Orderers...)
-	all = append(all, cfg.Executors...)
-	all = append(all, cfg.Clients...)
-	for _, id := range all {
-		if cfg.Crypto {
-			kp, err := cryptoutil.GenerateKeyPair(string(id))
-			if err != nil {
-				return nil, err
-			}
-			nw.keyring.Add(string(id), kp.Public())
-			nw.signers[id] = kp
-		} else {
-			nw.signers[id] = cryptoutil.NoopSigner{NodeID: string(id)}
-		}
+	nw := &Network{
+		cfg:      cfg,
+		signers:  signers,
+		verifier: verifier,
+		clients:  make(map[types.NodeID]*Client),
+		router:   NewCommitRouter(),
 	}
 
 	// A failure part-way stops the nodes built so far, so no WAL segment,
@@ -189,15 +175,11 @@ func (nw *Network) nodeConfig(id types.NodeID) (node.Config, error) {
 	if err != nil {
 		return node.Config{}, err
 	}
-	var verifier cryptoutil.Verifier = cryptoutil.NoopVerifier{}
-	if cfg.Crypto {
-		verifier = nw.keyring
-	}
 	return node.Config{
 		ID:                id,
 		Endpoint:          ep,
 		Signer:            nw.signers[id],
-		Verifier:          verifier,
+		Verifier:          nw.verifier,
 		Crypto:            cfg.Crypto,
 		Orderers:          cfg.Orderers,
 		Executors:         cfg.Executors,
@@ -230,14 +212,7 @@ func (nw *Network) buildExecutor(i int) error {
 	// Only the observer (Executors[0]) routes client completions and
 	// feeds the user hook; hooks on every peer would duplicate them.
 	if i == 0 {
-		routerHook := nw.router.Hook()
-		userHook := nw.cfg.OnCommit
-		nc.OnCommit = func(block *types.Block, results []types.TxResult) {
-			routerHook(block, results)
-			if userHook != nil {
-				userHook(block, results)
-			}
-		}
+		nc.OnCommit = nw.router.ObserverHook(nw.cfg.OnCommit)
 	}
 	n, err := node.NewExecutor(nc)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
+	"parblockchain/internal/execution"
 	"parblockchain/internal/transport"
 )
 
@@ -15,18 +16,10 @@ import (
 // executors' own sync protocol — the orderers never re-stream history.
 // The records path, the below-WAL-truncation snapshot path, a partition
 // healing mid-run, and repeated kill/restart cycles under sustained
-// load are each covered. The suite runs under -race in CI (a named
-// gating step).
-
-// syncConfig is durableConfig with the state-sync watchdog armed and a
-// small future-buffering horizon, so a lagging node sheds far-future
-// traffic quickly and must use sync (not buffering) to catch up.
-func syncConfig(net *transport.InMemNetwork, dir string) Config {
-	cfg := durableConfig(net, dir)
-	cfg.SyncStallMs = 75
-	cfg.MinHorizon = 8
-	return cfg
-}
+// load are each covered. Every test runs durableConfig's default
+// Tunables: a durable executor arms the watchdog on its own, at ten
+// block-cut intervals (200 ms here). The suite runs under -race in CI (a
+// named gating step).
 
 func runTransfers(t *testing.T, client *Client, n int) {
 	t.Helper()
@@ -82,7 +75,7 @@ func TestStateSyncCatchUpFromPeer(t *testing.T) {
 	dir := t.TempDir()
 	net := transport.NewInMemNetwork(transport.InMemConfig{})
 	defer net.Close()
-	nw, err := New(syncConfig(net, dir))
+	nw, err := New(durableConfig(net, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +101,44 @@ func TestStateSyncCatchUpFromPeer(t *testing.T) {
 	}
 }
 
+// TestStateSyncRejoinWithDefaultTunables is the "shed, then sync" path
+// of a deployment that sets no knob: an executor is killed, the chain
+// moves more than the 64-block buffering horizon past it, and the load
+// keeps going after the restart. The restarted node sheds the live
+// NEWBLOCKs it receives, which lie beyond its horizon, and state sync
+// alone brings it level.
+func TestStateSyncRejoinWithDefaultTunables(t *testing.T) {
+	dir := t.TempDir()
+	net := transport.NewInMemNetwork(transport.InMemConfig{})
+	defer net.Close()
+	nw, err := New(durableConfig(net, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Stop()
+	nw.Start()
+	client, err := nw.Client("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runTransfers(t, client, 8)
+	waitHeight(t, nw, 2, 1)
+	nw.KillExecutor(2)
+	killedAt := nw.Ledgers[2].Height()
+	for nw.Ledgers[0].Height() <= killedAt+execution.DefaultMinHorizon {
+		runTransfers(t, client, 4)
+	}
+	if err := nw.RestartExecutor(2); err != nil {
+		t.Fatal(err)
+	}
+	runTransfers(t, client, 8)
+	waitConverged(t, nw, 2, func() bool {
+		st := nw.Executors[2].Stats()
+		return st.MsgsDroppedFuture > 0 && st.SyncRecordsAdopted+st.SyncSnapshotsAdopted > 0
+	})
+}
+
 // TestStateSyncSnapshotCatchUp drives the below-WAL-truncation path:
 // with per-record segment rolls and frequent snapshots, the peers prune
 // their WALs past the victim's height while it is down, so its records
@@ -117,7 +148,7 @@ func TestStateSyncSnapshotCatchUp(t *testing.T) {
 	dir := t.TempDir()
 	net := transport.NewInMemNetwork(transport.InMemConfig{})
 	defer net.Close()
-	cfg := syncConfig(net, dir)
+	cfg := durableConfig(net, dir)
 	cfg.SegmentBytes = 1 // roll the WAL per record: maximal truncation
 	nw, err := New(cfg)
 	if err != nil {
@@ -144,14 +175,15 @@ func TestStateSyncSnapshotCatchUp(t *testing.T) {
 
 // TestStateSyncPartitionMidWindow isolates an executor mid-run (its
 // links silently drop both ways, the process stays up), keeps the
-// cluster moving well past the shrunken buffering horizon, heals the
-// partition, and asserts sync-driven convergence: the blocks it missed
-// were never buffered, so only the sync protocol can supply them.
+// cluster moving, heals the partition after the load has stopped, and
+// asserts sync-driven convergence: the blocks it missed never reached
+// it, and nothing arrives after the heal, so only the watchdog's silence
+// probe and the sync protocol can supply them.
 func TestStateSyncPartitionMidWindow(t *testing.T) {
 	dir := t.TempDir()
 	net := transport.NewInMemNetwork(transport.InMemConfig{})
 	defer net.Close()
-	nw, err := New(syncConfig(net, dir))
+	nw, err := New(durableConfig(net, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +197,7 @@ func TestStateSyncPartitionMidWindow(t *testing.T) {
 	runTransfers(t, client, 8)
 	waitHeight(t, nw, 2, 1)
 	net.Isolate("e3", true)
-	runTransfers(t, client, 48) // 12 blocks: past MinHorizon=8 from e3's view
+	runTransfers(t, client, 48) // about one block per sequential transfer
 	net.Isolate("e3", false)
 	waitConverged(t, nw, 2, func() bool {
 		return nw.Executors[2].Stats().SyncRecordsAdopted > 0
@@ -181,7 +213,7 @@ func TestChaosKillRestartConvergence(t *testing.T) {
 	dir := t.TempDir()
 	net := transport.NewInMemNetwork(transport.InMemConfig{})
 	defer net.Close()
-	nw, err := New(syncConfig(net, dir))
+	nw, err := New(durableConfig(net, dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ func TestOpsServersEndToEnd(t *testing.T) {
 			"e1": "127.0.0.1:0",
 			"o1": "127.0.0.1:0",
 		}
-		cfg.TraceRing = 4
 	})
 	client, err := nw.Client("c1")
 	if err != nil {

@@ -20,11 +20,11 @@ import (
 // backend-native (PBSNAP02) snapshot and resync the rest from peers.
 // The suite runs under -race in CI (a named gating step).
 
-// tieredSyncConfig is syncConfig on the tiered backend, with a genesis
+// tieredSyncConfig is durableConfig on the tiered backend, with a genesis
 // wide enough (2000 cold accounts against a 16KiB hot budget) that every
 // executor evicts most of its state before the first block.
 func tieredSyncConfig(net *transport.InMemNetwork, dir string) Config {
-	cfg := syncConfig(net, dir)
+	cfg := durableConfig(net, dir)
 	cfg.StateBackend = "tiered"
 	cfg.HotTierBytes = 16 << 10
 	cfg.Genesis = wideTieredGenesis()
@@ -67,7 +67,7 @@ func TestTieredNetworkMatchesMemoryBackend(t *testing.T) {
 	run := func(tiered bool) types.Hash {
 		net := transport.NewInMemNetwork(transport.InMemConfig{})
 		defer net.Close()
-		cfg := syncConfig(net, t.TempDir())
+		cfg := durableConfig(net, t.TempDir())
 		cfg.Genesis = wideTieredGenesis()
 		if tiered {
 			cfg.StateBackend = "tiered"

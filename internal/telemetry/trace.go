@@ -87,7 +87,8 @@ type BlockTracer struct {
 	slowest  []TraceRecord // sorted by TotalNanos descending, len <= ringSize
 }
 
-// DefaultTraceRing is the slowest-block ring size when the knob is 0.
+// DefaultTraceRing is the slowest-block ring size every node runs
+// (NewBlockTracer(0)); telemetry's own tests pass smaller rings.
 const DefaultTraceRing = 32
 
 // NewBlockTracer returns a tracer keeping the ringSize slowest traces

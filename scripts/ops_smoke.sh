@@ -20,7 +20,6 @@ cat >"$cfg" <<'EOF'
   "executors": {"e1": "127.0.0.1:19702"},
   "apps": {"app1": ["e1"]},
   "opsAddrs": {"o1": "127.0.0.1:19801", "e1": "127.0.0.1:19802"},
-  "traceRing": 8,
   "blockTxns": 16,
   "blockIntervalMs": 50,
   "genesis": {"app1/alice": 1000, "app1/bob": 1000}
