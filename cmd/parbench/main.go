@@ -10,7 +10,6 @@
 //	parbench -fig pipeline  executor pipeline-depth sweep
 //	parbench -fig durability  WAL fsync cost on the finalize hot path
 //	parbench -fig speculation speculative commit-wait bypass vs vote delay
-//	parbench -fig tiered    larger-than-RAM tiered state vs in-memory
 //	parbench -fig all       everything
 //
 // Use -quick for a fast smoke pass with reduced sweep ranges, -dur and
@@ -21,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"parblockchain/internal/bench"
@@ -48,7 +46,7 @@ type config struct {
 
 func run() error {
 	var cfg config
-	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline durability speculation tiered all")
+	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline durability speculation all")
 	flag.BoolVar(&cfg.quick, "quick", false, "reduced sweep ranges for a fast pass")
 	flag.BoolVar(&cfg.csv, "csv", false, "emit raw CSV rows instead of tables")
 	flag.DurationVar(&cfg.opts.Duration, "dur", 2*time.Second, "steady-state measurement window per point")
@@ -57,18 +55,7 @@ func run() error {
 	flag.BoolVar(&cfg.opts.Crypto, "crypto", false, "enable ed25519 signing end to end")
 	flag.IntVar(&cfg.opts.PipelineDepth, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
 	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
-	flag.StringVar(&cfg.opts.StateBackend, "backend", "", "state backend for all OXII runs: "+strings.Join(persist.StateBackendNames, ", ")+" (empty = memory)")
-	flag.Int64Var(&cfg.opts.HotTierBytes, "hotbytes", 0, "tiered backend hot-tier byte cap (0 = backend default; tiered figure default 1MiB)")
-	flag.Float64Var(&cfg.opts.ZipfSkew, "zipf", 0, "Zipf s parameter for hot-key selection, 0 = round-robin (must be > 1 otherwise)")
 	flag.Parse()
-
-	if !persist.ValidStateBackend(cfg.opts.StateBackend) {
-		return fmt.Errorf("unknown -backend %q (want %s)", cfg.opts.StateBackend,
-			strings.Join(persist.StateBackendNames, ", "))
-	}
-	if z := cfg.opts.ZipfSkew; z != 0 && z <= 1 {
-		return fmt.Errorf("-zipf must be 0 or > 1, got %v", z)
-	}
 
 	figs := map[string]func(config) error{
 		"5a": fig5, "5b": fig5,
@@ -84,9 +71,8 @@ func run() error {
 		"pipeline":    figPipeline,
 		"durability":  figDurability,
 		"speculation": figSpeculation,
-		"tiered":      figTiered,
 	}
-	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "pipeline", "durability", "speculation", "tiered"}
+	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "pipeline", "durability", "speculation"}
 
 	switch cfg.fig {
 	case "all":
@@ -317,31 +303,5 @@ func figDurability(c config) error {
 		rows = append(rows, namedSeries{name: name, points: s.Points})
 	}
 	printSeries(c, "Durability: WAL fsync cost on the finalize path @ 20% contention", rows)
-	return nil
-}
-
-// figTiered measures the tiered (larger-than-RAM) state backend against
-// the fully resident store under a Zipf-skewed hot working set, with the
-// hot cap forced far below the working set so the cold tier is actually
-// exercised. Committed hashes are identical across backends; the sweep
-// isolates eviction and cold-read cost.
-func figTiered(c config) error {
-	hotBytes := c.opts.HotTierBytes
-	if hotBytes == 0 {
-		hotBytes = 1 << 20
-	}
-	series, err := bench.TieredSweep(c.opts, 0.8, hotBytes, c.clientLevels(), os.Stderr)
-	if err != nil {
-		return err
-	}
-	rows := make([]namedSeries, 0, len(series))
-	for _, s := range series {
-		name := s.Backend
-		if s.Backend == "tiered" {
-			name = fmt.Sprintf("tiered(cap=%dKiB)", s.HotTierBytes>>10)
-		}
-		rows = append(rows, namedSeries{name: name, points: s.Points})
-	}
-	printSeries(c, "Tiered state: larger-than-RAM backend vs in-memory @ 80% Zipf-skewed contention", rows)
 	return nil
 }

@@ -24,7 +24,6 @@ import (
 	"parblockchain/internal/node"
 	"parblockchain/internal/oxii"
 	"parblockchain/internal/persist"
-	"parblockchain/internal/state"
 	"parblockchain/internal/telemetry"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
@@ -132,15 +131,6 @@ type Options struct {
 	// the instrumentation costs nothing — the configuration every
 	// headline throughput number is measured under.
 	Trace bool
-	// ZipfSkew switches the workload's hot-key selection from
-	// round-robin to a Zipf(s=ZipfSkew) draw over the hot set (0 keeps
-	// round-robin; otherwise must be > 1). Combined with a large
-	// HotAccounts set this builds the skewed working set a tiered store
-	// is measured under.
-	ZipfSkew float64
-	// HotAccounts sizes the workload's hot account set (0 = workload
-	// default of 1).
-	HotAccounts int
 	// Seed fixes the workload stream.
 	Seed int64
 }
@@ -256,16 +246,6 @@ type Result struct {
 	// the threshold. Nonzero only when a faulty or lagging agent keeps
 	// voting results that lose the quorum.
 	SpecThrottled uint64
-	// Tiered-state counters, summed over every executor running the
-	// tiered backend (all 0 under the memory backend): cold-tier point
-	// reads (a hot-tier miss that hit disk), bytes those reads returned,
-	// hot entries evicted to the cold tier, and the end-of-run hot/cold
-	// resident key split at the observer.
-	ColdReads     uint64
-	ColdBytesRead uint64
-	Evictions     uint64
-	HotKeys       int
-	ColdKeys      int
 	// Stages is the observer executor's per-stage block-lifecycle latency
 	// breakdown (nil without Options.Trace), keyed by stage name —
 	// admission, dispatch, execute, seal, finalize, fsync, externalize —
@@ -328,9 +308,7 @@ func Run(opts Options) (Result, error) {
 		Apps:               apps,
 		Contention:         opts.Contention,
 		CrossApp:           opts.System == SystemOXIIX,
-		HotAccounts:        opts.HotAccounts,
 		ColdAccountsPerApp: coldPool,
-		Skew:               opts.ZipfSkew,
 		Seed:               opts.Seed,
 	})
 	genesis := gen.Genesis()
@@ -395,7 +373,6 @@ func Run(opts Options) (Result, error) {
 	var stateHash func() types.Hash
 	var walStats func() persist.Stats
 	var specStats func() (executed, hits, misses, reexecs, throttled uint64)
-	var tieredStats func(r *Result)
 	var stageStats func() map[string]telemetry.LatencyStats
 
 	switch opts.System {
@@ -461,22 +438,6 @@ func Run(opts Options) (Result, error) {
 				throttled += st.SpecThrottled
 			}
 			return
-		}
-		tieredStats = func(r *Result) {
-			for _, s := range nw.Stores {
-				ts, ok := s.(*state.TieredStore)
-				if !ok {
-					continue
-				}
-				st := ts.Stats()
-				r.ColdReads += st.ColdReads
-				r.ColdBytesRead += st.ColdBytesRead
-				r.Evictions += st.Evictions
-			}
-			if ts, ok := nw.ObserverStore().(*state.TieredStore); ok {
-				st := ts.Stats()
-				r.HotKeys, r.ColdKeys = st.HotKeys, st.ColdKeys
-			}
 		}
 		if opts.Trace {
 			observer := nw.Executors[0]
@@ -622,9 +583,6 @@ func Run(opts Options) (Result, error) {
 	if specStats != nil {
 		result.SpecExecuted, result.SpecHits, result.SpecMisses, result.SpecReexecs,
 			result.SpecThrottled = specStats()
-	}
-	if tieredStats != nil {
-		tieredStats(&result)
 	}
 	if stageStats != nil {
 		result.Stages = stageStats()

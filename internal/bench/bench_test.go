@@ -221,51 +221,3 @@ func TestRunOXIIDurable(t *testing.T) {
 		t.Fatalf("in-memory run reported WAL activity: %+v", r2)
 	}
 }
-
-// TestRunOXIITiered pins the harness's tiered-backend path: a hot cap
-// far below the workload's account set must force evictions and leave
-// cold-resident keys, the Zipf-skewed stream must still commit
-// error-free, and a memory-backend run must report no tiered counters.
-func TestRunOXIITiered(t *testing.T) {
-	opts := short(SystemOXII)
-	opts.StateBackend = "tiered"
-	opts.HotTierBytes = 1 << 10
-	opts.ZipfSkew = 1.5
-	r, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Throughput <= 0 || r.Errors != 0 {
-		t.Fatalf("bad tiered result: %+v", r)
-	}
-	if r.Evictions == 0 || r.ColdKeys == 0 {
-		t.Fatalf("tiered run never spilled to the cold tier: evictions=%d coldKeys=%d",
-			r.Evictions, r.ColdKeys)
-	}
-	r2, err := Run(short(SystemOXII))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Evictions != 0 || r2.ColdReads != 0 || r2.ColdKeys != 0 {
-		t.Fatalf("in-memory run reported tiered activity: %+v", r2)
-	}
-}
-
-func TestTieredSweepSmoke(t *testing.T) {
-	base := short(SystemOXII)
-	series, err := TieredSweep(base, 0.5, 1<<10, []int{32}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 || series[0].Backend != "memory" || series[1].Backend != "tiered" {
-		t.Fatalf("sweep must emit the memory series then the tiered series: %+v", series)
-	}
-	for _, s := range series {
-		if len(s.Points) != 1 || s.Points[0].Result.Throughput <= 0 {
-			t.Fatalf("bad sweep point: %+v", s)
-		}
-	}
-	if series[1].Points[0].Result.Evictions == 0 {
-		t.Fatal("tiered sweep point recorded no evictions")
-	}
-}

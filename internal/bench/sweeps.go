@@ -349,59 +349,3 @@ func DurabilitySweep(base Options, contention float64, depths []int, fsync persi
 	}
 	return series, nil
 }
-
-// TieredSeries is one line of a tiered-state plot: OXII's
-// throughput-latency curve under one state backend. Tiered series carry
-// the hot cap that forced eviction; their peak point's ColdReads /
-// Evictions expose how hard the cold tier worked.
-type TieredSeries struct {
-	Backend      string
-	HotTierBytes int64
-	Points       []SweepPoint
-}
-
-// TieredSweep measures the tiered (larger-than-RAM) state backend
-// against the fully resident store under a Zipf-skewed hot working set:
-// the same seeded workload stream runs once per backend, with the
-// tiered hot cap set far below the working set so evictions and
-// cold-tier reads actually happen. Committed results and state hashes
-// are identical across backends — the sweep isolates the storage cost.
-func TieredSweep(base Options, contention float64, hotBytes int64,
-	clientLevels []int, progress io.Writer) ([]TieredSeries, error) {
-	if base.ZipfSkew == 0 {
-		base.ZipfSkew = 1.5
-	}
-	if base.HotAccounts == 0 {
-		base.HotAccounts = 4096
-	}
-	base.System = SystemOXII
-	base.Contention = contention
-	series := make([]TieredSeries, 0, 2)
-	for _, backend := range []string{"memory", "tiered"} {
-		opts := base
-		opts.StateBackend = backend
-		opts.HotTierBytes = 0 // only the tiered backend takes a cap
-		if backend == "tiered" {
-			opts.HotTierBytes = hotBytes
-		}
-		points, err := Curve(opts, clientLevels)
-		if err != nil {
-			return series, err
-		}
-		series = append(series, TieredSeries{
-			Backend: backend, HotTierBytes: opts.HotTierBytes, Points: points,
-		})
-		if progress != nil {
-			peak := Peak(points)
-			line := fmt.Sprintf("tiered %-7s peak=%8.0f tx/s lat=%8s",
-				backend, peak.Result.Throughput,
-				peak.Result.AvgLatency.Round(time.Millisecond))
-			if backend == "tiered" {
-				line += fmt.Sprintf("  cold-reads=%d evictions=%d",
-					peak.Result.ColdReads, peak.Result.Evictions)
-			}
-			fmt.Fprintln(progress, line)
-		}
-	}
-	return series, nil
-}

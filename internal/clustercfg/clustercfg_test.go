@@ -192,9 +192,8 @@ func TestLoadRejectsOpsAddrForUnknownNode(t *testing.T) {
 // TestLoadRejectsNegativeKnobs sets each integer knob to -1 and expects
 // an error naming it.
 func TestLoadRejectsNegativeKnobs(t *testing.T) {
-	for _, knob := range []string{"pipelineDepth", "segmentBytes", "hotTierBytes"} {
-		bad := fmt.Sprintf(`{"orderers": {"o1": "x"}, "executors": {"e1": "y"},
-			"stateBackend": "tiered", %q: -1}`, knob)
+	for _, knob := range []string{"pipelineDepth", "segmentBytes"} {
+		bad := fmt.Sprintf(`{"orderers": {"o1": "x"}, "executors": {"e1": "y"}, %q: -1}`, knob)
 		if _, err := Load(write(t, bad)); err == nil || !strings.Contains(err.Error(), knob) {
 			t.Errorf("negative %s: err = %v, want an error naming it", knob, err)
 		}
@@ -241,8 +240,6 @@ func TestRoundTrip(t *testing.T) {
 			FsyncPolicy:      persist.FsyncAlways,
 			SnapshotInterval: 32,
 			SegmentBytes:     1 << 20,
-			StateBackend:     "tiered",
-			HotTierBytes:     1 << 22,
 		},
 		DataDir:  "/var/lib/parblockchain",
 		OpsAddrs: map[string]string{"e1": "127.0.0.1:9101"},

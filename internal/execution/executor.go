@@ -159,9 +159,8 @@ type Config struct {
 	OrderQuorum int
 	// Executors lists all executor nodes: the COMMIT multicast targets.
 	Executors []types.NodeID
-	// Store is the node's committed blockchain state — the in-memory
-	// KVStore, or a TieredStore when the working set must exceed RAM.
-	Store state.Backend
+	// Store is the node's committed blockchain state.
+	Store *state.KVStore
 	// Ledger is the node's copy of the block ledger.
 	Ledger *ledger.Ledger
 	// Workers sizes the execution worker pool. Zero means DefaultWorkers,

@@ -2,8 +2,6 @@ package execution
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +22,7 @@ import (
 type benchRig struct {
 	net     *transport.InMemNetwork
 	exec    *Executor
-	store   state.Backend
+	store   *state.KVStore
 	mgr     *persist.Manager
 	orderer transport.Endpoint
 	commits chan struct{}
@@ -39,7 +37,7 @@ func newBenchRig(b *testing.B, workers int) *benchRig {
 
 // newBenchRigDepth builds a rig with an explicit pipeline depth and
 // contract, for the cross-block pipelining benchmarks. opts mutate the
-// executor Config after the rig defaults (backend, tracer).
+// executor Config after the rig defaults (tracer).
 func newBenchRigDepth(b *testing.B, workers, depth int, app1 contract.Contract,
 	opts ...func(*Config)) *benchRig {
 	b.Helper()
@@ -97,7 +95,6 @@ func newBenchRigDurable(b *testing.B, workers, depth int, app1 contract.Contract
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	r.store = cfg.Store // an opt may swap the backend (tiered benchmarks)
 	r.exec = New(cfg)
 	r.exec.Start()
 	b.Cleanup(func() {
@@ -401,87 +398,5 @@ func BenchmarkExecutorDurable(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// zipfAccountBlocks builds blocks of appends over accounts drawn from
-// the given Zipf source: a heavy head of hot accounts plus a long tail
-// reaching across the whole (mostly cold, under the tiered backend)
-// account space. Draws continue across calls, so the access stream is
-// one continuous Zipfian trace.
-func zipfAccountBlocks(zr *rand.Zipf, startBlock, numBlocks, n int) [][]*types.Transaction {
-	blocks := make([][]*types.Transaction, numBlocks)
-	for bn := range blocks {
-		abs := startBlock + bn
-		txns := make([]*types.Transaction, n)
-		for i := range txns {
-			tx := &types.Transaction{
-				App: "app1", Client: "c1", ClientTS: uint64(abs*n + i + 1),
-				Op: contract.AppendOp(fmt.Sprintf("acct-%06d", zr.Uint64()), "x"),
-			}
-			tx.ID = types.TxID(fmt.Sprintf("tz-%d-%d", abs, i))
-			txns[i] = tx
-		}
-		blocks[bn] = txns
-	}
-	return blocks
-}
-
-// BenchmarkExecutorTiered measures the larger-than-RAM hot path: 100k
-// accounts (~8MiB of state) against a 1MiB hot budget — a working set 8x
-// the cap — under a Zipfian access stream. Rows: the in-RAM KVStore
-// baseline and the tiered store, whose cold reads execution workers take
-// on demand; coldreads/tx counts them. One iteration = a burst of 4
-// blocks of 128 transactions.
-func BenchmarkExecutorTiered(b *testing.B) {
-	const (
-		accounts      = 100_000
-		valBytes      = 64
-		hotCap        = 1 << 20
-		blockTxns     = 128
-		blocksPerIter = 4
-		zipfS         = 1.2
-	)
-	genesis := make([]types.KV, accounts)
-	val := []byte(strings.Repeat("a", valBytes))
-	for i := range genesis {
-		genesis[i] = types.KV{Key: fmt.Sprintf("acct-%06d", i), Val: val}
-	}
-	for _, tiered := range []bool{false, true} {
-		name := "mem"
-		if tiered {
-			name = "tiered"
-		}
-		b.Run(name, func(b *testing.B) {
-			var ts *state.TieredStore
-			opt := func(c *Config) {
-				if tiered {
-					var err error
-					ts, err = state.NewTieredStore(state.TieredConfig{HotBytes: hotCap})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { ts.Close() })
-					c.Store = ts
-				}
-				c.Store.Apply(genesis)
-			}
-			r := newBenchRigDepth(b, 8, 4, contract.NewKV(), opt)
-			zr := rand.NewZipf(rand.New(rand.NewSource(42)), zipfS, 1, accounts-1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.runBlocks(b, zipfAccountBlocks(zr, i*blocksPerIter, blocksPerIter, blockTxns))
-			}
-			b.StopTimer()
-			txns := b.N * blocksPerIter * blockTxns
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(txns)/secs, "tx/s")
-			}
-			if ts != nil {
-				st := ts.Stats()
-				b.ReportMetric(float64(st.ColdReads)/float64(txns), "coldreads/tx")
-				b.ReportMetric(float64(st.Evictions)/float64(txns), "evictions/tx")
-			}
-		})
 	}
 }

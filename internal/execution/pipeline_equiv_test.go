@@ -121,7 +121,7 @@ func cutMono(blocks [][]*types.Transaction, orderer types.NodeID) []*types.NewBl
 type rig struct {
 	net     *transport.InMemNetwork
 	exec    *Executor
-	store   state.Backend
+	store   *state.KVStore
 	led     *ledger.Ledger
 	mgr     *persist.Manager
 	rec     *persist.Recovered // recovery provenance (durable rigs only)
@@ -176,7 +176,7 @@ func newRig(t testing.TB, depth int, genesis []types.KV, opts ...func(*Config)) 
 // short traces still exercise WAL truncation). An empty dataDir yields
 // the plain in-memory rig. Reopening the same directory resumes from
 // whatever the previous rig made durable. opts mutate the executor
-// Config after the rig defaults (dispatch order, backend, agents).
+// Config after the rig defaults (dispatch order, agents).
 func newDurableRig(t testing.TB, depth int, dataDir string, genesis []types.KV,
 	opts ...func(*Config)) *rig {
 	t.Helper()
@@ -229,7 +229,6 @@ func newDurableRig(t testing.TB, depth int, dataDir string, genesis []types.KV,
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	r.store = cfg.Store // an opt may swap the backend (tiered suite)
 	r.exec = New(cfg)
 	r.exec.Start()
 	t.Cleanup(func() { r.shutdown(t) })

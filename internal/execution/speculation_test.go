@@ -34,7 +34,7 @@ import (
 type specNet struct {
 	net     *transport.InMemNetwork
 	execs   []*Executor
-	stores  []state.Backend
+	stores  []*state.KVStore
 	leds    []*ledger.Ledger
 	mgrs    []*persist.Manager
 	orderer transport.Endpoint
@@ -46,7 +46,6 @@ type specNetConfig struct {
 	executors int
 	depth     int
 	tau       int
-	tiered    bool // eviction-forcing tiered store per executor (in-memory rigs only)
 	sched     dispatchOrder
 	dataDir   string // per-executor subdirectories; "" = in-memory
 }
@@ -83,7 +82,7 @@ func newSpecNet(t testing.TB, cfg specNetConfig, genesis []types.KV) *specNet {
 			}
 		}
 		var (
-			store state.Backend
+			store *state.KVStore
 			led   *ledger.Ledger
 			mgr   *persist.Manager
 		)
@@ -100,15 +99,7 @@ func newSpecNet(t testing.TB, cfg specNetConfig, genesis []types.KV) *specNet {
 			}
 			store, led = rec.Store, rec.Ledger
 		} else {
-			if cfg.tiered {
-				ts, err := state.NewTieredStore(state.TieredConfig{HotBytes: tieredTestHotBytes})
-				if err != nil {
-					t.Fatal(err)
-				}
-				store = ts
-			} else {
-				store = state.NewKVStore()
-			}
+			store = state.NewKVStore()
 			store.Apply(genesis)
 			led = ledger.New()
 		}
@@ -156,9 +147,6 @@ func (n *specNet) stop(t testing.TB) {
 				t.Fatal(err)
 			}
 		}
-	}
-	for _, s := range n.stores {
-		s.Close() // tiered stores hold cold-tier temp dirs
 	}
 	n.net.Close()
 }

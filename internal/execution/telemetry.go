@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parblockchain/internal/state"
 	"parblockchain/internal/telemetry"
 )
 
@@ -86,9 +85,6 @@ func (e *Executor) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.L
 		"Blocks in the local ledger.",
 		func() float64 { return float64(e.cfg.Ledger.Height()) })
 
-	if ts, ok := e.cfg.Store.(*state.TieredStore); ok {
-		ts.RegisterTelemetry(reg, labels)
-	}
 	if e.cfg.Persist != nil {
 		e.cfg.Persist.RegisterTelemetry(reg, labels)
 	}
@@ -114,9 +110,6 @@ type Status struct {
 	LastProgressMs    int64  `json:"last_progress_ms"`
 	StreamBufferBytes int64  `json:"stream_buffer_bytes"`
 	CommitBufferBytes int64  `json:"commit_buffer_bytes"`
-	HotKeys           int    `json:"hot_keys,omitempty"`
-	ColdKeys          int    `json:"cold_keys,omitempty"`
-	HotBytes          int64  `json:"hot_bytes,omitempty"`
 }
 
 // Status snapshots the pipeline for the ops server. Safe to call
@@ -136,12 +129,6 @@ func (e *Executor) Status() Status {
 	}
 	if reason := e.mirror.haltReason.Load(); reason != nil {
 		st.Halted, st.HaltReason = true, *reason
-	}
-	if ts, ok := e.cfg.Store.(*state.TieredStore); ok {
-		tstats := ts.Stats()
-		st.HotKeys = tstats.HotKeys
-		st.ColdKeys = tstats.ColdKeys
-		st.HotBytes = tstats.HotBytes
 	}
 	return st
 }

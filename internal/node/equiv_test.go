@@ -80,7 +80,7 @@ func drive(t *testing.T, ep transport.Endpoint, router *oxii.CommitRouter) {
 
 // settle waits for every replica to hold the whole chain and returns the
 // observer's tip and state hash, having checked the others match it.
-func settle(t *testing.T, ledgers []*ledger.Ledger, stores []state.Backend) (types.Hash, types.Hash) {
+func settle(t *testing.T, ledgers []*ledger.Ledger, stores []*state.KVStore) (types.Hash, types.Hash) {
 	t.Helper()
 	deadline := time.Now().Add(eqCommitWait)
 	for i, led := range ledgers {
@@ -162,7 +162,7 @@ func TestAssemblyEquivalence(t *testing.T) {
 		}
 	}
 	var ledgers []*ledger.Ledger
-	var stores []state.Backend
+	var stores []*state.KVStore
 	for _, id := range eqExecutors {
 		x, err := node.NewExecutor(describe(id))
 		if err != nil {

@@ -45,12 +45,11 @@ func effectiveOf(x *node.Executor, o *node.Orderer) effective {
 }
 
 // knobs holds, for every field of node.Tunables, a non-zero value in
-// cluster-JSON spelling, whatever other knob that value needs to be
-// legal, and where it has to surface in the lower layers' configs as
-// (got, want) pairs.
+// cluster-JSON spelling and where it has to surface in the lower layers'
+// configs as (got, want) pairs.
 var knobs = map[string]struct {
-	json, needs string
-	lands       func(e effective) [][2]any
+	json  string
+	lands func(e effective) [][2]any
 }{
 	"PipelineDepth": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
 	"FsyncPolicy": {json: `"always"`, lands: func(e effective) [][2]any {
@@ -58,9 +57,6 @@ var knobs = map[string]struct {
 	}},
 	"SnapshotInterval": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.persist.SnapshotInterval, 3}} }},
 	"SegmentBytes":     {json: `4096`, lands: func(e effective) [][2]any { return [][2]any{{e.persist.SegmentBytes, 4096}} }},
-	"StateBackend":     {json: `"tiered"`, lands: func(e effective) [][2]any { return [][2]any{{e.persist.StateBackend, "tiered"}} }},
-	"HotTierBytes": {json: `4096`, needs: `"stateBackend": "tiered"`,
-		lands: func(e effective) [][2]any { return [][2]any{{e.persist.HotTierBytes, int64(4096)}} }},
 }
 
 // retired holds, for every knob a past change turned into a fixed value,
@@ -120,9 +116,6 @@ func TestNoKnobSilentlyDropped(t *testing.T) {
 		}
 		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 		setting := fmt.Sprintf("%q: %s", tag, knob.json)
-		if knob.needs != "" {
-			setting += ", " + knob.needs
-		}
 		check := func(t *testing.T, x *node.Executor, o *node.Orderer) {
 			t.Helper()
 			for _, pair := range knob.lands(effectiveOf(x, o)) {

@@ -192,8 +192,6 @@ func (c *Config) persistConfig() persist.Config {
 		Fsync:            c.FsyncPolicy,
 		SnapshotInterval: c.SnapshotInterval,
 		SegmentBytes:     c.SegmentBytes,
-		StateBackend:     c.StateBackend,
-		HotTierBytes:     c.HotTierBytes,
 		Logf:             c.Logf,
 	}
 }
@@ -294,9 +292,8 @@ func (c *Config) startOps(register func(*telemetry.Registry, telemetry.Labels),
 // promoted; Start and Stop are the node's.
 type Executor struct {
 	*execution.Executor
-	// Store and Ledger are the node's committed state and chain. Stop
-	// closes the store (hashes stay readable, cold values do not).
-	Store  state.Backend
+	// Store and Ledger are the node's committed state and chain.
+	Store  *state.KVStore
 	Ledger *ledger.Ledger
 	// Persist is the durability manager and Recovered the recovery
 	// provenance (snapshot height, WAL records replayed); both nil
@@ -333,26 +330,15 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		registry.Install(app, c)
 	}
 	n := &Executor{cfg: cfg}
-	switch {
-	case cfg.DataDir != "":
+	if cfg.DataDir != "" {
 		var err error
 		n.Persist, n.Recovered, err = persist.Open(cfg.persistConfig(), cfg.Genesis)
 		if err != nil {
 			return fail(err)
 		}
 		n.Store, n.Ledger = n.Recovered.Store, n.Recovered.Ledger
-	case cfg.StateBackend == "tiered":
-		// Non-durable tiered mode: the cold tier lives in a private temp
-		// directory, removed when the store closes.
-		ts, err := state.NewTieredStore(state.TieredConfig{HotBytes: cfg.HotTierBytes})
-		if err != nil {
-			return fail(err)
-		}
-		n.Store = ts
-	default:
+	} else {
 		n.Store = state.NewKVStore()
-	}
-	if n.Ledger == nil {
 		n.Store.Apply(cfg.Genesis)
 		n.Ledger = ledger.New()
 	}
@@ -378,9 +364,8 @@ func (n *Executor) Start() (err error) {
 }
 
 // Stop shuts the node down: ops server, executor, then the durability
-// manager — so every finalized block is on disk when Stop returns — and
-// the store, releasing a tiered backend's cold-tier files. Stop is
-// idempotent, and safe on a node that was never started.
+// manager, so every finalized block is on disk when Stop returns. Stop
+// is idempotent, and safe on a node that was never started.
 func (n *Executor) Stop() {
 	closeOps(&n.ops)
 	n.Executor.Stop()
@@ -388,9 +373,6 @@ func (n *Executor) Stop() {
 		if err := n.Persist.Close(); err != nil && n.cfg.Logf != nil {
 			n.cfg.Logf("node: closing durability manager of %s: %v", n.cfg.ID, err)
 		}
-	}
-	if err := n.Store.Close(); err != nil && n.cfg.Logf != nil {
-		n.cfg.Logf("node: closing store of %s: %v", n.cfg.ID, err)
 	}
 }
 

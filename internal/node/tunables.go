@@ -42,18 +42,6 @@ type Tunables struct {
 	// snapshots; the sync suites reach that snapshot path through the
 	// two. Ignored without a data dir.
 	SegmentBytes int `json:"segmentBytes,omitempty"`
-	// StateBackend selects each executor's committed-state store: "" or
-	// "memory" for the all-in-RAM KVStore, "tiered" for a byte-budgeted
-	// hot cache over disk-resident cold segments (state larger than
-	// RAM). With a data dir the cold tier lives under the executor's
-	// directory and snapshots become backend-native; without one a tiered
-	// store uses a private temp directory, removed when the node stops.
-	// Ledger and state are bit-identical across backends, and nodes of
-	// one cluster may mix them.
-	StateBackend string `json:"stateBackend,omitempty"`
-	// HotTierBytes budgets the tiered backend's hot cache per executor;
-	// zero uses the state package default. Requires StateBackend "tiered".
-	HotTierBytes int64 `json:"hotTierBytes,omitempty"`
 }
 
 // Validate rejects values no layer can honor. durable says whether the
@@ -65,7 +53,6 @@ func (t Tunables) Validate(durable bool) error {
 	}{
 		{"pipelineDepth", int64(t.PipelineDepth)},
 		{"segmentBytes", int64(t.SegmentBytes)},
-		{"hotTierBytes", t.HotTierBytes},
 	} {
 		if knob.value < 0 {
 			return fmt.Errorf("%s must be >= 0", knob.name)
@@ -73,12 +60,6 @@ func (t Tunables) Validate(durable bool) error {
 	}
 	if _, err := persist.ParseFsyncPolicy(string(t.FsyncPolicy)); err != nil {
 		return err
-	}
-	if !persist.ValidStateBackend(t.StateBackend) {
-		return fmt.Errorf("unknown stateBackend %q (want one of %v)", t.StateBackend, persist.StateBackendNames)
-	}
-	if t.HotTierBytes != 0 && t.StateBackend != "tiered" {
-		return fmt.Errorf("hotTierBytes requires stateBackend \"tiered\"")
 	}
 	if !durable && t.FsyncPolicy != "" {
 		return fmt.Errorf("fsyncPolicy requires dataDir")

@@ -99,13 +99,10 @@ type Network struct {
 	ExecutorNodes []*node.Executor
 	OrdererNodes  []*node.Orderer
 	// Orderers, Executors, Stores and Ledgers are views of the nodes' role
-	// cores and state, indexed the same way. Stop closes the stores
-	// (releasing a tiered backend's cold-tier files), so read anything you
-	// need — hashes stay readable, cold values do not — before stopping
-	// the network.
+	// cores and state, indexed the same way.
 	Orderers  []*ordering.Orderer
 	Executors []*execution.Executor
-	Stores    []state.Backend
+	Stores    []*state.KVStore
 	Ledgers   []*ledger.Ledger
 	signers   map[types.NodeID]cryptoutil.Signer
 	verifier  cryptoutil.Verifier
@@ -142,13 +139,13 @@ func New(cfg Config) (*Network, error) {
 		router:   NewCommitRouter(),
 	}
 
-	// A failure part-way stops the nodes built so far, so no WAL segment,
-	// cold-tier handle or durable-log lock leaks (and a retried New starts
+	// A failure part-way stops the nodes built so far, so no WAL segment
+	// or durable-log lock leaks (and a retried New starts
 	// from clean directories).
 	n := len(cfg.Executors)
 	nw.ExecutorNodes = make([]*node.Executor, n)
 	nw.Executors = make([]*execution.Executor, n)
-	nw.Stores = make([]state.Backend, n)
+	nw.Stores = make([]*state.KVStore, n)
 	nw.Ledgers = make([]*ledger.Ledger, n)
 	for i := range cfg.Executors {
 		if err := nw.buildExecutor(i); err != nil {
@@ -291,9 +288,8 @@ func (nw *Network) Stop() {
 // KillExecutor takes executor i down the way a process kill would: its
 // endpoint is removed from the network first (in-flight and future
 // traffic to the node is lost, peers see silence), then the node stops,
-// leaving only what the WAL and snapshots already held and — like a dead
-// process — no file handles on its cold tier. The chaos harness pairs it
-// with RestartExecutor.
+// leaving only what the WAL and snapshots already held. The chaos
+// harness pairs it with RestartExecutor.
 func (nw *Network) KillExecutor(i int) {
 	nw.cfg.Net.Remove(nw.cfg.Executors[i])
 	nw.ExecutorNodes[i].Stop()
@@ -366,7 +362,7 @@ func (nw *Network) Router() *CommitRouter { return nw.router }
 // store. It panics with a descriptive message if the network holds no
 // executors — possible only for a Network value not built by New, which
 // rejects executor-less configurations.
-func (nw *Network) ObserverStore() state.Backend {
+func (nw *Network) ObserverStore() *state.KVStore {
 	if len(nw.Stores) == 0 {
 		panic("oxii: network has no executors; ObserverStore needs Executors[0] (construct the Network with New)")
 	}

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"parblockchain/internal/state"
 	"parblockchain/internal/types"
 )
 
@@ -23,7 +23,9 @@ import (
 // (SegmentBytes 400), a second snapshot at height 5 that landed without
 // its prune (mid-segment, so replay must skip records inside a kept
 // segment), and a torn 12-byte frame after the last record.
-// testdata/compat/tiered.snap is compatTieredImage in the tiered format.
+// testdata/compat/tiered.snap is a height-7 snapshot in the retired
+// tiered format (magic PBSNAP02), written by the last commit that had a
+// tiered state backend.
 
 type compatExpected struct {
 	Height         uint64   `json:"height"`
@@ -58,23 +60,6 @@ func compatDelta(i int) []types.KV {
 		kvs = append(kvs, types.KV{Key: "empty", Val: []byte{}})
 	}
 	return kvs
-}
-
-func compatTieredImage() (*TieredManifest, [][]types.KV) {
-	dirty := [][]types.KV{
-		{{Key: "hot-a", Val: []byte("1")}, {Key: "gone", Val: nil}},
-		nil,
-		{{Key: "hot-b", Val: []byte{}}},
-	}
-	return &TieredManifest{
-		Height:       7,
-		LastHash:     types.Hash{0xaa},
-		StateHash:    types.Hash{0xbb},
-		Shards:       3,
-		Records:      41,
-		DirtyRecords: 3,
-		Segments:     []state.ColdSegRef{{Seq: 0, Len: 16}, {Seq: 2, Len: 4096}},
-	}, dirty
 }
 
 func TestWALCompatRecoversParentDirectory(t *testing.T) {
@@ -176,38 +161,11 @@ func TestWALCompatWritesIdenticalSegments(t *testing.T) {
 	}
 }
 
-// TestWALCompatSnapshotImages pins the shared envelope codec against
-// both formats as the parent wrote them: each image decodes to the
-// expected content and re-encodes to the identical bytes.
+// TestWALCompatSnapshotImages pins the snapshot codec against the
+// images the parent wrote: each decodes and re-encodes to the identical
+// bytes.
 func TestWALCompatSnapshotImages(t *testing.T) {
-	tman, dirty := compatTieredImage()
-	want, err := os.ReadFile("testdata/compat/tiered.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMan, gotDirty, err := decodeTieredSnapshot(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotMan.Marshal(), tman.Marshal()) || len(gotDirty) != len(dirty) {
-		t.Fatalf("tiered image decoded to %+v with %d sections", gotMan, len(gotDirty))
-	}
-	if gotDirty[0][1].Key != "gone" || gotDirty[0][1].Val != nil {
-		t.Fatalf("tombstone did not survive: %+v", gotDirty[0][1])
-	}
-	if v := gotDirty[2][0].Val; v == nil || len(v) != 0 {
-		t.Fatalf("empty value did not survive: %v", v)
-	}
-	path := filepath.Join(t.TempDir(), "tiered.snap")
-	if err := writeSnapshotFile(path, tieredSnapMagic, tman.Marshal(), dirty, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
-		t.Fatal("tiered image re-encodes to different bytes than the parent wrote")
-	}
-
-	// The full format: shard order inside a live store is map order, so
-	// the pin is decode → re-encode of the parent's own sections.
+	// Shard order inside a live store is map order, so the pin is decode → re-encode of the parent's own sections.
 	for _, name := range []string{"snap-0000000000000000.snap", "snap-0000000000000005.snap"} {
 		want, err := os.ReadFile(filepath.Join("testdata/compat/memory/snap", name))
 		if err != nil {
@@ -217,22 +175,52 @@ func TestWALCompatSnapshotImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mb, payload, err := openSnapshotImage(want, snapMagic)
+		mb, payload, err := openSnapshotImage(want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var shards [][]types.KV
-		if _, err := decodeSections(payload, man.Shards, false, func(kvs []types.KV) {
+		if _, err := decodeSections(payload, man.Shards, func(kvs []types.KV) {
 			shards = append(shards, kvs)
 		}); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), name)
-		if err := writeSnapshotFile(path, snapMagic, mb, shards, 4); err != nil {
+		if err := writeSnapshotFile(path, mb, shards, 4); err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
 			t.Fatalf("%s re-encodes to different bytes than the parent wrote", name)
 		}
+	}
+}
+
+// TestOpenRejectsTieredSnapshot: a data directory whose newest snapshot
+// is in the retired tiered format must not open — neither from an older
+// full snapshot (which would silently roll the node back) nor empty.
+// The error sends the operator to state sync.
+func TestOpenRejectsTieredSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/compat/memory")); err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := os.ReadFile("testdata/compat/tiered.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "snap", "snap-0000000000000007.snap")
+	if err := os.WriteFile(path, tiered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(dir)
+	cfg.SegmentBytes = loadCompatExpected(t).SegmentBytes
+	cfg.SnapshotInterval = -1
+	m, rec, err := Open(cfg, nil)
+	if err == nil {
+		m.Close()
+		t.Fatalf("opened a directory holding a tiered snapshot at height %d", rec.Ledger.Height())
+	}
+	if msg := err.Error(); !strings.Contains(msg, "state sync") || !strings.Contains(msg, path) {
+		t.Fatalf("error %q does not name %s and state sync", msg, path)
 	}
 }

@@ -149,45 +149,12 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func FuzzUnmarshalTieredManifest(f *testing.F) {
-	man := &TieredManifest{
-		Height:       12,
-		LastHash:     types.Hash{1},
-		StateHash:    types.Hash{2},
-		Shards:       32,
-		Records:      441,
-		DirtyRecords: 17,
-		Segments: []state.ColdSegRef{
-			{Seq: 0, Len: 16},
-			{Seq: 3, Len: 1 << 20},
-		},
-	}
-	f.Add(man.Marshal())
-	f.Add((&TieredManifest{}).Marshal())
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0x01}, 120))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalTieredManifest(data)
-		if err != nil {
-			return
-		}
-		enc := m.Marshal()
-		m2, err := UnmarshalTieredManifest(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("tiered manifest encoding is not a fixed point")
-		}
-	})
-}
-
 // snapshotImage writes one image through the real writer and returns its
 // bytes — the fuzz targets' valid seed.
-func snapshotImage(f *testing.F, magic [8]byte, manifest []byte, shards [][]types.KV) []byte {
+func snapshotImage(f *testing.F, manifest []byte, shards [][]types.KV) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "seed.snap")
-	if err := writeSnapshotFile(path, magic, manifest, shards, 1); err != nil {
+	if err := writeSnapshotFile(path, manifest, shards, 1); err != nil {
 		f.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -239,36 +206,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		Shards: uint64(len(shards)), Records: countRecords(shards)}
 	hostile := *man
 	hostile.Shards = 1 << 62
-	addImageSeeds(f, snapshotImage(f, snapMagic, man.Marshal(), shards), hostile.Marshal())
+	addImageSeeds(f, snapshotImage(f, man.Marshal(), shards), hostile.Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeAlloc(t, len(data), func() {
 			man, store, err := DecodeSnapshot(data)
 			if err == nil && (store.Hash() != man.StateHash || uint64(store.Len()) != man.Records) {
 				t.Fatal("DecodeSnapshot accepted an image its manifest does not describe")
-			}
-		})
-	})
-}
-
-func FuzzDecodeTieredSnapshot(f *testing.F) {
-	dirty := [][]types.KV{{{Key: "hot", Val: []byte("1")}, {Key: "gone", Val: nil}}, nil}
-	man := &TieredManifest{Height: 3, StateHash: types.Hash{2}, Shards: 2, Records: 9,
-		DirtyRecords: 2, Segments: []state.ColdSegRef{{Seq: 0, Len: 16}}}
-	hostile := *man
-	hostile.Shards = 1 << 62
-	addImageSeeds(f, snapshotImage(f, tieredSnapMagic, man.Marshal(), dirty), hostile.Marshal())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecodeAlloc(t, len(data), func() {
-			man, dirty, err := decodeTieredSnapshot(data)
-			if err != nil {
-				return
-			}
-			var n uint64
-			for _, batch := range dirty {
-				n += uint64(len(batch))
-			}
-			if n != man.DirtyRecords {
-				t.Fatal("decodeTieredSnapshot accepted an image its manifest does not describe")
 			}
 		})
 	})

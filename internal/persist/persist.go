@@ -9,8 +9,8 @@
 //     crash-recovery path that rebuilds the store, the ledger and the
 //     admission height from snapshot + WAL tail, and the range readers
 //     and snapshot adoption that peer state sync uses.
-//   - the snapshot image codec (snapshot.go, tieredsnap.go): one
-//     envelope writer and reader for the full and the tiered format.
+//   - the snapshot image codec (snapshot.go): one writer and one
+//     reader for the single snapshot format, PBSNAP01.
 //   - WriteFileAtomic (atomicfile.go): the one tmp-write → fsync →
 //     rename → fsync-dir sequence every replaced file goes through.
 //
@@ -106,34 +106,8 @@ type Config struct {
 	// SegmentBytes rolls the WAL to a fresh segment file once the
 	// current one exceeds this size. Zero means DefaultSegmentBytes.
 	SegmentBytes int
-	// StateBackend selects the committed-state store implementation:
-	// "" or "memory" for the all-in-RAM KVStore, "tiered" for the
-	// disk-backed TieredStore (byte-budgeted hot cache over cold segment
-	// files under Dir/cold, with backend-native snapshots that copy only
-	// the dirty hot entries). A tiered node restores a full-format
-	// snapshot fine (switching memory→tiered on an existing directory
-	// just works); the reverse switch is rejected, because a full store
-	// cannot read the cold segments a tiered snapshot references.
-	StateBackend string
-	// HotTierBytes budgets the tiered backend's hot cache. Zero means
-	// state.DefaultHotTierBytes. Ignored by the memory backend.
-	HotTierBytes int64
 	// Logf receives diagnostics; nil uses the stdlib logger.
 	Logf func(format string, args ...any)
-}
-
-// StateBackendNames lists the accepted Config.StateBackend spellings,
-// for flag help and config validation messages.
-var StateBackendNames = []string{"memory", "tiered"}
-
-// ValidStateBackend reports whether s names a known state backend (the
-// empty string selects memory).
-func ValidStateBackend(s string) bool {
-	switch s {
-	case "", "memory", "tiered":
-		return true
-	}
-	return false
 }
 
 func (c Config) withDefaults() Config {
@@ -169,10 +143,9 @@ type Stats struct {
 // Recovered is the state rebuilt by Open: the restored store and ledger,
 // plus provenance for assertions and logs.
 type Recovered struct {
-	// Store is the state store at the recovered height, of the concrete
-	// type Config.StateBackend selected. The caller owns it (including
-	// Close) once Open returns.
-	Store state.Backend
+	// Store is the state store at the recovered height. The caller owns
+	// it once Open returns.
+	Store *state.KVStore
 	// Ledger resumes at the snapshot base with the replayed WAL tail
 	// appended; its Height is the executor's restart admission height.
 	Ledger *ledger.Ledger
@@ -236,15 +209,12 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 	m.lock = lock
 	var (
 		man   *Manifest
-		store state.Backend
+		store *state.KVStore
 	)
 	opened := false
 	defer func() {
 		if !opened {
 			lock.Close()
-			if store != nil {
-				store.Close()
-			}
 			if m.log != nil {
 				m.log.Close()
 			}
@@ -259,20 +229,12 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
 
-	if !ValidStateBackend(cfg.StateBackend) {
-		return nil, nil, fmt.Errorf("persist: unknown state backend %q (want one of %v)",
-			cfg.StateBackend, StateBackendNames)
-	}
-
 	switch {
 	case len(snaps) == 0 && len(segs) == 0:
 		// Fresh directory: seed the store and make genesis durable as the
 		// height-0 snapshot, so recovery always has a snapshot below the
 		// WAL (genesis writes never travel through a block).
-		store, err = cfg.newBackend()
-		if err != nil {
-			return nil, nil, err
-		}
+		store = state.NewKVStore()
 		store.Apply(genesis)
 		write := m.captureSnapshot(0, types.ZeroHash, store)
 		if err := write(); err != nil {
@@ -286,12 +248,11 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 	default:
 		// Newest first; fall back across corrupt snapshots (replay below
 		// will fail loudly if the WAL no longer reaches back that far).
-		// Falling past a tiered snapshot is safe even though restoring
-		// one mutates the cold tier: an older snapshot's segment list is
-		// a prefix cut of a newer one's, so each attempt only ever
-		// discards data newer than the snapshot it restores.
 		for i := len(snaps) - 1; i >= 0; i-- {
-			man, store, err = m.loadSnapshot(m.snapPath(snaps[i]), cfg)
+			man, store, err = loadSnapshot(m.snapPath(snaps[i]))
+			if errors.Is(err, errTieredSnapshot) {
+				return nil, nil, err
+			}
 			if err == nil {
 				break
 			}
@@ -370,72 +331,23 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 	}, nil
 }
 
-// coldDir is where the tiered backend keeps its cold segment files.
-func (c Config) coldDir() string { return filepath.Join(c.Dir, "cold") }
+// errTieredSnapshot marks a snapshot written by the retired tiered
+// state backend (magic PBSNAP02). Open refuses such a directory outright
+// rather than falling back to an older snapshot or booting empty.
+var errTieredSnapshot = errors.New("snapshot is in the retired tiered format")
 
-// newBackend builds an empty store of the configured kind. The tiered
-// constructor wipes leftover cold segments, which is exactly right for
-// the fresh-directory and restore-from-full-snapshot paths — every
-// restore that keeps cold data goes through state.OpenTieredStore
-// instead.
-func (c Config) newBackend() (state.Backend, error) {
-	if c.StateBackend == "tiered" {
-		s, err := state.NewTieredStore(state.TieredConfig{
-			Dir: c.coldDir(), HotBytes: c.HotTierBytes})
-		if err != nil {
-			return nil, fmt.Errorf("persist: %w", err)
-		}
-		return s, nil
-	}
-	return state.NewKVStore(), nil
-}
-
-// loadSnapshot restores one snapshot file into a store of the
-// configured backend, dispatching on the file's magic. A full-format
-// snapshot loads into either backend (the memory→tiered migration
-// path); a tiered snapshot requires the tiered backend, because only
-// it can read the cold segments the manifest references.
-func (m *Manager) loadSnapshot(path string, cfg Config) (*Manifest, state.Backend, error) {
+// loadSnapshot reads and verifies one snapshot file.
+func loadSnapshot(path string) (*Manifest, *state.KVStore, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(raw) >= 8 && [8]byte(raw[:8]) == tieredSnapMagic {
-		if cfg.StateBackend != "tiered" {
-			return nil, nil, fmt.Errorf("persist: %s is a tiered snapshot; set the state backend to tiered", path)
-		}
-		tman, dirty, err := decodeTieredSnapshot(raw)
-		if err != nil {
-			return nil, nil, fmt.Errorf("persist: tiered snapshot %s: %w", path, err)
-		}
-		store, err := state.OpenTieredStore(state.TieredConfig{
-			Dir: cfg.coldDir(), HotBytes: cfg.HotTierBytes}, tman.Segments)
-		if err != nil {
-			return nil, nil, fmt.Errorf("persist: tiered snapshot %s: %w", path, err)
-		}
-		for _, batch := range dirty {
-			store.Apply(batch)
-		}
-		if got := uint64(store.Len()); got != tman.Records {
-			store.Close()
-			return nil, nil, fmt.Errorf("persist: tiered snapshot %s restored %d records, manifest says %d",
-				path, got, tman.Records)
-		}
-		if got := store.Hash(); got != tman.StateHash {
-			store.Close()
-			return nil, nil, fmt.Errorf("persist: tiered snapshot %s state hash mismatch: got %s want %s",
-				path, got, tman.StateHash)
-		}
-		return &Manifest{Height: tman.Height, LastHash: tman.LastHash,
-			StateHash: tman.StateHash, Records: tman.Records}, store, nil
+	if len(raw) >= 8 && string(raw[:8]) == "PBSNAP02" {
+		return nil, nil, fmt.Errorf("persist: %s: %w; delete the data directory and let "+
+			"the executor rejoin through state sync from a peer", path, errTieredSnapshot)
 	}
-	store, err := cfg.newBackend()
+	man, store, err := DecodeSnapshot(raw)
 	if err != nil {
-		return nil, nil, err
-	}
-	man, err := decodeSnapshotInto(raw, store)
-	if err != nil {
-		store.Close()
 		return nil, nil, fmt.Errorf("persist: snapshot %s: %w", path, err)
 	}
 	return man, store, nil
@@ -446,60 +358,18 @@ func (m *Manager) loadSnapshot(path string, cfg Config) (*Manifest, state.Backen
 // store mutually consistent) and returns a closure that writes the
 // capture durably, run inline at genesis and in the background by
 // MaybeSnapshot.
-func (m *Manager) captureSnapshot(height uint64, lastHash types.Hash, store state.Backend) func() error {
+func (m *Manager) captureSnapshot(height uint64, lastHash types.Hash, store *state.KVStore) func() error {
 	path := m.snapPath(height)
-	switch st := store.(type) {
-	case *state.TieredStore:
-		snap := st.CaptureSnapshot()
-		man := &TieredManifest{
-			Height:       height,
-			LastHash:     lastHash,
-			StateHash:    snap.Hash,
-			Shards:       uint64(len(snap.Dirty)),
-			Records:      snap.Records,
-			DirtyRecords: snap.DirtyRecords,
-			Segments:     snap.Segments,
-		}
-		return func() error {
-			// The manifest pins cold byte ranges, so those bytes must be
-			// durable before the snapshot file lands (sealed segments were
-			// synced at roll; this covers the active one).
-			if err := st.SyncCold(); err != nil {
-				return fmt.Errorf("persist: syncing cold tier: %w", err)
-			}
-			return writeSnapshotFile(path, tieredSnapMagic, man.Marshal(), snap.Dirty, 1)
-		}
-	case *state.KVStore:
-		shards, hash := st.SnapshotShards()
-		man := &Manifest{
-			Height:    height,
-			LastHash:  lastHash,
-			StateHash: hash,
-			Shards:    uint64(len(shards)),
-			Records:   countRecords(shards),
-		}
-		return func() error {
-			return writeSnapshotFile(path, snapMagic, man.Marshal(), shards, snapshotWorkers())
-		}
-	default:
-		// An unknown backend still snapshots correctly, just without the
-		// zero-copy shard capture: Snapshot is a consistent full copy.
-		full := st.Snapshot()
-		kvs := make([]types.KV, 0, len(full))
-		for k, v := range full {
-			kvs = append(kvs, types.KV{Key: k, Val: v})
-		}
-		sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
-		man := &Manifest{
-			Height:    height,
-			LastHash:  lastHash,
-			StateHash: store.Hash(),
-			Shards:    1,
-			Records:   uint64(len(kvs)),
-		}
-		return func() error {
-			return writeSnapshotFile(path, snapMagic, man.Marshal(), [][]types.KV{kvs}, 1)
-		}
+	shards, hash := store.SnapshotShards()
+	man := &Manifest{
+		Height:    height,
+		LastHash:  lastHash,
+		StateHash: hash,
+		Shards:    uint64(len(shards)),
+		Records:   countRecords(shards),
+	}
+	return func() error {
+		return writeSnapshotFile(path, man.Marshal(), shards, snapshotWorkers())
 	}
 }
 
@@ -543,9 +413,8 @@ func (m *Manager) Sync() error { return m.log.Sync() }
 // consistent — and written to disk in the background; once durable, WAL
 // segments entirely below the snapshot are deleted. At most one snapshot
 // write is in flight; an elapsed interval during a write is skipped and
-// counted. A tiered store writes its backend-native format: dirty hot
-// entries plus a cold-segment cut, never the full contents.
-func (m *Manager) MaybeSnapshot(height uint64, lastHash types.Hash, store state.Backend) {
+// counted.
+func (m *Manager) MaybeSnapshot(height uint64, lastHash types.Hash, store *state.KVStore) {
 	if m.cfg.SnapshotInterval < 0 {
 		return
 	}

@@ -21,7 +21,7 @@ var testGenesis = []types.KV{
 // tests can drive the WAL exactly the way the executor's finalize
 // boundary does.
 type chainGen struct {
-	store state.Backend
+	store *state.KVStore
 	prev  types.Hash
 	num   uint64
 }

@@ -130,10 +130,7 @@ func snapshotWorkers() int {
 func encodeShard(kvs []types.KV) []byte {
 	size := 8
 	for _, kv := range kvs {
-		size += 8 + len(kv.Key) + 1
-		if kv.Val != nil {
-			size += 8 + len(kv.Val)
-		}
+		size += 8 + len(kv.Key) + 1 + 8 + len(kv.Val)
 	}
 	buf := make([]byte, 0, size)
 	var scratch [8]byte
@@ -145,34 +142,29 @@ func encodeShard(kvs []types.KV) []byte {
 	for _, kv := range kvs {
 		u64(uint64(len(kv.Key)))
 		buf = append(buf, kv.Key...)
-		if kv.Val == nil {
-			buf = append(buf, 0)
-		} else {
-			buf = append(buf, 1)
-			u64(uint64(len(kv.Val)))
-			buf = append(buf, kv.Val...)
-		}
+		buf = append(buf, 1) // presence: a snapshot holds live records only
+		u64(uint64(len(kv.Val)))
+		buf = append(buf, kv.Val...)
 	}
 	return buf
 }
 
-// writeSnapshotFile writes (atomically) one snapshot image in the
-// envelope both formats share: magic, length-prefixed manifest, one
-// payload section per shard, CRC-32C over everything. The sections are
-// encoded by up to workers goroutines — serialization is the CPU-bound
-// part of a snapshot, and the shards are independent — and streamed to
-// the file in shard order as they become ready, so the bytes are
-// identical to a serial write. The encoders run at most 2*workers
-// sections ahead of the writer (each written section is released
-// immediately), so peak extra memory is a few encoded sections, never
-// the whole store.
-func writeSnapshotFile(path string, magic [8]byte, manifest []byte, shards [][]types.KV, workers int) error {
+// writeSnapshotFile writes (atomically) one snapshot image: magic,
+// length-prefixed manifest, one payload section per shard, CRC-32C over
+// everything. The sections are encoded by up to workers goroutines —
+// serialization is the CPU-bound part of a snapshot, and the shards are
+// independent — and streamed to the file in shard order as they become
+// ready, so the bytes are identical to a serial write. The encoders run
+// at most 2*workers sections ahead of the writer (each written section
+// is released immediately), so peak extra memory is a few encoded
+// sections, never the whole store.
+func writeSnapshotFile(path string, manifest []byte, shards [][]types.KV, workers int) error {
 	if workers > len(shards) {
 		workers = len(shards)
 	}
 	err := WriteFileAtomic(path, func(f *os.File) error {
 		cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20), crc: crc32.New(castagnoli)}
-		cw.bytes(magic[:])
+		cw.bytes(snapMagic[:])
 		cw.u32(uint32(len(manifest)))
 		cw.bytes(manifest)
 		if workers <= 1 {
@@ -235,15 +227,15 @@ func writeSnapshotFile(path string, magic [8]byte, manifest []byte, shards [][]t
 
 // openSnapshotImage verifies a snapshot image's checksum and magic and
 // splits it into the encoded manifest and the payload sections.
-func openSnapshotImage(raw []byte, magic [8]byte) (manifest, payload []byte, err error) {
-	if len(raw) < len(magic)+4+4 {
+func openSnapshotImage(raw []byte) (manifest, payload []byte, err error) {
+	if len(raw) < len(snapMagic)+4+4 {
 		return nil, nil, errors.New("snapshot truncated")
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
 		return nil, nil, errors.New("snapshot checksum mismatch")
 	}
-	if [8]byte(body[:8]) != magic {
+	if [8]byte(body[:8]) != snapMagic {
 		return nil, nil, errors.New("snapshot has bad magic")
 	}
 	mlen := int(binary.BigEndian.Uint32(body[8:]))
@@ -255,10 +247,9 @@ func openSnapshotImage(raw []byte, magic [8]byte) (manifest, payload []byte, err
 }
 
 // decodeSections decodes a payload of per-shard sections, handing each
-// shard's batch to emit in order, and returns the record count. Only
-// the tiered format admits tombstones (presence 0): a full snapshot
-// holds live records, so there a value is mandatory.
-func decodeSections(payload []byte, shards uint64, tombstones bool, emit func([]types.KV)) (uint64, error) {
+// shard's batch to emit in order, and returns the record count. A
+// snapshot holds live records only, so every record carries a value.
+func decodeSections(payload []byte, shards uint64, emit func([]types.KV)) (uint64, error) {
 	r := types.NewByteReader(payload)
 	var total uint64
 	for s := uint64(0); s < shards && r.Err() == nil; s++ {
@@ -270,14 +261,12 @@ func decodeSections(payload []byte, shards uint64, tombstones bool, emit func([]
 		batch := make([]types.KV, 0, n)
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
 			kv := types.KV{Key: r.Str()}
-			switch presence := r.Byte(); {
-			case presence == 1:
-				kv.Val = r.Blob()
-				if kv.Val == nil {
-					kv.Val = []byte{}
-				}
-			case presence != 0 || !tombstones:
-				r.Fail()
+			if r.Byte() != 1 {
+				r.Fail() // a snapshot holds no deletions
+			}
+			kv.Val = r.Blob()
+			if kv.Val == nil {
+				kv.Val = []byte{}
 			}
 			batch = append(batch, kv)
 		}
@@ -295,43 +284,33 @@ func decodeSections(payload []byte, shards uint64, tombstones bool, emit func([]
 	return total, nil
 }
 
-// DecodeSnapshot decodes and verifies a full snapshot file image —
-// checksum, magic, manifest, shard payloads, record count, and the
-// incremental state hash — into a fresh KVStore. State sync uses it to
-// validate a snapshot reassembled from peer-served chunks before
-// adopting it. Malformed input returns an error, never panics.
+// DecodeSnapshot decodes and verifies a snapshot file image — checksum,
+// magic, manifest, shard payloads, record count, and the incremental
+// state hash — into a fresh KVStore. Recovery loads local snapshots
+// through it, and state sync uses it to validate a snapshot reassembled
+// from peer-served chunks before adopting it. Malformed input returns an
+// error, never panics.
 func DecodeSnapshot(raw []byte) (*Manifest, *state.KVStore, error) {
-	store := state.NewKVStore()
-	man, err := decodeSnapshotInto(raw, store)
+	mb, payload, err := openSnapshotImage(raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	return man, store, nil
-}
-
-// decodeSnapshotInto is DecodeSnapshot applying into a caller-supplied
-// empty store, so recovery can restore a full-format snapshot into
-// whichever backend the node is configured with.
-func decodeSnapshotInto(raw []byte, store state.Backend) (*Manifest, error) {
-	mb, payload, err := openSnapshotImage(raw, snapMagic)
-	if err != nil {
-		return nil, err
-	}
 	man, err := UnmarshalManifest(mb)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	total, err := decodeSections(payload, man.Shards, false, store.Apply)
+	store := state.NewKVStore()
+	total, err := decodeSections(payload, man.Shards, store.Apply)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if total != man.Records {
-		return nil, fmt.Errorf("snapshot holds %d records, manifest says %d",
+		return nil, nil, fmt.Errorf("snapshot holds %d records, manifest says %d",
 			total, man.Records)
 	}
 	if got := store.Hash(); got != man.StateHash {
-		return nil, fmt.Errorf("snapshot state hash mismatch: got %s want %s",
+		return nil, nil, fmt.Errorf("snapshot state hash mismatch: got %s want %s",
 			got, man.StateHash)
 	}
-	return man, nil
+	return man, store, nil
 }

@@ -31,11 +31,11 @@ func TestSnapshotParallelWriteMatchesSerial(t *testing.T) {
 	}
 	dir := t.TempDir()
 	serialPath := filepath.Join(dir, "serial.snap")
-	if err := writeSnapshotFile(serialPath, snapMagic, man.Marshal(), shards, 1); err != nil {
+	if err := writeSnapshotFile(serialPath, man.Marshal(), shards, 1); err != nil {
 		t.Fatal(err)
 	}
 	parallelPath := filepath.Join(dir, "parallel.snap")
-	if err := writeSnapshotFile(parallelPath, snapMagic, man.Marshal(), shards, 4); err != nil {
+	if err := writeSnapshotFile(parallelPath, man.Marshal(), shards, 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +99,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("snap-%d.snap", i))
-				if err := writeSnapshotFile(path, snapMagic, man.Marshal(), shards, workers); err != nil {
+				if err := writeSnapshotFile(path, man.Marshal(), shards, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -79,39 +79,14 @@ func (m *Manager) ServeBlocks(from uint64, maxBytes int) ([][]byte, error) {
 }
 
 // NewestSnapshot returns the height of the newest durable snapshot file
-// servable to peers and whether one exists. It lists the directory
-// rather than trusting lastSnap, which is set before the background
-// write completes. Tiered (backend-native) snapshots are skipped: they
-// reference this node's local cold segment files and are useless on any
-// other machine, so a tiered node only offers peers whatever full-format
-// snapshot it may still hold (usually none — such peers fall back to
-// record-by-record sync).
+// and whether one exists. It lists the directory rather than trusting
+// lastSnap, which is set before the background write completes.
 func (m *Manager) NewestSnapshot() (uint64, bool) {
 	snaps, err := listSnapshots(m.snapDir)
-	if err != nil {
+	if err != nil || len(snaps) == 0 {
 		return 0, false
 	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		if servable, err := isFullSnapshot(m.snapPath(snaps[i])); err == nil && servable {
-			return snaps[i], true
-		}
-	}
-	return 0, false
-}
-
-// isFullSnapshot reports whether the file is a peer-servable full-format
-// snapshot (as opposed to a local-only tiered one).
-func isFullSnapshot(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := f.Read(magic[:]); err != nil {
-		return false, err
-	}
-	return magic == snapMagic, nil
+	return snaps[len(snaps)-1], true
 }
 
 // ServeSnapshotChunk returns one chunkBytes-sized slice of the snapshot
@@ -125,11 +100,6 @@ func (m *Manager) ServeSnapshotChunk(height, chunk uint64, chunkBytes int) ([]by
 	raw, err := os.ReadFile(m.snapPath(height))
 	if err != nil {
 		return nil, 0, fmt.Errorf("persist: serving snapshot %d: %w", height, err)
-	}
-	if len(raw) >= 8 && [8]byte(raw[:8]) == tieredSnapMagic {
-		// Peers only request heights NewestSnapshot offered, so this is a
-		// misbehaving requester (or a race with a fresh tiered write).
-		return nil, 0, fmt.Errorf("persist: snapshot %d is tiered (local-only)", height)
 	}
 	chunks := (uint64(len(raw)) + uint64(chunkBytes) - 1) / uint64(chunkBytes)
 	if chunks == 0 {

@@ -390,6 +390,10 @@ func (s *KVStore) SnapshotShards() ([][]types.KV, types.Hash) {
 	return out, hash
 }
 
+// Close is a no-op kept for callers that release a recovered store; the
+// in-memory store holds no resources.
+func (s *KVStore) Close() error { return nil }
+
 var (
 	_ Reader          = (*KVStore)(nil)
 	_ VersionedReader = (*KVStore)(nil)

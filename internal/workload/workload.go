@@ -8,9 +8,9 @@
 //   - 0%   (no contention): every transaction touches a fresh, disjoint
 //     pair of accounts, so no block contains conflicting transactions.
 //   - d%   (low/high contention): a d fraction of transactions operate on
-//     a small hot account set, conflicting with each other.
-//   - 100% (full contention): every transaction hits the hot set; the
-//     block's dependency graph is a chain.
+//     one hot account, conflicting with each other.
+//   - 100% (full contention): every transaction hits the hot account;
+//     the block's dependency graph is a chain.
 //
 // Conflicts are placed either within one application (the paper's solid
 // OXII lines) or across applications (the dashed OXII* lines): in
@@ -34,16 +34,14 @@ type Config struct {
 	// Apps lists the applications transactions are spread over.
 	Apps []types.AppID
 	// Contention is the fraction of transactions in [0,1] that target the
-	// hot account set.
+	// hot account, so every conflicting pair conflicts with each other:
+	// the paper's chain shape.
 	Contention float64
 	// CrossApp places conflicting transactions on alternating
 	// applications over shared hot records (the OXII* workloads). When
 	// false, all conflicting transactions belong to Apps[0], so the
 	// full-contention graph is a single chain inside one application.
 	CrossApp bool
-	// HotAccounts is the size of the hot set. 1 (the default) makes every
-	// conflicting pair conflict with each other, the paper's chain shape.
-	HotAccounts int
 	// ColdAccountsPerApp is the size of each application's disjoint
 	// account pool for non-conflicting traffic. Pairs are handed out
 	// cyclically, so the pool must well exceed twice the block size to
@@ -58,22 +56,11 @@ type Config struct {
 	// AbortFraction injects transactions drawn from an unfunded account,
 	// which deterministically abort. Used by fault-injection tests.
 	AbortFraction float64
-	// Skew switches hot-key selection from round-robin cycling to a
-	// Zipf(s=Skew) draw over the hot set, so low-numbered hot accounts
-	// absorb most of the conflicting traffic — the access pattern a
-	// tiered (larger-than-RAM) state store is built for. Must be 0
-	// (round-robin, the exact stream of earlier versions) or > 1 (the
-	// Zipf s parameter; larger is more skewed). The draw shares the
-	// generator's seeded RNG, so skewed streams stay reproducible.
-	Skew float64
 	// Seed makes the stream reproducible.
 	Seed int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.HotAccounts <= 0 {
-		c.HotAccounts = 1
-	}
 	if c.ColdAccountsPerApp <= 0 {
 		c.ColdAccountsPerApp = 100000
 	}
@@ -93,31 +80,20 @@ type Generator struct {
 
 	mu       sync.Mutex
 	rng      *rand.Rand
-	zipf     *rand.Zipf // nil unless cfg.Skew > 1
 	coldNext map[types.AppID]int
 	appRR    int // round-robin cursor over apps for cold traffic
-	hotRR    int // round-robin cursor over the hot set
 	hotApp   int // round-robin cursor over apps for cross-app conflicts
 	txSeq    uint64
 }
 
-// New returns a generator for the config. It panics on a Skew in (0,1]:
-// the standard library's Zipf sampler is undefined there, and silently
-// falling back to round-robin would misreport a benchmark as skewed.
+// New returns a generator for the config.
 func New(cfg Config) *Generator {
 	cfg = cfg.withDefaults()
-	g := &Generator{
+	return &Generator{
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		coldNext: make(map[types.AppID]int, len(cfg.Apps)),
 	}
-	if cfg.Skew != 0 {
-		if cfg.Skew <= 1 {
-			panic(fmt.Sprintf("workload: Skew must be 0 or > 1, got %v", cfg.Skew))
-		}
-		g.zipf = rand.NewZipf(g.rng, cfg.Skew, 1, uint64(cfg.HotAccounts-1))
-	}
-	return g
 }
 
 // Seed returns the deterministic RNG seed the generator was built with.
@@ -139,13 +115,13 @@ func (g *Generator) Trace(client types.NodeID, n int) []*types.Transaction {
 	return out
 }
 
-// HotKey returns the i-th hot account key for an application (or the
-// shared cross-application key when CrossApp is set).
-func (g *Generator) HotKey(app types.AppID, i int) types.Key {
+// HotKey returns the hot account key of an application (or the shared
+// cross-application key when CrossApp is set).
+func (g *Generator) HotKey(app types.AppID) types.Key {
 	if g.cfg.CrossApp {
-		return fmt.Sprintf("shared/hot%04d", i)
+		return "shared/hot0000"
 	}
-	return fmt.Sprintf("%s/hot%04d", app, i)
+	return string(app) + "/hot0000"
 }
 
 // ColdKey returns the i-th cold account key of an application.
@@ -159,10 +135,10 @@ func (g *Generator) poorKey(app types.AppID) types.Key {
 }
 
 // Genesis returns the funded-account records to install in every node's
-// state store before the run: all cold pools and the hot set.
+// state store before the run: all cold pools and the hot accounts.
 func (g *Generator) Genesis() []types.KV {
 	cfg := g.cfg
-	out := make([]types.KV, 0, len(cfg.Apps)*cfg.ColdAccountsPerApp+cfg.HotAccounts)
+	out := make([]types.KV, 0, len(cfg.Apps)*(cfg.ColdAccountsPerApp+1))
 	balance := contract.EncodeBalance(cfg.InitialBalance)
 	for _, app := range cfg.Apps {
 		for i := 0; i < cfg.ColdAccountsPerApp; i++ {
@@ -170,14 +146,10 @@ func (g *Generator) Genesis() []types.KV {
 		}
 	}
 	if cfg.CrossApp {
-		for i := 0; i < cfg.HotAccounts; i++ {
-			out = append(out, types.KV{Key: g.HotKey("", i), Val: balance})
-		}
+		out = append(out, types.KV{Key: g.HotKey(""), Val: balance})
 	} else {
 		for _, app := range cfg.Apps {
-			for i := 0; i < cfg.HotAccounts; i++ {
-				out = append(out, types.KV{Key: g.HotKey(app, i), Val: balance})
-			}
+			out = append(out, types.KV{Key: g.HotKey(app), Val: balance})
 		}
 	}
 	return out
@@ -219,7 +191,7 @@ func (g *Generator) Next(client types.NodeID, clientTS uint64) *types.Transactio
 	}
 }
 
-// nextHotOp builds a conflicting transaction: a transfer from a hot
+// nextHotOp builds a conflicting transaction: a transfer from the hot
 // account to a fresh cold account, so consecutive hot transactions form
 // write-write/read-write chains on the hot record.
 func (g *Generator) nextHotOp() (types.AppID, types.Operation) {
@@ -230,15 +202,7 @@ func (g *Generator) nextHotOp() (types.AppID, types.Operation) {
 	} else {
 		app = g.cfg.Apps[0]
 	}
-	var idx int
-	if g.zipf != nil {
-		idx = int(g.zipf.Uint64())
-	} else {
-		idx = g.hotRR % g.cfg.HotAccounts
-		g.hotRR++
-	}
-	hot := g.HotKey(app, idx)
-	return app, contract.TransferOp(hot, g.nextColdKey(app), g.cfg.Amount)
+	return app, contract.TransferOp(g.HotKey(app), g.nextColdKey(app), g.cfg.Amount)
 }
 
 func (g *Generator) nextColdApp() types.AppID {

@@ -96,7 +96,7 @@ func TestPartialContentionFraction(t *testing.T) {
 	hot := 0
 	for _, tx := range txns {
 		for _, k := range tx.Op.Writes {
-			if k == g.HotKey("A", 0) {
+			if k == g.HotKey("A") {
 				hot++
 				break
 			}
@@ -247,58 +247,4 @@ func TestAbortHotColdBandsExact(t *testing.T) {
 		t.Fatalf("hot fraction = %.4f, want %.2f ± %.2f (the pre-fix chained draws gave %.2f)",
 			got, contention, tol, (1-abortFrac)*contention)
 	}
-}
-
-// TestZipfSkewedHotKeys covers the Skew knob: a skewed stream stays
-// seed-reproducible, concentrates conflicting traffic on low-numbered
-// hot accounts, and Skew=0 keeps the exact round-robin cycling earlier
-// versions produced (the bit-identity contract the equivalence suites
-// rely on).
-func TestZipfSkewedHotKeys(t *testing.T) {
-	cfg := Config{Apps: apps(2), Contention: 1, HotAccounts: 64, Skew: 1.5, Seed: 5}
-	a := New(cfg).Trace("c1", 500)
-	b := New(cfg).Trace("c1", 500)
-	counts := make(map[string]int)
-	for i := range a {
-		if a[i].Digest() != b[i].Digest() {
-			t.Fatalf("skewed streams diverged at tx %d", i)
-		}
-		counts[a[i].Op.Params[0]]++
-	}
-	g := New(cfg)
-	head, tail := 0, 0
-	for key, n := range counts {
-		if !strings.Contains(key, "/hot") {
-			t.Fatalf("full-contention skewed stream drew non-hot source %s", key)
-		}
-		switch {
-		case key <= g.HotKey("A", 7):
-			head += n
-		case key >= g.HotKey("A", 32):
-			tail += n
-		}
-	}
-	if head <= 2*tail {
-		t.Fatalf("Zipf skew missing: hot00-07 drawn %d times, hot32+ %d times", head, tail)
-	}
-
-	// Skew=0: hot keys must cycle round-robin 0,1,2,... exactly as before.
-	cfg.Skew = 0
-	rr := New(cfg)
-	for i := 0; i < 130; i++ {
-		tx := rr.Next("c1", uint64(i))
-		want := rr.HotKey(tx.App, i%64)
-		if tx.Op.Params[0] != want {
-			t.Fatalf("Skew=0 tx %d source = %s, want round-robin %s", i, tx.Op.Params[0], want)
-		}
-	}
-}
-
-func TestZipfSkewRejectsDegenerateS(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(Skew=0.5) must panic: rand.NewZipf is undefined for s <= 1")
-		}
-	}()
-	New(Config{Apps: apps(1), Skew: 0.5})
 }

@@ -37,9 +37,8 @@
 # dispatch reached there (the chain stays off the queue-drain path; ~6.1k
 # on a 2-core host, at the chain's sleep-bound critical path); the
 # chained workload has nothing to reorder (~4.2k).
-# BenchmarkExecutorTiered/{mem,tiered} is the larger-than-RAM pair: a
-# Zipfian working set 8x the tiered hot budget, with the tiered row's
-# coldreads/tx and evictions/tx showing how hard the cold tier worked.
+# BENCH_state.json's BenchmarkExecutorTiered rows predate the removal of
+# the tiered state backend; no run refreshes them any more.
 #
 # Each run refreshes the "benchmarks" snapshot AND appends a dated entry
 # to the "runs" trajectory in the output file, so the perf history
