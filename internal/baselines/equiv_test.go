@@ -1,8 +1,9 @@
 // Package baselines_test checks cross-paradigm invariants: all three
 // systems implement the same replicated state machine, so on a fixed
-// committed workload the sequential OX paradigm and the parallel OXII
-// paradigm must reach identical final states — the serializability
-// guarantee the dependency graph exists to provide.
+// committed workload the sequential OX paradigm, the parallel OXII
+// paradigm and the endorse-then-validate XOV paradigm must reach
+// identical final states — the serializability guarantee the dependency
+// graph exists to provide, and the one XOV's MVCC check buys with aborts.
 package baselines_test
 
 import (
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"parblockchain/internal/baselines/ox"
+	"parblockchain/internal/baselines/xov"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/oxii"
 	"parblockchain/internal/transport"
@@ -64,7 +66,7 @@ func runOXII(t *testing.T, txns []*types.Transaction, genesis []types.KV) types.
 	}
 	nw.Start()
 	defer nw.Stop()
-	commitAll(t, nw.Client, txns)
+	commitAll(t, oxiiDo(t, nw.Client), txns, 8)
 	return nw.ObserverStore().Hash()
 }
 
@@ -95,24 +97,72 @@ func runOX(t *testing.T, txns []*types.Transaction, genesis []types.KV) types.Ha
 	}
 	nw.Start()
 	defer nw.Stop()
-	commitAll(t, nw.Client, txns)
+	commitAll(t, oxiiDo(t, nw.Client), txns, 8)
 	return nw.ObserverStore().Hash()
 }
 
-// commitAll submits transactions one at a time (serial submission pins
-// the total order to the batch order, so both paradigms order the same
-// history) and waits for each commit.
-func commitAll(t *testing.T,
-	clientOf func(types.NodeID) (*oxii.Client, error), txns []*types.Transaction) {
+// runXOV commits the batch on the execute-order-validate baseline, one
+// transaction at a time, and returns the observer's state hash. With
+// several in flight, a hot key's MVCC aborts can exhaust a client's
+// retries: the paradigm's livelock under contention, not a divergence.
+func runXOV(t *testing.T, txns []*types.Transaction, genesis []types.KV) types.Hash {
+	t.Helper()
+	net := transport.NewInMemNetwork(transport.InMemConfig{
+		Latency: transport.ConstantLatency(100 * time.Microsecond),
+	})
+	defer net.Close()
+	nw, err := xov.New(xov.Config{
+		Orderers: []types.NodeID{"o1", "o2", "o3"},
+		Peers:    []types.NodeID{"p1", "p2", "p3"},
+		Clients:  []types.NodeID{"c1"},
+		Agents: map[types.AppID][]types.NodeID{
+			"app1": {"p1"}, "app2": {"p2"}, "app3": {"p3"},
+		},
+		Contracts: map[types.AppID]contract.Contract{
+			"app1": contract.NewAccounting(),
+			"app2": contract.NewAccounting(),
+			"app3": contract.NewAccounting(),
+		},
+		MaxBlockTxns:     16,
+		MaxBlockInterval: 20 * time.Millisecond,
+		Genesis:          genesis,
+		Net:              net,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Start()
+	defer nw.Stop()
+	client, err := nw.Client("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitAll(t, func(tx *types.Transaction) (types.TxResult, error) {
+		result, _, err := client.Do(tx, 20*time.Second)
+		return result, err
+	}, txns, 1)
+	return nw.ObserverStore().Hash()
+}
+
+// oxiiDo returns the Do of client c1 built by clientOf.
+func oxiiDo(t *testing.T, clientOf func(types.NodeID) (*oxii.Client, error)) func(*types.Transaction) (types.TxResult, error) {
 	t.Helper()
 	client, err := clientOf("c1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return func(tx *types.Transaction) (types.TxResult, error) { return client.Do(tx, 20*time.Second) }
+}
+
+// commitAll submits the transactions in batch order with at most
+// inflight outstanding and waits for each commit.
+func commitAll(t *testing.T, do func(*types.Transaction) (types.TxResult, error),
+	txns []*types.Transaction, inflight int) {
+	t.Helper()
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8) // keep some pipeline without reordering risk per key
+	sem := make(chan struct{}, inflight)
 	for _, tx := range txns {
-		// Clone: the same transaction objects go to both systems, and
+		// Clone: the same transaction objects go to every system, and
 		// Finalize mutates them.
 		clone := &types.Transaction{
 			App:      tx.App,
@@ -125,7 +175,7 @@ func commitAll(t *testing.T,
 		go func(tx *types.Transaction) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if result, err := client.Do(tx, 20*time.Second); err != nil {
+			if result, err := do(tx); err != nil {
 				t.Errorf("Do: %v", err)
 			} else if result.Aborted {
 				t.Errorf("unexpected abort: %s", result.AbortReason)
@@ -135,23 +185,20 @@ func commitAll(t *testing.T,
 	wg.Wait()
 }
 
-// TestOXAndOXIIConverge: the parallel dependency-graph execution must be
-// equivalent to sequential execution — identical final state for the
-// same committed set, regardless of the order blocks happened to cut.
-//
-// Note the comparison is on *balances aggregated per account*, not exact
-// hashes of history: the two runs may order the commuting (deposit-only)
-// hot transactions differently across blocks. With transfer amounts fixed
-// and all transactions committing, final balances are order-insensitive
-// per account only for commuting ops; to make the check exact we compare
-// full state hashes, which requires identical totals per key — the
-// accounting workload's transfers are deterministic in value, so any
-// serial order yields the same final balances.
-func TestOXAndOXIIConverge(t *testing.T) {
+// TestParadigmsConverge: the parallel dependency-graph execution and
+// XOV's endorse-then-validate flow must both be equivalent to sequential
+// execution — identical final state for the same committed set,
+// regardless of the order blocks happened to cut. The accounting
+// workload's transfers are deterministic in value and every transaction
+// commits, so any serial order yields the same final balances and the
+// full state hashes must match.
+func TestParadigmsConverge(t *testing.T) {
 	txns, genesis := fixedWorkload(60)
-	hashOXII := runOXII(t, txns, genesis)
 	hashOX := runOX(t, txns, genesis)
-	if hashOXII != hashOX {
-		t.Fatal("OXII (parallel) and OX (sequential) final states diverge")
+	if runOXII(t, txns, genesis) != hashOX {
+		t.Error("OXII (parallel) and OX (sequential) final states diverge")
+	}
+	if runXOV(t, txns, genesis) != hashOX {
+		t.Error("XOV (endorse, order, validate) and OX (sequential) final states diverge")
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"parblockchain/internal/baselines"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/eventq"
 	"parblockchain/internal/execution"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/state"
@@ -47,15 +47,14 @@ type PeerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Peer is one OX peer: it validates announced blocks against an orderer
-// quorum and executes their transactions in order, sequentially, on a
-// single goroutine — the paradigm's defining bottleneck.
+// Peer is one OX peer: it takes blocks from an orderer quorum and
+// executes their transactions in order, sequentially, on a single
+// goroutine — the paradigm's defining bottleneck.
 type Peer struct {
-	cfg     PeerConfig
-	mailbox *eventq.Queue[transport.Message]
+	cfg PeerConfig
 
 	// State owned by the run goroutine.
-	blocks map[uint64]*peerBlock
+	intake baselines.Intake
 	halted bool
 
 	executed atomic.Uint64
@@ -65,42 +64,27 @@ type Peer struct {
 	wg       sync.WaitGroup
 }
 
-type peerBlock struct {
-	votes       map[types.NodeID]types.Hash
-	digestCount map[types.Hash]int
-	proposals   map[types.Hash]*types.NewBlockMsg
-	msg         *types.NewBlockMsg
-	valid       bool
-}
-
 // NewPeer creates an OX peer. Call Start before use.
 func NewPeer(cfg PeerConfig) *Peer {
-	if cfg.OrderQuorum <= 0 {
-		cfg.OrderQuorum = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	return &Peer{
-		cfg:     cfg,
-		mailbox: eventq.New[transport.Message](),
-		blocks:  make(map[uint64]*peerBlock),
+	p := &Peer{cfg: cfg, intake: baselines.Intake{Quorum: cfg.OrderQuorum}}
+	if cfg.VerifySigs {
+		p.intake.Verifier = cfg.Verifier
 	}
+	return p
 }
 
-// Start launches the receive and execution loops.
+// Start launches the execution loop.
 func (p *Peer) Start() {
-	p.wg.Add(2)
-	go p.recvLoop()
+	p.wg.Add(1)
 	go p.runLoop()
 }
 
 // Stop shuts the peer down.
 func (p *Peer) Stop() {
-	p.stopOnce.Do(func() {
-		p.cfg.Endpoint.Close()
-		p.mailbox.Close()
-	})
+	p.stopOnce.Do(func() { p.cfg.Endpoint.Close() })
 	p.wg.Wait()
 }
 
@@ -110,92 +94,25 @@ func (p *Peer) Executed() uint64 { return p.executed.Load() }
 // Aborted returns the number of aborted transactions.
 func (p *Peer) Aborted() uint64 { return p.aborted.Load() }
 
-func (p *Peer) recvLoop() {
-	defer p.wg.Done()
-	for msg := range p.cfg.Endpoint.Recv() {
-		p.mailbox.Push(msg)
-	}
-}
-
+// runLoop executes the blocks the intake releases. The endpoint's inbox
+// is unbounded, so reading it here never holds up a sender.
 func (p *Peer) runLoop() {
 	defer p.wg.Done()
-	for {
-		msg, ok := p.mailbox.Pop()
-		if !ok {
-			return
-		}
-		if p.halted {
-			continue
-		}
+	for msg := range p.cfg.Endpoint.Recv() {
 		m, ok := msg.Payload.(*types.NewBlockMsg)
-		if !ok || m.Block == nil || m.Orderer != msg.From {
+		if !ok || p.halted {
 			continue
 		}
-		p.handleNewBlock(msg.From, m)
-	}
-}
-
-func (p *Peer) handleNewBlock(from types.NodeID, m *types.NewBlockMsg) {
-	num := m.Block.Header.Number
-	if num < p.cfg.Ledger.Height() {
-		return
-	}
-	if p.cfg.VerifySigs {
-		digest := m.Digest()
-		if err := p.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			p.cfg.Logf("ox peer %s: bad NEWBLOCK signature from %s: %v", p.cfg.ID, from, err)
-			return
+		blocks, err := p.intake.Add(msg.From, m)
+		for _, b := range blocks {
+			if !p.halted {
+				p.executeBlock(b)
+			}
 		}
-	}
-	pb, ok := p.blocks[num]
-	if !ok {
-		pb = &peerBlock{
-			votes:       make(map[types.NodeID]types.Hash),
-			digestCount: make(map[types.Hash]int),
-			proposals:   make(map[types.Hash]*types.NewBlockMsg),
-		}
-		p.blocks[num] = pb
-	}
-	if pb.valid {
-		return
-	}
-	if _, dup := pb.votes[from]; dup {
-		return
-	}
-	digest := m.Digest()
-	pb.votes[from] = digest
-	pb.digestCount[digest]++
-	if _, have := pb.proposals[digest]; !have {
-		pb.proposals[digest] = m
-	}
-	if pb.digestCount[digest] >= p.cfg.OrderQuorum {
-		proposal := pb.proposals[digest]
-		if !proposal.Block.VerifyTxRoot() {
-			p.cfg.Logf("ox peer %s: block %d fails tx root", p.cfg.ID, num)
-			return
-		}
-		pb.valid = true
-		pb.msg = proposal
-		pb.proposals = nil
-		p.executeReady()
-	}
-}
-
-// executeReady executes validated blocks in chain order.
-func (p *Peer) executeReady() {
-	for {
-		next := p.cfg.Ledger.Height()
-		pb, ok := p.blocks[next]
-		if !ok || !pb.valid {
-			return
-		}
-		if pb.msg.Block.Header.PrevHash != p.cfg.Ledger.LastHash() {
-			p.cfg.Logf("ox peer %s: block %d does not extend local chain; halting", p.cfg.ID, next)
+		if err != nil {
+			p.cfg.Logf("ox peer %s: %v; halting", p.cfg.ID, err)
 			p.halted = true
-			return
 		}
-		p.executeBlock(pb.msg.Block)
-		delete(p.blocks, next)
 	}
 }
 

@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
+	"parblockchain/internal/node"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
 
-func testNetwork(t *testing.T) *Network {
+func testNetwork(t *testing.T, mutate func(*Config)) *Network {
 	t.Helper()
 	net := transport.NewInMemNetwork(transport.InMemConfig{
 		Latency: transport.ConstantLatency(100 * time.Microsecond),
 	})
-	nw, err := New(Config{
+	cfg := Config{
 		Orderers: []types.NodeID{"o1", "o2", "o3"},
 		Peers:    []types.NodeID{"p1", "p2", "p3"},
 		Clients:  []types.NodeID{"c1"},
@@ -31,7 +32,11 @@ func testNetwork(t *testing.T) *Network {
 			{Key: "app2/carol", Val: contract.EncodeBalance(1000)},
 		},
 		Net: net,
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	nw, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -43,33 +48,51 @@ func testNetwork(t *testing.T) *Network {
 	return nw
 }
 
+// pbft orders through four PBFT orderers, so peers release a block only
+// on two matching NEWBLOCKs.
+func pbft(cfg *Config) {
+	cfg.Orderers = []types.NodeID{"o1", "o2", "o3", "o4"}
+	cfg.Consensus = node.ConsensusPBFT
+}
+
 func TestOXEndToEnd(t *testing.T) {
-	nw := testNetwork(t)
-	client, err := nw.Client("c1")
-	if err != nil {
-		t.Fatalf("Client: %v", err)
-	}
-	tx := client.Prepare("app1", contract.TransferOp("app1/alice", "app1/bob", 250))
-	result, err := client.Do(tx, 5*time.Second)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if result.Aborted {
-		t.Fatalf("transfer aborted: %s", result.AbortReason)
-	}
-	raw, ok := nw.ObserverStore().Get("app1/bob")
-	if !ok {
-		t.Fatal("bob missing")
-	}
-	if bal, _ := contract.Balance(raw); bal != 250 {
-		t.Fatalf("bob balance = %d, want 250", bal)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		quorum int
+	}{{"kafka", nil, 1}, {"pbft", pbft, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := testNetwork(t, tc.mutate)
+			if q := nw.Peers[0].intake.Quorum; q != tc.quorum {
+				t.Fatalf("order quorum = %d, want %d", q, tc.quorum)
+			}
+			client, err := nw.Client("c1")
+			if err != nil {
+				t.Fatalf("Client: %v", err)
+			}
+			tx := client.Prepare("app1", contract.TransferOp("app1/alice", "app1/bob", 250))
+			result, err := client.Do(tx, 5*time.Second)
+			if err != nil {
+				t.Fatalf("Do: %v", err)
+			}
+			if result.Aborted {
+				t.Fatalf("transfer aborted: %s", result.AbortReason)
+			}
+			raw, ok := nw.ObserverStore().Get("app1/bob")
+			if !ok {
+				t.Fatal("bob missing")
+			}
+			if bal, _ := contract.Balance(raw); bal != 250 {
+				t.Fatalf("bob balance = %d, want 250", bal)
+			}
+		})
 	}
 }
 
 // TestOXSequentialConsistency checks that mixed concurrent traffic
 // produces identical state on every peer and a correct serial outcome.
 func TestOXSequentialConsistency(t *testing.T) {
-	nw := testNetwork(t)
+	nw := testNetwork(t, nil)
 	client, err := nw.Client("c1")
 	if err != nil {
 		t.Fatalf("Client: %v", err)

@@ -19,9 +19,6 @@ var (
 	// ErrEndorseTimeout is returned when the endorsement policy cannot be
 	// satisfied within the deadline.
 	ErrEndorseTimeout = errors.New("xov: endorsement timed out")
-	// ErrCommitTimeout is returned when an ordered transaction's
-	// validation result does not arrive within the deadline.
-	ErrCommitTimeout = errors.New("xov: commit timed out")
 	// ErrRetriesExhausted is returned when a transaction keeps aborting
 	// on MVCC conflicts.
 	ErrRetriesExhausted = errors.New("xov: retries exhausted")
@@ -35,7 +32,7 @@ type ClientConfig struct {
 	// Recv loop (XOV clients participate in two protocol phases, which
 	// is why moving them to a far zone hurts XOV most, Figure 7(a)).
 	Endpoint transport.Endpoint
-	// Signer signs transactions.
+	// Signer signs transactions and their envelopes.
 	Signer cryptoutil.Signer
 	// Orderers lists the ordering nodes.
 	Orderers []types.NodeID
@@ -52,13 +49,15 @@ type ClientConfig struct {
 // Client drives the three-phase XOV flow: endorse, order, await
 // validation; MVCC-aborted transactions are re-endorsed and resubmitted,
 // which is how a Fabric application must respond to validation aborts.
+// The ordering phase is an oxii.Client's: the envelope is signed, sent
+// round-robin to the orderers and resubmitted to the next one on a slow
+// commit, exactly as OX and OXII transactions are.
 type Client struct {
 	cfg ClientConfig
+	sub *oxii.Client
 
 	mu       sync.Mutex
 	endorse  map[types.TxID]chan *EndorsementMsg
-	ts       atomic.Uint64
-	rr       atomic.Uint64
 	retries  atomic.Uint64
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -72,6 +71,7 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	c := &Client{
 		cfg:     cfg,
+		sub:     oxii.NewClient(cfg.ID, cfg.Endpoint, cfg.Signer, cfg.Orderers, cfg.Router),
 		endorse: make(map[types.TxID]chan *EndorsementMsg),
 		stopCh:  make(chan struct{}),
 	}
@@ -81,7 +81,8 @@ func NewClient(cfg ClientConfig) *Client {
 }
 
 // Stop terminates the client's receive loop and releases any goroutines
-// blocked in Do.
+// blocked in Do's endorsement phase; those awaiting a commit are released
+// by the router's Shutdown.
 func (c *Client) Stop() {
 	c.stopOnce.Do(func() {
 		close(c.stopCh)
@@ -129,12 +130,7 @@ func (c *Client) Do(tx *types.Transaction, timeout time.Duration) (types.TxResul
 	for attempt := 1; ; attempt++ {
 		// Fresh identity per attempt: a retried transaction is a new
 		// request from the application's point of view.
-		txn := &types.Transaction{
-			App:      tx.App,
-			Client:   c.cfg.ID,
-			ClientTS: c.ts.Add(1),
-			Op:       tx.Op,
-		}
+		txn := c.sub.Prepare(tx.App, tx.Op)
 		workload.Finalize(txn, time.Now().UnixNano(), func(d []byte) []byte {
 			return c.cfg.Signer.Sign(d)
 		})
@@ -148,7 +144,7 @@ func (c *Client) Do(tx *types.Transaction, timeout time.Duration) (types.TxResul
 				TxID: txn.ID, Aborted: true, AbortReason: etx.AbortReason,
 			}, attempt, nil
 		}
-		result, err := c.orderAndAwait(txn, etx, deadline)
+		result, err := c.sub.Do(etx.Envelope(), time.Until(deadline))
 		if err != nil {
 			return types.TxResult{}, attempt, err
 		}
@@ -215,31 +211,5 @@ func (c *Client) endorseOnce(txn *types.Transaction, deadline time.Time) (*Endor
 		case <-timer.C:
 			return nil, fmt.Errorf("%w: %s", ErrEndorseTimeout, txn.ID)
 		}
-	}
-}
-
-// orderAndAwait submits the endorsed transaction and waits for the
-// observer peer's validation verdict.
-func (c *Client) orderAndAwait(txn *types.Transaction, etx *EndorsedTx, deadline time.Time) (types.TxResult, error) {
-	resultCh := c.cfg.Router.Register(txn.ID)
-	target := c.cfg.Orderers[c.rr.Add(1)%uint64(len(c.cfg.Orderers))]
-	if err := c.cfg.Endpoint.Send(target, &SubmitMsg{Payload: etx.Marshal()}); err != nil {
-		c.cfg.Router.Cancel(txn.ID)
-		return types.TxResult{}, fmt.Errorf("xov: submit to %s: %w", target, err)
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case <-c.stopCh:
-		c.cfg.Router.Cancel(txn.ID)
-		return types.TxResult{}, errors.New("xov: client stopped")
-	case result, ok := <-resultCh:
-		if !ok {
-			return types.TxResult{}, errors.New("xov: network shut down")
-		}
-		return result, nil
-	case <-timer.C:
-		c.cfg.Router.Cancel(txn.ID)
-		return types.TxResult{}, fmt.Errorf("%w: %s", ErrCommitTimeout, txn.ID)
 	}
 }

@@ -2,14 +2,19 @@
 // paper's "XOV" paradigm, modeled on Hyperledger Fabric): clients first
 // have the agents (endorsers) of an application *simulate* a transaction
 // against current state, collect an endorsement policy's worth of signed
-// read-version/write sets, and then submit the endorsed transaction for
-// ordering; every peer finally validates transactions sequentially with
-// an MVCC read-set check and aborts those that conflict with an earlier
-// committed write — the abort behaviour that collapses XOV throughput
-// under contention (Figures 6(b)-(d)).
+// read-version/write sets, and then submit the endorsed transaction,
+// wrapped in a signed envelope, to the same graph-less ordering service
+// OX uses; every peer finally takes the ordered blocks of envelopes
+// through the shared orderer-quorum intake, validates them sequentially
+// with an MVCC read-set check, and aborts those that conflict with an
+// earlier committed write — the abort behaviour that collapses XOV
+// throughput under contention (Figures 6(b)-(d)).
 package xov
 
 import (
+	"crypto/sha256"
+	"errors"
+
 	"parblockchain/internal/types"
 )
 
@@ -93,10 +98,10 @@ func writeEndorsementContent(w *types.ByteWriter, txID string, readVers []KeyVer
 	w.Str(reason)
 }
 
-func hashOf(b []byte) types.Hash { return shaSum(b) }
+func hashOf(b []byte) types.Hash { return sha256.Sum256(b) }
 
 // EndorsedTx is the client-assembled, policy-satisfying transaction that
-// enters the ordering service.
+// enters the ordering service, wrapped in an envelope (Envelope).
 type EndorsedTx struct {
 	// Tx is the original transaction.
 	Tx *types.Transaction
@@ -182,49 +187,48 @@ func UnmarshalEndorsedTx(b []byte) (*EndorsedTx, error) {
 	return e, nil
 }
 
-// SubmitMsg carries a marshaled EndorsedTx from a client to an orderer.
-type SubmitMsg struct {
-	// Payload is the marshaled EndorsedTx.
-	Payload []byte
-}
+// EnvelopeMethod is the operation method of an envelope: a transaction
+// whose one parameter is a marshaled EndorsedTx. The ordering service
+// orders envelopes as opaque signed transactions, as Fabric's orderers
+// order opaque envelopes; only peers open them.
+const EnvelopeMethod = "xov.endorsed"
 
-// ApproxSize implements transport sizing.
-func (m *SubmitMsg) ApproxSize() int { return len(m.Payload) + 16 }
+// Envelope errors: an ordered transaction that fails OpenEnvelope commits
+// as aborted with the error's text, the same on every peer.
+var (
+	// ErrNotEnvelope marks an ordered transaction that does not carry a
+	// well-formed EndorsedTx.
+	ErrNotEnvelope = errors.New("xov: not an endorsed-transaction envelope")
+	// ErrForeignEnvelope marks an envelope whose inner transaction names
+	// another client or application than the envelope itself: its
+	// signer may not submit on that transaction's behalf.
+	ErrForeignEnvelope = errors.New("xov: envelope and endorsed transaction disagree on client or application")
+)
 
-// BlockMsg announces an ordered block of endorsed transactions to all
-// peers for validation.
-type BlockMsg struct {
-	// Number is the block height.
-	Number uint64
-	// PrevHash chains validation blocks.
-	PrevHash types.Hash
-	// Items are marshaled EndorsedTx payloads in their agreed order.
-	Items [][]byte
-	// Orderer is the announcing orderer.
-	Orderer types.NodeID
-	// Sig signs Digest().
-	Sig []byte
-}
-
-// Digest hashes the block identity for signing and quorum matching.
-func (m *BlockMsg) Digest() types.Hash {
-	w := types.AcquireWriter()
-	defer types.ReleaseWriter(w)
-	w.U64(m.Number)
-	w.Blob(m.PrevHash[:])
-	w.U64(uint64(len(m.Items)))
-	for _, item := range m.Items {
-		h := shaSum(item)
-		w.Blob(h[:])
+// Envelope wraps the endorsed transaction for ordering, on behalf of the
+// inner transaction's client and application. The caller signs it.
+func (e *EndorsedTx) Envelope() *types.Transaction {
+	return &types.Transaction{
+		App:      e.Tx.App,
+		Client:   e.Tx.Client,
+		ClientTS: e.Tx.ClientTS,
+		Op:       types.Operation{Method: EnvelopeMethod, Params: []string{string(e.Marshal())}},
 	}
-	return shaSum(w.Bytes())
 }
 
-// ApproxSize implements transport sizing.
-func (m *BlockMsg) ApproxSize() int {
-	size := 128 + len(m.Sig)
-	for _, item := range m.Items {
-		size += len(item) + 8
+// OpenEnvelope decodes the endorsed transaction an ordered envelope
+// carries. The envelope's signature, checked by the orderers, vouches for
+// the inner transaction only when both name the same client and app.
+func OpenEnvelope(env *types.Transaction) (*EndorsedTx, error) {
+	if env.Op.Method != EnvelopeMethod || len(env.Op.Params) != 1 {
+		return nil, ErrNotEnvelope
 	}
-	return size
+	etx, err := UnmarshalEndorsedTx([]byte(env.Op.Params[0]))
+	if err != nil {
+		return nil, ErrNotEnvelope
+	}
+	if etx.Tx.Client != env.Client || etx.Tx.App != env.App {
+		return nil, ErrForeignEnvelope
+	}
+	return etx, nil
 }

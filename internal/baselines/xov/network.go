@@ -9,6 +9,7 @@ import (
 	"parblockchain/internal/execution"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/node"
+	"parblockchain/internal/ordering"
 	"parblockchain/internal/oxii"
 	"parblockchain/internal/state"
 	"parblockchain/internal/transport"
@@ -33,7 +34,9 @@ type Config struct {
 	Tau map[types.AppID]int
 	// Consensus picks the ordering protocol (default Kafka-style).
 	Consensus node.ConsensusKind
-	// Block cut conditions (defaults 100 / 2MB / 100ms).
+	// Block cut conditions, as in ordering.Config, except that
+	// MaxBlockTxns defaults to 100: the paper finds XOV's peak around 100
+	// transactions per block.
 	MaxBlockTxns     int
 	MaxBlockBytes    int
 	MaxBlockInterval time.Duration
@@ -54,7 +57,7 @@ type Config struct {
 // Network is a running XOV deployment.
 type Network struct {
 	cfg      Config
-	Orderers []*Orderer
+	Orderers []*ordering.Orderer
 	Peers    []*Peer
 	Stores   []*state.KVStore
 	Ledgers  []*ledger.Ledger
@@ -70,6 +73,9 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.Consensus == "" {
 		cfg.Consensus = node.ConsensusKafka
+	}
+	if cfg.MaxBlockTxns <= 0 {
+		cfg.MaxBlockTxns = 100
 	}
 	signers, verifier, err := node.GenerateKeys(cfg.Crypto, cfg.Orderers, cfg.Peers, cfg.Clients)
 	if err != nil {
@@ -134,17 +140,25 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		nw.Orderers = append(nw.Orderers, NewOrderer(OrdererConfig{
+		// The same graph-less ordering service as OX: envelopes are
+		// opaque signed transactions to it.
+		ord, err := ordering.New(ordering.Config{
 			ID:               id,
 			Endpoint:         ep,
 			Consensus:        cons,
-			Peers:            cfg.Peers,
+			Executors:        cfg.Peers,
 			Signer:           nw.signers[id],
+			Verifier:         verifier,
+			VerifyClientSigs: cfg.Crypto,
 			MaxBlockTxns:     cfg.MaxBlockTxns,
 			MaxBlockBytes:    cfg.MaxBlockBytes,
 			MaxBlockInterval: cfg.MaxBlockInterval,
 			Logf:             cfg.Logf,
-		}))
+		})
+		if err != nil {
+			return nil, err
+		}
+		nw.Orderers = append(nw.Orderers, ord)
 	}
 	return nw, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"parblockchain/internal/baselines"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
 	"parblockchain/internal/eventq"
@@ -30,7 +31,7 @@ type PeerConfig struct {
 	// Tau is the per-application endorsement policy size; missing
 	// entries default to 1.
 	Tau map[types.AppID]int
-	// OrderQuorum is the number of matching block announcements needed.
+	// OrderQuorum is the number of matching NEWBLOCK messages required.
 	OrderQuorum int
 	// Store is the peer's committed, versioned state.
 	Store *state.KVStore
@@ -38,7 +39,8 @@ type PeerConfig struct {
 	Ledger *ledger.Ledger
 	// Signer signs endorsements.
 	Signer cryptoutil.Signer
-	// Verifier checks block and endorsement signatures when VerifySigs.
+	// Verifier checks NEWBLOCK and endorsement signatures when
+	// VerifySigs is set.
 	Verifier   cryptoutil.Verifier
 	VerifySigs bool
 	// OnCommit observes every validated block with its final results.
@@ -51,17 +53,19 @@ type PeerConfig struct {
 // it holds, and a validator for every block. Validation is sequential and
 // applies Fabric's MVCC read-set check, aborting stale transactions.
 type Peer struct {
-	cfg        PeerConfig
-	mailbox    *eventq.Queue[transport.Message]
-	endorseQ   *eventq.Queue[endorseJob]
-	blocks     map[uint64]*peerBlock
-	halted     bool
-	validated  atomic.Uint64
-	aborted    atomic.Uint64
-	endorsed   atomic.Uint64
-	stopOnce   sync.Once
-	wg         sync.WaitGroup
-	prevDigest types.Hash
+	cfg      PeerConfig
+	mailbox  *eventq.Queue[transport.Message]
+	endorseQ *eventq.Queue[endorseJob]
+
+	// State owned by the run goroutine.
+	intake baselines.Intake
+	halted bool
+
+	validated atomic.Uint64
+	aborted   atomic.Uint64
+	endorsed  atomic.Uint64
+	stopOnce  sync.Once
+	wg        sync.WaitGroup
 }
 
 type endorseJob struct {
@@ -69,28 +73,21 @@ type endorseJob struct {
 	tx   *types.Transaction
 }
 
-type peerBlock struct {
-	votes       map[types.NodeID]types.Hash
-	digestCount map[types.Hash]int
-	proposals   map[types.Hash]*BlockMsg
-	msg         *BlockMsg
-	valid       bool
-}
-
 // NewPeer creates an XOV peer. Call Start before use.
 func NewPeer(cfg PeerConfig) *Peer {
-	if cfg.OrderQuorum <= 0 {
-		cfg.OrderQuorum = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	return &Peer{
+	p := &Peer{
 		cfg:      cfg,
 		mailbox:  eventq.New[transport.Message](),
 		endorseQ: eventq.New[endorseJob](),
-		blocks:   make(map[uint64]*peerBlock),
+		intake:   baselines.Intake{Quorum: cfg.OrderQuorum},
 	}
+	if cfg.VerifySigs {
+		p.intake.Verifier = cfg.Verifier
+	}
+	return p
 }
 
 // Start launches the receive, validation, and endorsement loops. One
@@ -200,7 +197,8 @@ func (p *Peer) handleEndorse(from types.NodeID, tx *types.Transaction) {
 	}
 }
 
-// runLoop validates announced blocks in order.
+// runLoop validates the blocks the intake releases, in order. It reads
+// a mailbox of its own so endorsements never queue behind validation.
 func (p *Peer) runLoop() {
 	defer p.wg.Done()
 	for {
@@ -208,91 +206,37 @@ func (p *Peer) runLoop() {
 		if !ok {
 			return
 		}
-		if p.halted {
+		m, ok := msg.Payload.(*types.NewBlockMsg)
+		if !ok || p.halted {
 			continue
 		}
-		m, ok := msg.Payload.(*BlockMsg)
-		if !ok || m.Orderer != msg.From {
-			continue
+		blocks, err := p.intake.Add(msg.From, m)
+		for _, b := range blocks {
+			if !p.halted {
+				p.validateBlock(b)
+			}
 		}
-		p.handleBlock(msg.From, m)
-	}
-}
-
-func (p *Peer) handleBlock(from types.NodeID, m *BlockMsg) {
-	if m.Number < p.cfg.Ledger.Height() {
-		return
-	}
-	if p.cfg.VerifySigs {
-		digest := m.Digest()
-		if err := p.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			p.cfg.Logf("xov peer %s: bad block signature from %s: %v", p.cfg.ID, from, err)
-			return
-		}
-	}
-	pb, ok := p.blocks[m.Number]
-	if !ok {
-		pb = &peerBlock{
-			votes:       make(map[types.NodeID]types.Hash),
-			digestCount: make(map[types.Hash]int),
-			proposals:   make(map[types.Hash]*BlockMsg),
-		}
-		p.blocks[m.Number] = pb
-	}
-	if pb.valid {
-		return
-	}
-	if _, dup := pb.votes[from]; dup {
-		return
-	}
-	digest := m.Digest()
-	pb.votes[from] = digest
-	pb.digestCount[digest]++
-	if _, have := pb.proposals[digest]; !have {
-		pb.proposals[digest] = m
-	}
-	if pb.digestCount[digest] >= p.cfg.OrderQuorum {
-		pb.valid = true
-		pb.msg = pb.proposals[digest]
-		pb.proposals = nil
-		p.validateReady()
-	}
-}
-
-func (p *Peer) validateReady() {
-	for {
-		next := p.cfg.Ledger.Height()
-		pb, ok := p.blocks[next]
-		if !ok || !pb.valid {
-			return
-		}
-		if pb.msg.PrevHash != p.prevDigest {
-			p.cfg.Logf("xov peer %s: block %d does not extend validation chain; halting", p.cfg.ID, next)
-			p.halted = true
-			return
-		}
-		p.validateBlock(pb.msg)
-		p.prevDigest = pb.msg.Digest()
-		delete(p.blocks, next)
-	}
-}
-
-// validateBlock performs Fabric-style sequential validation: endorsement
-// policy check plus the MVCC read-version check, applying valid writes
-// and aborting stale transactions.
-func (p *Peer) validateBlock(m *BlockMsg) {
-	txns := make([]*types.Transaction, 0, len(m.Items))
-	results := make([]types.TxResult, 0, len(m.Items))
-	for _, item := range m.Items {
-		etx, err := UnmarshalEndorsedTx(item)
 		if err != nil {
-			p.cfg.Logf("xov peer %s: malformed endorsed tx in block %d: %v", p.cfg.ID, m.Number, err)
-			continue
+			p.cfg.Logf("xov peer %s: %v; halting", p.cfg.ID, err)
+			p.halted = true
 		}
-		idx := len(txns)
-		txns = append(txns, etx.Tx)
-		result := types.TxResult{TxID: etx.Tx.ID, Index: idx}
+	}
+}
+
+// validateBlock performs Fabric-style sequential validation of a block of
+// envelopes: envelope check, endorsement policy check and the MVCC
+// read-version check, applying valid writes and aborting the rest. The
+// ledger holds the ordered block itself, so results are keyed by
+// envelope ID.
+func (p *Peer) validateBlock(block *types.Block) {
+	results := make([]types.TxResult, len(block.Txns))
+	for i, env := range block.Txns {
+		result := types.TxResult{TxID: env.ID, Index: i}
+		etx, err := OpenEnvelope(env)
 		switch {
+		case err != nil:
+			result.Aborted = true
+			result.AbortReason = err.Error()
 		case !p.policySatisfied(etx):
 			result.Aborted = true
 			result.AbortReason = "endorsement policy unsatisfied"
@@ -304,9 +248,8 @@ func (p *Peer) validateBlock(m *BlockMsg) {
 			result.AbortReason = AbortMVCCConflict
 		default:
 			// Ownership of the endorsed write set transfers to the store
-			// (zero-copy): the slices were decoded from the wire (TCP) or
-			// built once by the endorser (in-process) and are immutable
-			// from here on.
+			// (zero-copy): the slices were decoded from the envelope and
+			// are immutable from here on.
 			p.cfg.Store.Apply(etx.Writes)
 			result.Writes = etx.Writes
 		}
@@ -315,9 +258,8 @@ func (p *Peer) validateBlock(m *BlockMsg) {
 		} else {
 			p.validated.Add(1)
 		}
-		results = append(results, result)
+		results[i] = result
 	}
-	block := types.NewBlock(m.Number, p.cfg.Ledger.LastHash(), txns)
 	if err := p.cfg.Ledger.Append(ledger.Entry{Block: block, Results: results}); err != nil {
 		p.cfg.Logf("xov peer %s: ledger append: %v; halting", p.cfg.ID, err)
 		p.halted = true

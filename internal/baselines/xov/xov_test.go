@@ -1,11 +1,13 @@
 package xov
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"parblockchain/internal/contract"
+	"parblockchain/internal/node"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -52,23 +54,105 @@ func testNetwork(t *testing.T, mutate func(*Config)) *Network {
 	return nw
 }
 
+// pbft orders through four PBFT orderers, so peers release a block only
+// on two matching NEWBLOCKs.
+func pbft(cfg *Config) {
+	cfg.Orderers = []types.NodeID{"o1", "o2", "o3", "o4"}
+	cfg.Consensus = node.ConsensusPBFT
+}
+
 func TestXOVEndToEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		quorum int
+	}{{"kafka", nil, 1}, {"pbft", pbft, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := testNetwork(t, tc.mutate)
+			if q := nw.Peers[0].intake.Quorum; q != tc.quorum {
+				t.Fatalf("order quorum = %d, want %d", q, tc.quorum)
+			}
+			client, err := nw.Client("c1")
+			if err != nil {
+				t.Fatalf("Client: %v", err)
+			}
+			tx := client.Prepare("app1", contract.TransferOp("app1/alice", "app1/bob", 100))
+			result, attempts, err := client.Do(tx, 5*time.Second)
+			if err != nil {
+				t.Fatalf("Do: %v", err)
+			}
+			if result.Aborted {
+				t.Fatalf("aborted after %d attempts: %s", attempts, result.AbortReason)
+			}
+			raw, _ := nw.ObserverStore().Get("app1/alice")
+			if bal, _ := contract.Balance(raw); bal != 900 {
+				t.Fatalf("alice balance = %d, want 900", bal)
+			}
+		})
+	}
+}
+
+// TestXOVMalformedEnvelopesAbort orders what the orderers cannot tell
+// from an envelope — a plain signed transaction, and an envelope its
+// signer wraps around another client's transaction — and checks both
+// commit as aborted on every peer, with the same reason, writing nothing.
+func TestXOVMalformedEnvelopesAbort(t *testing.T) {
 	nw := testNetwork(t, nil)
 	client, err := nw.Client("c1")
 	if err != nil {
 		t.Fatalf("Client: %v", err)
 	}
-	tx := client.Prepare("app1", contract.TransferOp("app1/alice", "app1/bob", 100))
-	result, attempts, err := client.Do(tx, 5*time.Second)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
+	genesis := nw.Stores[0].Hash()
+	deposit := contract.DepositOp("app1/alice", 500)
+	foreign := (&EndorsedTx{
+		Tx:     &types.Transaction{ID: "c2-tx", App: "app1", Client: "c2", ClientTS: 1, Op: deposit},
+		Writes: []types.KV{{Key: "app1/alice", Val: contract.EncodeBalance(1500)}},
+	}).Envelope()
+	foreign.Client = "c1" // c1 signs and submits it
+	foreign.ClientTS = client.sub.NextTS()
+	for _, tc := range []struct {
+		tx   *types.Transaction
+		want error
+	}{
+		{client.sub.Prepare("app1", deposit), ErrNotEnvelope},
+		{foreign, ErrForeignEnvelope},
+	} {
+		result, err := client.sub.Do(tc.tx, 5*time.Second)
+		if err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		if !result.Aborted || result.AbortReason != tc.want.Error() {
+			t.Fatalf("result = %+v, want abort %q", result, tc.want)
+		}
 	}
-	if result.Aborted {
-		t.Fatalf("aborted after %d attempts: %s", attempts, result.AbortReason)
-	}
-	raw, _ := nw.ObserverStore().Get("app1/alice")
-	if bal, _ := contract.Balance(raw); bal != 900 {
-		t.Fatalf("alice balance = %d, want 900", bal)
+	height := nw.Ledgers[0].Height()
+	deadline := time.Now().Add(5 * time.Second)
+	for i, led := range nw.Ledgers {
+		for led.Height() < height {
+			if time.Now().After(deadline) {
+				t.Fatalf("peer %d stuck at height %d, want %d", i, led.Height(), height)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		var reasons []string
+		for h := uint64(0); h < height; h++ {
+			e, err := led.Get(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range e.Results {
+				if !r.Aborted || len(r.Writes) != 0 {
+					t.Fatalf("peer %d: %s committed %d writes", i, r.TxID, len(r.Writes))
+				}
+				reasons = append(reasons, r.AbortReason)
+			}
+		}
+		if want := []string{ErrNotEnvelope.Error(), ErrForeignEnvelope.Error()}; !slices.Equal(reasons, want) {
+			t.Fatalf("peer %d abort reasons = %q, want %q", i, reasons, want)
+		}
+		if nw.Stores[i].Hash() != genesis {
+			t.Fatalf("peer %d state moved", i)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ type Config struct {
 	MaxBlockBytes    int
 	MaxBlockInterval time.Duration
 	// Tunables holds every performance and durability knob (pipeline
-	// depth, fsync policy, snapshots, WAL segments, state backend), shared
+	// depth, fsync policy, snapshots, WAL segments), shared
 	// verbatim with cluster JSON and the bench harness.
 	node.Tunables
 	// DataDir roots the durability subsystem; every node keeps its durable
