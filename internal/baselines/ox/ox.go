@@ -121,7 +121,7 @@ func (p *Peer) runLoop() {
 // allocated by the contracts and handed to the overlay and then the store
 // by reference (the zero-copy ownership transfer at the commit boundary).
 func (p *Peer) executeBlock(block *types.Block) {
-	overlay := state.NewBlockOverlay(p.cfg.Store)
+	overlay := state.NewBlockOverlay(p.cfg.Store, block.Txns)
 	results := make([]types.TxResult, len(block.Txns))
 	for i, tx := range block.Txns {
 		writes, err := p.cfg.Registry.Execute(tx.App, overlay, tx.Op)

@@ -135,3 +135,32 @@ func TestOXSequentialConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestOXAbortsUndeclaredWrite: a transfer that under-declares its write
+// set aborts on the OX peers with the reason every OXII agent gives (the
+// shared registry's), and the undeclared key is never written.
+func TestOXAbortsUndeclaredWrite(t *testing.T) {
+	nw := testNetwork(t, nil)
+	client, err := nw.Client("c1")
+	if err != nil {
+		t.Fatalf("Client: %v", err)
+	}
+	op := contract.TransferOp("app1/alice", "app1/bob", 5)
+	op.Writes = []types.Key{"app1/alice"}
+	registry := contract.NewRegistry()
+	registry.Install("app1", contract.NewAccounting())
+	_, want := registry.Execute("app1", nw.ObserverStore(), op)
+	if want == nil {
+		t.Fatal("the registry accepted an undeclared write")
+	}
+	result, err := client.Do(client.Prepare("app1", op), 5*time.Second)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if !result.Aborted || result.AbortReason != want.Error() {
+		t.Fatalf("result %+v, want an abort with reason %q", result, want)
+	}
+	if _, ok := nw.ObserverStore().Get("app1/bob"); ok {
+		t.Fatal("the undeclared write reached the store")
+	}
+}

@@ -32,8 +32,11 @@ type Contract interface {
 	// the updated records. A returned error aborts the transaction.
 	//
 	// Execute must only read keys in op.Reads and only write keys in
-	// op.Writes; the dependency graph is built from those declared sets,
-	// so undeclared accesses would break the partial order's correctness.
+	// op.Writes; the dependency graph and the block overlay are built
+	// from those declared sets. Writes are enforced: Registry.Execute
+	// aborts a result that writes a key outside op.Writes. Reads are not
+	// checked, so an undeclared read breaks the partial order's
+	// correctness silently.
 	Execute(view state.Reader, op types.Operation) ([]types.KV, error)
 }
 
@@ -90,13 +93,22 @@ func (r *Registry) Apps() []types.AppID {
 	return apps
 }
 
-// Execute runs op for app through the installed contract.
+// Execute runs op for app through the installed contract. A result that
+// writes a key outside op.Writes aborts, with the same reason on every
+// agent (the contract is deterministic).
 func (r *Registry) Execute(app types.AppID, view state.Reader, op types.Operation) ([]types.KV, error) {
 	c, ok := r.Lookup(app)
 	if !ok {
 		return nil, fmt.Errorf("contract: no contract installed for application %q", app)
 	}
-	return c.Execute(view, op)
+	writes, err := c.Execute(view, op)
+	if err != nil {
+		return nil, err
+	}
+	if key, bad := op.UndeclaredWrite(writes); bad {
+		return nil, fmt.Errorf("%w: write to undeclared key %q", ErrAbort, key)
+	}
+	return writes, nil
 }
 
 // CostModel models the service time of contract execution. The paper's

@@ -296,3 +296,20 @@ func TestBalanceCodec(t *testing.T) {
 		t.Fatal("garbage balance must error")
 	}
 }
+
+// TestRegistryAbortsUndeclaredWrite: the registry enforces declared write
+// sets — a result writing outside op.Writes aborts with ErrAbort naming
+// the key, and a result inside them passes untouched.
+func TestRegistryAbortsUndeclaredWrite(t *testing.T) {
+	r := NewRegistry()
+	r.Install("app", NewKV())
+	op := PutOp("k", "v")
+	if _, err := r.Execute("app", state.NewKVStore(), op); err != nil {
+		t.Fatalf("declared write aborted: %v", err)
+	}
+	op.Writes = []types.Key{"other"}
+	_, err := r.Execute("app", state.NewKVStore(), op)
+	if !errors.Is(err, ErrAbort) || !strings.Contains(err.Error(), `undeclared key "k"`) {
+		t.Fatalf("undeclared write: err = %v, want an abort naming the key", err)
+	}
+}

@@ -14,7 +14,7 @@ import "sync"
 type Queue[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []T
+	items  Ring[T]
 	closed bool
 }
 
@@ -32,7 +32,7 @@ func (q *Queue[T]) Push(item T) {
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, item)
+	q.items.Push(item)
 	q.cond.Signal()
 }
 
@@ -42,18 +42,10 @@ func (q *Queue[T]) Push(item T) {
 func (q *Queue[T]) Pop() (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.items.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	item := q.items[0]
-	var zero T
-	q.items[0] = zero // the backing array must not keep a popped item alive
-	q.items = q.items[1:]
-	return item, true
+	return q.items.Pop()
 }
 
 // Close wakes all blocked consumers; pending items may still be popped.
@@ -71,5 +63,43 @@ func (q *Queue[T]) Close() {
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.items.Len()
 }
+
+// Ring is an unsynchronized FIFO ring buffer that grows by doubling and
+// never shrinks, so a queue in steady state pushes and pops without
+// allocating. Pop zeroes the vacated slot: the buffer must not keep a
+// popped item reachable. The zero value is an empty ring.
+type Ring[T any] struct {
+	buf  []T
+	head int // index of the oldest item
+	n    int // items held
+}
+
+// Push appends an item at the tail.
+func (r *Ring[T]) Push(item T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(16, 2*len(r.buf)))
+		copied := copy(grown, r.buf[r.head:])
+		copy(grown[copied:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = item
+	r.n++
+}
+
+// Pop removes and returns the oldest item; false when the ring is empty.
+func (r *Ring[T]) Pop() (T, bool) {
+	var zero T
+	if r.n == 0 {
+		return zero, false
+	}
+	item := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return item, true
+}
+
+// Len returns the number of items held.
+func (r *Ring[T]) Len() int { return r.n }

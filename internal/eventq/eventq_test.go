@@ -166,3 +166,55 @@ func TestLen(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", q.Len())
 	}
 }
+
+// TestRingGrowsWhileWrapped keeps FIFO order through growth that happens
+// while the live items wrap around the end of the buffer.
+func TestRingGrowsWhileWrapped(t *testing.T) {
+	var r Ring[int]
+	next, want := 0, 0
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 10+round*7; i++ { // outgrow the buffer each round
+			r.Push(next)
+			next++
+		}
+		for i := 0; i < 9+round*5; i++ { // leave a wrapped remainder
+			if v, ok := r.Pop(); !ok || v != want {
+				t.Fatalf("Pop = %d %v, want %d", v, ok, want)
+			}
+			want++
+		}
+	}
+	for r.Len() > 0 {
+		if v, _ := r.Pop(); v != want {
+			t.Fatalf("Pop = %d, want %d", v, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("popped %d items, pushed %d", want, next)
+	}
+	if _, ok := r.Pop(); ok {
+		t.Fatal("Pop on an empty ring must report false")
+	}
+}
+
+// TestSteadyStateDoesNotAllocate: once the ring has grown to a queue's
+// working depth, Push and Pop reuse it — a mailbox in steady state must
+// not reallocate its backing array as items flow through.
+func TestSteadyStateDoesNotAllocate(t *testing.T) {
+	q := New[int]()
+	for i := 0; i < 20; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 20; i++ {
+		q.Pop()
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		q.Push(1)
+		q.Push(2)
+		q.Pop()
+		q.Pop()
+	}); n != 0 {
+		t.Fatalf("steady-state Push+Pop allocates %v times, want 0", n)
+	}
+}

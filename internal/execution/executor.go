@@ -1116,7 +1116,7 @@ func (e *Executor) admit(bs *blockState) bool {
 	if len(e.window) > 0 {
 		base = e.window[len(e.window)-1].overlay
 	}
-	bs.overlay = state.NewBlockOverlay(base)
+	bs.overlay = state.NewBlockOverlay(base, bs.block.Txns)
 	e.window = append(e.window, bs)
 	e.mirror.windowLen.Store(int64(len(e.window)))
 	e.schedule(bs)
@@ -1417,6 +1417,12 @@ func (e *Executor) applyCommitMsg(bs *blockState, m *types.CommitMsg) {
 		if bit < 0 {
 			continue
 		}
+		// A result writing outside the declared write set is not counted:
+		// the dependency graph and the block overlay are built from the
+		// declared sets, and honest agents abort such an execution.
+		if _, bad := tx.Op.UndeclaredWrite(r.Writes); bad {
+			continue
+		}
 		e.addVote(bs, r.Index, r, m.Executor, uint(bit))
 	}
 }
@@ -1467,16 +1473,10 @@ func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter type
 // then every dependent's own vote stays buffered, so a wrong leading vote
 // can never leak through this node's signature.
 //
-// A single vote carries no quorum backing, so its writes must stay inside
-// the transaction's declared write set before anything reads them: the
-// dependency graph (and hence the lineage gating) is built from the
-// declared sets, so a fabricated write to an undeclared key would be
-// visible to readers that have no edge to this transaction — and no
-// registered lineage to invalidate them with. Out-of-set votes are simply
-// not adopted (they still count toward the quorum tally; a quorum that
-// endorses them is beyond the fault assumption, like any other
-// quorum-backed content).
-// d is the vote's digest, already computed by the tally.
+// A vote that writes outside the transaction's declared write set never
+// gets here: applyCommitMsg does not count it, so a fabricated write to
+// an undeclared key cannot reach readers that have no edge to this
+// transaction. d is the vote's digest, already computed by the tally.
 func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID, d types.Hash) {
 	if !bs.started || bs.isLocal[idx] || bs.specActive[idx] || bs.committed[idx] {
 		return
@@ -1490,12 +1490,6 @@ func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, vot
 		float64(sc.missed) >= specThrottleMissRate*float64(sc.adopted) {
 		e.stats.specThrottled.Add(1)
 		return
-	}
-	declared := bs.txns[idx].Op.Writes
-	for i := range r.Writes {
-		if !slices.Contains(declared, r.Writes[i].Key) {
-			return
-		}
 	}
 	sc := e.voterScore[voter]
 	if sc == nil {

@@ -2,6 +2,7 @@ package execution
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -105,20 +106,28 @@ func (h *harness) sendBlock(txns []*types.Transaction) *types.Block {
 	return msg.Block
 }
 
+// graphOf builds the block's dependency graph the way an orderer does,
+// from normalized copies of the declared sets: Normalize sorts in place,
+// and the transactions themselves are sealed and shared with the
+// executors' workers, which read op.Writes concurrently.
+func graphOf(txns []*types.Transaction) *depgraph.Graph {
+	sets := make([]depgraph.RWSet, len(txns))
+	for i, tx := range txns {
+		sets[i] = depgraph.RWSet{Reads: slices.Clone(tx.Op.Reads), Writes: slices.Clone(tx.Op.Writes)}
+		sets[i].Normalize()
+	}
+	return depgraph.Build(sets)
+}
+
 // newBlockMsg builds the next block + graph as the orderer's NEWBLOCK,
 // without sending it.
 func (h *harness) newBlockMsg(txns []*types.Transaction) *types.NewBlockMsg {
 	block := types.NewBlock(h.nextNum, h.prevHash, txns)
 	h.nextNum++
 	h.prevHash = block.Hash()
-	sets := make([]depgraph.RWSet, len(txns))
-	for i, tx := range txns {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		sets[i].Normalize()
-	}
 	return &types.NewBlockMsg{
 		Block:   block,
-		Graph:   depgraph.Build(sets),
+		Graph:   graphOf(txns),
 		Apps:    block.Apps(),
 		Orderer: "o1",
 	}

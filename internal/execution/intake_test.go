@@ -198,3 +198,49 @@ func TestIntakeUnendorsedNewBlocksBounded(t *testing.T) {
 	r.as(t, "o3", nb)
 	r.awaitBlocks(t, 1)
 }
+
+// TestIntakeDropsUndeclaredWriteVote: a COMMIT vote whose result writes
+// a key outside the transaction's declared write set is not counted —
+// not toward the tau quorum, not as a speculative lead — even when two
+// agents cast it. The transaction still commits once an honest quorum
+// votes, with the honest writes.
+func TestIntakeDropsUndeclaredWriteVote(t *testing.T) {
+	h := newHarness(t, func(cfg *Config) {
+		cfg.AgentsOf = map[types.AppID][]types.NodeID{
+			"app1": {"e1"},
+			"app2": {"e2", "e3", "e4"},
+		}
+		cfg.Tau = map[types.AppID]int{"app2": 2}
+		cfg.Executors = []types.NodeID{"e1", "e2", "e3", "e4"}
+	})
+	vote := func(from types.NodeID, num uint64, r types.TxResult) {
+		ep, err := h.net.Endpoint(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Send("e1", &types.CommitMsg{BlockNum: num, Results: []types.TxResult{r}, Executor: from}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remote := kvTx("app2", 1, "r", "v")
+	block := h.sendBlock([]*types.Transaction{remote})
+	honest := types.TxResult{TxID: remote.ID, Index: 0, Writes: []types.KV{{Key: "r", Val: []byte("v")}}}
+	forged := types.TxResult{TxID: remote.ID, Index: 0,
+		Writes: []types.KV{{Key: "r", Val: []byte("v")}, {Key: "undeclared", Val: []byte("evil")}}}
+	vote("e2", block.Header.Number, forged)
+	vote("e3", block.Header.Number, forged)
+	select {
+	case <-h.commits:
+		t.Fatal("two votes writing an undeclared key reached the tau quorum")
+	case <-time.After(150 * time.Millisecond):
+	}
+	vote("e3", block.Header.Number, honest)
+	vote("e4", block.Header.Number, honest)
+	results, _ := h.awaitCommit(5 * time.Second)
+	if len(results) != 1 || results[0].Digest() != honest.Digest() {
+		t.Fatalf("committed %+v, want the honest result", results)
+	}
+	if _, ok := h.store.Get("undeclared"); ok {
+		t.Fatal("the undeclared write reached the store")
+	}
+}

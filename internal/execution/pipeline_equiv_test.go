@@ -7,7 +7,6 @@ import (
 
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/state"
@@ -69,7 +68,7 @@ func refResults(genesis []types.KV, blocks [][]*types.Transaction) (types.Hash, 
 	}
 	all := make([][]types.TxResult, len(blocks))
 	for b, txns := range blocks {
-		overlay := state.NewBlockOverlay(store)
+		overlay := state.NewBlockOverlay(store, txns)
 		results := make([]types.TxResult, len(txns))
 		for i, tx := range txns {
 			r := types.TxResult{TxID: tx.ID, Index: i}
@@ -97,17 +96,9 @@ func cutMono(blocks [][]*types.Transaction, orderer types.NodeID) []*types.NewBl
 	for num, txns := range blocks {
 		block := types.NewBlock(uint64(num), prev, txns)
 		prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{
-				Reads:  append([]string(nil), tx.Op.Reads...),
-				Writes: append([]string(nil), tx.Op.Writes...),
-			}
-			sets[i].Normalize()
-		}
 		out[num] = &types.NewBlockMsg{
 			Block:   block,
-			Graph:   depgraph.Build(sets),
+			Graph:   graphOf(txns),
 			Apps:    block.Apps(),
 			Orderer: orderer,
 		}

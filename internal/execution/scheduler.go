@@ -22,7 +22,11 @@
 
 package execution
 
-import "sync"
+import (
+	"sync"
+
+	"parblockchain/internal/eventq"
+)
 
 // scheduler is the ready queue between the actor loop's dispatch and the
 // worker pool. Push never blocks and is a no-op after Close; Pop blocks
@@ -42,8 +46,8 @@ type scheduler interface {
 type readyQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	first  []workItem // LIFO
-	rest   []workItem // FIFO
+	first  []workItem            // LIFO
+	rest   eventq.Ring[workItem] // FIFO
 	closed bool
 }
 
@@ -62,7 +66,7 @@ func (q *readyQueue) Push(item workItem, first bool) {
 	if first {
 		q.first = append(q.first, item)
 	} else {
-		q.rest = append(q.rest, item)
+		q.rest.Push(item)
 	}
 	q.cond.Signal()
 }
@@ -72,22 +76,16 @@ func (q *readyQueue) Push(item workItem, first bool) {
 func (q *readyQueue) Pop() (workItem, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.first) == 0 && len(q.rest) == 0 && !q.closed {
+	for len(q.first) == 0 && q.rest.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	var item workItem
-	switch {
-	case len(q.first) > 0:
-		last := len(q.first) - 1
-		item, q.first[last] = q.first[last], workItem{}
+	if last := len(q.first) - 1; last >= 0 {
+		item := q.first[last]
+		q.first[last] = workItem{}
 		q.first = q.first[:last]
-	case len(q.rest) > 0:
-		item, q.rest[0] = q.rest[0], workItem{}
-		q.rest = q.rest[1:]
-	default:
-		return workItem{}, false
+		return item, true
 	}
-	return item, true
+	return q.rest.Pop()
 }
 
 func (q *readyQueue) Close() {
@@ -102,5 +100,5 @@ func (q *readyQueue) Close() {
 func (q *readyQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.first) + len(q.rest)
+	return len(q.first) + q.rest.Len()
 }

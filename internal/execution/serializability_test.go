@@ -28,7 +28,7 @@ func seqExecute(genesis []types.KV, txns []*types.Transaction) map[types.Key][]b
 	store.Apply(genesis)
 	registry := contract.NewRegistry()
 	registry.Install("app1", contract.NewKV())
-	overlay := state.NewBlockOverlay(store)
+	overlay := state.NewBlockOverlay(store, txns)
 	for i, tx := range txns {
 		writes, err := registry.Execute(tx.App, overlay, tx.Op)
 		if err == nil {

@@ -7,7 +7,6 @@ import (
 
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/state"
 	"parblockchain/internal/transport"
@@ -129,14 +128,9 @@ func (r *specBenchRig) runBlocks(b *testing.B, blocks [][]*types.Transaction) {
 		block := types.NewBlock(r.next, r.prev, txns)
 		r.next++
 		r.prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			sets[i].Normalize()
-		}
 		msg := &types.NewBlockMsg{
 			Block:   block,
-			Graph:   depgraph.Build(sets),
+			Graph:   graphOf(txns),
 			Apps:    block.Apps(),
 			Orderer: "o1",
 		}

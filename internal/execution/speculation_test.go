@@ -3,6 +3,8 @@ package execution
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,14 +170,9 @@ func (n *specNet) feedMonolithic(t testing.TB, blocks [][]*types.Transaction) {
 	for num, txns := range blocks {
 		block := types.NewBlock(uint64(num), prev, txns)
 		prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			sets[i].Normalize()
-		}
 		n.broadcast(t, &types.NewBlockMsg{
 			Block:   block,
-			Graph:   depgraph.Build(sets),
+			Graph:   graphOf(txns),
 			Apps:    block.Apps(),
 			Orderer: "o1",
 		})
@@ -405,12 +402,7 @@ func newDivergentRig(t testing.TB, chainLen int) *divergentRig {
 		txns = append(txns, tx)
 	}
 	r.block = types.NewBlock(0, types.ZeroHash, txns)
-	sets := make([]depgraph.RWSet, len(txns))
-	for i, tx := range txns {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		sets[i].Normalize()
-	}
-	r.graph = depgraph.Build(sets)
+	r.graph = graphOf(txns)
 	if err := orderer.Send("e1", &types.NewBlockMsg{
 		Block: r.block, Graph: r.graph, Apps: r.block.Apps(), Orderer: "o1",
 	}); err != nil {
@@ -640,5 +632,48 @@ func TestSpeculativeMulticastGatedUntilInputsCommit(t *testing.T) {
 	}
 	if seen < chainLen {
 		t.Fatalf("spy saw %d chain results, want >= %d", seen, chainLen)
+	}
+}
+
+// TestUndeclaredWriteAbortsOnEveryAgent: a transfer that under-declares
+// its write set (the contract credits an account the operation does not
+// declare) aborts through the registry on both of its application's
+// agents with the same reason, so the tau=2 quorum forms on the abort.
+// Every executor ends with the sequential reference's results, state and
+// ledger, and the undeclared key is never written.
+func TestUndeclaredWriteAbortsOnEveryAgent(t *testing.T) {
+	genesis := []types.KV{{Key: "a", Val: contract.EncodeBalance(100)}, {Key: "b", Val: contract.EncodeBalance(100)}}
+	sneaky := contract.TransferOp("a", "sneak", 5)
+	sneaky.Writes = []types.Key{"a"}
+	txns := []*types.Transaction{
+		{App: "app1", Op: contract.TransferOp("a", "b", 10)},
+		{App: "app2", Op: sneaky},
+		{App: "app3", Op: contract.TransferOp("a", "b", 1)}, // reads a after the abort
+	}
+	for i, tx := range txns {
+		tx.Client, tx.ClientTS, tx.ID = "c1", uint64(i+1), types.TxID(fmt.Sprintf("undeclared-%d", i))
+	}
+	blocks := [][]*types.Transaction{txns}
+	wantHash, want := refResults(genesis, blocks)
+	if !want[0][1].Aborted || !strings.Contains(want[0][1].AbortReason, "undeclared") {
+		t.Fatalf("reference result %+v: the under-declared transfer must abort", want[0][1])
+	}
+	n := newSpecNet(t, specNetConfig{tau: 2}, genesis)
+	n.feedMonolithic(t, blocks)
+	n.awaitHeight(t, 1)
+	for i, led := range n.leds {
+		entry, err := led.Get(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(entry.Results, want[0]) {
+			t.Fatalf("executor %s results %+v, want the reference's %+v", n.ids[i], entry.Results, want[0])
+		}
+		if n.stores[i].Hash() != wantHash {
+			t.Fatalf("executor %s state diverged from the sequential reference", n.ids[i])
+		}
+		if _, ok := n.stores[i].Get("sneak"); ok {
+			t.Fatalf("executor %s stored the undeclared write", n.ids[i])
+		}
 	}
 }

@@ -69,12 +69,19 @@ func TestKVStoreConcurrentHammer(t *testing.T) {
 // sees all of i's keys.
 func TestOverlayConcurrentHammer(t *testing.T) {
 	base := NewKVStore()
-	o := NewBlockOverlay(base)
 	const (
 		readers = 6
 		writes  = 300
 	)
 	multi := []types.Key{"m0", "m1", "m2"}
+	sets := make([][]types.Key, writes)
+	for i := range sets {
+		sets[i] = append([]types.Key{types.Key(fmt.Sprintf("k%d", i%37))}, multi...)
+		if i%20 == 0 {
+			sets[i] = append(sets[i], "tomb")
+		}
+	}
+	o := NewBlockOverlay(base, declare(sets...))
 	writer := func(val []byte) int {
 		idx, err := strconv.Atoi(string(val[1:]))
 		if err != nil {
@@ -96,7 +103,6 @@ func TestOverlayConcurrentHammer(t *testing.T) {
 				}
 				o.Get(types.Key(fmt.Sprintf("k%d", i%37)))
 				o.Get("missing")
-				o.Len()
 				bound := (i*7 + r) % writes
 				for _, key := range []types.Key{types.Key(fmt.Sprintf("k%d", i%37)), multi[i%len(multi)]} {
 					if v, ok := o.At(bound).Get(key); ok && writer(v) >= bound {

@@ -1,13 +1,17 @@
 // Package state implements the blockchain state (datastore) maintained by
 // executor peers: a versioned key-value store and an overlay view used
-// during block execution.
+// during block execution. The overlay is built per block from the
+// transactions' declared write sets, which contract execution and COMMIT
+// intake enforce; recording a write outside them panics.
 //
 // # Ownership contract (zero-copy)
 //
 // The stores in this package are zero-copy: they neither copy values in on
 // write nor copy them out on read. Ownership of a value slice transfers to
 // the store on Put/Apply/Write/Record, and every read (Get, GetVersion,
-// ReadAsOf, Snapshot) returns the stored slice itself. Consequently:
+// ReadAsOf, Snapshot) returns the stored slice itself. Record goes one
+// step further and retains each recorded KV by pointer, so the write-set
+// slice itself must stay untouched too. Consequently:
 //
 //   - callers must not mutate a slice after handing it to a store, and
 //   - callers must treat every returned slice as read-only.

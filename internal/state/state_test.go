@@ -168,7 +168,7 @@ func TestKVStoreConcurrentAccess(t *testing.T) {
 func TestOverlayReadThrough(t *testing.T) {
 	base := NewKVStore()
 	base.Put("a", []byte("base"))
-	o := NewBlockOverlay(base)
+	o := NewBlockOverlay(base, declare([]types.Key{"a"}))
 	if v, ok := o.Get("a"); !ok || string(v) != "base" {
 		t.Fatal("overlay must read through to base")
 	}
@@ -182,7 +182,7 @@ func TestOverlayReadThrough(t *testing.T) {
 }
 
 func TestOverlayHighestIndexWins(t *testing.T) {
-	o := NewBlockOverlay(NewKVStore())
+	o := NewBlockOverlay(NewKVStore(), declareAll(8, "k"))
 	// Out-of-order commits: tx 5 lands before tx 2.
 	o.Record(5, []types.KV{{Key: "k", Val: []byte("five")}})
 	o.Record(2, []types.KV{{Key: "k", Val: []byte("two")}})
@@ -193,32 +193,31 @@ func TestOverlayHighestIndexWins(t *testing.T) {
 	if v, _ := o.Get("k"); string(v) != "seven" {
 		t.Fatal("higher index must replace")
 	}
-	if o.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", o.Len())
+	if final := o.Final(); len(final) != 1 || string(final[0].Val) != "seven" {
+		t.Fatalf("Final = %v, want k's highest-index write alone", final)
 	}
 }
 
 func TestOverlayDeletionVisible(t *testing.T) {
 	base := NewKVStore()
 	base.Put("k", []byte("v"))
-	o := NewBlockOverlay(base)
+	o := NewBlockOverlay(base, declareAll(2, "k"))
 	o.Record(1, []types.KV{{Key: "k", Val: nil}})
 	if _, ok := o.Get("k"); ok {
 		t.Fatal("recorded deletion must hide the base value")
 	}
 }
 
-func TestOverlayFinalSorted(t *testing.T) {
-	o := NewBlockOverlay(NewKVStore())
+// TestOverlayFinalInDeclarationOrder: Final lists the written keys in
+// the order the block first declares them, whatever order the results
+// landed in, and leaves out declared keys nothing wrote.
+func TestOverlayFinalInDeclarationOrder(t *testing.T) {
+	o := NewBlockOverlay(NewKVStore(), declare([]types.Key{"z", "a"}, []types.Key{"m", "unwritten", "z"}))
+	o.Record(1, []types.KV{{Key: "m", Val: []byte("3")}, {Key: "z", Val: []byte("4")}})
 	o.Record(0, []types.KV{{Key: "z", Val: []byte("1")}, {Key: "a", Val: []byte("2")}})
-	o.Record(1, []types.KV{{Key: "m", Val: []byte("3")}})
-	final := o.Final()
-	keys := make([]string, len(final))
-	for i, kv := range final {
-		keys[i] = kv.Key
-	}
-	if !reflect.DeepEqual(keys, []string{"a", "m", "z"}) {
-		t.Fatalf("Final keys = %v, want sorted", keys)
+	want := []types.KV{{Key: "z", Val: []byte("4")}, {Key: "a", Val: []byte("2")}, {Key: "m", Val: []byte("3")}}
+	if final := o.Final(); !reflect.DeepEqual(final, want) {
+		t.Fatalf("Final = %v, want %v", final, want)
 	}
 }
 
@@ -238,7 +237,11 @@ func TestQuickOverlayEquivalentToSequential(t *testing.T) {
 			want[key] = []byte{vals[i][1]}
 		}
 		// Overlay with permuted arrival order.
-		o := NewBlockOverlay(NewKVStore())
+		sets := make([][]types.Key, n)
+		for i := range sets {
+			sets[i] = []types.Key{types.Key(fmt.Sprintf("k%d", int(vals[i][0])%3))}
+		}
+		o := NewBlockOverlay(NewKVStore(), declare(sets...))
 		order := make([]int, n)
 		for i := range order {
 			order[i] = i

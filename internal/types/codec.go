@@ -1,9 +1,11 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -198,32 +200,17 @@ func (r *ByteReader) Byte() byte {
 	return b
 }
 
-// Blob reads a length-prefixed byte slice (copied out of the buffer).
-// The length is validated against the remaining input before conversion,
-// so a hostile 2^63-scale prefix fails cleanly instead of overflowing
-// int and panicking on the slice bounds.
+// Blob reads a length-prefixed byte slice, copied out of the buffer; an
+// empty one decodes to nil.
 func (r *ByteReader) Blob() []byte {
-	n := r.U64()
-	if r.err != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return nil
-	}
-	out := append([]byte(nil), r.buf[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return out
+	n := r.skip()
+	return append([]byte(nil), r.buf[r.off-n:r.off]...)
 }
 
-// Str reads a length-prefixed string. Like Blob, the length is checked
-// against the remaining input before the int conversion.
+// Str reads a length-prefixed string.
 func (r *ByteReader) Str() string {
-	n := r.U64()
-	if r.err != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	n := r.skip()
+	return string(r.buf[r.off-n : r.off])
 }
 
 // Strs reads a count-prefixed list of strings. A zero count decodes to
@@ -284,23 +271,86 @@ func UnmarshalTransaction(b []byte) (*Transaction, error) {
 // decodeTransaction consumes one transaction encoding from the reader;
 // enclosing decoders (blocks, endorsed transactions) embed it. A cleanly
 // decoded transaction is sealed before any caller can share it.
+//
+// A first pass checks every bound and sizes the strings without
+// allocating. The second cuts every string from one arena holding the
+// string bytes alone and every list from one shared []string, so a
+// decode costs the Transaction, the arena, the list backing and the
+// signature. The digest is the SHA-256 of the wire bytes from the end of
+// ID to the end of SubmitUnixNano, which are byte for byte the framing
+// contentDigest encodes (TestDigestGolden pins it).
 func decodeTransaction(r *ByteReader) *Transaction {
-	t := &Transaction{
-		ID:       TxID(r.Str()),
-		App:      AppID(r.Str()),
-		Client:   NodeID(r.Str()),
-		ClientTS: r.U64(),
+	scan := *r
+	strBytes := scan.skip() // ID
+	from := scan.off
+	strBytes += scan.skip() + scan.skip() // App, Client
+	scan.U64()                            // ClientTS
+	strBytes += scan.skip()               // Method
+	var counts [3]int                     // Params, Reads, Writes
+	for i := range counts {
+		n := scan.U64()
+		if scan.err != nil || n > uint64(scan.Remaining())/8 {
+			scan.fail()
+			break
+		}
+		counts[i] = int(n)
+		for j := 0; j < counts[i]; j++ {
+			strBytes += scan.skip()
+		}
 	}
-	t.Op.Method = r.Str()
-	t.Op.Params = r.Strs()
-	t.Op.Reads = r.Strs()
-	t.Op.Writes = r.Strs()
+	scan.I64() // SubmitUnixNano
+	to := scan.off
+	scan.skip() // Sig
+	if scan.err != nil {
+		r.err, r.off = scan.err, scan.off
+		return &Transaction{}
+	}
+
+	var arena strings.Builder
+	arena.Grow(strBytes)
+	str := func() string {
+		n := r.skip()
+		arena.Write(r.buf[r.off-n : r.off])
+		all := arena.String()
+		return all[len(all)-n:]
+	}
+	t := &Transaction{ID: TxID(str()), App: AppID(str()), Client: NodeID(str())}
+	t.ClientTS = r.U64()
+	t.Op.Method = str()
+	var lists []string
+	if total := counts[0] + counts[1] + counts[2]; total > 0 {
+		lists = make([]string, 0, total)
+	}
+	for i, list := range []*[]string{&t.Op.Params, &t.Op.Reads, &t.Op.Writes} {
+		r.U64() // the count, taken from the first pass
+		if counts[i] == 0 {
+			continue // a zero count decodes to nil, as Strs does
+		}
+		start := len(lists)
+		for j := 0; j < counts[i]; j++ {
+			lists = append(lists, str())
+		}
+		*list = lists[start:len(lists):len(lists)] // an append must not reach the next list
+	}
 	t.SubmitUnixNano = r.I64()
-	t.Sig = r.Blob()
-	if r.err == nil {
-		t.Seal()
-	}
+	t.Sig = r.Blob() // nil when empty
+	t.digest = sha256.Sum256(r.buf[from:to])
+	t.sealed = t
 	return t
+}
+
+// skip consumes one length-prefixed string or blob without copying it and
+// returns its length (0 once the reader has failed). The length is
+// checked against the remaining input before the int conversion, so a
+// hostile 2^63-scale prefix fails cleanly instead of overflowing.
+func (r *ByteReader) skip() int {
+	n := r.U64()
+	if r.err != nil || n > uint64(r.Remaining()) {
+		r.fail()
+		return 0
+	}
+	r.off += int(n)
+	return int(n)
 }
 
 // ApproxSize estimates the transaction's wire size for bandwidth modeling.

@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"parblockchain/internal/depgraph"
@@ -30,14 +31,46 @@ func fuzzTx() *Transaction {
 	}
 }
 
+// referenceDecode is the plain field-by-field transaction decode, one
+// allocation per string and list, that the lean decoder must agree with.
+// The result is unsealed, so its Digest re-encodes its fields.
+func referenceDecode(b []byte) (*Transaction, error) {
+	r := NewByteReader(b)
+	t := &Transaction{ID: TxID(r.Str()), App: AppID(r.Str()), Client: NodeID(r.Str()), ClientTS: r.U64()}
+	t.Op.Method = r.Str()
+	t.Op.Params = r.Strs()
+	t.Op.Reads = r.Strs()
+	t.Op.Writes = r.Strs()
+	t.SubmitUnixNano = r.I64()
+	t.Sig = r.Blob()
+	return t, r.Err()
+}
+
 func FuzzUnmarshalTransaction(f *testing.F) {
 	f.Add(fuzzTx().Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tx, err := UnmarshalTransaction(data)
+		ref, refErr := referenceDecode(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decode error %v, reference decode error %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		fields := *tx
+		fields.digest, fields.sealed = Hash{}, nil
+		if !reflect.DeepEqual(&fields, ref) {
+			t.Fatalf("decode = %+v, reference decode = %+v", &fields, ref)
+		}
+		if tx.Digest() != ref.Digest() {
+			t.Fatal("the digest hashed from the wire bytes differs from a re-encode's")
+		}
+		for _, list := range [][]string{tx.Op.Params, tx.Op.Reads, tx.Op.Writes} {
+			if len(list) != cap(list) {
+				t.Fatal("a decoded list has spare capacity: an append would overwrite its neighbour")
+			}
 		}
 		enc := tx.Marshal()
 		tx2, err := UnmarshalTransaction(enc)

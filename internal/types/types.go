@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -63,6 +64,19 @@ type Operation struct {
 	Reads []Key
 	// Writes is the set of record keys the operation will write.
 	Writes []Key
+}
+
+// UndeclaredWrite returns the first key of writes outside the declared
+// write set, and whether there is one. Declared write sets are enforced:
+// contract execution aborts a result that writes outside them, and
+// executors do not count a COMMIT vote for one.
+func (op *Operation) UndeclaredWrite(writes []KV) (Key, bool) {
+	for i := range writes {
+		if !slices.Contains(op.Writes, writes[i].Key) {
+			return writes[i].Key, true
+		}
+	}
+	return "", false
 }
 
 // Transaction is a client request flowing through the system. In the

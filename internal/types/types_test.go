@@ -209,6 +209,23 @@ func TestTransactionCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeTransactionAllocs pins the decoder's allocation budget: the
+// Transaction, one string arena, one list backing shared by Params,
+// Reads and Writes, and the signature — however many strings it holds.
+func TestDecodeTransactionAllocs(t *testing.T) {
+	tx := sampleTx("app1", "transfer", []Key{"r1", "r2", "r3"}, []Key{"w1", "w2"})
+	tx.ID = "tx-1"
+	tx.Sig = []byte{1, 2, 3}
+	raw := tx.Marshal()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalTransaction(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Fatalf("decoding a signed transaction allocates %v times, want at most 4", n)
+	}
+}
+
 func TestTransactionCodecRejectsTruncation(t *testing.T) {
 	tx := sampleTx("app1", "transfer", []Key{"r"}, []Key{"w"})
 	raw := tx.Marshal()
