@@ -43,7 +43,6 @@ func run(configPath string, id types.NodeID, n, concurrency int,
 	if err != nil {
 		return err
 	}
-	transport.RegisterWireTypes(&types.RequestMsg{}, &types.CommitNotifyMsg{})
 	book := cfg.AddrBook()
 	listen, ok := book[id]
 	if !ok {

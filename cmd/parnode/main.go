@@ -44,10 +44,6 @@ func run(configPath string, id types.NodeID, opsAddr string) error {
 	if err != nil {
 		return err
 	}
-	// Only the commit notification rides the gob escape hatch; protocol
-	// and consensus messages travel as dedicated binary frames.
-	transport.RegisterWireTypes(&types.CommitNotifyMsg{})
-
 	book := cfg.AddrBook()
 	listenAddr, ok := book[id]
 	if !ok {

@@ -30,12 +30,6 @@ func main() {
 }
 
 func run() error {
-	// Only the commit notification still rides the gob escape hatch; the
-	// protocol and consensus messages travel as dedicated binary frames.
-	transport.RegisterWireTypes(
-		&types.CommitNotifyMsg{},
-	)
-
 	orderers := []types.NodeID{"o1", "o2", "o3"}
 	executors := []types.NodeID{"e1", "e2", "e3"}
 	const client = types.NodeID("c1")

@@ -4,9 +4,8 @@ import (
 	"parblockchain/internal/types"
 )
 
-// Hand-rolled binary codecs for the kafkaorder protocol messages, so TCP
-// deployments frame them directly instead of riding the transport's gob
-// escape hatch. Same contract as the internal/types codecs: malformed
+// Hand-rolled binary codecs for the kafkaorder protocol messages, which
+// TCP deployments frame directly. Same contract as the internal/types codecs: malformed
 // input errors instead of panicking, and attacker-chosen counts are
 // bounded by the input size before allocation.
 

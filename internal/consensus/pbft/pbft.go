@@ -44,7 +44,7 @@ type Config struct {
 	MaxInFlight uint64
 }
 
-// Protocol messages. Exported so transports can gob-register them.
+// Protocol messages. Exported so transports can frame them.
 type (
 	// Forward carries a payload from a non-primary replica to the
 	// primary for ordering.

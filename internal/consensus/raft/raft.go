@@ -61,7 +61,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Protocol messages. Exported so transports can gob-register them.
+// Protocol messages. Exported so transports can frame them.
 type (
 	// Forward carries a payload from a follower to the leader.
 	Forward struct {

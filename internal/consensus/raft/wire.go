@@ -4,10 +4,9 @@ import (
 	"parblockchain/internal/types"
 )
 
-// Hand-rolled binary codecs for the Raft protocol messages, so TCP
-// deployments frame them directly instead of riding the transport's gob
-// escape hatch (reflection plus per-stream type headers on every
-// heartbeat). The codecs follow the internal/types fuzz contract:
+// Hand-rolled binary codecs for the Raft protocol messages, which TCP
+// deployments frame directly: no reflection or per-stream type headers
+// on every heartbeat. The codecs follow the internal/types fuzz contract:
 // malformed input errors instead of panicking, attacker-chosen counts are
 // bounded by the input size before allocation, and nil-vs-empty payload
 // distinctions that carry protocol meaning (a nil LogEntry payload is a

@@ -132,7 +132,6 @@ func TestAssemblyEquivalence(t *testing.T) {
 	wantTip, wantState := settle(t, nw.Ledgers, nw.Stores)
 
 	// Over TCP, node by node.
-	transport.RegisterWireTypes(&types.CommitNotifyMsg{})
 	ids := append(append([]types.NodeID{eqClient}, eqOrderers...), eqExecutors...)
 	endpoints := make(map[types.NodeID]*transport.TCPEndpoint, len(ids))
 	book := make(map[types.NodeID]string, len(ids))

@@ -2,9 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -22,19 +20,15 @@ import (
 // an address book of peers. Per-link FIFO comes from TCP's in-order
 // delivery on a single connection per direction.
 //
-// Frames are length-prefixed and tagged. The hot protocol payloads —
-// REQUEST, NEWBLOCK and COMMIT — travel as the fuzz-hardened binary encodings of internal/types, and
-// every consensus payload (Raft, kafkaorder, and PBFT messages,
-// including the heartbeats that dominate idle-cluster traffic and the
-// nested view-change certificates) as the hand-rolled codecs of their
-// packages, so the wire format is deterministic, free of gob's
-// reflection and per-stream type headers, and hostile input fails in a
-// bounded decoder instead of gob's allocator. The state-sync catch-up
-// pair rides its own binary frames too — responses carry whole WAL
-// record batches or snapshot chunks, the worst place for gob overhead.
-// Only commit notifications and test payloads remain on the tagged gob
-// escape hatch, encoded per frame with the types registered via
-// RegisterWireTypes.
+// Frames are length-prefixed and tagged, and every payload has a
+// binary codec. The protocol payloads — REQUEST, NEWBLOCK, COMMIT, the
+// state-sync pair and the client's commit notification — travel as the
+// fuzz-hardened encodings of internal/types, and every consensus payload
+// (Raft, kafkaorder and PBFT messages, including the heartbeats that
+// dominate idle-cluster traffic and the nested view-change certificates)
+// as the hand-rolled codecs of their packages. So the wire format is
+// deterministic, and hostile input fails in a bounded decoder. Sending a
+// payload type without a codec is an error.
 //
 // Peer identity is established by a handshake frame and then pinned to
 // the connection. Production deployments would authenticate links with
@@ -55,20 +49,16 @@ type TCPConfig struct {
 	RedialBackoff time.Duration
 }
 
-// RegisterWireTypes registers payload types with gob so they can travel
-// over the escape-hatch frames. Call it once per process with every
-// concrete payload the node sends or receives that is not one of the
-// binary-framed protocol messages (e.g. &types.CommitNotifyMsg{}).
-func RegisterWireTypes(payloads ...any) {
-	for _, p := range payloads {
-		gob.Register(p)
-	}
-}
+// RegisterWireTypes does nothing. It registered payload types with the
+// retired gob frame (tag 0); every payload now has a binary frame. It is
+// kept only for callers that still invoke it.
+func RegisterWireTypes(...any) {}
 
 // Frame tags. A frame on the wire is [u32 length][1-byte tag][body],
 // where length counts the tag byte plus the body.
 const (
-	frameGob      byte = 0 // body: gob(gobFrame)
+	// Tag 0 carried the retired per-frame gob escape hatch. It stays
+	// reserved and decodes as an unknown tag.
 	frameHello    byte = 1 // body: sender NodeID (handshake, first frame)
 	frameRequest  byte = 2 // body: types.RequestMsg binary encoding
 	frameNewBlock byte = 3 // body: types.NewBlockMsg binary encoding
@@ -78,7 +68,7 @@ const (
 
 	// Consensus-internal payloads of the crash-fault-tolerant protocols
 	// (Raft heartbeats dominate idle-cluster traffic; kafka appends carry
-	// every ordered payload). PBFT stays on the gob escape hatch.
+	// every ordered payload).
 	frameRaftForward       byte = 7  // body: raft.Forward binary encoding
 	frameRaftRequestVote   byte = 8  // body: raft.RequestVote binary encoding
 	frameRaftVoteResp      byte = 9  // body: raft.VoteResp binary encoding
@@ -104,6 +94,9 @@ const (
 
 	// Kafka broker catch-up after a durable restart.
 	frameKafkaFetch byte = 24 // body: kafkaorder.Fetch binary encoding
+
+	// The observer's per-transaction outcome, sent to the client.
+	frameCommitNotify byte = 25 // body: types.CommitNotifyMsg binary encoding
 )
 
 // maxFrameBytes bounds a single inbound frame (64 MiB): far above any
@@ -111,14 +104,8 @@ const (
 // the reader allocate.
 const maxFrameBytes = 64 << 20
 
-// gobFrame wraps an escape-hatch payload for per-frame gob encoding. The
-// concrete type must be registered via RegisterWireTypes.
-type gobFrame struct {
-	Payload any
-}
-
-// encodeFrame serializes a payload into (tag, body). Binary-framed types
-// use their codecs; everything else goes through gob.
+// encodeFrame serializes a payload into (tag, body) with its binary
+// codec. A payload type without one is an error naming the type.
 func encodeFrame(payload any) (byte, []byte, error) {
 	switch p := payload.(type) {
 	case *types.RequestMsg:
@@ -163,12 +150,10 @@ func encodeFrame(payload any) (byte, []byte, error) {
 		return frameStateSyncReq, p.Marshal(), nil
 	case *types.StateSyncResponseMsg:
 		return frameStateSyncResp, p.Marshal(), nil
+	case *types.CommitNotifyMsg:
+		return frameCommitNotify, p.Marshal(), nil
 	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(gobFrame{Payload: payload}); err != nil {
-			return 0, nil, fmt.Errorf("transport: gob-encoding %T: %w", payload, err)
-		}
-		return frameGob, buf.Bytes(), nil
+		return 0, nil, fmt.Errorf("transport: no wire codec for payload type %T", payload)
 	}
 }
 
@@ -218,12 +203,8 @@ func decodeFrame(tag byte, body []byte) (any, error) {
 		return types.UnmarshalStateSyncRequest(body)
 	case frameStateSyncResp:
 		return types.UnmarshalStateSyncResponse(body)
-	case frameGob:
-		var f gobFrame
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
-			return nil, fmt.Errorf("transport: gob frame: %w", err)
-		}
-		return f.Payload, nil
+	case frameCommitNotify:
+		return types.UnmarshalCommitNotifyMsg(body)
 	default:
 		return nil, fmt.Errorf("transport: unknown frame tag %d", tag)
 	}
@@ -327,9 +308,11 @@ func (e *TCPEndpoint) Addr() string { return e.listener.Addr().String() }
 // Recv returns the inbound message channel.
 func (e *TCPEndpoint) Recv() <-chan Message { return e.inbox.out }
 
-// Send delivers payload to the named peer, dialing on first use. A dead
-// connection is dropped and redialed on the next send; reliability above
-// that is the protocols' job (quorums, retransmission by view change).
+// Send delivers payload to the named peer, dialing on first use. The
+// write happens on the caller's goroutine and blocks while the peer's
+// socket buffer is full. A dead connection is dropped and redialed on
+// the next send; reliability above that is the protocols' job (quorums,
+// retransmission by view change).
 func (e *TCPEndpoint) Send(to types.NodeID, payload any) error {
 	select {
 	case <-e.inbox.done:

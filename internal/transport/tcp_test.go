@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,13 +16,10 @@ import (
 	"parblockchain/internal/types"
 )
 
-type tcpPayload struct {
-	N    int
-	Text string
-}
-
-func init() {
-	RegisterWireTypes(tcpPayload{})
+// note builds the payload the socket tests send: a commit notification,
+// whose block number and TxID carry the test's values.
+func note(n int, text string) *types.CommitNotifyMsg {
+	return &types.CommitNotifyMsg{TxID: types.TxID(text), BlockNum: uint64(n)}
 }
 
 // tcpPair builds two connected TCP endpoints on loopback.
@@ -48,7 +46,7 @@ func tcpPair(t *testing.T) (*TCPEndpoint, *TCPEndpoint) {
 
 func TestTCPSendReceive(t *testing.T) {
 	a, b := tcpPair(t)
-	if err := a.Send("b", tcpPayload{N: 7, Text: "hello"}); err != nil {
+	if err := a.Send("b", note(7, "hello")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -56,8 +54,8 @@ func TestTCPSendReceive(t *testing.T) {
 		if msg.From != "a" {
 			t.Fatalf("From = %s", msg.From)
 		}
-		p, ok := msg.Payload.(tcpPayload)
-		if !ok || p.N != 7 || p.Text != "hello" {
+		p, ok := msg.Payload.(*types.CommitNotifyMsg)
+		if !ok || p.BlockNum != 7 || p.TxID != "hello" {
 			t.Fatalf("payload = %#v", msg.Payload)
 		}
 	case <-time.After(5 * time.Second):
@@ -67,16 +65,16 @@ func TestTCPSendReceive(t *testing.T) {
 
 func TestTCPBidirectional(t *testing.T) {
 	a, b := tcpPair(t)
-	if err := a.Send("b", tcpPayload{N: 1}); err != nil {
+	if err := a.Send("b", note(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	<-b.Recv()
-	if err := b.Send("a", tcpPayload{N: 2}); err != nil {
+	if err := b.Send("a", note(2, "")); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case msg := <-a.Recv():
-		if msg.Payload.(tcpPayload).N != 2 {
+		if msg.Payload.(*types.CommitNotifyMsg).BlockNum != 2 {
 			t.Fatalf("payload = %#v", msg.Payload)
 		}
 	case <-time.After(5 * time.Second):
@@ -88,14 +86,14 @@ func TestTCPFIFO(t *testing.T) {
 	a, b := tcpPair(t)
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := a.Send("b", tcpPayload{N: i}); err != nil {
+		if err := a.Send("b", note(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
 		select {
 		case msg := <-b.Recv():
-			if msg.Payload.(tcpPayload).N != i {
+			if msg.Payload.(*types.CommitNotifyMsg).BlockNum != uint64(i) {
 				t.Fatalf("out of order at %d: %#v", i, msg.Payload)
 			}
 		case <-time.After(5 * time.Second):
@@ -106,7 +104,7 @@ func TestTCPFIFO(t *testing.T) {
 
 func TestTCPUnknownPeer(t *testing.T) {
 	a, _ := tcpPair(t)
-	if err := a.Send("ghost", tcpPayload{}); err == nil {
+	if err := a.Send("ghost", note(0, "")); err == nil {
 		t.Fatal("send to unknown peer must error")
 	}
 }
@@ -114,7 +112,7 @@ func TestTCPUnknownPeer(t *testing.T) {
 func TestTCPSendAfterCloseErrors(t *testing.T) {
 	a, b := tcpPair(t)
 	a.Close()
-	if err := a.Send("b", tcpPayload{}); err == nil {
+	if err := a.Send("b", note(0, "")); err == nil {
 		t.Fatal("send after close must error")
 	}
 	_ = b
@@ -276,17 +274,44 @@ func TestTCPBinaryFrameRoundTrips(t *testing.T) {
 		}
 	})
 
-	t.Run("gob-escape-hatch", func(t *testing.T) {
-		// PBFT payloads (and anything else registered) still travel
-		// per-frame gob.
-		if err := a.Send("b", tcpPayload{N: 11, Text: "fallback"}); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := recvPayload(t, b).(tcpPayload)
-		if !ok || got.N != 11 || got.Text != "fallback" {
-			t.Fatalf("gob payload mangled: %#v", got)
+	t.Run("COMMIT-NOTIFY", func(t *testing.T) {
+		for _, msg := range []*types.CommitNotifyMsg{
+			{TxID: "tx-rt", BlockNum: 11},
+			{TxID: "tx-rt2", BlockNum: 12, Aborted: true, AbortReason: "insufficient funds"},
+		} {
+			if err := a.Send("b", msg); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := recvPayload(t, b).(*types.CommitNotifyMsg)
+			if !ok || *got != *msg {
+				t.Fatalf("COMMIT-NOTIFY mangled: %#v != %#v", got, msg)
+			}
 		}
 	})
+}
+
+// TestTCPSendWithoutCodecErrors: a payload type with no binary codec is
+// refused at Send with an error naming the type, and nothing reaches
+// the peer; the link still carries the next valid frame.
+func TestTCPSendWithoutCodecErrors(t *testing.T) {
+	type noCodec struct{ N int }
+	a, b := tcpPair(t)
+	err := a.Send("b", noCodec{N: 1})
+	if err == nil || !strings.Contains(err.Error(), "noCodec") {
+		t.Fatalf("Send(noCodec) = %v, want an error naming the type", err)
+	}
+	if err := Multicast(a, []types.NodeID{"b"}, noCodec{N: 2}); err == nil || !strings.Contains(err.Error(), "noCodec") {
+		t.Fatalf("Multicast(noCodec) = %v, want an error naming the type", err)
+	}
+	if err := a.Send("b", note(3, "after")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := recvPayload(t, b).(*types.CommitNotifyMsg); !ok || got.BlockNum != 3 {
+		t.Fatalf("first delivery = %#v, want the valid frame sent after the refused ones", got)
+	}
+	if n := a.stats.framesSent.Load(); n != 1 {
+		t.Fatalf("framesSent = %d, want only the valid frame", n)
+	}
 }
 
 // TestTCPMalformedFrameDropsLink: a hostile frame must kill the link, not
@@ -401,7 +426,7 @@ func TestTCPManyPeers(t *testing.T) {
 				continue
 			}
 			to := types.NodeID(fmt.Sprintf("n%d", j))
-			if err := from.Send(to, tcpPayload{N: i*10 + j}); err != nil {
+			if err := from.Send(to, note(i*10+j, "")); err != nil {
 				t.Fatalf("%d->%d: %v", i, j, err)
 			}
 		}
@@ -420,11 +445,12 @@ func TestTCPManyPeers(t *testing.T) {
 	}
 }
 
-// TestRetiredFrameTagsRejected: tags 5 and 6 carried the retired
-// segment-streaming frames. They stay reserved, so a peer still speaking
-// that format gets its frames refused instead of misread.
+// TestRetiredFrameTagsRejected: tag 0 carried the retired gob escape
+// hatch, and tags 5 and 6 the retired segment-streaming frames. They stay
+// reserved, so a peer still speaking those formats gets its frames
+// refused instead of misread.
 func TestRetiredFrameTagsRejected(t *testing.T) {
-	for _, tag := range []byte{5, 6} {
+	for _, tag := range []byte{0, 5, 6} {
 		if payload, err := decodeFrame(tag, []byte{0, 1, 2, 3}); err == nil {
 			t.Fatalf("tag %d decoded to %T, want an unknown-tag error", tag, payload)
 		}

@@ -40,8 +40,12 @@ type Message struct {
 type Endpoint interface {
 	// ID returns the node identity this endpoint speaks for.
 	ID() types.NodeID
-	// Send asynchronously delivers payload to the named node. Per-link
-	// FIFO order is preserved. Send never blocks on the receiver.
+	// Send delivers payload to the named node. Per-link FIFO order is
+	// preserved. The in-memory network queues the message in the
+	// receiver's inbox and never blocks on the receiver. TCP writes the
+	// frame on the caller's goroutine, so Send blocks while the peer's
+	// socket buffer is full, that is, while the peer reads more slowly
+	// than the caller sends.
 	Send(to types.NodeID, payload any) error
 	// Recv returns the channel of inbound messages. The channel is closed
 	// when the endpoint closes.

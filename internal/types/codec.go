@@ -262,8 +262,8 @@ func (t *Transaction) MarshalTo(w *ByteWriter) {
 func UnmarshalTransaction(b []byte) (*Transaction, error) {
 	r := NewByteReader(b)
 	t := decodeTransaction(r)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding transaction: %w", err)
+	if err := FinishDecode(r, "transaction"); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -2,6 +2,8 @@ package types
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -10,8 +12,9 @@ import (
 
 // The codec fuzz contract: arbitrary input must either decode or return
 // an error — never panic, never over-allocate past the input size — and
-// anything that decodes must re-encode stably (decode(encode(decode(x)))
-// is a fixed point). Seed corpora live in testdata/fuzz and are run as
+// anything that decodes must re-encode to exactly its input
+// (encode(decode(x)) == x): every encoding is canonical, so a flag byte
+// other than 0 or 1 and trailing bytes are refused. Seed corpora live in testdata/fuzz and are run as
 // regression inputs by plain `go test`.
 
 func fuzzTx() *Transaction {
@@ -43,7 +46,7 @@ func referenceDecode(b []byte) (*Transaction, error) {
 	t.Op.Writes = r.Strs()
 	t.SubmitUnixNano = r.I64()
 	t.Sig = r.Blob()
-	return t, r.Err()
+	return t, FinishDecode(r, "transaction")
 }
 
 func FuzzUnmarshalTransaction(f *testing.F) {
@@ -72,13 +75,8 @@ func FuzzUnmarshalTransaction(f *testing.F) {
 				t.Fatal("a decoded list has spare capacity: an append would overwrite its neighbour")
 			}
 		}
-		enc := tx.Marshal()
-		tx2, err := UnmarshalTransaction(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, tx2.Marshal()) {
-			t.Fatal("transaction encoding is not a fixed point")
+		if !bytes.Equal(tx.Marshal(), data) {
+			t.Fatal("an accepted transaction does not re-encode to its input")
 		}
 	})
 }
@@ -107,13 +105,8 @@ func FuzzUnmarshalNewBlockMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := m.Marshal()
-		m2, err := UnmarshalNewBlockMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("NEWBLOCK encoding is not a fixed point")
+		if !bytes.Equal(m.Marshal(), data) {
+			t.Fatal("an accepted NEWBLOCK does not re-encode to its input")
 		}
 		if m.Graph != nil {
 			if err := m.Graph.Validate(); err != nil {
@@ -141,13 +134,8 @@ func FuzzUnmarshalCommitMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := m.Marshal()
-		m2, err := UnmarshalCommitMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("COMMIT encoding is not a fixed point")
+		if !bytes.Equal(m.Marshal(), data) {
+			t.Fatal("an accepted COMMIT does not re-encode to its input")
 		}
 	})
 }
@@ -216,5 +204,95 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 	}
 	if back.Digest() != msg.Digest() {
 		t.Fatal("NEWBLOCK digest changed across the wire")
+	}
+}
+
+func FuzzUnmarshalCommitNotifyMsg(f *testing.F) {
+	f.Add((&CommitNotifyMsg{TxID: "c1-7", BlockNum: 12}).Marshal())
+	f.Add((&CommitNotifyMsg{TxID: "c1-8", BlockNum: 12, Aborted: true, AbortReason: "insufficient funds"}).Marshal())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 17))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := UnmarshalCommitNotifyMsg(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(m.Marshal(), data) {
+			t.Fatal("an accepted COMMIT-NOTIFY does not re-encode to its input")
+		}
+	})
+}
+
+// TestCommitNotifyGolden pins the commit notification's wire bytes:
+// length-prefixed TxID, big-endian BlockNum, one abort byte, then the
+// length-prefixed reason.
+func TestCommitNotifyGolden(t *testing.T) {
+	for _, c := range []struct {
+		msg  CommitNotifyMsg
+		want string
+	}{
+		{CommitNotifyMsg{TxID: "c1-7", BlockNum: 12},
+			"000000000000000463312d37" + "000000000000000c" + "00" + "0000000000000000"},
+		{CommitNotifyMsg{TxID: "c1-8", BlockNum: 12, Aborted: true, AbortReason: "insufficient funds"},
+			"000000000000000463312d38" + "000000000000000c" + "01" + "0000000000000012696e73756666696369656e742066756e6473"},
+	} {
+		raw := c.msg.Marshal()
+		if got := hex.EncodeToString(raw); got != c.want {
+			t.Errorf("%+v encodes to %s, want %s", c.msg, got, c.want)
+		}
+		back, err := UnmarshalCommitNotifyMsg(raw)
+		if err != nil || *back != c.msg {
+			t.Errorf("%+v decodes to %+v, %v", c.msg, back, err)
+		}
+	}
+}
+
+// TestCommitNotifyDecodeAllocs pins the notification decoder's budget:
+// the message and its TxID, plus the reason when there is one.
+func TestCommitNotifyDecodeAllocs(t *testing.T) {
+	for _, c := range []struct {
+		msg  CommitNotifyMsg
+		want float64
+	}{
+		{CommitNotifyMsg{TxID: "0123456789abcdef-c1", BlockNum: 9}, 2},
+		{CommitNotifyMsg{TxID: "0123456789abcdef-c1", BlockNum: 9, Aborted: true, AbortReason: "broke"}, 3},
+	} {
+		raw := c.msg.Marshal()
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := UnmarshalCommitNotifyMsg(raw); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.want {
+			t.Fatalf("decoding %+v allocates %v times, want at most %v", c.msg, n, c.want)
+		}
+	}
+}
+
+// TestDecodersRejectTrailingBytes: a frame or log entry carries exactly
+// one message, so a valid encoding followed by one more byte is refused.
+func TestDecodersRejectTrailingBytes(t *testing.T) {
+	block := NewBlock(1, Hash{7}, []*Transaction{fuzzTx()})
+	for _, c := range []struct {
+		name   string
+		raw    []byte
+		decode func([]byte) error
+	}{
+		{"transaction", fuzzTx().Marshal(), func(b []byte) error { _, err := UnmarshalTransaction(b); return err }},
+		{"REQUEST", (&RequestMsg{Tx: fuzzTx()}).Marshal(), func(b []byte) error { _, err := UnmarshalRequestMsg(b); return err }},
+		{"NEWBLOCK", (&NewBlockMsg{Block: block, Apps: block.Apps(), Orderer: "o1", Sig: []byte{2}}).Marshal(),
+			func(b []byte) error { _, err := UnmarshalNewBlockMsg(b); return err }},
+		{"COMMIT", (&CommitMsg{BlockNum: 9, Results: []TxResult{{TxID: "t1"}}, Executor: "e2", Sig: []byte{1}}).Marshal(),
+			func(b []byte) error { _, err := UnmarshalCommitMsg(b); return err }},
+		{"COMMIT-NOTIFY", (&CommitNotifyMsg{TxID: "t1", BlockNum: 9}).Marshal(),
+			func(b []byte) error { _, err := UnmarshalCommitNotifyMsg(b); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.decode(c.raw); err != nil {
+				t.Fatalf("valid encoding refused: %v", err)
+			}
+			if err := c.decode(append(c.raw, 0)); !errors.Is(err, ErrCodec) {
+				t.Fatalf("one trailing byte gave %v, want ErrCodec", err)
+			}
+		})
 	}
 }

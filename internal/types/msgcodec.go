@@ -6,12 +6,13 @@ import (
 	"parblockchain/internal/depgraph"
 )
 
-// This file extends the binary codec to the executor-facing protocol
-// messages (NEWBLOCK, COMMIT) and their constituents, so deployments can
-// frame them without gob's per-stream type headers and so the decoders
-// can be fuzzed: malformed input must return ErrCodec-wrapped errors,
-// never panic, and never allocate proportionally to an attacker-chosen
-// count that exceeds the input size.
+// This file extends the binary codec to the protocol messages (REQUEST,
+// NEWBLOCK, COMMIT, COMMIT-NOTIFY) and their constituents, so
+// deployments can frame them without gob's per-stream type headers and
+// so the decoders can be fuzzed: malformed input must return
+// ErrCodec-wrapped errors, never panic, and never allocate
+// proportionally to an attacker-chosen count that exceeds the input
+// size.
 //
 // Every count-prefixed slice is therefore bounded by Remaining()/minSize
 // before allocation, where minSize is the smallest possible encoding of
@@ -72,11 +73,7 @@ func DecodeTxResults(r *ByteReader) []TxResult { return decodeTxResults(r) }
 func (res *TxResult) MarshalTo(w *ByteWriter) {
 	w.Str(string(res.TxID))
 	w.I64(int64(res.Index))
-	if res.Aborted {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
+	w.Bool(res.Aborted)
 	w.Str(res.AbortReason)
 	w.U64(uint64(len(res.Writes)))
 	for _, kv := range res.Writes {
@@ -95,7 +92,7 @@ func decodeTxResult(r *ByteReader) TxResult {
 		TxID:  TxID(r.Str()),
 		Index: int(r.I64()),
 	}
-	res.Aborted = r.Byte() == 1
+	res.Aborted = r.Bool()
 	res.AbortReason = r.Str()
 	n := r.U64()
 	if r.err != nil || n > uint64(r.Remaining())/minKVSize {
@@ -106,7 +103,7 @@ func decodeTxResult(r *ByteReader) TxResult {
 		res.Writes = make([]KV, 0, n)
 		for i := uint64(0); i < n && r.err == nil; i++ {
 			kv := KV{Key: r.Str()}
-			if r.Byte() == 1 {
+			if r.Bool() {
 				kv.Val = r.Blob()
 				if kv.Val == nil {
 					kv.Val = []byte{} // present but empty: not a deletion
@@ -185,7 +182,7 @@ func marshalGraph(w *ByteWriter, g *depgraph.Graph) {
 }
 
 func decodeGraph(r *ByteReader) *depgraph.Graph {
-	if r.Byte() == 0 {
+	if !r.Bool() {
 		return nil
 	}
 	n := r.U64()
@@ -259,8 +256,8 @@ func UnmarshalNewBlockMsg(b []byte) (*NewBlockMsg, error) {
 	}
 	m.Orderer = NodeID(r.Str())
 	m.Sig = r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding NEWBLOCK: %w", err)
+	if err := FinishDecode(r, "NEWBLOCK"); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -283,11 +280,11 @@ func (m *RequestMsg) Marshal() []byte {
 func UnmarshalRequestMsg(b []byte) (*RequestMsg, error) {
 	r := NewByteReader(b)
 	m := &RequestMsg{}
-	if r.Byte() == 1 {
+	if r.Bool() {
 		m.Tx = decodeTransaction(r)
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding REQUEST: %w", err)
+	if err := FinishDecode(r, "REQUEST"); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -314,8 +311,33 @@ func UnmarshalCommitMsg(b []byte) (*CommitMsg, error) {
 	m.Results = decodeTxResults(r)
 	m.Executor = NodeID(r.Str())
 	m.Sig = r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding COMMIT: %w", err)
+	if err := FinishDecode(r, "COMMIT"); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Marshal encodes the commit notification: TxID, BlockNum, Aborted and
+// AbortReason, in that order.
+func (m *CommitNotifyMsg) Marshal() []byte {
+	w := AcquireWriter()
+	defer ReleaseWriter(w)
+	w.Str(string(m.TxID))
+	w.U64(m.BlockNum)
+	w.Bool(m.Aborted)
+	w.Str(m.AbortReason)
+	return w.CloneBytes()
+}
+
+// UnmarshalCommitNotifyMsg decodes a commit notification encoded by
+// Marshal. Every read is bounded by the input, and trailing bytes are
+// refused.
+func UnmarshalCommitNotifyMsg(b []byte) (*CommitNotifyMsg, error) {
+	r := NewByteReader(b)
+	m := &CommitNotifyMsg{TxID: TxID(r.Str()), BlockNum: r.U64(), Aborted: r.Bool()}
+	m.AbortReason = r.Str()
+	if err := FinishDecode(r, "COMMIT-NOTIFY"); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

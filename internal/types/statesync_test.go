@@ -42,13 +42,8 @@ func FuzzUnmarshalStateSyncRequest(f *testing.F) {
 		if m.Kind > SyncKindSnapshot {
 			t.Fatalf("decoder admitted request kind %d", m.Kind)
 		}
-		enc := m.Marshal()
-		m2, err := UnmarshalStateSyncRequest(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("STATE-SYNC-REQUEST encoding is not a fixed point")
+		if !bytes.Equal(m.Marshal(), data) {
+			t.Fatal("an accepted STATE-SYNC-REQUEST does not re-encode to its input")
 		}
 	})
 }
@@ -71,13 +66,8 @@ func FuzzUnmarshalStateSyncResponse(f *testing.F) {
 		if m.Kind > SyncKindNothing {
 			t.Fatalf("decoder admitted response kind %d", m.Kind)
 		}
-		enc := m.Marshal()
-		m2, err := UnmarshalStateSyncResponse(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("STATE-SYNC-RESPONSE encoding is not a fixed point")
+		if !bytes.Equal(m.Marshal(), data) {
+			t.Fatal("an accepted STATE-SYNC-RESPONSE does not re-encode to its input")
 		}
 	})
 }
