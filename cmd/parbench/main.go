@@ -7,7 +7,6 @@
 //	parbench -fig 6a..6d    contention sweeps (Figure 6, 0/20/80/100%)
 //	parbench -fig 7a..7d    geo-placement sweeps (Figure 7)
 //	parbench -fig ablations A4 (consensus plug comparison)
-//	parbench -fig pipeline  executor pipeline-depth sweep
 //	parbench -fig durability  WAL fsync cost on the finalize hot path
 //	parbench -fig speculation speculative commit-wait bypass vs vote delay
 //	parbench -fig all       everything
@@ -24,7 +23,6 @@ import (
 
 	"parblockchain/internal/bench"
 	"parblockchain/internal/node"
-	"parblockchain/internal/persist"
 )
 
 func main() {
@@ -36,25 +34,21 @@ func main() {
 
 type config struct {
 	fig   string
-	fsync string
 	quick bool
 	csv   bool
-	// opts holds what every point of every figure shares; the knob flags
-	// write straight into its embedded node.Tunables.
+	// opts holds what every point of every figure shares.
 	opts bench.Options
 }
 
 func run() error {
 	var cfg config
-	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations pipeline durability speculation all")
+	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 5a 5b 6a 6b 6c 6d 7a 7b 7c 7d ablations durability speculation all")
 	flag.BoolVar(&cfg.quick, "quick", false, "reduced sweep ranges for a fast pass")
 	flag.BoolVar(&cfg.csv, "csv", false, "emit raw CSV rows instead of tables")
 	flag.DurationVar(&cfg.opts.Duration, "dur", 2*time.Second, "steady-state measurement window per point")
 	flag.DurationVar(&cfg.opts.Warmup, "warmup", 500*time.Millisecond, "warm-up before measurement")
 	flag.DurationVar(&cfg.opts.ExecCost, "execcost", time.Millisecond, "modeled contract service time")
 	flag.BoolVar(&cfg.opts.Crypto, "crypto", false, "enable ed25519 signing end to end")
-	flag.IntVar(&cfg.opts.PipelineDepth, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
-	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
 	flag.Parse()
 
 	figs := map[string]func(config) error{
@@ -68,11 +62,10 @@ func run() error {
 		"7c":          func(c config) error { return fig7(c, bench.GroupExecutors) },
 		"7d":          func(c config) error { return fig7(c, bench.GroupPassive) },
 		"ablations":   ablations,
-		"pipeline":    figPipeline,
 		"durability":  figDurability,
 		"speculation": figSpeculation,
 	}
-	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "pipeline", "durability", "speculation"}
+	order := []string{"5a", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "ablations", "durability", "speculation"}
 
 	switch cfg.fig {
 	case "all":
@@ -170,26 +163,6 @@ func fig7(c config, moved bench.NodeGroup) error {
 	return nil
 }
 
-// figPipeline sweeps the executor pipeline depth at moderate contention:
-// throughput vs PipelineDepth, the cross-block streaming experiment.
-func figPipeline(c config) error {
-	depths := []int{1, 2, 4, 8}
-	levels := c.clientLevels()
-	if c.quick {
-		depths = []int{1, 4}
-	}
-	series, err := bench.PipelineSweep(c.opts, 0.2, depths, levels, os.Stderr)
-	if err != nil {
-		return err
-	}
-	rows := make([]namedSeries, 0, len(series))
-	for _, s := range series {
-		rows = append(rows, namedSeries{name: fmt.Sprintf("depth=%d", s.Depth), points: s.Points})
-	}
-	printSeries(c, "Pipeline: throughput vs executor pipeline depth @ 20% contention", rows)
-	return nil
-}
-
 // ablations runs the design-choice experiments listed under README.md,
 // "Substitutions".
 func ablations(c config) error {
@@ -280,25 +253,18 @@ func figSpeculation(c config) error {
 }
 
 // figDurability measures the durability subsystem's cost on the
-// finalize hot path: OXII in-memory vs WAL-backed at the per-block
-// barrier (depth 1) and a pipelined depth (4), where the group-commit
-// policy amortizes one fsync over each finalize batch.
+// finalize hot path: OXII in memory vs WAL-backed at the deployed
+// execution window, where each finalize batch shares one fsync.
 func figDurability(c config) error {
-	fsync, err := persist.ParseFsyncPolicy(c.fsync)
-	if err != nil {
-		return err
-	}
-	depths := []int{1, 4}
-	levels := c.clientLevels()
-	series, err := bench.DurabilitySweep(c.opts, 0.2, depths, fsync, levels, os.Stderr)
+	series, err := bench.DurabilitySweep(c.opts, 0.2, c.clientLevels(), os.Stderr)
 	if err != nil {
 		return err
 	}
 	rows := make([]namedSeries, 0, len(series))
 	for _, s := range series {
-		name := fmt.Sprintf("depth=%d/in-memory", s.Depth)
+		name := "in-memory"
 		if s.Durable {
-			name = fmt.Sprintf("depth=%d/wal-%s", s.Depth, s.Fsync)
+			name = "wal"
 		}
 		rows = append(rows, namedSeries{name: name, points: s.Points})
 	}

@@ -2,6 +2,8 @@ package xov
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"parblockchain/internal/types"
@@ -9,7 +11,7 @@ import (
 
 // FuzzUnmarshalEndorsedTx holds the XOV wire codec to the same contract
 // as the types codecs: arbitrary input errors rather than panicking, and
-// whatever decodes re-encodes stably.
+// whatever decodes re-encodes to exactly its input.
 func FuzzUnmarshalEndorsedTx(f *testing.F) {
 	etx := &EndorsedTx{
 		Tx: &types.Transaction{
@@ -34,13 +36,41 @@ func FuzzUnmarshalEndorsedTx(f *testing.F) {
 		if len(e.Endorsers) != len(e.Sigs) {
 			t.Fatal("decoder admitted misaligned endorsement evidence")
 		}
-		enc := e.Marshal()
-		e2, err := UnmarshalEndorsedTx(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, e2.Marshal()) {
-			t.Fatal("EndorsedTx encoding is not a fixed point")
+		if !bytes.Equal(e.Marshal(), data) {
+			t.Fatal("an accepted EndorsedTx does not re-encode to its input")
 		}
 	})
+}
+
+// TestUnmarshalEndorsedTxRejectsNonCanonical: a valid envelope with one
+// trailing byte, and one whose SimAborted flag byte is neither 0 nor 1,
+// are both malformed encodings, not aliases of a valid one.
+func TestUnmarshalEndorsedTxRejectsNonCanonical(t *testing.T) {
+	etx := &EndorsedTx{
+		Tx:     &types.Transaction{ID: "t1", App: "app1", Client: "c1", ClientTS: 1},
+		Writes: []types.KV{{Key: "a", Val: []byte("1")}},
+	}
+	valid := etx.Marshal()
+	etx.SimAborted = true
+	aborted := etx.Marshal()
+	at := -1
+	for i := range valid {
+		if valid[i] != aborted[i] {
+			at = i
+			break
+		}
+	}
+	if at < 0 || len(valid) != len(aborted) {
+		t.Fatal("SimAborted does not change exactly one byte of the encoding")
+	}
+	badFlag := slices.Clone(valid)
+	badFlag[at] = 7
+	for name, data := range map[string][]byte{
+		"trailing byte": append(slices.Clone(valid), 0),
+		"flag byte 7":   badFlag,
+	} {
+		if _, err := UnmarshalEndorsedTx(data); !errors.Is(err, types.ErrCodec) {
+			t.Errorf("%s: err = %v, want ErrCodec", name, err)
+		}
+	}
 }

@@ -140,11 +140,7 @@ func (e *EndorsedTx) Marshal() []byte {
 		w.Str(kv.Key)
 		w.Blob(kv.Val)
 	}
-	if e.SimAborted {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
+	w.Bool(e.SimAborted)
 	w.Str(e.AbortReason)
 	w.U64(uint64(len(e.Endorsers)))
 	for i, id := range e.Endorsers {
@@ -154,7 +150,9 @@ func (e *EndorsedTx) Marshal() []byte {
 	return w.CloneBytes()
 }
 
-// UnmarshalEndorsedTx decodes an EndorsedTx.
+// UnmarshalEndorsedTx decodes an EndorsedTx. The encoding is canonical:
+// a flag byte other than 0 or 1, or bytes after the last field, are
+// refused, so an accepted input re-encodes to exactly itself.
 func UnmarshalEndorsedTx(b []byte) (*EndorsedTx, error) {
 	r := types.NewByteReader(b)
 	txBytes := r.Blob()
@@ -174,14 +172,14 @@ func UnmarshalEndorsedTx(b []byte) (*EndorsedTx, error) {
 	for i := uint64(0); i < nWrites && r.Err() == nil; i++ {
 		e.Writes = append(e.Writes, types.KV{Key: r.Str(), Val: r.Blob()})
 	}
-	e.SimAborted = r.Byte() == 1
+	e.SimAborted = r.Bool()
 	e.AbortReason = r.Str()
 	nSigs := r.U64()
 	for i := uint64(0); i < nSigs && r.Err() == nil; i++ {
 		e.Endorsers = append(e.Endorsers, types.NodeID(r.Str()))
 		e.Sigs = append(e.Sigs, r.Blob())
 	}
-	if err := r.Err(); err != nil {
+	if err := types.FinishDecode(r, "endorsed transaction"); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -134,7 +134,7 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Baselines stay in memory: no data dir, no fsync policy.
+		// Baselines stay in memory: no data dir.
 		cons, err := node.NewConsensus(node.Config{ID: id, Endpoint: ep, Orderers: cfg.Orderers,
 			Consensus: cfg.Consensus, Logf: cfg.Logf})
 		if err != nil {

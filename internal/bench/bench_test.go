@@ -197,7 +197,6 @@ func TestSpeculationSweepSmoke(t *testing.T) {
 func TestRunOXIIDurable(t *testing.T) {
 	opts := short(SystemOXII)
 	opts.DataDir = t.TempDir()
-	opts.PipelineDepth = 4
 	r, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"time"
-
-	"parblockchain/internal/persist"
 )
 
 // This file implements the per-figure experiment sweeps of the paper's
@@ -178,41 +176,6 @@ func GeoSweep(base Options, moved NodeGroup, systems []System,
 	return series, nil
 }
 
-// PipelineSeries is one line of a pipeline-depth plot: the
-// throughput-latency curve of OXII at one executor pipeline depth.
-type PipelineSeries struct {
-	Depth  int
-	Points []SweepPoint
-}
-
-// PipelineSweep measures OXII throughput as the executors' cross-block
-// pipeline deepens, at a fixed contention level. Depth 1 is the paper's
-// per-block barrier; deeper windows let block n+1 execute while block n
-// is still committing, so the sweep exposes how much of the block-commit
-// latency the barrier was costing.
-func PipelineSweep(base Options, contention float64, depths []int,
-	clientLevels []int, progress io.Writer) ([]PipelineSeries, error) {
-	series := make([]PipelineSeries, 0, len(depths))
-	for _, depth := range depths {
-		opts := base
-		opts.System = SystemOXII
-		opts.Contention = contention
-		opts.PipelineDepth = depth
-		points, err := Curve(opts, clientLevels)
-		if err != nil {
-			return series, err
-		}
-		series = append(series, PipelineSeries{Depth: depth, Points: points})
-		if progress != nil {
-			peak := Peak(points)
-			fmt.Fprintf(progress, "pipeline depth=%-3d peak=%8.0f tx/s lat=%8s\n",
-				depth, peak.Result.Throughput,
-				peak.Result.AvgLatency.Round(time.Millisecond))
-		}
-	}
-	return series, nil
-}
-
 // SpeculationSeries is one line of a speculation plot: OXII's (cross-app
 // contention) throughput-latency curve at one COMMIT vote delay and one
 // tau. The peak point's SpecExecuted/SpecHits/SpecMisses/SpecReexecs
@@ -286,65 +249,53 @@ func durableCurve(opts Options, clientLevels []int) ([]SweepPoint, error) {
 }
 
 // DurabilitySeries is one line of a durability plot: OXII's
-// throughput-latency curve at one pipeline depth with durability on or
-// off. For durable series, WALAppends/WALSyncs of the peak point expose
-// the group-commit amortization (syncs per appended block).
+// throughput-latency curve with durability on or off. For the durable
+// series, WALAppends/WALSyncs of the peak point expose the group-commit
+// amortization (syncs per appended block).
 type DurabilitySeries struct {
-	Depth   int
 	Durable bool
-	Fsync   persist.FsyncPolicy
 	Points  []SweepPoint
 }
 
 // DurabilitySweep measures the cost of the durability subsystem on the
-// finalize hot path: for each pipeline depth it runs OXII in-memory and
-// with a WAL under the given fsync policy (fresh temp directory per
-// point, removed afterwards). Deeper pipelines finalize more blocks per
-// batch, so the group-commit policy amortizes the fsync cost the sweep
-// isolates.
-func DurabilitySweep(base Options, contention float64, depths []int, fsync persist.FsyncPolicy,
+// finalize hot path: it runs OXII in memory and with a WAL (fresh temp
+// directory per point, removed afterwards) at the deployed execution
+// window, whose finalize batches share one fsync.
+func DurabilitySweep(base Options, contention float64,
 	clientLevels []int, progress io.Writer) ([]DurabilitySeries, error) {
-	series := make([]DurabilitySeries, 0, 2*len(depths))
-	for _, depth := range depths {
-		for _, durable := range []bool{false, true} {
-			opts := base
-			opts.System = SystemOXII
-			opts.Contention = contention
-			opts.PipelineDepth = depth
-			var points []SweepPoint
-			var err error
+	series := make([]DurabilitySeries, 0, 2)
+	for _, durable := range []bool{false, true} {
+		opts := base
+		opts.System = SystemOXII
+		opts.Contention = contention
+		var points []SweepPoint
+		var err error
+		if durable {
+			// Every point gets a fresh directory: reusing one would make
+			// the next point's executors resume at the previous run's
+			// height while its fresh orderers cut from block 0.
+			points, err = durableCurve(opts, clientLevels)
+		} else {
+			points, err = Curve(opts, clientLevels)
+		}
+		if err != nil {
+			return series, err
+		}
+		series = append(series, DurabilitySeries{Durable: durable, Points: points})
+		if progress != nil {
+			peak := Peak(points)
+			mode := "in-memory"
 			if durable {
-				opts.FsyncPolicy = fsync
-				// Every point gets a fresh directory: reusing one would
-				// make the next point's executors resume at the previous
-				// run's height while its fresh orderers cut from block 0.
-				points, err = durableCurve(opts, clientLevels)
-			} else {
-				points, err = Curve(opts, clientLevels)
+				mode = "wal"
 			}
-			if err != nil {
-				return series, err
+			line := fmt.Sprintf("durability %-9s peak=%8.0f tx/s lat=%8s",
+				mode, peak.Result.Throughput,
+				peak.Result.AvgLatency.Round(time.Millisecond))
+			if durable && peak.Result.WALAppends > 0 {
+				line += fmt.Sprintf("  fsyncs/block=%.2f",
+					float64(peak.Result.WALSyncs)/float64(peak.Result.WALAppends))
 			}
-			s := DurabilitySeries{Depth: depth, Durable: durable, Points: points}
-			if durable {
-				s.Fsync = fsync
-			}
-			series = append(series, s)
-			if progress != nil {
-				peak := Peak(points)
-				mode := "in-memory"
-				if durable {
-					mode = "durable/" + string(fsync)
-				}
-				line := fmt.Sprintf("durability depth=%-3d %-16s peak=%8.0f tx/s lat=%8s",
-					depth, mode, peak.Result.Throughput,
-					peak.Result.AvgLatency.Round(time.Millisecond))
-				if durable && peak.Result.WALAppends > 0 {
-					line += fmt.Sprintf("  fsyncs/block=%.2f",
-						float64(peak.Result.WALSyncs)/float64(peak.Result.WALAppends))
-				}
-				fmt.Fprintln(progress, line)
-			}
+			fmt.Fprintln(progress, line)
 		}
 	}
 	return series, nil

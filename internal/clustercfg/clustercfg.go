@@ -40,7 +40,7 @@ type Config struct {
 	BlockTxns       int `json:"blockTxns,omitempty"`
 	BlockIntervalMs int `json:"blockIntervalMs,omitempty"`
 	// Tunables holds every performance and durability knob under its JSON
-	// name (pipelineDepth, fsyncPolicy, snapshotIntervalBlocks, ...).
+	// name (snapshotIntervalBlocks, segmentBytes).
 	node.Tunables
 	// DataDir roots the durability subsystem: every node keeps its durable
 	// state under DataDir/<node-id> (see node.Config.DataDir), so

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"parblockchain/internal/node"
-	"parblockchain/internal/persist"
 	"parblockchain/internal/types"
 )
 
@@ -104,7 +103,6 @@ func TestLoadDurabilityFields(t *testing.T) {
   "orderers": {"o1": "x"},
   "executors": {"e1": "y"},
   "dataDir": "/var/lib/parblockchain",
-  "fsyncPolicy": "always",
   "snapshotIntervalBlocks": 256
 }`
 	cfg, err := Load(write(t, good))
@@ -114,7 +112,7 @@ func TestLoadDurabilityFields(t *testing.T) {
 	if cfg.NodeDataDir("e1") != filepath.Join("/var/lib/parblockchain", "e1") {
 		t.Fatalf("NodeDataDir = %q", cfg.NodeDataDir("e1"))
 	}
-	if cfg.FsyncPolicy != "always" || cfg.SnapshotInterval != 256 {
+	if cfg.SnapshotInterval != 256 {
 		t.Fatalf("durability fields not loaded: %+v", cfg)
 	}
 
@@ -129,26 +127,14 @@ func TestLoadDurabilityFields(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsBadFsyncPolicy(t *testing.T) {
+func TestLoadRejectsSnapshotIntervalWithoutDataDir(t *testing.T) {
 	bad := `{
   "orderers": {"o1": "x"},
   "executors": {"e1": "y"},
-  "dataDir": "/tmp/d",
-  "fsyncPolicy": "sometimes"
+  "snapshotIntervalBlocks": 256
 }`
-	if _, err := Load(write(t, bad)); err == nil {
-		t.Fatal("bogus fsync policy must be rejected")
-	}
-}
-
-func TestLoadRejectsFsyncWithoutDataDir(t *testing.T) {
-	bad := `{
-  "orderers": {"o1": "x"},
-  "executors": {"e1": "y"},
-  "fsyncPolicy": "group"
-}`
-	if _, err := Load(write(t, bad)); err == nil {
-		t.Fatal("fsyncPolicy without dataDir must be rejected")
+	if _, err := Load(write(t, bad)); err == nil || !strings.Contains(err.Error(), "snapshotIntervalBlocks") {
+		t.Fatalf("snapshotIntervalBlocks without dataDir: err = %v, want an error naming it", err)
 	}
 }
 
@@ -192,7 +178,7 @@ func TestLoadRejectsOpsAddrForUnknownNode(t *testing.T) {
 // TestLoadRejectsNegativeKnobs sets each integer knob to -1 and expects
 // an error naming it.
 func TestLoadRejectsNegativeKnobs(t *testing.T) {
-	for _, knob := range []string{"pipelineDepth", "segmentBytes"} {
+	for _, knob := range []string{"snapshotIntervalBlocks", "segmentBytes"} {
 		bad := fmt.Sprintf(`{"orderers": {"o1": "x"}, "executors": {"e1": "y"}, %q: -1}`, knob)
 		if _, err := Load(write(t, bad)); err == nil || !strings.Contains(err.Error(), knob) {
 			t.Errorf("negative %s: err = %v, want an error naming it", knob, err)
@@ -236,8 +222,6 @@ func TestRoundTrip(t *testing.T) {
 		BlockTxns:       64,
 		BlockIntervalMs: 20,
 		Tunables: node.Tunables{
-			PipelineDepth:    2,
-			FsyncPolicy:      persist.FsyncAlways,
 			SnapshotInterval: 32,
 			SegmentBytes:     1 << 20,
 		},

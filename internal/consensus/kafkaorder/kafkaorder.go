@@ -28,7 +28,6 @@ import (
 
 	"parblockchain/internal/consensus"
 	"parblockchain/internal/eventq"
-	"parblockchain/internal/persist"
 	"parblockchain/internal/types"
 )
 
@@ -49,10 +48,6 @@ type Config struct {
 	// persisted under this directory and recovered on restart. Empty
 	// keeps the member in memory.
 	Dir string
-	// Fsync is the log's fsync policy (group by default). Batches are
-	// always synced before they are acknowledged; "never" opts out of
-	// durability guarantees entirely.
-	Fsync persist.FsyncPolicy
 	// LogSegmentBytes rolls the durable log to a fresh segment once the
 	// active one exceeds this size. Zero means
 	// persist.DefaultLogSegmentBytes.
@@ -156,7 +151,7 @@ func New(cfg Config) (*Node, error) {
 		done:    make(chan struct{}),
 	}
 	if cfg.Dir != "" {
-		s, slots, maxSeq, err := openStorage(cfg.Dir, cfg.Fsync, cfg.LogSegmentBytes, cfg.Logf)
+		s, slots, maxSeq, err := openStorage(cfg.Dir, cfg.LogSegmentBytes, cfg.Logf)
 		if err != nil {
 			return nil, err
 		}

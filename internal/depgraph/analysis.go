@@ -1,10 +1,12 @@
 package depgraph
 
 // This file provides structural analyses over dependency graphs: level
-// decomposition (the schedule depth a perfect executor could achieve),
+// decomposition and the critical-path length and width it yields (the
+// schedule depth and parallelism a perfect executor could achieve),
 // weakly connected components (the paper's observation that a
-// disconnected graph decomposes execution across applications), and
-// transitive closure (used to prove builder equivalence in tests).
+// disconnected graph decomposes execution across applications), chain
+// detection, roots, and transitive closure (used to prove builder
+// equivalence in tests).
 
 // Levels assigns each node its longest-path depth: nodes with no
 // predecessors are level 0, and every other node is one more than the
@@ -22,28 +24,6 @@ func (g *Graph) Levels() []int {
 		levels[j] = max + 1
 	}
 	return levels
-}
-
-// Heights assigns each node the length in edges of the longest directed
-// path starting at it: nodes with no successors are height 0, and every
-// other node is one more than the maximum height among its successors.
-// It is the downstream dual of Levels: the tallest ready transaction
-// heads the longest remaining chain.
-func (g *Graph) Heights() []int {
-	heights := make([]int, g.N)
-	// Edges always point from a lower to a higher index (both builders
-	// guarantee pred < self), so reverse index order is reverse
-	// topological order.
-	for j := g.N - 1; j >= 0; j-- {
-		max := -1
-		for _, s := range g.Succ[j] {
-			if heights[s] > max {
-				max = heights[s]
-			}
-		}
-		heights[j] = max + 1
-	}
-	return heights
 }
 
 // CriticalPathLen returns the number of levels in the graph: the length of

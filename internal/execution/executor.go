@@ -168,8 +168,10 @@ type Config struct {
 	// benchmarks vary it.
 	Workers int
 	// PipelineDepth bounds the sliding window of blocks admitted into
-	// execution before the oldest finalizes. 1 restores the strict
-	// per-block barrier of the paper; zero means the default of 4.
+	// execution before the oldest finalizes. Zero means
+	// DefaultPipelineDepth, which every deployment runs; 1 restores the
+	// strict per-block barrier of the paper, and the execution package's
+	// own tests and benchmarks vary it.
 	PipelineDepth int
 	// StallTimeout arms the pipeline-progress watchdog: when nothing
 	// finalizes and nothing admissible arrives for this long while peers

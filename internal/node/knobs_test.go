@@ -51,10 +51,6 @@ var knobs = map[string]struct {
 	json  string
 	lands func(e effective) [][2]any
 }{
-	"PipelineDepth": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.exec.PipelineDepth, 3}} }},
-	"FsyncPolicy": {json: `"always"`, lands: func(e effective) [][2]any {
-		return [][2]any{{e.persist.Fsync, persist.FsyncAlways}, {e.ord.Fsync, persist.FsyncAlways}}
-	}},
 	"SnapshotInterval": {json: `3`, lands: func(e effective) [][2]any { return [][2]any{{e.persist.SnapshotInterval, 3}} }},
 	"SegmentBytes":     {json: `4096`, lands: func(e effective) [][2]any { return [][2]any{{e.persist.SegmentBytes, 4096}} }},
 }
@@ -68,6 +64,9 @@ var retired = map[string]func(e effective) [][2]any{
 		return [][2]any{{e.exec.Workers, 0}, {execution.DefaultWorkers, 8}} // zero takes the default
 	},
 	"MinHorizon": func(effective) [][2]any { return [][2]any{{execution.DefaultMinHorizon, 64}} },
+	"PipelineDepth": func(e effective) [][2]any {
+		return [][2]any{{e.exec.PipelineDepth, 0}, {execution.DefaultPipelineDepth, 4}} // zero takes the default
+	},
 	"SyncStallMs": func(e effective) [][2]any {
 		return [][2]any{{e.exec.StallTimeout, time.Second}} // ten block-cut intervals
 	},

@@ -165,8 +165,8 @@ func GenerateKeys(crypto bool, groups ...[]types.NodeID) (map[types.NodeID]crypt
 }
 
 // NewConsensus builds this orderer's instance of the configured
-// protocol from cfg's ID, Endpoint, Orderers, Consensus, DataDir,
-// FsyncPolicy and Logf. Raft and Kafka persist their log under
+// protocol from cfg's ID, Endpoint, Orderers, Consensus, DataDir and
+// Logf. Raft and Kafka persist their log under
 // the node's consensus/ directory when a data dir is set.
 func NewConsensus(cfg Config) (consensus.Node, error) {
 	sender := consensus.SenderFunc(cfg.Endpoint.Send)
@@ -176,10 +176,10 @@ func NewConsensus(cfg Config) (consensus.Node, error) {
 		return pbft.New(pbft.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender}), nil
 	case ConsensusRaft:
 		return raft.New(raft.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender,
-			Dir: dir, Fsync: cfg.FsyncPolicy, Logf: cfg.Logf})
+			Dir: dir, Logf: cfg.Logf})
 	case ConsensusKafka, "":
 		return kafkaorder.New(kafkaorder.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender,
-			Dir: dir, Fsync: cfg.FsyncPolicy, Logf: cfg.Logf})
+			Dir: dir, Logf: cfg.Logf})
 	default:
 		return nil, fmt.Errorf("node: unknown consensus kind %q", cfg.Consensus)
 	}
@@ -189,7 +189,6 @@ func NewConsensus(cfg Config) (consensus.Node, error) {
 func (c *Config) persistConfig() persist.Config {
 	return persist.Config{
 		Dir:              c.dir(""),
-		Fsync:            c.FsyncPolicy,
 		SnapshotInterval: c.SnapshotInterval,
 		SegmentBytes:     c.SegmentBytes,
 		Logf:             c.Logf,
@@ -227,7 +226,6 @@ func (c *Config) executorConfig() execution.Config {
 		Tau:           c.Tau,
 		OrderQuorum:   OrderQuorum(c.Consensus, len(c.Orderers)),
 		Executors:     c.Executors,
-		PipelineDepth: c.PipelineDepth,
 		StallTimeout:  c.stallTimeout(),
 		Signer:        c.Signer,
 		Verifier:      c.Verifier,
@@ -255,7 +253,6 @@ func (c *Config) ordererConfig() ordering.Config {
 		MaxBlockInterval: c.MaxBlockInterval,
 		BuildGraph:       true,
 		Dir:              logDir,
-		Fsync:            c.FsyncPolicy,
 		// Raft and Kafka persist their logs and redeliver the committed
 		// prefix with stable sequence numbers, so replayed entries can be
 		// recognized and skipped by sequence. PBFT restarts its sequence

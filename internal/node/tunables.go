@@ -1,10 +1,6 @@
 package node
 
-import (
-	"fmt"
-
-	"parblockchain/internal/persist"
-)
+import "fmt"
 
 // Tunables is every performance and durability knob of a deployment,
 // declared once. oxii.Config, bench.Options and clustercfg.Config embed
@@ -16,24 +12,15 @@ import (
 // A field stays only while some caller needs a value other than its
 // default (README's configuration reference names each caller). What
 // every deployment runs anyway is a fact, not a knob: eight execution
-// workers, the 64-block buffering-horizon floor, the 32-trace ring, and
-// the state-sync watchdog on every durable executor (stallTimeout).
+// workers, a four-block execution window, the 64-block buffering-horizon
+// floor, the 32-trace ring, the state-sync watchdog on every durable
+// executor (stallTimeout), and one sync rule for every durable log
+// (appends never sync; a block is externalized, and a cut multicast,
+// only after its log's Sync).
 type Tunables struct {
-	// PipelineDepth bounds each executor's window of in-flight blocks:
-	// blocks stream through execution while earlier blocks are still
-	// committing, with cross-block conflicts stitched into the dependency
-	// graph. 1 restores the paper's strict per-block barrier; zero means
-	// the executor default (4). Finalization order and final state are
-	// identical at every depth.
-	PipelineDepth int `json:"pipelineDepth,omitempty"`
-	// FsyncPolicy selects when log appends reach stable storage: "group"
-	// (default: one fsync per finalize batch, so pipelined blocks amortize
-	// the durability cost), "always" (one per block), or "never" (page
-	// cache only). Requires a data dir.
-	FsyncPolicy persist.FsyncPolicy `json:"fsyncPolicy,omitempty"`
 	// SnapshotInterval is the number of blocks between state snapshots
-	// (and WAL truncations); zero uses the persist default, negative
-	// disables snapshots. Requires a data dir.
+	// (and WAL truncations); zero uses the persist default (1024). It
+	// cannot be negative, so the WAL stays bounded. Requires a data dir.
 	SnapshotInterval int `json:"snapshotIntervalBlocks,omitempty"`
 	// SegmentBytes is each executor's WAL segment roll threshold; zero
 	// uses the persist default. Small values make WAL truncation
@@ -51,18 +38,12 @@ func (t Tunables) Validate(durable bool) error {
 		name  string
 		value int64
 	}{
-		{"pipelineDepth", int64(t.PipelineDepth)},
+		{"snapshotIntervalBlocks", int64(t.SnapshotInterval)},
 		{"segmentBytes", int64(t.SegmentBytes)},
 	} {
 		if knob.value < 0 {
 			return fmt.Errorf("%s must be >= 0", knob.name)
 		}
-	}
-	if _, err := persist.ParseFsyncPolicy(string(t.FsyncPolicy)); err != nil {
-		return err
-	}
-	if !durable && t.FsyncPolicy != "" {
-		return fmt.Errorf("fsyncPolicy requires dataDir")
 	}
 	if !durable && t.SnapshotInterval != 0 {
 		return fmt.Errorf("snapshotIntervalBlocks requires dataDir")

@@ -157,7 +157,6 @@ func (o *Orderer) openLog() error {
 	dlog, err := persist.OpenRecordLog(persist.RecordLogConfig{
 		Dir:          o.cfg.Dir,
 		Prefix:       "olog",
-		Fsync:        o.cfg.Fsync,
 		SegmentBytes: o.cfg.LogSegmentBytes,
 		Logf:         o.cfg.Logf,
 	}, func(idx uint64, body []byte) error {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/persist"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
@@ -15,32 +14,14 @@ import (
 // cut path: transactions flow client → orderer → consensus → cut →
 // NEWBLOCK exactly as in the tests, with the cut-record fsync on the
 // critical path when a Dir is mounted. The mem row is the in-memory
-// baseline; wal-group fsyncs once per cut (entry records ride the group
-// commit), wal-always also fsyncs every entry append. fsyncs/block
-// shows the amortization: ~1 for wal-group, ~MaxBlockTxns+1 for
-// wal-always.
+// baseline; wal fsyncs once per cut (entry records ride the group
+// commit), so fsyncs/block reads ~1.
 func BenchmarkOrdererDurable(b *testing.B) {
-	modes := []struct {
-		name    string
-		durable bool
-		fsync   persist.FsyncPolicy
-	}{
-		{"mem", false, persist.FsyncGroup},
-		{"wal-group", true, persist.FsyncGroup},
-		{"wal-always", true, persist.FsyncAlways},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			dir := ""
-			if m.durable {
-				dir = b.TempDir()
-			}
-			benchOrdererCutPath(b, dir, m.fsync)
-		})
-	}
+	b.Run("mem", func(b *testing.B) { benchOrdererCutPath(b, "") })
+	b.Run("wal-group", func(b *testing.B) { benchOrdererCutPath(b, b.TempDir()) })
 }
 
-func benchOrdererCutPath(b *testing.B, dir string, fsync persist.FsyncPolicy) {
+func benchOrdererCutPath(b *testing.B, dir string) {
 	const blockTxns = 64
 	net := transport.NewInMemNetwork(transport.InMemConfig{})
 	defer net.Close()
@@ -58,7 +39,6 @@ func benchOrdererCutPath(b *testing.B, dir string, fsync persist.FsyncPolicy) {
 		MaxBlockInterval: 10 * time.Second, // count-driven cuts only
 		BuildGraph:       true,
 		Dir:              dir,
-		Fsync:            fsync,
 		Logf:             func(string, ...any) {},
 	})
 	if err != nil {

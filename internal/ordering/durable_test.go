@@ -4,18 +4,16 @@ import (
 	"testing"
 	"time"
 
-	"parblockchain/internal/persist"
 	"parblockchain/internal/types"
 )
 
 // durableFixture is newFixture with the cut-state log mounted on dir and
 // a long block interval, so every cut in these tests is count-driven and
 // the entry/cut record sequence is deterministic.
-func durableFixture(t *testing.T, dir string, fsync persist.FsyncPolicy, mutate func(*Config)) *fixture {
+func durableFixture(t *testing.T, dir string, mutate func(*Config)) *fixture {
 	t.Helper()
 	return newFixture(t, func(cfg *Config) {
 		cfg.Dir = dir
-		cfg.Fsync = fsync
 		cfg.MaxBlockInterval = 10 * time.Second
 		if mutate != nil {
 			mutate(cfg)
@@ -58,7 +56,7 @@ func awaitReplay(t *testing.T, o *Orderer) {
 // resumes cutting at height N+1 with an intact hash chain.
 func TestDurableOrdererResumesAfterKill(t *testing.T) {
 	dir := t.TempDir()
-	f1 := durableFixture(t, dir, persist.FsyncAlways, nil)
+	f1 := durableFixture(t, dir, nil)
 	for i := 0; i < 3; i++ {
 		f1.submit(t, testTx("c1", uint64(i+1), nil, []types.Key{"k"}))
 	}
@@ -67,16 +65,20 @@ func TestDurableOrdererResumesAfterKill(t *testing.T) {
 		t.Fatalf("first block number = %d", nb0.Block.Header.Number)
 	}
 	// Two more transactions stay pending (below MaxBlockTxns, timer far
-	// away). FsyncAlways makes their entry records durable on append.
+	// away). Syncing the log makes their entry records durable, so the
+	// kill cannot drop them.
 	f1.submit(t, testTx("c1", 4, nil, []types.Key{"k"}))
 	f1.submit(t, testTx("c1", 5, nil, []types.Key{"k"}))
 	waitLogAppends(t, f1.orderer, 6) // 3 entries + 1 cut + 2 entries
+	if err := f1.orderer.dlog.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	f1.orderer.Kill()
 
 	// A rebuilt orderer on the same directory replays: the recovered
 	// block is re-multicast bit-identically (executors past it drop the
 	// duplicate; executors that missed it catch up).
-	f2 := durableFixture(t, dir, persist.FsyncAlways, nil)
+	f2 := durableFixture(t, dir, nil)
 	nb0r := f2.nextBlock(t, 2*time.Second)
 	if nb0r.Block.Hash() != nb0.Block.Hash() {
 		t.Fatal("replayed block 0 is not bit-identical to the original")
@@ -111,7 +113,7 @@ func TestDurableOrdererResumesAfterKill(t *testing.T) {
 // deployment.
 func TestDurableOrdererGroupFsyncLosesOnlyTail(t *testing.T) {
 	dir := t.TempDir()
-	f1 := durableFixture(t, dir, persist.FsyncGroup, nil)
+	f1 := durableFixture(t, dir, nil)
 	for i := 0; i < 3; i++ {
 		f1.submit(t, testTx("c1", uint64(i+1), nil, []types.Key{"k"}))
 	}
@@ -121,7 +123,7 @@ func TestDurableOrdererGroupFsyncLosesOnlyTail(t *testing.T) {
 	waitLogAppends(t, f1.orderer, 6)
 	f1.orderer.Kill() // drops the unsynced tail: the two pending entries
 
-	f2 := durableFixture(t, dir, persist.FsyncGroup, nil)
+	f2 := durableFixture(t, dir, nil)
 	nb0r := f2.nextBlock(t, 2*time.Second)
 	if nb0r.Block.Hash() != nb0.Block.Hash() {
 		t.Fatal("replayed block 0 diverged")
@@ -160,7 +162,7 @@ func TestDurableOrdererLogRotationAndPruning(t *testing.T) {
 		cfg.LogSegmentBytes = 1 // every cut rolls first
 		cfg.RetainBlocks = 2
 	}
-	f1 := durableFixture(t, dir, persist.FsyncAlways, mutate)
+	f1 := durableFixture(t, dir, mutate)
 	const blocks = 6
 	var last *types.NewBlockMsg
 	for b := 0; b < blocks; b++ {
@@ -174,7 +176,7 @@ func TestDurableOrdererLogRotationAndPruning(t *testing.T) {
 	}
 	f1.orderer.Kill()
 
-	f2 := durableFixture(t, dir, persist.FsyncAlways, mutate)
+	f2 := durableFixture(t, dir, mutate)
 	// Replay re-multicasts only the retained window, ending at the same
 	// tip; the orderer resumes at the full height.
 	deadline := time.Now().Add(5 * time.Second)

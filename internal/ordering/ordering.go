@@ -97,10 +97,6 @@ type Config struct {
 	// orderer replays it to resume cutting at the next height instead of
 	// block 0. Empty keeps the ordering side in memory.
 	Dir string
-	// Fsync is the orderer log's fsync policy (group by default). Cut
-	// records are always fsynced before the block is multicast; entry
-	// records between cuts follow the policy.
-	Fsync persist.FsyncPolicy
 	// LogSegmentBytes rolls the orderer log to a fresh segment at the
 	// next cut once the active one exceeds this size. Zero means
 	// persist.DefaultLogSegmentBytes.

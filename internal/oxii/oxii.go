@@ -52,9 +52,9 @@ type Config struct {
 	MaxBlockTxns     int
 	MaxBlockBytes    int
 	MaxBlockInterval time.Duration
-	// Tunables holds every performance and durability knob (pipeline
-	// depth, fsync policy, snapshots, WAL segments), shared
-	// verbatim with cluster JSON and the bench harness.
+	// Tunables holds every durability knob (snapshot interval, WAL
+	// segment size), shared verbatim with cluster JSON and the bench
+	// harness.
 	node.Tunables
 	// DataDir roots the durability subsystem; every node keeps its durable
 	// state under DataDir/<node-id> (see node.Config.DataDir). A rebuilt

@@ -71,7 +71,6 @@ func TestWALCompatRecoversParentDirectory(t *testing.T) {
 	}
 	cfg := testConfig(dir)
 	cfg.SegmentBytes = exp.SegmentBytes
-	cfg.SnapshotInterval = -1
 	last := filepath.Join(dir, "wal", segmentFileName("wal", exp.Segments[len(exp.Segments)-1]))
 	before, err := os.Stat(last)
 	if err != nil {
@@ -124,7 +123,6 @@ func TestWALCompatWritesIdenticalSegments(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
 	cfg.SegmentBytes = exp.SegmentBytes
-	cfg.SnapshotInterval = -1
 	m, rec := mustOpen(t, cfg)
 	g := newChainGen(rec)
 	for i := 0; i < int(exp.Height); i++ {
@@ -214,7 +212,6 @@ func TestOpenRejectsTieredSnapshot(t *testing.T) {
 	}
 	cfg := testConfig(dir)
 	cfg.SegmentBytes = loadCompatExpected(t).SegmentBytes
-	cfg.SnapshotInterval = -1
 	m, rec, err := Open(cfg, nil)
 	if err == nil {
 		m.Close()

@@ -18,12 +18,12 @@
 //
 // The executor appends one BlockRecord — block, final results, state
 // delta, quorum evidence, post-apply state hash — at its in-order
-// finalize boundary, and fsyncs (per the configured policy) before any
-// of the block's effects are externalized (OnCommit hooks, client
-// notifications). The pipeline finalizes completed blocks in batches, so
-// under the default "group" policy the blocks of one batch share a
-// single fsync — the pipelined window amortizes the durability cost that
-// a strict per-block fsync would put on the hot path.
+// finalize boundary, and fsyncs before any of the block's effects are
+// externalized (OnCommit hooks, client notifications). The pipeline
+// finalizes completed blocks in batches, and the blocks of one batch
+// share a single fsync — the pipelined window amortizes the durability
+// cost that a strict per-block fsync would put on the hot path. Appends
+// never sync on their own; Sync, Roll and Close sync whatever is dirty.
 //
 // Every SnapshotInterval blocks the store is frozen (consistently, via
 // state.KVStore.SnapshotShards) and written to disk in the background;
@@ -53,39 +53,6 @@ import (
 	"parblockchain/internal/types"
 )
 
-// FsyncPolicy selects when WAL appends are forced to stable storage.
-type FsyncPolicy string
-
-// The supported fsync policies.
-const (
-	// FsyncGroup (the default) fsyncs once per finalize batch: the
-	// executor appends every completed block of the batch, then calls
-	// Sync once before externalizing any of them. Durability holds for
-	// every externalized block; pipelined blocks amortize the fsync.
-	FsyncGroup FsyncPolicy = "group"
-	// FsyncAlways fsyncs inside every LogBlock — the strictest (and
-	// slowest) setting, one fsync per block regardless of batching.
-	FsyncAlways FsyncPolicy = "always"
-	// FsyncNever issues no fsync at all: appends reach the OS page cache
-	// only. A process crash loses nothing (the kernel still has the
-	// pages); a machine crash can lose the tail. Exists to isolate the
-	// fsync cost in benchmarks.
-	FsyncNever FsyncPolicy = "never"
-)
-
-// ParseFsyncPolicy validates a policy string from a config file or flag;
-// the empty string selects the default (group).
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch FsyncPolicy(s) {
-	case "":
-		return FsyncGroup, nil
-	case FsyncGroup, FsyncAlways, FsyncNever:
-		return FsyncPolicy(s), nil
-	default:
-		return "", fmt.Errorf("persist: unknown fsync policy %q (want group, always, or never)", s)
-	}
-}
-
 // Defaults for Config's zero values.
 const (
 	DefaultSnapshotInterval = 1024
@@ -96,12 +63,9 @@ const (
 type Config struct {
 	// Dir is the node's data directory; wal/ and snap/ live under it.
 	Dir string
-	// Fsync is the WAL fsync policy. Empty means FsyncGroup.
-	Fsync FsyncPolicy
 	// SnapshotInterval is the number of blocks between state snapshots
-	// (and WAL truncations). Zero means DefaultSnapshotInterval;
-	// negative disables snapshots (the WAL then grows without bound —
-	// benchmarks only).
+	// (and WAL truncations). Zero means DefaultSnapshotInterval; it must
+	// not be negative (Open rejects it), so the WAL stays bounded.
 	SnapshotInterval int
 	// SegmentBytes rolls the WAL to a fresh segment file once the
 	// current one exceeds this size. Zero means DefaultSegmentBytes.
@@ -111,9 +75,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Fsync == "" {
-		c.Fsync = FsyncGroup
-	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = DefaultSnapshotInterval
 	}
@@ -131,7 +92,8 @@ type Stats struct {
 	// Appends counts WAL records written.
 	Appends uint64
 	// Syncs counts fsyncs issued on WAL segments (the group-commit
-	// amortization shows as Syncs << Appends at pipeline depth > 1).
+	// amortization shows as Syncs < Appends when a finalize batch holds
+	// several blocks).
 	Syncs uint64
 	// Snapshots counts state snapshots durably written.
 	Snapshots uint64
@@ -194,6 +156,9 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, nil, errors.New("persist: Config.Dir is required")
+	}
+	if cfg.SnapshotInterval < 0 {
+		return nil, nil, errors.New("persist: Config.SnapshotInterval must be >= 0")
 	}
 	walDir := filepath.Join(cfg.Dir, "wal")
 	m := &Manager{cfg: cfg, snapDir: filepath.Join(cfg.Dir, "snap")}
@@ -274,7 +239,6 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 	m.log, err = OpenRecordLog(RecordLogConfig{
 		Dir:          walDir,
 		Prefix:       "wal",
-		Fsync:        cfg.Fsync,
 		SegmentBytes: int64(cfg.SegmentBytes),
 		Logf:         cfg.Logf,
 	}, func(idx uint64, body []byte) error {
@@ -374,8 +338,8 @@ func (m *Manager) captureSnapshot(height uint64, lastHash types.Hash, store *sta
 }
 
 // LogBlock appends one finalization record to the WAL. Records must
-// arrive in strict height order. Under FsyncAlways the record is durable
-// on return; under FsyncGroup durability is deferred to the next Sync.
+// arrive in strict height order. Durability is deferred to the next
+// Sync.
 func (m *Manager) LogBlock(rec *BlockRecord) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -401,9 +365,8 @@ func (m *Manager) LogBlock(rec *BlockRecord) error {
 	return nil
 }
 
-// Sync makes every record appended so far durable (one fsync for the
-// whole batch under the group policy; a no-op under always, which
-// already synced, and under never).
+// Sync makes every record appended so far durable: one fsync for the
+// whole batch, or none when nothing was appended since the last one.
 func (m *Manager) Sync() error { return m.log.Sync() }
 
 // MaybeSnapshot takes a state snapshot if the configured interval has
@@ -415,9 +378,6 @@ func (m *Manager) Sync() error { return m.log.Sync() }
 // write is in flight; an elapsed interval during a write is skipped and
 // counted.
 func (m *Manager) MaybeSnapshot(height uint64, lastHash types.Hash, store *state.KVStore) {
-	if m.cfg.SnapshotInterval < 0 {
-		return
-	}
 	m.mu.Lock()
 	due := !m.closed && height >= m.lastSnap+uint64(m.cfg.SnapshotInterval)
 	m.mu.Unlock()

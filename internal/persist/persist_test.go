@@ -229,7 +229,6 @@ func TestCorruptionInNonFinalSegmentFails(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
 	cfg.SegmentBytes = 1 // roll after every record
-	cfg.SnapshotInterval = -1
 	m, rec := mustOpen(t, cfg)
 	g := newChainGen(rec)
 	for i := 0; i < 3; i++ {
@@ -404,59 +403,43 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 }
 
+// TestFsyncPolicies: the one sync rule gives a batch of appends one
+// fsync, and Close leaves every record on disk.
 func TestFsyncPolicies(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncGroup, FsyncAlways, FsyncNever} {
-		t.Run(string(policy), func(t *testing.T) {
-			cfg := testConfig(t.TempDir())
-			cfg.Fsync = policy
-			m, rec := mustOpen(t, cfg)
-			g := newChainGen(rec)
-			for i := 0; i < 4; i++ {
-				if err := m.LogBlock(g.next(nil)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := m.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			st := m.Stats()
-			switch policy {
-			case FsyncAlways:
-				if st.Syncs != 4 {
-					t.Fatalf("always: %d syncs for 4 appends", st.Syncs)
-				}
-			case FsyncGroup:
-				if st.Syncs != 1 {
-					t.Fatalf("group: %d syncs for one batch", st.Syncs)
-				}
-			case FsyncNever:
-				if st.Syncs != 0 {
-					t.Fatalf("never: %d syncs", st.Syncs)
-				}
-			}
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// The records are on disk under every policy (Close flushes).
-			_, rec2 := mustOpen(t, cfg)
-			if rec2.Ledger.Height() != 4 {
-				t.Fatalf("%s: height %d after reopen", policy, rec2.Ledger.Height())
-			}
-		})
+	cfg := testConfig(t.TempDir())
+	m, rec := mustOpen(t, cfg)
+	g := newChainGen(rec)
+	for i := 0; i < 4; i++ {
+		if err := m.LogBlock(g.next(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Syncs != 0 {
+		t.Fatalf("%d syncs before Sync: appends must not sync", st.Syncs)
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Syncs != 1 {
+		t.Fatalf("%d syncs for one batch, want 1", st.Syncs)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec2 := mustOpen(t, cfg)
+	if rec2.Ledger.Height() != 4 {
+		t.Fatalf("height %d after reopen, want 4", rec2.Ledger.Height())
 	}
 }
 
-func TestParseFsyncPolicy(t *testing.T) {
-	if p, err := ParseFsyncPolicy(""); err != nil || p != FsyncGroup {
-		t.Fatalf("empty: %v %v", p, err)
-	}
-	for _, s := range []string{"group", "always", "never"} {
-		if p, err := ParseFsyncPolicy(s); err != nil || string(p) != s {
-			t.Fatalf("%s: %v %v", s, p, err)
-		}
-	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Fatal("bogus policy accepted")
+// TestOpenRejectsNegativeSnapshotInterval: no interval turns snapshots,
+// and with them WAL truncation, off.
+func TestOpenRejectsNegativeSnapshotInterval(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.SnapshotInterval = -1
+	if m, _, err := Open(cfg, testGenesis); err == nil {
+		m.Close()
+		t.Fatal("Open accepted a negative SnapshotInterval")
 	}
 }
 

@@ -42,10 +42,6 @@ type RecordLogConfig struct {
 	// Prefix names the segment files: <Prefix>-<16 hex digits>.seg.
 	// Empty means "log".
 	Prefix string
-	// Fsync is the append fsync policy: "group" leaves durability to
-	// explicit Sync calls, "always" syncs inside every Append, "never"
-	// never syncs.
-	Fsync FsyncPolicy
 	// SegmentBytes is the size at which the active segment reports Full.
 	// Zero means DefaultLogSegmentBytes. The log never rolls on its own —
 	// callers Roll when Full, so those that need segment boundaries to
@@ -59,9 +55,6 @@ type RecordLogConfig struct {
 func (c RecordLogConfig) withDefaults() RecordLogConfig {
 	if c.Prefix == "" {
 		c.Prefix = "log"
-	}
-	if c.Fsync == "" {
-		c.Fsync = FsyncGroup
 	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = DefaultLogSegmentBytes
@@ -224,8 +217,8 @@ func (l *RecordLog) resumeSegment(start uint64, offset int64) error {
 }
 
 // Append writes one record body as a checksummed frame and returns its
-// index. Under FsyncAlways the record is durable on return; under
-// FsyncGroup durability is deferred to the next Sync.
+// index. It never syncs: the record is durable once the next Sync, Roll
+// or Close returns.
 func (l *RecordLog) Append(body []byte) (uint64, error) {
 	return l.AppendWith(func(w *types.ByteWriter) { w.Raw(body) })
 }
@@ -248,20 +241,15 @@ func (l *RecordLog) AppendWith(encode func(*types.ByteWriter)) (uint64, error) {
 	l.size += int64(n)
 	l.dirty = true
 	l.appends.Add(1)
-	if l.cfg.Fsync == FsyncAlways {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
 	return idx, nil
 }
 
 // Sync forces every appended record to stable storage (the group-commit
-// call). A no-op under FsyncNever or when nothing is dirty.
+// call). A no-op when nothing is dirty.
 func (l *RecordLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed || !l.dirty || l.cfg.Fsync == FsyncNever {
+	if l.closed || !l.dirty {
 		return nil
 	}
 	return l.syncLocked()
@@ -309,8 +297,7 @@ func (l *RecordLog) Full() bool {
 	return l.size >= l.cfg.SegmentBytes
 }
 
-// Roll seals the active segment (syncing it unless the policy is never)
-// and starts a fresh one at the next record index. Rolling an empty
+// Roll seals the active segment (syncing whatever is dirty) and starts a fresh one at the next record index. Rolling an empty
 // segment is a no-op: a second segment with the same start index would
 // share its file name and break the positional index contract.
 func (l *RecordLog) Roll() error {
@@ -322,7 +309,7 @@ func (l *RecordLog) Roll() error {
 	if l.next == l.segStart {
 		return nil
 	}
-	if l.dirty && l.cfg.Fsync != FsyncNever {
+	if l.dirty {
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
@@ -489,8 +476,8 @@ func (l *RecordLog) Range(from uint64, fn func(idx uint64, body []byte) error) e
 	return nil
 }
 
-// Close syncs (unless the policy is never), closes the active segment,
-// and releases the directory lock.
+// Close syncs whatever is dirty, closes the active segment, and
+// releases the directory lock.
 func (l *RecordLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -499,7 +486,7 @@ func (l *RecordLog) Close() error {
 	}
 	l.closed = true
 	var err error
-	if l.dirty && l.cfg.Fsync != FsyncNever {
+	if l.dirty {
 		err = l.syncLocked()
 	}
 	if cerr := l.seg.Close(); err == nil {
@@ -513,10 +500,9 @@ func (l *RecordLog) Close() error {
 
 // Crash simulates a machine crash for tests: unsynced bytes of the
 // active segment are discarded — what a power loss does to the page
-// cache — and the log becomes unusable without a final sync. (Under
-// FsyncNever, segments sealed by a roll may also hold unsynced bytes;
-// Crash only models the active segment, which is exact for the group
-// and always policies.)
+// cache — and the log becomes unusable without a final sync. Roll syncs
+// a segment before sealing it, so only the active segment can hold
+// unsynced bytes and the model is exact.
 func (l *RecordLog) Crash() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -9,10 +9,10 @@ import (
 )
 
 // openLog opens a RecordLog in dir collecting every replayed record.
-func openLog(t *testing.T, dir string, fsync FsyncPolicy) (*RecordLog, [][]byte) {
+func openLog(t *testing.T, dir string) (*RecordLog, [][]byte) {
 	t.Helper()
 	var replayed [][]byte
-	l, err := OpenRecordLog(RecordLogConfig{Dir: dir, Prefix: "t", Fsync: fsync},
+	l, err := OpenRecordLog(RecordLogConfig{Dir: dir, Prefix: "t"},
 		func(idx uint64, body []byte) error {
 			if int(idx) != len(replayed) {
 				t.Fatalf("replay index %d, want %d", idx, len(replayed))
@@ -41,7 +41,7 @@ func appendN(t *testing.T, l *RecordLog, from, n int) {
 
 func TestRecordLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, replayed := openLog(t, dir, FsyncGroup)
+	l, replayed := openLog(t, dir)
 	if len(replayed) != 0 {
 		t.Fatalf("fresh log replayed %d records", len(replayed))
 	}
@@ -52,7 +52,7 @@ func TestRecordLogRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, replayed := openLog(t, dir, FsyncGroup)
+	l2, replayed := openLog(t, dir)
 	defer l2.Close()
 	if len(replayed) != 5 || string(replayed[3]) != "rec-003" {
 		t.Fatalf("replayed %d records, [3]=%q", len(replayed), replayed[3])
@@ -67,7 +67,7 @@ func TestRecordLogRoundTrip(t *testing.T) {
 
 func TestRecordLogRollRangePrune(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncGroup)
+	l, _ := openLog(t, dir)
 	defer l.Close()
 	appendN(t, l, 0, 3)
 	if err := l.Roll(); err != nil {
@@ -117,7 +117,7 @@ func TestRecordLogRollRangePrune(t *testing.T) {
 
 func TestRecordLogTruncateFrom(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncGroup)
+	l, _ := openLog(t, dir)
 	appendN(t, l, 0, 3)
 	if err := l.Roll(); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestRecordLogTruncateFrom(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, replayed := openLog(t, dir, FsyncGroup)
+	l2, replayed := openLog(t, dir)
 	defer l2.Close()
 	if len(replayed) != 6 || string(replayed[5]) != "rec-005" {
 		t.Fatalf("replayed %d records, [5]=%q", len(replayed), replayed[5])
@@ -149,7 +149,7 @@ func TestRecordLogTruncateFrom(t *testing.T) {
 // truncated on open, and the log continues from the durable prefix.
 func TestRecordLogTornTailRecovered(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncGroup)
+	l, _ := openLog(t, dir)
 	appendN(t, l, 0, 4)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestRecordLogTornTailRecovered(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	l2, replayed := openLog(t, dir, FsyncGroup)
+	l2, replayed := openLog(t, dir)
 	if len(replayed) != 3 {
 		t.Fatalf("replayed %d records after torn tail, want 3", len(replayed))
 	}
@@ -182,7 +182,7 @@ func TestRecordLogTornTailRecovered(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l3, replayed := openLog(t, dir, FsyncGroup)
+	l3, replayed := openLog(t, dir)
 	defer l3.Close()
 	if len(replayed) != 4 || string(replayed[3]) != "rec-003" {
 		t.Fatalf("after repair: replayed %d, [3]=%q", len(replayed), replayed[3])
@@ -194,7 +194,7 @@ func TestRecordLogTornTailRecovered(t *testing.T) {
 // fail loudly instead of silently dropping history.
 func TestRecordLogMidLogCorruptionFatal(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncGroup)
+	l, _ := openLog(t, dir)
 	appendN(t, l, 0, 3)
 	if err := l.Roll(); err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestRecordLogMidLogCorruptionFatal(t *testing.T) {
 // process (or a leaked handle) from mounting the same log concurrently.
 func TestRecordLogDoubleOpenRejected(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncGroup)
+	l, _ := openLog(t, dir)
 	defer l.Close()
 	if _, err := OpenRecordLog(RecordLogConfig{Dir: dir, Prefix: "t"},
 		func(uint64, []byte) error { return nil }); err == nil {
@@ -238,12 +238,13 @@ func TestRecordLogDoubleOpenRejected(t *testing.T) {
 	}
 }
 
-// TestRecordLogCrashDropsUnsynced: Crash discards appends made after the
-// last sync — the page-cache bytes a power loss would eat — while the
-// synced prefix survives.
+// TestRecordLogCrashDropsUnsynced pins the one sync rule: Append never
+// syncs, so Crash discards appends made after the last sync — the
+// page-cache bytes a power loss would eat — and Sync, Roll and Close
+// each make the tail durable.
 func TestRecordLogCrashDropsUnsynced(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncGroup)
+	l, _ := openLog(t, dir)
 	appendN(t, l, 0, 2)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -252,30 +253,47 @@ func TestRecordLogCrashDropsUnsynced(t *testing.T) {
 	if err := l.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	l2, replayed := openLog(t, dir, FsyncGroup)
-	defer l2.Close()
+	l, replayed := openLog(t, dir)
 	if len(replayed) != 2 {
 		t.Fatalf("replayed %d records after crash, want 2", len(replayed))
 	}
-	if l2.NextIndex() != 2 {
-		t.Fatalf("NextIndex = %d, want 2", l2.NextIndex())
+	if l.NextIndex() != 2 {
+		t.Fatalf("NextIndex = %d, want 2", l.NextIndex())
 	}
-}
 
-// TestRecordLogFsyncAlwaysSurvivesCrash: under FsyncAlways every append
-// is durable on return, so Crash loses nothing.
-func TestRecordLogFsyncAlwaysSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncAlways)
-	appendN(t, l, 0, 3)
-	if err := l.Crash(); err != nil {
-		t.Fatal(err)
+	// Each of Sync, Roll and Close issues one fsync for a two-record tail,
+	// which then survives Crash. Close ends the log, so it reopens before
+	// crashing.
+	want := 2
+	for _, step := range []struct {
+		name    string
+		persist func(*RecordLog) error
+	}{
+		{"Sync", (*RecordLog).Sync},
+		{"Roll", (*RecordLog).Roll},
+		{"Close", (*RecordLog).Close},
+	} {
+		appendN(t, l, want, 2)
+		want += 2
+		before := l.Stats().Syncs
+		if err := step.persist(l); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Stats().Syncs - before; got != 1 {
+			t.Fatalf("%s issued %d fsyncs for a dirty tail, want 1", step.name, got)
+		}
+		if step.name == "Close" {
+			l, _ = openLog(t, dir)
+		}
+		if err := l.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		l, replayed = openLog(t, dir)
+		if len(replayed) != want {
+			t.Fatalf("after %s and Crash: replayed %d records, want %d", step.name, len(replayed), want)
+		}
 	}
-	l2, replayed := openLog(t, dir, FsyncAlways)
-	defer l2.Close()
-	if len(replayed) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(replayed))
-	}
+	l.Close()
 }
 
 // TestRecordLogRollEmptyIsNoop: rolling an empty active segment must not
@@ -283,7 +301,7 @@ func TestRecordLogFsyncAlwaysSurvivesCrash(t *testing.T) {
 // reachable with any SegmentBytes at or below the 16-byte header.
 func TestRecordLogRollEmptyIsNoop(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, FsyncGroup)
+	l, _ := openLog(t, dir)
 	for i := 0; i < 2; i++ {
 		if err := l.Roll(); err != nil {
 			t.Fatal(err)
@@ -296,7 +314,7 @@ func TestRecordLogRollEmptyIsNoop(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, replayed := openLog(t, dir, FsyncGroup)
+	l2, replayed := openLog(t, dir)
 	defer l2.Close()
 	if segs := l2.Segments(); len(segs) != 1 || segs[0] != 0 {
 		t.Fatalf("segments after reopen = %v, want [0]", segs)

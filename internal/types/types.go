@@ -146,34 +146,6 @@ func (t *Transaction) contentDigest() Hash {
 	return e.sum()
 }
 
-// Reads returns the transaction's declared read set.
-func (t *Transaction) Reads() []Key { return t.Op.Reads }
-
-// Writes returns the transaction's declared write set.
-func (t *Transaction) Writes() []Key { return t.Op.Writes }
-
-// ConflictsWith reports whether the two transactions conflict, i.e. both
-// access some common record and at least one of the accesses is a write.
-// This is the paper's conflict predicate behind ordering dependencies.
-func (t *Transaction) ConflictsWith(o *Transaction) bool {
-	return intersects(t.Op.Writes, o.Op.Writes) ||
-		intersects(t.Op.Reads, o.Op.Writes) ||
-		intersects(t.Op.Writes, o.Op.Reads)
-}
-
-// intersects reports whether two key slices share an element. The slices
-// are expected to be small; the quadratic scan avoids allocations.
-func intersects(a, b []Key) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // NormalizeKeys sorts the keys and removes duplicates in place, returning
 // the normalized slice. Orderers normalize read/write sets before graph
 // construction so that graph generation is deterministic across replicas.

@@ -72,28 +72,6 @@ func TestDigestFieldBoundaries(t *testing.T) {
 	}
 }
 
-func TestConflictsWith(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b *Transaction
-		want bool
-	}{
-		{"write-write", sampleTx("a", "m", nil, []Key{"x"}), sampleTx("a", "m", nil, []Key{"x"}), true},
-		{"read-write", sampleTx("a", "m", []Key{"x"}, nil), sampleTx("a", "m", nil, []Key{"x"}), true},
-		{"write-read", sampleTx("a", "m", nil, []Key{"x"}), sampleTx("a", "m", []Key{"x"}, nil), true},
-		{"read-read", sampleTx("a", "m", []Key{"x"}, nil), sampleTx("a", "m", []Key{"x"}, nil), false},
-		{"disjoint", sampleTx("a", "m", []Key{"x"}, []Key{"y"}), sampleTx("a", "m", []Key{"p"}, []Key{"q"}), false},
-	}
-	for _, c := range cases {
-		if got := c.a.ConflictsWith(c.b); got != c.want {
-			t.Errorf("%s: ConflictsWith = %v, want %v", c.name, got, c.want)
-		}
-		if got := c.b.ConflictsWith(c.a); got != c.want {
-			t.Errorf("%s (sym): ConflictsWith = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestNormalizeKeys(t *testing.T) {
 	got := NormalizeKeys([]Key{"b", "a", "b", "c", "a"})
 	want := []Key{"a", "b", "c"}

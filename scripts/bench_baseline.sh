@@ -19,13 +19,12 @@
 # stays 0 on both.
 # BenchmarkSnapshotWrite/{serial,parallel-N} records the shard-parallel
 # snapshot writer against the serial baseline.
-# BenchmarkOrdererDurable/{mem,wal-group,wal-always} records the orderer
-# log's cost on the block cut path: the mem row is the in-memory
-# baseline, the wal rows add cut-state durability. wal-group's
-# fsyncs/block is expected to stay ~1.0 (entry records ride the group
-# commit; only the cut record forces the fsync), and its tx/s gap to mem
-# is the price of orderer crash durability; wal-always fsyncs every
-# entry append and exists as the upper bound.
+# BenchmarkOrdererDurable/{mem,wal-group} records the orderer log's cost
+# on the block cut path: the mem row is the in-memory baseline, the wal
+# row adds cut-state durability. Its fsyncs/block is expected to stay
+# ~1.0 (entry records ride the group commit; only the cut record forces
+# the fsync), and its tx/s gap to mem is the price of orderer crash
+# durability.
 # BenchmarkTelemetryOverhead/{off,on} is the observability contract: the
 # off row (nil tracer, no registry — the default configuration) must
 # stay within noise of the plain pipeline rows across runs, and the on
