@@ -403,33 +403,35 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 }
 
-// TestFsyncPolicies: the one sync rule gives a batch of appends one
-// fsync, and Close leaves every record on disk.
+// TestFsyncPolicies: the one sync rule, group commit, gives a batch of
+// appends one fsync, and Close leaves every record on disk.
 func TestFsyncPolicies(t *testing.T) {
-	cfg := testConfig(t.TempDir())
-	m, rec := mustOpen(t, cfg)
-	g := newChainGen(rec)
-	for i := 0; i < 4; i++ {
-		if err := m.LogBlock(g.next(nil)); err != nil {
+	t.Run("group", func(t *testing.T) {
+		cfg := testConfig(t.TempDir())
+		m, rec := mustOpen(t, cfg)
+		g := newChainGen(rec)
+		for i := 0; i < 4; i++ {
+			if err := m.LogBlock(g.next(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := m.Stats(); st.Syncs != 0 {
+			t.Fatalf("%d syncs before Sync: appends must not sync", st.Syncs)
+		}
+		if err := m.Sync(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st := m.Stats(); st.Syncs != 0 {
-		t.Fatalf("%d syncs before Sync: appends must not sync", st.Syncs)
-	}
-	if err := m.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Syncs != 1 {
-		t.Fatalf("%d syncs for one batch, want 1", st.Syncs)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec2 := mustOpen(t, cfg)
-	if rec2.Ledger.Height() != 4 {
-		t.Fatalf("height %d after reopen, want 4", rec2.Ledger.Height())
-	}
+		if st := m.Stats(); st.Syncs != 1 {
+			t.Fatalf("%d syncs for one batch, want 1", st.Syncs)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, rec2 := mustOpen(t, cfg)
+		if rec2.Ledger.Height() != 4 {
+			t.Fatalf("height %d after reopen, want 4", rec2.Ledger.Height())
+		}
+	})
 }
 
 // TestOpenRejectsNegativeSnapshotInterval: no interval turns snapshots,
