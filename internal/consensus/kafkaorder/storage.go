@@ -84,8 +84,7 @@ func decodeStorageRecord(body []byte) (kind byte, seq uint64, batch [][]byte, er
 // openStorage opens the member's log and rebuilds the slot table. It
 // returns the recovered slots (batches and commit flags; ack state is
 // not durable and restarts empty) and the highest sequence seen.
-func openStorage(dir string, segmentBytes int64,
-	logf func(format string, args ...any)) (*storage, map[uint64]*slot, uint64, error) {
+func openStorage(dir string, logf func(format string, args ...any)) (*storage, map[uint64]*slot, uint64, error) {
 	s := &storage{logf: logf}
 	slots := make(map[uint64]*slot)
 	var maxSeq uint64
@@ -101,10 +100,9 @@ func openStorage(dir string, segmentBytes int64,
 		return sl
 	}
 	rl, err := persist.OpenRecordLog(persist.RecordLogConfig{
-		Dir:          dir,
-		Prefix:       "kafka",
-		SegmentBytes: segmentBytes,
-		Logf:         logf,
+		Dir:    dir,
+		Prefix: "kafka",
+		Logf:   logf,
 	}, func(_ uint64, body []byte) error {
 		kind, seq, batch, err := decodeStorageRecord(body)
 		if err != nil {

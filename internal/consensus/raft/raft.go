@@ -48,10 +48,6 @@ type Config struct {
 	// are persisted under this directory and recovered on restart. Empty
 	// keeps the member in memory.
 	Dir string
-	// LogSegmentBytes rolls the durable log to a fresh segment once the
-	// active one exceeds this size. Zero means
-	// persist.DefaultLogSegmentBytes.
-	LogSegmentBytes int64
 	// Logf receives diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -181,7 +177,7 @@ func New(cfg Config) (*Node, error) {
 		done:    make(chan struct{}),
 	}
 	if cfg.Dir != "" {
-		s, entries, err := openStorage(cfg.Dir, cfg.LogSegmentBytes, cfg.Logf)
+		s, entries, err := openStorage(cfg.Dir, cfg.Logf)
 		if err != nil {
 			return nil, err
 		}

@@ -65,15 +65,13 @@ func decodeRaftEntry(body []byte) (LogEntry, error) {
 
 // openStorage opens (creating if needed) the member's data directory,
 // replays the durable log, and loads the hard state.
-func openStorage(dir string, segmentBytes int64,
-	logf func(format string, args ...any)) (*storage, []LogEntry, error) {
+func openStorage(dir string, logf func(format string, args ...any)) (*storage, []LogEntry, error) {
 	s := &storage{dir: dir, logf: logf}
 	var entries []LogEntry
 	rl, err := persist.OpenRecordLog(persist.RecordLogConfig{
-		Dir:          dir,
-		Prefix:       "raft",
-		SegmentBytes: segmentBytes,
-		Logf:         logf,
+		Dir:    dir,
+		Prefix: "raft",
+		Logf:   logf,
 	}, func(_ uint64, body []byte) error {
 		e, err := decodeRaftEntry(body)
 		if err != nil {

@@ -12,7 +12,10 @@
 // predicate is implemented as an indegree countdown: a predecessor
 // satisfies its successors on the first of {executed locally, committed
 // globally}, which is equivalent to the paper's repeated scan but O(V+E)
-// per block.
+// per block. Each transaction of an admitted block has one record
+// (txState) holding one predecessor list and one successor list over the
+// single dependency relation: the block graph's edges first, then the
+// cross-block edges below.
 //
 // # Cross-block pipelining
 //
@@ -23,12 +26,13 @@
 // (depgraph.Index) that orderers run over one block runs here over the
 // whole window and adds ordering edges, in (block, index) order, from an
 // admitted block's transactions to conflicting, still-uncommitted
-// transactions of earlier in-flight blocks; each block's overlay chains
-// to its predecessor's so reads observe the newest uncommitted write
-// below them. Finalization (ledger append + store apply, Algorithm 3's
+// transactions of earlier in-flight blocks, into the same edge lists as
+// the block's own graph edges; each block's overlay chains to its
+// predecessor's so reads observe the newest uncommitted write below them. Finalization (ledger append + store apply, Algorithm 3's
 // quorum rules) remains strictly in block order, so the ledger and the
 // incremental state hash are bit-identical to the barrier version at any
-// depth; PipelineDepth=1 restores the barrier exactly.
+// depth; PipelineDepth=1 restores the barrier exactly (the window never
+// holds an earlier block, so the index adds no edge).
 //
 // # Intake
 //
@@ -80,14 +84,14 @@
 // write-ahead-log append: the pump drains the window's completed prefix
 // as one batch, appends every block's finalization record (block, final
 // results, state delta, quorum evidence, post-apply state hash) to the
-// WAL, fsyncs once for the whole batch (the group-commit policy; blocks
-// finalizing together amortize the durability cost), and only then
-// externalizes any block — ledger append, OnCommit hook, client
-// notification. A crash therefore loses no externalized block, and a
-// restarted executor resumes admission at the recovered ledger height
-// (pump reads its initial cursor from the ledger, which persist.Open
-// restores from snapshot + WAL tail). With Persist nil, nothing
-// changes: finalization stays purely in memory.
+// WAL, fsyncs once for the whole batch (blocks completing within one
+// pump pass share the fsync), and only then externalizes any block —
+// ledger append, OnCommit hook, client notification. A crash therefore
+// loses no externalized block, and a restarted executor resumes
+// admission at the recovered ledger height (pump reads its initial
+// cursor from the ledger, which persist.Open restores from snapshot +
+// WAL tail). With Persist nil, nothing changes: finalization stays
+// purely in memory.
 //
 // # State sync
 //
@@ -203,10 +207,10 @@ type Config struct {
 	Tracer *telemetry.BlockTracer
 	// Persist, when non-nil, makes finalization durable: every block's
 	// finalization record is appended to the write-ahead log (and the
-	// batch fsynced per the manager's policy) before the block's effects
-	// are externalized, and periodic snapshots let a restart recover
-	// from snapshot + WAL tail. Store and Ledger must be the ones
-	// persist.Open recovered. Nil keeps ledger and state in memory.
+	// batch fsynced) before the block's effects are externalized, and
+	// periodic snapshots let a restart recover from snapshot + WAL tail.
+	// Store and Ledger must be the ones persist.Open recovered. Nil keeps
+	// ledger and state in memory.
 	Persist *persist.Manager
 	// Logf receives diagnostic messages; nil uses log.Printf.
 	Logf func(format string, args ...any)
@@ -512,61 +516,74 @@ type blockState struct {
 	block       *types.Block
 	graph       *depgraph.Graph
 
-	// Execution state (Algorithm 1), indexed by block position and sized
-	// at admission.
+	// Execution state (Algorithm 1), sized at admission: txs holds one
+	// record per transaction, indexed by block position.
 	started    bool
 	overlay    *state.BlockOverlay
 	txns       []*types.Transaction
-	pred       [][]int32 // per-block graph predecessors (sorted)
-	succ       [][]int32 // per-block graph successors (mirror of pred)
-	isLocal    []bool
-	remaining  []int32 // unsatisfied predecessor count
-	satisfied  []bool  // predecessor event fired (Ce ∪ Xe membership)
-	inflight   []bool
-	execLocal  []bool // Xe membership
+	txs        []txState
 	localTotal int
 	localDone  int
 
-	// Commitment (Algorithm 3).
-	committed   []bool // Ce membership
+	// Commitment (Algorithm 3). final is kept apart from txs because the
+	// ledger, the WAL record and the OnCommit hook keep it.
 	final       []types.TxResult
 	commitCount int
 	complete    bool // every transaction committed; awaiting in-order finalize
-	tally       []voteTally
-
-	// Cross-block edges: successors in later in-flight blocks waiting on
-	// this block's transactions, per transaction index.
-	crossSucc [][]crossRef
-
-	// Speculation state, indexed by block position.
-	// epoch tags the current execution attempt (bumped per cascade
-	// invalidation, so disowned worker results are discarded); specActive
-	// and specDigest describe the uncommitted result currently recorded
-	// in the overlay (local execution or an adopted pre-quorum vote);
-	// gated holds an executed
-	// result whose vote is withheld until its lineage resolves;
-	// unresolved counts the speculated-upon inputs of the current
-	// execution that have not yet committed; specDeps lists, per
-	// transaction, the dependents that registered lineage on its
-	// uncommitted value; crossPred retains each transaction's conflicting
-	// predecessors in earlier in-flight blocks (the stitch edges, kept
-	// for dispatch-time lineage even after they are satisfied).
-	epoch      []uint32
-	specActive []bool
-	specDigest []types.Hash
-	gated      []*types.TxResult
-	unresolved []int32
-	specDeps   [][]specDep
-	crossPred  [][]crossRef
-	// specVoter names, per transaction, the agent whose leading vote the
-	// current speculative value was adopted from ("" for local executions
-	// and unadopted transactions); promoteOrCascade charges a commit-time
-	// digest mismatch against it for the adaptive speculation throttle.
-	specVoter []types.NodeID
 
 	// Algorithm 2 buffer (this node's Xe awaiting multicast).
 	outBuf []types.TxResult
 }
+
+// txState is one transaction's execution, commitment and speculation
+// state in an admitted block.
+type txState struct {
+	// pred and succ are the transaction's dependency edges: the block
+	// graph's edges first, then the conflict index's edges across the
+	// in-flight window, in (block, index) order. pred keeps every
+	// predecessor that was uncommitted at admission — a satisfied one
+	// imposes no wait, but a dispatch must still register lineage on its
+	// uncommitted value — and is released when the transaction commits.
+	// succ lists the successors whose remaining count this transaction's
+	// satisfaction releases.
+	pred, succ []txRef
+	remaining  int32 // unsatisfied predecessor count
+	isLocal    bool
+	satisfied  bool // predecessor event fired (Ce ∪ Xe membership)
+	inflight   bool
+	execLocal  bool // Xe membership
+	committed  bool // Ce membership
+	tally      voteTally
+
+	// Speculation. epoch tags the current execution attempt (bumped per
+	// cascade invalidation, so disowned worker results are discarded);
+	// specActive and specDigest describe the uncommitted result currently
+	// recorded in the overlay (local execution or an adopted pre-quorum
+	// vote); gated holds an executed result whose vote is withheld until
+	// its lineage resolves; unresolved counts the speculated-upon inputs
+	// of the current execution that have not yet committed; specDeps lists
+	// the dependents that registered lineage on the uncommitted value.
+	epoch      uint32
+	unresolved int32
+	specActive bool
+	specDigest types.Hash
+	gated      *types.TxResult
+	specDeps   []specDep
+	// specVoter names the agent whose leading vote the current speculative
+	// value was adopted from ("" for local executions and unadopted
+	// transactions); promoteOrCascade charges a commit-time digest
+	// mismatch against it for the adaptive speculation throttle.
+	specVoter types.NodeID
+}
+
+// txRef addresses one transaction of an in-flight block.
+type txRef struct {
+	bs  *blockState
+	idx int
+}
+
+// tx returns the addressed transaction's state.
+func (r txRef) tx() *txState { return &r.bs.txs[r.idx] }
 
 // specDep records one dependent's speculation lineage on a transaction's
 // uncommitted value: which transaction read it, at which execution epoch,
@@ -574,16 +591,9 @@ type blockState struct {
 // revoked or not yet produced at dispatch time — which can never match a
 // committed digest, so such a dependent is guaranteed to re-execute).
 type specDep struct {
-	bs    *blockState
-	idx   int
+	txRef
 	epoch uint32
 	seen  types.Hash
-}
-
-// crossRef addresses one transaction of a later in-flight block.
-type crossRef struct {
-	bs  *blockState
-	idx int
 }
 
 // maxAgents bounds an application's agent set: a vote tally gives each
@@ -1127,77 +1137,80 @@ func (e *Executor) admit(bs *blockState) bool {
 	return true
 }
 
-// schedule sizes the admitted block's per-transaction arrays, takes its
-// intra-block edges from the installed graph, stitches cross-block
+// schedule allocates the admitted block's per-transaction records, takes
+// its intra-block edges from the installed graph, stitches cross-block
 // conflicts, and dispatches the transactions that are immediately ready.
 func (e *Executor) schedule(bs *blockState) {
 	txns := bs.block.Txns
-	n := len(txns)
-	bs.txns, bs.pred, bs.succ = txns, bs.graph.Pred, bs.graph.Succ
-	bs.isLocal = make([]bool, n)
-	bs.remaining = make([]int32, n)
-	bs.satisfied = make([]bool, n)
-	bs.inflight = make([]bool, n)
-	bs.execLocal = make([]bool, n)
-	bs.committed = make([]bool, n)
-	bs.final = make([]types.TxResult, n)
-	bs.tally = make([]voteTally, n)
-	bs.crossSucc = make([][]crossRef, n)
-	bs.epoch = make([]uint32, n)
-	bs.specActive = make([]bool, n)
-	bs.specDigest = make([]types.Hash, n)
-	bs.gated = make([]*types.TxResult, n)
-	bs.unresolved = make([]int32, n)
-	bs.specDeps = make([][]specDep, n)
-	bs.crossPred = make([][]crossRef, n)
-	bs.specVoter = make([]types.NodeID, n)
+	bs.txns = txns
+	bs.txs = make([]txState, len(txns))
+	bs.final = make([]types.TxResult, len(txns))
+	e.linkGraph(bs)
 	for j, tx := range txns {
-		if bs.isLocal[j] = e.IsAgentFor(tx.App); bs.isLocal[j] {
+		if bs.txs[j].isLocal = e.IsAgentFor(tx.App); bs.txs[j].isLocal {
 			bs.localTotal++
-		}
-	}
-	// Indegrees count the successor lists fireSatisfied walks, so every
-	// counted edge is released exactly once.
-	for _, succ := range bs.succ {
-		for _, j := range succ {
-			bs.remaining[j]++
 		}
 	}
 	// Stitch the block into the window: an edge per conflicting,
 	// not-yet-satisfied transaction of an earlier in-flight block, in
-	// (block, index) order. At depth 1 the window never holds an earlier
-	// block, so the barrier configuration skips the index wholesale.
-	if e.cfg.PipelineDepth > 1 {
-		for j, tx := range txns {
-			set := depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			for _, ref := range e.index.Add(depgraph.TxRef{Block: bs.num, Index: int32(j)}, set) {
-				if ref.Block == bs.num {
-					continue // intra-block: the block's graph orders it
-				}
-				pred, ok := e.blocks[ref.Block]
-				if !ok || !pred.started {
-					continue
-				}
-				// Every conflicting, still-uncommitted predecessor is
-				// retained for dispatch-time lineage — a satisfied
-				// (speculatively executed or adopted) predecessor imposes
-				// no wait, but a dependent must still register on its
-				// uncommitted value so a commit mismatch cascades here.
-				if !pred.committed[ref.Index] {
-					bs.crossPred[j] = append(bs.crossPred[j], crossRef{bs: pred, idx: int(ref.Index)})
-				}
-				if pred.satisfied[ref.Index] {
-					continue
-				}
-				pred.crossSucc[ref.Index] = append(pred.crossSucc[ref.Index], crossRef{bs: bs, idx: j})
-				bs.remaining[j]++
+	// (block, index) order.
+	for j, tx := range txns {
+		t := &bs.txs[j]
+		set := depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+		for _, ref := range e.index.Add(depgraph.TxRef{Block: bs.num, Index: int32(j)}, set) {
+			if ref.Block == bs.num {
+				continue // intra-block: the block's graph orders it
 			}
+			pb, ok := e.blocks[ref.Block]
+			if !ok || !pb.started {
+				continue
+			}
+			p := &pb.txs[ref.Index]
+			if !p.committed {
+				t.pred = append(t.pred, txRef{bs: pb, idx: int(ref.Index)})
+			}
+			if p.satisfied {
+				continue
+			}
+			p.succ = append(p.succ, txRef{bs: bs, idx: j})
+			t.remaining++
 		}
 	}
 	// Algorithm 1 seed: transactions with no unsatisfied predecessors.
-	for j := range txns {
-		if bs.remaining[j] == 0 && bs.isLocal[j] {
+	for j := range bs.txs {
+		if bs.txs[j].remaining == 0 && bs.txs[j].isLocal {
 			e.dispatch(bs, j)
+		}
+	}
+}
+
+// linkGraph copies the block graph's edges into the transactions' edge
+// lists, all from one backing array, and counts each successor edge into
+// its target's remaining count, so every counted edge is released exactly
+// once by fireSatisfied. Each list is capped at its graph edges, so a
+// cross-block edge appended later moves that one list off the shared array.
+func (e *Executor) linkGraph(bs *blockState) {
+	g := bs.graph
+	n := 0
+	for j := range bs.txs {
+		n += len(g.Pred[j]) + len(g.Succ[j])
+	}
+	if n == 0 {
+		return
+	}
+	edges := make([]txRef, 0, n)
+	link := func(ids []int32) []txRef {
+		start := len(edges)
+		for _, id := range ids {
+			edges = append(edges, txRef{bs: bs, idx: int(id)})
+		}
+		return edges[start:len(edges):len(edges)]
+	}
+	for j := range bs.txs {
+		t := &bs.txs[j]
+		t.pred, t.succ = link(g.Pred[j]), link(g.Succ[j])
+		for _, id := range g.Succ[j] {
+			bs.txs[id].remaining++
 		}
 	}
 }
@@ -1236,16 +1249,16 @@ func (e *Executor) maybeComplete(bs *blockState) {
 }
 
 func (e *Executor) dispatch(bs *blockState, idx int) {
-	if bs.inflight[idx] || bs.execLocal[idx] || bs.committed[idx] {
+	t := &bs.txs[idx]
+	if t.inflight || t.execLocal || t.committed {
 		return
 	}
 	e.registerLineage(bs, idx)
 	bs.trace.Mark(telemetry.MarkDispatched) // idempotent: first dispatch wins
-	bs.inflight[idx] = true
+	t.inflight = true
 	// Dependents first: a transaction another in-window transaction waits
 	// on pops ahead of ready work nothing waits on (see scheduler.go).
-	first := len(bs.succ[idx]) > 0 || len(bs.crossSucc[idx]) > 0
-	e.work.Push(workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: bs.epoch[idx]}, first)
+	e.work.Push(workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: t.epoch}, len(t.succ) > 0)
 }
 
 // registerLineage records, at dispatch time, which of the transaction's
@@ -1256,28 +1269,19 @@ func (e *Executor) dispatch(bs *blockState, idx int) {
 // produced, which can never match a committed digest and so forces a
 // re-execution), and the transaction's unresolved count gates its vote.
 func (e *Executor) registerLineage(bs *blockState, idx int) {
-	bs.unresolved[idx] = 0
-	for _, p := range bs.pred[idx] {
-		if !bs.committed[p] {
-			e.addSpecDep(bs, int(p), bs, idx)
+	t := &bs.txs[idx]
+	t.unresolved = 0
+	for _, ref := range t.pred {
+		if p := ref.tx(); !p.committed {
+			p.specDeps = append(p.specDeps, specDep{
+				txRef: txRef{bs: bs, idx: idx}, epoch: t.epoch, seen: p.specDigest,
+			})
+			t.unresolved++
 		}
 	}
-	for _, ref := range bs.crossPred[idx] {
-		if !ref.bs.committed[ref.idx] {
-			e.addSpecDep(ref.bs, ref.idx, bs, idx)
-		}
-	}
-	if bs.unresolved[idx] > 0 {
+	if t.unresolved > 0 {
 		e.stats.specExec.Add(1)
 	}
-}
-
-// addSpecDep registers one dependent on a predecessor's uncommitted value.
-func (e *Executor) addSpecDep(pb *blockState, p int, db *blockState, d int) {
-	pb.specDeps[p] = append(pb.specDeps[p], specDep{
-		bs: db, idx: d, epoch: db.epoch[d], seen: pb.specDigest[p],
-	})
-	db.unresolved[d]++
 }
 
 // handleExecDone implements the completion half of Algorithm 1 plus the
@@ -1287,14 +1291,15 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	if !ok || !bs.started {
 		return // block finalized while the worker ran (remote commit race)
 	}
-	if epoch != bs.epoch[idx] {
+	t := &bs.txs[idx]
+	if epoch != t.epoch {
 		return // disowned attempt: a cascade re-dispatched this transaction
 	}
-	bs.inflight[idx] = false
-	if bs.execLocal[idx] {
+	t.inflight = false
+	if t.execLocal {
 		return
 	}
-	bs.execLocal[idx] = true
+	t.execLocal = true
 	bs.localDone++
 	if bs.localDone == bs.localTotal {
 		bs.trace.Mark(telemetry.MarkDrained)
@@ -1302,11 +1307,11 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 	// Algorithm 2: flush when a successor belongs to another application
 	// (its agents need this result to proceed), and always at the end of
 	// this node's work on the block so passive nodes and non-agent
-	// executors can commit. The successor test runs before anything below
-	// satisfies idx, because fireSatisfied releases the cross-block
-	// successor list it reads.
+	// executors can commit. The successor list outlives satisfaction, so
+	// a cascaded re-execution's fresh vote reaches a foreign successor's
+	// agents as promptly as the first one did.
 	flush := bs.localDone == bs.localTotal || foreignSucc(bs, idx)
-	if bs.unresolved[idx] > 0 || e.tau(bs.txns[idx].App) > 1 {
+	if t.unresolved > 0 || e.tau(bs.txns[idx].App) > 1 {
 		// The result stays uncommitted past this event — it waits for
 		// other agents' votes, or for its own inputs to commit — so it
 		// becomes the transaction's speculative value (Xe) and satisfies
@@ -1315,7 +1320,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 		e.recordSpecResult(bs, idx, result)
 		e.fireSatisfied(bs, idx)
 	}
-	if bs.unresolved[idx] > 0 {
+	if t.unresolved > 0 {
 		// The execution read at least one uncommitted input: buffer the
 		// result. The vote and multicast are released by resolveDep once
 		// every speculated-upon input has committed with the digest this
@@ -1324,7 +1329,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 		// wait for this transaction's lineage (peers need them to commit
 		// the very inputs this result is gated on).
 		held := result
-		bs.gated[idx] = &held
+		t.gated = &held
 	} else {
 		// Stage the result for multicast and vote for it ourselves.
 		bs.outBuf = append(bs.outBuf, result)
@@ -1341,13 +1346,8 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 // application, in its own block or in a later in-flight one.
 func foreignSucc(bs *blockState, idx int) bool {
 	app := bs.txns[idx].App
-	for _, succ := range bs.succ[idx] {
-		if bs.txns[succ].App != app {
-			return true
-		}
-	}
-	for _, cr := range bs.crossSucc[idx] {
-		if cr.bs.txns[cr.idx].App != app {
+	for _, s := range bs.txs[idx].succ {
+		if s.bs.txns[s.idx].App != app {
 			return true
 		}
 	}
@@ -1454,10 +1454,11 @@ func (e *Executor) ownBit(app types.AppID) uint {
 // results the transaction commits (Algorithm 3's "Matching records in
 // Re(x) >= tau(A)").
 func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID, bit uint) {
-	if bs.committed[idx] {
+	t := &bs.txs[idx]
+	if t.committed {
 		return
 	}
-	counted, won, d := bs.tally[idx].add(bit, &r, e.tau(bs.txns[idx].App))
+	counted, won, d := t.tally.add(bit, &r, e.tau(bs.txns[idx].App))
 	switch {
 	case !counted:
 	case won != nil:
@@ -1480,7 +1481,8 @@ func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter type
 // an undeclared key cannot reach readers that have no edge to this
 // transaction. d is the vote's digest, already computed by the tally.
 func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID, d types.Hash) {
-	if !bs.started || bs.isLocal[idx] || bs.specActive[idx] || bs.committed[idx] {
+	t := &bs.txs[idx]
+	if !bs.started || t.isLocal || t.specActive || t.committed {
 		return
 	}
 	// Adaptive throttle: an agent whose adopted votes keep getting
@@ -1499,9 +1501,7 @@ func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, vot
 		e.voterScore[voter] = sc
 	}
 	sc.adopted++
-	bs.specVoter[idx] = voter
-	bs.specDigest[idx] = d
-	bs.specActive[idx] = true
+	t.specVoter, t.specDigest, t.specActive = voter, d, true
 	if !r.Aborted {
 		bs.overlay.Record(idx, r.Writes)
 	}
@@ -1518,15 +1518,15 @@ func (e *Executor) maybeAdoptVote(bs *blockState, idx int, r types.TxResult, vot
 // against a previous (revoked) value — they read something other than the
 // result just produced.
 func (e *Executor) recordSpecResult(bs *blockState, idx int, result types.TxResult) {
-	if bs.committed[idx] {
+	t := &bs.txs[idx]
+	if t.committed {
 		return // a remote quorum already committed; its value rules
 	}
 	d := result.Digest()
 	if !result.Aborted {
 		bs.overlay.Record(idx, result.Writes)
 	}
-	bs.specActive[idx] = true
-	bs.specDigest[idx] = d
+	t.specActive, t.specDigest = true, d
 	e.cascadeDeps(bs, idx, d)
 }
 
@@ -1536,17 +1536,18 @@ func (e *Executor) recordSpecResult(bs *blockState, idx int, result types.TxResu
 // resolution. The live slice is detached first: invalidation re-dispatches
 // dependents, whose lineage re-registration appends fresh entries.
 func (e *Executor) cascadeDeps(bs *blockState, idx int, keep types.Hash) {
-	deps := bs.specDeps[idx]
+	t := &bs.txs[idx]
+	deps := t.specDeps
 	if len(deps) == 0 {
 		return
 	}
-	bs.specDeps[idx] = nil
+	t.specDeps = nil
 	for _, dep := range deps {
-		if dep.epoch != dep.bs.epoch[dep.idx] {
+		if dep.epoch != dep.tx().epoch {
 			continue // stale: the dependent was re-dispatched since
 		}
 		if dep.seen == keep {
-			bs.specDeps[idx] = append(bs.specDeps[idx], dep)
+			t.specDeps = append(t.specDeps, dep)
 			continue
 		}
 		e.invalidateSpec(dep.bs, dep.idx)
@@ -1565,24 +1566,25 @@ func (e *Executor) invalidateSpec(bs *blockState, idx int) {
 	if e.halted {
 		return
 	}
-	if bs.committed[idx] {
-		if bs.gated[idx] != nil {
-			bs.gated[idx] = nil
+	t := &bs.txs[idx]
+	if t.committed {
+		if t.gated != nil {
+			t.gated = nil
 			e.stats.specMiss.Add(1)
 		}
 		return
 	}
 	e.stats.specMiss.Add(1)
-	bs.epoch[idx]++
-	bs.inflight[idx] = false
-	bs.gated[idx] = nil
-	if bs.execLocal[idx] {
-		bs.execLocal[idx] = false
+	t.epoch++
+	t.inflight = false
+	t.gated = nil
+	if t.execLocal {
+		t.execLocal = false
 		bs.localDone--
 	}
-	if bs.specActive[idx] {
-		bs.specActive[idx] = false
-		bs.specDigest[idx] = types.Hash{}
+	if t.specActive {
+		t.specActive = false
+		t.specDigest = types.Hash{}
 		// Revoke the speculative writes; older versions of the affected
 		// keys become visible again through the multi-version overlay.
 		bs.overlay.PurgeIdx(idx)
@@ -1592,7 +1594,7 @@ func (e *Executor) invalidateSpec(bs *blockState, idx int) {
 	// revoked value and stay; the re-landing result cascades them if it
 	// still differs from what they read.
 	e.cascadeDeps(bs, idx, types.Hash{})
-	if bs.isLocal[idx] {
+	if t.isLocal {
 		// Re-dispatch immediately; satisfied stays true (successor counts
 		// were already consumed), so ordering against in-cascade
 		// predecessors is enforced by lineage re-validation rather than
@@ -1607,12 +1609,12 @@ func (e *Executor) invalidateSpec(bs *blockState, idx int) {
 // with the digest the dependent's execution read; when the last input
 // resolves, the dependent's buffered vote is released.
 func (e *Executor) resolveDep(dep specDep) {
-	db, d := dep.bs, dep.idx
-	if db.unresolved[d] > 0 {
-		db.unresolved[d]--
+	t := dep.tx()
+	if t.unresolved > 0 {
+		t.unresolved--
 	}
-	if db.unresolved[d] == 0 && db.gated[d] != nil {
-		e.releaseGated(db, d)
+	if t.unresolved == 0 && t.gated != nil {
+		e.releaseGated(dep.bs, dep.idx)
 	}
 }
 
@@ -1622,12 +1624,13 @@ func (e *Executor) resolveDep(dep specDep) {
 // remote quorum committed meanwhile, the buffered vote is redundant (the
 // quorum's votes reached every executor) and is only counted.
 func (e *Executor) releaseGated(bs *blockState, idx int) {
-	r := bs.gated[idx]
-	bs.gated[idx] = nil
+	t := &bs.txs[idx]
+	r := t.gated
+	t.gated = nil
 	if r == nil {
 		return
 	}
-	if bs.committed[idx] {
+	if t.committed {
 		if bs.final[idx].Digest() == r.Digest() {
 			e.stats.specHits.Add(1)
 		} else {
@@ -1650,20 +1653,21 @@ func (e *Executor) releaseGated(bs *blockState, idx int) {
 // speculated on — no recorded value, no registered dependent, as always
 // at tau = 1 — just lands its committed writes, unhashed.
 func (e *Executor) promoteOrCascade(bs *blockState, idx int, r *types.TxResult) {
+	t := &bs.txs[idx]
 	var d types.Hash
-	if bs.specActive[idx] || len(bs.specDeps[idx]) > 0 {
+	if t.specActive || len(t.specDeps) > 0 {
 		d = r.Digest()
 	}
 	switch {
-	case bs.specActive[idx] && bs.specDigest[idx] == d:
+	case t.specActive && t.specDigest == d:
 		// Promoted: the speculative writes in the overlay are bit-identical
 		// to the committed ones (the digest covers the full write set).
-	case bs.specActive[idx]:
+	case t.specActive:
 		e.stats.specMiss.Add(1)
 		// Charge the miss to the agent whose leading vote was adopted
 		// (empty for locally executed values): the adaptive throttle
 		// stops adopting from agents that keep missing.
-		if voter := bs.specVoter[idx]; voter != "" {
+		if voter := t.specVoter; voter != "" {
 			if sc := e.voterScore[voter]; sc != nil {
 				sc.missed++
 			}
@@ -1677,14 +1681,14 @@ func (e *Executor) promoteOrCascade(bs *blockState, idx int, r *types.TxResult) 
 			bs.overlay.Record(idx, r.Writes)
 		}
 	}
-	bs.specActive[idx] = false
-	bs.specDigest[idx] = d
-	bs.specVoter[idx] = ""
-	bs.crossPred[idx] = nil
-	deps := bs.specDeps[idx]
-	bs.specDeps[idx] = nil
+	t.specActive, t.specDigest, t.specVoter = false, d, ""
+	// A committed transaction never dispatches again: its lineage edges
+	// are done.
+	t.pred = nil
+	deps := t.specDeps
+	t.specDeps = nil
 	for _, dep := range deps {
-		if dep.epoch != dep.bs.epoch[dep.idx] {
+		if dep.epoch != dep.tx().epoch {
 			continue
 		}
 		if dep.seen == d {
@@ -1706,9 +1710,10 @@ func (e *Executor) tau(app types.AppID) int {
 // block overlay (promoting a matching speculative value in place, or
 // revoking it and cascading), and unblocks dependents.
 func (e *Executor) commitTx(bs *blockState, idx int, r types.TxResult) {
-	bs.committed[idx] = true
+	t := &bs.txs[idx]
+	t.committed = true
 	bs.final[idx] = r
-	bs.tally[idx] = voteTally{}
+	t.tally = voteTally{}
 	e.promoteOrCascade(bs, idx, &bs.final[idx])
 	if r.Aborted {
 		e.stats.aborted.Add(1)
@@ -1721,33 +1726,29 @@ func (e *Executor) commitTx(bs *blockState, idx int, r types.TxResult) {
 
 // fireSatisfied propagates "predecessor is in Ce ∪ Xe" to successors —
 // both within the block and across the in-flight window — dispatching any
-// local transaction whose predecessors are all satisfied.
+// local transaction whose predecessors are all satisfied. The successor
+// list stays: satisfied fires once, and foreignSucc and dispatch's
+// dependents-first bit read it again for a cascaded re-execution.
 func (e *Executor) fireSatisfied(bs *blockState, idx int) {
-	if bs.satisfied[idx] {
+	t := &bs.txs[idx]
+	if t.satisfied {
 		return
 	}
-	bs.satisfied[idx] = true
-	for _, succ := range bs.succ[idx] {
-		bs.remaining[succ]--
-		if bs.remaining[succ] == 0 && bs.isLocal[succ] {
-			e.dispatch(bs, int(succ))
+	t.satisfied = true
+	for _, ref := range t.succ {
+		s := ref.tx()
+		s.remaining--
+		if s.remaining == 0 && s.isLocal {
+			e.dispatch(ref.bs, ref.idx)
 		}
 	}
-	for _, cr := range bs.crossSucc[idx] {
-		cr.bs.remaining[cr.idx]--
-		if cr.bs.remaining[cr.idx] == 0 && cr.bs.isLocal[cr.idx] {
-			e.dispatch(cr.bs, cr.idx)
-		}
-	}
-	bs.crossSucc[idx] = nil
 }
 
 // finalizeBatch drains the window's completed prefix in strict block
 // order as one group-committed batch. Phase one applies each block's net
 // effect to the committed store and (when durability is on) appends its
 // WAL record; then the whole batch is made durable with a single fsync
-// (the group policy — pipelined blocks finalizing together amortize the
-// durability cost; the always policy synced inside each append); only
+// (window blocks that complete within one pump pass share it); only
 // then does phase two externalize the blocks — ledger append, hooks,
 // client notifications — still in block order. A crash between the
 // phases loses no externalized block: the records are already durable.
@@ -1847,9 +1848,7 @@ func (e *Executor) externalize(bs *blockState) {
 	e.mirror.lastProgress.Store(e.lastProgress.UnixNano())
 	bs.trace.MarkAt(telemetry.MarkExternalized, e.lastProgress)
 	e.cfg.Tracer.Finish(bs.trace)
-	if e.cfg.PipelineDepth > 1 {
-		e.index.Remove(bs.num)
-	}
+	e.index.Remove(bs.num)
 	delete(e.blocks, bs.num)
 	for _, m := range e.pendingCommits[bs.num] {
 		e.creditCommitBytes(m) // normally drained at replay; covers races

@@ -346,8 +346,8 @@ func BenchmarkExecutorDispatch(b *testing.B) {
 
 // BenchmarkExecutorDurable puts the durability subsystem on the finalize
 // hot path: the same chained-across-blocks workload as
-// BenchmarkExecutorPipelined, in-memory vs WAL-backed (group fsync
-// policy), at the per-block barrier (depth 1, one fsync per block) and
+// BenchmarkExecutorPipelined, in-memory vs WAL-backed, at the
+// per-block barrier (depth 1, one fsync per block) and
 // the default window (depth 4, where blocks finalizing as one batch
 // share a fsync). The fsyncs/block metric is the group-commit
 // amortization; the tx/s gap between mem and wal rows is the durability

@@ -493,3 +493,41 @@ func TestCommitMsgFlushedOnCrossBlockForeignSuccessor(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmitAllocations bounds the allocations of admitting one
+// 200-transaction block with no conflicts on a node that is an agent of
+// none of its applications, so nothing dispatches and the count is
+// admission's own: the block hash, the block overlay, the window's
+// conflict index and the per-transaction bookkeeping. The bookkeeping is
+// two allocations per block whatever its size: one record per
+// transaction, and the final results.
+func TestAdmitAllocations(t *testing.T) {
+	const n = 200
+	e := New(Config{
+		ID:       "e1",
+		Registry: contract.NewRegistry(),
+		Store:    state.NewKVStore(),
+		Ledger:   ledger.New(),
+		Logf:     func(string, ...any) {},
+	})
+	txns := make([]*types.Transaction, n)
+	for i := range txns {
+		txns[i] = kvTx("app2", uint64(i), types.Key(fmt.Sprintf("k%d", i)), "v")
+	}
+	block := &types.Block{Header: types.BlockHeader{Number: 0, Count: n}, Txns: txns}
+	graph := graphOf(txns)
+	admit := func() {
+		bs := &blockState{num: 0, contentDone: true, block: block, graph: graph}
+		e.admitPrev, e.window = block.Header.PrevHash, e.window[:0]
+		if !e.admit(bs) {
+			t.Fatal("block not admitted")
+		}
+		e.index.Remove(0)
+	}
+	admit() // warm the conflict index's key slots
+	got := testing.AllocsPerRun(20, admit)
+	const maxAllocs = 19
+	if got > maxAllocs {
+		t.Errorf("admitting %d transactions made %.0f allocations, want at most %d", n, got, maxAllocs)
+	}
+}

@@ -2,9 +2,9 @@
 // pool. Algorithm 1 runs a transaction once all of Pre(x) are in
 // Ce ∪ Xe and leaves the order among ready transactions free; the
 // executor spends that freedom on dependents first. A ready transaction
-// that some other in-window transaction waits on (a non-empty intra- or
-// cross-block successor list at dispatch time) pops before any ready
-// transaction nothing waits on. Under plain discovery order a hot-chain
+// that some other in-window transaction waits on (a non-empty successor
+// list at dispatch time) pops before any ready transaction nothing waits
+// on. Under plain discovery order a hot-chain
 // link that has just become ready queues behind every cold transaction
 // already waiting, and each dependency hop pays that drain; popping it
 // first keeps the chain moving while the cold work fills the other

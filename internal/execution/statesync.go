@@ -643,7 +643,7 @@ func (e *Executor) rebaseAfterSync() {
 	e.blocks = make(map[uint64]*blockState, len(old))
 	for num, bs := range old {
 		e.releaseCandidates(bs)
-		if e.cfg.PipelineDepth > 1 && bs.started {
+		if bs.started {
 			e.index.Remove(num)
 		}
 		if num >= tip && bs.contentDone {

@@ -21,9 +21,8 @@ import (
 // Two record kinds share the log:
 //
 //   - entry records carry one raw consensus payload with its delivery
-//     sequence number, appended before the payload is processed. Under
-//     the group policy they ride the page cache until the next cut
-//     syncs them; a durable consensus adapter (Raft/Kafka) redelivers
+//     sequence number, appended before the payload is processed. They
+//     ride the page cache until the next cut syncs them; a durable consensus adapter (Raft/Kafka) redelivers
 //     anything lost, gated by the replayed sequence high-water mark.
 //   - cut records are appended inside cutBlock — after the dedupe
 //     rotation, before the NEWBLOCK multicast — and fsynced, so no
@@ -252,7 +251,7 @@ func (o *Orderer) applyCutAnchor(c *cutRecord) {
 }
 
 // logEntry appends one delivered consensus payload. Durability is
-// deferred to the cut (group policy); a crash in between loses only
+// deferred to the cut's sync; a crash in between loses only
 // what a durable consensus adapter redelivers.
 func (o *Orderer) logEntry(seq uint64, payload []byte) {
 	if _, err := o.dlog.Append(encodeEntryRecord(seq, payload)); err != nil {

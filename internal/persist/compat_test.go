@@ -184,7 +184,7 @@ func TestWALCompatSnapshotImages(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), name)
-		if err := writeSnapshotFile(path, mb, shards, 4); err != nil {
+		if err := writeSnapshotFile(path, mb, shards); err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {

@@ -154,7 +154,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 func snapshotImage(f *testing.F, manifest []byte, shards [][]types.KV) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "seed.snap")
-	if err := writeSnapshotFile(path, manifest, shards, 1); err != nil {
+	if err := writeSnapshotFile(path, manifest, shards); err != nil {
 		f.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -333,7 +333,7 @@ func (m *Manager) captureSnapshot(height uint64, lastHash types.Hash, store *sta
 		Records:   countRecords(shards),
 	}
 	return func() error {
-		return writeSnapshotFile(path, man.Marshal(), shards, snapshotWorkers())
+		return writeSnapshotFile(path, man.Marshal(), shards)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"os"
-	"runtime"
-	"sync"
 
 	"parblockchain/internal/state"
 	"parblockchain/internal/types"
@@ -115,16 +113,6 @@ func (cw *crcWriter) u32(v uint32) {
 	cw.bytes(b[:])
 }
 
-// snapshotWorkers bounds the shard-encoding concurrency of a full
-// snapshot write.
-func snapshotWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8 // encoding saturates well before the file write does
-	}
-	return n
-}
-
 // encodeShard serializes one shard's section of the snapshot payload
 // (u64 record count, then length-prefixed records) into a byte slice.
 func encodeShard(kvs []types.KV) []byte {
@@ -151,63 +139,16 @@ func encodeShard(kvs []types.KV) []byte {
 
 // writeSnapshotFile writes (atomically) one snapshot image: magic,
 // length-prefixed manifest, one payload section per shard, CRC-32C over
-// everything. The sections are encoded by up to workers goroutines —
-// serialization is the CPU-bound part of a snapshot, and the shards are
-// independent — and streamed to the file in shard order as they become
-// ready, so the bytes are identical to a serial write. The encoders run
-// at most 2*workers sections ahead of the writer (each written section
-// is released immediately), so peak extra memory is a few encoded
-// sections, never the whole store.
-func writeSnapshotFile(path string, manifest []byte, shards [][]types.KV, workers int) error {
-	if workers > len(shards) {
-		workers = len(shards)
-	}
+// everything. Each section is encoded and released before the next, so
+// peak extra memory is one encoded section, never the whole store.
+func writeSnapshotFile(path string, manifest []byte, shards [][]types.KV) error {
 	err := WriteFileAtomic(path, func(f *os.File) error {
 		cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20), crc: crc32.New(castagnoli)}
 		cw.bytes(snapMagic[:])
 		cw.u32(uint32(len(manifest)))
 		cw.bytes(manifest)
-		if workers <= 1 {
-			for _, kvs := range shards {
-				cw.bytes(encodeShard(kvs))
-			}
-		} else {
-			encoded := make([][]byte, len(shards))
-			ready := make([]chan struct{}, len(shards))
-			for i := range ready {
-				ready[i] = make(chan struct{})
-			}
-			// ahead bounds how many encoded-but-unwritten sections exist; the
-			// writer releases one slot per section it flushes. The index
-			// channel is FIFO, so the writer's next section is always among
-			// the issued ones and some worker reaches it.
-			ahead := make(chan struct{}, 2*workers)
-			next := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range next {
-						encoded[i] = encodeShard(shards[i])
-						close(ready[i])
-					}
-				}()
-			}
-			go func() {
-				for i := range shards {
-					ahead <- struct{}{}
-					next <- i
-				}
-				close(next)
-			}()
-			for i := range shards {
-				<-ready[i]
-				cw.bytes(encoded[i])
-				encoded[i] = nil
-				<-ahead
-			}
-			wg.Wait()
+		for _, kvs := range shards {
+			cw.bytes(encodeShard(kvs))
 		}
 		if cw.err == nil {
 			var b [4]byte

@@ -17,8 +17,9 @@
 # the tau=2 row overlaps execution with the slow tau-quorum wait, tau=1
 # is the same chain with no wait (spec-hits/block 0); spec-misses/block
 # stays 0 on both.
-# BenchmarkSnapshotWrite/{serial,parallel-N} records the shard-parallel
-# snapshot writer against the serial baseline.
+# BenchmarkSnapshotWrite records the snapshot writer on a ~64k-record
+# store (the serial/parallel-N rows of older snapshots are from a
+# shard-parallel writer that no longer exists).
 # BenchmarkOrdererDurable/{mem,wal-group} records the orderer log's cost
 # on the block cut path: the mem row is the in-memory baseline, the wal
 # row adds cut-state durability. Its fsyncs/block is expected to stay
