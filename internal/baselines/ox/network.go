@@ -87,8 +87,7 @@ func New(cfg Config) (*Network, error) {
 		for app, c := range cfg.Contracts {
 			registry.Install(app, c)
 		}
-		store := state.NewKVStore()
-		store.Apply(cfg.Genesis)
+		store := state.Load(cfg.Genesis)
 		led := ledger.New()
 		var hook execution.CommitHook
 		if i == 0 {

@@ -102,8 +102,7 @@ func New(cfg Config) (*Network, error) {
 				}
 			}
 		}
-		store := state.NewKVStore()
-		store.Apply(cfg.Genesis)
+		store := state.Load(cfg.Genesis)
 		led := ledger.New()
 		var hook execution.CommitHook
 		if i == 0 {

@@ -5,10 +5,7 @@
 package clustercfg
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -56,8 +53,9 @@ type Config struct {
 	OpsAddrs map[string]string `json:"opsAddrs,omitempty"`
 	// Crypto enables deterministic demo keys and full verification.
 	Crypto bool `json:"crypto,omitempty"`
-	// Genesis seeds each executor's store with account balances.
-	Genesis map[string]int64 `json:"genesis,omitempty"`
+	// Genesis seeds each executor's store with account balances, each a
+	// JSON integer (see Balances).
+	Genesis Balances `json:"genesis,omitempty"`
 }
 
 // Load reads and validates a cluster config file. A key Config does not
@@ -69,13 +67,8 @@ func Load(path string) (*Config, error) {
 		return nil, fmt.Errorf("clustercfg: %w", err)
 	}
 	var cfg Config
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := decodeConfig(raw, &cfg); err != nil {
 		return nil, fmt.Errorf("clustercfg: parsing %s: %w", path, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("clustercfg: parsing %s: data after the top-level object", path)
 	}
 	if len(cfg.Orderers) == 0 || len(cfg.Executors) == 0 {
 		return nil, fmt.Errorf("clustercfg: %s needs at least one orderer and one executor", path)
@@ -175,16 +168,13 @@ func (c *Config) AgentsOf() map[types.AppID][]types.NodeID {
 	return out
 }
 
-// GenesisKVs converts the genesis balances to state records.
+// GenesisKVs converts the genesis balances to state records, in map
+// order: the keys are distinct, so the store state.Load builds from them
+// does not depend on their order.
 func (c *Config) GenesisKVs(encode func(int64) []byte) []types.KV {
-	keys := make([]string, 0, len(c.Genesis))
-	for k := range c.Genesis {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]types.KV, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, types.KV{Key: k, Val: encode(c.Genesis[k])})
+	out := make([]types.KV, 0, len(c.Genesis))
+	for k, v := range c.Genesis {
+		out = append(out, types.KV{Key: k, Val: encode(v)})
 	}
 	return out
 }

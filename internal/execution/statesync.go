@@ -573,7 +573,8 @@ func (e *Executor) acceptSnapshotChunk(from types.NodeID, m *types.StateSyncResp
 }
 
 // adoptSnapshot verifies a fully reassembled snapshot image and installs
-// it wholesale: store reset to the snapshot's state, ledger reanchored
+// it wholesale: the decoded store moved into the live one in one atomic
+// swap (hashed once, by the decode), ledger reanchored
 // at its height, and (with durability on) the image adopted as this
 // node's own recovery point with the WAL restarted above it. Sync then
 // continues with records from the new height.
@@ -597,14 +598,11 @@ func (e *Executor) adoptSnapshot(from types.NodeID, snap *snapAssembly) {
 			from, e.cfg.Ledger.Height())
 		return
 	}
-	e.cfg.Store.Reset()
-	shards, _ := snapStore.SnapshotShards()
-	for _, shard := range shards {
-		e.cfg.Store.Apply(shard)
-	}
+	e.cfg.Store.Adopt(snapStore)
 	if got := e.cfg.Store.Hash(); got != man.StateHash {
-		// DecodeSnapshot verified the image against this same hash, so a
-		// mismatch here is local corruption, not a hostile peer.
+		// DecodeSnapshot verified the image against this same hash and
+		// Adopt moved it in unchanged, so a mismatch here is local
+		// corruption, not a hostile peer.
 		e.haltf("adopted snapshot state hash mismatch: %x != %x", got[:4], man.StateHash[:4])
 		return
 	}

@@ -436,3 +436,69 @@ func TestStateSyncAdoptsStreamedEvidence(t *testing.T) {
 		}
 	}
 }
+
+// TestStateSyncSnapshotAdoptionAtomic: a reader polling the live store's
+// hash while a peer-served snapshot is adopted sees the pre-adoption
+// state or the snapshot's, never an empty or partly installed store.
+func TestStateSyncSnapshotAdoptionAtomic(t *testing.T) {
+	// The served image: a durable manager's snapshot of a state large
+	// enough that installing it record by record would take a while.
+	const snapHeight = 5
+	genesis := make([]types.KV, 20000)
+	for i := range genesis {
+		genesis[i] = types.KV{Key: fmt.Sprintf("app1/acct-%d", i), Val: []byte(fmt.Sprint(i))}
+	}
+	m, rec, err := persist.Open(persist.Config{Dir: t.TempDir(), SnapshotInterval: 1}, genesis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MaybeSnapshot(snapHeight, types.Hash{7}, rec.Store)
+	if err := m.Close(); err != nil { // waits for the snapshot write
+		t.Fatal(err)
+	}
+	postHash := rec.Store.Hash()
+
+	r := newSyncPeerRig(t, []types.NodeID{"p1"})
+	r.store.Apply([]types.KV{{Key: "app1/pre", Val: []byte("1")}})
+	preHash := r.store.Hash()
+	var served atomic.Uint64
+	ep := r.servePeer(t, "p1", &served, func(req *types.StateSyncRequestMsg) *types.StateSyncResponseMsg {
+		resp := &types.StateSyncResponseMsg{Nonce: req.Nonce, Kind: types.SyncKindNothing, Height: snapHeight}
+		var chunk uint64
+		switch {
+		case req.Kind == types.SyncKindSnapshot:
+			chunk = req.Chunk
+		case req.From >= snapHeight:
+			return resp
+		}
+		raw, chunks, err := m.ServeSnapshotChunk(snapHeight, chunk, maxSyncChunkBytes)
+		if err != nil {
+			t.Errorf("serving chunk %d: %v", chunk, err)
+			return resp
+		}
+		resp.Kind, resp.SnapHeight, resp.ChunkIdx, resp.Chunks, resp.Chunk =
+			types.SyncKindSnapshot, snapHeight, chunk, chunks, raw
+		return resp
+	})
+
+	var stop atomic.Bool
+	var torn atomic.Uint64
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for !stop.Load() {
+			if h := r.store.Hash(); h != preHash && h != postHash {
+				torn.Add(1)
+			}
+		}
+	}()
+	announce(t, ep, snapHeight-1)
+	waitFor(t, "snapshot adoption", func() bool {
+		return r.led.Height() == snapHeight && r.store.Hash() == postHash
+	})
+	stop.Store(true)
+	<-polled
+	if n := torn.Load(); n > 0 {
+		t.Fatalf("a reader saw %d store hashes that were neither the pre-adoption nor the snapshot state", n)
+	}
+}

@@ -335,8 +335,7 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		}
 		n.Store, n.Ledger = n.Recovered.Store, n.Recovered.Ledger
 	} else {
-		n.Store = state.NewKVStore()
-		n.Store.Apply(cfg.Genesis)
+		n.Store = state.Load(cfg.Genesis)
 		n.Ledger = ledger.New()
 	}
 	ec := cfg.executorConfig()

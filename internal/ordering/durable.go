@@ -2,7 +2,6 @@ package ordering
 
 import (
 	"fmt"
-	"sort"
 
 	"parblockchain/internal/consensus"
 	"parblockchain/internal/depgraph"
@@ -28,7 +27,8 @@ import (
 //     rotation, before the NEWBLOCK multicast — and fsynced, so no
 //     executor ever admits a block the orderer could forget. A cut
 //     record carries the post-cut anchor: block number, new chain tip,
-//     delivery high-water mark, and both seenTx generations.
+//     delivery high-water mark, and both dedupe generations, each in
+//     delivery order.
 //
 // Segment rolls happen only immediately before a cut-record append, so
 // every segment after the first starts with a cut record. Replay of a
@@ -88,15 +88,6 @@ func encodeEntryRecord(seq uint64, payload []byte) []byte {
 	w.U64(seq)
 	w.Blob(payload)
 	return w.CloneBytes()
-}
-
-func sortedIDs(set map[types.TxID]bool) []types.TxID {
-	ids := make([]types.TxID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 func encodeCutRecord(c *cutRecord) []byte {
@@ -236,17 +227,8 @@ func (o *Orderer) applyCutAnchor(c *cutRecord) {
 	if c.LastSeq > o.lastSeq {
 		o.lastSeq = c.LastSeq
 	}
-	o.seenCur = make(map[types.TxID]bool, len(c.SeenCur))
-	for _, id := range c.SeenCur {
-		o.seenCur[id] = true
-	}
-	o.seenPrev = nil
-	if len(c.SeenPrev) > 0 {
-		o.seenPrev = make(map[types.TxID]bool, len(c.SeenPrev))
-		for _, id := range c.SeenPrev {
-			o.seenPrev[id] = true
-		}
-	}
+	o.seenCur = newSeenGen(c.SeenCur)
+	o.seenPrev = newSeenGen(c.SeenPrev)
 	o.stats.durableHeight.Store(o.nextNum)
 }
 
@@ -276,8 +258,8 @@ func (o *Orderer) logCut(num uint64, hash types.Hash) {
 		Num:      num,
 		Hash:     hash,
 		LastSeq:  o.lastSeq,
-		SeenCur:  sortedIDs(o.seenCur),
-		SeenPrev: sortedIDs(o.seenPrev),
+		SeenCur:  o.seenCur.ids,
+		SeenPrev: o.seenPrev.ids,
 	}
 	if _, err := o.dlog.Append(encodeCutRecord(&rec)); err != nil {
 		o.cfg.Logf("orderer %s: orderer log cut append: %v", o.cfg.ID, err)

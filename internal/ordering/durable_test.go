@@ -1,6 +1,8 @@
 package ordering
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -220,6 +222,46 @@ func TestDurableOrdererLogRotationAndPruning(t *testing.T) {
 	}
 	if nb.Block.Header.PrevHash != last.Block.Hash() {
 		t.Fatal("hash chain broken after pruned-log recovery")
+	}
+}
+
+// TestDurableOrdererReplayRestoresSeenSets: the cut record writes each
+// dedupe generation in delivery order, and a killed orderer's replay
+// restores exactly the pre-kill generations — here after a rotation,
+// with one delivered transaction still pending on top of the last cut.
+func TestDurableOrdererReplayRestoresSeenSets(t *testing.T) {
+	dir := t.TempDir()
+	mutate := func(cfg *Config) { cfg.MaxBlockTxns = 2 } // rotation at 8 IDs
+	f1 := durableFixture(t, dir, mutate)
+	for i := 0; i < 11; i++ {
+		f1.submit(t, testTx("c1", uint64(i+1), nil, []types.Key{"k"}))
+		if i%2 == 1 {
+			f1.nextBlock(t, 2*time.Second)
+		}
+	}
+	waitLogAppends(t, f1.orderer, 16) // 11 entries + 5 cuts
+	if err := f1.orderer.dlog.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f1.orderer.Kill() // waits for the delivery loop: its fields are ours now
+	wantCur, wantPrev := f1.orderer.seenCur, f1.orderer.seenPrev
+	if len(wantPrev.ids) != 8 || len(wantCur.ids) != 3 {
+		t.Fatalf("pre-kill generations hold %d and %d IDs, want 8 after a rotation and 3",
+			len(wantPrev.ids), len(wantCur.ids))
+	}
+
+	f2 := durableFixture(t, dir, mutate)
+	awaitReplay(t, f2.orderer) // replay's last write precedes the counter
+	for _, gen := range []struct {
+		name      string
+		got, want seenGen
+	}{{"seenCur", f2.orderer.seenCur, wantCur}, {"seenPrev", f2.orderer.seenPrev, wantPrev}} {
+		if !slices.Equal(gen.got.ids, gen.want.ids) || !maps.Equal(gen.got.set, gen.want.set) {
+			t.Fatalf("replayed %s = %v, pre-kill %v", gen.name, gen.got.ids, gen.want.ids)
+		}
+		if len(gen.got.set) != len(gen.got.ids) {
+			t.Fatalf("replayed %s set and list disagree", gen.name)
+		}
 	}
 }
 

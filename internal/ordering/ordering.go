@@ -189,8 +189,8 @@ type Orderer struct {
 	// Dedupe state: IDs already placed in a block, held across two
 	// generations so a rotation never forgets the block just cut (a late
 	// consensus retry of a recent transaction must still be dropped).
-	seenCur  map[types.TxID]bool
-	seenPrev map[types.TxID]bool
+	seenCur  seenGen
+	seenPrev seenGen
 
 	// Incremental graph state, owned by the delivery goroutine: the
 	// current block's dependency graph, extended as each ordered
@@ -210,6 +210,30 @@ type Orderer struct {
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
+}
+
+// seenGen is one dedupe generation: the IDs placed in blocks as a set
+// for the duplicate check, and in delivery order for the durable cut
+// record, which writes the list as it stands. Delivery follows consensus
+// order, so the list is deterministic without a sort at every cut.
+type seenGen struct {
+	set map[types.TxID]bool
+	ids []types.TxID
+}
+
+// newSeenGen returns a generation holding ids, which it takes over, with
+// its set sized for cap(ids).
+func newSeenGen(ids []types.TxID) seenGen {
+	g := seenGen{set: make(map[types.TxID]bool, cap(ids)), ids: ids}
+	for _, id := range ids {
+		g.set[id] = true
+	}
+	return g
+}
+
+func (g *seenGen) add(id types.TxID) {
+	g.set[id] = true
+	g.ids = append(g.ids, id)
 }
 
 // payload type tags for consensus entries.
@@ -259,7 +283,7 @@ func encodeCutPayload(blockNum uint64, orderer types.NodeID) []byte {
 func New(cfg Config) (*Orderer, error) {
 	o := &Orderer{
 		cfg:     cfg.withDefaults(),
-		seenCur: make(map[types.TxID]bool),
+		seenCur: newSeenGen(nil),
 		stopCh:  make(chan struct{}),
 	}
 	// The graph is built as consensus delivers, so it is ready at the cut
@@ -463,7 +487,7 @@ func (o *Orderer) handleEntry(entry consensus.Entry) {
 			o.cfg.Logf("orderer %s: dropping malformed ordered payload: %v", o.cfg.ID, err)
 			return
 		}
-		if o.seenCur[tx.ID] || o.seenPrev[tx.ID] {
+		if o.seenCur.set[tx.ID] || o.seenPrev.set[tx.ID] {
 			return // duplicate from a consensus retry; exactly-once per ID
 		}
 		if o.cfg.BuildGraph && (!canonicalKeys(tx.Op.Reads) || !canonicalKeys(tx.Op.Writes)) {
@@ -477,7 +501,7 @@ func (o *Orderer) handleEntry(entry consensus.Entry) {
 			o.cfg.Logf("orderer %s: dropping tx %s with non-canonical access sets", o.cfg.ID, tx.ID)
 			return
 		}
-		o.seenCur[tx.ID] = true
+		o.seenCur.add(tx.ID)
 		o.pending = append(o.pending, tx)
 		o.pendingBytes += tx.ApproxSize()
 		if o.graph != nil {
@@ -537,9 +561,9 @@ func (o *Orderer) cutBlock() {
 	// never be re-ordered — unlike a wholesale reset, which forgot them.
 	// Rotation happens before the durable cut record is written, so the
 	// record captures the post-cut generations a replay must restore.
-	if len(o.seenCur) >= 4*o.cfg.MaxBlockTxns {
+	if len(o.seenCur.ids) >= 4*o.cfg.MaxBlockTxns {
 		o.seenPrev = o.seenCur
-		o.seenCur = make(map[types.TxID]bool, 2*o.cfg.MaxBlockTxns)
+		o.seenCur = newSeenGen(make([]types.TxID, 0, 4*o.cfg.MaxBlockTxns))
 	}
 
 	// Make the cut durable before any executor can learn of it: append

@@ -177,10 +177,8 @@ func TestWALCompatSnapshotImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var shards [][]types.KV
-		if _, err := decodeSections(payload, man.Shards, func(kvs []types.KV) {
-			shards = append(shards, kvs)
-		}); err != nil {
+		shards, _, err := decodeSections(payload, man.Shards)
+		if err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), name)

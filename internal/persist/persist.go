@@ -199,8 +199,7 @@ func Open(cfg Config, genesis []types.KV) (*Manager, *Recovered, error) {
 		// Fresh directory: seed the store and make genesis durable as the
 		// height-0 snapshot, so recovery always has a snapshot below the
 		// WAL (genesis writes never travel through a block).
-		store = state.NewKVStore()
-		store.Apply(genesis)
+		store = state.Load(genesis)
 		write := m.captureSnapshot(0, types.ZeroHash, store)
 		if err := write(); err != nil {
 			return nil, nil, err

@@ -187,11 +187,12 @@ func openSnapshotImage(raw []byte) (manifest, payload []byte, err error) {
 	return body[:mlen], body[mlen:], nil
 }
 
-// decodeSections decodes a payload of per-shard sections, handing each
-// shard's batch to emit in order, and returns the record count. A
+// decodeSections decodes a payload of per-shard sections into one batch
+// per section, in order, and returns them with the record count. A
 // snapshot holds live records only, so every record carries a value.
-func decodeSections(payload []byte, shards uint64, emit func([]types.KV)) (uint64, error) {
+func decodeSections(payload []byte, shards uint64) ([][]types.KV, uint64, error) {
 	r := types.NewByteReader(payload)
+	var sections [][]types.KV
 	var total uint64
 	for s := uint64(0); s < shards && r.Err() == nil; s++ {
 		n := r.U64()
@@ -212,22 +213,23 @@ func decodeSections(payload []byte, shards uint64, emit func([]types.KV)) (uint6
 			batch = append(batch, kv)
 		}
 		if r.Err() == nil {
-			emit(batch)
+			sections = append(sections, batch)
 			total += n
 		}
 	}
 	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("decoding snapshot: %w", err)
+		return nil, 0, fmt.Errorf("decoding snapshot: %w", err)
 	}
 	if r.Remaining() != 0 {
-		return 0, fmt.Errorf("snapshot has %d trailing bytes", r.Remaining())
+		return nil, 0, fmt.Errorf("snapshot has %d trailing bytes", r.Remaining())
 	}
-	return total, nil
+	return sections, total, nil
 }
 
 // DecodeSnapshot decodes and verifies a snapshot file image — checksum,
 // magic, manifest, shard payloads, record count, and the incremental
-// state hash — into a fresh KVStore. Recovery loads local snapshots
+// state hash — into a fresh KVStore built by state.Load, which hashes
+// each record once. Recovery loads local snapshots
 // through it, and state sync uses it to validate a snapshot reassembled
 // from peer-served chunks before adopting it. Malformed input returns an
 // error, never panics.
@@ -240,8 +242,7 @@ func DecodeSnapshot(raw []byte) (*Manifest, *state.KVStore, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	store := state.NewKVStore()
-	total, err := decodeSections(payload, man.Shards, store.Apply)
+	sections, total, err := decodeSections(payload, man.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,6 +250,7 @@ func DecodeSnapshot(raw []byte) (*Manifest, *state.KVStore, error) {
 		return nil, nil, fmt.Errorf("snapshot holds %d records, manifest says %d",
 			total, man.Records)
 	}
+	store := state.Load(sections...)
 	if got := store.Hash(); got != man.StateHash {
 		return nil, nil, fmt.Errorf("snapshot state hash mismatch: got %s want %s",
 			got, man.StateHash)

@@ -121,7 +121,7 @@ func (m *Manager) ServeSnapshotChunk(height, chunk uint64, chunkBytes int) ([]by
 // as this node's recovery point: the raw bytes become the local snapshot
 // file at the given height, the WAL restarts in a fresh segment at that
 // height, and everything below is pruned. The caller must have verified
-// the image with DecodeSnapshot and reset its store and ledger to match
+// the image with DecodeSnapshot and installed it in its store and ledger
 // before resuming appends.
 func (m *Manager) AdoptSnapshot(height uint64, raw []byte) error {
 	m.snapWG.Wait() // no background snapshot write racing the swap

@@ -8,7 +8,7 @@
 //
 // The stores in this package are zero-copy: they neither copy values in on
 // write nor copy them out on read. Ownership of a value slice transfers to
-// the store on Put/Apply/Write/Record, and every read (Get, GetVersion,
+// the store on Load/Put/Apply/Write/Record, and every read (Get, GetVersion,
 // ReadAsOf, Snapshot) returns the stored slice itself. Record goes one
 // step further and retains each recorded KV by pointer, so the write-set
 // slice itself must stay untouched too. Consequently:
@@ -26,7 +26,9 @@ package state
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"parblockchain/internal/types"
 )
@@ -237,18 +239,80 @@ func (s *KVStore) Apply(writes []types.KV) {
 	}
 }
 
-// Reset atomically discards every record and digest, returning the store
-// to its freshly-constructed state. State sync uses it before installing
-// a peer-served snapshot: adoption replaces the whole state, it does not
-// merge into it. All shards are write-locked for the duration, so
-// concurrent readers see either the old state or the empty one.
-func (s *KVStore) Reset() {
+// Load returns a store holding the given batches of records, exactly as
+// NewKVStore followed by Apply of each batch in order would build it:
+// the same records, versions and hash. It is the bulk path for genesis
+// and snapshot decode: every shard map is sized once, and the shards are
+// filled and hashed on at most GOMAXPROCS goroutines. Ownership of the
+// value slices transfers to the store, as with Apply.
+func Load(batches ...[]types.KV) *KVStore {
+	// Bucket the records by shard, keeping their order within a shard
+	// (a key always maps to one shard, so per-key order is Apply's).
+	var bounds [shardCount + 1]int
+	total := 0
+	for _, batch := range batches {
+		for i := range batch {
+			bounds[shardIndex(batch[i].Key)+1]++
+		}
+		total += len(batch)
+	}
+	for i := 1; i <= shardCount; i++ {
+		bounds[i] += bounds[i-1]
+	}
+	byShard := make([]*types.KV, total)
+	next := bounds
+	for _, batch := range batches {
+		for i := range batch {
+			si := shardIndex(batch[i].Key)
+			byShard[next[si]] = &batch[i]
+			next[si]++
+		}
+	}
+
+	s := &KVStore{}
+	var claimed atomic.Int32
+	fill := func() {
+		for {
+			i := int(claimed.Add(1)) - 1
+			if i >= shardCount {
+				return
+			}
+			sh := &s.shards[i]
+			recs := byShard[bounds[i]:bounds[i+1]]
+			sh.data = make(map[types.Key]versioned, len(recs))
+			for _, kv := range recs {
+				sh.put(kv.Key, kv.Val)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), shardCount); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill()
+		}()
+	}
+	fill()
+	wg.Wait()
+	return s
+}
+
+// Adopt replaces the store's contents with src's by moving src's shard
+// maps and digests in, without rehashing a record; src is left holding
+// the replaced contents. Every shard is write-locked for the swap, so a
+// concurrent reader sees the old state or the new one, never a mix or
+// an empty store. State sync installs a verified snapshot through it:
+// adoption replaces the whole state, it does not merge into it. src must
+// not be in concurrent use.
+func (s *KVStore) Adopt(src *KVStore) {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
 	for i := range s.shards {
-		s.shards[i].data = make(map[types.Key]versioned)
-		s.shards[i].digest = [sha256.Size]byte{}
+		dst, from := &s.shards[i], &src.shards[i]
+		dst.data, from.data = from.data, dst.data
+		dst.digest, from.digest = from.digest, dst.digest
 	}
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
