@@ -114,10 +114,11 @@ func BenchmarkFig7_Geo(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationA4_ConsensusPlug compares the three pluggable ordering
-// protocols under the same no-contention workload.
+// BenchmarkAblationA4_ConsensusPlug compares the two pluggable ordering
+// protocols, Kafka-style (crash faults) and PBFT (Byzantine faults),
+// under the same no-contention workload.
 func BenchmarkAblationA4_ConsensusPlug(b *testing.B) {
-	for _, kind := range []node.ConsensusKind{node.ConsensusKafka, node.ConsensusPBFT, node.ConsensusRaft} {
+	for _, kind := range []node.ConsensusKind{node.ConsensusKafka, node.ConsensusPBFT} {
 		b.Run(string(kind), func(b *testing.B) {
 			opts := quick(bench.SystemOXII)
 			opts.Consensus = kind

@@ -169,7 +169,7 @@ func ablations(c config) error {
 	levels := c.clientLevels()
 	clients := levels[len(levels)-1]
 	fmt.Println("A4: consensus plug comparison, no contention")
-	for _, kind := range []node.ConsensusKind{node.ConsensusKafka, node.ConsensusPBFT, node.ConsensusRaft} {
+	for _, kind := range []node.ConsensusKind{node.ConsensusKafka, node.ConsensusPBFT} {
 		opts := c.opts
 		opts.System = bench.SystemOXII
 		opts.Consensus = kind

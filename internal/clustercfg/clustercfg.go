@@ -29,7 +29,8 @@ type Config struct {
 	// Observer is the executor that sends commit notifications to
 	// clients; defaults to the first executor in sorted order.
 	Observer string `json:"observer,omitempty"`
-	// Consensus is "kafka", "pbft", or "raft" (default "kafka").
+	// Consensus is "kafka" (crash faults, the default) or "pbft"
+	// (Byzantine faults).
 	Consensus node.ConsensusKind `json:"consensus,omitempty"`
 	// BlockTxns is the block-size cut and BlockIntervalMs the timeout cut
 	// in milliseconds; zero takes the ordering defaults (200 / 100 ms,
@@ -83,8 +84,15 @@ func Load(path string) (*Config, error) {
 	if cfg.Observer == "" {
 		cfg.Observer = string(cfg.ExecutorIDs()[0])
 	}
-	if cfg.Consensus == "" {
+	switch cfg.Consensus {
+	case "":
 		cfg.Consensus = node.ConsensusKafka
+	case node.ConsensusKafka, node.ConsensusPBFT:
+	default:
+		// "raft" was a plug once; a file that still names it fails here
+		// instead of at the first orderer's start.
+		return nil, fmt.Errorf("clustercfg: %s: consensus %q is not supported: want %q or %q",
+			path, cfg.Consensus, node.ConsensusKafka, node.ConsensusPBFT)
 	}
 	if err := cfg.Validate(cfg.DataDir != ""); err != nil {
 		return nil, fmt.Errorf("clustercfg: %s: %w", path, err)

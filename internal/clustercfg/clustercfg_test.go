@@ -186,6 +186,30 @@ func TestLoadRejectsNegativeKnobs(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRetiredConsensus loads a file naming the retired Raft
+// plug (and a misspelled one): Load must fail with an error naming the
+// value and the two plugs that remain.
+func TestLoadRejectsRetiredConsensus(t *testing.T) {
+	for _, kind := range []string{"raft", "kafak"} {
+		bad := fmt.Sprintf(`{"orderers": {"o1": "x"}, "executors": {"e1": "y"}, "consensus": %q}`, kind)
+		_, err := Load(write(t, bad))
+		if err == nil {
+			t.Fatalf("consensus %q: loaded, want an error", kind)
+		}
+		for _, want := range []string{`"` + kind + `"`, `"kafka"`, `"pbft"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("consensus %q: err = %v, want it to name %s", kind, err, want)
+			}
+		}
+	}
+	for _, kind := range []string{"kafka", "pbft"} {
+		ok := fmt.Sprintf(`{"orderers": {"o1": "x"}, "executors": {"e1": "y"}, "consensus": %q}`, kind)
+		if _, err := Load(write(t, ok)); err != nil {
+			t.Errorf("consensus %q: %v", kind, err)
+		}
+	}
+}
+
 // TestLoadRejectsUnknownKeys loads every file under testdata/unknown/,
 // each a cluster file that sets one key Config does not declare — a knob
 // a past PR removed, or a misspelled one — named after the file. Load
@@ -218,7 +242,7 @@ func TestRoundTrip(t *testing.T) {
 		Clients:         map[string]string{"c1": "127.0.0.1:7201"},
 		Apps:            map[string][]string{"app1": {"e1", "e2"}},
 		Observer:        "e2",
-		Consensus:       node.ConsensusRaft,
+		Consensus:       node.ConsensusPBFT,
 		BlockTxns:       64,
 		BlockIntervalMs: 20,
 		Tunables: node.Tunables{

@@ -1,14 +1,13 @@
 // Package consensus defines the pluggable ordering abstraction of the
 // OXII paradigm (Section III-A: "OXII, similar to Fabric, uses a pluggable
-// consensus protocol for ordering"). Three implementations are provided in
-// subpackages:
+// consensus protocol for ordering"). Two implementations are provided in
+// subpackages, one per fault model:
 //
+//   - kafkaorder: a Kafka-like leader/broker ordering service, matching
+//     the evaluation's "typical Kafka orderer setup" (2f+1 nodes tolerate
+//     f crash failures of brokers; the leader is static).
 //   - pbft: Practical Byzantine Fault Tolerance (3f+1 nodes tolerate f
 //     Byzantine failures), the protocol the paper's running example uses.
-//   - raft: a Raft-style crash fault-tolerant protocol (2f+1 nodes
-//     tolerate f crash failures).
-//   - kafkaorder: a Kafka-like leader/broker ordering service, matching
-//     the evaluation's "typical Kafka orderer setup".
 //
 // All implementations deliver the same abstraction: a gap-free, totally
 // ordered stream of opaque payloads, identical at every correct member.

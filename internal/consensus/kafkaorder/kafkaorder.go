@@ -10,18 +10,23 @@
 // Leadership is static: Members[0] sequences. Crash fault tolerance for
 // the *data* comes from broker replication; leader fail-over (Kafka's
 // controller/ZooKeeper job) is out of scope, exactly as it is external to
-// Fabric's ordering node implementation.
+// Fabric's ordering node implementation. While the leader is down nothing
+// is ordered; followers hold the forwards it did not accept and re-send
+// them once it is back.
 //
 // With Config.Dir set, a member persists sequenced batches and commit
 // decisions through the persist.RecordLog layer (storage.go): an Ack is
 // only sent once the batch is fsynced — Kafka's log.flush durability —
 // and on restart the member redelivers its committed prefix with stable
 // sequence numbers and fetches anything it missed from the leader's
-// durable log.
+// durable log. A follower fetches too when a commit announcement shows
+// batches it never received: a leader that crashed with them in flight
+// does not send them again.
 package kafkaorder
 
 import (
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,11 +116,16 @@ type Node struct {
 	deliver *consensus.DeliveryQueue
 
 	// State owned by the run goroutine.
-	nextSeq      uint64 // leader: next batch seq
-	lastDeliver  uint64
-	entrySeq     uint64
-	slots        map[uint64]*slot
+	nextSeq     uint64 // leader: next batch seq
+	lastDeliver uint64
+	entrySeq    uint64
+	slots       map[uint64]*slot
+	// pending holds the payloads that wait for the batch timer: at the
+	// leader those of the next batch, at a follower the forwards the
+	// leader has not accepted yet (see forward), in submission order.
 	pending      [][]byte
+	dropLogged   bool   // follower: a full pending has been reported
+	gapFetched   uint64 // follower: 1 + lastDeliver at its last gap Fetch
 	batchGen     uint64
 	batchTimerOn bool
 	done         chan struct{}
@@ -234,7 +244,11 @@ func (k *Node) run() {
 		case evBatchTimer:
 			if ev.gen == k.batchGen {
 				k.batchTimerOn = false
-				k.flush()
+				if k.isLeader() {
+					k.flush()
+				} else {
+					k.retryForwards()
+				}
 			}
 		case evStep:
 			k.handleStep(ev.from, ev.msg)
@@ -295,7 +309,7 @@ func (k *Node) broadcast(msg any) {
 
 func (k *Node) handleSubmit(payload []byte) {
 	if !k.isLeader() {
-		_ = k.cfg.Sender.Send(k.Leader(), Forward{Payload: payload})
+		k.forward(payload)
 		return
 	}
 	k.pending = append(k.pending, payload)
@@ -303,18 +317,64 @@ func (k *Node) handleSubmit(payload []byte) {
 		k.flush()
 		return
 	}
-	if !k.batchTimerOn {
-		k.batchTimerOn = true
-		k.batchGen++
-		gen := k.batchGen
-		time.AfterFunc(time.Duration(k.cfg.Batch.MaxDelayMillis)*time.Millisecond, func() {
-			k.mailbox.Push(event{kind: evBatchTimer, gen: gen})
-		})
+	k.armBatchTimer()
+}
+
+func (k *Node) armBatchTimer() {
+	if k.batchTimerOn {
+		return
+	}
+	k.batchTimerOn = true
+	k.batchGen++
+	gen := k.batchGen
+	time.AfterFunc(time.Duration(k.cfg.Batch.MaxDelayMillis)*time.Millisecond, func() {
+		k.mailbox.Push(event{kind: evBatchTimer, gen: gen})
+	})
+}
+
+// forward sends a follower's payload to the leader. A payload whose send
+// fails — the leader is not listening yet, or is down — is held in
+// pending, behind any held before it, and re-sent on the batch timer
+// until the leader accepts it. At most Batch.MaxMsgs are held; beyond
+// that a payload is dropped, and the client's resubmit covers it. A
+// re-sent payload that had reached the leader after all is ordered
+// twice, and the orderer's dedupe drops the second copy.
+func (k *Node) forward(payload []byte) {
+	if len(k.pending) == 0 && k.cfg.Sender.Send(k.Leader(), Forward{Payload: payload}) == nil {
+		return
+	}
+	if len(k.pending) >= k.cfg.Batch.MaxMsgs {
+		if !k.dropLogged {
+			k.dropLogged = true
+			k.cfg.Logf("kafkaorder: %s: leader %s has not accepted %d forwarded payloads; dropping new ones until it does",
+				k.cfg.ID, k.Leader(), len(k.pending))
+		}
+		return
+	}
+	k.pending = append(k.pending, payload)
+	k.armBatchTimer()
+}
+
+// retryForwards re-sends a follower's held forwards in order, up to the
+// first that fails again, and re-arms the timer while any remain.
+func (k *Node) retryForwards() {
+	sent := 0
+	for _, payload := range k.pending {
+		if k.cfg.Sender.Send(k.Leader(), Forward{Payload: payload}) != nil {
+			break
+		}
+		sent++
+	}
+	k.pending = slices.Delete(k.pending, 0, sent)
+	if len(k.pending) > 0 {
+		k.armBatchTimer()
+	} else {
+		k.dropLogged = false
 	}
 }
 
 func (k *Node) flush() {
-	if len(k.pending) == 0 || !k.isLeader() {
+	if len(k.pending) == 0 {
 		return
 	}
 	batch := k.pending
@@ -369,7 +429,9 @@ func (k *Node) handleStep(from types.NodeID, msg any) {
 		}
 		_ = k.cfg.Sender.Send(from, Ack{Seq: m.Seq})
 	case Ack:
-		if !k.isLeader() {
+		if !k.isLeader() || m.Seq <= k.lastDeliver {
+			// A re-ack of a delivered batch (a broker answering a
+			// re-sent Append) must not open a fresh slot for it.
 			return
 		}
 		s := k.getSlot(m.Seq)
@@ -390,6 +452,15 @@ func (k *Node) handleStep(from types.NodeID, msg any) {
 			}
 		}
 		k.tryDeliver()
+		if k.lastDeliver < m.Seq && k.gapFetched != k.lastDeliver+1 {
+			// Links are FIFO and the leader commits in order, so a commit
+			// above undelivered batches means the leader's messages for
+			// them were lost: it crashed with them in flight, and after
+			// its restart it re-sends only what it has not delivered.
+			// Fetch once per gap, not once per commit announced above it.
+			k.gapFetched = k.lastDeliver + 1
+			_ = k.cfg.Sender.Send(k.Leader(), Fetch{Have: k.lastDeliver})
+		}
 	case Fetch:
 		k.serveFetch(from, m.Have)
 	}

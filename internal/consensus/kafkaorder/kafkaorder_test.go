@@ -1,7 +1,11 @@
 package kafkaorder_test
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +16,13 @@ import (
 )
 
 func newCluster(t *testing.T, n int) (*transport.InMemNetwork, []*kafkaorder.Node, []types.NodeID) {
+	t.Helper()
+	return newClusterWith(t, n, nil)
+}
+
+// newClusterWith builds a cluster whose member id sends through
+// wrap(id, its endpoint's sender) when wrap is set.
+func newClusterWith(t *testing.T, n int, wrap func(types.NodeID, consensus.Sender) consensus.Sender) (*transport.InMemNetwork, []*kafkaorder.Node, []types.NodeID) {
 	t.Helper()
 	net := transport.NewInMemNetwork(transport.InMemConfig{
 		Latency: transport.ConstantLatency(200 * time.Microsecond),
@@ -26,11 +37,15 @@ func newCluster(t *testing.T, n int) (*transport.InMemNetwork, []*kafkaorder.Nod
 		if err != nil {
 			t.Fatal(err)
 		}
+		var sender consensus.Sender = consensus.SenderFunc(ep.Send)
+		if wrap != nil {
+			sender = wrap(id, sender)
+		}
 		node, err := kafkaorder.New(kafkaorder.Config{
 			ID:      id,
 			Members: ids,
-			Sender:  consensus.SenderFunc(ep.Send),
-			Batch:   consensus.BatchConfig{MaxMsgs: 4, MaxDelayMillis: 2},
+			Sender:  sender,
+			Batch:   consensus.BatchConfig{MaxMsgs: maxMsgs, MaxDelayMillis: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -50,6 +65,35 @@ func newCluster(t *testing.T, n int) (*transport.InMemNetwork, []*kafkaorder.Nod
 		net.Close()
 	})
 	return net, nodes, ids
+}
+
+// maxMsgs is the test clusters' batch size, and so the number of
+// forwards a follower holds while the leader does not accept them.
+const maxMsgs = 4
+
+// failingSender fails sends to one destination while failing says so,
+// and passes every other send through.
+type failingSender struct {
+	consensus.Sender
+	to      types.NodeID
+	failing func() bool
+}
+
+func (s failingSender) Send(to types.NodeID, payload any) error {
+	if to == s.to && s.failing() {
+		return errors.New("leader unreachable")
+	}
+	return s.Sender.Send(to, payload)
+}
+
+// expectQuiet fails if n delivers anything within d.
+func expectQuiet(t *testing.T, n *kafkaorder.Node, d time.Duration) {
+	t.Helper()
+	select {
+	case e := <-n.Committed():
+		t.Fatalf("unexpected extra entry %d: %q", e.Seq, e.Payload)
+	case <-time.After(d):
+	}
 }
 
 func collect(t *testing.T, n *kafkaorder.Node, k int, timeout time.Duration) []consensus.Entry {
@@ -177,5 +221,140 @@ func TestAckQuorumConfigurable(t *testing.T) {
 	case e := <-nodes[0].Committed():
 		t.Fatalf("unexpected commit %q", e.Payload)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestFollowerRetriesFailedForwards: a follower whose forwards to the
+// leader fail — the leader is not listening yet — holds them and re-sends
+// them on its batch timer, so each payload submitted once at the follower
+// is delivered exactly once, in submission order, by every member.
+func TestFollowerRetriesFailedForwards(t *testing.T) {
+	const failures = 5
+	var sends atomic.Int64
+	_, nodes, ids := newClusterWith(t, 3, func(id types.NodeID, s consensus.Sender) consensus.Sender {
+		if id != "k2" {
+			return s
+		}
+		return failingSender{Sender: s, to: "k1", failing: func() bool { return sends.Add(1) <= failures }}
+	})
+	want := []string{"a", "b", "c"}
+	for _, p := range want {
+		_ = nodes[1].Submit([]byte(p))
+	}
+	for i, n := range nodes {
+		entries := collect(t, n, len(want), 5*time.Second)
+		for j, e := range entries {
+			if string(e.Payload) != want[j] {
+				t.Fatalf("member %s delivered %q at %d, want %q", ids[i], e.Payload, j, want[j])
+			}
+		}
+	}
+	if sends.Load() <= failures {
+		t.Fatalf("the leader was reached after %d sends, want more than %d failures", sends.Load(), failures)
+	}
+	for _, n := range nodes {
+		expectQuiet(t, n, 50*time.Millisecond)
+	}
+}
+
+// TestFollowerHoldsAtMostMaxMsgsForwards: while the leader accepts
+// nothing, a follower holds the first Batch.MaxMsgs payloads submitted to
+// it and drops the rest; once the leader is reachable, exactly the held
+// ones are delivered, in order.
+func TestFollowerHoldsAtMostMaxMsgsForwards(t *testing.T) {
+	var down atomic.Bool
+	var failed atomic.Int64
+	down.Store(true)
+	_, nodes, _ := newClusterWith(t, 3, func(id types.NodeID, s consensus.Sender) consensus.Sender {
+		if id != "k2" {
+			return s
+		}
+		return failingSender{Sender: s, to: "k1", failing: func() bool {
+			if !down.Load() {
+				return false
+			}
+			failed.Add(1)
+			return true
+		}}
+	})
+	for i := 0; i < maxMsgs+3; i++ {
+		_ = nodes[1].Submit([]byte(fmt.Sprintf("p%d", i)))
+	}
+	// Two more failed re-sends: the timer behind the second was armed
+	// after every Submit above was queued, so the follower has taken all
+	// of them by then.
+	seen := failed.Load()
+	deadline := time.Now().Add(5 * time.Second)
+	for failed.Load() < seen+2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower stopped re-sending its held forwards")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	down.Store(false)
+	entries := collect(t, nodes[0], maxMsgs, 5*time.Second)
+	for i, e := range entries {
+		if want := fmt.Sprintf("p%d", i); string(e.Payload) != want {
+			t.Fatalf("delivered %q at %d, want %q", e.Payload, i, want)
+		}
+	}
+	expectQuiet(t, nodes[0], 50*time.Millisecond)
+}
+
+// TestFollowerFetchesAfterLostCommit: the leader crashes with a batch's
+// Append and CommitAnn to one follower lost in flight, after the batch
+// committed on the other. The restarted leader has that batch delivered
+// and does not send it again, so the follower learns of the gap only from
+// the next commit; it then fetches the missing batch from the leader's
+// log and delivers both, in order.
+func TestFollowerFetchesAfterLostCommit(t *testing.T) {
+	net := transport.NewInMemNetwork(transport.InMemConfig{})
+	t.Cleanup(net.Close)
+	dir := t.TempDir()
+	ids := []types.NodeID{"k1", "k2", "k3"}
+	start := func(id types.NodeID) *kafkaorder.Node {
+		ep, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := kafkaorder.New(kafkaorder.Config{
+			ID: id, Members: ids,
+			Sender: consensus.SenderFunc(ep.Send),
+			Batch:  consensus.BatchConfig{MaxMsgs: 1, MaxDelayMillis: 1},
+			Dir:    filepath.Join(dir, string(id)),
+			Logf:   t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for msg := range ep.Recv() {
+				n.Step(msg.From, msg.Payload)
+			}
+		}()
+		n.Start()
+		t.Cleanup(n.Stop)
+		return n
+	}
+	leader, k2, k3 := start("k1"), start("k2"), start("k3")
+
+	net.SetBlocked("k1", "k2", true)
+	_ = leader.Submit([]byte("a"))
+	collect(t, k3, 1, 5*time.Second)
+	collect(t, leader, 1, 5*time.Second)
+	leader.Crash()
+	net.Remove("k1")
+	net.SetBlocked("k1", "k2", false)
+
+	leader = start("k1")
+	_ = leader.Submit([]byte("b"))
+	for i, n := range []*kafkaorder.Node{k2, k3} {
+		var got []string
+		for _, e := range collect(t, n, 2-i, 5*time.Second) {
+			got = append(got, string(e.Payload))
+		}
+		if want := []string{"a", "b"}[i:]; !slices.Equal(got, want) {
+			t.Fatalf("member k%d delivered %q, want %q", i+2, got, want)
+		}
 	}
 }

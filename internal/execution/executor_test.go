@@ -500,7 +500,8 @@ func TestCommitMsgFlushedOnCrossBlockForeignSuccessor(t *testing.T) {
 // admission's own: the block hash, the block overlay, the window's
 // conflict index and the per-transaction bookkeeping. The bookkeeping is
 // two allocations per block whatever its size: one record per
-// transaction, and the final results.
+// transaction, and the final results. The bound is checked only in
+// builds without -race.
 func TestAdmitAllocations(t *testing.T) {
 	const n = 200
 	e := New(Config{
@@ -526,6 +527,12 @@ func TestAdmitAllocations(t *testing.T) {
 	}
 	admit() // warm the conflict index's key slots
 	got := testing.AllocsPerRun(20, admit)
+	if raceEnabled {
+		// The block hash takes its encoder from a sync.Pool, which a
+		// -race build empties at random: the count then varies by run.
+		t.Logf("-race build: %.0f allocations, bound not checked", got)
+		return
+	}
 	const maxAllocs = 19
 	if got > maxAllocs {
 		t.Errorf("admitting %d transactions made %.0f allocations, want at most %d", n, got, maxAllocs)

@@ -17,7 +17,6 @@ import (
 	"parblockchain/internal/consensus"
 	"parblockchain/internal/consensus/kafkaorder"
 	"parblockchain/internal/consensus/pbft"
-	"parblockchain/internal/consensus/raft"
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
 	"parblockchain/internal/execution"
@@ -37,10 +36,8 @@ type ConsensusKind string
 const (
 	// ConsensusPBFT is Byzantine fault tolerant (3f+1).
 	ConsensusPBFT ConsensusKind = "pbft"
-	// ConsensusRaft is crash fault tolerant (2f+1).
-	ConsensusRaft ConsensusKind = "raft"
 	// ConsensusKafka is the Kafka-style ordering service of the paper's
-	// evaluation setup, and the default.
+	// evaluation setup, crash fault tolerant (2f+1), and the default.
 	ConsensusKafka ConsensusKind = "kafka"
 )
 
@@ -85,7 +82,7 @@ type Config struct {
 	// DataDir roots the deployment's durable state; this node keeps its
 	// own under DataDir/<ID>: an executor its write-ahead log and
 	// snapshots (wal/, snap/), an orderer its cut-state log (olog/) and —
-	// under Raft or Kafka — its consensus log (consensus/). A node
+	// under Kafka — its consensus log (consensus/). A node
 	// rebuilt on the same directory resumes where it stopped. Empty keeps
 	// everything in memory.
 	//
@@ -131,7 +128,8 @@ func (c *Config) dir(sub string) string {
 
 // OrderQuorum returns the number of matching NEWBLOCK messages an
 // executor requires: f+1 under PBFT (a correct orderer among them), 1
-// under the crash-fault-tolerant protocols, where orderers do not lie.
+// under the crash-fault-tolerant Kafka service, where orderers do not
+// lie.
 func OrderQuorum(kind ConsensusKind, orderers int) int {
 	if kind == ConsensusPBFT {
 		return (orderers-1)/3 + 1
@@ -166,20 +164,16 @@ func GenerateKeys(crypto bool, groups ...[]types.NodeID) (map[types.NodeID]crypt
 
 // NewConsensus builds this orderer's instance of the configured
 // protocol from cfg's ID, Endpoint, Orderers, Consensus, DataDir and
-// Logf. Raft and Kafka persist their log under
-// the node's consensus/ directory when a data dir is set.
+// Logf. Kafka persists its log under the node's consensus/ directory
+// when a data dir is set.
 func NewConsensus(cfg Config) (consensus.Node, error) {
 	sender := consensus.SenderFunc(cfg.Endpoint.Send)
-	dir := cfg.dir("consensus")
 	switch cfg.Consensus {
 	case ConsensusPBFT:
 		return pbft.New(pbft.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender}), nil
-	case ConsensusRaft:
-		return raft.New(raft.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender,
-			Dir: dir, Logf: cfg.Logf})
 	case ConsensusKafka, "":
 		return kafkaorder.New(kafkaorder.Config{ID: cfg.ID, Members: cfg.Orderers, Sender: sender,
-			Dir: dir, Logf: cfg.Logf})
+			Dir: cfg.dir("consensus"), Logf: cfg.Logf})
 	default:
 		return nil, fmt.Errorf("node: unknown consensus kind %q", cfg.Consensus)
 	}
@@ -253,8 +247,8 @@ func (c *Config) ordererConfig() ordering.Config {
 		MaxBlockInterval: c.MaxBlockInterval,
 		BuildGraph:       true,
 		Dir:              logDir,
-		// Raft and Kafka persist their logs and redeliver the committed
-		// prefix with stable sequence numbers, so replayed entries can be
+		// Kafka persists its log and redelivers the committed prefix
+		// with stable sequence numbers, so replayed entries can be
 		// recognized and skipped by sequence. PBFT restarts its sequence
 		// space, so its re-deliveries are deduped by content instead.
 		ResumeSeq: logDir != "" && c.Consensus != ConsensusPBFT,

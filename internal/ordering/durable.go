@@ -21,8 +21,9 @@ import (
 //
 //   - entry records carry one raw consensus payload with its delivery
 //     sequence number, appended before the payload is processed. They
-//     ride the page cache until the next cut syncs them; a durable consensus adapter (Raft/Kafka) redelivers
-//     anything lost, gated by the replayed sequence high-water mark.
+//     ride the page cache until the next cut syncs them; a durable
+//     consensus adapter (Kafka) redelivers anything lost, gated by the
+//     replayed sequence high-water mark.
 //   - cut records are appended inside cutBlock — after the dedupe
 //     rotation, before the NEWBLOCK multicast — and fsynced, so no
 //     executor ever admits a block the orderer could forget. A cut

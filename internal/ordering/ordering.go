@@ -107,7 +107,7 @@ type Config struct {
 	RetainBlocks int
 	// ResumeSeq drops live consensus entries at or below the replayed
 	// sequence high-water mark. Set it only when the consensus adapter
-	// is itself durable (Raft/Kafka persisting through the same layer)
+	// is itself durable (Kafka persisting through the same layer)
 	// and redelivers its committed prefix with stable sequence numbers
 	// after a restart; a non-durable adapter restarts its sequence space
 	// at 1, which the mark would wrongly swallow.

@@ -164,32 +164,3 @@ func TestCryptoDisabledStillConverges(t *testing.T) {
 		t.Fatalf("result=%+v err=%v", result, err)
 	}
 }
-
-// TestRaftOrdererFailover exercises the CFT plug end to end: kill the
-// Raft leader and verify the blockchain keeps committing.
-func TestRaftOrdererFailover(t *testing.T) {
-	nw, net := testNetwork(t, func(cfg *Config) {
-		cfg.Consensus = node.ConsensusRaft
-	})
-	client, err := nw.Client("c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := client.Prepare("app1", contract.DepositOp("app1/alice", 1))
-	if _, err := client.Do(tx, 10*time.Second); err != nil {
-		t.Fatalf("pre-crash: %v", err)
-	}
-	// Kill one orderer (possibly the leader; Raft must re-elect).
-	net.Isolate("o1", true)
-	deadline := time.Now().Add(30 * time.Second)
-	committed := 0
-	for committed < 3 && time.Now().Before(deadline) {
-		tx := client.Prepare("app1", contract.DepositOp("app1/alice", 1))
-		if _, err := client.Do(tx, 5*time.Second); err == nil {
-			committed++
-		}
-	}
-	if committed < 3 {
-		t.Fatal("no progress after raft orderer crash")
-	}
-}

@@ -247,3 +247,113 @@ func TestChaosFullClusterBounceUnderLoad(t *testing.T) {
 			preDurable, got)
 	}
 }
+
+// TestKafkaLeaderKillRestartUnderLoad is the Kafka answer to leader
+// failover. The service's leader is static, so losing o1 stops ordering:
+// under sustained load no orderer cuts a block while o1 is down. o1 then
+// restarts on its data dir, and commits resume on top of the chain it
+// left, without any orderer's durable height going back, and every
+// executor converges bit-identically.
+func TestKafkaLeaderKillRestartUnderLoad(t *testing.T) {
+	dir := t.TempDir()
+	net := transport.NewInMemNetwork(transport.InMemConfig{})
+	defer net.Close()
+	cfg := durableConfig(net, dir)
+	cfg.Orderers = []types.NodeID{"o1", "o2", "o3"}
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Stop()
+	nw.Start()
+	client, err := nw.Client("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	var committed atomic.Int64
+	loadDone := make(chan struct{})
+	go func() {
+		defer close(loadDone)
+		for !stop.Load() {
+			tx := client.Prepare("app1", contract.TransferOp("app1/alice", "app1/bob", 1))
+			if _, err := client.Do(tx, 2*time.Second); err == nil {
+				committed.Add(1)
+			}
+		}
+	}()
+
+	waitHeight(t, nw, 0, 3)
+	preLeader := nw.Orderers[0].DurableHeight()
+	nw.KillOrderer(0)
+	// Let whatever o1 cut before it died reach every orderer and
+	// executor, then watch the followers under the load: without the
+	// leader nothing is ordered, so nothing is cut.
+	time.Sleep(100 * time.Millisecond)
+	down := make([]uint64, len(nw.Orderers))
+	for i := 1; i < len(nw.Orderers); i++ {
+		down[i] = nw.Orderers[i].DurableHeight()
+	}
+	downChain := nw.Ledgers[0].Height()
+	time.Sleep(300 * time.Millisecond)
+	for i := 1; i < len(nw.Orderers); i++ {
+		if h := nw.Orderers[i].DurableHeight(); h != down[i] {
+			t.Fatalf("orderer %d cut blocks %d..%d while the leader was down", i, down[i]+1, h)
+		}
+	}
+	if h := nw.Ledgers[0].Height(); h != downChain {
+		t.Fatalf("the chain grew from %d to %d while the leader was down", downChain, h)
+	}
+
+	if err := nw.RestartOrderer(0); err != nil {
+		t.Fatal(err)
+	}
+	// The leader replays its logs on the delivery goroutine and resumes
+	// at its durable height, not at 0.
+	deadline := time.Now().Add(20 * time.Second)
+	for nw.Orderers[0].DurableHeight() < preLeader {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted leader at durable height %d, want at least %d",
+				nw.Orderers[0].DurableHeight(), preLeader)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	base := committed.Load()
+	for committed.Load() < base+8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d commits after the leader restarted, want 8", committed.Load()-base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop.Store(true)
+	<-loadDone
+
+	for i := range nw.Executors {
+		waitConverged(t, nw, i, nil)
+	}
+	// Every orderer, the restarted leader included, cuts past the height
+	// the followers held while it was down, and all end at the same
+	// height: each cuts the same blocks from the same ordered stream.
+	deadline = time.Now().Add(20 * time.Second)
+	for {
+		h0 := nw.Orderers[0].DurableHeight()
+		same := h0 > down[1]
+		for _, o := range nw.Orderers[1:] {
+			same = same && o.DurableHeight() == h0
+		}
+		if same {
+			break
+		}
+		if time.Now().After(deadline) {
+			for i, o := range nw.Orderers {
+				t.Errorf("orderer %d at durable height %d", i, o.DurableHeight())
+			}
+			t.Fatalf("orderers did not reach one height above %d", down[1])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if h := nw.Ledgers[0].Height(); h <= downChain {
+		t.Fatalf("chain at height %d after the restart, want above %d", h, downChain)
+	}
+}

@@ -324,7 +324,7 @@ func (nw *Network) KillOrderer(i int) {
 
 // RestartOrderer rebuilds and starts a killed orderer in place: a fresh
 // endpoint replaces the severed one, the cut-state log (and, under
-// Raft/Kafka, the consensus log) recovers from the node's durable
+// Kafka, the consensus log) recovers from the node's durable
 // directory, and the rejoined orderer resumes cutting at the height
 // after its last fsynced cut — re-streaming the retained window so
 // executors that missed blocks catch up.

@@ -258,25 +258,3 @@ func TestPBFTConsensusPlug(t *testing.T) {
 		t.Fatalf("alice balance = %d, want 1005", bal)
 	}
 }
-
-// TestRaftConsensusPlug runs the end-to-end flow over Raft with 3
-// orderers.
-func TestRaftConsensusPlug(t *testing.T) {
-	nw, _ := testNetwork(t, func(cfg *Config) {
-		cfg.Consensus = node.ConsensusRaft
-	})
-	client, err := nw.Client("c1")
-	if err != nil {
-		t.Fatalf("Client: %v", err)
-	}
-	tx := client.Prepare("app1", contract.TransferOp("app1/alice", "app1/bob", 7))
-	if result, err := client.Do(tx, 10*time.Second); err != nil {
-		t.Fatalf("Do (raft): %v", err)
-	} else if result.Aborted {
-		t.Fatalf("transfer aborted: %s", result.AbortReason)
-	}
-	raw, _ := nw.ObserverStore().Get("app1/bob")
-	if bal, _ := contract.Balance(raw); bal != 1007 {
-		t.Fatalf("bob balance = %d, want 1007", bal)
-	}
-}

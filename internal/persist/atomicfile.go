@@ -8,8 +8,8 @@ import (
 // WriteFileAtomic replaces path with whatever write puts into the file
 // it is handed: the bytes go to <path>.tmp, are fsynced, renamed over
 // path, and the directory entry is fsynced, so a crash at any point
-// leaves either the previous file or the complete new one. Snapshots,
-// adopted peer snapshots and the Raft hard state all land this way.
+// leaves either the previous file or the complete new one. Snapshots
+// and adopted peer snapshots land this way.
 func WriteFileAtomic(path string, write func(*os.File) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

@@ -2,7 +2,7 @@
 //
 //   - RecordLog (reclog.go, segment.go): the only segmented-log
 //     implementation in the repository. The orderer's cut log and the
-//     Raft and Kafka adapters open it directly; the executor's WAL is a
+//     Kafka adapter open it directly; the executor's WAL is a
 //     RecordLog whose record index is the block height.
 //   - Manager (this file, sync.go): an executor's durability — that WAL
 //     of finalization events, periodic snapshots of the state store, the

@@ -16,9 +16,8 @@ import (
 // CRC-32C-checksummed append log of opaque record bodies in the segment
 // format of segment.go. The executor's block WAL (Manager, prefix
 // "wal", record index = block height), the orderer's consensus-delivery
-// and cut log ("olog") and the Raft and Kafka adapters' entry logs
-// ("raft", "kafka") each open one and interpret the bodies themselves;
-// open/replay, torn-tail truncation, roll, prune, group fsync, crash
+// and cut log ("olog") and the Kafka adapter's entry log ("kafka") each
+// open one and interpret the bodies themselves; open/replay, torn-tail truncation, roll, prune, group fsync, crash
 // simulation, positional range reads and reset exist here and nowhere
 // else.
 //
@@ -77,7 +76,7 @@ type RecordLogStats struct {
 	TailTruncated bool
 }
 
-// RecordLog is an open log. Append/Sync/Roll/TruncateFrom/PruneTo/Reset
+// RecordLog is an open log. Append/Sync/Roll/PruneTo/Reset
 // are serialized by an internal mutex; Stats is safe from any goroutine.
 type RecordLog struct {
 	cfg RecordLogConfig
@@ -355,71 +354,6 @@ func (l *RecordLog) Reset(start uint64) error {
 	}
 	l.segments = l.segments[:0]
 	return l.startSegment(start)
-}
-
-// TruncateFrom discards every record with index >= idx (the Raft
-// conflict-truncation path). Later segments are deleted whole; a
-// truncation point inside a segment truncates the file in place. idx
-// below the first retained segment is an error (that history is pruned).
-func (l *RecordLog) TruncateFrom(idx uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errLogClosed
-	}
-	if idx >= l.next {
-		return nil
-	}
-	if idx < l.segments[0] {
-		return fmt.Errorf("persist: TruncateFrom(%d) is below the pruned floor %d", idx, l.segments[0])
-	}
-	// Find the segment holding idx.
-	si := 0
-	for i, start := range l.segments {
-		if start <= idx {
-			si = i
-		}
-	}
-	start := l.segments[si]
-	if err := l.seg.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if idx == start {
-		// The whole segment goes too; recreate it empty at idx.
-		if err := l.removeSegments(l.segments[si:]); err != nil {
-			return err
-		}
-		l.segments = l.segments[:si]
-		return l.startSegment(idx)
-	}
-	if err := l.removeSegments(l.segments[si+1:]); err != nil {
-		return err
-	}
-	l.segments = l.segments[:si+1]
-	// Scan to the byte offset of record idx and truncate in place.
-	scan := start
-	var errStop = errors.New("stop")
-	offset, err := replaySegmentFile(l.segPath(start), l.cfg.Prefix, func([]byte) error {
-		if scan == idx {
-			return errStop
-		}
-		scan++
-		return nil
-	})
-	if err != nil && err != errStop && err != errTornTail {
-		return err
-	}
-	if scan != idx {
-		return fmt.Errorf("persist: TruncateFrom(%d): segment %016x ends at %d", idx, start, scan)
-	}
-	if err := l.resumeSegment(start, offset); err != nil {
-		return err
-	}
-	l.next = idx
-	if err := l.seg.Sync(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return nil
 }
 
 // PruneTo deletes sealed segments that lie entirely below keep: segment

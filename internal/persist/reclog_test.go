@@ -115,35 +115,6 @@ func TestRecordLogRollRangePrune(t *testing.T) {
 	}
 }
 
-func TestRecordLogTruncateFrom(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	appendN(t, l, 0, 3)
-	if err := l.Roll(); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 3, 4)
-	// Truncate inside the active segment: records 5.. go.
-	if err := l.TruncateFrom(5); err != nil {
-		t.Fatal(err)
-	}
-	if l.NextIndex() != 5 {
-		t.Fatalf("NextIndex = %d, want 5", l.NextIndex())
-	}
-	appendN(t, l, 5, 1)
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, replayed := openLog(t, dir)
-	defer l2.Close()
-	if len(replayed) != 6 || string(replayed[5]) != "rec-005" {
-		t.Fatalf("replayed %d records, [5]=%q", len(replayed), replayed[5])
-	}
-}
-
 // TestRecordLogTornTailRecovered mirrors the executor WAL contract: a
 // torn frame at the newest segment's tail (the expected crash shape) is
 // truncated on open, and the log continues from the durable prefix.

@@ -21,8 +21,8 @@ import (
 //
 //	<prefix>-<index, 16 hex digits>.seg
 //
-// ("wal" for the executor's block records, "olog", "raft" and "kafka"
-// on the ordering side). A segment starts with an 8-byte magic and its
+// ("wal" for the executor's block records, "olog" and "kafka" on the
+// ordering side). A segment starts with an 8-byte magic and its
 // start index, followed by length-prefixed, CRC-32C-checksummed frames:
 //
 //	magic (8)  | "PBWALS01"

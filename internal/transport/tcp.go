@@ -12,7 +12,6 @@ import (
 
 	"parblockchain/internal/consensus/kafkaorder"
 	"parblockchain/internal/consensus/pbft"
-	"parblockchain/internal/consensus/raft"
 	"parblockchain/internal/types"
 )
 
@@ -24,11 +23,10 @@ import (
 // binary codec. The protocol payloads — REQUEST, NEWBLOCK, COMMIT, the
 // state-sync pair and the client's commit notification — travel as the
 // fuzz-hardened encodings of internal/types, and every consensus payload
-// (Raft, kafkaorder and PBFT messages, including the heartbeats that
-// dominate idle-cluster traffic and the nested view-change certificates)
-// as the hand-rolled codecs of their packages. So the wire format is
-// deterministic, and hostile input fails in a bounded decoder. Sending a
-// payload type without a codec is an error.
+// (kafkaorder and PBFT messages, including PBFT's nested view-change
+// certificates) as the hand-rolled codecs of their packages. So the wire
+// format is deterministic, and hostile input fails in a bounded decoder.
+// Sending a payload type without a codec is an error.
 //
 // Peer identity is established by a handshake frame and then pinned to
 // the connection. Production deployments would authenticate links with
@@ -66,18 +64,16 @@ const (
 	// Tags 5 and 6 carried the retired segment-streaming frames (SEGMENT
 	// and SEAL). They stay reserved and decode as unknown tags.
 
-	// Consensus-internal payloads of the crash-fault-tolerant protocols
-	// (Raft heartbeats dominate idle-cluster traffic; kafka appends carry
-	// every ordered payload).
-	frameRaftForward       byte = 7  // body: raft.Forward binary encoding
-	frameRaftRequestVote   byte = 8  // body: raft.RequestVote binary encoding
-	frameRaftVoteResp      byte = 9  // body: raft.VoteResp binary encoding
-	frameRaftAppendEntries byte = 10 // body: raft.AppendEntries binary encoding
-	frameRaftAppendResp    byte = 11 // body: raft.AppendResp binary encoding
-	frameKafkaForward      byte = 12 // body: kafkaorder.Forward binary encoding
-	frameKafkaAppend       byte = 13 // body: kafkaorder.Append binary encoding
-	frameKafkaAck          byte = 14 // body: kafkaorder.Ack binary encoding
-	frameKafkaCommitAnn    byte = 15 // body: kafkaorder.CommitAnn binary encoding
+	// Tags 7–11 carried the retired Raft adapter's messages (Forward,
+	// RequestVote, VoteResp, AppendEntries, AppendResp). They stay
+	// reserved and decode as unknown tags.
+
+	// Consensus-internal payloads of the Kafka-style service (appends
+	// carry every ordered payload).
+	frameKafkaForward   byte = 12 // body: kafkaorder.Forward binary encoding
+	frameKafkaAppend    byte = 13 // body: kafkaorder.Append binary encoding
+	frameKafkaAck       byte = 14 // body: kafkaorder.Ack binary encoding
+	frameKafkaCommitAnn byte = 15 // body: kafkaorder.CommitAnn binary encoding
 
 	// Peer-served catch-up (state sync) messages.
 	frameStateSyncReq  byte = 16 // body: types.StateSyncRequestMsg binary encoding
@@ -114,16 +110,6 @@ func encodeFrame(payload any) (byte, []byte, error) {
 		return frameNewBlock, p.Marshal(), nil
 	case *types.CommitMsg:
 		return frameCommit, p.Marshal(), nil
-	case raft.Forward:
-		return frameRaftForward, p.Marshal(), nil
-	case raft.RequestVote:
-		return frameRaftRequestVote, p.Marshal(), nil
-	case raft.VoteResp:
-		return frameRaftVoteResp, p.Marshal(), nil
-	case raft.AppendEntries:
-		return frameRaftAppendEntries, p.Marshal(), nil
-	case raft.AppendResp:
-		return frameRaftAppendResp, p.Marshal(), nil
 	case kafkaorder.Forward:
 		return frameKafkaForward, p.Marshal(), nil
 	case kafkaorder.Append:
@@ -167,16 +153,6 @@ func decodeFrame(tag byte, body []byte) (any, error) {
 		return types.UnmarshalNewBlockMsg(body)
 	case frameCommit:
 		return types.UnmarshalCommitMsg(body)
-	case frameRaftForward:
-		return raft.UnmarshalForward(body)
-	case frameRaftRequestVote:
-		return raft.UnmarshalRequestVote(body)
-	case frameRaftVoteResp:
-		return raft.UnmarshalVoteResp(body)
-	case frameRaftAppendEntries:
-		return raft.UnmarshalAppendEntries(body)
-	case frameRaftAppendResp:
-		return raft.UnmarshalAppendResp(body)
 	case frameKafkaForward:
 		return kafkaorder.UnmarshalForward(body)
 	case frameKafkaAppend:

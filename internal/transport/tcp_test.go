@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"parblockchain/internal/consensus/kafkaorder"
-	"parblockchain/internal/consensus/raft"
 	"parblockchain/internal/depgraph"
 	"parblockchain/internal/types"
 )
@@ -230,33 +229,8 @@ func TestTCPBinaryFrameRoundTrips(t *testing.T) {
 		}
 	})
 
-	// The CFT consensus payloads are binary-framed too; each must arrive
-	// as the same value type the consensus state machines type-switch on.
-	t.Run("raft", func(t *testing.T) {
-		for _, msg := range []any{
-			raft.Forward{Payload: []byte("fwd")},
-			raft.RequestVote{Term: 3, LastLogIndex: 7, LastLogTerm: 2},
-			raft.VoteResp{Term: 3, Granted: true},
-			raft.AppendEntries{
-				Term: 4, PrevIndex: 6, PrevTerm: 2,
-				Entries: []raft.LogEntry{
-					{Term: 4, Payload: []byte("entry")},
-					{Term: 4, Payload: nil}, // leader no-op
-				},
-				LeaderCommit: 5,
-			},
-			raft.AppendResp{Term: 4, Success: true, MatchIndex: 8},
-		} {
-			if err := a.Send("b", msg); err != nil {
-				t.Fatal(err)
-			}
-			got := recvPayload(t, b)
-			if !reflect.DeepEqual(got, msg) {
-				t.Fatalf("%T mangled: %#v != %#v", msg, got, msg)
-			}
-		}
-	})
-
+	// The consensus payloads are binary-framed too; each must arrive as
+	// the same value type the consensus state machines type-switch on.
 	t.Run("kafka", func(t *testing.T) {
 		for _, msg := range []any{
 			kafkaorder.Forward{Payload: []byte("fwd")},
@@ -446,11 +420,12 @@ func TestTCPManyPeers(t *testing.T) {
 }
 
 // TestRetiredFrameTagsRejected: tag 0 carried the retired gob escape
-// hatch, and tags 5 and 6 the retired segment-streaming frames. They stay
-// reserved, so a peer still speaking those formats gets its frames
-// refused instead of misread.
+// hatch, tags 5 and 6 the retired segment-streaming frames, and tags
+// 7–11 the retired Raft adapter's messages. They stay reserved, so a
+// peer still speaking those formats gets its frames refused instead of
+// misread.
 func TestRetiredFrameTagsRejected(t *testing.T) {
-	for _, tag := range []byte{0, 5, 6} {
+	for _, tag := range []byte{0, 5, 6, 7, 8, 9, 10, 11} {
 		if payload, err := decodeFrame(tag, []byte{0, 1, 2, 3}); err == nil {
 			t.Fatalf("tag %d decoded to %T, want an unknown-tag error", tag, payload)
 		}
