@@ -83,7 +83,9 @@ func run(configPath string, id types.NodeID, opsAddr string) error {
 		for app := range nc.Agents {
 			nc.Contracts[app] = contract.NewAccounting()
 		}
-		nc.Genesis = cfg.GenesisKVs(contract.EncodeBalance)
+		if nc.Genesis, err = cfg.GenesisKVs(contract.EncodeBalance); err != nil {
+			return err
+		}
 		n, err := node.NewExecutor(nc)
 		if err != nil {
 			return err

@@ -44,9 +44,10 @@ const genesisKey = "genesis"
 // decodeConfig decodes a cluster file into cfg, refusing what a
 // json.Decoder with DisallowUnknownFields refuses, and data after the
 // top-level object. The genesis member, nearly all of a large file's
-// bytes, is parsed once by the balances parser instead of being scanned
-// twice by encoding/json before the parser sees it; every other member
-// is handed to encoding/json as one object.
+// bytes, is only stepped over and kept as bytes in cfg.genesisRaw, for
+// Config.genesis to decode with the balances parser: an orderer never
+// pays for the table. Every other member is handed to encoding/json as
+// one object.
 func decodeConfig(raw []byte, cfg *Config) error {
 	p := jsonParser{data: raw}
 	if !p.next('{') {
@@ -66,9 +67,11 @@ func decodeConfig(raw []byte, cfg *Config) error {
 				return errObjectSyntax
 			}
 			if strings.EqualFold(key, genesisKey) {
-				if err := p.balances(&cfg.Genesis); err != nil {
+				raw, err := p.skipBalances()
+				if err != nil {
 					return err
 				}
+				cfg.genesisRaw = append(cfg.genesisRaw, raw)
 			} else {
 				p.ws()
 				dec := json.NewDecoder(bytes.NewReader(raw[p.pos:]))
@@ -172,6 +175,40 @@ func (p *jsonParser) balances(dst *Balances) error {
 		}
 		return fmt.Errorf("genesis balances: %w", errObjectSyntax)
 	}
+}
+
+// skipBalances steps over a balances value, null or an object, and
+// returns its bytes. It reads no further than the bracket that closes
+// the object, skipping strings; the balances parser checks the rest.
+func (p *jsonParser) skipBalances() ([]byte, error) {
+	p.ws()
+	start := p.pos
+	if bytes.HasPrefix(p.data[p.pos:], []byte("null")) {
+		p.pos += len("null")
+		return p.data[start:p.pos], nil
+	}
+	if p.pos >= len(p.data) || p.data[p.pos] != '{' {
+		return nil, errors.New("genesis balances: want an object of integer balances")
+	}
+	depth := 0
+	for i := p.pos; i < len(p.data); i++ {
+		switch p.data[i] {
+		case '"':
+			for i++; i < len(p.data) && p.data[i] != '"'; i++ {
+				if p.data[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				p.pos = i + 1
+				return p.data[start:p.pos], nil
+			}
+		}
+	}
+	return nil, errors.New("genesis balances: unterminated object")
 }
 
 // key reads one JSON string. A plain ASCII key is sliced out directly;

@@ -105,20 +105,28 @@ func TestBalancesDecode(t *testing.T) {
 		}
 	}
 	// Load's decoder finds the genesis member as encoding/json would,
-	// case-insensitively, and holds it to the same rules.
+	// case-insensitively, and Config.genesis holds it to the same rules.
 	var cfg Config
-	if err := decodeConfig([]byte(`{"Genesis": {"a": 1}}`), &cfg); err != nil || cfg.Genesis["a"] != 1 {
-		t.Fatalf("Genesis member: %v, %v", err, cfg.Genesis)
+	if err := decodeConfig([]byte(`{"Genesis": {"a": 1}}`), &cfg); err != nil {
+		t.Fatal(err)
 	}
-	if err := decodeConfig([]byte(`{"genesis": {"a": 1e3}}`), &Config{}); err == nil {
+	if g, err := cfg.genesis(); err != nil || g["a"] != 1 {
+		t.Fatalf("Genesis member: %v, %v", err, g)
+	}
+	cfg = Config{}
+	if err := decodeConfig([]byte(`{"genesis": {"a": 1e3}}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfg.genesis(); err == nil {
 		t.Fatal("a non-integer balance in a config must be refused")
 	}
 }
 
-// FuzzDecodeConfig holds Load's decoder to the json.Decoder with
-// DisallowUnknownFields it replaced: whatever that refuses (trailing data
-// included) is refused, and whatever is accepted decodes to the same
-// Config. The seeds cover the ways a member can name the genesis field.
+// FuzzDecodeConfig holds Load's decoder, with the genesis decode an
+// executor adds, to the json.Decoder with DisallowUnknownFields it
+// replaced: whatever that refuses (trailing data included) is refused,
+// and whatever is accepted decodes to the same Config. The seeds cover
+// the ways a member can name the genesis field.
 func FuzzDecodeConfig(f *testing.F) {
 	for _, s := range []string{
 		valid,
@@ -158,6 +166,11 @@ func FuzzDecodeConfig(f *testing.F) {
 		if err := decodeConfig(data, &got); err != nil {
 			return
 		}
+		genesis, err := got.genesis()
+		if err != nil {
+			return
+		}
+		got.Genesis, got.genesisRaw = genesis, nil
 		if refErr != nil {
 			t.Fatalf("accepted %q, which encoding/json refuses: %v", data, refErr)
 		}

@@ -55,8 +55,13 @@ type Config struct {
 	// Crypto enables deterministic demo keys and full verification.
 	Crypto bool `json:"crypto,omitempty"`
 	// Genesis seeds each executor's store with account balances, each a
-	// JSON integer (see Balances).
+	// JSON integer (see Balances). Load leaves it nil and keeps the
+	// file's table undecoded for GenesisKVs: only executors read it.
 	Genesis Balances `json:"genesis,omitempty"`
+
+	// genesisRaw holds the genesis members Load found, in file order,
+	// as bytes; genesis decodes them.
+	genesisRaw [][]byte
 }
 
 // Load reads and validates a cluster config file. A key Config does not
@@ -176,15 +181,34 @@ func (c *Config) AgentsOf() map[types.AppID][]types.NodeID {
 	return out
 }
 
-// GenesisKVs converts the genesis balances to state records, in map
-// order: the keys are distinct, so the store state.Load builds from them
-// does not depend on their order.
-func (c *Config) GenesisKVs(encode func(int64) []byte) []types.KV {
-	out := make([]types.KV, 0, len(c.Genesis))
-	for k, v := range c.Genesis {
+// GenesisKVs decodes the genesis balances and converts them to state
+// records, in map order: the keys are distinct, so the store state.Load
+// builds from them does not depend on their order. A table that breaks
+// the balances rules is an error.
+func (c *Config) GenesisKVs(encode func(int64) []byte) ([]types.KV, error) {
+	genesis, err := c.genesis()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]types.KV, 0, len(genesis))
+	for k, v := range genesis {
 		out = append(out, types.KV{Key: k, Val: encode(v)})
 	}
-	return out
+	return out, nil
+}
+
+// genesis returns the genesis table. A loaded Config's Genesis is nil,
+// and its members are decoded in file order into one table, as
+// encoding/json decodes a repeated member into a map field; a Config
+// built in code has only Genesis.
+func (c *Config) genesis() (Balances, error) {
+	genesis := c.Genesis
+	for _, raw := range c.genesisRaw {
+		if err := genesis.UnmarshalJSON(raw); err != nil {
+			return nil, fmt.Errorf("clustercfg: %w", err)
+		}
+	}
+	return genesis, nil
 }
 
 func sortedIDs(m map[string]string) []types.NodeID {

@@ -63,9 +63,25 @@ func TestLoadValid(t *testing.T) {
 	if len(agents["app1"]) != 1 || agents["app1"][0] != types.NodeID("e1") {
 		t.Fatalf("AgentsOf = %v", agents)
 	}
-	kvs := cfg.GenesisKVs(func(v int64) []byte { return []byte{byte(v % 256)} })
-	if len(kvs) != 1 || kvs[0].Key != "app1/alice" {
-		t.Fatalf("GenesisKVs = %v", kvs)
+	kvs, err := cfg.GenesisKVs(func(v int64) []byte { return []byte{byte(v % 256)} })
+	if err != nil || len(kvs) != 1 || kvs[0].Key != "app1/alice" {
+		t.Fatalf("GenesisKVs = %v, %v", kvs, err)
+	}
+}
+
+// TestLoadLeavesGenesisToExecutors: Load does not decode the genesis
+// table — an orderer never reads it — so a malformed balance loads, and
+// GenesisKVs, which an executor calls at start, refuses it.
+func TestLoadLeavesGenesisToExecutors(t *testing.T) {
+	cfg, err := Load(write(t, strings.Replace(valid, `"app1/alice": 1000`, `"app1/alice": 1e3`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Genesis != nil {
+		t.Fatalf("Load decoded the genesis table: %v", cfg.Genesis)
+	}
+	if kvs, err := cfg.GenesisKVs(func(int64) []byte { return nil }); err == nil {
+		t.Fatalf("GenesisKVs accepted a non-integer balance: %v", kvs)
 	}
 }
 
@@ -256,7 +272,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 	v := reflect.ValueOf(want)
 	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
+		// Unexported fields are Load's own state, not in the file.
+		if v.Type().Field(i).IsExported() && v.Field(i).IsZero() {
 			t.Fatalf("Config.%s is zero: set it so the round trip covers it", v.Type().Field(i).Name)
 		}
 	}
@@ -274,6 +291,10 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got.Genesis, err = got.genesis(); err != nil {
+		t.Fatal(err)
+	}
+	got.genesisRaw = nil
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", *got, want)
 	}

@@ -113,8 +113,11 @@ func (q *DeliveryQueue) pump() {
 type BatchConfig struct {
 	// MaxMsgs flushes a batch when it reaches this many payloads.
 	MaxMsgs int
-	// MaxDelayMillis flushes a non-empty batch this many milliseconds
-	// after its first payload arrived.
+	// MaxDelayMillis flushes PBFT's non-empty batch this many
+	// milliseconds after its first payload arrived, and paces a Kafka
+	// follower's re-sends of forwards its leader has not accepted. The
+	// Kafka leader has no batch timer: it flushes once its last batch
+	// has committed.
 	MaxDelayMillis int
 }
 

@@ -14,6 +14,16 @@
 // is ordered; followers hold the forwards it did not accept and re-send
 // them once it is back.
 //
+// The leader batches at the pace of its own round, with no timer: it
+// sends the payloads it holds as the next batch once every earlier batch
+// has committed and its mailbox is empty, or as soon as they fill
+// Batch.MaxMsgs. A burst that queues while a batch is in flight therefore
+// leaves as one batch when that batch commits.
+//
+// Each member works through its mailbox in drains: a drain handles every
+// event queued when it began, then releases what those events produced —
+// one log sync, then the messages in order, then the deliveries.
+//
 // With Config.Dir set, a member persists sequenced batches and commit
 // decisions through the persist.RecordLog layer (storage.go): an Ack is
 // only sent once the batch is fsynced — Kafka's log.flush durability —
@@ -33,6 +43,7 @@ import (
 
 	"parblockchain/internal/consensus"
 	"parblockchain/internal/eventq"
+	"parblockchain/internal/telemetry"
 	"parblockchain/internal/types"
 )
 
@@ -44,7 +55,9 @@ type Config struct {
 	Members []types.NodeID
 	// Sender is the outbound half of the node's transport endpoint.
 	Sender consensus.Sender
-	// Batch controls batching at the leader.
+	// Batch.MaxMsgs caps the leader's batches. Batch.MaxDelayMillis is
+	// a follower's interval between re-sends of the forwards the leader
+	// has not accepted; the leader arms no timer.
 	Batch consensus.BatchConfig
 	// AckQuorum is the number of members (including the leader) whose
 	// acknowledgement commits a batch. Zero means a majority.
@@ -90,7 +103,6 @@ type event struct {
 	from    types.NodeID
 	msg     any
 	payload []byte
-	gen     uint64
 }
 
 type eventKind int
@@ -98,9 +110,14 @@ type eventKind int
 const (
 	evStep eventKind = iota + 1
 	evSubmit
-	evBatchTimer
+	evRetryTimer
 	evStop
 )
+
+type outMsg struct {
+	to  types.NodeID
+	msg any
+}
 
 type slot struct {
 	batch     [][]byte
@@ -120,15 +137,22 @@ type Node struct {
 	lastDeliver uint64
 	entrySeq    uint64
 	slots       map[uint64]*slot
-	// pending holds the payloads that wait for the batch timer: at the
-	// leader those of the next batch, at a follower the forwards the
-	// leader has not accepted yet (see forward), in submission order.
+	// pending holds, in submission order, at the leader the payloads of
+	// the next batch, and at a follower the forwards the leader has not
+	// accepted yet (see forward).
 	pending      [][]byte
 	dropLogged   bool   // follower: a full pending has been reported
 	gapFetched   uint64 // follower: 1 + lastDeliver at its last gap Fetch
-	batchGen     uint64
-	batchTimerOn bool
+	retryTimerOn bool   // follower: a re-send of held forwards is due
 	done         chan struct{}
+
+	// What the drain in progress has produced, owned by the run
+	// goroutine; release hands it out after the drain's log sync.
+	outbox []outMsg
+	ready  []consensus.Entry
+
+	batches  atomic.Uint64 // leader: batches sequenced
+	payloads atomic.Uint64 // leader: payloads in them
 
 	// Durable state (nil without Config.Dir), owned by the run goroutine.
 	storage  *storage
@@ -220,40 +244,96 @@ func (k *Node) Crash() {
 	k.Stop()
 }
 
+// RegisterTelemetry exposes the member's counters on reg; the orderer
+// registers them beside its own. Only the leader sequences batches.
+func (k *Node) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.Labels) {
+	if reg == nil {
+		return
+	}
+	reg.CounterFunc("parblockchain_kafka_batches_sequenced_total",
+		"Batches this member sequenced as the Kafka leader.", labels, k.batches.Load)
+	reg.CounterFunc("parblockchain_kafka_payloads_sequenced_total",
+		"Payloads in the batches this member sequenced.", labels, k.payloads.Load)
+	if k.storage != nil {
+		reg.CounterFunc("parblockchain_kafka_log_fsyncs_total",
+			"fsyncs of this member's Kafka log.", labels, func() uint64 { return k.storage.log.Stats().Syncs })
+	}
+}
+
 var _ consensus.Node = (*Node)(nil)
 var _ consensus.Crasher = (*Node)(nil)
 
+// run handles the mailbox in drains. A drain takes every event queued
+// when it begins; the leader then flushes its pending payloads if no
+// batch is outstanding and nothing new has queued, and the drain's
+// output is released. A crash mid-drain releases nothing: the messages
+// and deliveries it held wait on records that were never synced.
 func (k *Node) run() {
 	defer close(k.done)
 	defer k.deliver.Close()
 	defer func() { k.storage.close(k.crashed.Load()) }()
 	if k.storage != nil {
 		k.recover()
+		k.release()
 	}
 	for {
 		ev, ok := k.mailbox.Pop()
 		if !ok {
 			return
 		}
-		switch ev.kind {
-		case evStop:
-			k.mailbox.Close()
-			return
-		case evSubmit:
-			k.handleSubmit(ev.payload)
-		case evBatchTimer:
-			if ev.gen == k.batchGen {
-				k.batchTimerOn = false
-				if k.isLeader() {
-					k.flush()
-				} else {
-					k.retryForwards()
+		for queued := k.mailbox.Len(); ; queued-- {
+			if ev.kind == evStop {
+				if !k.crashed.Load() {
+					k.release()
 				}
+				k.mailbox.Close()
+				return
 			}
-		case evStep:
-			k.handleStep(ev.from, ev.msg)
+			k.handle(ev)
+			if queued == 0 {
+				break
+			}
+			ev, _ = k.mailbox.Pop()
 		}
+		if k.isLeader() && k.lastDeliver == k.nextSeq && k.mailbox.Len() == 0 {
+			k.flush()
+		}
+		k.release()
 	}
+}
+
+func (k *Node) handle(ev event) {
+	switch ev.kind {
+	case evSubmit:
+		k.handleSubmit(ev.payload)
+	case evRetryTimer:
+		k.retryTimerOn = false
+		k.retryForwards()
+	case evStep:
+		k.handleStep(ev.from, ev.msg)
+	}
+}
+
+// release ends a drain: one sync makes every record its events appended
+// durable, then their messages go out in the order they were sent and
+// their entries reach the consumer.
+func (k *Node) release() {
+	k.storage.sync()
+	for i, m := range k.outbox {
+		_ = k.cfg.Sender.Send(m.to, m.msg)
+		k.outbox[i] = outMsg{}
+	}
+	k.outbox = k.outbox[:0]
+	for i, e := range k.ready {
+		k.deliver.Push(e)
+		k.ready[i] = consensus.Entry{}
+	}
+	k.ready = k.ready[:0]
+}
+
+// send queues a protocol message for the drain's release.
+func (k *Node) send(to types.NodeID, msg any) {
+	k.outbox = append(k.outbox, outMsg{to: to, msg: msg})
 }
 
 func (k *Node) isLeader() bool { return k.cfg.ID == k.Leader() }
@@ -275,7 +355,7 @@ func (k *Node) recover() {
 			}
 		}
 	} else {
-		_ = k.cfg.Sender.Send(k.Leader(), Fetch{Have: k.lastDeliver})
+		k.send(k.Leader(), Fetch{Have: k.lastDeliver})
 	}
 }
 
@@ -292,9 +372,9 @@ func (k *Node) serveFetch(from types.NodeID, have uint64) {
 		}
 		switch kind {
 		case recBatch:
-			_ = k.cfg.Sender.Send(from, Append{Seq: seq, Batch: batch})
+			k.send(from, Append{Seq: seq, Batch: batch})
 		case recCommit:
-			_ = k.cfg.Sender.Send(from, CommitAnn{Seq: seq})
+			k.send(from, CommitAnn{Seq: seq})
 		}
 	})
 }
@@ -302,7 +382,7 @@ func (k *Node) serveFetch(from types.NodeID, have uint64) {
 func (k *Node) broadcast(msg any) {
 	for _, m := range k.cfg.Members {
 		if m != k.cfg.ID {
-			_ = k.cfg.Sender.Send(m, msg)
+			k.send(m, msg)
 		}
 	}
 }
@@ -315,30 +395,28 @@ func (k *Node) handleSubmit(payload []byte) {
 	k.pending = append(k.pending, payload)
 	if len(k.pending) >= k.cfg.Batch.MaxMsgs {
 		k.flush()
-		return
 	}
-	k.armBatchTimer()
 }
 
-func (k *Node) armBatchTimer() {
-	if k.batchTimerOn {
+// armRetryTimer arms a follower's retry timer for its held forwards.
+func (k *Node) armRetryTimer() {
+	if k.retryTimerOn {
 		return
 	}
-	k.batchTimerOn = true
-	k.batchGen++
-	gen := k.batchGen
+	k.retryTimerOn = true
 	time.AfterFunc(time.Duration(k.cfg.Batch.MaxDelayMillis)*time.Millisecond, func() {
-		k.mailbox.Push(event{kind: evBatchTimer, gen: gen})
+		k.mailbox.Push(event{kind: evRetryTimer})
 	})
 }
 
 // forward sends a follower's payload to the leader. A payload whose send
 // fails — the leader is not listening yet, or is down — is held in
-// pending, behind any held before it, and re-sent on the batch timer
-// until the leader accepts it. At most Batch.MaxMsgs are held; beyond
-// that a payload is dropped, and the client's resubmit covers it. A
-// re-sent payload that had reached the leader after all is ordered
-// twice, and the orderer's dedupe drops the second copy.
+// pending, behind any held before it, and re-sent every
+// Batch.MaxDelayMillis until the leader accepts it. At most
+// Batch.MaxMsgs are held; beyond that a payload is dropped, and the
+// client's resubmit covers it. A re-sent payload that had reached the
+// leader after all is ordered twice, and the orderer's dedupe drops the
+// second copy.
 func (k *Node) forward(payload []byte) {
 	if len(k.pending) == 0 && k.cfg.Sender.Send(k.Leader(), Forward{Payload: payload}) == nil {
 		return
@@ -352,7 +430,7 @@ func (k *Node) forward(payload []byte) {
 		return
 	}
 	k.pending = append(k.pending, payload)
-	k.armBatchTimer()
+	k.armRetryTimer()
 }
 
 // retryForwards re-sends a follower's held forwards in order, up to the
@@ -367,12 +445,13 @@ func (k *Node) retryForwards() {
 	}
 	k.pending = slices.Delete(k.pending, 0, sent)
 	if len(k.pending) > 0 {
-		k.armBatchTimer()
+		k.armRetryTimer()
 	} else {
 		k.dropLogged = false
 	}
 }
 
+// flush sequences the leader's pending payloads as the next batch.
 func (k *Node) flush() {
 	if len(k.pending) == 0 {
 		return
@@ -381,12 +460,15 @@ func (k *Node) flush() {
 	k.pending = nil
 	k.nextSeq++
 	seq := k.nextSeq
+	k.batches.Add(1)
+	k.payloads.Add(uint64(len(batch)))
 	s := k.getSlot(seq)
 	s.batch = batch
 	s.acks[k.cfg.ID] = true
 	if k.storage != nil {
 		// The leader's own copy must be durable before replication: its
-		// self-ack counts toward the quorum.
+		// self-ack counts toward the quorum. The Append waits in the
+		// outbox for the drain's sync.
 		k.storage.append(encodeBatchRecord(seq, batch))
 	}
 	k.broadcast(Append{Seq: seq, Batch: batch})
@@ -415,7 +497,7 @@ func (k *Node) handleStep(from types.NodeID, msg any) {
 		if m.Seq <= k.lastDeliver {
 			// Already delivered (hence durable here): a redundant
 			// retransmit after a leader restart. Re-ack without re-logging.
-			_ = k.cfg.Sender.Send(from, Ack{Seq: m.Seq})
+			k.send(from, Ack{Seq: m.Seq})
 			return
 		}
 		s := k.getSlot(m.Seq)
@@ -423,11 +505,12 @@ func (k *Node) handleStep(from types.NodeID, msg any) {
 			s.batch = m.Batch
 			if k.storage != nil {
 				// Ack semantics: the batch must survive this member's
-				// crash before the leader counts it toward the quorum.
+				// crash before the leader counts it toward the quorum, so
+				// the Ack leaves after the drain's sync.
 				k.storage.append(encodeBatchRecord(m.Seq, m.Batch))
 			}
 		}
-		_ = k.cfg.Sender.Send(from, Ack{Seq: m.Seq})
+		k.send(from, Ack{Seq: m.Seq})
 	case Ack:
 		if !k.isLeader() || m.Seq <= k.lastDeliver {
 			// A re-ack of a delivered batch (a broker answering a
@@ -459,7 +542,7 @@ func (k *Node) handleStep(from types.NodeID, msg any) {
 			// its restart it re-sends only what it has not delivered.
 			// Fetch once per gap, not once per commit announced above it.
 			k.gapFetched = k.lastDeliver + 1
-			_ = k.cfg.Sender.Send(k.Leader(), Fetch{Have: k.lastDeliver})
+			k.send(k.Leader(), Fetch{Have: k.lastDeliver})
 		}
 	case Fetch:
 		k.serveFetch(from, m.Have)
@@ -475,9 +558,10 @@ func (k *Node) checkCommit(seq uint64) {
 	}
 	s.committed = true
 	if k.storage != nil {
-		// The commit decision must be durable before it is announced: a
-		// restarted leader must never forget (and re-sequence) a batch a
-		// broker already delivered.
+		// The commit decision must be durable before it is announced or
+		// delivered (both wait for the drain's sync): a restarted leader
+		// must never forget (and re-sequence) a batch a broker already
+		// delivered.
 		k.storage.append(encodeCommitRecord(seq))
 	}
 	k.broadcast(CommitAnn{Seq: seq})
@@ -494,7 +578,7 @@ func (k *Node) tryDeliver() {
 		k.lastDeliver++
 		for _, payload := range s.batch {
 			k.entrySeq++
-			k.deliver.Push(consensus.Entry{Seq: k.entrySeq, Payload: payload})
+			k.ready = append(k.ready, consensus.Entry{Seq: k.entrySeq, Payload: payload})
 		}
 		delete(k.slots, k.lastDeliver)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,6 +24,12 @@ func newCluster(t *testing.T, n int) (*transport.InMemNetwork, []*kafkaorder.Nod
 // newClusterWith builds a cluster whose member id sends through
 // wrap(id, its endpoint's sender) when wrap is set.
 func newClusterWith(t *testing.T, n int, wrap func(types.NodeID, consensus.Sender) consensus.Sender) (*transport.InMemNetwork, []*kafkaorder.Node, []types.NodeID) {
+	t.Helper()
+	return newClusterBatch(t, n, consensus.BatchConfig{MaxMsgs: maxMsgs, MaxDelayMillis: 2}, wrap)
+}
+
+// newClusterBatch is newClusterWith with the members' batch config.
+func newClusterBatch(t *testing.T, n int, batch consensus.BatchConfig, wrap func(types.NodeID, consensus.Sender) consensus.Sender) (*transport.InMemNetwork, []*kafkaorder.Node, []types.NodeID) {
 	t.Helper()
 	net := transport.NewInMemNetwork(transport.InMemConfig{
 		Latency: transport.ConstantLatency(200 * time.Microsecond),
@@ -45,7 +52,7 @@ func newClusterWith(t *testing.T, n int, wrap func(types.NodeID, consensus.Sende
 			ID:      id,
 			Members: ids,
 			Sender:  sender,
-			Batch:   consensus.BatchConfig{MaxMsgs: maxMsgs, MaxDelayMillis: 2},
+			Batch:   batch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -158,75 +165,111 @@ func TestSurvivesBrokerFailure(t *testing.T) {
 	}
 }
 
-func TestBatchTimerFlushesPartialBatch(t *testing.T) {
-	_, nodes, _ := newCluster(t, 3)
-	// A single payload is below MaxMsgs; the timer must flush it.
+// TestLeaderBatchesLonePayloadAtOnce: a payload far below MaxMsgs at an
+// idle leader leaves at once, with no batch timer to wait for — the
+// timer here is ten seconds — and every member delivers it promptly.
+func TestLeaderBatchesLonePayloadAtOnce(t *testing.T) {
+	_, nodes, ids := newClusterBatch(t, 3, consensus.BatchConfig{MaxMsgs: 64, MaxDelayMillis: 10_000}, nil)
 	_ = nodes[0].Submit([]byte("solo"))
-	entries := collect(t, nodes[0], 1, 5*time.Second)
-	if string(entries[0].Payload) != "solo" {
-		t.Fatalf("got %q", entries[0].Payload)
+	for i, n := range nodes {
+		if e := collect(t, n, 1, 200*time.Millisecond)[0]; string(e.Payload) != "solo" {
+			t.Fatalf("member %s delivered %q", ids[i], e.Payload)
+		}
 	}
 }
 
-func TestAckQuorumConfigurable(t *testing.T) {
-	net := transport.NewInMemNetwork(transport.InMemConfig{})
-	defer net.Close()
-	ids := []types.NodeID{"a", "b", "c"}
-	eps := make(map[types.NodeID]transport.Endpoint)
-	for _, id := range ids {
-		ep, _ := net.Endpoint(id)
-		eps[id] = ep
-	}
-	// AckQuorum 3 requires every broker; isolate one and the batch must
-	// NOT commit.
-	nodes := make([]*kafkaorder.Node, 3)
-	for i, id := range ids {
-		var err error
-		nodes[i], err = kafkaorder.New(kafkaorder.Config{
-			ID: id, Members: ids,
-			Sender:    consensus.SenderFunc(eps[id].Send),
-			Batch:     consensus.BatchConfig{MaxMsgs: 1, MaxDelayMillis: 1},
-			AckQuorum: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func(ep transport.Endpoint, node *kafkaorder.Node) {
-			for msg := range ep.Recv() {
-				node.Step(msg.From, msg.Payload)
+// ackGate holds the Acks sent through it while closed, and sends them
+// when opened.
+type ackGate struct {
+	mu     sync.Mutex
+	closed bool
+	held   []func()
+}
+
+func (g *ackGate) wrap(s consensus.Sender) consensus.Sender {
+	return consensus.SenderFunc(func(to types.NodeID, msg any) error {
+		if _, ok := msg.(kafkaorder.Ack); ok {
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			if g.closed {
+				g.held = append(g.held, func() { _ = s.Send(to, msg) })
+				return nil
 			}
-		}(eps[id], nodes[i])
-		nodes[i].Start()
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
 		}
-	}()
-	net.Isolate("c", true)
-	_ = nodes[0].Submit([]byte("x"))
-	select {
-	case e := <-nodes[0].Committed():
-		t.Fatalf("committed %q without full ack quorum", e.Payload)
-	case <-time.After(150 * time.Millisecond):
+		return s.Send(to, msg)
+	})
+}
+
+func (g *ackGate) heldAcks() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.held)
+}
+
+func (g *ackGate) open() {
+	g.mu.Lock()
+	g.closed = false
+	held := g.held
+	g.held = nil
+	g.mu.Unlock()
+	for _, send := range held {
+		send()
 	}
-	// Heal; the ack arrives and the batch commits.
-	net.Isolate("c", false)
-	// The Append was dropped during the partition; resubmit to trigger a
-	// fresh batch. The first batch remains uncommitted at seq 1, so the
-	// leader cannot deliver seq 2 before it; instead verify that healing
-	// plus a broker re-ack path is out of scope for the static-leader
-	// service and nothing commits out of order.
-	select {
-	case e := <-nodes[0].Committed():
-		t.Fatalf("unexpected commit %q", e.Payload)
-	case <-time.After(100 * time.Millisecond):
+}
+
+// TestLeaderBatchesWhatQueuedBehindOutstandingBatch: while a batch waits
+// for its acks, the payloads submitted behind it wait too, however long;
+// once it commits they leave together as the next batch.
+func TestLeaderBatchesWhatQueuedBehindOutstandingBatch(t *testing.T) {
+	gate := &ackGate{closed: true}
+	var mu sync.Mutex
+	var sizes []int // of the leader's Appends to k2, one per batch
+	_, nodes, _ := newClusterBatch(t, 3, consensus.BatchConfig{MaxMsgs: 64, MaxDelayMillis: 2},
+		func(id types.NodeID, s consensus.Sender) consensus.Sender {
+			if id != "k1" {
+				return gate.wrap(s)
+			}
+			return consensus.SenderFunc(func(to types.NodeID, msg any) error {
+				if a, ok := msg.(kafkaorder.Append); ok && to == "k2" {
+					mu.Lock()
+					sizes = append(sizes, len(a.Batch))
+					mu.Unlock()
+				}
+				return s.Send(to, msg)
+			})
+		})
+	appends := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(sizes)
+	}
+
+	_ = nodes[0].Submit([]byte("first"))
+	deadline := time.Now().Add(5 * time.Second)
+	for gate.heldAcks() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the followers never acknowledged the first batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		_ = nodes[0].Submit([]byte(fmt.Sprintf("p%d", i)))
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := appends(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("Appends while the first batch waits for its acks: %v, want [1]", got)
+	}
+
+	gate.open()
+	collect(t, nodes[0], 11, 5*time.Second)
+	if got := appends(); !slices.Equal(got, []int{1, 10}) {
+		t.Fatalf("Appends = %v, want [1 10]: the ten waiting payloads leave as one batch", got)
 	}
 }
 
 // TestFollowerRetriesFailedForwards: a follower whose forwards to the
 // leader fail — the leader is not listening yet — holds them and re-sends
-// them on its batch timer, so each payload submitted once at the follower
+// them on its retry timer, so each payload submitted once at the follower
 // is delivered exactly once, in submission order, by every member.
 func TestFollowerRetriesFailedForwards(t *testing.T) {
 	const failures = 5

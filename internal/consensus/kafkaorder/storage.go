@@ -18,6 +18,11 @@ import (
 //   - commit records [0x02][seq]: the batch reached its ack quorum,
 //     fsynced before the commit is announced or acted on.
 //
+// The log group-commits: a member appends the records of a whole
+// mailbox drain without syncing, syncs once at the drain's end, and
+// only then sends the drain's messages and delivers its entries. Every
+// action a record gates therefore still follows the record's fsync.
+//
 // Recovery rebuilds the slot table from the log and redelivers the
 // committed prefix with stable sequence numbers (the consumer dedupes
 // via its own high-water mark). Nothing is pruned — the in-memory
@@ -124,8 +129,8 @@ func openStorage(dir string, logf func(format string, args ...any)) (*storage, m
 	return s, slots, maxSeq, nil
 }
 
-// append writes one record and fsyncs it — both record kinds gate a
-// protocol action on durability — rolling segments as they fill.
+// append writes one record, rolling segments as they fill. The record
+// is durable only after the next sync.
 func (s *storage) append(body []byte) {
 	if s.log.Full() {
 		if err := s.log.Roll(); err != nil {
@@ -134,6 +139,13 @@ func (s *storage) append(body []byte) {
 	}
 	if _, err := s.log.Append(body); err != nil {
 		s.logf("kafkaorder: appending log record: %v", err)
+	}
+}
+
+// sync makes every appended record durable; a no-op on a nil storage
+// and when nothing was appended since the last sync.
+func (s *storage) sync() {
+	if s == nil {
 		return
 	}
 	if err := s.log.Sync(); err != nil {

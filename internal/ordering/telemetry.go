@@ -36,6 +36,15 @@ func (o *Orderer) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.La
 			"Consensus entries replayed from the durable log at startup.", labels,
 			o.stats.recoveredEntries.Load)
 	}
+	if c, ok := o.cfg.Consensus.(consensusTelemetry); ok {
+		c.RegisterTelemetry(reg, labels)
+	}
+}
+
+// consensusTelemetry is implemented by consensus instances with counters
+// of their own (kafkaorder's batches and log fsyncs).
+type consensusTelemetry interface {
+	RegisterTelemetry(reg *telemetry.Registry, labels telemetry.Labels)
 }
 
 // Status is the orderer's /statusz payload, assembled from the atomic
