@@ -165,6 +165,59 @@ func TestSurvivesBrokerFailure(t *testing.T) {
 	}
 }
 
+func TestAckQuorumConfigurable(t *testing.T) {
+	net := transport.NewInMemNetwork(transport.InMemConfig{})
+	defer net.Close()
+	ids := []types.NodeID{"a", "b", "c"}
+	eps := make(map[types.NodeID]transport.Endpoint)
+	for _, id := range ids {
+		ep, _ := net.Endpoint(id)
+		eps[id] = ep
+	}
+	// AckQuorum 3 requires every broker; isolate one and the batch must
+	// NOT commit.
+	nodes := make([]*kafkaorder.Node, 3)
+	for i, id := range ids {
+		var err error
+		nodes[i], err = kafkaorder.New(kafkaorder.Config{
+			ID: id, Members: ids,
+			Sender:    consensus.SenderFunc(eps[id].Send),
+			Batch:     consensus.BatchConfig{MaxMsgs: 1, MaxDelayMillis: 1},
+			AckQuorum: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func(ep transport.Endpoint, node *kafkaorder.Node) {
+			for msg := range ep.Recv() {
+				node.Step(msg.From, msg.Payload)
+			}
+		}(eps[id], nodes[i])
+		nodes[i].Start()
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	}()
+	net.Isolate("c", true)
+	_ = nodes[0].Submit([]byte("x"))
+	select {
+	case e := <-nodes[0].Committed():
+		t.Fatalf("committed %q without full ack quorum", e.Payload)
+	case <-time.After(150 * time.Millisecond):
+	}
+	// Heal. The Append to c was dropped during the partition and the
+	// static-leader service does not re-send it, so the batch at seq 1
+	// stays uncommitted and nothing may commit out of order behind it.
+	net.Isolate("c", false)
+	select {
+	case e := <-nodes[0].Committed():
+		t.Fatalf("unexpected commit %q", e.Payload)
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
 // TestLeaderBatchesLonePayloadAtOnce: a payload far below MaxMsgs at an
 // idle leader leaves at once, with no batch timer to wait for — the
 // timer here is ten seconds — and every member delivers it promptly.
